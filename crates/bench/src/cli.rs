@@ -30,7 +30,7 @@ pub enum ValueKind {
 
 /// The `a|b|c` list of valid scheme names quoted in `--scheme`
 /// diagnostics.
-fn scheme_names() -> String {
+pub(crate) fn scheme_names() -> String {
     SchemeKind::ALL
         .iter()
         .map(|s| s.name())

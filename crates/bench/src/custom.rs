@@ -43,17 +43,27 @@ impl Default for CustomArgs {
     }
 }
 
+/// The `repro custom` usage text, printed by `--help` and on bad input.
+pub fn usage() -> String {
+    format!(
+        "usage: repro custom [--model NAME] [--scheme {}] \
+         [--gpus N] [--mem-gib G] [--microbatches M] [--ubatch U] [--pack P] [--group G] \
+         [--opt-slots S] [--recompute] [--prefetch] [--iterations K] [--gantt]\n\
+         models: bert_large bert_xxl gpt2_xl gpt_10b lenet alexnet gnmt t5_11b",
+        crate::cli::scheme_names()
+    )
+}
+
+/// Parses one flag value, naming the flag in the error.
+fn num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{name} takes a number, got `{v}`"))
+}
+
 /// Parses `custom` flags. Returns an error string (usage) on bad input.
 pub fn parse(args: &[String]) -> Result<CustomArgs, String> {
     let mut out = CustomArgs::default();
     let mut it = args.iter();
-    let usage = || {
-        "usage: repro custom [--model NAME] [--scheme baseline-dp|baseline-pp|harmony-dp|harmony-pp] \
-         [--gpus N] [--mem-gib G] [--microbatches M] [--ubatch U] [--pack P] [--group G] \
-         [--opt-slots S] [--recompute] [--prefetch] [--iterations K] [--gantt]\n\
-         models: bert_large bert_xxl gpt2_xl gpt_10b lenet alexnet gnmt t5_11b"
-            .to_string()
-    };
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> Result<String, String> {
             it.next()
@@ -63,35 +73,28 @@ pub fn parse(args: &[String]) -> Result<CustomArgs, String> {
         match flag.as_str() {
             "--model" => out.model = val("--model")?,
             "--scheme" => {
-                out.scheme = match val("--scheme")?.as_str() {
-                    "baseline-dp" => SchemeKind::BaselineDp,
-                    "baseline-pp" => SchemeKind::BaselinePp,
-                    "harmony-dp" => SchemeKind::HarmonyDp,
-                    "harmony-pp" => SchemeKind::HarmonyPp,
-                    other => return Err(format!("unknown scheme `{other}`\n{}", usage())),
-                }
+                let name = val("--scheme")?;
+                out.scheme = SchemeKind::from_name(&name).ok_or_else(|| {
+                    format!(
+                        "unknown scheme `{name}`; valid schemes: {}\n{}",
+                        crate::cli::scheme_names(),
+                        usage()
+                    )
+                })?
             }
-            "--gpus" => out.gpus = val("--gpus")?.parse().map_err(|e| format!("{e}"))?,
-            "--mem-gib" => out.mem_gib = val("--mem-gib")?.parse().map_err(|e| format!("{e}"))?,
+            "--gpus" => out.gpus = num("--gpus", &val("--gpus")?)?,
+            "--mem-gib" => out.mem_gib = num("--mem-gib", &val("--mem-gib")?)?,
             "--microbatches" => {
-                out.workload.microbatches =
-                    val("--microbatches")?.parse().map_err(|e| format!("{e}"))?
+                out.workload.microbatches = num("--microbatches", &val("--microbatches")?)?
             }
-            "--ubatch" => {
-                out.workload.ubatch_size = val("--ubatch")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--pack" => {
-                out.workload.pack_size = val("--pack")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--group" => {
-                out.workload.group_size = Some(val("--group")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--opt-slots" => {
-                out.workload.opt_slots = val("--opt-slots")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--iterations" => {
-                out.iterations = val("--iterations")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--ubatch" => out.workload.ubatch_size = num("--ubatch", &val("--ubatch")?)?,
+            "--pack" => out.workload.pack_size = num("--pack", &val("--pack")?)?,
+            "--group" => match num("--group", &val("--group")?)? {
+                0 => return Err("--group must be a positive integer, got `0`".to_string()),
+                g => out.workload.group_size = Some(g),
+            },
+            "--opt-slots" => out.workload.opt_slots = num("--opt-slots", &val("--opt-slots")?)?,
+            "--iterations" => out.iterations = num("--iterations", &val("--iterations")?)?,
             "--recompute" => out.workload.recompute = true,
             "--prefetch" => out.prefetch = true,
             "--gantt" => out.gantt = true,
@@ -215,6 +218,22 @@ mod tests {
         assert!(parse(&argv("--bogus")).is_err());
         assert!(parse(&argv("--scheme nonsense")).is_err());
         assert!(parse(&argv("--gpus")).is_err());
+        let e = parse(&argv("--group 0")).unwrap_err();
+        assert!(e.contains("--group"), "{e}");
+    }
+
+    #[test]
+    fn parse_accepts_every_shared_scheme_name() {
+        for scheme in SchemeKind::ALL {
+            let a = parse(&argv(&format!("--scheme {}", scheme.name()))).unwrap();
+            assert_eq!(a.scheme, scheme);
+        }
+        let e = parse(&argv("--scheme pipe-1f2b")).unwrap_err();
+        assert!(
+            e.contains("baseline-dp|baseline-pp|harmony-dp|harmony-pp|pipe-1f1b"),
+            "{e}"
+        );
+        assert!(usage().contains("pipe-1f1b"));
     }
 
     #[test]

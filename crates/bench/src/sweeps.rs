@@ -254,41 +254,6 @@ pub const MEM_HOT_PATH_SCALES: [(usize, usize, usize, u32); 4] =
 pub const MEM_HOT_PATH_PRE_CHANGE_EVENTS_PER_SEC: [f64; 4] =
     [1_653_355.0, 1_554_525.0, 1_373_248.0, 1_139_941.0];
 
-/// Requested shard counts for the DP-shard scaling sweep: the unsharded
-/// fallback, a balanced split of the 4-atom server, and one shard per
-/// atom.
-pub const DP_SHARD_SCALES: [usize; 3] = [1, 2, 4];
-
-/// Wall clock of the sharded DP executor (DESIGN §12) at one requested
-/// shard count, with the unsharded whole run of the identical plan timed
-/// back-to-back in the same process. `identical` is the determinism
-/// contract: the merged trace and summary must be byte-identical to the
-/// whole run's.
-#[derive(Debug, Clone)]
-pub struct DpShardTiming {
-    /// Shards requested of the runner.
-    pub shards_requested: usize,
-    /// Shards that actually ran after clamping to contention atoms.
-    pub shards_used: usize,
-    /// Wall-clock seconds of the sharded run.
-    pub secs: f64,
-    /// Wall-clock seconds of the unsharded whole run.
-    pub unsharded_secs: f64,
-    /// Whether the merged output was byte-identical to the whole run's.
-    pub identical: bool,
-}
-
-impl DpShardTiming {
-    /// Unsharded-over-sharded wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.unsharded_secs / self.secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Cells of the sweep-throughput campaign measured by `repro bench` and
 /// gated by `repro sweep-smoke`: a 15-spec grid (5 schemes × 3
 /// microbatch counts) cycled to this length, so revisited specs exercise
@@ -434,8 +399,6 @@ pub struct BenchReport {
     /// Memory-manager hot-path scaling sweep, one entry per
     /// [`MEM_HOT_PATH_SCALES`] point.
     pub mem_hot_path: Vec<MemHotPathTiming>,
-    /// DP-shard scaling sweep, one entry per [`DP_SHARD_SCALES`] point.
-    pub dp_shard: Vec<DpShardTiming>,
     /// Sweep-throughput campaign: fresh vs pooled-session legs at
     /// [`SWEEP_THROUGHPUT_CELLS`].
     pub sweep_throughput: Vec<SweepThroughputTiming>,
@@ -534,29 +497,6 @@ impl BenchReport {
                     h.speedup_vs_dense_mem(),
                     h.fresh_allocs,
                     h.victim_pops,
-                ));
-            }
-        }
-        if !self.dp_shard.is_empty() {
-            out.push_str("dp-shard scaling (sharded executor vs whole run, harmony-dp):\n");
-            for d in &self.dp_shard {
-                // A 1-core host cannot run shards concurrently: a ~1×
-                // row there is the hardware's fact, not a regression.
-                let host_note = if self.available_parallelism == 1 {
-                    " (host-limited)"
-                } else {
-                    ""
-                };
-                out.push_str(&format!(
-                    "  shards={} (ran {}) → {:.2}× vs unsharded{} \
-                     ({:.3} s vs {:.3} s; identical: {})\n",
-                    d.shards_requested,
-                    d.shards_used,
-                    d.speedup(),
-                    host_note,
-                    d.secs,
-                    d.unsharded_secs,
-                    d.identical,
                 ));
             }
         }
@@ -730,23 +670,6 @@ impl BenchReport {
                 } else {
                     ""
                 },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"dp_shard_scaling\": [\n");
-        for (i, d) in self.dp_shard.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"shards_requested\": {}, \"shards_used\": {}, \"secs\": {}, \
-                 \"unsharded_secs\": {}, \"speedup\": {}, \"identical\": {}, \
-                 \"host_limited\": {}}}{}\n",
-                d.shards_requested,
-                d.shards_used,
-                number(d.secs),
-                number(d.unsharded_secs),
-                number(d.speedup()),
-                d.identical,
-                self.available_parallelism == 1,
-                if i + 1 < self.dp_shard.len() { "," } else { "" },
             ));
         }
         out.push_str("  ],\n");
@@ -1137,66 +1060,6 @@ pub fn mem_hot_path_scaling() -> Vec<MemHotPathTiming> {
         .collect()
 }
 
-/// Times the sharded DP executor at every [`DP_SHARD_SCALES`] point
-/// against the unsharded whole run, re-proving the byte-identity
-/// contract (DESIGN §12) in the production path on every `repro bench`.
-/// The server is 4 single-GPU switches — four contention atoms, the
-/// shape the partitioner can split — with the harness's slack capacity
-/// so Harmony-DP working sets fit.
-pub fn dp_shard_scaling() -> Vec<DpShardTiming> {
-    let model = harmony_harness::workloads::uniform_model(8, 4096);
-    let topo = harmony_harness::workloads::atomized_topo(4);
-    let w = harmony_harness::workloads::tight_workload(4);
-    let case = ExecDiffCase {
-        scheme: SchemeKind::HarmonyDp,
-        model: &model,
-        topo: &topo,
-        workload: &w,
-        faults: &[],
-        prefetch: false,
-        iterations: 4,
-        resilience: None,
-    };
-    // Whole-run reference: output for the identity check, best-of-3
-    // wall clock after a warmup (interference only ever adds time).
-    let (mut ref_summary, ref_trace, _) =
-        execdiff::run_mode(&case, false).expect("dp-shard unsharded reference");
-    ref_summary.elapsed_secs = 0.0;
-    ref_summary.setup_secs = 0.0;
-    // Planning counters, like wall clock, describe how a summary was
-    // computed, not what it computed — a merged summary carries none.
-    ref_summary.mem_counters = None;
-    let (ref_tj, ref_sj) = (ref_trace.to_json(), ref_summary.to_json());
-    let unsharded_secs = (0..3)
-        .map(|_| timed(|| execdiff::run_mode(&case, false)).0)
-        .min_by(f64::total_cmp)
-        .expect("three timed runs");
-    DP_SHARD_SCALES
-        .iter()
-        .map(|&shards| {
-            // One worker per shard, so shard concurrency is real
-            // wherever the host can offer it.
-            let run = || with_workers(shards.max(1), || execdiff::run_sharded_mode(&case, shards));
-            let (mut s, t, rep) = run().expect("dp-shard sharded run");
-            s.elapsed_secs = 0.0;
-            s.setup_secs = 0.0;
-            s.mem_counters = None;
-            let identical = t.to_json() == ref_tj && s.to_json() == ref_sj;
-            let secs = (0..3)
-                .map(|_| timed(run).0)
-                .min_by(f64::total_cmp)
-                .expect("three timed runs");
-            DpShardTiming {
-                shards_requested: shards,
-                shards_used: rep.shards_used,
-                secs,
-                unsharded_secs,
-                identical,
-            }
-        })
-        .collect()
-}
-
 /// The sweep-throughput cell sequence: 5 schemes × 3 microbatch counts
 /// (15 distinct plan keys) cycled to `cells` entries, so every key past
 /// the first fifteen cells is a revisit — the shape of a multi-seed or
@@ -1342,7 +1205,6 @@ pub fn run_filtered(workers: usize, scheme: Option<SchemeKind>) -> BenchReport {
     let hot = hot_path_scaling();
     let exec_hot = exec_hot_path_scaling();
     let mem_hot = mem_hot_path_scaling();
-    let dp_shard = dp_shard_scaling();
     let sweep = vec![sweep_throughput_filtered(SWEEP_THROUGHPUT_CELLS, scheme)];
     // Cell counts: fig2a sweeps N ∈ 1..=4; table_a runs 4 (m, N)
     // configurations × 3 schemes; tango runs 4 group sizes + 5 pack
@@ -1381,7 +1243,6 @@ pub fn run_filtered(workers: usize, scheme: Option<SchemeKind>) -> BenchReport {
         hot_path: hot,
         exec_hot_path: exec_hot,
         mem_hot_path: mem_hot,
-        dp_shard,
         sweep_throughput: sweep,
         recompute_sweep: recompute,
         tuner_plan_cache_hits: tune.plan_cache_hits,
@@ -1436,7 +1297,6 @@ mod tests {
                 fresh_allocs: 3,
                 victim_pops: 40,
             }],
-            dp_shard: vec![],
             sweep_throughput: vec![SweepThroughputTiming {
                 cells: SWEEP_THROUGHPUT_CELLS,
                 fresh_secs: 0.2,
@@ -1517,13 +1377,6 @@ mod tests {
             hot_path: vec![],
             exec_hot_path: vec![],
             mem_hot_path: vec![],
-            dp_shard: vec![DpShardTiming {
-                shards_requested: 2,
-                shards_used: 2,
-                secs: 1.0,
-                unsharded_secs: 1.0,
-                identical: true,
-            }],
             sweep_throughput: vec![],
             recompute_sweep: vec![],
             tuner_plan_cache_hits: 0,
@@ -1531,25 +1384,8 @@ mod tests {
             summaries: vec![],
         };
         assert!(report.render().contains("(host-limited)"));
-        assert!(report.to_json().contains("\"host_limited\": true"));
         report.available_parallelism = 8;
         assert!(!report.render().contains("(host-limited)"));
-        assert!(report.to_json().contains("\"host_limited\": false"));
-    }
-
-    #[test]
-    fn dp_shard_sweep_is_identical_and_clamped() {
-        let rows = dp_shard_scaling();
-        assert_eq!(rows.len(), DP_SHARD_SCALES.len());
-        for d in &rows {
-            assert!(
-                d.identical,
-                "shards={} merged output diverged from the whole run",
-                d.shards_requested
-            );
-            assert!(d.shards_used >= 1 && d.shards_used <= 4);
-            assert!(d.shards_used <= d.shards_requested.max(1));
-        }
     }
 
     #[test]
@@ -1581,13 +1417,6 @@ mod tests {
             hot_path: vec![hot_path(4, 1)],
             exec_hot_path: vec![exec_hot_path(4, 2, 2, 1)],
             mem_hot_path: vec![mem_hot_path(4, 2, 2, 1)],
-            dp_shard: vec![DpShardTiming {
-                shards_requested: 4,
-                shards_used: 3,
-                secs: 0.0, // degenerate: speedup must not emit Inf
-                unsharded_secs: 0.25,
-                identical: true,
-            }],
             sweep_throughput: vec![SweepThroughputTiming {
                 cells: 12,
                 fresh_secs: 0.2,

@@ -137,3 +137,37 @@ fn unknown_subcommand_prints_usage_and_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr.contains("frobnicate") && stderr.contains("usage:"));
 }
+
+#[test]
+fn custom_accepts_every_shared_scheme_name() {
+    // `custom` parses `--scheme` through the same name table as the grid
+    // filters, so the newest scheme is reachable from the command line.
+    let out = repro(&[
+        "custom",
+        "--model",
+        "lenet",
+        "--scheme",
+        "pipe-1f1b",
+        "--gpus",
+        "2",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("pipe-1f1b"));
+}
+
+#[test]
+fn custom_rejects_group_zero() {
+    // A zero group size is a usage error, never a silent clamp to 1.
+    let out = repro(&["custom", "--group", "0"]);
+    assert_usage_error(&out, "--group", "custom --group 0");
+}
+
+#[test]
+fn custom_help_prints_usage_and_exits_0() {
+    let out = repro(&["custom", "--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("usage: repro custom"), "{stdout}");
+    assert!(stdout.contains("pipe-1f1b"), "{stdout}");
+}

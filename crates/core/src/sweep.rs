@@ -24,7 +24,7 @@
 //! run's — the `reusediff` differential in `harmony-harness` proves it
 //! over random cell sequences.
 //!
-//! Sessions are deliberately *not* shared across threads: a sharded
+//! Sessions are deliberately *not* shared across threads: a parallel
 //! sweep gives each worker its own session
 //! (`harmony_parallel::par_map_with(cells, SweepSession::new, ..)`), so
 //! pools never contend and results stay identical at any worker count.

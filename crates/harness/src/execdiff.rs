@@ -14,10 +14,7 @@
 
 use harmony::simulate::{self, SchemeKind};
 use harmony_models::ModelSpec;
-use harmony_sched::{
-    run_sharded, ExecCounters, ExecError, ShardReport, ShardRunConfig, SimExecutor, TimedFault,
-    WorkloadConfig,
-};
+use harmony_sched::{ExecCounters, ExecError, SimExecutor, TimedFault, WorkloadConfig};
 use harmony_topology::Topology;
 use harmony_trace::{summary::RunSummary, Trace};
 
@@ -86,32 +83,6 @@ pub fn run_mode(case: &ExecDiffCase<'_>, dense: bool) -> ModeResult {
     exec.run_counted()
 }
 
-/// Plans and runs `case` through the sharded executor
-/// ([`harmony_sched::run_sharded`], DESIGN §12), configured identically
-/// to [`run_mode`]. `shards` is the *requested* count — the runner clamps
-/// to the topology's contention atoms and reports what actually ran.
-pub fn run_sharded_mode(
-    case: &ExecDiffCase<'_>,
-    shards: usize,
-) -> Result<(RunSummary, Trace, ShardReport), ExecError> {
-    let mut plan = simulate::plan(case.scheme, case.model, case.topo, case.workload)?;
-    if case.prefetch {
-        plan.scheme = plan.scheme.clone().with_prefetch();
-        plan.name = format!("{}+prefetch", plan.name);
-    }
-    run_sharded(
-        case.topo,
-        case.model,
-        &plan,
-        &ShardRunConfig {
-            iterations: case.iterations,
-            shards,
-            faults: case.faults,
-            resilience: case.resilience,
-        },
-    )
-}
-
 /// Runs `case` through the wake-set loop and the dense reference and
 /// checks byte-identical results, or returns a message naming the first
 /// divergence.
@@ -119,21 +90,6 @@ pub fn check_dense_vs_fast(case: &ExecDiffCase<'_>) -> Result<ExecDiffOutcome, S
     let fast = run_mode(case, false);
     let dense = run_mode(case, true);
     compare_modes(fast, dense, "fast", "dense")
-}
-
-/// Runs `case` sharded `shards` ways and unsharded and checks the merged
-/// output byte-identical to the whole run (same contract as
-/// [`check_dense_vs_fast`]: trace JSON, summary JSON with `elapsed_secs`
-/// zeroed, and matched error strings when both fail). The outcome's
-/// `fast` counters are the sharded run's merged counters, `dense` the
-/// unsharded run's.
-pub fn check_sharded_vs_unsharded(
-    case: &ExecDiffCase<'_>,
-    shards: usize,
-) -> Result<ExecDiffOutcome, String> {
-    let sharded = run_sharded_mode(case, shards).map(|(s, t, rep)| (s, t, rep.counters));
-    let whole = run_mode(case, false);
-    compare_modes(sharded, whole, "sharded", "unsharded")
 }
 
 /// Byte-compares two mode results (see [`check_dense_vs_fast`] for the
@@ -150,8 +106,7 @@ pub(crate) fn compare_modes(
         (Ok((mut fs, ft, fc)), Ok((mut ds, dt, dc))) => {
             // Wall clock is the one legitimately nondeterministic field;
             // planning counters legitimately differ between manager
-            // implementations (and merged summaries carry none). Neither
-            // is part of a run's identity.
+            // implementations. Neither is part of a run's identity.
             fs.elapsed_secs = 0.0;
             ds.elapsed_secs = 0.0;
             fs.setup_secs = 0.0;
@@ -223,71 +178,7 @@ pub(crate) fn first_diff(what: &str, a_name: &str, b_name: &str, a: &str, b: &st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::{atomized_topo, slack_topo, tight_topo, tight_workload, uniform_model};
-
-    #[test]
-    fn sharded_dp_run_is_byte_identical() {
-        let model = uniform_model(4, 4096);
-        let topo = atomized_topo(3);
-        let w = tight_workload(2);
-        for scheme in [SchemeKind::BaselineDp, SchemeKind::HarmonyDp] {
-            for shards in [2usize, 3] {
-                let out = check_sharded_vs_unsharded(
-                    &ExecDiffCase {
-                        scheme,
-                        model: &model,
-                        topo: &topo,
-                        workload: &w,
-                        faults: &[],
-                        prefetch: false,
-                        iterations: 2,
-                        resilience: None,
-                    },
-                    shards,
-                )
-                .unwrap_or_else(|e| panic!("{} x{shards}: {e}", scheme.name()));
-                assert!(out.trace_json_bytes > 0);
-                assert!(out.error.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn sharding_a_pipeline_plan_is_a_typed_error_naming_the_scheme() {
-        let model = uniform_model(4, 4096);
-        let topo = atomized_topo(2);
-        let w = tight_workload(2);
-        // Every pipeline scheme — including 1F1B weight stashing — must
-        // refuse, and the typed error must name the offending scheme so a
-        // sweep harness can report which cell was asked to shard.
-        for scheme in [
-            SchemeKind::BaselinePp,
-            SchemeKind::HarmonyPp,
-            SchemeKind::Pipe1F1B,
-        ] {
-            let err = run_sharded_mode(
-                &ExecDiffCase {
-                    scheme,
-                    model: &model,
-                    topo: &topo,
-                    workload: &w,
-                    faults: &[],
-                    prefetch: false,
-                    iterations: 1,
-                    resilience: None,
-                },
-                2,
-            )
-            .expect_err("pipeline plans must refuse to shard");
-            let text = err.to_string();
-            assert!(text.contains("replica-aligned"), "unexpected error: {text}");
-            assert!(
-                text.contains(&format!("scheme `{}`", scheme.name())),
-                "refusal must name `{}`, got: {text}",
-                scheme.name()
-            );
-        }
-    }
+    use crate::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
 
     #[test]
     fn clean_run_is_byte_identical_across_modes() {

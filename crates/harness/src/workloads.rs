@@ -67,23 +67,6 @@ pub fn slack_topo(n: usize) -> Topology {
     .expect("valid params")
 }
 
-/// A server where every GPU hangs off its own switch, so each GPU is its
-/// own *contention atom* (DESIGN §12): host traffic of different GPUs
-/// never shares a channel, which is the shape the sharded executor can
-/// partition. Memory slack as in [`slack_topo`], so DP working sets fit
-/// and capacity squeezes degrade instead of deadlocking.
-pub fn atomized_topo(n: usize) -> Topology {
-    presets::commodity_server(presets::CommodityParams {
-        num_gpus: n,
-        gpus_per_switch: 1,
-        pcie_bw: presets::GBPS,
-        host_uplink_bw: presets::GBPS,
-        gpu_mem: 96 * 1024,
-        gpu_flops: 1e9,
-    })
-    .expect("valid params")
-}
-
 /// Workload of the exactness regime: SGD (`opt_slots = 0`) keeps one
 /// update working set inside [`tight_topo`]'s capacity; full grouping
 /// (`group_size = None`) is the §3 analytical assumption.

@@ -7,10 +7,8 @@
 //! event, i.e. an unrelated completion does not re-advance idle GPUs.
 
 use harmony::simulate::SchemeKind;
-use harmony_harness::execdiff::{check_dense_vs_fast, check_sharded_vs_unsharded, ExecDiffCase};
-use harmony_harness::workloads::{
-    atomized_topo, slack_topo, tight_topo, tight_workload, uniform_model,
-};
+use harmony_harness::execdiff::{check_dense_vs_fast, ExecDiffCase};
+use harmony_harness::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
 use harmony_harness::FaultPlan;
 use proptest::prelude::*;
 
@@ -56,43 +54,6 @@ proptest! {
         };
         if let Err(divergence) = check_dense_vs_fast(&case) {
             panic!("loops diverged: {divergence}\ncase: {case:?}");
-        }
-    }
-
-    /// The sharded executor's byte-identity contract under randomized
-    /// inputs: any replica-aligned DP configuration — including seeded
-    /// fault plans and armed resilience — must merge per-shard runs into
-    /// the exact bytes of the whole run, at any shard count (DESIGN §12).
-    #[test]
-    fn sharded_and_whole_runs_are_byte_identical(
-        harmony in any::<bool>(),
-        layers in 2usize..7,
-        microbatches in 1usize..4,
-        gpus in 2usize..5,
-        shards in 2usize..6,
-        iterations in 1u32..3,
-        fault_seed in 0u64..64,
-        fault_count in 0usize..4,
-        resilience in any::<bool>(),
-    ) {
-        let model = uniform_model(layers, 4096);
-        // One contention atom per GPU, so requested shard counts up to
-        // the GPU count actually split the run.
-        let topo = atomized_topo(gpus);
-        let w = tight_workload(microbatches);
-        let faults = FaultPlan::generate(fault_seed, &topo, 0.5, fault_count);
-        let case = ExecDiffCase {
-            scheme: if harmony { SchemeKind::HarmonyDp } else { SchemeKind::BaselineDp },
-            model: &model,
-            topo: &topo,
-            workload: &w,
-            faults: &faults.faults,
-            prefetch: false,
-            iterations,
-            resilience: resilience.then_some(fault_seed),
-        };
-        if let Err(divergence) = check_sharded_vs_unsharded(&case, shards) {
-            panic!("sharded run diverged: {divergence}\ncase: {case:?} shards: {shards}");
         }
     }
 

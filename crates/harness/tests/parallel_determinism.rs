@@ -5,19 +5,12 @@
 //! regressions (`./verify` runs this test explicitly).
 
 use harmony::simulate::SchemeKind;
-use harmony_harness::execdiff::{run_mode, run_sharded_mode, ExecDiffCase};
-use harmony_harness::workloads::{atomized_topo, tight_topo, tight_workload, uniform_model};
+use harmony_harness::workloads::{tight_topo, tight_workload, uniform_model};
 use harmony_harness::{check_swap_volumes_exact, run_conformance, OracleConfig};
 use harmony_parallel::with_workers;
-use harmony_sched::{plan_harmony_pp, tuner, Fault, TimedFault, WorkloadConfig};
+use harmony_sched::{plan_harmony_pp, tuner, WorkloadConfig};
 
 const WORKER_COUNTS: [usize; 3] = [2, 3, 8];
-
-/// Requested shard counts for the sharded-executor determinism gate: the
-/// unsharded-fallback case (1), balanced and unbalanced partitions of a
-/// 3-atom server (2, 3), and an over-ask that must clamp to the atom
-/// count (8).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 #[test]
 fn conformance_matrix_is_identical_across_worker_counts() {
@@ -65,112 +58,6 @@ fn pinned_exact_cells_are_identical_across_worker_counts() {
             with_workers(w, run),
             sequential,
             "pinned cells diverged at {w} workers"
-        );
-    }
-}
-
-#[test]
-fn sharded_runs_are_identical_across_shard_and_worker_counts() {
-    let model = uniform_model(4, 4096);
-    let topo = atomized_topo(3);
-    let w = tight_workload(2);
-    // Mid-run faults that perturb but never deadlock the slack topology:
-    // a compute slowdown on replica 1 and a capacity squeeze on replica
-    // 2, so shard merges are exercised on an asymmetric timeline with
-    // the faulted lanes split across shards. The jitter factor is
-    // deliberately grid-aligned (0.5 halves the clock, keeping the
-    // slowed lane on the other lanes' shared time grid): that
-    // *manufactures* cross-lane f64 end-time ties between causally
-    // independent events — the adversarial case for the merge, which
-    // must reconstruct the whole run's same-instant order purely from
-    // the shard-invariant `(wave, lane)` span labels (DESIGN §12).
-    let faults = [
-        TimedFault {
-            at: 2e-4,
-            fault: Fault::ComputeJitter {
-                gpu: 1,
-                factor: 0.5,
-            },
-        },
-        TimedFault {
-            at: 3e-4,
-            fault: Fault::CapacitySqueeze {
-                gpu: 2,
-                factor: 0.7,
-            },
-        },
-    ];
-    for scheme in [SchemeKind::BaselineDp, SchemeKind::HarmonyDp] {
-        for armed in [false, true] {
-            let case = ExecDiffCase {
-                scheme,
-                model: &model,
-                topo: &topo,
-                workload: &w,
-                faults: if armed { &faults } else { &[] },
-                prefetch: false,
-                iterations: 2,
-                resilience: armed.then_some(0xD5),
-            };
-            let (mut ref_summary, ref_trace, _) =
-                run_mode(&case, false).expect("unsharded reference must run");
-            ref_summary.elapsed_secs = 0.0;
-            ref_summary.setup_secs = 0.0;
-            ref_summary.mem_counters = None;
-            let (ref_tj, ref_sj) = (ref_trace.to_json(), ref_summary.to_json());
-            for shards in SHARD_COUNTS {
-                for workers in [1usize, 2, 8] {
-                    let (mut s, t, rep) = with_workers(workers, || run_sharded_mode(&case, shards))
-                        .unwrap_or_else(|e| {
-                            panic!("{} x{shards} w{workers} armed={armed}: {e}", scheme.name())
-                        });
-                    s.elapsed_secs = 0.0;
-                    s.setup_secs = 0.0;
-                    s.mem_counters = None;
-                    assert!(rep.shards_used >= 1 && rep.shards_used <= 3);
-                    assert_eq!(
-                        t.to_json(),
-                        ref_tj,
-                        "{} x{shards} w{workers} armed={armed}: trace diverged",
-                        scheme.name()
-                    );
-                    assert_eq!(
-                        s.to_json(),
-                        ref_sj,
-                        "{} x{shards} w{workers} armed={armed}: summary diverged",
-                        scheme.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_runs_match_unsharded_errors_on_infeasible_cases() {
-    // A 256 KiB layer can never fit the 96 KiB atomized server: every
-    // shard count must surface the same failure the unsharded run hits.
-    let model = uniform_model(4, 65536);
-    let topo = atomized_topo(3);
-    let w = tight_workload(2);
-    let case = ExecDiffCase {
-        scheme: SchemeKind::HarmonyDp,
-        model: &model,
-        topo: &topo,
-        workload: &w,
-        faults: &[],
-        prefetch: false,
-        iterations: 1,
-        resilience: None,
-    };
-    let whole = run_mode(&case, false).expect_err("case must be infeasible");
-    for shards in SHARD_COUNTS {
-        let sharded =
-            run_sharded_mode(&case, shards).expect_err("sharded run must be infeasible too");
-        assert_eq!(
-            sharded.to_string(),
-            whole.to_string(),
-            "error text diverged at {shards} shards"
         );
     }
 }

@@ -223,41 +223,6 @@ where
         .collect()
 }
 
-/// Runs every task on its own scoped thread **concurrently** and returns
-/// the results in input order.
-///
-/// This is the primitive for *cooperating* tasks — ones that rendezvous
-/// with each other through barriers or condvars, like the sharded
-/// executor's per-shard event loops (DESIGN §12). [`par_map`] must not
-/// be used for those: its workers claim items from a cursor, so with
-/// fewer workers than items a blocked task waits forever for a peer that
-/// was never started. Here the thread count equals the task count by
-/// construction (the OS timeslices when that exceeds the core count),
-/// so every peer is always live. A panicking task propagates the panic
-/// after all threads have been joined.
-pub fn join_all<R, F>(tasks: Vec<F>) -> Vec<R>
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    if tasks.is_empty() {
-        return Vec::new();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks.into_iter().map(|t| scope.spawn(t)).collect();
-        // Collect every join before unwrapping: a panic in one task must
-        // not detach its siblings mid-rendezvous.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,25 +319,5 @@ mod tests {
         assert_eq!(out, items);
         let n = inits.load(Ordering::Relaxed);
         assert!(n <= 4, "4 workers must not create {n} states");
-    }
-
-    #[test]
-    fn join_all_preserves_order_and_runs_concurrently() {
-        use std::sync::{Arc, Barrier};
-        assert!(join_all(Vec::<Box<dyn FnOnce() -> u32 + Send>>::new()).is_empty());
-        // All eight tasks meet at one barrier: only possible if every
-        // task is live at once, whatever the host's core count.
-        let barrier = Arc::new(Barrier::new(8));
-        let tasks: Vec<_> = (0..8u32)
-            .map(|i| {
-                let b = Arc::clone(&barrier);
-                move || {
-                    b.wait();
-                    i * 10
-                }
-            })
-            .collect();
-        let out = join_all(tasks);
-        assert_eq!(out, (0..8u32).map(|i| i * 10).collect::<Vec<_>>());
     }
 }

@@ -885,14 +885,8 @@ impl<'a> ReferenceExecutor<'a> {
                 .expect("victim was collected from this map");
             // The aborted attempt occupied the lane until now: record the
             // partial span so the trace shows the cancelled hop.
-            self.trace.record_sym(
-                pt.start,
-                self.sim.now(),
-                Some(pt.lane),
-                pt.kind,
-                pt.label,
-                self.sim.current_wave(),
-            );
+            self.trace
+                .record_sym(pt.start, self.sim.now(), Some(pt.lane), pt.kind, pt.label);
             self.mm.cancel_move_to_device(tensor)?;
             self.mutations += 1;
             self.res_outcome.rerouted_transfers += 1;
@@ -1872,7 +1866,6 @@ impl<'a> ReferenceExecutor<'a> {
                     Some(gpu),
                     SpanKind::Compute,
                     rec.label,
-                    self.sim.current_wave(),
                 );
                 self.finish_task(gpu)?;
                 self.wake(gpu);
@@ -1882,14 +1875,8 @@ impl<'a> ReferenceExecutor<'a> {
                     .transfers
                     .remove(&id)
                     .ok_or_else(|| ExecError::Plan(format!("unknown transfer {id}")))?;
-                self.trace.record_sym(
-                    pt.start,
-                    self.sim.now(),
-                    Some(pt.lane),
-                    pt.kind,
-                    pt.label,
-                    self.sim.current_wave(),
-                );
+                self.trace
+                    .record_sym(pt.start, self.sim.now(), Some(pt.lane), pt.kind, pt.label);
                 match pt.purpose {
                     Purpose::Eviction { gpu, step, tensor } => {
                         self.mm.finish_swap_out(tensor)?;

@@ -137,10 +137,6 @@ pub enum ExecError {
     /// A generational slab handle failed to resolve (stale, vacant, or
     /// out of bounds) — the typed use-after-free check on pooled records.
     Slab(crate::slab::SlabError),
-    /// A peer shard of a sharded run failed, cutting this shard's barrier
-    /// wait short. Internal to [`crate::shard::run_sharded`], which
-    /// replaces it with the failing peer's own error — it never surfaces.
-    ShardAborted(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -152,7 +148,6 @@ impl std::fmt::Display for ExecError {
             ExecError::Plan(m) => write!(f, "plan: {m}"),
             ExecError::Stuck(m) => write!(f, "stuck: {m}"),
             ExecError::Slab(e) => write!(f, "slab: {e}"),
-            ExecError::ShardAborted(m) => write!(f, "shard aborted: {m}"),
         }
     }
 }
@@ -504,14 +499,6 @@ enum RouteSel {
 /// Far below the simulator's 2^62 tag ceiling, far above any fault count.
 const RETRY_TAG_BIAS: u64 = 1 << 48;
 
-/// Sharded-run control timers (DESIGN §12) occupy `[2^47, 2^48)`: below
-/// the retry band, far above any fault index. `SHARD_SYNC_TAG` itself is
-/// the inert final-rendezvous tick that advances a shard's clock to the
-/// global drain time before the flush; tags above it are collective GO
-/// timers, `SHARD_GO_TAG_BIAS + collective index`.
-const SHARD_SYNC_TAG: u64 = 1 << 47;
-const SHARD_GO_TAG_BIAS: u64 = (1 << 47) + 1;
-
 /// Base delay of the seeded exponential backoff (virtual seconds). Small
 /// relative to typical transfer times so the first retry lands promptly.
 const RETRY_BASE_SECS: f64 = 2e-5;
@@ -635,15 +622,6 @@ pub struct SimExecutor<'a> {
     /// Fail with [`ExecError::Stuck`] after this many simulator events.
     event_budget: Option<u64>,
     events_processed: u64,
-    /// Sharded-run context (None = ordinary whole-run executor). See
-    /// [`crate::shard`] and DESIGN §12.
-    shard: Option<crate::shard::ShardCtx>,
-    /// Completions this shard processed that the unsharded run would not
-    /// attribute to it: peer-lane collective hops, fault timers on shards
-    /// other than 0, and the GO/sync control timers (which do not exist
-    /// unsharded). Subtracted from the summary's `events_processed` so
-    /// the per-shard counts sum to the unsharded total.
-    shard_foreign_events: u64,
     /// Cached routes (and lazily registered flight classes) per endpoint
     /// pair: host→GPU, GPU→host, and GPU→GPU (`src * n_topo + dst`).
     routes_h2g: Vec<Option<RouteEntry>>,
@@ -812,19 +790,6 @@ impl<'a> SimExecutor<'a> {
             return Err(ExecError::Plan("iterations must be positive".to_string()));
         }
         plan.validate().map_err(ExecError::Plan)?;
-        Self::with_iterations_unchecked(topo, model, plan, iterations)
-    }
-
-    /// [`SimExecutor::with_iterations`] without the plan validation pass.
-    /// Only for [`crate::shard`]: a shard's sub-plan is the (validated)
-    /// parent plan with foreign queues emptied, which `validate` would
-    /// reject as unbalanced even though the parent already passed.
-    pub(crate) fn with_iterations_unchecked(
-        topo: &'a Topology,
-        model: &'a ModelSpec,
-        plan: &'a ExecutionPlan,
-        iterations: u32,
-    ) -> Result<Self, ExecError> {
         // A fresh build is a pooled build that draws from an empty
         // throwaway pool: taking from an empty slot yields an empty
         // container, so one constructor body serves both paths and the
@@ -1111,8 +1076,6 @@ impl<'a> SimExecutor<'a> {
             compute_rate,
             event_budget: None,
             events_processed: 0,
-            shard: None,
-            shard_foreign_events: 0,
             routes_h2g,
             routes_g2h,
             routes_p2p,
@@ -1458,11 +1421,6 @@ impl<'a> SimExecutor<'a> {
     /// currently advancing join the same pass (dense visibility order);
     /// everything else waits for the next event's pass.
     fn wake(&mut self, g: usize) {
-        // Sharded: foreign lanes exist (full plan, so registration and
-        // the future-use table match the whole run) but never run.
-        if self.shard.as_ref().is_some_and(|s| !s.local[g]) {
-            return;
-        }
         let (wi, bit) = (g / 64, 1u64 << (g % 64));
         match self.advancing {
             Some(cur) if g > cur => self.pass_w[wi] |= bit,
@@ -1828,14 +1786,8 @@ impl<'a> SimExecutor<'a> {
             let pt = self.transfers.remove(h)?;
             // The aborted attempt occupied the lane until now: record the
             // partial span so the trace shows the cancelled hop.
-            self.trace.record_sym(
-                pt.start,
-                self.sim.now(),
-                Some(pt.lane),
-                pt.kind,
-                pt.label,
-                self.sim.current_wave(),
-            );
+            self.trace
+                .record_sym(pt.start, self.sim.now(), Some(pt.lane), pt.kind, pt.label);
             self.mm.cancel_move_to_device(tensor)?;
             self.mutations += 1;
             self.res_outcome.rerouted_transfers += 1;
@@ -2018,11 +1970,9 @@ impl<'a> SimExecutor<'a> {
         self.setup_secs += secs;
     }
 
-    /// The event loop proper: initial pass, drain, stuck check, (sharded:
-    /// final rendezvous), dirty-state flush. Split from [`Self::run_counted`]
-    /// so [`crate::shard`] can drive it on a borrowed executor and read the
-    /// simulator clock afterwards for error ordering.
-    pub(crate) fn run_core(&mut self) -> Result<(), ExecError> {
+    /// The event loop proper: initial pass, drain, stuck check, dirty-state
+    /// flush. Shared by [`Self::run_counted`] and [`Self::run_pooled`].
+    fn run_core(&mut self) -> Result<(), ExecError> {
         // Initial pass: every GPU.
         self.wake_all();
         self.run_pass()?;
@@ -2033,10 +1983,6 @@ impl<'a> SimExecutor<'a> {
         // Everything must have drained.
         let mut stuck = Vec::new();
         for g in 0..self.q_bounds.len() {
-            // Foreign lanes keep their full (never-started) queues.
-            if self.shard.as_ref().is_some_and(|s| !s.local[g]) {
-                continue;
-            }
             let queued = (self.q_bounds[g].1 - self.q_cursor[g]) as usize;
             if self.cur.live[g] || queued > 0 {
                 let detail = if self.cur.live[g] {
@@ -2072,30 +2018,6 @@ impl<'a> SimExecutor<'a> {
         if !stuck.is_empty() {
             return Err(ExecError::Stuck(stuck.join("; ")));
         }
-        // Sharded: the local queues drained at this shard's *local* time,
-        // but the unsharded run flushes once everything everywhere is
-        // done. Rendezvous on the global max drain time and pump an inert
-        // sync timer so the clock (and therefore every flush span and
-        // `sim_secs`) matches the unsharded run bit-for-bit.
-        if let Some(ctx) = &self.shard {
-            let barrier = std::sync::Arc::clone(&ctx.barrier);
-            let (t_end, w_end) = barrier
-                .arrive(
-                    crate::shard::Round::Final,
-                    (self.sim.now(), self.sim.current_wave()),
-                )
-                .map_err(ExecError::ShardAborted)?;
-            self.sim.set_timer_at_wave(
-                t_end,
-                SHARD_SYNC_TAG,
-                harmony_simulator::CONTROL_LANE,
-                w_end,
-            )?;
-            while let Some(completion) = self.next_event()? {
-                self.handle(completion)?;
-                self.run_pass()?;
-            }
-        }
         self.flush_dirty_state()?;
         self.emit(ExecEvent::RunFinished);
         self.counters.slab_high_water = u64::from(self.transfers.high_water());
@@ -2103,12 +2025,8 @@ impl<'a> SimExecutor<'a> {
         Ok(())
     }
 
-    /// Assembles the [`RunSummary`] after [`Self::run_core`] succeeds. In a
-    /// sharded run the per-GPU vectors still span *all* GPUs (foreign
-    /// entries report this shard's view — registration-time zeros) and the
-    /// merge keeps each owner's entries; `events_processed` excludes
-    /// foreign completions so the shard counts sum to the unsharded total.
-    pub(crate) fn build_summary(&self, elapsed_secs: f64) -> RunSummary {
+    /// Assembles the [`RunSummary`] after [`Self::run_core`] succeeds.
+    fn build_summary(&self, elapsed_secs: f64) -> RunSummary {
         let n = self.q_bounds.len();
         RunSummary {
             name: self.plan.name.clone(),
@@ -2149,7 +2067,7 @@ impl<'a> SimExecutor<'a> {
                 .iter()
                 .map(|c| (c.name.clone(), self.sim.stats().channel_busy_secs[c.id]))
                 .collect(),
-            events_processed: self.events_processed - self.shard_foreign_events,
+            events_processed: self.events_processed,
             elapsed_secs,
             setup_secs: self.setup_secs,
             // Populated whenever the layer is armed and faults were
@@ -2176,21 +2094,6 @@ impl<'a> SimExecutor<'a> {
                 })
             },
         }
-    }
-
-    /// Installs the sharded-run context ([`crate::shard`]).
-    pub(crate) fn set_shard_ctx(&mut self, ctx: crate::shard::ShardCtx) {
-        self.shard = Some(ctx);
-    }
-
-    /// The current virtual time — the error-ordering key for sharded runs.
-    pub(crate) fn sim_now(&self) -> f64 {
-        self.sim.now()
-    }
-
-    /// Moves the trace and counters out after a sharded [`Self::run_core`].
-    pub(crate) fn take_parts(&mut self) -> (Trace, ExecCounters) {
-        (std::mem::take(&mut self.trace), self.counters)
     }
 
     /// Delegates a dense-reference run to the frozen pre-rewrite executor
@@ -2770,14 +2673,6 @@ impl<'a> SimExecutor<'a> {
         Ok(())
     }
 
-    /// How many local arrivals complete a collective barrier: the shard's
-    /// replica count in a sharded run, all GPUs otherwise.
-    fn collective_quorum(&self) -> usize {
-        self.shard
-            .as_ref()
-            .map_or(self.q_bounds.len(), |s| s.local_n)
-    }
-
     fn arrive_collective(&mut self, g: usize, iter: u32, pack: usize) -> Result<(), ExecError> {
         self.cur.inflight[g] = InFlight::Collective;
         self.mutations += 1;
@@ -2791,44 +2686,12 @@ impl<'a> SimExecutor<'a> {
             };
         }
         slot.arrived += 1;
-        if (slot.arrived as usize) < self.collective_quorum() {
-            return Ok(());
-        }
-        if let Some(ctx) = &self.shard {
-            // Last local arrival: rendezvous with the peer shards, then
-            // lift the barrier for everyone at the same virtual instant
-            // via a GO timer at the globally latest arrival time. A GPU
-            // only arrives here when its network is locally quiescent
-            // (fetches settled and pinned, prefetch never crosses an
-            // AllReduce), so delaying the hop issue to the global time
-            // cannot reorder against any pending local event — the hop
-            // timeline every shard then computes is the unsharded one.
-            let barrier = std::sync::Arc::clone(&ctx.barrier);
-            let (t_go, w_go) = barrier
-                .arrive(
-                    crate::shard::Round::Collective { iter, pack },
-                    (self.sim.now(), self.sim.current_wave()),
-                )
-                .map_err(ExecError::ShardAborted)?;
-            self.sim.set_timer_at_wave(
-                t_go,
-                SHARD_GO_TAG_BIAS + cix as u64,
-                harmony_simulator::CONTROL_LANE,
-                w_go,
-            )?;
-            return Ok(());
-        }
-        self.issue_collective_ring(iter, pack)
-    }
-
-    /// Issues the ring-exchange hops of a collective whose barrier has
-    /// lifted: one hop per GPU of 2(N−1)/N · |dW|, ascending source. In a
-    /// sharded run *every* shard issues all N hops (the hops are the
-    /// shared global timeline); each shard then attributes each hop span
-    /// to its owner lane at merge time.
-    fn issue_collective_ring(&mut self, iter: u32, pack: usize) -> Result<(), ExecError> {
         let n = self.q_bounds.len();
-        let cix = iter as usize * self.num_packs + pack;
+        if (slot.arrived as usize) < n {
+            return Ok(());
+        }
+        // Barrier lifted: one ring-exchange hop per GPU of 2(N−1)/N · |dW|,
+        // ascending source.
         let label = self.trace.intern(&format!("allreduce p{pack} i{iter}"));
         self.counters.label_interns += 1;
         let grad_bytes: u64 = self.plan.graph.packs()[pack]
@@ -2856,10 +2719,6 @@ impl<'a> SimExecutor<'a> {
         // the same "unknown collective" error the reference raises.
         self.collectives[iter as usize * self.num_packs + pack] = CollSlot::default();
         for g in 0..self.q_bounds.len() {
-            // Sharded: foreign GPUs' steps live in their owner shard.
-            if self.shard.as_ref().is_some_and(|s| !s.local[g]) {
-                continue;
-            }
             if !self.cur.live[g] {
                 return Err(ExecError::Plan(format!(
                     "gpu{g} has no step at collective end"
@@ -2950,7 +2809,6 @@ impl<'a> SimExecutor<'a> {
                     Some(gpu),
                     SpanKind::Compute,
                     rec.label,
-                    self.sim.current_wave(),
                 );
                 self.finish_task(gpu)?;
                 self.wake(gpu);
@@ -2969,14 +2827,8 @@ impl<'a> SimExecutor<'a> {
                 let h = SlabHandle::from_bits(tag);
                 let pt = self.transfers.remove(h)?;
                 debug_assert_eq!(pt.xfer, id, "pooled record matches the completed transfer");
-                self.trace.record_sym(
-                    pt.start,
-                    self.sim.now(),
-                    Some(pt.lane),
-                    pt.kind,
-                    pt.label,
-                    self.sim.current_wave(),
-                );
+                self.trace
+                    .record_sym(pt.start, self.sim.now(), Some(pt.lane), pt.kind, pt.label);
                 match pt.purpose {
                     Purpose::Eviction { gpu, step, tensor } => {
                         self.mm.finish_swap_out(tensor)?;
@@ -3020,14 +2872,8 @@ impl<'a> SimExecutor<'a> {
                         self.wake_tensor_waiters(tensor);
                     }
                     Purpose::Collective { iter, pack } => {
-                        // Sharded: hops on peer lanes complete here too
-                        // (every shard simulates the full ring) but belong
-                        // to the lane's owner in the merged event count.
-                        if self.shard.as_ref().is_some_and(|s| !s.local[pt.lane]) {
-                            self.shard_foreign_events += 1;
-                        }
                         let cix = iter as usize * self.num_packs + pack;
-                        let quorum = self.collective_quorum();
+                        let n = self.q_bounds.len();
                         let slot = self
                             .collectives
                             .get_mut(cix)
@@ -3036,7 +2882,7 @@ impl<'a> SimExecutor<'a> {
                                 ExecError::Plan(format!("unknown collective {pack}@{iter}"))
                             })?;
                         slot.outstanding -= 1;
-                        if slot.outstanding == 0 && slot.arrived as usize == quorum {
+                        if slot.outstanding == 0 && slot.arrived as usize == n {
                             self.finish_collective(iter, pack)?;
                         }
                     }
@@ -3047,29 +2893,11 @@ impl<'a> SimExecutor<'a> {
                 }
             }
             Completion::Timer { tag } => {
-                // Tags at/above the bias are resilience retries; the shard
-                // band below it carries sharded-run control timers; below
-                // the fault count they are injected faults; others inert.
+                // Tags at/above the bias are resilience retries; below the
+                // fault count they are injected faults; others inert.
                 if tag >= RETRY_TAG_BIAS {
                     self.handle_retry_timer(tag)?;
-                } else if self.shard.is_some() && tag >= SHARD_SYNC_TAG {
-                    // Control timers exist only in sharded runs: always
-                    // foreign to the merged event count. The sync tick is
-                    // inert (it only advanced the clock); a GO tag lifts
-                    // the collective barrier every shard agreed on.
-                    self.shard_foreign_events += 1;
-                    if tag >= SHARD_GO_TAG_BIAS {
-                        let cix = (tag - SHARD_GO_TAG_BIAS) as usize;
-                        let iter = (cix / self.num_packs) as u32;
-                        let pack = cix % self.num_packs;
-                        self.issue_collective_ring(iter, pack)?;
-                    }
                 } else if let Some(tf) = self.faults.get(tag as usize).copied() {
-                    // Fault timers fire in every shard (shared fault list);
-                    // shard 0 owns them in the merged count.
-                    if self.shard.as_ref().is_some_and(|s| s.shard_index != 0) {
-                        self.shard_foreign_events += 1;
-                    }
                     self.apply_fault(tf.fault)?;
                     // A fault can unblock (or re-block) anything: capacity
                     // and rate changes have global reach. Rare, so the full

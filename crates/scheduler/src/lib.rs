@@ -35,7 +35,6 @@ pub mod exec;
 pub mod obs;
 pub mod plan;
 pub mod pp;
-pub mod shard;
 pub mod slab;
 pub mod tuner;
 
@@ -47,5 +46,4 @@ pub use plan::{ExecutionPlan, WorkItem};
 pub use pp::{
     partition_packs, plan_baseline_pp, plan_harmony_pp, plan_pipe_1f1b, PartitionObjective,
 };
-pub use shard::{run_sharded, ShardReport, ShardRunConfig};
 pub use slab::{Slab, SlabError, SlabHandle};

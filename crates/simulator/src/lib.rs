@@ -65,9 +65,9 @@
 //! function of each lane's own causal history, never of global
 //! submission interleaving. Simultaneous transfer completions resolve
 //! lowest-`(wave, lane, id)`-first. No wall clock or randomness enters
-//! the engine. The wave-major, then lane-major canonical order is what
-//! lets the sharded executor (DESIGN §12) reproduce a whole run's event
-//! order from per-shard simulations.
+//! the engine. Every committed golden (conformance verdicts, pinned
+//! matrix, Gantt, benchmark trace digests) pins the bytes this order
+//! produces, so the wave key stays part of it (DESIGN §8).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -192,9 +192,7 @@ impl Ord for Event {
         // (wave, lane, kind rank, seq). The wave/lane keys make the
         // same-instant order *canonical* — spawn-phase-major, then a
         // function of each lane's own history, never of global
-        // submission interleaving — which is what lets a sharded run
-        // (DESIGN §12) reproduce the whole run's event order from
-        // per-shard simulations. `total_cmp` keeps the heap a total
+        // submission interleaving. `total_cmp` keeps the heap a total
         // order even for adversarial times; non-finite times are
         // rejected at every submission site so none can enter.
         other
@@ -345,9 +343,7 @@ pub struct Simulator {
     /// instant, all due completions — immediate or routed — are handed
     /// out in ascending `(wave, lane, id)`. That total order depends
     /// only on spawn phase and each lane's own issue order, never on
-    /// event-heap sequence numbers or cross-lane interleaving, which is
-    /// what lets a sharded run (DESIGN §12) reproduce the whole run's
-    /// span order from per-shard simulations.
+    /// event-heap sequence numbers or cross-lane interleaving.
     immediates: BTreeMap<(u32, u32, TransferId), u64>,
     next_transfer_id: TransferId,
     net_generation: u64,
@@ -460,15 +456,6 @@ impl Simulator {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Intra-instant wave of the event behind the completion most
-    /// recently returned by [`Self::next`] (0 before any pop). Drivers
-    /// stamp trace spans with it: together with the span's end time and
-    /// lane it reconstructs the global emission order from per-shard
-    /// runs (see the trace crate's merge module).
-    pub fn current_wave(&self) -> u32 {
-        self.cur_wave
     }
 
     /// Number of bandwidth channels.
@@ -728,31 +715,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// Like [`Self::set_timer`], but pins the timer's intra-instant wave
-    /// instead of deriving it from the spawning context. Sharded-run
-    /// control timers use this to re-enter the wave the *whole* run
-    /// would act at (the rendezvous carries `(time, wave)`), so the
-    /// events they spawn get whole-run wave labels.
-    pub fn set_timer_at_wave(
-        &mut self,
-        at: SimTime,
-        tag: u64,
-        lane: u32,
-        wave: u32,
-    ) -> Result<(), SimError> {
-        if !at.is_finite() {
-            return Err(SimError::InvalidParameter(format!("time {at}")));
-        }
-        if tag >= Self::IMMEDIATE_BIAS {
-            return Err(SimError::InvalidParameter(format!(
-                "timer tag {tag} too large"
-            )));
-        }
-        let t = at.max(self.now);
-        self.push_at_wave(t, wave, lane, EventKind::Timer { tag });
-        Ok(())
-    }
-
     /// Cancels an in-flight transfer at the current virtual time (the
     /// resilience layer's reroute path: a fault degraded a link and the
     /// driver re-issues the payload over another route). Returns
@@ -853,10 +815,8 @@ impl Simulator {
     /// (a transfer starting, finishing or cancelling on it, or a
     /// bandwidth change), so each channel's floating-point accumulation
     /// order is a function of its own event times alone — activity on
-    /// disjoint channels cannot re-partition the sum. That independence
-    /// is what lets the sharded executor (DESIGN §12) reproduce the
-    /// unsharded run's busy figures bit-for-bit from per-shard
-    /// simulators. O(route length) per event.
+    /// disjoint channels cannot re-partition the sum. O(route length)
+    /// per event.
     fn accrue_busy_time(&mut self, channels: &[ChannelId]) {
         for &c in channels {
             let dt = self.now - self.last_busy_update[c];
@@ -975,7 +935,7 @@ impl Simulator {
     /// at the same virtual time. Ascending-(wave, lane, id) delivery
     /// makes the same-instant order spawn-phase-major, then lane-major,
     /// with each lane's sub-order a function of its own issue order
-    /// alone — the property the sharded merge (DESIGN §12) relies on.
+    /// alone.
     fn pick_candidate(&self) -> Option<Candidate> {
         let mut best: Option<((u32, u32, TransferId), usize)> = None;
         for (k, f) in self.flights.iter().enumerate() {

@@ -10,7 +10,6 @@
 
 pub mod gantt;
 pub mod json;
-pub mod merge;
 pub mod summary;
 pub mod table;
 
@@ -141,12 +140,6 @@ pub struct Span {
     /// Short label, e.g. `"F L1 u0"`, interned in the owning trace's
     /// symbol table (resolve with [`Trace::label`]).
     pub label: SymbolId,
-    /// Intra-instant wave of the simulator event that emitted this span
-    /// (see the simulator's event ordering): spans sharing an end time
-    /// were emitted in ascending `(wave, lane)` order. Carried so the
-    /// sharded merge can reconstruct the whole-run emission order; not
-    /// serialized to JSON.
-    pub wave: u32,
 }
 
 /// An execution trace: a list of spans plus metadata.
@@ -214,12 +207,11 @@ impl Trace {
         label: impl AsRef<str>,
     ) {
         let label = self.symbols.intern(label.as_ref());
-        self.record_sym(start, end, gpu, kind, label, 0);
+        self.record_sym(start, end, gpu, kind, label);
     }
 
     /// Allocation-free record: stamp a span with an already-interned
-    /// label (the executor hot path). `wave` is the emitting event's
-    /// intra-instant wave (0 when the caller doesn't track waves).
+    /// label (the executor hot path).
     pub fn record_sym(
         &mut self,
         start: f64,
@@ -227,7 +219,6 @@ impl Trace {
         gpu: Option<usize>,
         kind: SpanKind,
         label: SymbolId,
-        wave: u32,
     ) {
         self.push(Span {
             start,
@@ -235,7 +226,6 @@ impl Trace {
             gpu,
             kind,
             label,
-            wave,
         });
     }
 
@@ -338,7 +328,6 @@ impl Trace {
                 gpu,
                 kind,
                 label,
-                wave: 0,
             });
         }
         Ok(Trace {
@@ -393,7 +382,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.intern("F L1 u0"), a, "re-intern must hit the cache");
         assert_eq!(t.symbols.len(), 2);
-        t.record_sym(0.0, 1.0, Some(0), SpanKind::Compute, a, 0);
+        t.record_sym(0.0, 1.0, Some(0), SpanKind::Compute, a);
         t.record(1.0, 2.0, Some(0), SpanKind::Compute, "F L1 u0");
         assert_eq!(t.spans[0].label, t.spans[1].label);
         assert_eq!(t.label(&t.spans[0]), "F L1 u0");
