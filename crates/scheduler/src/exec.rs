@@ -443,9 +443,10 @@ struct ComputeRec {
 /// *affected* GPUs per event instead. `wake_set_hits` counts advances
 /// that made progress (mutated executor state), `spurious_wakes` the
 /// no-op remainder. `label_interns` counts label-symbol interning calls —
-/// bounded by the number of *distinct* labels (plan-sized), never by
-/// event count. `slab_high_water` / `slab_fresh_allocs` pin the
-/// allocation contract: slots ever grown must equal the peak of
+/// one per *distinct* label, so it equals the trace's symbol count
+/// (plan-sized) and never tracks event count. `slab_high_water` /
+/// `slab_fresh_allocs` pin the allocation contract: slots ever grown
+/// must equal the peak of
 /// concurrently live records (plan-bounded), never track event count —
 /// steady-state completions recycle slots instead of allocating.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -565,6 +566,9 @@ pub struct SimExecutor<'a> {
     labels: Vec<SymbolId>,
     /// Interned compute labels, indexed `replica * num_tasks + task`.
     task_syms: Vec<Option<SymbolId>>,
+    /// Interned tensor labels, indexed `replica * ks.num_refs +
+    /// ks.ref_ix(rf)` (see [`intern_ref`]).
+    ref_syms: Vec<Option<SymbolId>>,
     /// Future-use arena: per key index, the run `nu_seqs[start..end)` with
     /// a consume cursor (replaces per-key `VecDeque`s).
     nu_start: Vec<u32>,
@@ -693,6 +697,9 @@ pub struct ExecPool {
     ids: Vec<Option<TensorId>>,
     labels: Vec<SymbolId>,
     task_syms: Vec<Option<SymbolId>>,
+    ref_syms: Vec<Option<SymbolId>>,
+    touched: Vec<(usize, TensorRef)>,
+    touched_ranges: Vec<(u32, u32)>,
     nu_count: Vec<u32>,
     nu_start: Vec<u32>,
     nu_end: Vec<u32>,
@@ -878,18 +885,19 @@ impl<'a> SimExecutor<'a> {
         trace.reset(plan.name.clone());
         trace.reserve_spans(plan.total_items() * iterations as usize * 4);
         let mut labels: Vec<SymbolId> = recycled(&mut pool.labels);
+        let mut ref_syms = recycled(&mut pool.ref_syms);
+        ref_syms.resize(rslots * num_refs, None);
         let mut counters = ExecCounters::default();
-        // Persistent per-replica state. Labels are interned once here —
-        // the event loop only ever stamps spans with the symbol.
+        // Persistent per-replica state. Labels are interned once per key
+        // (an input's label is shared by every iteration) — the event
+        // loop only ever stamps spans with the symbol.
         let mut register = |mm: &mut MemoryManager,
                             ids: &mut Vec<Option<TensorId>>,
                             iter: u32,
                             replica: usize,
                             rf: TensorRef| {
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
-            let name = name_of(replica, rf);
-            let sym = trace.intern(&name);
-            counters.label_interns += 1;
+            let (sym, name) = intern_ref(&mut trace, &mut ref_syms, &mut counters, ks, replica, rf);
             let id = mm.register_on_host(name, bytes, rf.class());
             debug_assert_eq!(id as usize, labels.len(), "tensor ids must be sequential");
             labels.push(sym);
@@ -944,16 +952,28 @@ impl<'a> SimExecutor<'a> {
         // Future-use table for next-use-aware eviction, as flat per-key
         // runs: count, prefix-sum into offsets, then fill — preserving the
         // reference push order exactly (queue-major, not globally sorted).
+        // An item touches the same refs in every iteration (only a key's
+        // iteration slot differs), so each queue item's refs are resolved
+        // once and both passes replay them per iteration.
+        let mut touched: Vec<(usize, TensorRef)> = recycled(&mut pool.touched);
+        let mut touched_ranges: Vec<(u32, u32)> = recycled(&mut pool.touched_ranges);
+        for item in plan.queues.iter().flatten() {
+            let start = touched.len() as u32;
+            item_refs(plan, *item, &mut touched);
+            touched_ranges.push((start, touched.len() as u32));
+        }
         let mut nu_count: Vec<u32> = recycled(&mut pool.nu_count);
         nu_count.resize(total_keys, 0);
+        let mut items = touched_ranges.as_slice();
         for q in &plan.queues {
             for it in 0..iterations {
-                for item in q.iter() {
-                    for key in item_keys(plan, it, *item) {
-                        nu_count[ks.key_ix(key.0, key.1, key.2)] += 1;
+                for &(s, e) in &items[..q.len()] {
+                    for &(r, rf) in &touched[s as usize..e as usize] {
+                        nu_count[ks.key_ix(it, r, rf)] += 1;
                     }
                 }
             }
+            items = &items[q.len()..];
         }
         let mut nu_start: Vec<u32> = recycled(&mut pool.nu_start);
         nu_start.resize(total_keys, 0);
@@ -966,23 +986,30 @@ impl<'a> SimExecutor<'a> {
         nu_end.extend_from_slice(&nu_start);
         let mut nu_seqs: Vec<u64> = recycled(&mut pool.nu_seqs);
         nu_seqs.resize(acc as usize, 0);
+        let mut items = touched_ranges.as_slice();
         for q in &plan.queues {
             for it in 0..iterations {
-                for (i, item) in q.iter().enumerate() {
+                for (i, &(s, e)) in items[..q.len()].iter().enumerate() {
                     let seq = (it as u64) * q.len() as u64 + i as u64;
-                    for key in item_keys(plan, it, *item) {
-                        let k = ks.key_ix(key.0, key.1, key.2);
+                    for &(r, rf) in &touched[s as usize..e as usize] {
+                        let k = ks.key_ix(it, r, rf);
                         nu_seqs[nu_end[k] as usize] = seq;
                         nu_end[k] += 1;
                     }
                 }
             }
+            items = &items[q.len()..];
         }
         let mut nu_cur = recycled(&mut pool.nu_cur);
         nu_cur.extend_from_slice(&nu_start);
-        // The count table is build-only scratch: hand it straight back.
+        // The count table and touched refs are build-only scratch: hand
+        // them straight back.
         nu_count.clear();
         pool.nu_count = nu_count;
+        touched.clear();
+        pool.touched = touched;
+        touched_ranges.clear();
+        pool.touched_ranges = touched_ranges;
         let n_q = plan.queues.len();
         let num_gpus = topo.num_gpus();
         let num_tasks = plan.graph.tasks().len();
@@ -1041,6 +1068,7 @@ impl<'a> SimExecutor<'a> {
             ids,
             labels,
             task_syms,
+            ref_syms,
             nu_start,
             nu_end,
             nu_cur,
@@ -1937,6 +1965,7 @@ impl<'a> SimExecutor<'a> {
         pool.ids = self.ids;
         pool.labels = self.labels;
         pool.task_syms = self.task_syms;
+        pool.ref_syms = self.ref_syms;
         pool.nu_start = self.nu_start;
         pool.nu_end = self.nu_end;
         pool.nu_cur = self.nu_cur;
@@ -2618,9 +2647,14 @@ impl<'a> SimExecutor<'a> {
                     }
                     // All victims dropped instantly; room is free now.
                 }
-                let name = name_of(replica, ct.rf);
-                let sym = self.trace.intern(&name);
-                self.counters.label_interns += 1;
+                let (sym, name) = intern_ref(
+                    &mut self.trace,
+                    &mut self.ref_syms,
+                    &mut self.counters,
+                    self.ks,
+                    replica,
+                    ct.rf,
+                );
                 let id = match self.mm.alloc_on_device(name, bytes, ct.rf.class(), g) {
                     Ok(id) => id,
                     Err(e) => return self.spill_guard(g, slot, step_id, e),
@@ -2981,23 +3015,50 @@ fn load_step(plane: &mut StepPlane, g: usize, id: u64, qi: &QItem, targets_built
     plane.inflight[g] = InFlight::Idle;
 }
 
-/// Tensor keys an item touches during iteration `iter` (for the
-/// future-use table).
-fn item_keys(plan: &ExecutionPlan, iter: u32, item: WorkItem) -> Vec<Key> {
+/// Appends the `(replica, ref)` of every tensor an item touches, in the
+/// future-use table's push order; the same in every iteration.
+fn item_refs(plan: &ExecutionPlan, item: WorkItem, out: &mut Vec<(usize, TensorRef)>) {
     match item {
-        WorkItem::Task { replica, task } => plan
-            .graph
-            .task(task)
-            .touched()
-            .into_iter()
-            .map(|rf| key_of(iter, replica, rf))
-            .collect(),
-        WorkItem::AllReduce { pack } => plan.graph.packs()[pack]
-            .clone()
-            .flat_map(|l| {
-                (0..plan.replicas).map(move |r| key_of(iter, r, TensorRef::Grad { layer: l }))
-            })
-            .collect(),
+        WorkItem::Task { replica, task } => out.extend(
+            plan.graph
+                .task(task)
+                .touched()
+                .into_iter()
+                .map(|rf| (replica, rf)),
+        ),
+        WorkItem::AllReduce { pack } => {
+            for layer in plan.graph.packs()[pack].clone() {
+                for r in 0..plan.replicas {
+                    out.push((r, TensorRef::Grad { layer }));
+                }
+            }
+        }
+    }
+}
+
+/// The trace symbol and memory-manager name of `(replica, rf)`'s tensor.
+/// The label is formatted and interned on the key's first sight only
+/// (cached in `ref_syms`), so interning stays bounded by distinct labels
+/// however often the key is re-registered or re-allocated; a cache hit
+/// yields the id `intern` would return, so symbol ids are unchanged.
+fn intern_ref(
+    trace: &mut Trace,
+    ref_syms: &mut [Option<SymbolId>],
+    counters: &mut ExecCounters,
+    ks: KeySpace,
+    replica: usize,
+    rf: TensorRef,
+) -> (SymbolId, String) {
+    let rix = replica * ks.num_refs + ks.ref_ix(rf);
+    match ref_syms[rix] {
+        Some(sym) => (sym, trace.symbols.resolve(sym).to_owned()),
+        None => {
+            let name = name_of(replica, rf);
+            let sym = trace.intern(&name);
+            counters.label_interns += 1;
+            ref_syms[rix] = Some(sym);
+            (sym, name)
+        }
     }
 }
 

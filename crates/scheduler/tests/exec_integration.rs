@@ -551,6 +551,38 @@ mod multi_iteration {
 }
 
 #[test]
+fn label_interning_is_once_per_distinct_label() {
+    // Tensors are re-allocated every microbatch and iteration, and inputs
+    // are registered once per iteration, under the same labels: each
+    // label must be formatted and interned exactly once.
+    let model = uniform_model(LAYERS, PARAMS);
+    let topo = pressured_topo(2, GPU_MEM);
+    let planners = [
+        plan_baseline_dp,
+        plan_baseline_pp,
+        plan_harmony_dp,
+        plan_harmony_pp,
+        harmony_sched::plan_pipe_1f1b,
+    ];
+    for planner in planners {
+        let plan = planner(&model, 2, &workload(2)).unwrap();
+        for iterations in [1, 3] {
+            let (_, trace, counters) =
+                SimExecutor::with_iterations(&topo, &model, &plan, iterations)
+                    .unwrap()
+                    .run_counted()
+                    .unwrap();
+            assert_eq!(
+                counters.label_interns,
+                trace.symbols.len() as u64,
+                "{} at {iterations} iterations",
+                plan.name
+            );
+        }
+    }
+}
+
+#[test]
 fn cross_gpu_circular_wait_is_reported_as_stuck() {
     // Failure injection: hand-build a plan whose two GPUs each wait on a
     // task the *other* GPU has queued behind its own blocked task. The

@@ -7,7 +7,7 @@
 //! parser accepts arbitrary well-formed JSON documents.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +95,13 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 /// Escapes a string for embedding in a JSON document (adds quotes).
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` escaped and quoted — the one string-escaping
+/// rule behind [`quote`] and the trace writer.
+pub fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -103,23 +110,39 @@ pub fn quote(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            // Writing into a `String` cannot fail.
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Formats an f64 the way the writer emits numbers (round-trippable).
 pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    push_number(&mut out, v);
+    out
+}
+
+/// Appends `v` to `out` — the one number rule behind [`number`] and the
+/// trace writer: `{:?}` (enough digits for exact f64 round-trips) when
+/// finite, `null` otherwise. At most [`NUMBER_MAX_LEN`] bytes.
+pub fn push_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        // `{:?}` keeps enough digits for exact f64 round-trips.
-        format!("{v:?}")
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v:?}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
+
+/// Upper bound on the bytes [`push_number`] appends: 17 significant
+/// digits, sign, point and a three-digit signed exponent
+/// (`-2.2250738585072014e-308`).
+pub const NUMBER_MAX_LEN: usize = 24;
 
 struct Parser<'a> {
     bytes: &'a [u8],

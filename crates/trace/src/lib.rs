@@ -15,6 +15,8 @@ pub mod table;
 
 pub use json::JsonError;
 
+use std::fmt::Write as _;
+
 /// What a trace span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
@@ -44,7 +46,9 @@ impl SpanKind {
 }
 
 impl SpanKind {
-    fn as_str(&self) -> &'static str {
+    /// The kind's name as the JSON format spells it (`Compute`, …); no
+    /// character in it needs escaping.
+    pub fn as_str(&self) -> &'static str {
         match self {
             SpanKind::Compute => "Compute",
             SpanKind::SwapIn => "SwapIn",
@@ -253,28 +257,85 @@ impl Trace {
     }
 
     /// Serialises to pretty JSON.
+    ///
+    /// The format is frozen (goldens and benchmark digests pin its
+    /// bytes). The writer fills one buffer reserved up front from an
+    /// upper bound and allocates only a constant number of times: the
+    /// symbols are quoted once into one shared table, kinds are static
+    /// text, and numbers are formatted in place — through a small memo
+    /// of recent values, since spans recorded in time order repeat the
+    /// same instants across lanes and as one span's end and the next's
+    /// start.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"name\": {},\n", json::quote(&self.name)));
-        out.push_str("  \"spans\": [");
+        // Fixed text around each span's five fields (the kind's quotes
+        // included: kind names need no escaping).
+        const FIELDS: [&str; 6] = [
+            ",\n    {\"start\": ",
+            ", \"end\": ",
+            ", \"gpu\": ",
+            ", \"kind\": \"",
+            "\", \"label\": ",
+            "}",
+        ];
+        const KIND_MAX_LEN: usize = "Collective".len();
+        // Worst-case escaping turns one byte into six (`\u00XX`).
+        let quoted_max = |s: &str| 6 * s.len() + 2;
+        // Every symbol quoted once, back to back in one buffer: symbol
+        // `i` is `labels[ends[i]..ends[i + 1]]`.
+        let strings = &self.symbols.strings;
+        let mut labels = String::with_capacity(strings.iter().map(|s| quoted_max(s)).sum());
+        let mut ends = Vec::with_capacity(strings.len() + 1);
+        ends.push(0);
+        // At least `""`, which a foreign id writes.
+        let mut label_max = 2;
+        for s in strings {
+            let start = labels.len();
+            json::push_quoted(&mut labels, s);
+            label_max = label_max.max(labels.len() - start);
+            ends.push(labels.len());
+        }
+        // Start, end and lane are numbers; a lane's `usize` fits too.
+        let per_span = FIELDS.iter().map(|f| f.len()).sum::<usize>()
+            + 3 * json::NUMBER_MAX_LEN
+            + KIND_MAX_LEN
+            + label_max;
+        let header = "{\n  \"name\": ,\n  \"spans\": [\n  ]\n}".len() + quoted_max(&self.name);
+        let capacity = header + self.spans.len() * per_span;
+        let mut out = String::with_capacity(capacity);
+        out.push_str("{\n  \"name\": ");
+        json::push_quoted(&mut out, &self.name);
+        out.push_str(",\n  \"spans\": [");
+        let mut memo = NumberMemo::new();
         for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            // The first span has no leading comma.
+            out.push_str(&FIELDS[0][usize::from(i == 0)..]);
+            memo.push(&mut out, s.start);
+            out.push_str(FIELDS[1]);
+            memo.push(&mut out, s.end);
+            out.push_str(FIELDS[2]);
+            match s.gpu {
+                // Writing into a `String` cannot fail.
+                Some(g) => {
+                    let _ = write!(out, "{g}");
+                }
+                None => out.push_str("null"),
             }
-            out.push_str(&format!(
-                "\n    {{\"start\": {}, \"end\": {}, \"gpu\": {}, \"kind\": {}, \"label\": {}}}",
-                json::number(s.start),
-                json::number(s.end),
-                s.gpu.map_or("null".to_string(), |g| g.to_string()),
-                json::quote(s.kind.as_str()),
-                json::quote(self.symbols.resolve(s.label)),
-            ));
+            out.push_str(FIELDS[3]);
+            out.push_str(s.kind.as_str());
+            out.push_str(FIELDS[4]);
+            // A foreign id resolves to the empty label, as in `resolve`.
+            let ix = s.label.0 as usize;
+            out.push_str(
+                ends.get(ix + 1)
+                    .map_or("\"\"", |&end| &labels[ends[ix]..end]),
+            );
+            out.push_str(FIELDS[5]);
         }
         if !self.spans.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("]\n}");
+        debug_assert_eq!(out.capacity(), capacity, "the buffer must never regrow");
         out
     }
 
@@ -335,6 +396,65 @@ impl Trace {
             spans,
             symbols,
         })
+    }
+}
+
+/// The trace writer's window of recently formatted numbers, keyed by bit
+/// pattern. A hit copies the bytes [`json::push_number`] produced for
+/// that exact bit pattern, so the output is byte-identical to formatting
+/// the value again by construction.
+struct NumberMemo {
+    /// Every entry holds a valid rendering at all times; empty slots
+    /// start as `0.0`.
+    entries: [MemoEntry; NumberMemo::WINDOW],
+    /// Round-robin slot the next miss overwrites.
+    next: usize,
+}
+
+#[derive(Clone, Copy)]
+struct MemoEntry {
+    bits: u64,
+    /// Bytes of `text` in use.
+    len: u8,
+    text: [u8; json::NUMBER_MAX_LEN],
+}
+
+impl NumberMemo {
+    /// Entries in the window. At 16, `large-run`'s traces (e2ebench)
+    /// miss within 4% of once per distinct value; 8 entries miss 40%
+    /// more often.
+    const WINDOW: usize = 16;
+
+    fn new() -> Self {
+        let mut text = [0; json::NUMBER_MAX_LEN];
+        text[..3].copy_from_slice(b"0.0");
+        let zero = MemoEntry {
+            bits: 0.0f64.to_bits(),
+            len: 3,
+            text,
+        };
+        NumberMemo {
+            entries: [zero; Self::WINDOW],
+            next: 0,
+        }
+    }
+
+    /// Appends `v` to `out` exactly as [`json::push_number`] would.
+    fn push(&mut self, out: &mut String, v: f64) {
+        let bits = v.to_bits();
+        if let Some(e) = self.entries.iter().find(|e| e.bits == bits) {
+            let text = std::str::from_utf8(&e.text[..e.len as usize]);
+            out.push_str(text.expect("memoized from `push_number`'s output"));
+            return;
+        }
+        let start = out.len();
+        json::push_number(out, v);
+        let text = &out.as_bytes()[start..];
+        let e = &mut self.entries[self.next];
+        e.bits = bits;
+        e.len = text.len() as u8;
+        e.text[..text.len()].copy_from_slice(text);
+        self.next = (self.next + 1) % Self::WINDOW;
     }
 }
 
