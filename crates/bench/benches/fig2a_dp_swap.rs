@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 use harmony_bench::{figures, workloads};
 
 fn bench(c: &mut Criterion) {
@@ -21,7 +21,8 @@ fn bench(c: &mut Criterion) {
         let topo = presets::commodity_n_1080ti(n).expect("preset");
         group.bench_with_input(BenchmarkId::new("baseline_dp", n), &n, |b, _| {
             b.iter(|| {
-                simulate::run(SchemeKind::BaselineDp, &model, &topo, &w)
+                RunSpec::new(SchemeKind::BaselineDp, w)
+                    .run(&model, &topo)
                     .expect("run")
                     .0
                     .global_swap_out()

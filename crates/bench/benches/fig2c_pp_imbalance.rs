@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 use harmony_bench::{figures, workloads};
 
 fn bench(c: &mut Criterion) {
@@ -18,7 +18,8 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("baseline_pp_4gpu", |b| {
         b.iter(|| {
-            simulate::run(SchemeKind::BaselinePp, &model, &topo, &w)
+            RunSpec::new(SchemeKind::BaselinePp, w)
+                .run(&model, &topo)
                 .expect("run")
                 .0
                 .swap_imbalance()
@@ -27,7 +28,8 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("harmony_pp_4gpu", |b| {
         b.iter(|| {
-            simulate::run(SchemeKind::HarmonyPp, &model, &topo, &w)
+            RunSpec::new(SchemeKind::HarmonyPp, w)
+                .run(&model, &topo)
                 .expect("run")
                 .0
                 .swap_imbalance()

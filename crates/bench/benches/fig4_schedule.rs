@@ -1,7 +1,8 @@
 //! Fig 4 bench: planning + simulating the toy grouped pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
+use harmony::RunSpec;
 use harmony_bench::{figures, workloads};
 
 fn bench(c: &mut Criterion) {
@@ -16,7 +17,8 @@ fn bench(c: &mut Criterion) {
             &scheme,
             |b, &scheme| {
                 b.iter(|| {
-                    simulate::run(scheme, &model, &topo, &w)
+                    RunSpec::new(scheme, w)
+                        .run(&model, &topo)
                         .expect("run")
                         .0
                         .sim_secs

@@ -1,7 +1,8 @@
 //! Table A bench: the §3 analytical comparison with simulator cross-check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
+use harmony::RunSpec;
 use harmony_bench::{figures, workloads};
 
 fn bench(c: &mut Criterion) {
@@ -34,7 +35,8 @@ fn bench(c: &mut Criterion) {
             &scheme,
             |b, &scheme| {
                 b.iter(|| {
-                    simulate::run(scheme, &model, &topo, &w)
+                    RunSpec::new(scheme, w)
+                        .run(&model, &topo)
                         .expect("run")
                         .0
                         .global_swap()

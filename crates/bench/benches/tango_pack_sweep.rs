@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 use harmony_bench::{figures, workloads};
 
 fn bench(c: &mut Criterion) {
@@ -32,7 +32,8 @@ fn bench(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("group_size", g), &w, |b, w| {
             b.iter(|| {
-                simulate::run(SchemeKind::HarmonyPp, &model, &topo, w)
+                RunSpec::new(SchemeKind::HarmonyPp, *w)
+                    .run(&model, &topo)
                     .expect("run")
                     .0
                     .throughput()

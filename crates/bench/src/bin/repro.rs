@@ -100,7 +100,7 @@ fn main() {
         let flags = parse_or_exit(&cli::BENCH, &rest);
         let json = flags.has("--json");
         let workers = flags.value("--workers").map_or(4, |n| n as usize);
-        let report = sweeps::run_filtered(workers, flags.scheme("--scheme"));
+        let report = sweeps::run(workers, flags.scheme("--scheme"));
         println!("{}", report.render());
         if json {
             let path = "BENCH_sweeps.json";
@@ -129,7 +129,7 @@ fn main() {
         let cells = flags
             .value("--cells")
             .map_or(sweeps::SWEEP_THROUGHPUT_CELLS, |n| n as usize);
-        let mut t = sweeps::sweep_throughput(cells);
+        let mut t = sweeps::sweep_throughput(cells, None);
         let mut attempts = 1;
         while t.identical && t.speedup() < 1.0 && attempts < 3 {
             eprintln!(
@@ -140,7 +140,7 @@ fn main() {
                 t.fresh_cells_per_sec(),
             );
             std::thread::sleep(std::time::Duration::from_millis(500));
-            t = sweeps::sweep_throughput(cells);
+            t = sweeps::sweep_throughput(cells, None);
             attempts += 1;
         }
         println!(
@@ -183,11 +183,11 @@ fn main() {
             .scheme("--scheme")
             .unwrap_or(harmony::simulate::SchemeKind::HarmonyPp);
         let points = if full_grid {
-            sweeps::exec_hot_path_scaling_for(scheme)
+            sweeps::exec_hot_path_scaling(scheme)
         } else {
             let (r, m, n, it) =
                 sweeps::EXEC_HOT_PATH_SCALES[sweeps::EXEC_HOT_PATH_SCALES.len() - 1];
-            vec![sweeps::exec_hot_path_for(scheme, r, m, n, it)]
+            vec![sweeps::exec_hot_path(scheme, r, m, n, it)]
         };
         for p in &points {
             println!(
@@ -376,7 +376,7 @@ fn main() {
             println!("{}", custom::usage());
             return;
         }
-        match custom::parse(&rest).and_then(|a| custom::run(&a)) {
+        match custom::CustomArgs::from_args(&rest).and_then(|a| custom::run(&a)) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("{e}");

@@ -1,8 +1,8 @@
-//! Strict flag parsing shared by the `repro` gates (`bench`,
-//! `exec-smoke`, `mem-smoke`, `fault-sweep`).
+//! Strict flag parsing shared by the `repro` subcommands (`bench`,
+//! `exec-smoke`, `mem-smoke`, `fault-sweep`, `custom`, ...).
 //!
-//! One table-driven parser instead of four hand-rolled loops, so the
-//! strictness contract is uniform and cannot drift per subcommand:
+//! One table-driven parser instead of a hand-rolled loop per
+//! subcommand, so the strictness contract is uniform and cannot drift:
 //! unknown flags are usage errors (exit 2 in the binary), value flags
 //! never silently fall back to a default when their value is missing or
 //! malformed, and the diagnostic always names the offending token plus
@@ -26,6 +26,11 @@ pub enum ValueKind {
     /// the valid schemes — a misspelt `--scheme` must never silently
     /// run the unfiltered (or an empty) grid.
     Scheme,
+    /// A finite `f64 > 0` (`--mem-gib`); `inf`, `nan`, zero and negative
+    /// values are usage errors, never a server with no usable memory.
+    PositiveFloat,
+    /// A model name from [`crate::custom::MODELS`].
+    Model,
 }
 
 /// The `a|b|c` list of valid scheme names quoted in `--scheme`
@@ -38,14 +43,19 @@ pub(crate) fn scheme_names() -> String {
         .join("|")
 }
 
-/// One value-taking flag.
-#[derive(Debug, Clone, Copy)]
-pub struct ValueFlag {
-    /// Flag token, e.g. `--workers`.
-    pub name: &'static str,
-    /// Missing-value and parse discipline.
-    pub kind: ValueKind,
+/// The `a|b|c` list of valid model names quoted in `--model`
+/// diagnostics.
+pub(crate) fn model_names() -> String {
+    crate::custom::MODELS
+        .iter()
+        .map(|(name, _)| *name)
+        .collect::<Vec<_>>()
+        .join("|")
 }
+
+/// One value-taking flag: its token (e.g. `--workers`) and its
+/// missing-value and parse discipline.
+pub type ValueFlag = (&'static str, ValueKind);
 
 /// The flag grammar of one subcommand.
 #[derive(Debug, Clone, Copy)]
@@ -67,14 +77,8 @@ pub const BENCH: Spec = Spec {
     expected: "[--json] [--workers N] [--scheme NAME]",
     bools: &["--json"],
     values: &[
-        ValueFlag {
-            name: "--workers",
-            kind: ValueKind::PositiveInt,
-        },
-        ValueFlag {
-            name: "--scheme",
-            kind: ValueKind::Scheme,
-        },
+        ("--workers", ValueKind::PositiveInt),
+        ("--scheme", ValueKind::Scheme),
     ],
 };
 
@@ -85,10 +89,7 @@ pub const CONFORMANCE: Spec = Spec {
     cmd: "conformance",
     expected: "[seed] [--scheme NAME]",
     bools: &[],
-    values: &[ValueFlag {
-        name: "--scheme",
-        kind: ValueKind::Scheme,
-    }],
+    values: &[("--scheme", ValueKind::Scheme)],
 };
 
 /// `repro sweep-smoke [--cells N]`.
@@ -96,10 +97,7 @@ pub const SWEEP_SMOKE: Spec = Spec {
     cmd: "sweep-smoke",
     expected: "[--cells N]",
     bools: &[],
-    values: &[ValueFlag {
-        name: "--cells",
-        kind: ValueKind::PositiveInt,
-    }],
+    values: &[("--cells", ValueKind::PositiveInt)],
 };
 
 /// `repro exec-smoke [--grid] [--scheme NAME]`.
@@ -107,10 +105,7 @@ pub const EXEC_SMOKE: Spec = Spec {
     cmd: "exec-smoke",
     expected: "[--grid] [--scheme NAME]",
     bools: &["--grid"],
-    values: &[ValueFlag {
-        name: "--scheme",
-        kind: ValueKind::Scheme,
-    }],
+    values: &[("--scheme", ValueKind::Scheme)],
 };
 
 /// `repro mem-smoke [--grid]`.
@@ -126,10 +121,28 @@ pub const FAULT_SWEEP: Spec = Spec {
     cmd: "fault-sweep",
     expected: "[--smoke] [--json] [--seed N]",
     bools: &["--smoke", "--json"],
-    values: &[ValueFlag {
-        name: "--seed",
-        kind: ValueKind::OptionalInt,
-    }],
+    values: &[("--seed", ValueKind::OptionalInt)],
+};
+
+/// `repro custom [--model NAME] [--scheme NAME] [--gpus N] ...`.
+pub const CUSTOM: Spec = Spec {
+    cmd: "custom",
+    expected: "[--model NAME] [--scheme NAME] [--gpus N] [--mem-gib G] [--microbatches M] \
+               [--ubatch U] [--pack P] [--group G] [--opt-slots S] [--recompute] [--prefetch] \
+               [--iterations K] [--gantt]",
+    bools: &["--recompute", "--prefetch", "--gantt"],
+    values: &[
+        ("--model", ValueKind::Model),
+        ("--scheme", ValueKind::Scheme),
+        ("--gpus", ValueKind::PositiveInt),
+        ("--mem-gib", ValueKind::PositiveFloat),
+        ("--microbatches", ValueKind::PositiveInt),
+        ("--ubatch", ValueKind::PositiveInt),
+        ("--pack", ValueKind::PositiveInt),
+        ("--group", ValueKind::PositiveInt),
+        ("--opt-slots", ValueKind::OptionalInt),
+        ("--iterations", ValueKind::PositiveInt),
+    ],
 };
 
 /// A successfully parsed invocation; query with [`Parsed::has`] and
@@ -160,6 +173,48 @@ impl Parsed<'_> {
     pub fn scheme(&self, name: &str) -> Option<SchemeKind> {
         self.value(name).map(|i| SchemeKind::ALL[i as usize])
     }
+
+    /// The value of a [`ValueKind::PositiveFloat`] flag, `None` when
+    /// absent. (Stored as its bit pattern by `parse`.)
+    pub fn float(&self, name: &str) -> Option<f64> {
+        self.value(name).map(f64::from_bits)
+    }
+
+    /// The model a [`ValueKind::Model`] flag named, `None` when absent.
+    /// (Stored as its index into [`crate::custom::MODELS`] by `parse`.)
+    pub fn model(&self, name: &str) -> Option<&'static str> {
+        self.value(name)
+            .map(|i| crate::custom::MODELS[i as usize].0)
+    }
+}
+
+/// Parses a present value of the flag `name`, or returns the diagnostic
+/// naming it. Scheme and model names are stored as table indices,
+/// floats as their bit pattern.
+fn parse_value(&(name, kind): &ValueFlag, s: &str) -> Result<u64, String> {
+    match kind {
+        ValueKind::PositiveInt => match s.parse::<u64>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("{name} takes a positive integer, got `{s}`")),
+        },
+        ValueKind::OptionalInt => s
+            .parse::<u64>()
+            .map_err(|_| format!("{name} takes an integer, got `{s}`")),
+        ValueKind::PositiveFloat => match s.parse::<f64>() {
+            Ok(x) if x.is_finite() && x > 0.0 => Ok(x.to_bits()),
+            _ => Err(format!("{name} takes a positive finite number, got `{s}`")),
+        },
+        ValueKind::Scheme => SchemeKind::ALL
+            .iter()
+            .position(|k| k.name() == s)
+            .map(|i| i as u64)
+            .ok_or_else(|| format!("unknown scheme `{s}`; valid schemes: {}", scheme_names())),
+        ValueKind::Model => crate::custom::MODELS
+            .iter()
+            .position(|(model, _)| *model == s)
+            .map(|i| i as u64)
+            .ok_or_else(|| format!("unknown model `{s}`; valid models: {}", model_names())),
+    }
 }
 
 /// Parses `args` against `spec`; the returned error is the exact
@@ -169,65 +224,41 @@ impl Parsed<'_> {
 /// actionable of the two problems.
 pub fn parse<'a>(spec: &Spec, args: &'a [String]) -> Result<Parsed<'a>, String> {
     let mut values = Vec::with_capacity(spec.values.len());
-    for vf in spec.values {
-        let v = match args.iter().position(|a| a == vf.name) {
+    for vf @ &(name, kind) in spec.values {
+        if args.iter().filter(|a| *a == name).count() > 1 {
+            return Err(format!("{name} given more than once"));
+        }
+        let v = match args.iter().position(|a| a == name) {
             None => None,
-            Some(i) => match args.get(i + 1) {
-                None => match vf.kind {
-                    ValueKind::PositiveInt => {
-                        return Err(format!(
-                            "{} requires a value; expected {}",
-                            vf.name, spec.expected
-                        ));
-                    }
-                    ValueKind::Scheme => {
-                        return Err(format!(
-                            "{} requires a scheme name; one of {}",
-                            vf.name,
-                            scheme_names()
-                        ));
-                    }
-                    ValueKind::OptionalInt => None,
-                },
-                Some(s) => match vf.kind {
-                    ValueKind::PositiveInt => match s.parse::<u64>() {
-                        Ok(n) if n >= 1 => Some(n),
-                        _ => {
-                            return Err(format!("{} takes a positive integer, got `{s}`", vf.name));
-                        }
-                    },
-                    ValueKind::OptionalInt => match s.parse::<u64>() {
-                        Ok(n) => Some(n),
-                        Err(_) => {
-                            return Err(format!("{} takes an integer, got `{s}`", vf.name));
-                        }
-                    },
-                    ValueKind::Scheme => match SchemeKind::from_name(s) {
-                        Some(k) => {
-                            let ix = SchemeKind::ALL.iter().position(|&a| a == k);
-                            Some(ix.expect("ALL contains every SchemeKind") as u64)
-                        }
-                        None => {
-                            return Err(format!(
-                                "unknown scheme `{s}`; valid schemes: {}",
-                                scheme_names()
-                            ));
-                        }
-                    },
-                },
+            Some(i) => match (args.get(i + 1), kind) {
+                (None, ValueKind::OptionalInt) => None,
+                (None, ValueKind::Scheme) => {
+                    return Err(format!(
+                        "{name} requires a scheme name; one of {}",
+                        scheme_names()
+                    ));
+                }
+                (None, _) => {
+                    return Err(format!(
+                        "{name} requires a value; expected {}",
+                        spec.expected
+                    ));
+                }
+                (Some(s), _) => Some(parse_value(vf, s)?),
             },
         };
-        values.push((vf.name, v));
+        values.push((name, v));
     }
     if let Some(bad) = args.iter().enumerate().find_map(|(i, a)| {
-        let known = spec.bools.contains(&a.as_str()) || spec.values.iter().any(|vf| vf.name == a);
+        let known =
+            spec.bools.contains(&a.as_str()) || spec.values.iter().any(|&(name, _)| name == a);
         // A token right after a value flag is that flag's value when it
-        // fits the flag's grammar — integers, or (for `--scheme`) any
-        // valid scheme name: an invalid one already errored above.
+        // fits the flag's grammar.
         let is_value = i > 0
-            && spec.values.iter().any(|vf| {
-                vf.name == args[i - 1] && (a.parse::<u64>().is_ok() || vf.kind == ValueKind::Scheme)
-            });
+            && spec
+                .values
+                .iter()
+                .any(|vf| vf.0 == args[i - 1] && parse_value(vf, a).is_ok());
         (!known && !is_value).then_some(a)
     }) {
         return Err(format!(
@@ -368,6 +399,36 @@ mod tests {
         let args = argv(&["pipe-1f1b"]);
         let e = parse(&EXEC_SMOKE, &args).expect_err("stray scheme operand");
         assert!(e.contains("unknown exec-smoke flag `pipe-1f1b`"), "{e}");
+    }
+
+    #[test]
+    fn repeated_value_flags_are_errors() {
+        let args = argv(&["--mem-gib", "8", "--mem-gib"]);
+        let e = parse(&CUSTOM, &args).expect_err("repeated flag");
+        assert_eq!(e, "--mem-gib given more than once");
+    }
+
+    #[test]
+    fn custom_values_parse_to_their_kinds() {
+        let args = argv(&["--mem-gib", "8.5", "--model", "lenet", "--opt-slots", "0"]);
+        let p = parse(&CUSTOM, &args).expect("valid invocation");
+        assert_eq!(p.float("--mem-gib"), Some(8.5));
+        assert_eq!(p.model("--model"), Some("lenet"));
+        assert_eq!(p.value("--opt-slots"), Some(0));
+        for bad in ["inf", "nan", "-3", "0", "x"] {
+            let args = argv(&["--mem-gib", bad]);
+            let e = parse(&CUSTOM, &args).expect_err("bad --mem-gib");
+            assert_eq!(
+                e,
+                format!("--mem-gib takes a positive finite number, got `{bad}`")
+            );
+        }
+        let args = argv(&["--model", "skynet"]);
+        let e = parse(&CUSTOM, &args).expect_err("unknown model");
+        assert!(
+            e.starts_with("unknown model `skynet`; valid models: "),
+            "{e}"
+        );
     }
 
     #[test]

@@ -1,127 +1,104 @@
 //! The `repro custom` subcommand: run any model × scheme × server
 //! configuration from the command line and print the summary (optionally
-//! with a Gantt chart). Argument parsing is hand-rolled to keep the
-//! dependency set fixed.
+//! with a Gantt chart). Flags parse through the shared [`cli::CUSTOM`]
+//! grammar.
 
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
-use harmony_sched::SimExecutor;
+use harmony::simulate::SchemeKind;
 
-/// Parsed `custom` arguments.
+use crate::cli;
+
+/// Builds one published model.
+pub type ModelBuilder = fn() -> ModelSpec;
+
+/// Every model `--model` accepts, with its builder: the one list the
+/// parser, the usage text and [`resolve_model`] read.
+pub const MODELS: [(&str, ModelBuilder); 8] = [
+    ("bert_large", || TransformerConfig::bert_large().build()),
+    ("bert_xxl", || TransformerConfig::bert_xxl().build()),
+    ("gpt2_xl", || TransformerConfig::gpt2_xl().build()),
+    ("gpt_10b", || TransformerConfig::gpt_10b().build()),
+    ("lenet", harmony_models::cnn::lenet),
+    ("alexnet", harmony_models::cnn::alexnet),
+    ("gnmt", harmony_models::seq2seq::gnmt),
+    ("t5_11b", harmony_models::seq2seq::t5_11b),
+];
+
+/// Parsed `custom` arguments: one [`RunSpec`] plus the model and server
+/// it runs on.
 #[derive(Debug, Clone)]
 pub struct CustomArgs {
-    /// Model name (see [`resolve_model`]).
-    pub model: String,
-    /// Scheme name.
-    pub scheme: SchemeKind,
+    /// Model name, a key of [`MODELS`].
+    pub model: &'static str,
     /// GPU count.
     pub gpus: usize,
     /// Per-GPU memory in GiB.
     pub mem_gib: f64,
-    /// Workload knobs.
-    pub workload: WorkloadConfig,
-    /// Iterations to replay.
-    pub iterations: u32,
-    /// Enable prefetch/double-buffering.
-    pub prefetch: bool,
+    /// Scheme, workload knobs, prefetch and iterations.
+    pub run: RunSpec,
     /// Render a Gantt chart.
     pub gantt: bool,
 }
 
-impl Default for CustomArgs {
-    fn default() -> Self {
-        CustomArgs {
-            model: "bert_xxl".to_string(),
-            scheme: SchemeKind::HarmonyPp,
-            gpus: 4,
-            mem_gib: 11.0,
-            workload: WorkloadConfig::default(),
-            iterations: 1,
-            prefetch: false,
-            gantt: false,
-        }
+impl CustomArgs {
+    /// Parses `custom` flags through [`cli::CUSTOM`]; the error is the
+    /// diagnostic to print before exiting 2. Absent flags keep the
+    /// defaults: `bert_xxl`, `harmony-pp`, 4 × 11 GiB GPUs,
+    /// [`WorkloadConfig::default`], one iteration.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        let p = cli::parse(&cli::CUSTOM, args)?;
+        let count = |name: &str, default: usize| p.value(name).map_or(default, |v| v as usize);
+        let base = WorkloadConfig::default();
+        let workload = WorkloadConfig {
+            microbatches: count("--microbatches", base.microbatches),
+            ubatch_size: p.value("--ubatch").unwrap_or(base.ubatch_size),
+            pack_size: count("--pack", base.pack_size),
+            opt_slots: p.value("--opt-slots").unwrap_or(base.opt_slots),
+            group_size: p.value("--group").map(|g| g as usize),
+            recompute: p.has("--recompute"),
+        };
+        let iterations = match p.value("--iterations") {
+            None => 1,
+            Some(k) => u32::try_from(k)
+                .map_err(|_| format!("--iterations takes a positive integer, got `{k}`"))?,
+        };
+        let scheme = p.scheme("--scheme").unwrap_or(SchemeKind::HarmonyPp);
+        Ok(CustomArgs {
+            model: p.model("--model").unwrap_or("bert_xxl"),
+            gpus: count("--gpus", 4),
+            mem_gib: p.float("--mem-gib").unwrap_or(11.0),
+            run: RunSpec {
+                prefetch: p.has("--prefetch"),
+                iterations,
+                ..RunSpec::new(scheme, workload)
+            },
+            gantt: p.has("--gantt"),
+        })
     }
 }
 
-/// The `repro custom` usage text, printed by `--help` and on bad input.
+/// The `repro custom` usage text, printed by `--help`.
 pub fn usage() -> String {
     format!(
-        "usage: repro custom [--model NAME] [--scheme {}] \
-         [--gpus N] [--mem-gib G] [--microbatches M] [--ubatch U] [--pack P] [--group G] \
-         [--opt-slots S] [--recompute] [--prefetch] [--iterations K] [--gantt]\n\
-         models: bert_large bert_xxl gpt2_xl gpt_10b lenet alexnet gnmt t5_11b",
-        crate::cli::scheme_names()
+        "usage: repro custom {}\nschemes: {}\nmodels: {}",
+        cli::CUSTOM.expected,
+        cli::scheme_names(),
+        cli::model_names()
     )
-}
-
-/// Parses one flag value, naming the flag in the error.
-fn num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("{name} takes a number, got `{v}`"))
-}
-
-/// Parses `custom` flags. Returns an error string (usage) on bad input.
-pub fn parse(args: &[String]) -> Result<CustomArgs, String> {
-    let mut out = CustomArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        match flag.as_str() {
-            "--model" => out.model = val("--model")?,
-            "--scheme" => {
-                let name = val("--scheme")?;
-                out.scheme = SchemeKind::from_name(&name).ok_or_else(|| {
-                    format!(
-                        "unknown scheme `{name}`; valid schemes: {}\n{}",
-                        crate::cli::scheme_names(),
-                        usage()
-                    )
-                })?
-            }
-            "--gpus" => out.gpus = num("--gpus", &val("--gpus")?)?,
-            "--mem-gib" => out.mem_gib = num("--mem-gib", &val("--mem-gib")?)?,
-            "--microbatches" => {
-                out.workload.microbatches = num("--microbatches", &val("--microbatches")?)?
-            }
-            "--ubatch" => out.workload.ubatch_size = num("--ubatch", &val("--ubatch")?)?,
-            "--pack" => out.workload.pack_size = num("--pack", &val("--pack")?)?,
-            "--group" => match num("--group", &val("--group")?)? {
-                0 => return Err("--group must be a positive integer, got `0`".to_string()),
-                g => out.workload.group_size = Some(g),
-            },
-            "--opt-slots" => out.workload.opt_slots = num("--opt-slots", &val("--opt-slots")?)?,
-            "--iterations" => out.iterations = num("--iterations", &val("--iterations")?)?,
-            "--recompute" => out.workload.recompute = true,
-            "--prefetch" => out.prefetch = true,
-            "--gantt" => out.gantt = true,
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
-        }
-    }
-    Ok(out)
 }
 
 /// Resolves a model name to a spec.
 pub fn resolve_model(name: &str) -> Result<ModelSpec, String> {
-    Ok(match name {
-        "bert_large" => TransformerConfig::bert_large().build(),
-        "bert_xxl" => TransformerConfig::bert_xxl().build(),
-        "gpt2_xl" => TransformerConfig::gpt2_xl().build(),
-        "gpt_10b" => TransformerConfig::gpt_10b().build(),
-        "lenet" => harmony_models::cnn::lenet(),
-        "alexnet" => harmony_models::cnn::alexnet(),
-        "gnmt" => harmony_models::seq2seq::gnmt(),
-        "t5_11b" => harmony_models::seq2seq::t5_11b(),
-        other => return Err(format!("unknown model `{other}`")),
-    })
+    MODELS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
+        .ok_or_else(|| format!("unknown model `{name}`"))
 }
 
 /// Runs the configuration and returns the rendered report.
 pub fn run(args: &CustomArgs) -> Result<String, String> {
-    let model = resolve_model(&args.model)?;
+    let model = resolve_model(args.model)?;
     let topo = presets::commodity_server(presets::CommodityParams {
         num_gpus: args.gpus,
         gpus_per_switch: args.gpus.max(1),
@@ -131,31 +108,25 @@ pub fn run(args: &CustomArgs) -> Result<String, String> {
         gpu_flops: 11.3e12,
     })
     .map_err(|e| e.to_string())?;
-    let mut plan =
-        simulate::plan(args.scheme, &model, &topo, &args.workload).map_err(|e| e.to_string())?;
-    if args.prefetch {
-        plan.scheme = plan.scheme.clone().with_prefetch();
-    }
-    let (summary, trace) = SimExecutor::with_iterations(&topo, &model, &plan, args.iterations)
-        .and_then(|e| e.run())
-        .map_err(|e| e.to_string())?;
+    let (summary, trace) = args.run.run(&model, &topo).map_err(|e| e.to_string())?;
+    let (w, iterations) = (&args.run.workload, args.run.iterations);
     let mut out = String::new();
     out.push_str(&format!(
         "model     : {} ({:.2} M params, {:.2} GB training state)\n",
         model.name,
         model.total_params() as f64 / 1e6,
-        (model.total_params() * (8 + 4 * args.workload.opt_slots)) as f64 / 1e9,
+        (model.total_params() * (8 + 4 * w.opt_slots)) as f64 / 1e9,
     ));
     out.push_str(&format!("server    : {}\n", topo.name));
     out.push_str(&format!(
         "workload  : m={} ubatch={} pack={} group={:?} recompute={} prefetch={} iterations={}\n\n",
-        args.workload.microbatches,
-        args.workload.ubatch_size,
-        args.workload.pack_size,
-        args.workload.group_size,
-        args.workload.recompute,
-        args.prefetch,
-        args.iterations,
+        w.microbatches,
+        w.ubatch_size,
+        w.pack_size,
+        w.group_size,
+        w.recompute,
+        args.run.prefetch,
+        iterations,
     ));
     out.push_str(&summary.one_line());
     out.push('\n');
@@ -165,11 +136,7 @@ pub fn run(args: &CustomArgs) -> Result<String, String> {
     );
     for (class, bytes) in &summary.swap_by_class {
         if *bytes > 0 {
-            t.row(&[
-                class.clone(),
-                gb(*bytes),
-                gb(bytes / args.iterations as u64),
-            ]);
+            t.row(&[class.clone(), gb(*bytes), gb(bytes / iterations as u64)]);
         }
     }
     out.push('\n');
@@ -197,38 +164,57 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_flags() {
-        let a = parse(&argv(
-            "--model gpt_10b --scheme harmony-pp --gpus 2 --mem-gib 8 --microbatches 3 \
+        let a = CustomArgs::from_args(&argv(
+            "--model gpt_10b --scheme harmony-pp --gpus 2 --mem-gib 8.5 --microbatches 3 \
              --ubatch 2 --pack 2 --group 2 --opt-slots 0 --recompute --prefetch \
              --iterations 2 --gantt",
         ))
         .unwrap();
         assert_eq!(a.model, "gpt_10b");
-        assert_eq!(a.scheme, SchemeKind::HarmonyPp);
+        assert_eq!(a.run.scheme, SchemeKind::HarmonyPp);
         assert_eq!(a.gpus, 2);
-        assert_eq!(a.workload.microbatches, 3);
-        assert_eq!(a.workload.group_size, Some(2));
-        assert_eq!(a.workload.opt_slots, 0);
-        assert!(a.workload.recompute && a.prefetch && a.gantt);
-        assert_eq!(a.iterations, 2);
+        assert_eq!(a.mem_gib, 8.5);
+        let w = a.run.workload;
+        assert_eq!((w.microbatches, w.ubatch_size, w.pack_size), (3, 2, 2));
+        assert_eq!(w.group_size, Some(2));
+        assert_eq!(w.opt_slots, 0);
+        assert!(w.recompute && a.run.prefetch && a.gantt);
+        assert_eq!(a.run.iterations, 2);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse(&argv("--bogus")).is_err());
-        assert!(parse(&argv("--scheme nonsense")).is_err());
-        assert!(parse(&argv("--gpus")).is_err());
-        let e = parse(&argv("--group 0")).unwrap_err();
-        assert!(e.contains("--group"), "{e}");
+        for bad in [
+            "--bogus",
+            "--scheme nonsense",
+            "--model skynet",
+            "--gpus",
+            "--mem-gib 8 --mem-gib",
+        ] {
+            assert!(CustomArgs::from_args(&argv(bad)).is_err(), "{bad}");
+        }
+        for (bad, flag) in [
+            ("--group 0", "--group"),
+            ("--gpus 0", "--gpus"),
+            ("--iterations 0", "--iterations"),
+            ("--iterations 4294967296", "--iterations"),
+            ("--mem-gib inf", "--mem-gib"),
+            ("--mem-gib nan", "--mem-gib"),
+            ("--mem-gib -3", "--mem-gib"),
+            ("--mem-gib 0", "--mem-gib"),
+        ] {
+            let e = CustomArgs::from_args(&argv(bad)).unwrap_err();
+            assert!(e.contains(flag), "{bad}: {e}");
+        }
     }
 
     #[test]
     fn parse_accepts_every_shared_scheme_name() {
         for scheme in SchemeKind::ALL {
-            let a = parse(&argv(&format!("--scheme {}", scheme.name()))).unwrap();
-            assert_eq!(a.scheme, scheme);
+            let a = CustomArgs::from_args(&argv(&format!("--scheme {}", scheme.name()))).unwrap();
+            assert_eq!(a.run.scheme, scheme);
         }
-        let e = parse(&argv("--scheme pipe-1f2b")).unwrap_err();
+        let e = CustomArgs::from_args(&argv("--scheme pipe-1f2b")).unwrap_err();
         assert!(
             e.contains("baseline-dp|baseline-pp|harmony-dp|harmony-pp|pipe-1f1b"),
             "{e}"
@@ -238,28 +224,22 @@ mod tests {
 
     #[test]
     fn resolve_knows_every_published_model() {
-        for name in [
-            "bert_large",
-            "bert_xxl",
-            "gpt2_xl",
-            "gpt_10b",
-            "lenet",
-            "alexnet",
-            "gnmt",
-            "t5_11b",
-        ] {
+        for (name, _) in MODELS {
             assert!(resolve_model(name).is_ok(), "{name}");
+            assert!(usage().contains(name), "usage must list {name}");
+            let a = CustomArgs::from_args(&argv(&format!("--model {name}"))).unwrap();
+            assert_eq!(a.model, name);
         }
         assert!(resolve_model("skynet").is_err());
     }
 
     #[test]
     fn custom_run_end_to_end() {
-        let mut args = parse(&argv(
+        let mut args = CustomArgs::from_args(&argv(
             "--model lenet --scheme harmony-dp --gpus 2 --ubatch 1",
         ))
         .unwrap();
-        args.workload.microbatches = 1;
+        args.run.workload.microbatches = 1;
         let report = run(&args).unwrap();
         assert!(report.contains("lenet"));
         assert!(report.contains("samples/s"));

@@ -12,7 +12,7 @@
 
 use harmony::prelude::Table;
 use harmony::simulate::SchemeKind;
-use harmony_harness::execdiff::{run_mode, ExecDiffCase};
+use harmony::RunSpec;
 use harmony_harness::FaultPlan;
 use harmony_sched::TimedFault;
 use harmony_trace::json::number;
@@ -180,23 +180,21 @@ pub fn run(seed: u64) -> FaultSweepReport {
     // the run into genuine pressure-spill territory rather than being
     // absorbed by slack.
     let w = workloads::uniform_workload(4);
-    let exec = |faults: &[TimedFault]| -> RunSummary {
-        let case = ExecDiffCase {
-            scheme: SchemeKind::HarmonyPp,
-            model: &model,
-            topo: &topo,
-            workload: &w,
-            faults,
+    let exec = |faults: Vec<TimedFault>| -> RunSummary {
+        let count = faults.len();
+        let spec = RunSpec {
             prefetch: true,
             iterations: 2,
+            faults,
             resilience: Some(seed),
+            ..RunSpec::new(SchemeKind::HarmonyPp, w)
         };
-        let (summary, _, _) = run_mode(&case, false).unwrap_or_else(|e| {
-            panic!("fault-sweep run with {} faults aborted: {e}", faults.len())
-        });
+        let (summary, _) = spec
+            .run(&model, &topo)
+            .unwrap_or_else(|e| panic!("fault-sweep run with {count} faults aborted: {e}"));
         summary
     };
-    let clean = exec(&[]);
+    let clean = exec(Vec::new());
     let horizon_secs = clean.sim_secs * 0.9;
     let points = FAULT_SWEEP_COUNTS
         .iter()
@@ -204,7 +202,7 @@ pub fn run(seed: u64) -> FaultSweepReport {
             let summary = if count == 0 {
                 clean.clone()
             } else {
-                exec(&FaultPlan::generate(seed, &topo, horizon_secs, count).faults)
+                exec(FaultPlan::generate(seed, &topo, horizon_secs, count).faults)
             };
             FaultSweepPoint {
                 faults: count,

@@ -6,7 +6,7 @@
 
 use harmony::prelude::analytical;
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 use harmony_sched::tuner;
 
 use crate::workloads;
@@ -70,7 +70,9 @@ pub fn fig2a() -> (String, Vec<Fig2aPoint>) {
     let ns: Vec<usize> = (1..=4).collect();
     let points: Vec<Fig2aPoint> = harmony_parallel::par_map(&ns, |_, &n| {
         let topo = presets::commodity_n_1080ti(n).expect("preset");
-        let (s, _) = simulate::run(SchemeKind::BaselineDp, &model, &topo, &w).expect("fig2a run");
+        let (s, _) = RunSpec::new(SchemeKind::BaselineDp, w)
+            .run(&model, &topo)
+            .expect("fig2a run");
         Fig2aPoint {
             n,
             throughput: s.throughput(),
@@ -134,7 +136,9 @@ pub fn fig2c() -> (String, Vec<Fig2cPoint>) {
     let model = workloads::fig2_model();
     let w = workloads::fig2_workload();
     let topo = presets::commodity_4x1080ti();
-    let (s, _) = simulate::run(SchemeKind::BaselinePp, &model, &topo, &w).expect("fig2c run");
+    let (s, _) = RunSpec::new(SchemeKind::BaselinePp, w)
+        .run(&model, &topo)
+        .expect("fig2c run");
     let mut t = Table::new(
         "Fig 2(c) — PP with per-GPU tensor swapping: per-stage memory & swap",
         &[
@@ -182,7 +186,9 @@ pub fn fig4() -> String {
     let w = workloads::fig4_workload();
     let mut out = String::from("Fig 4 — virtualized pipeline parallelism in Harmony (toy)\n\n");
     for scheme in [SchemeKind::HarmonyPp, SchemeKind::BaselinePp] {
-        let (s, trace) = simulate::run(scheme, &model, &topo, &w).expect("fig4 run");
+        let (s, trace) = RunSpec::new(scheme, w)
+            .run(&model, &topo)
+            .expect("fig4 run");
         // Trim the end-of-iteration checkpoint flush (identical across
         // schemes) so the chart shows the schedule itself.
         let last_compute = trace
@@ -293,7 +299,9 @@ pub fn fig5bc() -> String {
         (SchemeKind::BaselineDp, (4 * m as u64 + 2) * 2),
         (SchemeKind::HarmonyDp, 3 * 2),
     ] {
-        let (s, _) = simulate::run(kind, &model, &topo, &w).expect("fig5bc run");
+        let (s, _) = RunSpec::new(kind, w)
+            .run(&model, &topo)
+            .expect("fig5bc run");
         t.row(&[
             kind.name().to_string(),
             formula.to_string(),
@@ -354,7 +362,9 @@ pub fn table_a() -> (String, Vec<TableARow>) {
         let p =
             analytical::Params::from_model(&model, w.ubatch_size, w.opt_slots, m as u64, n as u64);
         let analytic = analytical::weight_swap_volume(kind.analytical(), &p) as f64 / wbytes;
-        let (s, _) = simulate::run(kind, &model, &topo, &w).expect("table_a run");
+        let (s, _) = RunSpec::new(kind, w)
+            .run(&model, &topo)
+            .expect("table_a run");
         let measured = s.swap_by_class["weight"] as f64 / wbytes;
         TableARow {
             m: m as u64,
@@ -415,7 +425,9 @@ pub fn dominance() -> (String, Vec<(SchemeKind, u64)>) {
     let mut totals = Vec::new();
     for kind in SchemeKind::ALL {
         let breakdown = analytical::breakdown(kind.analytical(), &p);
-        let (s, _) = simulate::run(kind, &model, &topo, &w).expect("dominance run");
+        let (s, _) = RunSpec::new(kind, w)
+            .run(&model, &topo)
+            .expect("dominance run");
         t.row(&[
             kind.name().to_string(),
             gb(breakdown.total()),
@@ -499,7 +511,9 @@ pub fn tango() -> (String, Vec<TangoPoint>, Vec<TangoPoint>) {
             group_size: Some(g),
             ..base
         };
-        let (s, _) = simulate::run(SchemeKind::HarmonyPp, &model, &topo, &w).expect("tango run");
+        let (s, _) = RunSpec::new(SchemeKind::HarmonyPp, w)
+            .run(&model, &topo)
+            .expect("tango run");
         s
     });
     let mut group_points = Vec::new();
@@ -611,8 +625,15 @@ pub fn prefetch_ablation() -> (String, Vec<PrefetchPoint>) {
         ));
     }
     for (label, kind, w) in cases {
-        let (a, _) = simulate::run(kind, &model, &topo, &w).expect("serial run");
-        let (b, _) = simulate::run_with_prefetch(kind, &model, &topo, &w).expect("prefetch run");
+        let (a, _) = RunSpec::new(kind, w)
+            .run(&model, &topo)
+            .expect("serial run");
+        let (b, _) = RunSpec {
+            prefetch: true,
+            ..RunSpec::new(kind, w)
+        }
+        .run(&model, &topo)
+        .expect("prefetch run");
         t.row(&[
             label.clone(),
             f2(a.throughput()),
@@ -676,9 +697,12 @@ pub fn recompute_ablation() -> (String, Vec<(usize, RunSummary, RunSummary)>) {
             recompute: true,
             ..base
         };
-        let (a, _) = simulate::run(SchemeKind::HarmonyPp, &model, &topo, &ws).expect("stash run");
-        let (b, _) =
-            simulate::run(SchemeKind::HarmonyPp, &model, &topo, &wr).expect("recompute run");
+        let (a, _) = RunSpec::new(SchemeKind::HarmonyPp, ws)
+            .run(&model, &topo)
+            .expect("stash run");
+        let (b, _) = RunSpec::new(SchemeKind::HarmonyPp, wr)
+            .run(&model, &topo)
+            .expect("recompute run");
         t.row(&[
             pack.to_string(),
             f2(a.throughput()),
@@ -709,8 +733,7 @@ pub fn recompute_ablation() -> (String, Vec<(usize, RunSummary, RunSummary)>) {
 /// eviction (the "scheduler and swapping algorithms inform each other's
 /// decisions" of §1). Runs the same Harmony-DP plan under both policies.
 pub fn eviction_ablation() -> (String, Vec<(String, u64)>) {
-    use harmony::simulate::plan;
-    use harmony_sched::{PolicyKind, SimExecutor};
+    use harmony_sched::PolicyKind;
     let model = workloads::uniform_model(8, 4096);
     let topo = workloads::pressured_topo(2);
     let w = workloads::uniform_workload(3);
@@ -723,12 +746,11 @@ pub fn eviction_ablation() -> (String, Vec<(String, u64)>) {
         ("lru", PolicyKind::Lru),
         ("next-use-aware", PolicyKind::NextUseAware),
     ] {
-        let mut p = plan(SchemeKind::HarmonyDp, &model, &topo, &w).expect("plan");
-        p.scheme.policy = policy;
-        let (s, _) = SimExecutor::new(&topo, &model, &p)
-            .expect("executor")
-            .run()
-            .expect("run");
+        let spec = RunSpec {
+            policy: Some(policy),
+            ..RunSpec::new(SchemeKind::HarmonyDp, w)
+        };
+        let (s, _) = spec.run(&model, &topo).expect("run");
         t.row(&[
             name.to_string(),
             format!("{:.2}", s.global_swap() as f64 / 1e6),
@@ -772,7 +794,12 @@ pub fn steady_state() -> (String, Vec<(SchemeKind, u32, f64)>) {
             harmony::prelude::analytical::weight_swap_volume(kind.analytical(), &p) as f64 / wbytes;
         let mut cells = vec![kind.name().to_string(), f2(analytic)];
         for k in [1u32, 2, 4] {
-            let (s, _) = simulate::run_iterations(kind, &model, &topo, &w, k).expect("steady run");
+            let (s, _) = RunSpec {
+                iterations: k,
+                ..RunSpec::new(kind, w)
+            }
+            .run(&model, &topo)
+            .expect("steady run");
             let per_iter = s.swap_by_class["weight"] as f64 / k as f64 / wbytes;
             cells.push(f2(per_iter));
             rows.push((kind, k, per_iter));

@@ -13,11 +13,10 @@
 use std::time::Instant;
 
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
-use harmony_harness::execdiff::{self, ExecDiffCase};
-use harmony_harness::memdiff;
+use harmony::simulate::SchemeKind;
 use harmony_harness::reusediff;
 use harmony_parallel::with_workers;
+use harmony_sched::{ExecCounters, SimExecutor};
 use harmony_topology::Endpoint;
 use harmony_trace::json::{number, quote};
 use harmony_trace::summary::RunSummary;
@@ -846,120 +845,148 @@ pub fn hot_path_scaling() -> Vec<HotPathTiming> {
         .collect()
 }
 
-/// Times the executor hot path: a Harmony-PP run of a uniform `layers`-deep
-/// model with `microbatches` microbatches on a tight-memory `gpus`-GPU
-/// server, replayed `iterations` times. Every swap/fetch/compute decision
-/// flows through `SimExecutor::run`'s event loop, so events/s here measures
-/// per-event *scheduling* cost (not the network core, which the sim hot
-/// path covers).
+/// Times the executor hot path: a `scheme` run (Harmony-PP in the
+/// `repro bench` grid, any scheme under `repro exec-smoke --scheme NAME`)
+/// of a uniform `layers`-deep model with `microbatches` microbatches on a
+/// tight-memory `gpus`-GPU server, replayed `iterations` times. Every
+/// swap/fetch/compute decision flows through `SimExecutor::run`'s event
+/// loop, so events/s here measures per-event *scheduling* cost (not the
+/// network core, which the sim hot path covers).
 pub fn exec_hot_path(
-    layers: usize,
-    microbatches: usize,
-    gpus: usize,
-    iterations: u32,
-) -> ExecHotPathTiming {
-    exec_hot_path_for(
-        SchemeKind::HarmonyPp,
-        layers,
-        microbatches,
-        gpus,
-        iterations,
-    )
-}
-
-/// [`exec_hot_path`] under an arbitrary scheme (`repro exec-smoke
-/// --scheme NAME`): the same grid cell and estimator, with the event
-/// loop driven by the named scheme's plan instead of Harmony-PP's.
-pub fn exec_hot_path_for(
     scheme: SchemeKind,
     layers: usize,
     microbatches: usize,
     gpus: usize,
     iterations: u32,
 ) -> ExecHotPathTiming {
-    let model = workloads::uniform_model(layers, 4096);
-    let topo = workloads::tight_topo(gpus);
-    let w = workloads::tight_workload(microbatches);
-    let case = ExecDiffCase {
-        scheme,
-        model: &model,
-        topo: &topo,
-        workload: &w,
-        faults: &[],
-        prefetch: false,
-        iterations,
-        resilience: None,
-    };
-    // Best-of-N after a warmup, per mode, with the two modes
-    // interleaved so they see the same host weather: wall-clock on a
-    // shared host is noisy (scheduling quanta, frequency ramp-up), and
-    // the minimum elapsed time is the least-noise estimator of the
-    // loop's true cost — interference only ever adds time. Small grid
-    // cells finish in a few milliseconds and are noise-dominated, so
-    // they repeat until ~half a second of samples accumulates; the
-    // large cells are long enough that five pairs suffice.
-    let mut runs: Vec<(u64, f64, f64)> = Vec::new();
-    let mut sampled_secs = 0.0;
-    let mut warmed_up = false;
-    let mut slab_fresh_allocs = 0u64;
-    while runs.len() < 5 || (sampled_secs < 0.5 && runs.len() < 200) {
-        let (fast, _, fc) = execdiff::run_mode(&case, false).expect("exec hot-path run");
-        let (dense, _, _) = execdiff::run_mode(&case, true).expect("exec hot-path dense run");
-        assert_eq!(
-            fast.events_processed, dense.events_processed,
-            "dense and wake-set loops must process identical event streams"
-        );
-        slab_fresh_allocs = fc.slab_fresh_allocs;
-        if !warmed_up {
-            // Discard the first pair: it pays one-time costs (page
-            // faults, branch history warm-up) neither loop owns.
-            warmed_up = true;
-            continue;
-        }
-        sampled_secs += fast.elapsed_secs + dense.elapsed_secs;
-        runs.push((fast.events_processed, fast.elapsed_secs, dense.elapsed_secs));
-    }
-    let (events, _, _) = runs[0];
-    let secs = runs
-        .iter()
-        .map(|r| r.1)
-        .min_by(f64::total_cmp)
-        .expect("at least one timed run");
-    let dense_secs = runs
-        .iter()
-        .map(|r| r.2)
-        .min_by(f64::total_cmp)
-        .expect("at least one timed run");
+    let t = time_against_reference(
+        RunSpec {
+            iterations,
+            ..RunSpec::new(scheme, workloads::tight_workload(microbatches))
+        },
+        layers,
+        gpus,
+        |exec| exec.use_dense_advance(),
+        false,
+    );
     ExecHotPathTiming {
         layers,
         microbatches,
         gpus,
         iterations,
-        events,
-        secs,
-        dense_secs,
-        slab_fresh_allocs,
+        events: t.events,
+        secs: t.secs,
+        dense_secs: t.reference_secs,
+        slab_fresh_allocs: t.counters.slab_fresh_allocs,
     }
 }
 
-/// Runs the executor hot path at every [`EXEC_HOT_PATH_SCALES`] point.
-pub fn exec_hot_path_scaling() -> Vec<ExecHotPathTiming> {
-    exec_hot_path_scaling_for(SchemeKind::HarmonyPp)
+/// Same-moment timing of one hot-path grid cell on the default executor
+/// and on a frozen reference core.
+struct ReferenceTiming {
+    /// Events per run (identical on both legs).
+    events: u64,
+    /// Best wall-clock seconds of the default leg's event loop.
+    secs: f64,
+    /// Best wall-clock seconds of the reference leg's event loop.
+    reference_secs: f64,
+    /// The last default-leg summary and counters.
+    summary: RunSummary,
+    counters: ExecCounters,
 }
 
-/// [`exec_hot_path_scaling`] under an arbitrary scheme.
-pub fn exec_hot_path_scaling_for(scheme: SchemeKind) -> Vec<ExecHotPathTiming> {
+/// Runs `spec` on a uniform `layers`-deep model and a tight-memory
+/// `gpus`-GPU server, once per leg per pair: the default executor, and
+/// the executor switched to a reference core by `reference`.
+///
+/// Best-of-N after a warmup, per leg, with the two legs interleaved so
+/// they see the same host weather: wall-clock on a shared host is noisy
+/// (scheduling quanta, frequency ramp-up), and the minimum elapsed time
+/// is the least-noise estimator of the loop's true cost — interference
+/// only ever adds time. The first pair pays one-time costs (page faults,
+/// branch history warm-up) neither leg owns and is discarded. Small grid
+/// cells finish in a few milliseconds and are noise-dominated, so they
+/// repeat until ~half a second of samples accumulates; the large cells
+/// are long enough that five pairs suffice. With `alternate`, the legs
+/// also swap order every pair: when the two cores are within a few
+/// percent of each other, the within-pair ordering bias (the second leg
+/// inherits warmed caches and a ramped clock from the first) is no
+/// longer in the noise, so each leg collects first-position and
+/// second-position samples and the per-leg minimum compares like with
+/// like.
+fn time_against_reference(
+    spec: RunSpec,
+    layers: usize,
+    gpus: usize,
+    reference: fn(&mut SimExecutor<'_>),
+    alternate: bool,
+) -> ReferenceTiming {
+    let model = workloads::uniform_model(layers, 4096);
+    let topo = workloads::tight_topo(gpus);
+    let leg = |on_reference: bool| {
+        let (summary, _, counters) = SweepSession::new()
+            .run_configured(&model, &topo, &spec, |exec| {
+                if on_reference {
+                    reference(exec);
+                }
+                Ok(())
+            })
+            .expect("hot-path run");
+        (summary, counters)
+    };
+    let mut runs: Vec<(f64, f64)> = Vec::new();
+    let mut sampled_secs = 0.0;
+    let mut last = None;
+    let mut fast_first = true;
+    while runs.len() < 5 || (sampled_secs < 0.5 && runs.len() < 200) {
+        let (fast, slow) = if fast_first {
+            let f = leg(false);
+            (f, leg(true).0)
+        } else {
+            let r = leg(true).0;
+            (leg(false), r)
+        };
+        fast_first = !(alternate && fast_first);
+        assert_eq!(
+            fast.0.events_processed, slow.events_processed,
+            "the default and reference cores must process identical event streams"
+        );
+        if last.is_some() {
+            sampled_secs += fast.0.elapsed_secs + slow.elapsed_secs;
+            runs.push((fast.0.elapsed_secs, slow.elapsed_secs));
+        }
+        last = Some(fast);
+    }
+    let best = |pick: fn(&(f64, f64)) -> f64| {
+        runs.iter()
+            .map(pick)
+            .min_by(f64::total_cmp)
+            .expect("at least one timed run")
+    };
+    let (summary, counters) = last.expect("at least one run");
+    ReferenceTiming {
+        events: summary.events_processed,
+        secs: best(|r| r.0),
+        reference_secs: best(|r| r.1),
+        summary,
+        counters,
+    }
+}
+
+/// Runs the executor hot path of `scheme` at every
+/// [`EXEC_HOT_PATH_SCALES`] point.
+pub fn exec_hot_path_scaling(scheme: SchemeKind) -> Vec<ExecHotPathTiming> {
     EXEC_HOT_PATH_SCALES
         .iter()
-        .map(|&(r, m, n, it)| exec_hot_path_for(scheme, r, m, n, it))
+        .map(|&(r, m, n, it)| exec_hot_path(scheme, r, m, n, it))
         .collect()
 }
 
 /// Times the memory-manager hot path: the identical Harmony-PP run as
 /// [`exec_hot_path`], executed once with the rewritten manager and once
-/// converted to the frozen dense core
-/// ([`harmony_harness::memdiff::run_mode_mem`]), interleaved best-of-N
-/// so both cores see the same host weather. The tight-memory server
+/// converted to the frozen dense core (`SimExecutor::use_dense_memory`,
+/// the `memdiff` reference), interleaved best-of-N with alternating leg
+/// order ([`time_against_reference`]). The tight-memory server
 /// keeps eviction planning on the critical path of every fetch.
 pub fn mem_hot_path(
     layers: usize,
@@ -967,88 +994,33 @@ pub fn mem_hot_path(
     gpus: usize,
     iterations: u32,
 ) -> MemHotPathTiming {
-    let model = workloads::uniform_model(layers, 4096);
-    let topo = workloads::tight_topo(gpus);
-    let w = workloads::tight_workload(microbatches);
-    let case = ExecDiffCase {
-        scheme: SchemeKind::HarmonyPp,
-        model: &model,
-        topo: &topo,
-        workload: &w,
-        faults: &[],
-        prefetch: false,
-        iterations,
-        resilience: None,
-    };
-    // Same estimator as `exec_hot_path`: warmup pair discarded, minimum
-    // over interleaved pairs, small cells repeated until ~half a second
-    // of samples accumulates. One refinement: the two cores are within a
-    // few percent of each other here, so the within-pair ordering bias
-    // (the second leg inherits warmed caches and a ramped clock from the
-    // first) is no longer in the noise — the legs alternate order across
-    // pairs so each collects first-position and second-position samples
-    // and the per-leg minimum compares like with like.
-    let mut runs: Vec<(u64, f64, f64)> = Vec::new();
-    let mut sampled_secs = 0.0;
-    let mut warmed_up = false;
-    let mut fresh_allocs = 0u64;
-    let mut victim_pops = 0u64;
-    let mut fast_first = true;
-    while runs.len() < 5 || (sampled_secs < 0.5 && runs.len() < 200) {
-        let (fast, dense);
-        if fast_first {
-            fast = memdiff::run_mode_mem(&case, false)
-                .expect("mem hot-path run")
-                .0;
-            dense = memdiff::run_mode_mem(&case, true)
-                .expect("mem hot-path dense-memory run")
-                .0;
-        } else {
-            dense = memdiff::run_mode_mem(&case, true)
-                .expect("mem hot-path dense-memory run")
-                .0;
-            fast = memdiff::run_mode_mem(&case, false)
-                .expect("mem hot-path run")
-                .0;
-        }
-        fast_first = !fast_first;
-        assert_eq!(
-            fast.events_processed, dense.events_processed,
-            "the two memory cores must drive identical event streams"
-        );
-        let c = fast
-            .mem_counters
-            .expect("executor summaries carry planning counters");
-        fresh_allocs = c.fresh_allocs;
-        victim_pops = c.victim_pops;
-        if !warmed_up {
-            warmed_up = true;
-            continue;
-        }
-        sampled_secs += fast.elapsed_secs + dense.elapsed_secs;
-        runs.push((fast.events_processed, fast.elapsed_secs, dense.elapsed_secs));
-    }
-    let (events, _, _) = runs[0];
-    let secs = runs
-        .iter()
-        .map(|r| r.1)
-        .min_by(f64::total_cmp)
-        .expect("at least one timed run");
-    let dense_mem_secs = runs
-        .iter()
-        .map(|r| r.2)
-        .min_by(f64::total_cmp)
-        .expect("at least one timed run");
+    let t = time_against_reference(
+        RunSpec {
+            iterations,
+            ..RunSpec::new(
+                SchemeKind::HarmonyPp,
+                workloads::tight_workload(microbatches),
+            )
+        },
+        layers,
+        gpus,
+        |exec| exec.use_dense_memory(),
+        true,
+    );
+    let c = t
+        .summary
+        .mem_counters
+        .expect("executor summaries carry planning counters");
     MemHotPathTiming {
         layers,
         microbatches,
         gpus,
         iterations,
-        events,
-        secs,
-        dense_mem_secs,
-        fresh_allocs,
-        victim_pops,
+        events: t.events,
+        secs: t.secs,
+        dense_mem_secs: t.reference_secs,
+        fresh_allocs: c.fresh_allocs,
+        victim_pops: c.victim_pops,
     }
 }
 
@@ -1064,7 +1036,7 @@ pub fn mem_hot_path_scaling() -> Vec<MemHotPathTiming> {
 /// (15 distinct plan keys) cycled to `cells` entries, so every key past
 /// the first fifteen cells is a revisit — the shape of a multi-seed or
 /// repeated-measurement campaign, where plan memoization pays.
-fn sweep_cells(cells: usize, scheme: Option<SchemeKind>) -> Vec<CellSpec> {
+fn sweep_cells(cells: usize, scheme: Option<SchemeKind>) -> Vec<RunSpec> {
     let microbatch_counts = [1usize, 2, 3];
     (0..cells)
         .map(|i| {
@@ -1078,18 +1050,9 @@ fn sweep_cells(cells: usize, scheme: Option<SchemeKind>) -> Vec<CellSpec> {
                 ),
                 Some(s) => (s, microbatch_counts[i % microbatch_counts.len()]),
             };
-            CellSpec::new(s, workloads::tight_workload(m))
+            RunSpec::new(s, workloads::tight_workload(m))
         })
         .collect()
-}
-
-/// One cell of the fresh leg: plan and construct from nothing, exactly
-/// the only path that existed before the session layer.
-fn fresh_cell(model: &ModelSpec, topo: &Topology, c: &CellSpec) {
-    let plan = simulate::plan(c.scheme, model, topo, &c.workload).expect("sweep cell plan");
-    let exec = harmony_sched::SimExecutor::with_iterations(topo, model, &plan, c.iterations)
-        .expect("sweep cell executor");
-    exec.run().expect("sweep cell run");
 }
 
 /// Times the sweep-throughput campaign: `cells` grid cells run fresh and
@@ -1098,31 +1061,16 @@ fn fresh_cell(model: &ModelSpec, topo: &Topology, c: &CellSpec) {
 /// [`mem_hot_path`]) so the pooled-over-fresh ratio is a same-moment
 /// comparison. Byte-identity of the two legs is checked first, outside
 /// the timed region, through the harness's `reusediff` differential.
-pub fn sweep_throughput(cells: usize) -> SweepThroughputTiming {
-    sweep_throughput_filtered(cells, None)
-}
-
-/// [`sweep_throughput`] restricted to one scheme's cells (`repro bench
-/// --scheme NAME`); `None` cycles the full 5-scheme grid.
-pub fn sweep_throughput_filtered(
-    cells: usize,
-    scheme: Option<SchemeKind>,
-) -> SweepThroughputTiming {
+/// `scheme` restricts the cells to one scheme (`repro bench --scheme
+/// NAME`); `None` cycles the full 5-scheme grid.
+pub fn sweep_throughput(cells: usize, scheme: Option<SchemeKind>) -> SweepThroughputTiming {
     let model = workloads::uniform_model(6, 4096);
     let topo = workloads::tight_topo(2);
     let specs = sweep_cells(cells, scheme);
 
     // Identity first: every cell's pooled output (on arenas dirtied by
     // all cells before it) byte-identical to fresh.
-    let rcs: Vec<reusediff::ReuseCell> = specs
-        .iter()
-        .map(|c| reusediff::ReuseCell {
-            cell: c.clone(),
-            faults: Vec::new(),
-            resilience: None,
-        })
-        .collect();
-    let identical = reusediff::check_cell_sequence(&model, &topo, &rcs).is_ok();
+    let identical = reusediff::check_cell_sequence(&model, &topo, &specs).is_ok();
 
     let mut session = SweepSession::new();
     let mut runs: Vec<(f64, f64)> = Vec::new();
@@ -1132,8 +1080,9 @@ pub fn sweep_throughput_filtered(
     while runs.len() < 5 || (sampled_secs < 0.5 && runs.len() < 200) {
         let fresh_leg = || {
             timed(|| {
+                // A session of one per cell: plan and arenas from nothing.
                 for c in &specs {
-                    fresh_cell(&model, &topo, c);
+                    c.run(&model, &topo).expect("fresh sweep cell");
                 }
             })
             .0
@@ -1187,25 +1136,21 @@ pub fn sweep_throughput_filtered(
     }
 }
 
-/// Runs the full bench suite at `workers` parallel workers.
-pub fn run(workers: usize) -> BenchReport {
-    run_filtered(workers, None)
-}
-
-/// [`run`] with the scheme-filterable legs (the sweep-throughput
-/// campaign and the conformance experiment) restricted to one scheme
-/// (`repro bench --scheme NAME`). The hot-path scaling sweeps and the
-/// figure experiments are scheme-specific measurements already and run
+/// Runs the full bench suite at `workers` parallel workers, with the
+/// scheme-filterable legs (the sweep-throughput campaign and the
+/// conformance experiment) restricted to `scheme` when given (`repro
+/// bench --scheme NAME`). The hot-path scaling sweeps and the figure
+/// experiments are scheme-specific measurements already and run
 /// unchanged.
-pub fn run_filtered(workers: usize, scheme: Option<SchemeKind>) -> BenchReport {
+pub fn run(workers: usize, scheme: Option<SchemeKind>) -> BenchReport {
     // Time the single-threaded hot paths first, before the experiment
     // sweeps spin up worker pools: the scaling cells are wall-clock
     // measurements and must not share the process with leftover thread
     // and allocator churn from the parallel phase.
     let hot = hot_path_scaling();
-    let exec_hot = exec_hot_path_scaling();
+    let exec_hot = exec_hot_path_scaling(SchemeKind::HarmonyPp);
     let mem_hot = mem_hot_path_scaling();
-    let sweep = vec![sweep_throughput_filtered(SWEEP_THROUGHPUT_CELLS, scheme)];
+    let sweep = vec![sweep_throughput(SWEEP_THROUGHPUT_CELLS, scheme)];
     // Cell counts: fig2a sweeps N ∈ 1..=4; table_a runs 4 (m, N)
     // configurations × 3 schemes; tango runs 4 group sizes + 5 pack
     // sizes; conformance's matrix is 145 cells (`repro conformance`),
@@ -1228,10 +1173,12 @@ pub fn run_filtered(workers: usize, scheme: Option<SchemeKind>) -> BenchReport {
     let w = workloads::fig2_workload();
     let topo = presets::commodity_4x1080ti();
     let summaries = vec![
-        simulate::run(SchemeKind::BaselineDp, &model, &topo, &w)
+        RunSpec::new(SchemeKind::BaselineDp, w)
+            .run(&model, &topo)
             .expect("bench dp run")
             .0,
-        simulate::run(SchemeKind::BaselinePp, &model, &topo, &w)
+        RunSpec::new(SchemeKind::BaselinePp, w)
+            .run(&model, &topo)
             .expect("bench pp run")
             .0,
     ];
@@ -1392,7 +1339,7 @@ mod tests {
     fn sweep_throughput_is_identical_and_caches_plans() {
         // A small sequence keeps the test fast; 16 cells over 15 distinct
         // plan keys still forces a revisit, so the cache must show hits.
-        let t = sweep_throughput(16);
+        let t = sweep_throughput(16, None);
         assert!(t.identical, "pooled leg diverged from fresh");
         assert_eq!(t.cells, 16);
         assert_eq!(t.plan_cache_misses, 15, "15 distinct plan keys");
@@ -1415,7 +1362,7 @@ mod tests {
                 identical: true,
             }],
             hot_path: vec![hot_path(4, 1)],
-            exec_hot_path: vec![exec_hot_path(4, 2, 2, 1)],
+            exec_hot_path: vec![exec_hot_path(SchemeKind::HarmonyPp, 4, 2, 2, 1)],
             mem_hot_path: vec![mem_hot_path(4, 2, 2, 1)],
             sweep_throughput: vec![SweepThroughputTiming {
                 cells: 12,

@@ -1,7 +1,10 @@
 //! Canonical workloads shared by the repro harness, the criterion benches,
-//! and the shape-assertion tests.
+//! and the shape-assertion tests. The exact-cross-check fixtures (a
+//! uniform-layer model, the tight server and its SGD workload) are the
+//! conformance harness's own.
 
 use harmony::prelude::*;
+pub use harmony_harness::workloads::{tight_topo, tight_workload, uniform_model};
 
 /// The Fig 2 workload: a BERT-style model whose training footprint exceeds
 /// the aggregate memory of four 11 GB GPUs, trained with the paper's
@@ -31,27 +34,6 @@ pub fn analytical_model() -> ModelSpec {
     TransformerConfig::gpt_10b().build()
 }
 
-/// A uniform-layer model for exact analytical cross-checks (the paper's
-/// simplifying assumption: "one type of layer ... same runtime and memory
-/// footprint").
-pub fn uniform_model(layers: usize, params: u64) -> ModelSpec {
-    ModelSpec {
-        name: format!("uniform{layers}x{params}"),
-        layers: (0..layers)
-            .map(|i| LayerSpec {
-                name: format!("L{i}"),
-                class: LayerClass::Other,
-                params,
-                fwd_flops_per_sample: params * 2,
-                out_elems_per_sample: 64,
-                extra_stash_elems_per_sample: 128,
-                in_elems_per_sample: 64,
-            })
-            .collect(),
-        seq_len: 1,
-    }
-}
-
 /// A small pressured server for the uniform-model cross-checks: capacity
 /// holds roughly one task working set (the paper's one-layer-at-a-time
 /// assumption).
@@ -67,46 +49,12 @@ pub fn pressured_topo(n: usize) -> Topology {
     .expect("valid params")
 }
 
-/// A *tight* server for exact analytical cross-checks: with SGD
-/// (`opt_slots = 0`, see [`tight_workload`]) the 36 KiB capacity admits
-/// exactly one backward working set of the 16 KiB-weight uniform model, so
-/// LRU gets no reuse at traversal turnarounds and the measured volumes
-/// land on the paper's closed forms.
-pub fn tight_topo(n: usize) -> Topology {
-    presets::commodity_server(presets::CommodityParams {
-        num_gpus: n,
-        gpus_per_switch: n.max(1),
-        pcie_bw: presets::GBPS,
-        host_uplink_bw: presets::GBPS,
-        gpu_mem: 36 * 1024,
-        gpu_flops: 1e9,
-    })
-    .expect("valid params")
-}
-
-/// Workload for the uniform cross-checks.
+/// Workload for the uniform cross-checks: [`tight_workload`] with Adam
+/// state.
 pub fn uniform_workload(m: usize) -> WorkloadConfig {
     WorkloadConfig {
-        microbatches: m,
-        ubatch_size: 1,
-        pack_size: 1,
         opt_slots: 2,
-        group_size: None,
-        recompute: false,
-    }
-}
-
-/// Workload for the exact analytical cross-checks (SGD: the §3 weight
-/// analysis is optimizer-independent, and dropping Adam state keeps one
-/// update working set inside [`tight_topo`]'s capacity).
-pub fn tight_workload(m: usize) -> WorkloadConfig {
-    WorkloadConfig {
-        microbatches: m,
-        ubatch_size: 1,
-        pack_size: 1,
-        opt_slots: 0,
-        group_size: None,
-        recompute: false,
+        ..tight_workload(m)
     }
 }
 

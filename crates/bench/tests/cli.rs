@@ -164,6 +164,55 @@ fn custom_rejects_group_zero() {
 }
 
 #[test]
+fn custom_rejects_non_finite_and_non_positive_values() {
+    // Each of these used to run (`--mem-gib inf`), fail later with an
+    // unrelated capacity error (`nan`, `-3`), or surface as a topology
+    // or plan error (the zero counts). Each must be a usage error that
+    // names its flag.
+    for (flag, value) in [
+        ("--mem-gib", "inf"),
+        ("--mem-gib", "nan"),
+        ("--mem-gib", "-3"),
+        ("--gpus", "0"),
+        ("--microbatches", "0"),
+        ("--ubatch", "0"),
+        ("--pack", "0"),
+        ("--iterations", "0"),
+    ] {
+        let out = repro(&["custom", flag, value]);
+        assert_usage_error(&out, flag, &format!("custom {flag} {value}"));
+    }
+}
+
+#[test]
+fn custom_prefetch_names_the_run_plus_prefetch() {
+    // The summary line and the Gantt header both carry the plan name,
+    // which a prefetch run must mark.
+    let out = repro(&[
+        "custom",
+        "--model",
+        "lenet",
+        "--scheme",
+        "harmony-pp",
+        "--gpus",
+        "2",
+        "--prefetch",
+        "--gantt",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let named = stdout
+        .lines()
+        .filter(|l| l.starts_with("harmony-pp(") && l.contains("+prefetch"))
+        .count();
+    assert_eq!(
+        named, 2,
+        "summary and Gantt lines must name +prefetch: {stdout}"
+    );
+}
+
+#[test]
 fn custom_help_prints_usage_and_exits_0() {
     let out = repro(&["custom", "--help"]);
     assert_eq!(out.status.code(), Some(0));

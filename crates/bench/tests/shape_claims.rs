@@ -4,7 +4,7 @@
 //! generators as the `repro` binary.
 
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 use harmony_bench::{figures, workloads};
 
 #[test]
@@ -58,8 +58,12 @@ fn fig5bc_measured_reduction_matches_headline_factor() {
     let model = workloads::uniform_model(6, 4096);
     let topo = workloads::tight_topo(2);
     let w = workloads::tight_workload(4);
-    let (b, _) = simulate::run(SchemeKind::BaselineDp, &model, &topo, &w).expect("run");
-    let (h, _) = simulate::run(SchemeKind::HarmonyDp, &model, &topo, &w).expect("run");
+    let (b, _) = RunSpec::new(SchemeKind::BaselineDp, w)
+        .run(&model, &topo)
+        .expect("run");
+    let (h, _) = RunSpec::new(SchemeKind::HarmonyDp, w)
+        .run(&model, &topo)
+        .expect("run");
     let factor = b.swap_by_class["weight"] as f64 / h.swap_by_class["weight"].max(1) as f64;
     let expected = (4.0 * 4.0 + 2.0) / 3.0; // 6×
     assert!(
@@ -115,7 +119,9 @@ fn tuned_harmony_pp_beats_baseline_pp_on_both_axes() {
     let model = workloads::analytical_model();
     let topo = presets::commodity_4x1080ti();
     let base = workloads::fig2_workload();
-    let (bpp, _) = simulate::run(SchemeKind::BaselinePp, &model, &topo, &base).expect("run");
+    let (bpp, _) = RunSpec::new(SchemeKind::BaselinePp, base)
+        .run(&model, &topo)
+        .expect("run");
     // Tune the group size like the Performance Tuner would.
     let mut best: Option<harmony::prelude::RunSummary> = None;
     for g in [1usize, 2, 4, 8] {
@@ -123,7 +129,9 @@ fn tuned_harmony_pp_beats_baseline_pp_on_both_axes() {
             group_size: Some(g),
             ..base
         };
-        let (s, _) = simulate::run(SchemeKind::HarmonyPp, &model, &topo, &w).expect("run");
+        let (s, _) = RunSpec::new(SchemeKind::HarmonyPp, w)
+            .run(&model, &topo)
+            .expect("run");
         if best
             .as_ref()
             .is_none_or(|b| s.throughput() > b.throughput())

@@ -14,11 +14,11 @@
 //!
 //! This crate is the user-facing façade over the workspace:
 //!
-//! * [`simulate`] — run any of the four training schemes (baseline
-//!   DP/PP, Harmony-DP/PP) on the discrete-event simulator of a commodity
-//!   server and obtain throughput, swap volumes, memory peaks, and an
-//!   execution trace. This is the substrate for every figure/table
-//!   reproduction (see `harmony-bench`).
+//! * [`simulate`] and [`RunSpec`] — plan any of the five training
+//!   schemes (baseline DP/PP, Harmony-DP/PP, 1F1B) and run it on the
+//!   discrete-event simulator of a commodity server to obtain throughput,
+//!   swap volumes, memory peaks, and an execution trace. This is the
+//!   substrate for every figure/table reproduction (see `harmony-bench`).
 //! * [`functional`] — *actually train* a real (small) model through
 //!   Harmony's decomposed, grouped, JIT schedule on capacity-limited
 //!   virtual devices with real tensor swapping, and verify bit-identical
@@ -34,7 +34,8 @@
 //! let model = TransformerConfig::bert_xxl().build();
 //! let topo = presets::commodity_4x1080ti();
 //! let workload = WorkloadConfig { microbatches: 2, ubatch_size: 5, ..Default::default() };
-//! let (summary, _trace) = simulate::run(simulate::SchemeKind::BaselineDp, &model, &topo, &workload).unwrap();
+//! let spec = RunSpec::new(simulate::SchemeKind::BaselineDp, workload);
+//! let (summary, _trace) = spec.run(&model, &topo).unwrap();
 //! assert!(summary.global_swap() > 0);
 //! ```
 
@@ -49,7 +50,7 @@ pub mod sweep;
 pub mod prelude {
     pub use crate::functional::{FunctionalSession, SessionConfig, StepReport};
     pub use crate::simulate;
-    pub use crate::sweep::{CellSpec, SweepSession};
+    pub use crate::sweep::{RunSpec, SweepSession};
     pub use harmony_analytical as analytical;
     pub use harmony_models::exec::{mlp, tiny_transformer, ExecModel};
     pub use harmony_models::{zoo, LayerClass, LayerSpec, ModelSpec, TransformerConfig};
@@ -63,3 +64,4 @@ pub mod prelude {
 }
 
 pub use functional::{FunctionalSession, SessionConfig, StepReport};
+pub use sweep::{RunSpec, SweepSession};

@@ -1,13 +1,13 @@
-//! High-level simulation front-end: pick a scheme, a model, a server, a
-//! workload — get the numbers the paper plots.
+//! The training schemes and their planners: pick a scheme, a model, a
+//! server and a workload, get an execution plan. [`crate::RunSpec`]
+//! runs it and returns the numbers the paper plots.
 
 use harmony_models::ModelSpec;
 use harmony_sched::{
     plan_baseline_dp, plan_baseline_pp, plan_harmony_dp, plan_harmony_pp, plan_pipe_1f1b,
-    ExecError, ExecutionPlan, SimExecutor, WorkloadConfig,
+    ExecError, ExecutionPlan, WorkloadConfig,
 };
 use harmony_topology::Topology;
-use harmony_trace::{summary::RunSummary, Trace};
 
 /// The training schemes of the paper's analytical comparison, plus the
 /// PipeDream 1F1B-with-weight-stashing extension (ROADMAP item 3).
@@ -84,86 +84,12 @@ pub fn plan(
     p.map_err(|e| ExecError::Plan(e.to_string()))
 }
 
-/// Plans and simulates one training iteration of `scheme`.
-pub fn run(
-    scheme: SchemeKind,
-    model: &ModelSpec,
-    topo: &Topology,
-    workload: &WorkloadConfig,
-) -> Result<(RunSummary, Trace), ExecError> {
-    let plan_start = std::time::Instant::now();
-    let plan = plan(scheme, model, topo, workload)?;
-    let plan_secs = plan_start.elapsed().as_secs_f64();
-    let mut exec = SimExecutor::new(topo, model, &plan)?;
-    exec.add_setup_secs(plan_secs);
-    exec.run()
-}
-
-/// Like [`run`], but hands the executor to `configure` before starting
-/// it, so callers can attach memory/executor observers, inject timed
-/// faults, or set an event budget without re-implementing the
-/// plan-then-execute dance (the executor borrows the plan, so the plan
-/// must be owned by this frame). This is the entry point the conformance
-/// harness (`harmony-harness`) builds its oracle-instrumented runs on.
-pub fn run_configured(
-    scheme: SchemeKind,
-    model: &ModelSpec,
-    topo: &Topology,
-    workload: &WorkloadConfig,
-    configure: impl FnOnce(&mut SimExecutor<'_>) -> Result<(), ExecError>,
-) -> Result<(RunSummary, Trace), ExecError> {
-    let plan_start = std::time::Instant::now();
-    let plan = plan(scheme, model, topo, workload)?;
-    let plan_secs = plan_start.elapsed().as_secs_f64();
-    let mut exec = SimExecutor::new(topo, model, &plan)?;
-    exec.add_setup_secs(plan_secs);
-    configure(&mut exec)?;
-    exec.run()
-}
-
-/// Like [`run`], but replays the plan `iterations` times back-to-back
-/// (fresh transients per iteration, shared persistent state) so that
-/// totals divided by `iterations` approach steady-state per-iteration
-/// figures without cold-start edges.
-pub fn run_iterations(
-    scheme: SchemeKind,
-    model: &ModelSpec,
-    topo: &Topology,
-    workload: &WorkloadConfig,
-    iterations: u32,
-) -> Result<(RunSummary, Trace), ExecError> {
-    let plan_start = std::time::Instant::now();
-    let plan = plan(scheme, model, topo, workload)?;
-    let plan_secs = plan_start.elapsed().as_secs_f64();
-    let mut exec = SimExecutor::with_iterations(topo, model, &plan, iterations)?;
-    exec.add_setup_secs(plan_secs);
-    exec.run()
-}
-
-/// Like [`run`], but with prefetch/double-buffering enabled: each GPU
-/// overlaps the next task's swap-ins with the current kernel, trading
-/// extra resident memory for critical-path latency (the §4 trade-off).
-pub fn run_with_prefetch(
-    scheme: SchemeKind,
-    model: &ModelSpec,
-    topo: &Topology,
-    workload: &WorkloadConfig,
-) -> Result<(RunSummary, Trace), ExecError> {
-    let plan_start = std::time::Instant::now();
-    let mut plan = plan(scheme, model, topo, workload)?;
-    plan.scheme = plan.scheme.clone().with_prefetch();
-    plan.name = format!("{}+prefetch", plan.name);
-    let plan_secs = plan_start.elapsed().as_secs_f64();
-    let mut exec = SimExecutor::new(topo, model, &plan)?;
-    exec.add_setup_secs(plan_secs);
-    exec.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::{topo, workload};
+    use crate::sweep::RunSpec;
     use harmony_models::TransformerConfig;
-    use harmony_topology::presets::{commodity_server, CommodityParams, GBPS};
 
     #[test]
     fn names_and_analytical_mapping_are_consistent() {
@@ -179,63 +105,13 @@ mod tests {
     #[test]
     fn run_executes_all_schemes_on_a_small_server() {
         let model = TransformerConfig::tiny().build();
-        let topo = commodity_server(CommodityParams {
-            num_gpus: 2,
-            gpus_per_switch: 2,
-            pcie_bw: GBPS,
-            host_uplink_bw: GBPS,
-            gpu_mem: 10 * 1024 * 1024,
-            gpu_flops: 1e9,
-        })
-        .unwrap();
-        let w = WorkloadConfig {
-            microbatches: 2,
-            ubatch_size: 1,
-            pack_size: 1,
-            opt_slots: 2,
-            group_size: None,
-            recompute: false,
-        };
+        let topo = topo();
         for scheme in SchemeKind::ALL {
-            let (summary, trace) = run(scheme, &model, &topo, &w).unwrap();
+            let (summary, trace) = RunSpec::new(scheme, workload(2))
+                .run(&model, &topo)
+                .unwrap();
             assert!(summary.sim_secs > 0.0, "{}", scheme.name());
             assert!(!trace.spans.is_empty());
         }
-    }
-
-    #[test]
-    fn run_configured_applies_the_configuration() {
-        let model = TransformerConfig::tiny().build();
-        let topo = commodity_server(CommodityParams {
-            num_gpus: 2,
-            gpus_per_switch: 2,
-            pcie_bw: GBPS,
-            host_uplink_bw: GBPS,
-            gpu_mem: 10 * 1024 * 1024,
-            gpu_flops: 1e9,
-        })
-        .unwrap();
-        let w = WorkloadConfig {
-            microbatches: 2,
-            ubatch_size: 1,
-            pack_size: 1,
-            opt_slots: 0,
-            group_size: None,
-            recompute: false,
-        };
-        // An absurdly small event budget must surface as Stuck, proving
-        // the closure ran against the executor before the run started.
-        let starved = run_configured(SchemeKind::HarmonyDp, &model, &topo, &w, |exec| {
-            exec.set_event_budget(3);
-            Ok(())
-        });
-        assert!(
-            matches!(starved, Err(ExecError::Stuck(_))),
-            "expected Stuck, got {starved:?}"
-        );
-        // And a no-op configuration behaves exactly like `run`.
-        let (summary, _) =
-            run_configured(SchemeKind::HarmonyDp, &model, &topo, &w, |_| Ok(())).unwrap();
-        assert!(summary.sim_secs > 0.0);
     }
 }

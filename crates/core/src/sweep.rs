@@ -1,8 +1,9 @@
-//! Sweep sessions: amortising per-cell setup across a grid of runs.
+//! Run descriptions and sweep sessions: one [`RunSpec`] per run, and
+//! per-cell setup amortised across a grid of them.
 //!
 //! Every figure/table reproduction in `harmony-bench` is a *sweep*: the
-//! same model/topology simulated across a grid of schemes and workload
-//! knobs, each cell an independent plan-then-execute run. Two per-cell
+//! same model/topology simulated across a grid of [`RunSpec`]s, each
+//! cell an independent plan-then-execute run. Two per-cell
 //! costs dominate outside the event loop and repeat across cells:
 //!
 //! 1. **Planning.** Grid cells frequently share their plan-relevant
@@ -15,14 +16,15 @@
 //!    previous cell just dropped.
 //!
 //! A [`SweepSession`] eliminates both: a **plan cache** keyed by the
-//! exact inputs that reach [`simulate::plan`] (scheme, model, topology
-//! *shape* — the planners consume only the GPU count — and workload
-//! knobs, plus the session-applied policy/prefetch overrides) memoizes
-//! `Arc<ExecutionPlan>`s, and a pooled run path recycles every executor
-//! arena through an [`ExecPool`] (DESIGN §14). Both are byte-invisible:
-//! a pooled cell's summary, trace and error are identical to a fresh
-//! run's — the `reusediff` differential in `harmony-harness` proves it
-//! over random cell sequences.
+//! exact inputs that reach [`RunSpec::plan`] (scheme, model, topology
+//! *shape* — the planners consume only the GPU count — workload knobs
+//! and the policy/prefetch overrides) memoizes `Arc<ExecutionPlan>`s,
+//! and a pooled run path recycles every executor arena through an
+//! [`ExecPool`] (DESIGN §14). Both are byte-invisible: a pooled cell's
+//! summary, trace and error are identical to those of a new session's
+//! run — the `reusediff` differential in `harmony-harness` proves it
+//! over random cell sequences. A single run ([`RunSpec::run`]) is a
+//! session of one.
 //!
 //! Sessions are deliberately *not* shared across threads: a parallel
 //! sweep gives each worker its own session
@@ -33,16 +35,21 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use harmony_models::ModelSpec;
-use harmony_sched::{ExecError, ExecPool, ExecutionPlan, PolicyKind, SimExecutor, WorkloadConfig};
+use harmony_sched::{
+    ExecCounters, ExecError, ExecPool, ExecutionPlan, PolicyKind, SimExecutor, TimedFault,
+    WorkloadConfig,
+};
 use harmony_topology::Topology;
 use harmony_trace::{summary::RunSummary, Trace};
 
 use crate::simulate::{self, SchemeKind};
 
-/// One sweep cell: everything (besides the shared model and topology)
-/// that determines a run.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CellSpec {
+/// One run: everything (besides the model and server) that determines
+/// it. The first five fields shape the plan; `faults`, `resilience` and
+/// `event_budget` only configure the executor, so specs that differ in
+/// them (or in `iterations`) share one cached plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSpec {
     /// Training scheme to plan.
     pub scheme: SchemeKind,
     /// Workload knobs handed to the planner.
@@ -50,24 +57,63 @@ pub struct CellSpec {
     /// Eviction-policy override applied to the planned scheme (`None`
     /// keeps the scheme's own policy).
     pub policy: Option<PolicyKind>,
-    /// Enable prefetch/double-buffering on the planned scheme (mirrors
-    /// [`simulate::run_with_prefetch`], including the `+prefetch` name
-    /// suffix).
+    /// Enable prefetch/double-buffering on the planned scheme: each GPU
+    /// overlaps the next task's swap-ins with the current kernel, trading
+    /// extra resident memory for critical-path latency (the §4
+    /// trade-off). The plan is renamed `…+prefetch`.
     pub prefetch: bool,
-    /// Back-to-back iterations to execute.
+    /// Back-to-back iterations to execute (fresh transients per
+    /// iteration, shared persistent state), so totals divided by
+    /// `iterations` approach steady-state per-iteration figures.
     pub iterations: u32,
+    /// Timed faults injected into the run.
+    pub faults: Vec<TimedFault>,
+    /// Arm the resilience layer with this backoff seed
+    /// ([`SimExecutor::enable_resilience`]); `None` leaves it off.
+    pub resilience: Option<u64>,
+    /// Abort with [`ExecError::Stuck`] past this many simulator events
+    /// ([`SimExecutor::set_event_budget`]); `None` is unbounded.
+    pub event_budget: Option<u64>,
 }
 
-impl CellSpec {
-    /// A single-iteration cell with no overrides.
+impl RunSpec {
+    /// A single-iteration run with no overrides and no executor knobs.
     pub fn new(scheme: SchemeKind, workload: WorkloadConfig) -> Self {
-        CellSpec {
+        RunSpec {
             scheme,
             workload,
             policy: None,
             prefetch: false,
             iterations: 1,
+            faults: Vec::new(),
+            resilience: None,
+            event_budget: None,
         }
+    }
+
+    /// Lowers the spec into an execution plan for `topo.num_gpus()` GPUs
+    /// via [`simulate::plan`], then applies the policy and prefetch
+    /// overrides. The only place those overrides (and the `+prefetch`
+    /// rename) are applied.
+    pub fn plan(&self, model: &ModelSpec, topo: &Topology) -> Result<ExecutionPlan, ExecError> {
+        let mut plan = simulate::plan(self.scheme, model, topo, &self.workload)?;
+        if let Some(policy) = self.policy {
+            plan.scheme.policy = policy;
+        }
+        if self.prefetch {
+            plan.scheme = plan.scheme.clone().with_prefetch();
+            plan.name = format!("{}+prefetch", plan.name);
+        }
+        Ok(plan)
+    }
+
+    /// Plans and simulates the run: a [`SweepSession`] of one.
+    pub fn run(
+        &self,
+        model: &ModelSpec,
+        topo: &Topology,
+    ) -> Result<(RunSummary, Trace), ExecError> {
+        SweepSession::new().run(model, topo, self)
     }
 }
 
@@ -84,6 +130,21 @@ struct PlanKey {
     prefetch: bool,
 }
 
+impl PlanKey {
+    /// The plan-shaping part of `spec`; the executor-only fields
+    /// (`iterations`, `faults`, `resilience`, `event_budget`) are left out.
+    fn of(spec: &RunSpec, model: &ModelSpec, topo: &Topology) -> Self {
+        PlanKey {
+            scheme: spec.scheme,
+            model: model.clone(),
+            num_gpus: topo.num_gpus(),
+            workload: spec.workload,
+            policy: spec.policy,
+            prefetch: spec.prefetch,
+        }
+    }
+}
+
 /// Amortises planning and executor construction across the cells of a
 /// sweep. See module docs. Holds a plan cache plus an [`ExecPool`]; use
 /// one session per worker thread.
@@ -91,7 +152,7 @@ struct PlanKey {
 pub struct SweepSession {
     /// Planner errors are cached too (as their message): re-planning an
     /// infeasible cell is as wasteful as re-planning a feasible one, and
-    /// the replayed error must match the fresh path's byte-for-byte.
+    /// the replayed error must match the first one byte-for-byte.
     cache: HashMap<PlanKey, Result<Arc<ExecutionPlan>, String>>,
     hits: u64,
     misses: u64,
@@ -105,79 +166,72 @@ impl SweepSession {
         Self::default()
     }
 
-    /// The plan for `cell`, memoized. A cache hit returns the previously
+    /// The plan for `spec`, memoized. A cache hit returns the previously
     /// planned `Arc` (or replays the previously observed planner error);
-    /// a miss plans via [`simulate::plan`], applies the cell's
-    /// policy/prefetch overrides, and caches the outcome.
-    pub fn plan(
+    /// a miss plans via [`RunSpec::plan`] and caches the outcome.
+    fn plan(
         &mut self,
         model: &ModelSpec,
         topo: &Topology,
-        cell: &CellSpec,
+        spec: &RunSpec,
     ) -> Result<Arc<ExecutionPlan>, ExecError> {
-        let key = PlanKey {
-            scheme: cell.scheme,
-            model: model.clone(),
-            num_gpus: topo.num_gpus(),
-            workload: cell.workload,
-            policy: cell.policy,
-            prefetch: cell.prefetch,
-        };
+        let key = PlanKey::of(spec, model, topo);
         if let Some(cached) = self.cache.get(&key) {
             self.hits += 1;
             return cached.clone().map_err(ExecError::Plan);
         }
         self.misses += 1;
-        let planned: Result<Arc<ExecutionPlan>, String> =
-            match simulate::plan(cell.scheme, model, topo, &cell.workload) {
-                Ok(mut p) => {
-                    if let Some(policy) = cell.policy {
-                        p.scheme.policy = policy;
-                    }
-                    if cell.prefetch {
-                        p.scheme = p.scheme.clone().with_prefetch();
-                        p.name = format!("{}+prefetch", p.name);
-                    }
-                    Ok(Arc::new(p))
-                }
-                // `simulate::plan` folds every planner error into
-                // `ExecError::Plan(msg)`; cache the message so a replay
-                // reconstructs the identical error.
-                Err(ExecError::Plan(msg)) => Err(msg),
-                Err(other) => Err(other.to_string()),
-            };
+        // `simulate::plan` folds every planner error into
+        // `ExecError::Plan(msg)`; cache the message so a replay
+        // reconstructs the identical error.
+        let planned = match spec.plan(model, topo) {
+            Ok(p) => Ok(Arc::new(p)),
+            Err(ExecError::Plan(msg)) => Err(msg),
+            Err(other) => Err(other.to_string()),
+        };
         self.cache.insert(key, planned.clone());
         planned.map_err(ExecError::Plan)
     }
 
-    /// Plans (memoized) and executes `cell` through the session's pool.
-    /// Byte-identical to the fresh path ([`simulate::run`] /
-    /// [`SimExecutor::with_iterations`]) in summary, trace and error —
-    /// wall clocks (`elapsed_secs`, `setup_secs`) excepted, as always.
+    /// Plans (memoized) and executes `spec` through the session's pool.
+    /// Byte-identical to a fresh session's run in summary, trace and
+    /// error — wall clocks (`elapsed_secs`, `setup_secs`) excepted, as
+    /// always.
     pub fn run(
         &mut self,
         model: &ModelSpec,
         topo: &Topology,
-        cell: &CellSpec,
+        spec: &RunSpec,
     ) -> Result<(RunSummary, Trace), ExecError> {
-        self.run_configured(model, topo, cell, |_| Ok(()))
+        let (summary, trace, _) = self.run_configured(model, topo, spec, |_| Ok(()))?;
+        Ok((summary, trace))
     }
 
-    /// Like [`SweepSession::run`], handing the executor to `configure`
-    /// before starting it (fault injection, observers, event budgets —
-    /// the same hook as [`simulate::run_configured`]).
+    /// Like [`SweepSession::run`], but hands the executor to `configure`
+    /// after the spec's faults, resilience seed and event budget are
+    /// applied and before it starts (oracle observers, the dense
+    /// reference switches, armed mutants), and also returns the event
+    /// loop's [`ExecCounters`]. The one place outside the scheduler that
+    /// constructs a [`SimExecutor`].
     pub fn run_configured(
         &mut self,
         model: &ModelSpec,
         topo: &Topology,
-        cell: &CellSpec,
+        spec: &RunSpec,
         configure: impl FnOnce(&mut SimExecutor<'_>) -> Result<(), ExecError>,
-    ) -> Result<(RunSummary, Trace), ExecError> {
+    ) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         let plan_start = std::time::Instant::now();
-        let plan = self.plan(model, topo, cell)?;
+        let plan = self.plan(model, topo, spec)?;
         let plan_secs = plan_start.elapsed().as_secs_f64();
-        let mut exec = SimExecutor::pooled(topo, model, &plan, cell.iterations, &mut self.pool)?;
+        let mut exec = SimExecutor::pooled(topo, model, &plan, spec.iterations, &mut self.pool)?;
         exec.add_setup_secs(plan_secs);
+        exec.inject_faults(&spec.faults)?;
+        if let Some(seed) = spec.resilience {
+            exec.enable_resilience(seed);
+        }
+        if let Some(budget) = spec.event_budget {
+            exec.set_event_budget(budget);
+        }
         configure(&mut exec)?;
         exec.run_pooled(&mut self.pool)
     }
@@ -210,12 +264,12 @@ impl SweepSession {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use harmony_models::TransformerConfig;
     use harmony_topology::presets::{commodity_server, CommodityParams, GBPS};
 
-    fn topo() -> Topology {
+    pub(crate) fn topo() -> Topology {
         commodity_server(CommodityParams {
             num_gpus: 2,
             gpus_per_switch: 2,
@@ -227,7 +281,7 @@ mod tests {
         .unwrap()
     }
 
-    fn workload(m: usize) -> WorkloadConfig {
+    pub(crate) fn workload(m: usize) -> WorkloadConfig {
         WorkloadConfig {
             microbatches: m,
             ubatch_size: 1,
@@ -252,7 +306,7 @@ mod tests {
         let model = TransformerConfig::tiny().build();
         let topo = topo();
         let mut session = SweepSession::new();
-        let cell = CellSpec::new(SchemeKind::HarmonyDp, workload(2));
+        let cell = RunSpec::new(SchemeKind::HarmonyDp, workload(2));
         session.run(&model, &topo, &cell).unwrap();
         assert_eq!(
             (session.plan_cache_misses(), session.plan_cache_hits()),
@@ -264,7 +318,7 @@ mod tests {
             (1, 1)
         );
         // A different workload knob is a different plan key.
-        let other = CellSpec::new(SchemeKind::HarmonyDp, workload(3));
+        let other = RunSpec::new(SchemeKind::HarmonyDp, workload(3));
         session.run(&model, &topo, &other).unwrap();
         assert_eq!(
             (session.plan_cache_misses(), session.plan_cache_hits()),
@@ -280,30 +334,23 @@ mod tests {
         // A dirty-then-reuse sequence across schemes, knobs and overrides
         // (the full differential lives in harmony-harness::reusediff).
         let cells = [
-            CellSpec::new(SchemeKind::BaselineDp, workload(2)),
-            CellSpec::new(SchemeKind::HarmonyPp, workload(3)),
-            CellSpec {
+            RunSpec::new(SchemeKind::BaselineDp, workload(2)),
+            RunSpec::new(SchemeKind::HarmonyPp, workload(3)),
+            RunSpec {
                 policy: Some(PolicyKind::Lru),
-                ..CellSpec::new(SchemeKind::HarmonyDp, workload(2))
+                ..RunSpec::new(SchemeKind::HarmonyDp, workload(2))
             },
-            CellSpec {
+            RunSpec {
                 prefetch: true,
                 iterations: 2,
-                ..CellSpec::new(SchemeKind::HarmonyDp, workload(2))
+                ..RunSpec::new(SchemeKind::HarmonyDp, workload(2))
             },
             // Revisit the first cell: pure cache hit + warm pool.
-            CellSpec::new(SchemeKind::BaselineDp, workload(2)),
+            RunSpec::new(SchemeKind::BaselineDp, workload(2)),
         ];
         for cell in &cells {
             let (ps, pt) = session.run(&model, &topo, cell).unwrap();
-            let mut plan = simulate::plan(cell.scheme, &model, &topo, &cell.workload).unwrap();
-            if let Some(policy) = cell.policy {
-                plan.scheme.policy = policy;
-            }
-            if cell.prefetch {
-                plan.scheme = plan.scheme.clone().with_prefetch();
-                plan.name = format!("{}+prefetch", plan.name);
-            }
+            let plan = cell.plan(&model, &topo).unwrap();
             let (fs, ft) = SimExecutor::with_iterations(&topo, &model, &plan, cell.iterations)
                 .unwrap()
                 .run()
@@ -320,8 +367,9 @@ mod tests {
         let topo = topo();
         let mut session = SweepSession::new();
         // Zero microbatches is a planner rejection, not an exec error.
-        let bad = CellSpec::new(SchemeKind::HarmonyPp, workload(0));
-        let fresh = simulate::run(SchemeKind::HarmonyPp, &model, &topo, &bad.workload)
+        let bad = RunSpec::new(SchemeKind::HarmonyPp, workload(0));
+        let fresh = bad
+            .run(&model, &topo)
             .expect_err("workload must be rejected");
         let first = session
             .run(&model, &topo, &bad)
@@ -340,7 +388,7 @@ mod tests {
         let model = TransformerConfig::tiny().build();
         let topo = topo();
         let mut session = SweepSession::new();
-        let cell = CellSpec::new(SchemeKind::BaselineDp, workload(2));
+        let cell = RunSpec::new(SchemeKind::BaselineDp, workload(2));
         let (s, _) = session.run(&model, &topo, &cell).unwrap();
         assert!(
             s.setup_secs.is_finite() && s.setup_secs >= 0.0,
@@ -350,5 +398,67 @@ mod tests {
         let mut other = s.clone();
         other.setup_secs = 123.0;
         assert_eq!(s, other, "setup wall clock must not affect identity");
+    }
+
+    #[test]
+    fn executor_only_fields_share_one_plan_cache_entry() {
+        let model = TransformerConfig::tiny().build();
+        let topo = topo();
+        let mut session = SweepSession::new();
+        let base = RunSpec::new(SchemeKind::HarmonyDp, workload(2));
+        session.run(&model, &topo, &base).unwrap();
+        let jitter = TimedFault {
+            at: 1e-4,
+            fault: harmony_sched::Fault::ComputeJitter {
+                gpu: 0,
+                factor: 1.5,
+            },
+        };
+        let tweaks: [fn(&mut RunSpec, TimedFault); 4] = [
+            |s, f| s.faults = vec![f],
+            |s, _| s.resilience = Some(7),
+            |s, _| s.event_budget = Some(1_000_000),
+            |s, _| s.iterations = 2,
+        ];
+        for (i, tweak) in tweaks.iter().enumerate() {
+            let mut spec = base.clone();
+            tweak(&mut spec, jitter);
+            session.run(&model, &topo, &spec).unwrap();
+            assert_eq!(
+                (session.plan_cache_misses(), session.plan_cache_hits()),
+                (1, i as u64 + 1),
+                "{spec:?} must reuse the first plan"
+            );
+        }
+    }
+
+    #[test]
+    fn event_budget_surfaces_as_stuck_fresh_and_warm() {
+        let model = TransformerConfig::tiny().build();
+        let topo = topo();
+        let starved = RunSpec {
+            event_budget: Some(3),
+            ..RunSpec::new(SchemeKind::HarmonyDp, workload(2))
+        };
+        let fresh = starved.run(&model, &topo);
+        assert!(
+            matches!(fresh, Err(ExecError::Stuck(_))),
+            "expected Stuck, got {fresh:?}"
+        );
+        // A warm session that already ran another cell applies the
+        // budget just the same.
+        let mut session = SweepSession::new();
+        session
+            .run(
+                &model,
+                &topo,
+                &RunSpec::new(SchemeKind::BaselinePp, workload(3)),
+            )
+            .unwrap();
+        let warm = session.run(&model, &topo, &starved);
+        assert!(
+            matches!(warm, Err(ExecError::Stuck(_))),
+            "expected Stuck, got {warm:?}"
+        );
     }
 }

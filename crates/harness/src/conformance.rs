@@ -22,11 +22,14 @@
 //! [`ResilienceOutcome`]: harmony_trace::summary::ResilienceOutcome
 
 use harmony::simulate::SchemeKind;
+use harmony::RunSpec;
 use harmony_models::ModelSpec;
 use harmony_sched::{Fault, TimedFault, WorkloadConfig};
 use harmony_topology::Topology;
 
-use crate::differential::{check_swap_volumes_exact, check_work_equivalence, run_instrumented};
+use crate::differential::{
+    check_swap_volumes_exact, check_work_equivalence, run_spec_instrumented,
+};
 use crate::faults::FaultPlan;
 use crate::oracles::OracleConfig;
 use crate::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
@@ -97,74 +100,63 @@ impl ConformanceReport {
 /// One independent cell of the matrix: everything needed to evaluate it
 /// in isolation (so cells can fan out on the work pool).
 #[derive(Debug, Clone)]
-struct CellSpec {
+struct MatrixCell {
     family: &'static str,
-    scheme: SchemeKind,
     config: String,
     model: ModelSpec,
     topo: Topology,
-    w: WorkloadConfig,
+    /// Scheme, workload, and (for fault/resil cells) faults, event
+    /// budget and resilience seed — armed cells must complete with a
+    /// populated `ResilienceOutcome` in the summary.
+    run: RunSpec,
     /// Attach the scheme-set-wide logical-work equivalence check to this
     /// cell (recorded against each config's first scheme).
     check_work: bool,
     /// Exact cells run the byte-exact differential check; others run
     /// oracle-instrumented only.
     exact: bool,
-    faults: Vec<TimedFault>,
-    event_budget: Option<u64>,
-    /// Backoff seed when the resilience layer is armed; armed cells must
-    /// complete with a populated `ResilienceOutcome` in the summary.
-    resilience: Option<u64>,
 }
 
-impl CellSpec {
+impl MatrixCell {
     /// Evaluates the cell. Pure function of the spec — deterministic and
     /// independent of every other cell, whatever thread runs it.
     fn evaluate(&self, oracles: &OracleConfig) -> CellOutcome {
         // The recompute oracle is workload-conditional (stashing cells
         // swap stashes legitimately), so each cell arms it for itself.
+        let run = &self.run;
         let oracles = &OracleConfig {
-            recompute_no_stash_fetch: self.w.recompute,
+            recompute_no_stash_fetch: run.workload.recompute,
             ..*oracles
         };
         let mut result = if self.exact {
-            check_swap_volumes_exact(self.scheme, &self.model, &self.topo, &self.w, oracles)
+            check_swap_volumes_exact(run.scheme, &self.model, &self.topo, &run.workload, oracles)
         } else {
-            run_instrumented(
-                self.scheme,
-                &self.model,
-                &self.topo,
-                &self.w,
-                oracles,
-                &self.faults,
-                self.event_budget,
-                self.resilience,
-            )
-            .map_err(|e| e.to_string())
-            .and_then(|summary| {
-                // An armed cell with injected faults must surface the
-                // typed outcome — "completed, but silently" is a failure.
-                if self.resilience.is_some()
-                    && !self.faults.is_empty()
-                    && summary.resilience.is_none()
-                {
-                    Err("resilience armed but summary reports no outcome".to_string())
-                } else {
-                    Ok(())
-                }
-            })
+            run_spec_instrumented(&self.model, &self.topo, run, oracles)
+                .map_err(|e| e.to_string())
+                .and_then(|summary| {
+                    // An armed cell with injected faults must surface the
+                    // typed outcome — "completed, but silently" is a failure.
+                    if run.resilience.is_some()
+                        && !run.faults.is_empty()
+                        && summary.resilience.is_none()
+                    {
+                        Err("resilience armed but summary reports no outcome".to_string())
+                    } else {
+                        Ok(())
+                    }
+                })
         };
         if self.check_work {
             if let (Ok(()), Err(e)) = (
                 &result,
-                check_work_equivalence(&self.model, &self.topo, &self.w),
+                check_work_equivalence(&self.model, &self.topo, &run.workload),
             ) {
                 result = Err(format!("work equivalence: {e}"));
             }
         }
         CellOutcome {
             family: self.family,
-            scheme: self.scheme,
+            scheme: run.scheme,
             config: self.config.clone(),
             result,
         }
@@ -172,7 +164,7 @@ impl CellSpec {
 }
 
 /// Builds the matrix cell list in canonical (sequential) order.
-fn build_matrix(seed: u64) -> Vec<CellSpec> {
+fn build_matrix(seed: u64) -> Vec<MatrixCell> {
     let mut specs = Vec::new();
 
     // Exact family: 2 models × 4 GPU counts × 3 microbatch counts ×
@@ -189,21 +181,17 @@ fn build_matrix(seed: u64) -> Vec<CellSpec> {
                 let w = tight_workload(m);
                 let config = format!("{} N={n} m={m}", model.name);
                 for scheme in SchemeKind::ALL {
-                    specs.push(CellSpec {
+                    specs.push(MatrixCell {
                         family: "exact",
-                        scheme,
                         config: config.clone(),
                         model: model.clone(),
                         topo: topo.clone(),
-                        w,
+                        run: RunSpec::new(scheme, w),
                         // Logical-work equivalence is a property of the
                         // whole scheme set; record it against the first
                         // scheme's cell.
                         check_work: scheme == SchemeKind::BaselineDp,
                         exact: true,
-                        faults: Vec::new(),
-                        event_budget: None,
-                        resilience: None,
                     });
                 }
             }
@@ -244,18 +232,14 @@ fn build_matrix(seed: u64) -> Vec<CellSpec> {
         ] {
             let config = format!("{} N=2 m=4 {label}", model.name);
             for scheme in SchemeKind::ALL {
-                specs.push(CellSpec {
+                specs.push(MatrixCell {
                     family: "knob",
-                    scheme,
                     config: config.clone(),
                     model: model.clone(),
                     topo: topo.clone(),
-                    w,
+                    run: RunSpec::new(scheme, w),
                     check_work: scheme == SchemeKind::BaselineDp,
                     exact: false,
-                    faults: Vec::new(),
-                    event_budget: None,
-                    resilience: None,
                 });
             }
         }
@@ -271,18 +255,19 @@ fn build_matrix(seed: u64) -> Vec<CellSpec> {
         let w = tight_workload(4);
         let plan = FaultPlan::generate(seed, &topo, 0.002, 3);
         for scheme in SchemeKind::ALL {
-            specs.push(CellSpec {
+            specs.push(MatrixCell {
                 family: "fault",
-                scheme,
                 config: format!("{} N=2 m=4 seed={seed}", model.name),
                 model: model.clone(),
                 topo: topo.clone(),
-                w,
+                run: RunSpec {
+                    faults: plan.faults.clone(),
+                    event_budget: Some(1_000_000),
+                    resilience: Some(seed),
+                    ..RunSpec::new(scheme, w)
+                },
                 check_work: false,
                 exact: false,
-                faults: plan.faults.clone(),
-                event_budget: Some(1_000_000),
-                resilience: Some(seed),
             });
         }
     }
@@ -312,18 +297,19 @@ fn build_matrix(seed: u64) -> Vec<CellSpec> {
             },
         ];
         for scheme in SchemeKind::ALL {
-            specs.push(CellSpec {
+            specs.push(MatrixCell {
                 family: "resil",
-                scheme,
                 config: format!("{} N=2 m=4 harsh", model.name),
                 model: model.clone(),
                 topo: topo.clone(),
-                w,
+                run: RunSpec {
+                    faults: faults.clone(),
+                    event_budget: Some(2_000_000),
+                    resilience: Some(seed ^ 0xD1FF),
+                    ..RunSpec::new(scheme, w)
+                },
                 check_work: false,
                 exact: false,
-                faults: faults.clone(),
-                event_budget: Some(2_000_000),
-                resilience: Some(seed ^ 0xD1FF),
             });
         }
     }
@@ -350,9 +336,9 @@ pub fn run_conformance(seed: u64) -> ConformanceReport {
 /// anchor scheme (the set's first) is included.
 pub fn run_conformance_filtered(seed: u64, scheme: Option<SchemeKind>) -> ConformanceReport {
     let oracles = OracleConfig::all();
-    let specs: Vec<CellSpec> = build_matrix(seed)
+    let specs: Vec<MatrixCell> = build_matrix(seed)
         .into_iter()
-        .filter(|c| scheme.is_none_or(|s| c.scheme == s))
+        .filter(|c| scheme.is_none_or(|s| c.run.scheme == s))
         .collect();
     ConformanceReport {
         cells: harmony_parallel::par_map(&specs, |_, spec| spec.evaluate(&oracles)),

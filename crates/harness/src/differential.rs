@@ -26,6 +26,7 @@
 //! ([`check_work_equivalence`]).
 
 use harmony::simulate::{self, SchemeKind};
+use harmony::{RunSpec, SweepSession};
 use harmony_analytical as analytical;
 use harmony_analytical::exact::{
     grad_swap_volume_exact, opt_state_swap_volume_exact, p2p_volume_exact,
@@ -38,11 +39,25 @@ use harmony_trace::summary::RunSummary;
 
 use crate::oracles::{instrument, OracleConfig};
 
-/// Plans and runs one scheme with oracles attached and optional fault
-/// injection / event budget / resilience arming — the harness's single
-/// entry point to the executor. `resilience` carries the backoff seed for
-/// [`harmony_sched::SimExecutor::enable_resilience`]; `None` runs without
-/// the layer.
+/// Runs `spec` in a session of its own with oracles attached — the
+/// harness's single entry point to the executor.
+pub fn run_spec_instrumented(
+    model: &ModelSpec,
+    topo: &Topology,
+    spec: &RunSpec,
+    oracles: &OracleConfig,
+) -> Result<RunSummary, ExecError> {
+    let (summary, _trace, _counters) =
+        SweepSession::new().run_configured(model, topo, spec, |exec| {
+            instrument(exec, oracles);
+            Ok(())
+        })?;
+    Ok(summary)
+}
+
+/// [`run_spec_instrumented`] with every knob spelled out: faults, event
+/// budget and resilience seed ([`harmony_sched::SimExecutor::enable_resilience`];
+/// `None` runs without the layer).
 #[allow(clippy::too_many_arguments)] // deliberate flat signature: every call site names all knobs
 pub fn run_instrumented(
     scheme: SchemeKind,
@@ -54,18 +69,13 @@ pub fn run_instrumented(
     event_budget: Option<u64>,
     resilience: Option<u64>,
 ) -> Result<RunSummary, ExecError> {
-    let (summary, _trace) = simulate::run_configured(scheme, model, topo, workload, |exec| {
-        instrument(exec, oracles);
-        exec.inject_faults(faults)?;
-        if let Some(budget) = event_budget {
-            exec.set_event_budget(budget);
-        }
-        if let Some(seed) = resilience {
-            exec.enable_resilience(seed);
-        }
-        Ok(())
-    })?;
-    Ok(summary)
+    let spec = RunSpec {
+        faults: faults.to_vec(),
+        resilience,
+        event_budget,
+        ..RunSpec::new(scheme, *workload)
+    };
+    run_spec_instrumented(model, topo, &spec, oracles)
 }
 
 /// Boundary-exact parameters for a uniform model in this configuration.
@@ -123,7 +133,7 @@ pub fn compare_swap_volumes(
     workload: &WorkloadConfig,
     oracles: &OracleConfig,
 ) -> Result<Vec<VolumeDelta>, ExecError> {
-    let summary = run_instrumented(scheme, model, topo, workload, oracles, &[], None, None)?;
+    let summary = run_spec_instrumented(model, topo, &RunSpec::new(scheme, *workload), oracles)?;
     let p = analytical::Params::from_model(
         model,
         workload.ubatch_size,
@@ -189,7 +199,7 @@ pub fn check_swap_volumes_exact(
     workload: &WorkloadConfig,
     oracles: &OracleConfig,
 ) -> Result<(), String> {
-    let summary = run_instrumented(scheme, model, topo, workload, oracles, &[], None, None)
+    let summary = run_spec_instrumented(model, topo, &RunSpec::new(scheme, *workload), oracles)
         .map_err(|e| format!("{} failed to run: {e}", scheme.name()))?;
     let p = exact_params(model, topo, workload);
     let a = scheme.analytical();

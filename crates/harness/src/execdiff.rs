@@ -12,9 +12,9 @@
 //! message. The proptest in `tests/execdiff_proptest.rs` feeds this
 //! with random models × schemes × fault plans × prefetch settings.
 
-use harmony::simulate::{self, SchemeKind};
+use harmony::{RunSpec, SweepSession};
 use harmony_models::ModelSpec;
-use harmony_sched::{ExecCounters, ExecError, SimExecutor, TimedFault, WorkloadConfig};
+use harmony_sched::{ExecCounters, ExecError};
 use harmony_topology::Topology;
 use harmony_trace::{summary::RunSummary, Trace};
 
@@ -31,64 +31,21 @@ pub struct ExecDiffOutcome {
     pub error: Option<String>,
 }
 
-/// One differential configuration: everything needed to plan and run a
-/// scheme twice.
-#[derive(Debug, Clone)]
-pub struct ExecDiffCase<'a> {
-    /// Scheme under test.
-    pub scheme: SchemeKind,
-    /// Model to plan.
-    pub model: &'a ModelSpec,
-    /// Server to run on.
-    pub topo: &'a Topology,
-    /// Workload shape.
-    pub workload: &'a WorkloadConfig,
-    /// Timed faults injected into both runs.
-    pub faults: &'a [TimedFault],
-    /// Enable prefetch/double-buffering (exercises the cancel-retry
-    /// poll path, the subtlest wake-set case).
-    pub prefetch: bool,
-    /// Back-to-back iterations.
-    pub iterations: u32,
-    /// Arm the resilience layer with this backoff seed
-    /// ([`SimExecutor::enable_resilience`]): post-fault capacity
-    /// shortfalls spill-and-retry, degraded-link p2p reroutes. `None`
-    /// runs without the layer.
-    pub resilience: Option<u64>,
-}
-
 pub(crate) type ModeResult = Result<(RunSummary, Trace, ExecCounters), ExecError>;
 
-/// Plans and runs `case` once, in the dense reference loop when `dense`
-/// is set and the wake-set loop otherwise. Public so the bench crate
-/// can time the two loops back-to-back in the same process: an
-/// absolute events/s record is hostage to host weather, but a
-/// same-moment fast-vs-dense ratio is not.
-pub fn run_mode(case: &ExecDiffCase<'_>, dense: bool) -> ModeResult {
-    let mut plan = simulate::plan(case.scheme, case.model, case.topo, case.workload)?;
-    if case.prefetch {
-        plan.scheme = plan.scheme.clone().with_prefetch();
-        plan.name = format!("{}+prefetch", plan.name);
-    }
-    let mut exec = SimExecutor::with_iterations(case.topo, case.model, &plan, case.iterations)?;
-    if !case.faults.is_empty() {
-        exec.inject_faults(case.faults)?;
-    }
-    if let Some(seed) = case.resilience {
-        exec.enable_resilience(seed);
-    }
-    if dense {
+/// Runs `spec` through the wake-set loop and the dense reference, each
+/// in a session of its own, and checks byte-identical results, or
+/// returns a message naming the first divergence.
+pub fn check_dense_vs_fast(
+    model: &ModelSpec,
+    topo: &Topology,
+    spec: &RunSpec,
+) -> Result<ExecDiffOutcome, String> {
+    let fast = SweepSession::new().run_configured(model, topo, spec, |_| Ok(()));
+    let dense = SweepSession::new().run_configured(model, topo, spec, |exec| {
         exec.use_dense_advance();
-    }
-    exec.run_counted()
-}
-
-/// Runs `case` through the wake-set loop and the dense reference and
-/// checks byte-identical results, or returns a message naming the first
-/// divergence.
-pub fn check_dense_vs_fast(case: &ExecDiffCase<'_>) -> Result<ExecDiffOutcome, String> {
-    let fast = run_mode(case, false);
-    let dense = run_mode(case, true);
+        Ok(())
+    });
     compare_modes(fast, dense, "fast", "dense")
 }
 
@@ -179,23 +136,15 @@ pub(crate) fn first_diff(what: &str, a_name: &str, b_name: &str, a: &str, b: &st
 mod tests {
     use super::*;
     use crate::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
+    use harmony::simulate::SchemeKind;
 
     #[test]
     fn clean_run_is_byte_identical_across_modes() {
         let model = uniform_model(4, 4096);
         let topo = tight_topo(2);
         let w = tight_workload(2);
-        let out = check_dense_vs_fast(&ExecDiffCase {
-            scheme: SchemeKind::HarmonyPp,
-            model: &model,
-            topo: &topo,
-            workload: &w,
-            faults: &[],
-            prefetch: false,
-            iterations: 1,
-            resilience: None,
-        })
-        .expect("modes must agree");
+        let spec = RunSpec::new(SchemeKind::HarmonyPp, w);
+        let out = check_dense_vs_fast(&model, &topo, &spec).expect("modes must agree");
         assert!(out.trace_json_bytes > 0);
         assert!(out.error.is_none());
         assert!(out.fast.advance_calls <= out.dense.advance_calls);
@@ -216,21 +165,17 @@ mod tests {
             ..tight_workload(3)
         };
         for (label, scheme, w) in [
-            ("pipe-1f1b", SchemeKind::Pipe1F1B, &stash),
-            ("pipe-1f1b recompute", SchemeKind::Pipe1F1B, &recompute),
-            ("harmony-pp recompute", SchemeKind::HarmonyPp, &recompute),
+            ("pipe-1f1b", SchemeKind::Pipe1F1B, stash),
+            ("pipe-1f1b recompute", SchemeKind::Pipe1F1B, recompute),
+            ("harmony-pp recompute", SchemeKind::HarmonyPp, recompute),
         ] {
-            let out = check_dense_vs_fast(&ExecDiffCase {
-                scheme,
-                model: &model,
-                topo: &topo,
-                workload: w,
-                faults: &[],
+            let spec = RunSpec {
                 prefetch: true,
                 iterations: 2,
-                resilience: None,
-            })
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+                ..RunSpec::new(scheme, w)
+            };
+            let out = check_dense_vs_fast(&model, &topo, &spec)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(out.trace_json_bytes > 0);
             assert!(out.error.is_none());
         }
@@ -245,17 +190,13 @@ mod tests {
         let topo = slack_topo(2);
         let w = tight_workload(2);
         for scheme in SchemeKind::ALL {
-            check_dense_vs_fast(&ExecDiffCase {
-                scheme,
-                model: &model,
-                topo: &topo,
-                workload: &w,
-                faults: &[],
+            let spec = RunSpec {
                 prefetch: true,
                 iterations: 2,
-                resilience: None,
-            })
-            .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
+                ..RunSpec::new(scheme, w)
+            };
+            check_dense_vs_fast(&model, &topo, &spec)
+                .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
         }
     }
 }

@@ -64,14 +64,14 @@ pub use conformance::{run_conformance, run_conformance_filtered, CellOutcome, Co
 pub use differential::exact_params;
 pub use differential::{
     check_swap_volumes_exact, check_work_equivalence, compare_swap_volumes, run_instrumented,
-    VolumeDelta,
+    run_spec_instrumented, VolumeDelta,
 };
-pub use execdiff::{check_dense_vs_fast, ExecDiffCase, ExecDiffOutcome};
+pub use execdiff::{check_dense_vs_fast, ExecDiffOutcome};
 pub use faults::FaultPlan;
 pub use memdiff::{check_fast_vs_dense_memory, check_script, MemScriptOp};
 pub use oracles::{
     check_stash_access, instrument, instrument_memory, OracleConfig, RecomputeFetchOracle,
     StashWindowOracle,
 };
-pub use reusediff::{check_cell_sequence, ReuseCell, ReuseDiffOutcome};
+pub use reusediff::{check_cell_sequence, ReuseDiffOutcome};
 pub use simdiff::{check_fast_vs_dense, SimOp};

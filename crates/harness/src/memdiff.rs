@@ -21,41 +21,27 @@
 //!   core only) proves the differential actually catches the
 //!   missed-membership-update bug class.
 
+use harmony::{RunSpec, SweepSession};
 use harmony_memory::{EvictionPolicy, Lru, MemoryManager, NextUseAware, TensorClass, TensorId};
+use harmony_models::ModelSpec;
+use harmony_topology::Topology;
 
-use crate::execdiff::{self, ExecDiffCase, ExecDiffOutcome};
+use crate::execdiff::{self, ExecDiffOutcome};
 
-/// Plans and runs `case` once, routing the memory manager through the
-/// frozen dense core when `dense_memory` is set. Public so the bench
-/// crate (`repro mem-smoke`) can time the two managers back-to-back in
-/// the same process.
-pub fn run_mode_mem(case: &ExecDiffCase<'_>, dense_memory: bool) -> execdiff::ModeResult {
-    use harmony::simulate;
-    use harmony_sched::SimExecutor;
-    let mut plan = simulate::plan(case.scheme, case.model, case.topo, case.workload)?;
-    if case.prefetch {
-        plan.scheme = plan.scheme.clone().with_prefetch();
-        plan.name = format!("{}+prefetch", plan.name);
-    }
-    let mut exec = SimExecutor::with_iterations(case.topo, case.model, &plan, case.iterations)?;
-    if !case.faults.is_empty() {
-        exec.inject_faults(case.faults)?;
-    }
-    if let Some(seed) = case.resilience {
-        exec.enable_resilience(seed);
-    }
-    if dense_memory {
+/// Runs `spec` on the fast manager and on the dense-memory reference,
+/// each in a session of its own, and checks byte-identical results
+/// (execdiff's exact contract), or returns a message naming the first
+/// divergence.
+pub fn check_fast_vs_dense_memory(
+    model: &ModelSpec,
+    topo: &Topology,
+    spec: &RunSpec,
+) -> Result<ExecDiffOutcome, String> {
+    let fast = SweepSession::new().run_configured(model, topo, spec, |_| Ok(()));
+    let dense = SweepSession::new().run_configured(model, topo, spec, |exec| {
         exec.use_dense_memory();
-    }
-    exec.run_counted()
-}
-
-/// Runs `case` on the fast manager and on the dense-memory reference and
-/// checks byte-identical results (execdiff's exact contract), or returns
-/// a message naming the first divergence.
-pub fn check_fast_vs_dense_memory(case: &ExecDiffCase<'_>) -> Result<ExecDiffOutcome, String> {
-    let fast = run_mode_mem(case, false);
-    let dense = run_mode_mem(case, true);
+        Ok(())
+    });
     execdiff::compare_modes(fast, dense, "fast-mem", "dense-mem")
 }
 
@@ -290,16 +276,14 @@ mod tests {
         let topo = tight_topo(2);
         let w = tight_workload(2);
         for scheme in SchemeKind::ALL {
-            let out = check_fast_vs_dense_memory(&ExecDiffCase {
-                scheme,
-                model: &model,
-                topo: &topo,
-                workload: &w,
-                faults: &[],
-                prefetch: false,
-                iterations: 2,
-                resilience: None,
-            })
+            let out = check_fast_vs_dense_memory(
+                &model,
+                &topo,
+                &RunSpec {
+                    iterations: 2,
+                    ..RunSpec::new(scheme, w)
+                },
+            )
             .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
             assert!(out.trace_json_bytes > 0);
             assert!(out.error.is_none());
@@ -320,16 +304,15 @@ mod tests {
             // index — the heaviest per-class pressure mix.
             SchemeKind::Pipe1F1B,
         ] {
-            check_fast_vs_dense_memory(&ExecDiffCase {
-                scheme,
-                model: &model,
-                topo: &topo,
-                workload: &w,
-                faults: &[],
-                prefetch: true,
-                iterations: 2,
-                resilience: None,
-            })
+            check_fast_vs_dense_memory(
+                &model,
+                &topo,
+                &RunSpec {
+                    prefetch: true,
+                    iterations: 2,
+                    ..RunSpec::new(scheme, w)
+                },
+            )
             .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
         }
     }
@@ -345,16 +328,15 @@ mod tests {
             ..tight_workload(3)
         };
         for scheme in SchemeKind::ALL {
-            check_fast_vs_dense_memory(&ExecDiffCase {
-                scheme,
-                model: &model,
-                topo: &topo,
-                workload: &w,
-                faults: &[],
-                prefetch: true,
-                iterations: 2,
-                resilience: None,
-            })
+            check_fast_vs_dense_memory(
+                &model,
+                &topo,
+                &RunSpec {
+                    prefetch: true,
+                    iterations: 2,
+                    ..RunSpec::new(scheme, w)
+                },
+            )
             .unwrap_or_else(|e| panic!("{} recompute: {e}", scheme.name()));
         }
     }

@@ -1,6 +1,7 @@
 //! Differential checking of the pooled sweep path: a
 //! [`SweepSession`] run (memoized plan + recycled executor arenas,
-//! DESIGN §14) against a fresh plan-and-construct run of the same cell.
+//! DESIGN §14) against the same cell run in a new session of its own
+//! (a fresh plan, fresh arenas).
 //!
 //! The pooled path must be **byte-identical** on everything a run
 //! produces: the trace's JSON export and the summary's JSON export (with
@@ -20,39 +21,12 @@
 //! leak-one-plane-across-reset sabotage and requires the differential to
 //! flag the leak.
 
-use harmony::simulate::{self, SchemeKind};
-use harmony::sweep::{CellSpec, SweepSession};
+use harmony::{RunSpec, SweepSession};
 use harmony_models::ModelSpec;
-use harmony_sched::{ExecError, SimExecutor, TimedFault};
 use harmony_topology::Topology;
 use harmony_trace::summary::RunSummary;
 
 use crate::execdiff::first_diff;
-
-/// One cell of a sweep sequence: the session-visible [`CellSpec`] plus
-/// the executor configuration (faults, resilience) applied through the
-/// `configure` hook on both legs.
-#[derive(Debug, Clone)]
-pub struct ReuseCell {
-    /// Scheme, workload knobs, policy/prefetch overrides, iterations.
-    pub cell: CellSpec,
-    /// Timed faults injected into both legs.
-    pub faults: Vec<TimedFault>,
-    /// Resilience backoff seed ([`SimExecutor::enable_resilience`]);
-    /// `None` leaves the layer off.
-    pub resilience: Option<u64>,
-}
-
-impl ReuseCell {
-    /// A clean cell: no faults, no resilience.
-    pub fn new(scheme: SchemeKind, workload: harmony_sched::WorkloadConfig) -> Self {
-        ReuseCell {
-            cell: CellSpec::new(scheme, workload),
-            faults: Vec::new(),
-            resilience: None,
-        }
-    }
-}
 
 /// Canonical byte form of one cell's outcome: summary and trace JSON on
 /// success, the error message on failure. Two legs agree iff their
@@ -81,38 +55,18 @@ fn canon(mut s: RunSummary) -> String {
     s.to_json()
 }
 
-/// Runs one cell fresh: plan via [`simulate::plan`] with the cell's
-/// overrides applied, a fresh [`SimExecutor`], no pooling anywhere.
-/// This is the oracle leg — the code path every differential and bench
-/// in the workspace already exercises.
-pub fn run_fresh(model: &ModelSpec, topo: &Topology, rc: &ReuseCell) -> CellOutput {
-    let fresh = || -> Result<(String, String), ExecError> {
-        let mut plan = simulate::plan(rc.cell.scheme, model, topo, &rc.cell.workload)?;
-        if let Some(policy) = rc.cell.policy {
-            plan.scheme.policy = policy;
-        }
-        if rc.cell.prefetch {
-            plan.scheme = plan.scheme.clone().with_prefetch();
-            plan.name = format!("{}+prefetch", plan.name);
-        }
-        let mut exec = SimExecutor::with_iterations(topo, model, &plan, rc.cell.iterations)?;
-        configure(&mut exec, rc)?;
-        let (summary, trace) = exec.run()?;
-        Ok((canon(summary), trace.to_json()))
-    };
-    fresh().map_err(|e| e.to_string())
-}
-
-/// Runs one cell through `session`'s pooled path, recycling the trace
-/// back into the session afterwards (the differential keeps only the
-/// JSON, so the arena can go straight back to work).
-pub fn run_pooled(
+/// Runs one cell through `session`, recycling the trace back into the
+/// session afterwards (the differential keeps only the JSON, so the
+/// arena can go straight back to work). The fresh leg passes a new
+/// session per cell — plan and arenas from nothing, never shared
+/// across cells.
+pub fn run_cell(
     session: &mut SweepSession,
     model: &ModelSpec,
     topo: &Topology,
-    rc: &ReuseCell,
+    spec: &RunSpec,
 ) -> CellOutput {
-    match session.run_configured(model, topo, &rc.cell, |exec| configure(exec, rc)) {
+    match session.run(model, topo, spec) {
         Ok((summary, trace)) => {
             let tj = trace.to_json();
             session.recycle_trace(trace);
@@ -120,17 +74,6 @@ pub fn run_pooled(
         }
         Err(e) => Err(e.to_string()),
     }
-}
-
-/// The shared executor configuration of both legs.
-fn configure(exec: &mut SimExecutor<'_>, rc: &ReuseCell) -> Result<(), ExecError> {
-    if !rc.faults.is_empty() {
-        exec.inject_faults(&rc.faults)?;
-    }
-    if let Some(seed) = rc.resilience {
-        exec.enable_resilience(seed);
-    }
-    Ok(())
 }
 
 /// Runs `cells` in order through ONE pooled session and, cell by cell,
@@ -142,53 +85,37 @@ fn configure(exec: &mut SimExecutor<'_>, rc: &ReuseCell) -> Result<(), ExecError
 pub fn check_cell_sequence(
     model: &ModelSpec,
     topo: &Topology,
-    cells: &[ReuseCell],
+    cells: &[RunSpec],
 ) -> Result<ReuseDiffOutcome, String> {
     let mut session = SweepSession::new();
     let mut matched_errors = 0;
     let mut trace_json_bytes = 0;
     for (i, rc) in cells.iter().enumerate() {
-        let pooled = run_pooled(&mut session, model, topo, rc);
-        let fresh = run_fresh(model, topo, rc);
-        match (pooled, fresh) {
-            (Ok((ps, pt)), Ok((fs, ft))) => {
-                if pt != ft {
-                    return Err(format!(
-                        "cell {i} ({}): {}",
-                        rc.cell.scheme.name(),
-                        first_diff("trace JSON", "pooled", "fresh", &pt, &ft)
-                    ));
-                }
-                if ps != fs {
-                    return Err(format!(
-                        "cell {i} ({}): {}",
-                        rc.cell.scheme.name(),
-                        first_diff("summary JSON", "pooled", "fresh", &ps, &fs)
-                    ));
-                }
+        let pooled = run_cell(&mut session, model, topo, rc);
+        let fresh = run_cell(&mut SweepSession::new(), model, topo, rc);
+        let divergence = match (&pooled, &fresh) {
+            (Ok((_, pt)), Ok((_, ft))) if pt != ft => {
+                Some(first_diff("trace JSON", "pooled", "fresh", pt, ft))
+            }
+            (Ok((ps, _)), Ok((fs, _))) if ps != fs => {
+                Some(first_diff("summary JSON", "pooled", "fresh", ps, fs))
+            }
+            (Ok((_, pt)), Ok(_)) => {
                 trace_json_bytes += pt.len();
+                None
             }
-            (Err(pe), Err(fe)) => {
-                if pe != fe {
-                    return Err(format!(
-                        "cell {i} ({}): errors diverge: pooled `{pe}` vs fresh `{fe}`",
-                        rc.cell.scheme.name()
-                    ));
-                }
+            (Err(pe), Err(fe)) if pe != fe => {
+                Some(format!("errors diverge: pooled `{pe}` vs fresh `{fe}`"))
+            }
+            (Err(_), Err(_)) => {
                 matched_errors += 1;
+                None
             }
-            (Ok(_), Err(fe)) => {
-                return Err(format!(
-                    "cell {i} ({}): pooled succeeded but fresh failed: {fe}",
-                    rc.cell.scheme.name()
-                ));
-            }
-            (Err(pe), Ok(_)) => {
-                return Err(format!(
-                    "cell {i} ({}): fresh succeeded but pooled failed: {pe}",
-                    rc.cell.scheme.name()
-                ));
-            }
+            (Ok(_), Err(fe)) => Some(format!("pooled succeeded but fresh failed: {fe}")),
+            (Err(pe), Ok(_)) => Some(format!("fresh succeeded but pooled failed: {pe}")),
+        };
+        if let Some(why) = divergence {
+            return Err(format!("cell {i} ({}): {why}", rc.scheme.name()));
         }
     }
     Ok(ReuseDiffOutcome {
@@ -204,16 +131,16 @@ pub fn check_cell_sequence(
 /// count ([`harmony_parallel::par_map_workers_with`]) and returns each
 /// cell's canonical output in input order. Which session serves which
 /// cell varies with claim interleaving; the outputs must not — the
-/// worker-invariance proptest compares these against [`run_fresh`]
+/// worker-invariance proptest compares these against fresh-session
 /// outputs for every worker count.
 pub fn pooled_outputs_at(
     workers: usize,
     model: &ModelSpec,
     topo: &Topology,
-    cells: &[ReuseCell],
+    cells: &[RunSpec],
 ) -> Vec<CellOutput> {
     harmony_parallel::par_map_workers_with(workers, cells, SweepSession::new, |session, _, rc| {
-        run_pooled(session, model, topo, rc)
+        run_cell(session, model, topo, rc)
     })
 }
 
@@ -221,31 +148,28 @@ pub fn pooled_outputs_at(
 mod tests {
     use super::*;
     use crate::workloads::{tight_topo, tight_workload, uniform_model};
+    use harmony::simulate::SchemeKind;
     use harmony_sched::PolicyKind;
 
-    fn cells() -> Vec<ReuseCell> {
+    fn cells() -> Vec<RunSpec> {
         let w2 = tight_workload(2);
         let w3 = tight_workload(3);
         vec![
-            ReuseCell::new(SchemeKind::HarmonyDp, w2),
-            ReuseCell::new(SchemeKind::BaselinePp, w3),
-            ReuseCell {
-                cell: CellSpec {
-                    policy: Some(PolicyKind::Lru),
-                    iterations: 2,
-                    ..CellSpec::new(SchemeKind::HarmonyPp, w2)
-                },
-                faults: Vec::new(),
-                resilience: None,
+            RunSpec::new(SchemeKind::HarmonyDp, w2),
+            RunSpec::new(SchemeKind::BaselinePp, w3),
+            RunSpec {
+                policy: Some(PolicyKind::Lru),
+                iterations: 2,
+                ..RunSpec::new(SchemeKind::HarmonyPp, w2)
             },
             // Revisit the first cell: pure plan-cache hit + warm arenas.
-            ReuseCell::new(SchemeKind::HarmonyDp, w2),
+            RunSpec::new(SchemeKind::HarmonyDp, w2),
             // The 1F1B weight-stashing scheme and the recompute knob:
             // both must pool byte-identically, and the recompute cell
             // must miss the cache (the knob is part of the plan key — a
             // stashing plan reused for it would diverge immediately).
-            ReuseCell::new(SchemeKind::Pipe1F1B, w2),
-            ReuseCell::new(
+            RunSpec::new(SchemeKind::Pipe1F1B, w2),
+            RunSpec::new(
                 SchemeKind::HarmonyPp,
                 harmony_sched::WorkloadConfig {
                     recompute: true,
@@ -253,7 +177,7 @@ mod tests {
                 },
             ),
             // Revisit the 1F1B cell: its stash-heavy plan must hit too.
-            ReuseCell::new(SchemeKind::Pipe1F1B, w2),
+            RunSpec::new(SchemeKind::Pipe1F1B, w2),
         ]
     }
 
@@ -276,7 +200,7 @@ mod tests {
         let mut seq = cells();
         // An unplannable cell (zero microbatches) between two good ones,
         // run twice so the second failure replays the cached error.
-        let bad = ReuseCell::new(SchemeKind::HarmonyPp, tight_workload(0));
+        let bad = RunSpec::new(SchemeKind::HarmonyPp, tight_workload(0));
         seq.insert(1, bad.clone());
         seq.insert(3, bad);
         let out = check_cell_sequence(&model, &topo, &seq).expect("legs must agree");
@@ -290,7 +214,10 @@ mod tests {
         let model = uniform_model(4, 4096);
         let topo = tight_topo(2);
         let seq = cells();
-        let fresh: Vec<CellOutput> = seq.iter().map(|rc| run_fresh(&model, &topo, rc)).collect();
+        let fresh: Vec<CellOutput> = seq
+            .iter()
+            .map(|rc| run_cell(&mut SweepSession::new(), &model, &topo, rc))
+            .collect();
         for workers in [1usize, 2, 3, 8] {
             let pooled = pooled_outputs_at(workers, &model, &topo, &seq);
             assert_eq!(pooled, fresh, "workers = {workers} diverged from fresh");
@@ -304,16 +231,16 @@ mod tests {
         let mut session = SweepSession::new();
         // Cell A with a heavier working set than cell B, so A's leaked
         // peak plane is visible in B's peak_mem_bytes.
-        let heavy = ReuseCell::new(SchemeKind::HarmonyDp, tight_workload(4));
-        let light = ReuseCell::new(SchemeKind::HarmonyDp, tight_workload(1));
-        let first = run_pooled(&mut session, &model, &topo, &heavy);
+        let heavy = RunSpec::new(SchemeKind::HarmonyDp, tight_workload(4));
+        let light = RunSpec::new(SchemeKind::HarmonyDp, tight_workload(1));
+        let first = run_cell(&mut session, &model, &topo, &heavy);
         assert!(first.is_ok(), "heavy cell must run: {first:?}");
         assert!(
             session.arm_leak_plane_across_reset(),
             "pool must hold a manager after a run"
         );
-        let pooled = run_pooled(&mut session, &model, &topo, &light);
-        let fresh = run_fresh(&model, &topo, &light);
+        let pooled = run_cell(&mut session, &model, &topo, &light);
+        let fresh = run_cell(&mut SweepSession::new(), &model, &topo, &light);
         assert_ne!(
             pooled, fresh,
             "differential failed to catch the armed reset leak"

@@ -4,9 +4,8 @@
 //! volumes against the closed forms of `harmony-analytical`, which assume
 //! the paper's §3 regime: uniform layers, one task working set resident at
 //! a time, no optimizer-state slack. [`uniform_model`] + [`tight_topo`] +
-//! [`tight_workload`] construct exactly that regime (mirroring the bench
-//! crate's exact-cross-check fixtures; duplicated here because `bench`
-//! depends on this crate).
+//! [`tight_workload`] construct exactly that regime (the bench crate's
+//! exact cross-checks reuse them).
 //!
 //! [`slack_topo`] provides headroom above the tight working set so fault
 //! injection (capacity squeezes) can bite without making a task's working

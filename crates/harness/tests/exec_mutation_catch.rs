@@ -17,40 +17,43 @@
 //! passing run here proves the sabotage actually executed (an armed hook
 //! that never fires leaves the run clean and the assertions below fail).
 
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
+use harmony::{RunSpec, SweepSession};
 use harmony_harness::workloads::{tight_topo, tight_workload, uniform_model};
 use harmony_sched::{ExecError, SimExecutor};
+use harmony_trace::{summary::RunSummary, Trace};
 
-/// Builds the executor for the reference mutation-catch scenario: a
-/// Harmony-PP run under memory pressure on a 2-GPU server, whose stage
-/// handoffs and swap traffic exercise both tensor-waiter registration
-/// (for the wake drop) and pooled transfer completions (for the slab
-/// corruption).
-fn build_exec<'a>(
-    model: &'a harmony_models::ModelSpec,
-    topo: &'a harmony_topology::Topology,
-    plan: &'a harmony_sched::ExecutionPlan,
-) -> SimExecutor<'a> {
-    SimExecutor::with_iterations(topo, model, plan, 2).expect("valid plan")
+/// Runs the reference mutation-catch scenario with `arm` applied to the
+/// executor first: a Harmony-PP run under memory pressure on a 2-GPU
+/// server, whose stage handoffs and swap traffic exercise both
+/// tensor-waiter registration (for the wake drop) and pooled transfer
+/// completions (for the slab corruption).
+fn run_armed(arm: fn(&mut SimExecutor<'_>)) -> Result<(RunSummary, Trace), ExecError> {
+    let spec = RunSpec {
+        iterations: 2,
+        ..RunSpec::new(SchemeKind::HarmonyPp, tight_workload(4))
+    };
+    let (summary, trace, _) = SweepSession::new().run_configured(
+        &uniform_model(8, 4096),
+        &tight_topo(2),
+        &spec,
+        |exec| {
+            arm(exec);
+            Ok(())
+        },
+    )?;
+    Ok((summary, trace))
 }
 
 #[test]
 fn execdiff_flags_a_dropped_wake_registration() {
-    let model = uniform_model(8, 4096);
-    let topo = tight_topo(2);
-    let w = tight_workload(4);
-    let plan = simulate::plan(SchemeKind::HarmonyPp, &model, &topo, &w).expect("plan");
-
     // Clean control leg: the same configuration completes.
-    let clean = build_exec(&model, &topo, &plan).run();
-    let (clean_summary, clean_trace) = clean.expect("clean run completes");
+    let (clean_summary, clean_trace) = run_armed(|_| {}).expect("clean run completes");
 
     // Sabotaged leg: one tensor-waiter registration is silently skipped —
     // the bug class a wake-set event loop can have (a stalled GPU never
     // re-advanced). The differential must observe a divergence.
-    let mut sabotaged = build_exec(&model, &topo, &plan);
-    sabotaged.arm_drop_wake();
-    match sabotaged.run() {
+    match run_armed(|exec| exec.arm_drop_wake()) {
         Err(ExecError::Stuck(msg)) => {
             // The strongest observable: the run wedges and names the
             // stalled GPU, exactly what execdiff reports as fast-vs-dense
@@ -75,15 +78,7 @@ fn execdiff_flags_a_dropped_wake_registration() {
 
 #[test]
 fn slab_generation_check_flags_a_corrupted_handle() {
-    let model = uniform_model(8, 4096);
-    let topo = tight_topo(2);
-    let w = tight_workload(4);
-    let plan = simulate::plan(SchemeKind::HarmonyPp, &model, &topo, &w).expect("plan");
-
-    let mut sabotaged = build_exec(&model, &topo, &plan);
-    sabotaged.arm_corrupt_slab_generation();
-    let err = sabotaged
-        .run()
+    let err = run_armed(|exec| exec.arm_corrupt_slab_generation())
         .expect_err("a corrupted slab-handle generation must not pass silently");
     match err {
         ExecError::Slab(e) => {

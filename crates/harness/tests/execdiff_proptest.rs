@@ -7,7 +7,8 @@
 //! event, i.e. an unrelated completion does not re-advance idle GPUs.
 
 use harmony::simulate::SchemeKind;
-use harmony_harness::execdiff::{check_dense_vs_fast, ExecDiffCase};
+use harmony::RunSpec;
+use harmony_harness::execdiff::check_dense_vs_fast;
 use harmony_harness::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
 use harmony_harness::FaultPlan;
 use proptest::prelude::*;
@@ -39,20 +40,17 @@ proptest! {
         let topo = slack_topo(gpus);
         let w = tight_workload(microbatches);
         let faults = FaultPlan::generate(fault_seed, &topo, 0.5, fault_count);
-        let case = ExecDiffCase {
-            scheme: scheme_of(scheme_ix),
-            model: &model,
-            topo: &topo,
-            workload: &w,
-            faults: &faults.faults,
+        let case = RunSpec {
             prefetch,
             iterations,
+            faults: faults.faults,
             // Half the cases arm the resilience layer: degraded runs must
             // stay byte-identical across loops, clean runs byte-identical
             // with the layer on or off (checked by the harness grid).
             resilience: resilience.then_some(fault_seed),
+            ..RunSpec::new(scheme_of(scheme_ix), w)
         };
-        if let Err(divergence) = check_dense_vs_fast(&case) {
+        if let Err(divergence) = check_dense_vs_fast(&model, &topo, &case) {
             panic!("loops diverged: {divergence}\ncase: {case:?}");
         }
     }
@@ -71,17 +69,11 @@ proptest! {
         let model = uniform_model(layers, 4096);
         let topo = tight_topo(gpus);
         let w = tight_workload(microbatches);
-        let case = ExecDiffCase {
-            scheme: scheme_of(scheme_ix),
-            model: &model,
-            topo: &topo,
-            workload: &w,
-            faults: &[],
+        let case = RunSpec {
             prefetch,
-            iterations: 1,
-            resilience: None,
+            ..RunSpec::new(scheme_of(scheme_ix), w)
         };
-        if let Err(divergence) = check_dense_vs_fast(&case) {
+        if let Err(divergence) = check_dense_vs_fast(&model, &topo, &case) {
             panic!("loops diverged: {divergence}\ncase: {case:?}");
         }
     }
@@ -98,17 +90,11 @@ fn wake_set_does_not_rescan_all_gpus_per_event() {
     let model = uniform_model(8, 4096);
     let topo = tight_topo(4);
     let w = tight_workload(4);
-    let out = check_dense_vs_fast(&ExecDiffCase {
-        scheme: SchemeKind::HarmonyPp,
-        model: &model,
-        topo: &topo,
-        workload: &w,
-        faults: &[],
-        prefetch: false,
+    let spec = RunSpec {
         iterations: 2,
-        resilience: None,
-    })
-    .expect("modes must agree");
+        ..RunSpec::new(SchemeKind::HarmonyPp, w)
+    };
+    let out = check_dense_vs_fast(&model, &topo, &spec).expect("modes must agree");
     assert!(out.error.is_none(), "run must complete");
     assert!(
         out.fast.advance_calls < out.dense.advance_calls / 2,
@@ -161,17 +147,9 @@ fn infeasible_runs_fail_identically() {
     };
     let topo = tight_topo(2);
     let w = tight_workload(2);
-    let out = check_dense_vs_fast(&ExecDiffCase {
-        scheme: SchemeKind::BaselineDp,
-        model: &model,
-        topo: &topo,
-        workload: &w,
-        faults: &[],
-        prefetch: false,
-        iterations: 1,
-        resilience: None,
-    })
-    .expect("modes must agree (even on failure)");
+    let clean = RunSpec::new(SchemeKind::BaselineDp, w);
+    let out =
+        check_dense_vs_fast(&model, &topo, &clean).expect("modes must agree (even on failure)");
     assert!(
         out.error.is_some(),
         "a 256 KiB working set cannot fit 36 KiB of device memory"
@@ -179,17 +157,12 @@ fn infeasible_runs_fail_identically() {
     // The resilience layer only absorbs *post-fault* shortfalls: with no
     // faults injected, an infeasible run must fail with the identical
     // error even when the layer is armed.
-    let out = check_dense_vs_fast(&ExecDiffCase {
-        scheme: SchemeKind::BaselineDp,
-        model: &model,
-        topo: &topo,
-        workload: &w,
-        faults: &[],
-        prefetch: false,
-        iterations: 1,
+    let armed = RunSpec {
         resilience: Some(7),
-    })
-    .expect("modes must agree (even on failure)");
+        ..clean
+    };
+    let out =
+        check_dense_vs_fast(&model, &topo, &armed).expect("modes must agree (even on failure)");
     assert!(
         out.error.is_some(),
         "clean infeasible runs must still fail with resilience armed"

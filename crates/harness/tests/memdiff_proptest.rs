@@ -8,8 +8,9 @@
 //! flagged.
 
 use harmony::simulate::SchemeKind;
+use harmony::RunSpec;
 use harmony_harness::workloads::{tight_topo, tight_workload, uniform_model};
-use harmony_harness::{check_fast_vs_dense_memory, check_script, ExecDiffCase, MemScriptOp};
+use harmony_harness::{check_fast_vs_dense_memory, check_script, MemScriptOp};
 use proptest::prelude::*;
 
 fn op_strategy() -> impl Strategy<Value = MemScriptOp> {
@@ -87,17 +88,12 @@ proptest! {
         let topo = tight_topo(gpus);
         let w = tight_workload(m);
         let scheme = SchemeKind::ALL[scheme_ix % SchemeKind::ALL.len()];
-        let case = ExecDiffCase {
-            scheme,
-            model: &model,
-            topo: &topo,
-            workload: &w,
-            faults: &[],
+        let case = RunSpec {
             prefetch,
             iterations: 2,
-            resilience: None,
+            ..RunSpec::new(scheme, w)
         };
-        if let Err(e) = check_fast_vs_dense_memory(&case) {
+        if let Err(e) = check_fast_vs_dense_memory(&model, &topo, &case) {
             panic!("{}: {e}", scheme.name());
         }
     }

@@ -12,7 +12,7 @@
 //!    JSON, byte for byte, on any scheme.
 
 use harmony::simulate::SchemeKind;
-use harmony_harness::execdiff::{run_mode, ExecDiffCase};
+use harmony::RunSpec;
 use harmony_harness::workloads::{slack_topo, tight_workload, uniform_model};
 use harmony_harness::{run_instrumented, FaultPlan, OracleConfig};
 use harmony_sched::{Fault, TimedFault};
@@ -120,18 +120,15 @@ fn clean_runs_are_byte_identical_with_layer_on_and_off() {
     let w = tight_workload(4);
     for scheme in SchemeKind::ALL {
         let run = |resilience: Option<u64>| {
-            let case = ExecDiffCase {
-                scheme,
-                model: &model,
-                topo: &topo,
-                workload: &w,
-                faults: &[],
+            let spec = RunSpec {
                 prefetch: true,
                 iterations: 2,
                 resilience,
+                ..RunSpec::new(scheme, w)
             };
-            let (mut summary, trace, _) =
-                run_mode(&case, false).unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
+            let (mut summary, trace) = spec
+                .run(&model, &topo)
+                .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
             summary.elapsed_secs = 0.0;
             summary.setup_secs = 0.0;
             (summary.to_json(), trace.to_json())

@@ -10,10 +10,8 @@
 //! flag it.
 
 use harmony::simulate::SchemeKind;
-use harmony::sweep::{CellSpec, SweepSession};
-use harmony_harness::reusediff::{
-    check_cell_sequence, pooled_outputs_at, run_fresh, run_pooled, CellOutput, ReuseCell,
-};
+use harmony::{RunSpec, SweepSession};
+use harmony_harness::reusediff::{check_cell_sequence, pooled_outputs_at, run_cell, CellOutput};
 use harmony_harness::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
 use harmony_harness::FaultPlan;
 use harmony_sched::{PolicyKind, WorkloadConfig};
@@ -27,7 +25,7 @@ use proptest::prelude::*;
 /// knobs (iterations, fault seed, fault count, resilience).
 type RawCell = ((usize, usize, usize, bool, bool), (u32, u64, usize, bool));
 
-fn build_cells(raw: &[RawCell], topo: &Topology) -> Vec<ReuseCell> {
+fn build_cells(raw: &[RawCell], topo: &Topology) -> Vec<RunSpec> {
     raw.iter()
         .map(
             |&(
@@ -43,18 +41,13 @@ fn build_cells(raw: &[RawCell], topo: &Topology) -> Vec<ReuseCell> {
                     1 => Some(PolicyKind::Lru),
                     _ => Some(PolicyKind::NextUseAware),
                 };
-                ReuseCell {
-                    cell: CellSpec {
-                        policy,
-                        prefetch,
-                        iterations,
-                        ..CellSpec::new(
-                            SchemeKind::ALL[scheme_ix % SchemeKind::ALL.len()],
-                            workload,
-                        )
-                    },
+                RunSpec {
+                    policy,
+                    prefetch,
+                    iterations,
                     faults: FaultPlan::generate(seed, topo, 0.5, fault_count).faults,
                     resilience: res.then_some(seed),
+                    ..RunSpec::new(SchemeKind::ALL[scheme_ix % SchemeKind::ALL.len()], workload)
                 }
             },
         )
@@ -91,7 +84,7 @@ proptest! {
         // most cells run to completion rather than matching on errors.
         let topo = slack_topo(2);
         let mut cells = build_cells(&raw, &topo);
-        let doubled: Vec<ReuseCell> = cells.iter().chain(cells.iter()).cloned().collect();
+        let doubled: Vec<RunSpec> = cells.iter().chain(cells.iter()).cloned().collect();
         cells = doubled;
         match check_cell_sequence(&model, &topo, &cells) {
             Ok(out) => prop_assert!(
@@ -114,12 +107,14 @@ proptest! {
         let model = uniform_model(4, 4096);
         let topo = slack_topo(2);
         // Double the sequence so some cells repeat within a worker.
-        let cells: Vec<ReuseCell> = {
+        let cells: Vec<RunSpec> = {
             let c = build_cells(&raw, &topo);
             c.iter().chain(c.iter()).cloned().collect()
         };
-        let fresh: Vec<CellOutput> =
-            cells.iter().map(|rc| run_fresh(&model, &topo, rc)).collect();
+        let fresh: Vec<CellOutput> = cells
+            .iter()
+            .map(|rc| run_cell(&mut SweepSession::new(), &model, &topo, rc))
+            .collect();
         let pooled = pooled_outputs_at(workers, &model, &topo, &cells);
         prop_assert_eq!(pooled, fresh, "workers = {} diverged", workers);
     }
@@ -137,19 +132,15 @@ proptest! {
     ) {
         let model = uniform_model(4, 4096);
         let topo = tight_topo(2);
-        let heavy = ReuseCell {
-            cell: CellSpec {
-                prefetch,
-                iterations,
-                ..CellSpec::new(
-                    SchemeKind::ALL[scheme_ix % SchemeKind::ALL.len()],
-                    tight_workload(microbatches),
-                )
-            },
-            faults: Vec::new(),
-            resilience: None,
+        let heavy = RunSpec {
+            prefetch,
+            iterations,
+            ..RunSpec::new(
+                SchemeKind::ALL[scheme_ix % SchemeKind::ALL.len()],
+                tight_workload(microbatches),
+            )
         };
-        let light = ReuseCell::new(SchemeKind::BaselineDp, tight_workload(1));
+        let light = RunSpec::new(SchemeKind::BaselineDp, tight_workload(1));
         let cells = vec![heavy.clone(), light, heavy];
         if let Err(divergence) = check_cell_sequence(&model, &topo, &cells) {
             panic!("pressure sequence diverged: {divergence}");
@@ -165,21 +156,21 @@ proptest! {
 fn armed_reset_leak_is_caught_by_the_differential() {
     let model = uniform_model(4, 4096);
     let topo = tight_topo(2);
-    let heavy = ReuseCell::new(SchemeKind::HarmonyDp, tight_workload(4));
-    let light = ReuseCell::new(SchemeKind::HarmonyDp, tight_workload(1));
+    let heavy = RunSpec::new(SchemeKind::HarmonyDp, tight_workload(4));
+    let light = RunSpec::new(SchemeKind::HarmonyDp, tight_workload(1));
     let mut session = SweepSession::new();
-    run_pooled(&mut session, &model, &topo, &heavy).expect("heavy cell must run");
+    run_cell(&mut session, &model, &topo, &heavy).expect("heavy cell must run");
     assert!(
         session.arm_leak_plane_across_reset(),
         "pool must hold a manager after a run"
     );
-    let pooled = run_pooled(&mut session, &model, &topo, &light);
-    let fresh = run_fresh(&model, &topo, &light);
+    let pooled = run_cell(&mut session, &model, &topo, &light);
+    let fresh = run_cell(&mut SweepSession::new(), &model, &topo, &light);
     assert_ne!(
         pooled, fresh,
         "differential failed to catch the armed reset leak"
     );
     // The sabotage is one-shot: the next recycled build is clean again.
-    let healed = run_pooled(&mut session, &model, &topo, &light);
+    let healed = run_cell(&mut session, &model, &topo, &light);
     assert_eq!(healed, fresh, "leak must not persist past one reset");
 }

@@ -793,24 +793,19 @@ impl<'a> SimExecutor<'a> {
         plan: &'a ExecutionPlan,
         iterations: u32,
     ) -> Result<Self, ExecError> {
-        if iterations == 0 {
-            return Err(ExecError::Plan("iterations must be positive".to_string()));
-        }
-        plan.validate().map_err(ExecError::Plan)?;
         // A fresh build is a pooled build that draws from an empty
         // throwaway pool: taking from an empty slot yields an empty
         // container, so one constructor body serves both paths and the
         // pooled path cannot drift from this one.
-        Self::build(topo, model, plan, iterations, &mut ExecPool::default())
+        Self::pooled(topo, model, plan, iterations, &mut ExecPool::default())
     }
 
     /// Like [`SimExecutor::with_iterations`], drawing every owned
     /// container from `pool` instead of allocating (and recycling the
     /// pool's retained simulator, memory manager and trace when present).
     /// Run the result with [`SimExecutor::run_pooled`] to hand the
-    /// containers back for the next cell. Byte-identity with the fresh
-    /// path is structural: both construct through [`Self::build`]; a
-    /// fresh build simply draws from an empty throwaway pool.
+    /// containers back for the next cell. This is the one constructor
+    /// body: a fresh build simply draws from an empty throwaway pool.
     pub fn pooled(
         topo: &'a Topology,
         model: &'a ModelSpec,
@@ -822,21 +817,7 @@ impl<'a> SimExecutor<'a> {
             return Err(ExecError::Plan("iterations must be positive".to_string()));
         }
         plan.validate().map_err(ExecError::Plan)?;
-        Self::build(topo, model, plan, iterations, pool)
-    }
-
-    /// The one constructor body behind both the fresh and pooled paths.
-    fn build(
-        topo: &'a Topology,
-        model: &'a ModelSpec,
-        plan: &'a ExecutionPlan,
-        iterations: u32,
-        pool: &mut ExecPool,
-    ) -> Result<Self, ExecError> {
         let setup_start = std::time::Instant::now();
-        if iterations == 0 {
-            return Err(ExecError::Plan("iterations must be positive".to_string()));
-        }
         if plan.queues.len() > topo.num_gpus() {
             return Err(ExecError::Plan(format!(
                 "plan uses {} GPUs, topology has {}",
@@ -1904,46 +1885,35 @@ impl<'a> SimExecutor<'a> {
 
     /// Like [`SimExecutor::run`], but also returns the event-loop's
     /// structural [`ExecCounters`].
-    pub fn run_counted(mut self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
+    pub fn run_counted(self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
+        self.run_pooled(&mut ExecPool::default())
+    }
+
+    /// The one run body: like [`SimExecutor::run_counted`], but returns
+    /// every recyclable container to `pool` afterwards — on success *and*
+    /// on error, so a failed sweep cell (a planner rejection happens
+    /// before construction, an execution error after) still recycles its
+    /// arenas. The returned trace is part of the run's output; hand it
+    /// back with [`ExecPool::recycle_trace`] once read.
+    ///
+    /// Dense-reference mode is delegated to the frozen executor and not
+    /// pooled (the reference predates the pooling layer); the pool is
+    /// left untouched in that case.
+    pub fn run_pooled(
+        mut self,
+        pool: &mut ExecPool,
+    ) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         #[cfg(feature = "dense_advance")]
         if self.dense {
             return self.run_dense();
         }
         let wall_start = std::time::Instant::now();
-        self.run_core()?;
-        let summary = self.build_summary(wall_start.elapsed().as_secs_f64());
-        Ok((summary, self.trace, self.counters))
-    }
-
-    /// Like [`SimExecutor::run`], but returns every recyclable container
-    /// to `pool` afterwards — on success *and* on error, so a failed
-    /// sweep cell (a planner rejection happens before construction, an
-    /// execution error after) still recycles its arenas. The returned
-    /// trace is part of the run's output; hand it back with
-    /// [`ExecPool::recycle_trace`] once read.
-    ///
-    /// Dense-reference mode is delegated to the frozen executor and not
-    /// pooled (the reference predates the pooling layer); the pool is
-    /// left untouched in that case.
-    pub fn run_pooled(mut self, pool: &mut ExecPool) -> Result<(RunSummary, Trace), ExecError> {
-        #[cfg(feature = "dense_advance")]
-        if self.dense {
-            let (summary, trace, _) = self.run_dense()?;
-            return Ok((summary, trace));
-        }
-        let wall_start = std::time::Instant::now();
-        match self.run_core() {
-            Ok(()) => {
-                let summary = self.build_summary(wall_start.elapsed().as_secs_f64());
-                let trace = std::mem::take(&mut self.trace);
-                self.dismantle(pool);
-                Ok((summary, trace))
-            }
-            Err(e) => {
-                self.dismantle(pool);
-                Err(e)
-            }
-        }
+        let out = self.run_core().map(|()| {
+            let summary = self.build_summary(wall_start.elapsed().as_secs_f64());
+            (summary, std::mem::take(&mut self.trace), self.counters)
+        });
+        self.dismantle(pool);
+        out
     }
 
     /// Returns every recyclable container to `pool`, consuming the
@@ -2000,7 +1970,7 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// The event loop proper: initial pass, drain, stuck check, dirty-state
-    /// flush. Shared by [`Self::run_counted`] and [`Self::run_pooled`].
+    /// flush, run by [`Self::run_pooled`].
     fn run_core(&mut self) -> Result<(), ExecError> {
         // Initial pass: every GPU.
         self.wake_all();

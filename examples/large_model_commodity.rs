@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example large_model_commodity`
 
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = TransformerConfig::gpt_10b().build();
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     group_size: Some(g),
                     ..workload
                 };
-                let (s, _) = simulate::run(scheme, &model, &topo, &w)?;
+                let (s, _) = RunSpec::new(scheme, w).run(&model, &topo)?;
                 if s.throughput() > best_tp {
                     best_tp = s.throughput();
                     best = w;
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             workload
         };
-        let (summary, _) = simulate::run(scheme, &model, &topo, &workload)?;
+        let (summary, _) = RunSpec::new(scheme, workload).run(&model, &topo)?;
         table.row(&[
             scheme.name().to_string(),
             f2(summary.throughput()),

@@ -10,7 +10,7 @@
 
 use harmony::prelude::presets::{commodity_server, CommodityParams, GBPS};
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 
 fn uniform_model(layers: usize) -> ModelSpec {
     ModelSpec {
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     for scheme in [SchemeKind::HarmonyPp, SchemeKind::BaselinePp] {
-        let (summary, trace) = simulate::run(scheme, &model, &topo, &workload)?;
+        let (summary, trace) = RunSpec::new(scheme, workload).run(&model, &topo)?;
         println!("{}", gantt::render(&trace, 100));
         println!("{}\n", summary.one_line());
     }

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example zoo_tour`
 
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = presets::commodity_4x1080ti();
@@ -45,8 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (label, model) in &models {
         let state = model.total_params() * 16; // W + dW + Adam
-        let run =
-            |scheme| simulate::run(scheme, model, &topo, &workload).map(|(s, _)| s.global_swap());
+        let run = |scheme| {
+            RunSpec::new(scheme, workload)
+                .run(model, &topo)
+                .map(|(s, _)| s.global_swap())
+        };
         let b = run(SchemeKind::BaselineDp)?;
         let h = run(SchemeKind::HarmonyDp)?;
         table.row(&[

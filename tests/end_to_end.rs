@@ -3,7 +3,7 @@
 
 use harmony::prelude::analytical;
 use harmony::prelude::*;
-use harmony::simulate::{self, SchemeKind};
+use harmony::simulate::SchemeKind;
 
 fn small_topo(n: usize, mem: u64) -> Topology {
     presets::commodity_server(presets::CommodityParams {
@@ -33,7 +33,8 @@ fn transformer_spec_flows_through_every_scheme() {
     let model = TransformerConfig::tiny().build();
     let topo = small_topo(2, 8 * 1024 * 1024);
     for scheme in SchemeKind::ALL {
-        let (summary, trace) = simulate::run(scheme, &model, &topo, &workload(2))
+        let (summary, trace) = RunSpec::new(scheme, workload(2))
+            .run(&model, &topo)
             .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
         assert!(summary.sim_secs > 0.0);
         assert_eq!(summary.samples, 2 * 2 * 2);
@@ -77,7 +78,7 @@ fn simulated_ordering_matches_analytical_ordering() {
     let mut sim_order = Vec::new();
     let mut ana_order = Vec::new();
     for scheme in SchemeKind::ALL {
-        let (s, _) = simulate::run(scheme, &model, &topo, &w).expect("run");
+        let (s, _) = RunSpec::new(scheme, w).run(&model, &topo).expect("run");
         sim_order.push((s.global_swap(), scheme.name()));
         ana_order.push((
             analytical::breakdown(scheme.analytical(), &p).total(),
@@ -108,8 +109,9 @@ fn simulated_ordering_matches_analytical_ordering() {
 fn traces_export_and_reimport() {
     let model = TransformerConfig::tiny().build();
     let topo = small_topo(2, 8 * 1024 * 1024);
-    let (_, trace) =
-        simulate::run(SchemeKind::HarmonyPp, &model, &topo, &workload(1)).expect("run");
+    let (_, trace) = RunSpec::new(SchemeKind::HarmonyPp, workload(1))
+        .run(&model, &topo)
+        .expect("run");
     let json = trace.to_json();
     let back = Trace::from_json(&json).expect("roundtrip");
     assert_eq!(back.spans.len(), trace.spans.len());
@@ -122,7 +124,9 @@ fn gantt_renders_for_all_schemes() {
     let model = TransformerConfig::tiny().build();
     let topo = small_topo(2, 8 * 1024 * 1024);
     for scheme in SchemeKind::ALL {
-        let (_, trace) = simulate::run(scheme, &model, &topo, &workload(1)).expect("run");
+        let (_, trace) = RunSpec::new(scheme, workload(1))
+            .run(&model, &topo)
+            .expect("run");
         let g = gantt::render(&trace, 80);
         assert!(g.contains("gpu0 |"));
         assert!(g.contains("gpu1 |"));
@@ -141,7 +145,9 @@ fn group_size_trades_swap_for_overlap() {
             group_size: Some(g),
             ..workload(2)
         };
-        let (s, _) = simulate::run(SchemeKind::HarmonyPp, &model, &topo, &w).expect("run");
+        let (s, _) = RunSpec::new(SchemeKind::HarmonyPp, w)
+            .run(&model, &topo)
+            .expect("run");
         let weight = s.swap_by_class["weight"];
         assert!(
             weight <= last,
@@ -158,7 +164,9 @@ fn dgx_like_p2p_reduces_pipeline_handoff_latency() {
     let model = TransformerConfig::tiny().build();
     let w = workload(2);
     let pcie = small_topo(2, 8 * 1024 * 1024);
-    let (s_pcie, _) = simulate::run(SchemeKind::HarmonyPp, &model, &pcie, &w).expect("run");
+    let (s_pcie, _) = RunSpec::new(SchemeKind::HarmonyPp, w)
+        .run(&model, &pcie)
+        .expect("run");
     // An identical box with 10× faster p2p channels.
     let mut b = harmony_topology::TopologyBuilder::new("fast-p2p");
     for g in 0..2 {
@@ -187,7 +195,9 @@ fn dgx_like_p2p_reduces_pipeline_handoff_latency() {
     b.route(Endpoint::Gpu(0), Endpoint::Gpu(1), vec![nv01]);
     b.route(Endpoint::Gpu(1), Endpoint::Gpu(0), vec![nv10]);
     let fast = b.build().expect("valid");
-    let (s_fast, _) = simulate::run(SchemeKind::HarmonyPp, &model, &fast, &w).expect("run");
+    let (s_fast, _) = RunSpec::new(SchemeKind::HarmonyPp, w)
+        .run(&model, &fast)
+        .expect("run");
     assert!(
         s_fast.sim_secs <= s_pcie.sim_secs * 1.001,
         "fast p2p {:.4}s vs pcie {:.4}s",
@@ -212,7 +222,9 @@ fn harmony_extends_to_two_server_deployments() {
     })
     .expect("valid");
     let w = workload(1);
-    let (s, trace) = simulate::run(SchemeKind::HarmonyPp, &model, &topo, &w).expect("run");
+    let (s, trace) = RunSpec::new(SchemeKind::HarmonyPp, w)
+        .run(&model, &topo)
+        .expect("run");
     assert!(s.sim_secs > 0.0);
     assert!(s.p2p_bytes > 0, "stage handoffs cross GPUs (and the NIC)");
     for g in 0..4 {
@@ -237,7 +249,9 @@ fn ample_aggregate_memory_makes_swapping_irrelevant() {
         gpu_flops: 1e9,
     })
     .expect("valid");
-    let (s, _) = simulate::run(SchemeKind::HarmonyPp, &model, &big, &workload(2)).expect("run");
+    let (s, _) = RunSpec::new(SchemeKind::HarmonyPp, workload(2))
+        .run(&model, &big)
+        .expect("run");
     let state = 4 * model.total_weight_bytes(); // W + dW + 2K
     let inputs = 4 * 2 * model.layers[0].in_bytes(2);
     assert!(
@@ -264,12 +278,17 @@ fn cnn_models_schedule_like_transformers() {
         recompute: false,
     };
     for scheme in SchemeKind::ALL {
-        let (s, _) = simulate::run(scheme, &model, &topo, &w)
+        let (s, _) = RunSpec::new(scheme, w)
+            .run(&model, &topo)
             .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
         assert!(s.global_swap() > 0, "{} must swap", scheme.name());
     }
     // Harmony-DP still beats baseline DP on this very different layer mix.
-    let (b, _) = simulate::run(SchemeKind::BaselineDp, &model, &topo, &w).expect("run");
-    let (h, _) = simulate::run(SchemeKind::HarmonyDp, &model, &topo, &w).expect("run");
+    let (b, _) = RunSpec::new(SchemeKind::BaselineDp, w)
+        .run(&model, &topo)
+        .expect("run");
+    let (h, _) = RunSpec::new(SchemeKind::HarmonyDp, w)
+        .run(&model, &topo)
+        .expect("run");
     assert!(h.global_swap() < b.global_swap());
 }
