@@ -220,3 +220,21 @@ fn custom_help_prints_usage_and_exits_0() {
     assert!(stdout.contains("usage: repro custom"), "{stdout}");
     assert!(stdout.contains("pipe-1f1b"), "{stdout}");
 }
+
+#[test]
+fn custom_capacity_error_names_the_pinned_bytes() {
+    // A pack larger than the model puts every layer's working set in one
+    // step: the run cannot fit, and the error must say that the device
+    // is held by the step's own pins, not merely that it is too small.
+    let out = repro(&["custom", "--pack", "1000"]);
+    assert_usage_error(&out, "even after eviction", "custom --pack 1000");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let pinned = stderr
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" B of it pinned by the step in progress\n"))
+        .and_then(|n| n.parse::<u64>().ok());
+    assert!(
+        pinned.is_some_and(|b| b > 0),
+        "the error must give the pinned bytes, got: {stderr}"
+    );
+}

@@ -141,13 +141,13 @@ impl FunctionalSession {
             let mut oids = Vec::new();
             for (pi, p) in pset.into_iter().enumerate() {
                 let gid =
-                    mm.register_on_host(format!("L{l}.dW{pi}"), p.size_bytes(), TensorClass::Grad);
+                    mm.register_on_host(&format!("L{l}.dW{pi}"), p.size_bytes(), TensorClass::Grad);
                 store.put(gid, Tensor::zeros(p.shape().clone()));
                 gids.push(gid);
                 let mut slot_ids = Vec::new();
                 for (si, s) in cfg.optimizer.init_state(&p).into_iter().enumerate() {
                     let sid = mm.register_on_host(
-                        format!("L{l}.K{pi}.{si}"),
+                        &format!("L{l}.K{pi}.{si}"),
                         s.size_bytes(),
                         TensorClass::OptState,
                     );
@@ -155,8 +155,11 @@ impl FunctionalSession {
                     slot_ids.push(sid);
                 }
                 oids.push(slot_ids);
-                let pid =
-                    mm.register_on_host(format!("L{l}.W{pi}"), p.size_bytes(), TensorClass::Weight);
+                let pid = mm.register_on_host(
+                    &format!("L{l}.W{pi}"),
+                    p.size_bytes(),
+                    TensorClass::Weight,
+                );
                 store.put(pid, p);
                 pids.push(pid);
             }
@@ -259,7 +262,7 @@ impl FunctionalSession {
     ) -> Result<TensorId, HarmonyError> {
         let bytes = payload.size_bytes();
         self.make_room(dev, bytes)?;
-        let id = self.mm.alloc_on_device(name, bytes, class, dev)?;
+        let id = self.mm.alloc_on_device(&name, bytes, class, dev)?;
         self.store.put(id, payload);
         Ok(id)
     }

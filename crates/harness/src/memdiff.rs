@@ -151,12 +151,12 @@ fn apply_op(mm: &mut MemoryManager, ids: &mut Vec<TensorId>, op: &MemScriptOp) -
     };
     match *op {
         MemScriptOp::RegisterHost(b) => {
-            let id = mm.register_on_host(format!("h{}", ids.len()), b, TensorClass::Weight);
+            let id = mm.register_on_host(&format!("h{}", ids.len()), b, TensorClass::Weight);
             ids.push(id);
             format!("reg {id}")
         }
         MemScriptOp::AllocDevice(b, d) => {
-            match mm.alloc_on_device(format!("a{}", ids.len()), b, TensorClass::Stash, d) {
+            match mm.alloc_on_device(&format!("a{}", ids.len()), b, TensorClass::Stash, d) {
                 Ok(id) => {
                     ids.push(id);
                     format!("alloc ok {id}")

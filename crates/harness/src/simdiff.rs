@@ -207,9 +207,8 @@ mod tests {
         assert_eq!(check_fast_vs_dense(&[]), Ok(0));
     }
 
-    #[test]
-    fn contended_script_agrees_bitwise() {
-        let ops = vec![
+    fn contended_ops() -> Vec<SimOp> {
+        vec![
             SimOp::ToHost { gpu: 0, mb: 48 },
             SimOp::ToHost { gpu: 1, mb: 32 },
             SimOp::FromHost { gpu: 2, mb: 16 },
@@ -226,8 +225,27 @@ mod tests {
             SimOp::Compute { gpu: 2, millis: 3 },
             SimOp::Drain { n: 2 },
             SimOp::ToHost { gpu: 2, mb: 8 },
-        ];
-        let n = check_fast_vs_dense(&ops).expect("traces must agree");
+        ]
+    }
+
+    #[test]
+    fn contended_script_agrees_bitwise() {
+        let n = check_fast_vs_dense(&contended_ops()).expect("traces must agree");
         assert_eq!(n, 6, "every submission completes exactly once");
+    }
+
+    #[test]
+    fn contended_script_rederives_the_pinned_affected_sets() {
+        // The fast engine re-derives the occupied flights that share a
+        // channel with each event, the dense one every occupied flight.
+        // Both counts are pinned, so gathering either affected set
+        // differently (not just in another order) shows up here.
+        let topo = diff_topology();
+        let mut fast = Simulator::new(&topo);
+        let mut dense = Simulator::new_dense_reference(&topo);
+        run_script(&mut fast, &topo, &contended_ops());
+        run_script(&mut dense, &topo, &contended_ops());
+        assert_eq!(fast.net_counters().rate_recomputes, 13);
+        assert_eq!(dense.net_counters().rate_recomputes, 22);
     }
 }

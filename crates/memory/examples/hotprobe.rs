@@ -11,7 +11,7 @@ fn build(n_tensors: usize, dense: bool) -> (MemoryManager, Vec<u64>) {
     let mut ids = Vec::new();
     for i in 0..n_tensors {
         let id = m
-            .alloc_on_device(format!("t{i}"), 1_000, TensorClass::Stash, 0)
+            .alloc_on_device(&format!("t{i}"), 1_000, TensorClass::Stash, 0)
             .unwrap();
         ids.push(id);
     }

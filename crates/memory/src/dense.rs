@@ -171,6 +171,22 @@ impl DenseCore {
         }
     }
 
+    /// The error for `needed` bytes that `dev` cannot hold; the pinned
+    /// bytes are re-summed over every tensor.
+    fn insufficient(&self, dev: DeviceId, needed: u64) -> MemError {
+        MemError::InsufficientMemory {
+            device: dev,
+            needed,
+            capacity: self.capacities[dev],
+            pinned: self
+                .tensors
+                .iter()
+                .filter(|t| t.pinned > 0 && t.residency == Residency::OnDevice(dev))
+                .map(|t| t.bytes)
+                .sum(),
+        }
+    }
+
     fn release(&mut self, dev: DeviceId, bytes: u64) {
         debug_assert!(self.used[dev] >= bytes, "capacity accounting underflow");
         self.used[dev] = self.used[dev].saturating_sub(bytes);
@@ -178,7 +194,7 @@ impl DenseCore {
 
     pub(crate) fn register_on_host(
         &mut self,
-        name: String,
+        name: &str,
         bytes: u64,
         class: TensorClass,
     ) -> TensorId {
@@ -188,7 +204,7 @@ impl DenseCore {
         debug_assert_eq!(id as usize, self.tensors.len());
         self.tensors.push(TensorInfo {
             id,
-            name,
+            name: name.to_string(),
             bytes,
             class,
             residency: Residency::OnHost,
@@ -204,17 +220,13 @@ impl DenseCore {
 
     pub(crate) fn alloc_on_device(
         &mut self,
-        name: String,
+        name: &str,
         bytes: u64,
         class: TensorClass,
         dev: DeviceId,
     ) -> Result<TensorId, MemError> {
         if self.free_bytes(dev)? < bytes {
-            return Err(MemError::InsufficientMemory {
-                device: dev,
-                needed: bytes,
-                capacity: self.capacity(dev)?,
-            });
+            return Err(self.insufficient(dev, bytes));
         }
         self.charge(dev, bytes);
         let id = self.next_id;
@@ -223,7 +235,7 @@ impl DenseCore {
         debug_assert_eq!(id as usize, self.tensors.len());
         self.tensors.push(TensorInfo {
             id,
-            name,
+            name: name.to_string(),
             bytes,
             class,
             residency: Residency::OnDevice(dev),
@@ -358,11 +370,7 @@ impl DenseCore {
                 }
                 scans += candidates.len() as u64;
                 let Some(victim) = policy.choose(&candidates) else {
-                    break Err(MemError::InsufficientMemory {
-                        device: dev,
-                        needed: bytes,
-                        capacity: self.capacities[dev],
-                    });
+                    break Err(self.insufficient(dev, bytes));
                 };
                 // The policy is an external trait object: a buggy
                 // implementation returning an id outside the candidate set
@@ -492,11 +500,7 @@ impl DenseCore {
             });
         }
         if self.free_bytes(dev)? < bytes {
-            return Err(MemError::InsufficientMemory {
-                device: dev,
-                needed: bytes,
-                capacity: self.capacity(dev)?,
-            });
+            return Err(self.insufficient(dev, bytes));
         }
         self.charge(dev, bytes);
         self.info_mut(id)?.residency = Residency::MovingToDevice {
@@ -539,11 +543,7 @@ impl DenseCore {
             });
         }
         if self.free_bytes(dst)? < bytes {
-            return Err(MemError::InsufficientMemory {
-                device: dst,
-                needed: bytes,
-                capacity: self.capacity(dst)?,
-            });
+            return Err(self.insufficient(dst, bytes));
         }
         self.charge(dst, bytes);
         self.info_mut(id)?.residency = Residency::MovingToDevice {

@@ -113,6 +113,10 @@ pub enum MemError {
         needed: u64,
         /// Device capacity.
         capacity: u64,
+        /// Bytes of the device's resident tensors that are pinned — the
+        /// working set of the step in progress, which no eviction can
+        /// reclaim.
+        pinned: u64,
     },
     /// Operation invalid in the tensor's current state.
     InvalidState {
@@ -134,9 +138,11 @@ impl fmt::Display for MemError {
                 device,
                 needed,
                 capacity,
+                pinned,
             } => write!(
                 f,
-                "device {device}: need {needed} B but capacity is {capacity} B even after eviction"
+                "device {device}: need {needed} B but capacity is {capacity} B even after \
+                 eviction, {pinned} B of it pinned by the step in progress"
             ),
             MemError::InvalidState { id, op, state } => {
                 write!(f, "tensor {id}: cannot {op} while {state}")

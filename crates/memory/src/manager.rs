@@ -357,14 +357,25 @@ impl MemoryManager {
         with_core!(self, c => c.view(id)).ok_or(MemError::UnknownTensor(id))
     }
 
+    /// A tensor's residency alone: one plane read, where [`Self::info`]
+    /// assembles the whole view (name included).
+    pub fn residency(&self, id: TensorId) -> Result<Residency, MemError> {
+        #[cfg(feature = "dense_memory")]
+        if let Some(c) = self.dense.as_deref() {
+            return c
+                .view(id)
+                .map(|v| v.residency)
+                .ok_or(MemError::UnknownTensor(id));
+        }
+        self.fast
+            .residency
+            .get(id as usize)
+            .copied()
+            .ok_or(MemError::UnknownTensor(id))
+    }
+
     /// Registers a host-resident tensor (e.g. initial weights, inputs).
-    pub fn register_on_host(
-        &mut self,
-        name: impl Into<String>,
-        bytes: u64,
-        class: TensorClass,
-    ) -> TensorId {
-        let name = name.into();
+    pub fn register_on_host(&mut self, name: &str, bytes: u64, class: TensorClass) -> TensorId {
         let id = with_core_mut!(self, c => c.register_on_host(name, bytes, class));
         self.flush_events();
         id
@@ -375,12 +386,11 @@ impl MemoryManager {
     /// (see [`MemoryManager::make_room`]).
     pub fn alloc_on_device(
         &mut self,
-        name: impl Into<String>,
+        name: &str,
         bytes: u64,
         class: TensorClass,
         dev: DeviceId,
     ) -> Result<TensorId, MemError> {
-        let name = name.into();
         let r = with_core_mut!(self, c => c.alloc_on_device(name, bytes, class, dev));
         self.flush_events();
         r
@@ -429,10 +439,10 @@ impl MemoryManager {
     /// so the pinned filter lives here; the dense core's set is already
     /// unpinned-only and passes the filter trivially.
     pub fn eviction_candidates(&self, dev: DeviceId) -> impl Iterator<Item = TensorView<'_>> {
-        let set = with_core!(self, c => c.evictable_set(dev));
-        set.into_iter()
-            .flat_map(|s| s.iter())
-            .map(move |&id| self.view_known(id))
+        // The two cores keep their sets in different containers.
+        let ids: Box<dyn Iterator<Item = &TensorId> + '_> =
+            with_core!(self, c => Box::new(c.evictable_set(dev).into_iter().flatten()));
+        ids.map(move |&id| self.view_known(id))
             .filter(|v| v.pinned == 0)
     }
 
@@ -592,10 +602,10 @@ impl MemoryManager {
             return;
         }
         let f = &self.fast;
-        let tensors: Vec<TensorInfo> = (0..f.names.len())
+        let tensors: Vec<TensorInfo> = (0..f.tensor_count())
             .map(|i| TensorInfo {
                 id: i as TensorId,
-                name: f.names[i].clone(),
+                name: f.name(i).to_string(),
                 bytes: f.bytes[i],
                 class: f.classes[i],
                 residency: f.residency[i],
@@ -692,11 +702,19 @@ struct FastCore {
     capacities: Vec<u64>,
     used: Vec<u64>,
     peak_used: Vec<u64>,
+    /// Bytes of pinned tensors per device, kept at the pin count's
+    /// 0 ↔ 1 transitions (a pinned tensor cannot leave its device).
+    pinned_bytes: Vec<u64>,
     /// Incrementally maintained host-resident byte total (tensors on host
     /// or moving there) — replaces the seed's O(tensors) re-scan.
     host_bytes: u64,
+    /// Every tensor's name, back to back in id order: one arena, not a
+    /// `String` per tensor.
+    names: String,
     // --- SoA planes, indexed flat by TensorId ---
-    names: Vec<String>,
+    /// End of each tensor's name in `names` (it starts where the
+    /// previous id's ends).
+    name_ends: Vec<usize>,
     classes: Vec<TensorClass>,
     bytes: Vec<u64>,
     residency: Vec<Residency>,
@@ -705,10 +723,13 @@ struct FastCore {
     next_use: Vec<Option<u64>>,
     dirty: Vec<bool>,
     host_copy: Vec<bool>,
-    /// Per-device membership index of device-resident tensors (pinned
-    /// included — pin/unpin stay pure field writes), ascending by id.
-    /// The public candidate order filters `pinned == 0` at read time.
-    resident: Vec<BTreeSet<TensorId>>,
+    /// Per-device membership of device-resident tensors (pinned
+    /// included — pin/unpin stay pure field writes), a sorted `Vec` of
+    /// ids: a device holds tens to a few hundred tensors and arrivals are
+    /// mostly the newest ids, so a binary search plus a short move beats
+    /// a tree, and selection scans walk contiguous memory. The public
+    /// candidate order filters `pinned == 0` at read time.
+    resident: Vec<Vec<TensorId>>,
     /// Lazily built per-device ordered victim index for [`crate::Lru`]
     /// (first *valid* element = the policy's choice). `None` until the
     /// first `make_room` with an LRU-kind policy on that device.
@@ -765,8 +786,10 @@ impl FastCore {
             capacities,
             used: vec![0; n],
             peak_used: vec![0; n],
+            pinned_bytes: vec![0; n],
             host_bytes: 0,
-            names: Vec::new(),
+            names: String::new(),
+            name_ends: Vec::new(),
             classes: Vec::new(),
             bytes: Vec::new(),
             residency: Vec::new(),
@@ -775,7 +798,7 @@ impl FastCore {
             next_use: Vec::new(),
             dirty: Vec::new(),
             host_copy: Vec::new(),
-            resident: vec![BTreeSet::new(); n],
+            resident: vec![Vec::new(); n],
             lru_index: vec![None; n],
             nu_index: vec![None; n],
             lru_entry: Vec::new(),
@@ -809,8 +832,11 @@ impl FastCore {
             self.peak_used.clear();
         }
         self.peak_used.resize(n, 0);
+        self.pinned_bytes.clear();
+        self.pinned_bytes.resize(n, 0);
         self.host_bytes = 0;
         self.names.clear();
+        self.name_ends.clear();
         self.classes.clear();
         self.bytes.clear();
         self.residency.clear();
@@ -822,7 +848,7 @@ impl FastCore {
         for set in &mut self.resident {
             set.clear();
         }
-        self.resident.resize_with(n, BTreeSet::new);
+        self.resident.resize_with(n, Vec::new);
         self.lru_index.clear();
         self.lru_index.resize_with(n, || None);
         self.nu_index.clear();
@@ -855,17 +881,29 @@ impl FastCore {
     }
 
     fn tensor_count(&self) -> usize {
-        self.names.len()
+        self.name_ends.len()
+    }
+
+    /// Tensor `i`'s name, out of the arena.
+    fn name(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.name_ends[i - 1] };
+        &self.names[start..self.name_ends[i]]
+    }
+
+    /// Appends the next tensor's name to the arena.
+    fn push_name(&mut self, name: &str) {
+        self.names.push_str(name);
+        self.name_ends.push(self.names.len());
     }
 
     fn view(&self, id: TensorId) -> Option<TensorView<'_>> {
         let i = id as usize;
-        if i >= self.names.len() {
+        if i >= self.tensor_count() {
             return None;
         }
         Some(TensorView {
             id,
-            name: &self.names[i],
+            name: self.name(i),
             bytes: self.bytes[i],
             class: self.classes[i],
             residency: self.residency[i],
@@ -877,7 +915,7 @@ impl FastCore {
         })
     }
 
-    fn evictable_set(&self, dev: DeviceId) -> Option<&BTreeSet<TensorId>> {
+    fn evictable_set(&self, dev: DeviceId) -> Option<&Vec<TensorId>> {
         // Resident including pinned; the wrapper filters `pinned == 0`.
         self.resident.get(dev)
     }
@@ -926,7 +964,7 @@ impl FastCore {
     /// Plane index for a registered tensor, or `UnknownTensor`.
     fn check(&self, id: TensorId) -> Result<usize, MemError> {
         let i = id as usize;
-        if i < self.names.len() {
+        if i < self.tensor_count() {
             Ok(i)
         } else {
             Err(MemError::UnknownTensor(id))
@@ -943,6 +981,16 @@ impl FastCore {
     fn release(&mut self, dev: DeviceId, bytes: u64) {
         debug_assert!(self.used[dev] >= bytes, "capacity accounting underflow");
         self.used[dev] = self.used[dev].saturating_sub(bytes);
+    }
+
+    /// The error for `needed` bytes that `dev` cannot hold.
+    fn insufficient(&self, dev: DeviceId, needed: u64) -> MemError {
+        MemError::InsufficientMemory {
+            device: dev,
+            needed,
+            capacity: self.capacities[dev],
+            pinned: self.pinned_bytes[dev],
+        }
     }
 
     fn lru_key(&self, i: usize, id: TensorId) -> LruKey {
@@ -962,7 +1010,10 @@ impl FastCore {
     /// current planes — call after updating them), recording the stored
     /// keys for exact removal at departure.
     fn arrive(&mut self, dev: DeviceId, id: TensorId) {
-        self.resident[dev].insert(id);
+        let set = &mut self.resident[dev];
+        if let Err(at) = set.binary_search(&id) {
+            set.insert(at, id);
+        }
         let i = id as usize;
         let lru = self.lru_key(i, id);
         let nu = self.nu_key(i, id);
@@ -985,7 +1036,10 @@ impl FastCore {
     /// stored key (the live key may have drifted since — that's the
     /// lazy discipline; the stored key is the ground truth).
     fn depart(&mut self, dev: DeviceId, id: TensorId) {
-        self.resident[dev].remove(&id);
+        let set = &mut self.resident[dev];
+        if let Ok(at) = set.binary_search(&id) {
+            set.remove(at);
+        }
         let i = id as usize;
         let mut ops = 0u64;
         if let Some(idx) = self.lru_index[dev].as_mut() {
@@ -999,12 +1053,12 @@ impl FastCore {
         self.stats.counters.index_ops += ops;
     }
 
-    fn register_on_host(&mut self, name: String, bytes: u64, class: TensorClass) -> TensorId {
+    fn register_on_host(&mut self, name: &str, bytes: u64, class: TensorClass) -> TensorId {
         let id = self.next_id;
         self.next_id += 1;
         self.clock += 1;
-        debug_assert_eq!(id as usize, self.names.len());
-        self.names.push(name);
+        debug_assert_eq!(id as usize, self.tensor_count());
+        self.push_name(name);
         self.classes.push(class);
         self.bytes.push(bytes);
         self.residency.push(Residency::OnHost);
@@ -1022,24 +1076,20 @@ impl FastCore {
 
     fn alloc_on_device(
         &mut self,
-        name: String,
+        name: &str,
         bytes: u64,
         class: TensorClass,
         dev: DeviceId,
     ) -> Result<TensorId, MemError> {
         if self.free_bytes(dev)? < bytes {
-            return Err(MemError::InsufficientMemory {
-                device: dev,
-                needed: bytes,
-                capacity: self.capacity(dev)?,
-            });
+            return Err(self.insufficient(dev, bytes));
         }
         self.charge(dev, bytes);
         let id = self.next_id;
         self.next_id += 1;
         self.clock += 1;
-        debug_assert_eq!(id as usize, self.names.len());
-        self.names.push(name);
+        debug_assert_eq!(id as usize, self.tensor_count());
+        self.push_name(name);
         self.classes.push(class);
         self.bytes.push(bytes);
         self.residency.push(Residency::OnDevice(dev));
@@ -1101,10 +1151,13 @@ impl FastCore {
     fn pin(&mut self, id: TensorId) -> Result<(), MemError> {
         let i = self.check(id)?;
         match self.residency[i] {
-            Residency::OnDevice(_) => {
-                // Pure field write: pinned tensors stay in the resident
+            Residency::OnDevice(d) => {
+                // Pure field writes: pinned tensors stay in the resident
                 // membership and ordered indexes; candidate reads and
                 // victim walks skip them by the `pinned` plane.
+                if self.pinned[i] == 0 {
+                    self.pinned_bytes[d] += self.bytes[i];
+                }
                 self.pinned[i] += 1;
                 self.note(MemEvent::Pin { id });
                 Ok(())
@@ -1127,6 +1180,11 @@ impl FastCore {
             });
         }
         self.pinned[i] -= 1;
+        if self.pinned[i] == 0 {
+            if let Residency::OnDevice(d) = self.residency[i] {
+                self.pinned_bytes[d] -= self.bytes[i];
+            }
+        }
         self.note(MemEvent::Unpin { id });
         Ok(())
     }
@@ -1203,11 +1261,7 @@ impl FastCore {
                         }
                     };
                     let Some(entry) = next else {
-                        break Err(MemError::InsufficientMemory {
-                            device: dev,
-                            needed: bytes,
-                            capacity: self.capacities[dev],
-                        });
+                        break Err(self.insufficient(dev, bytes));
                     };
                     cursor = Some(entry);
                     let id = entry.1;
@@ -1276,11 +1330,7 @@ impl FastCore {
                         }
                     };
                     let Some(entry) = next else {
-                        break Err(MemError::InsufficientMemory {
-                            device: dev,
-                            needed: bytes,
-                            capacity: self.capacities[dev],
-                        });
+                        break Err(self.insufficient(dev, bytes));
                     };
                     cursor = Some(entry);
                     let id = entry.2;
@@ -1342,11 +1392,7 @@ impl FastCore {
                 }
             }
             let Some((_, _, id)) = best else {
-                break Err(MemError::InsufficientMemory {
-                    device: dev,
-                    needed: bytes,
-                    capacity: self.capacities[dev],
-                });
+                break Err(self.insufficient(dev, bytes));
             };
             freed += self.bytes[id as usize];
             out.push(id);
@@ -1378,7 +1424,7 @@ impl FastCore {
                 }
                 infos.push(TensorInfo {
                     id,
-                    name: self.names[i].clone(),
+                    name: self.name(i).to_string(),
                     bytes: self.bytes[i],
                     class: self.classes[i],
                     residency: self.residency[i],
@@ -1399,11 +1445,7 @@ impl FastCore {
                 }
                 scans += candidates.len() as u64;
                 let Some(victim) = policy.choose(&candidates) else {
-                    break Err(MemError::InsufficientMemory {
-                        device: dev,
-                        needed: bytes,
-                        capacity: self.capacities[dev],
-                    });
+                    break Err(self.insufficient(dev, bytes));
                 };
                 // The policy is an external trait object: a buggy
                 // implementation returning an id outside the candidate
@@ -1573,11 +1615,7 @@ impl FastCore {
             });
         }
         if self.free_bytes(dev)? < bytes {
-            return Err(MemError::InsufficientMemory {
-                device: dev,
-                needed: bytes,
-                capacity: self.capacity(dev)?,
-            });
+            return Err(self.insufficient(dev, bytes));
         }
         self.charge(dev, bytes);
         self.residency[i] = Residency::MovingToDevice {
@@ -1616,11 +1654,7 @@ impl FastCore {
             });
         }
         if self.free_bytes(dst)? < bytes {
-            return Err(MemError::InsufficientMemory {
-                device: dst,
-                needed: bytes,
-                capacity: self.capacity(dst)?,
-            });
+            return Err(self.insufficient(dst, bytes));
         }
         self.charge(dst, bytes);
         self.residency[i] = Residency::MovingToDevice {
@@ -1780,7 +1814,7 @@ impl FastCore {
         if let Some(idx) = self.nu_index[dev].as_mut() {
             idx.remove(&self.nu_entry[i]);
         }
-        self.resident[dev].remove(&id);
+        self.resident[dev].retain(|&r| r != id);
         true
     }
 }
@@ -2145,6 +2179,7 @@ mod tests {
                     device: dev,
                     needed: bytes,
                     capacity: m.capacity(dev)?,
+                    pinned: 0,
                 })?;
             let idx = candidates.iter().position(|t| t.id == victim).unwrap();
             free += candidates[idx].bytes;
@@ -2217,7 +2252,7 @@ mod tests {
         let mut m = MemoryManager::new(vec![100_000]);
         let ids: Vec<TensorId> = (0..120)
             .map(|i| {
-                m.alloc_on_device(format!("t{i}"), 100, TensorClass::Stash, 0)
+                m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
                     .unwrap()
             })
             .collect();
@@ -2267,7 +2302,7 @@ mod tests {
         let mut m = MemoryManager::new(vec![100_000]);
         let ids: Vec<TensorId> = (0..120)
             .map(|i| {
-                m.alloc_on_device(format!("t{i}"), 100, TensorClass::Stash, 0)
+                m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
                     .unwrap()
             })
             .collect();
@@ -2293,7 +2328,7 @@ mod tests {
     fn into_planning_is_plan_bounded_on_fresh_allocs() {
         let mut m = mm();
         for i in 0..8 {
-            m.alloc_on_device(format!("t{i}"), 100, TensorClass::Stash, 0)
+            m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
                 .unwrap();
         }
         let mut scratch = Vec::new();

@@ -1,7 +1,5 @@
 //! Swap-volume accounting.
 
-use std::collections::HashMap;
-
 use crate::{DeviceId, TensorClass};
 
 /// Transfer direction relative to a device.
@@ -40,13 +38,18 @@ pub struct MemCounters {
     pub victim_pops: u64,
 }
 
+/// Classes a tally row holds: one slot per [`TensorClass`] variant
+/// (`Workspace` is the last).
+const CLASSES: usize = TensorClass::Workspace as usize + 1;
+
 /// Per-device, per-class swap tallies — the raw data behind Fig 2(a)
 /// (global swap-out volume), Fig 2(c) (per-GPU swap imbalance), and the §3
 /// analytical comparison.
 #[derive(Debug, Clone, Default)]
 pub struct SwapStats {
-    /// (device, direction, class) → bytes.
-    by_key: HashMap<(DeviceId, Direction, TensorClass), u64>,
+    /// Bytes by `[device][direction][class]`, directions in
+    /// `[In, Out]` order; a device's row appears at its first swap.
+    by_device: Vec<[[u64; CLASSES]; 2]>,
     /// Bytes moved device-to-device (p2p), counted once per transfer.
     pub p2p_bytes: u64,
     /// Planning hot-path counters (see [`MemCounters`]).
@@ -61,7 +64,10 @@ impl SwapStats {
 
     /// Records a host↔device swap.
     pub fn record(&mut self, device: DeviceId, dir: Direction, class: TensorClass, bytes: u64) {
-        *self.by_key.entry((device, dir, class)).or_insert(0) += bytes;
+        if device >= self.by_device.len() {
+            self.by_device.resize(device + 1, [[0; CLASSES]; 2]);
+        }
+        self.by_device[device][dir as usize][class as usize] += bytes;
     }
 
     /// Records a device↔device (p2p) transfer.
@@ -71,34 +77,31 @@ impl SwapStats {
 
     /// Total bytes swapped in a direction for a device (all classes).
     pub fn device_total(&self, device: DeviceId, dir: Direction) -> u64 {
-        self.by_key
-            .iter()
-            .filter(|((d, dd, _), _)| *d == device && *dd == dir)
-            .map(|(_, b)| *b)
-            .sum()
+        self.by_device
+            .get(device)
+            .map_or(0, |row| row[dir as usize].iter().sum())
     }
 
     /// Global swap volume in a direction across all devices.
     pub fn global_total(&self, dir: Direction) -> u64 {
-        self.by_key
+        self.by_device
             .iter()
-            .filter(|((_, dd, _), _)| *dd == dir)
-            .map(|(_, b)| *b)
+            .map(|row| row[dir as usize].iter().sum::<u64>())
             .sum()
     }
 
     /// Global swap volume for one tensor class, both directions.
     pub fn class_total(&self, class: TensorClass) -> u64 {
-        self.by_key
+        self.by_device
             .iter()
-            .filter(|((_, _, c), _)| *c == class)
-            .map(|(_, b)| *b)
+            .flatten()
+            .map(|dir| dir[class as usize])
             .sum()
     }
 
     /// Total swap volume (both directions, all devices, all classes).
     pub fn total(&self) -> u64 {
-        self.by_key.values().sum()
+        self.by_device.iter().flatten().flatten().sum()
     }
 }
 

@@ -281,6 +281,11 @@ fn dense_make_room(
                 device: dev,
                 needed: bytes,
                 capacity: mm.capacity(dev)?,
+                pinned: mm
+                    .tensor_infos()
+                    .filter(|t| t.pinned > 0 && t.residency == Residency::OnDevice(dev))
+                    .map(|t| t.bytes)
+                    .sum(),
             })?;
         let idx = candidates
             .iter()

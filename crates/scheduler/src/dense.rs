@@ -29,7 +29,7 @@ use harmony_trace::{
 };
 
 use crate::config::PolicyKind;
-use crate::exec::{ExecCounters, ExecError};
+use crate::exec::{ExecCounters, ExecError, TaskLabel, TensorLabel};
 use crate::obs::{ExecContext, ExecEvent, ExecObserver, Fault, TimedFault};
 use crate::plan::{ExecutionPlan, WorkItem};
 
@@ -323,10 +323,10 @@ impl<'a> ReferenceExecutor<'a> {
         let mut register = |mm: &mut MemoryManager, ids: &mut HashMap<Key, TensorId>, key: Key| {
             let rf = key.2;
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
-            let name = name_of(key.1, rf);
+            let name = TensorLabel(key.1, rf).to_string();
             let sym = trace.intern(&name);
             counters.label_interns += 1;
-            let id = mm.register_on_host(name, bytes, rf.class());
+            let id = mm.register_on_host(&name, bytes, rf.class());
             labels.insert(id, sym);
             ids.insert(key, id);
         };
@@ -1675,10 +1675,10 @@ impl<'a> ReferenceExecutor<'a> {
                         }
                         // All victims dropped instantly; room is free now.
                     }
-                    let name = name_of(key.1, key.2);
+                    let name = TensorLabel(key.1, key.2).to_string();
                     let sym = self.trace.intern(&name);
                     self.counters.label_interns += 1;
-                    let id = match self.mm.alloc_on_device(name, bytes, key.2.class(), g) {
+                    let id = match self.mm.alloc_on_device(&name, bytes, key.2.class(), g) {
                         Ok(id) => id,
                         Err(e) => return self.spill_guard(g, slot, step_id, e),
                     };
@@ -1713,7 +1713,7 @@ impl<'a> ReferenceExecutor<'a> {
         let label = match self.task_syms.get(&(replica, task)) {
             Some(&s) => s,
             None => {
-                let s = self.trace.intern(&task_label(replica, t.kind));
+                let s = self.trace.intern(&TaskLabel(replica, t.kind).to_string());
                 self.counters.label_interns += 1;
                 self.task_syms.insert((replica, task), s);
                 s
@@ -1975,28 +1975,5 @@ fn item_keys(plan: &ExecutionPlan, iter: u32, item: WorkItem) -> Vec<Key> {
                 (0..plan.replicas).map(move |r| key_of(iter, r, TensorRef::Grad { layer: l }))
             })
             .collect(),
-    }
-}
-
-fn name_of(replica: usize, rf: TensorRef) -> String {
-    match rf {
-        TensorRef::Weight { layer } => format!("r{replica}.L{layer}.W"),
-        TensorRef::Grad { layer } => format!("r{replica}.L{layer}.dW"),
-        TensorRef::OptState { layer } => format!("r{replica}.L{layer}.K"),
-        TensorRef::Activation { layer, ubatch } => format!("r{replica}.L{layer}.Y.u{ubatch}"),
-        TensorRef::ActGrad { layer, ubatch } => format!("r{replica}.L{layer}.dY.u{ubatch}"),
-        TensorRef::Stash { layer, ubatch } => format!("r{replica}.L{layer}.stash.u{ubatch}"),
-        TensorRef::WeightStash { layer, ubatch } => format!("r{replica}.L{layer}.Wstash.u{ubatch}"),
-        TensorRef::Input { ubatch } => format!("r{replica}.input.u{ubatch}"),
-    }
-}
-
-fn task_label(replica: usize, kind: harmony_taskgraph::TaskKind) -> String {
-    use harmony_taskgraph::TaskKind::*;
-    match kind {
-        Forward { pack, ubatch } => format!("F p{pack} u{ubatch} r{replica}"),
-        Loss { ubatch } => format!("Loss u{ubatch} r{replica}"),
-        Backward { pack, ubatch } => format!("B p{pack} u{ubatch} r{replica}"),
-        Update { pack } => format!("U p{pack} r{replica}"),
     }
 }

@@ -102,6 +102,7 @@
 //!   per (endpoint, endpoint) pair.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt;
 
 use harmony_memory::{
     EvictionPolicy, Lru, MemError, MemObserver, MemoryManager, NextUseAware, Residency, TensorId,
@@ -878,8 +879,8 @@ impl<'a> SimExecutor<'a> {
                             replica: usize,
                             rf: TensorRef| {
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
-            let (sym, name) = intern_ref(&mut trace, &mut ref_syms, &mut counters, ks, replica, rf);
-            let id = mm.register_on_host(name, bytes, rf.class());
+            let sym = intern_ref(&mut trace, &mut ref_syms, &mut counters, ks, replica, rf);
+            let id = mm.register_on_host(trace.symbols.resolve(sym), bytes, rf.class());
             debug_assert_eq!(id as usize, labels.len(), "tensor ids must be sequential");
             labels.push(sym);
             ids[ks.key_ix(iter, replica, rf)] = Some(id);
@@ -1772,7 +1773,7 @@ impl<'a> SimExecutor<'a> {
             let Residency::MovingToDevice {
                 dst,
                 src: Some(src),
-            } = self.mm.info(tensor)?.residency
+            } = self.mm.residency(tensor)?
             else {
                 continue;
             };
@@ -2443,7 +2444,7 @@ impl<'a> SimExecutor<'a> {
             let kix = self.ks.key_ix(iter, replica, ct.rf);
             if !ct.alloc || converted {
                 let id = self.tensor_id_at(kix, iter, replica, ct.rf)?;
-                match self.mm.info(id)?.residency {
+                match self.mm.residency(id)? {
                     Residency::OnDevice(d) if d == g => {
                         self.mm.touch(id)?;
                         self.mm.pin(id)?;
@@ -2589,8 +2590,8 @@ impl<'a> SimExecutor<'a> {
                 // moves).
                 let existing_alive = self.ids[kix].is_some_and(|id| {
                     self.mm
-                        .info(id)
-                        .is_ok_and(|i| !matches!(i.residency, Residency::Dead))
+                        .residency(id)
+                        .is_ok_and(|r| !matches!(r, Residency::Dead))
                 });
                 if existing_alive {
                     self.plane_mut(slot).front_converted[g] = true;
@@ -2617,7 +2618,7 @@ impl<'a> SimExecutor<'a> {
                     }
                     // All victims dropped instantly; room is free now.
                 }
-                let (sym, name) = intern_ref(
+                let sym = intern_ref(
                     &mut self.trace,
                     &mut self.ref_syms,
                     &mut self.counters,
@@ -2625,6 +2626,7 @@ impl<'a> SimExecutor<'a> {
                     replica,
                     ct.rf,
                 );
+                let name = self.trace.symbols.resolve(sym);
                 let id = match self.mm.alloc_on_device(name, bytes, ct.rf.class(), g) {
                     Ok(id) => id,
                     Err(e) => return self.spill_guard(g, slot, step_id, e),
@@ -2654,7 +2656,10 @@ impl<'a> SimExecutor<'a> {
         let label = match self.task_syms[six] {
             Some(s) => s,
             None => {
-                let s = self.trace.intern(&task_label(replica, t.kind));
+                let s = self
+                    .trace
+                    .symbols
+                    .intern_fmt(format_args!("{}", TaskLabel(replica, t.kind)));
                 self.counters.label_interns += 1;
                 self.task_syms[six] = Some(s);
                 s
@@ -2696,7 +2701,10 @@ impl<'a> SimExecutor<'a> {
         }
         // Barrier lifted: one ring-exchange hop per GPU of 2(N−1)/N · |dW|,
         // ascending source.
-        let label = self.trace.intern(&format!("allreduce p{pack} i{iter}"));
+        let label = self
+            .trace
+            .symbols
+            .intern_fmt(format_args!("allreduce p{pack} i{iter}"));
         self.counters.label_interns += 1;
         let grad_bytes: u64 = self.plan.graph.packs()[pack]
             .clone()
@@ -3006,11 +3014,12 @@ fn item_refs(plan: &ExecutionPlan, item: WorkItem, out: &mut Vec<(usize, TensorR
     }
 }
 
-/// The trace symbol and memory-manager name of `(replica, rf)`'s tensor.
-/// The label is formatted and interned on the key's first sight only
-/// (cached in `ref_syms`), so interning stays bounded by distinct labels
-/// however often the key is re-registered or re-allocated; a cache hit
-/// yields the id `intern` would return, so symbol ids are unchanged.
+/// The trace symbol of `(replica, rf)`'s tensor, whose text is also
+/// the memory manager's name for it. The label is formatted into the
+/// trace's symbol arena on the key's first sight only (cached in
+/// `ref_syms`), so interning stays bounded by distinct labels however
+/// often the key is re-registered or re-allocated; a cache hit yields
+/// the id `intern` would return, so symbol ids are unchanged.
 fn intern_ref(
     trace: &mut Trace,
     ref_syms: &mut [Option<SymbolId>],
@@ -3018,40 +3027,51 @@ fn intern_ref(
     ks: KeySpace,
     replica: usize,
     rf: TensorRef,
-) -> (SymbolId, String) {
+) -> SymbolId {
     let rix = replica * ks.num_refs + ks.ref_ix(rf);
-    match ref_syms[rix] {
-        Some(sym) => (sym, trace.symbols.resolve(sym).to_owned()),
-        None => {
-            let name = name_of(replica, rf);
-            let sym = trace.intern(&name);
-            counters.label_interns += 1;
-            ref_syms[rix] = Some(sym);
-            (sym, name)
+    *ref_syms[rix].get_or_insert_with(|| {
+        counters.label_interns += 1;
+        trace
+            .symbols
+            .intern_fmt(format_args!("{}", TensorLabel(replica, rf)))
+    })
+}
+
+/// The label of replica `.0`'s tensor `.1`, e.g. `r0.L3.Y.u1`: the
+/// trace label and memory-manager name of its tensor.
+pub(crate) struct TensorLabel(pub(crate) usize, pub(crate) TensorRef);
+
+impl fmt::Display for TensorLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let TensorLabel(r, rf) = *self;
+        match rf {
+            TensorRef::Weight { layer } => write!(f, "r{r}.L{layer}.W"),
+            TensorRef::Grad { layer } => write!(f, "r{r}.L{layer}.dW"),
+            TensorRef::OptState { layer } => write!(f, "r{r}.L{layer}.K"),
+            TensorRef::Activation { layer, ubatch } => write!(f, "r{r}.L{layer}.Y.u{ubatch}"),
+            TensorRef::ActGrad { layer, ubatch } => write!(f, "r{r}.L{layer}.dY.u{ubatch}"),
+            TensorRef::Stash { layer, ubatch } => write!(f, "r{r}.L{layer}.stash.u{ubatch}"),
+            TensorRef::WeightStash { layer, ubatch } => {
+                write!(f, "r{r}.L{layer}.Wstash.u{ubatch}")
+            }
+            TensorRef::Input { ubatch } => write!(f, "r{r}.input.u{ubatch}"),
         }
     }
 }
 
-fn name_of(replica: usize, rf: TensorRef) -> String {
-    match rf {
-        TensorRef::Weight { layer } => format!("r{replica}.L{layer}.W"),
-        TensorRef::Grad { layer } => format!("r{replica}.L{layer}.dW"),
-        TensorRef::OptState { layer } => format!("r{replica}.L{layer}.K"),
-        TensorRef::Activation { layer, ubatch } => format!("r{replica}.L{layer}.Y.u{ubatch}"),
-        TensorRef::ActGrad { layer, ubatch } => format!("r{replica}.L{layer}.dY.u{ubatch}"),
-        TensorRef::Stash { layer, ubatch } => format!("r{replica}.L{layer}.stash.u{ubatch}"),
-        TensorRef::WeightStash { layer, ubatch } => format!("r{replica}.L{layer}.Wstash.u{ubatch}"),
-        TensorRef::Input { ubatch } => format!("r{replica}.input.u{ubatch}"),
-    }
-}
+/// The trace label of replica `.0`'s task `.1`, e.g. `F p2 u0 r1`.
+pub(crate) struct TaskLabel(pub(crate) usize, pub(crate) harmony_taskgraph::TaskKind);
 
-fn task_label(replica: usize, kind: harmony_taskgraph::TaskKind) -> String {
-    use harmony_taskgraph::TaskKind::*;
-    match kind {
-        Forward { pack, ubatch } => format!("F p{pack} u{ubatch} r{replica}"),
-        Loss { ubatch } => format!("Loss u{ubatch} r{replica}"),
-        Backward { pack, ubatch } => format!("B p{pack} u{ubatch} r{replica}"),
-        Update { pack } => format!("U p{pack} r{replica}"),
+impl fmt::Display for TaskLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use harmony_taskgraph::TaskKind::*;
+        let TaskLabel(r, kind) = *self;
+        match kind {
+            Forward { pack, ubatch } => write!(f, "F p{pack} u{ubatch} r{r}"),
+            Loss { ubatch } => write!(f, "Loss u{ubatch} r{r}"),
+            Backward { pack, ubatch } => write!(f, "B p{pack} u{ubatch} r{r}"),
+            Update { pack } => write!(f, "U p{pack} r{r}"),
+        }
     }
 }
 

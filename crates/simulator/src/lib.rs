@@ -23,10 +23,12 @@
 //! share, so their rates are equal at every instant. The engine therefore
 //! aggregates in-flight transfers into **flights** (route classes):
 //!
-//! * A per-channel **active count** is the fair-share denominator; a
-//!   per-channel list of the flights crossing it is the index that turns
-//!   an event on a route into its *affected flight set* — no walk over
-//!   the whole in-flight population.
+//! * A per-channel **active count** is the fair-share denominator. A
+//!   swap-remove list of the **occupied flights** (those with queued
+//!   transfers) turns an event on a route into its *affected flight
+//!   set* — the occupied flights whose route shares a channel with it —
+//!   and is all a network check scans for the next completion: no walk
+//!   over the whole in-flight population, nor over idle flights.
 //! * Byte progress is **lazy and per flight**: a flight stores
 //!   `(drained, rate, touch)` — cumulative bytes drained per member as of
 //!   its last materialization — and is materialized only when its rate
@@ -39,14 +41,15 @@
 //!   *order*. Picking the next completion is a heap peek; the next
 //!   network event is the minimum of the flights' cached predictions.
 //!
-//! Per-event cost is O(affected flights + log members + channels), versus
+//! Per-event cost is O(occupied flights + log members + channels), versus
 //! the previous engine's three full passes over every in-flight transfer
 //! (progress advance, rate recompute, completion min-scan).
 //!
 //! A `dense_reference` mode (behind the `dense_reference` feature, and
-//! always available to in-crate tests) ignores the channel→flight index
-//! and re-derives **every** occupied flight's rate on every network event
-//! — the full-rescan structure of the previous engine. Both modes share
+//! always available to in-crate tests) ignores the occupied list: it
+//! re-derives **every** occupied flight's rate on every network event and
+//! scans every flight for the next completion — the full-rescan
+//! structure of the previous engine. Both modes share
 //! the same per-flight arithmetic, and a flight whose re-derived rate is
 //! bitwise unchanged is left untouched, so the rescan degenerates to a
 //! no-op for unaffected flights and the two engines produce
@@ -284,6 +287,9 @@ impl Flight {
 // Sub-byte drain remainders are fp residue, not real payload.
 const RESIDUE_BYTES: f64 = 0.5;
 
+/// `Simulator::occupied_at` of a flight with an empty queue.
+const NOT_OCCUPIED: usize = usize::MAX;
+
 /// Bottleneck fair share over `route`: `min_c (bw_c / active_c)`.
 fn derive_rate(channel_bw: &[f64], active: &[u32], route: &[ChannelId]) -> f64 {
     let mut rate = f64::INFINITY;
@@ -312,9 +318,9 @@ enum Candidate {
 #[derive(Debug)]
 pub struct Simulator {
     /// `dense_reference` mode: every network event re-derives every
-    /// occupied flight (full rescan, the previous engine's structure)
-    /// instead of consulting the channel→flight index. Same arithmetic,
-    /// same traces — the differential oracle.
+    /// occupied flight and scans every flight (full rescan, the previous
+    /// engine's structure) instead of consulting the occupied list. Same
+    /// arithmetic, same traces — the differential oracle.
     dense: bool,
     now: SimTime,
     seq: u64,
@@ -327,11 +333,13 @@ pub struct Simulator {
     /// Route → flight index.
     class_of: HashMap<Vec<ChannelId>, usize>,
     flights: Vec<Flight>,
-    /// Channel → flights whose route crosses it: the affected-set index.
-    chan_flights: Vec<Vec<usize>>,
-    /// Epoch marks for O(affected) flight-set dedup without sorting.
-    flight_epoch: Vec<u32>,
-    epoch: u32,
+    /// The occupied flights (non-empty queue), in no particular order:
+    /// the affected-set and candidate index. A flight joins when a
+    /// transfer enters its empty queue and leaves (swap-remove) when its
+    /// last member completes or is cancelled.
+    occupied: Vec<usize>,
+    /// Each flight's position in `occupied`, `NOT_OCCUPIED` when empty.
+    occupied_at: Vec<usize>,
     /// Scratch buffers reused across events to avoid per-event allocation.
     affected_scratch: Vec<usize>,
     route_scratch: Vec<ChannelId>,
@@ -388,9 +396,8 @@ impl Simulator {
             active: vec![0; topology.channels().len()],
             class_of: HashMap::new(),
             flights: Vec::new(),
-            chan_flights: vec![Vec::new(); topology.channels().len()],
-            flight_epoch: Vec::new(),
-            epoch: 0,
+            occupied: Vec::new(),
+            occupied_at: Vec::new(),
             affected_scratch: Vec::new(),
             route_scratch: Vec::new(),
             routed: 0,
@@ -431,14 +438,8 @@ impl Simulator {
         // any observable order.
         self.class_of.clear();
         self.flights.clear();
-        // Keep the per-channel flight-index vectors' capacity where the
-        // channel count is unchanged (the common sweep shape).
-        for v in &mut self.chan_flights {
-            v.clear();
-        }
-        self.chan_flights.resize_with(channels, Vec::new);
-        self.flight_epoch.clear();
-        self.epoch = 0;
+        self.occupied.clear();
+        self.occupied_at.clear();
         self.affected_scratch.clear();
         self.route_scratch.clear();
         self.routed = 0;
@@ -601,6 +602,13 @@ impl Simulator {
         let affected = self.collect_affected(route);
         self.recompute_flights(&affected);
         self.affected_scratch = affected;
+        self.enqueue(k, bytes, id, tag, lane);
+        Ok(id)
+    }
+
+    /// Adds transfer `id` to flight `k`, whose rates are fresh at `now`,
+    /// and reschedules the network check.
+    fn enqueue(&mut self, k: usize, bytes: u64, id: TransferId, tag: u64, lane: u32) {
         let f = &mut self.flights[k];
         if f.queue.is_empty() {
             // Fresh drain epoch: nothing shares this route right now, so
@@ -609,7 +617,9 @@ impl Simulator {
             f.touch = self.now;
             f.rate = derive_rate(&self.channel_bw, &self.active, &f.route);
             self.counters.rate_recomputes += 1;
+            self.occupy(k);
         }
+        let f = &mut self.flights[k];
         debug_assert_eq!(f.touch, self.now, "flight must be fresh at insert");
         let depart = bytes as f64 + f.drained;
         debug_assert!(depart >= 0.0 && depart.is_finite());
@@ -618,7 +628,6 @@ impl Simulator {
         let due_wave = self.spawn_wave(self.now);
         self.flights[k].refresh_pred(self.now, due_wave);
         self.schedule_network_check();
-        Ok(id)
     }
 
     /// Pre-registers (or looks up) the flight class for `route`, so
@@ -680,21 +689,7 @@ impl Simulator {
         self.recompute_flights(&affected);
         self.affected_scratch = affected;
         self.route_scratch = route;
-        let f = &mut self.flights[class];
-        if f.queue.is_empty() {
-            f.drained = 0.0;
-            f.touch = self.now;
-            f.rate = derive_rate(&self.channel_bw, &self.active, &f.route);
-            self.counters.rate_recomputes += 1;
-        }
-        debug_assert_eq!(f.touch, self.now, "flight must be fresh at insert");
-        let depart = bytes as f64 + f.drained;
-        debug_assert!(depart >= 0.0 && depart.is_finite());
-        self.counters.queue_pushes += 1;
-        f.queue.push(Reverse((depart.to_bits(), id, tag, lane)));
-        let due_wave = self.spawn_wave(self.now);
-        self.flights[class].refresh_pred(self.now, due_wave);
-        self.schedule_network_check();
+        self.enqueue(class, bytes, id, tag, lane);
         Ok(id)
     }
 
@@ -739,11 +734,12 @@ impl Simulator {
             self.immediates.remove(&key);
             return Ok(true);
         }
-        let Some(k) = self
-            .flights
-            .iter()
-            .position(|f| f.queue.iter().any(|&Reverse((_, m, _, _))| m == id))
-        else {
+        let Some(k) = self.occupied.iter().copied().find(|&k| {
+            self.flights[k]
+                .queue
+                .iter()
+                .any(|&Reverse((_, m, _, _))| m == id)
+        }) else {
             return Ok(false);
         };
         let mut route = std::mem::take(&mut self.route_scratch);
@@ -759,6 +755,9 @@ impl Simulator {
             .into_iter()
             .filter(|&Reverse((_, m, _, _))| m != id)
             .collect();
+        if self.flights[k].queue.is_empty() {
+            self.vacate(k);
+        }
         for &c in &route {
             self.active[c] -= 1;
         }
@@ -801,10 +800,7 @@ impl Simulator {
             pred_wave: 0,
             queue: BinaryHeap::new(),
         });
-        self.flight_epoch.push(0);
-        for &c in route {
-            self.chan_flights[c].push(k);
-        }
+        self.occupied_at.push(NOT_OCCUPIED);
         self.counters.route_classes = self.flights.len() as u64;
         k
     }
@@ -828,11 +824,10 @@ impl Simulator {
     }
 
     /// The flights whose fair-share rate may have changed after an event
-    /// on `channels`: the union of those channels' flight lists (fast
-    /// mode, deduplicated by epoch marks), or every occupied flight
-    /// (dense reference — the full rescan). The returned buffer is
-    /// `affected_scratch`; callers put it back after
-    /// [`Self::recompute_flights`].
+    /// on `channels`: the occupied flights whose route crosses one of
+    /// them (fast mode), or every occupied flight (dense reference — the
+    /// full rescan). The returned buffer is `affected_scratch`; callers
+    /// put it back after [`Self::recompute_flights`].
     fn collect_affected(&mut self, channels: &[ChannelId]) -> Vec<usize> {
         let mut v = std::mem::take(&mut self.affected_scratch);
         v.clear();
@@ -843,21 +838,66 @@ impl Simulator {
                 }
             }
         } else {
-            self.epoch = self.epoch.wrapping_add(1);
-            if self.epoch == 0 {
-                self.flight_epoch.fill(0);
-                self.epoch = 1;
-            }
-            for &c in channels {
-                for &k in &self.chan_flights[c] {
-                    if self.flight_epoch[k] != self.epoch && !self.flights[k].queue.is_empty() {
-                        self.flight_epoch[k] = self.epoch;
-                        v.push(k);
-                    }
-                }
-            }
+            // Routes are a few channels long: a direct overlap test per
+            // occupied flight beats any per-channel index.
+            v.extend(
+                self.occupied
+                    .iter()
+                    .copied()
+                    .filter(|&k| self.flights[k].route.iter().any(|c| channels.contains(c))),
+            );
         }
         v
+    }
+
+    /// Enters flight `k`, whose queue just went from empty to occupied,
+    /// into the occupied list.
+    fn occupy(&mut self, k: usize) {
+        debug_assert_eq!(self.occupied_at[k], NOT_OCCUPIED);
+        self.occupied_at[k] = self.occupied.len();
+        self.occupied.push(k);
+    }
+
+    /// Removes flight `k`, whose queue just emptied, from the occupied
+    /// list (swap-remove: the moved flight's position is patched).
+    fn vacate(&mut self, k: usize) {
+        let at = std::mem::replace(&mut self.occupied_at[k], NOT_OCCUPIED);
+        self.occupied.swap_remove(at);
+        if let Some(&moved) = self.occupied.get(at) {
+            self.occupied_at[moved] = at;
+        }
+    }
+
+    /// The flights a network check scans: every flight in dense mode
+    /// (the full-scan structure the reference keeps), the occupied list
+    /// otherwise. An empty flight's prediction is `+inf` and its queue
+    /// has no head, so it can never be a candidate either way.
+    fn scanned_flights(&self) -> impl Iterator<Item = usize> + '_ {
+        let (all, occupied) = if self.dense {
+            (0..self.flights.len(), &[][..])
+        } else {
+            (0..0, &self.occupied[..])
+        };
+        all.chain(occupied.iter().copied())
+    }
+
+    /// The occupied-list invariant: `occupied` holds exactly the flights
+    /// with a non-empty queue, and `occupied_at` indexes it.
+    fn occupied_is_exact(&self) -> bool {
+        let mut listed = vec![false; self.flights.len()];
+        for (at, &k) in self.occupied.iter().enumerate() {
+            if listed[k] || self.occupied_at[k] != at {
+                return false;
+            }
+            listed[k] = true;
+        }
+        self.flights
+            .iter()
+            .zip(&listed)
+            .zip(&self.occupied_at)
+            .all(|((f, &listed), &at)| {
+                listed != f.queue.is_empty() && (listed || at == NOT_OCCUPIED)
+            })
     }
 
     /// Re-derives the bottleneck fair-share rate of each flight. A flight
@@ -888,10 +928,11 @@ impl Simulator {
     /// scheduled before this recomputation are ignored. The event's heap
     /// lane mirrors the candidate [`Self::pick_candidate`] will deliver
     /// at that time — any later state change reschedules with a fresh
-    /// generation, so the stamp cannot go stale. O(flights) in both
-    /// modes — the flight count is bounded by distinct routes, not by
-    /// in-flight transfers.
+    /// generation, so the stamp cannot go stale. O(occupied flights) —
+    /// bounded by distinct routes, not by in-flight transfers (every
+    /// flight in dense mode).
     fn schedule_network_check(&mut self) {
+        debug_assert!(self.occupied_is_exact(), "occupied list out of sync");
         self.net_generation += 1;
         let generation = self.net_generation;
         if self.routed == 0 && self.immediates.is_empty() {
@@ -904,13 +945,14 @@ impl Simulator {
         } else {
             self.now
         };
-        for f in &self.flights {
-            min_pred = min_pred.min(f.pred);
+        for k in self.scanned_flights() {
+            min_pred = min_pred.min(self.flights[k].pred);
         }
         if min_pred.is_finite() {
             let at = min_pred.max(self.now);
             let mut best: Option<(u32, u32, TransferId)> = self.immediates.keys().next().copied();
-            for f in &self.flights {
+            for k in self.scanned_flights() {
+                let f = &self.flights[k];
                 if f.pred <= at {
                     if let Some(&Reverse((_, id, _, lane))) = f.queue.peek() {
                         let key = (f.pred_wave, lane, id);
@@ -938,7 +980,8 @@ impl Simulator {
     /// alone.
     fn pick_candidate(&self) -> Option<Candidate> {
         let mut best: Option<((u32, u32, TransferId), usize)> = None;
-        for (k, f) in self.flights.iter().enumerate() {
+        for k in self.scanned_flights() {
+            let f = &self.flights[k];
             if f.pred <= self.now {
                 if let Some(&Reverse((_, id, _, lane))) = f.queue.peek() {
                     let key = (f.pred_wave, lane, id);
@@ -1024,6 +1067,7 @@ impl Simulator {
                             );
                             if f.queue.is_empty() {
                                 f.pred = f64::INFINITY;
+                                self.vacate(k);
                             }
                             // The head's share frees up on every channel of
                             // the route: sibling flights (including this

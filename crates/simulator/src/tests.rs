@@ -521,3 +521,55 @@ fn reset_simulator_replays_byte_identically() {
     pooled.reset(&topo);
     assert_eq!(script(&mut pooled), want);
 }
+
+#[test]
+fn occupied_list_tracks_non_empty_flights() {
+    // The occupied list must equal the set of flights with a non-empty
+    // queue after every transition that can empty (or fill) one: a pop
+    // that drains a flight, a cancel that empties one, and `reset`.
+    let topo = commodity_4x1080ti();
+    let route = |a, b| topo.route(a, b).unwrap().to_vec();
+    let occupied = |s: &Simulator| {
+        assert!(s.occupied_is_exact(), "occupied list out of sync");
+        let mut v = s.occupied.clone();
+        v.sort_unstable();
+        v
+    };
+    let mut s = Simulator::new(&topo);
+    let out0 = route(Endpoint::Gpu(0), Endpoint::Host);
+    let out1 = route(Endpoint::Gpu(1), Endpoint::Host);
+    let p2p = route(Endpoint::Gpu(2), Endpoint::Gpu(3));
+    let a = s.start_transfer(&out0, 1_000_000, 1, 0).unwrap();
+    let b = s.start_transfer(&out1, 8_000_000_000, 2, 1).unwrap();
+    let c = s.start_transfer(&p2p, 9_000_000_000, 3, 2).unwrap();
+    // A second member of an occupied flight does not re-enter it.
+    s.start_transfer(&p2p, 10_000_000_000, 4, 2).unwrap();
+    assert_eq!(occupied(&s), vec![0, 1, 2]);
+    // The smallest transfer drains flight 0 first: the pop vacates it.
+    let (_, done) = s.next().unwrap();
+    assert_eq!(done, Completion::Transfer { id: a, tag: 1 });
+    assert_eq!(occupied(&s), vec![1, 2]);
+    // Cancelling flight 1's only member empties it; cancelling one of
+    // flight 2's two members leaves it occupied.
+    assert!(s.cancel_transfer(b).unwrap());
+    assert_eq!(occupied(&s), vec![2]);
+    assert!(s.cancel_transfer(c).unwrap());
+    assert_eq!(occupied(&s), vec![2]);
+    // A refilled flight re-enters; reset empties the list.
+    s.start_transfer(&out0, 1_000_000, 5, 0).unwrap();
+    assert_eq!(occupied(&s), vec![0, 2]);
+    s.reset(&topo);
+    assert_eq!(occupied(&s), Vec::<usize>::new());
+    assert!(s.occupied_at.is_empty());
+    // After reset the same script rebuilds the same flights.
+    s.start_transfer(&p2p, 1_000, 6, 2).unwrap();
+    assert_eq!(occupied(&s), vec![0]);
+    while s.next().is_some() {}
+    assert_eq!(occupied(&s), Vec::<usize>::new());
+    // Dense mode keeps the list too (cancel searches it in both modes).
+    let mut d = Simulator::new_dense_reference(&topo);
+    let x = d.start_transfer(&out0, 1_000_000, 7, 0).unwrap();
+    assert_eq!(occupied(&d), vec![0]);
+    assert!(d.cancel_transfer(x).unwrap());
+    assert_eq!(occupied(&d), Vec::<usize>::new());
+}

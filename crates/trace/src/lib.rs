@@ -11,9 +11,11 @@
 pub mod gantt;
 pub mod json;
 pub mod summary;
+mod symbols;
 pub mod table;
 
 pub use json::JsonError;
+pub use symbols::{SymbolId, SymbolTable};
 
 use std::fmt::Write as _;
 
@@ -67,66 +69,6 @@ impl SpanKind {
             "Collective" => SpanKind::Collective,
             _ => return None,
         })
-    }
-}
-
-/// An interned span label: an index into the owning [`Trace`]'s
-/// [`SymbolTable`]. Copyable, 4 bytes, allocation-free to record — the
-/// executor interns each distinct label once at plan build/registration
-/// and stamps millions of spans with the id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SymbolId(u32);
-
-/// A string interner mapping distinct label texts to dense [`SymbolId`]s.
-///
-/// Lookups are by hash; ids are stable for the table's lifetime, so a
-/// `SymbolId` is only meaningful against the table that produced it
-/// (spans copied between traces must be re-interned — see
-/// [`Trace::label`]).
-#[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
-    strings: Vec<String>,
-    index: std::collections::HashMap<String, SymbolId>,
-}
-
-impl SymbolTable {
-    /// Returns the id for `s`, interning it on first sight.
-    pub fn intern(&mut self, s: &str) -> SymbolId {
-        if let Some(&id) = self.index.get(s) {
-            return id;
-        }
-        let id = SymbolId(self.strings.len() as u32);
-        self.strings.push(s.to_string());
-        self.index.insert(s.to_string(), id);
-        id
-    }
-
-    /// The text behind `id`. Empty string for an id minted by a
-    /// *different* table (a span moved across traces without
-    /// re-interning) — callers copying spans must go through
-    /// [`Trace::label`] + re-intern.
-    pub fn resolve(&self, id: SymbolId) -> &str {
-        self.strings.get(id.0 as usize).map_or("", String::as_str)
-    }
-
-    /// Number of distinct labels interned.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether the table has no labels.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Empties the table, retaining its capacity. Ids are minted densely
-    /// from `strings.len()` and the hash index is lookup-only (never
-    /// iterated), so a cleared table re-interns the same label sequence
-    /// to the same ids as a fresh one — the pooled-trace identity
-    /// contract (DESIGN §14).
-    pub fn clear(&mut self) {
-        self.strings.clear();
-        self.index.clear();
     }
 }
 
@@ -282,8 +224,8 @@ impl Trace {
         let quoted_max = |s: &str| 6 * s.len() + 2;
         // Every symbol quoted once, back to back in one buffer: symbol
         // `i` is `labels[ends[i]..ends[i + 1]]`.
-        let strings = &self.symbols.strings;
-        let mut labels = String::with_capacity(strings.iter().map(|s| quoted_max(s)).sum());
+        let strings = self.symbols.iter();
+        let mut labels = String::with_capacity(strings.clone().map(quoted_max).sum());
         let mut ends = Vec::with_capacity(strings.len() + 1);
         ends.push(0);
         // At least `""`, which a foreign id writes.
