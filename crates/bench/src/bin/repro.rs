@@ -4,12 +4,11 @@
 //! where `<artefact>` is one of `fig1 fig2a fig2b fig2c fig4 fig5a fig5bc
 //! table_a dominance tango prefetch recompute eviction steady all`, the
 //! correctness gate `conformance [seed]` (prints the oracle-instrumented
-//! pass/fail matrix, exits nonzero on any failing cell), the perf gate
-//! `bench [--json] [--workers N]` (times every sweep at 1 worker vs the
-//! pool, checks byte-identical output, and with `--json` writes
-//! `BENCH_sweeps.json`), or `custom` followed by flags (see `repro custom
-//! --help` output on error) to run an arbitrary model × scheme × server
-//! configuration.
+//! pass/fail matrix, exits nonzero on any failing cell), one of the
+//! same-moment perf smokes `exec-smoke`, `mem-smoke`, `sweep-smoke` and
+//! `fault-sweep --smoke` that `./verify` gates on, or `custom` followed
+//! by flags (see `repro custom --help`) to run an arbitrary model ×
+//! scheme × server configuration.
 
 use harmony_bench::{cli, custom, fault_sweep, figures, sweeps};
 
@@ -29,10 +28,6 @@ gates and sweeps:
                                    oracle-instrumented pass/fail matrix
                                    (exits nonzero on any failing cell);
                                    --scheme restricts to one scheme's cells
-  bench [--json] [--workers N] [--scheme NAME]
-                                   sweep wall clock at 1 worker vs the pool;
-                                   --json writes BENCH_sweeps.json; --scheme
-                                   filters the scheme-filterable legs
   sweep-smoke [--cells N]          pooled-session sweep throughput vs fresh
                                    per-cell setup, byte-identity checked
   exec-smoke [--grid] [--scheme NAME]
@@ -40,11 +35,10 @@ gates and sweeps:
   mem-smoke [--grid]               memory-manager hot path vs the frozen
                                    dense core, plus the allocation-free
                                    planning gate
-  fault-sweep [--smoke] [--json] [--seed N]
+  fault-sweep [--smoke] [--seed N]
                                    throughput under seeded fault plans with
                                    the resilience layer armed; --smoke gates
-                                   on the 4-fault point, --json writes
-                                   BENCH_fault_sweep.json
+                                   on the 4-fault point
   custom <flags>                   arbitrary model x scheme x server run
                                    (see `repro custom --help`)
 
@@ -54,6 +48,136 @@ gates and sweeps:
 /// `mem-smoke` gate a cell's speedup over its dense reference; shorter
 /// cells are too noisy to gate and are printed as records only.
 const GATE_MIN_SECS: f64 = 0.010;
+
+/// The gates of one hot-path smoke ([`gate_hot_path`]).
+struct HotPathGate {
+    /// Prefix of each printed cell line.
+    name: &'static str,
+    /// What the reference leg is called in the printed lines.
+    reference: &'static str,
+    /// Least same-moment speedup over the reference on a gated cell.
+    min_speedup: f64,
+    /// The deterministic structural gate: the failure message, or `None`
+    /// when the cell passes.
+    structural: fn(&sweeps::HotPathTiming, &str) -> Option<String>,
+}
+
+/// `exec-smoke`: the wake-set loop must beat the dense reference loop by
+/// 2x, and transfer-slab slots ever grown must be a vanishing fraction
+/// of events processed, or steady-state completions are allocating
+/// instead of recycling.
+const EXEC_GATE: HotPathGate = HotPathGate {
+    name: "exec",
+    reference: "dense",
+    min_speedup: 2.0,
+    structural: |p, cell| {
+        (p.slab_fresh_allocs * 8 > p.events).then(|| {
+            format!(
+                "slab pooling gate FAILED at cell {cell}: {} transfer slots grown \
+                 over {} events — the pool is allocating per event, not per plan",
+                p.slab_fresh_allocs, p.events,
+            )
+        })
+    },
+};
+
+/// `mem-smoke`: the rewritten memory manager must never run measurably
+/// slower than the frozen core it replaced, and planning must be
+/// allocation-free. `fresh_allocs` counts scratch `Vec`s the manager
+/// could not reuse plus one-time lazy victim-index builds — bounded by
+/// the device count, never by the plan count. A per-plan allocation
+/// regression shows up as thousands over a run.
+const MEM_GATE: HotPathGate = HotPathGate {
+    name: "mem",
+    reference: "dense core",
+    min_speedup: 1.0,
+    structural: |p, cell| {
+        (p.mem.fresh_allocs > p.gpus as u64 * 8).then(|| {
+            format!(
+                "allocation-free planning gate FAILED at cell {cell}: {} fresh \
+                 planning allocations on a {}-GPU server over {} events — the \
+                 hot path is allocating per plan, not reusing scratch",
+                p.mem.fresh_allocs, p.gpus, p.events,
+            )
+        })
+    },
+};
+
+/// Prints every cell of a hot-path smoke, then gates it; exits 1 on any
+/// failure. The speedup gate compares against the reference timed in
+/// the same process at the same moment, but a sub-10 ms fast leg is
+/// dominated by timer and scheduler noise, so only cells whose fast leg
+/// runs at least [`GATE_MIN_SECS`] are gated; shorter cells are
+/// recorded, not gated. Events/s is printed as a record only: an
+/// absolute floor is hostage to host weather. The structural gate is
+/// deterministic and applies to every cell.
+fn gate_hot_path(gate: &HotPathGate, points: &[sweeps::HotPathTiming]) {
+    let per_event = |n: u64, p: &sweeps::HotPathTiming| n as f64 / p.events.max(1) as f64;
+    for p in points {
+        println!(
+            "{}_hot_path R={} m={} N={} iters={}: {:.0} events/s \
+             ({} events in {:.3} s; {} {:.0} events/s, {:.2}x speedup; \
+             {} slab slots grown, {} fresh plan allocs, {:.3} index ops/event, \
+             {:.3} victims/event)",
+            gate.name,
+            p.layers,
+            p.microbatches,
+            p.gpus,
+            p.iterations,
+            p.events_per_sec(),
+            p.events,
+            p.secs,
+            gate.reference,
+            p.reference_events_per_sec(),
+            p.speedup(),
+            p.slab_fresh_allocs,
+            p.mem.fresh_allocs,
+            per_event(p.mem.index_ops, p),
+            per_event(p.mem.victim_pops, p),
+        );
+    }
+    if points.iter().any(|p| p.events == 0 || p.secs <= 0.0) {
+        eprintln!("{} hot path produced no events or no wall clock", gate.name);
+        std::process::exit(1);
+    }
+    let mut failed = false;
+    for p in points {
+        let cell = format!(
+            "R={} m={} N={} iters={}",
+            p.layers, p.microbatches, p.gpus, p.iterations
+        );
+        if p.secs < GATE_MIN_SECS {
+            println!(
+                "{} speedup at cell {cell}: {:.2}x vs {} (recorded, not gated: \
+                 fast leg {:.4} s < {GATE_MIN_SECS} s)",
+                gate.name,
+                p.speedup(),
+                gate.reference,
+                p.secs,
+            );
+        } else if p.speedup() < gate.min_speedup {
+            eprintln!(
+                "{} perf gate FAILED at cell {cell}: {:.2}x vs {} \
+                 (need >= {:.1}x; fast {:.3} s, {} {:.3} s)",
+                gate.name,
+                p.speedup(),
+                gate.reference,
+                gate.min_speedup,
+                p.secs,
+                gate.reference,
+                p.reference_secs,
+            );
+            failed = true;
+        }
+        if let Some(msg) = (gate.structural)(p, &cell) {
+            eprintln!("{msg}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
 
 /// Parses `args` against `spec` ([`cli::parse`]) or prints the
 /// diagnostic and exits 2 — the usage-error contract `tests/cli.rs` pins.
@@ -95,27 +219,6 @@ fn main() {
         }
         return;
     }
-    if arg == "bench" {
-        let rest: Vec<String> = std::env::args().skip(2).collect();
-        let flags = parse_or_exit(&cli::BENCH, &rest);
-        let json = flags.has("--json");
-        let workers = flags.value("--workers").map_or(4, |n| n as usize);
-        let report = sweeps::run(workers, flags.scheme("--scheme"));
-        println!("{}", report.render());
-        if json {
-            let path = "BENCH_sweeps.json";
-            if let Err(e) = std::fs::write(path, report.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
-        }
-        if report.experiments.iter().any(|e| !e.identical) {
-            eprintln!("determinism violation: parallel output diverged from sequential");
-            std::process::exit(1);
-        }
-        return;
-    }
     if arg == "sweep-smoke" {
         // The sweep-throughput gate `./verify` runs: the pooled session
         // must never run a campaign slower than fresh per-cell setup,
@@ -129,7 +232,7 @@ fn main() {
         let cells = flags
             .value("--cells")
             .map_or(sweeps::SWEEP_THROUGHPUT_CELLS, |n| n as usize);
-        let mut t = sweeps::sweep_throughput(cells, None);
+        let mut t = sweeps::sweep_throughput(cells);
         let mut attempts = 1;
         while t.identical && t.speedup() < 1.0 && attempts < 3 {
             eprintln!(
@@ -140,7 +243,7 @@ fn main() {
                 t.fresh_cells_per_sec(),
             );
             std::thread::sleep(std::time::Duration::from_millis(500));
-            t = sweeps::sweep_throughput(cells, None);
+            t = sweeps::sweep_throughput(cells);
             attempts += 1;
         }
         println!(
@@ -178,190 +281,43 @@ fn main() {
         // not silently time the single-cell variant.
         let rest: Vec<String> = std::env::args().skip(2).collect();
         let flags = parse_or_exit(&cli::EXEC_SMOKE, &rest);
-        let full_grid = flags.has("--grid");
         let scheme = flags
             .scheme("--scheme")
             .unwrap_or(harmony::simulate::SchemeKind::HarmonyPp);
-        let points = if full_grid {
+        let points = if flags.has("--grid") {
             sweeps::exec_hot_path_scaling(scheme)
         } else {
             let (r, m, n, it) =
                 sweeps::EXEC_HOT_PATH_SCALES[sweeps::EXEC_HOT_PATH_SCALES.len() - 1];
             vec![sweeps::exec_hot_path(scheme, r, m, n, it)]
         };
-        for p in &points {
-            println!(
-                "exec_hot_path R={} m={} N={} iters={}: {:.0} events/s \
-                 ({} events in {:.3} s; dense {:.0} events/s, {:.2}x speedup; \
-                 {} slab slots grown)",
-                p.layers,
-                p.microbatches,
-                p.gpus,
-                p.iterations,
-                p.events_per_sec(),
-                p.events,
-                p.secs,
-                p.dense_events_per_sec(),
-                p.speedup_vs_dense(),
-                p.slab_fresh_allocs,
-            );
-        }
-        if points.iter().any(|p| p.events == 0 || p.secs <= 0.0) {
-            eprintln!("exec hot path produced no events or no wall clock");
-            std::process::exit(1);
-        }
-        // Per-cell gates. The speedup gate compares against the dense
-        // reference timed in the same process at the same moment, but a
-        // sub-millisecond fast leg is dominated by timer and scheduler
-        // noise, so it gates only cells whose fast leg runs at least
-        // `GATE_MIN_SECS`; shorter cells are recorded, not gated.
-        // Events/s is printed as a record only: an absolute floor is
-        // hostage to host weather. The slab gate is structural and
-        // deterministic: slots ever grown must be a vanishing fraction
-        // of events processed, or steady-state completions are
-        // allocating instead of recycling.
-        let mut failed = false;
-        for p in &points {
-            let cell = format!(
-                "R={} m={} N={} iters={}",
-                p.layers, p.microbatches, p.gpus, p.iterations
-            );
-            if p.secs < GATE_MIN_SECS {
-                println!(
-                    "exec speedup at cell {cell}: {:.2}x vs dense (recorded, not gated: \
-                     fast leg {:.4} s < {GATE_MIN_SECS} s)",
-                    p.speedup_vs_dense(),
-                    p.secs,
-                );
-            } else if p.speedup_vs_dense() < 2.0 {
-                eprintln!(
-                    "exec perf gate FAILED at cell {cell}: {:.2}x vs dense \
-                     (need >= 2.0x; fast {:.3} s, dense {:.3} s)",
-                    p.speedup_vs_dense(),
-                    p.secs,
-                    p.dense_secs,
-                );
-                failed = true;
-            }
-            if p.slab_fresh_allocs * 8 > p.events {
-                eprintln!(
-                    "slab pooling gate FAILED at cell {cell}: {} transfer \
-                     slots grown over {} events — the pool is allocating \
-                     per event, not per plan",
-                    p.slab_fresh_allocs, p.events,
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+        gate_hot_path(&EXEC_GATE, &points);
         return;
     }
     if arg == "mem-smoke" {
         // The memory-manager hot path vs the frozen dense core at the
         // largest grid cell (or the full grid with `--grid`) — the
-        // memory-scaling smoke `./verify` runs. Both legs are timed
-        // interleaved in the same process, so the gate is a same-moment
-        // ratio, not an absolute record exposed to host weather.
+        // memory-scaling smoke `./verify` runs.
         let rest: Vec<String> = std::env::args().skip(2).collect();
-        let full_grid = parse_or_exit(&cli::MEM_SMOKE, &rest).has("--grid");
-        let points = if full_grid {
+        let points = if parse_or_exit(&cli::MEM_SMOKE, &rest).has("--grid") {
             sweeps::mem_hot_path_scaling()
         } else {
             let (r, m, n, it) = sweeps::MEM_HOT_PATH_SCALES[sweeps::MEM_HOT_PATH_SCALES.len() - 1];
             vec![sweeps::mem_hot_path(r, m, n, it)]
         };
-        for p in &points {
-            println!(
-                "mem_hot_path R={} m={} N={} iters={}: {:.0} events/s \
-                 ({} events in {:.3} s; dense core {:.0} events/s, {:.2}x speedup; \
-                 {} fresh plan allocs, {} victim pops)",
-                p.layers,
-                p.microbatches,
-                p.gpus,
-                p.iterations,
-                p.events_per_sec(),
-                p.events,
-                p.secs,
-                p.dense_mem_events_per_sec(),
-                p.speedup_vs_dense_mem(),
-                p.fresh_allocs,
-                p.victim_pops,
-            );
-        }
-        if points.iter().any(|p| p.events == 0 || p.secs <= 0.0) {
-            eprintln!("mem hot path produced no events or no wall clock");
-            std::process::exit(1);
-        }
-        let mut failed = false;
-        for p in &points {
-            let cell = format!(
-                "R={} m={} N={} iters={}",
-                p.layers, p.microbatches, p.gpus, p.iterations
-            );
-            // Perf gate: the rewrite must never run measurably slower
-            // than the frozen core it replaced. The two legs interleave in
-            // one process, but a sub-10 ms fast leg is dominated by timer
-            // and scheduler noise, so — as in `exec-smoke` — only cells
-            // whose fast leg runs at least `GATE_MIN_SECS` are gated;
-            // shorter cells are recorded, not gated.
-            if p.secs < GATE_MIN_SECS {
-                println!(
-                    "mem speedup at cell {cell}: {:.2}x vs dense core (recorded, not \
-                     gated: fast leg {:.4} s < {GATE_MIN_SECS} s)",
-                    p.speedup_vs_dense_mem(),
-                    p.secs,
-                );
-            } else if p.speedup_vs_dense_mem() < 1.0 {
-                eprintln!(
-                    "mem planning gate FAILED at cell {cell}: {:.2}x vs dense core \
-                     (need >= 1.0x; fast {:.3} s, dense {:.3} s)",
-                    p.speedup_vs_dense_mem(),
-                    p.secs,
-                    p.dense_mem_secs,
-                );
-                failed = true;
-            }
-            // Structural gate: planning must be allocation-free. The
-            // manager's fresh_allocs counts scratch `Vec`s it could not
-            // reuse plus one-time lazy victim-index builds — bounded by
-            // the device count, never by the plan count. A per-plan
-            // allocation regression shows up as thousands over a run.
-            if p.fresh_allocs > p.gpus as u64 * 8 {
-                eprintln!(
-                    "allocation-free planning gate FAILED at cell {cell}: {} fresh \
-                     planning allocations on a {}-GPU server over {} events — the \
-                     hot path is allocating per plan, not reusing scratch",
-                    p.fresh_allocs, p.gpus, p.events,
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+        gate_hot_path(&MEM_GATE, &points);
         return;
     }
     if arg == "fault-sweep" {
         let rest: Vec<String> = std::env::args().skip(2).collect();
         let flags = parse_or_exit(&cli::FAULT_SWEEP, &rest);
         let smoke = flags.has("--smoke");
-        let json = flags.has("--json");
         // Seed 3's plan exercises the whole layer on the reference
         // cell: link slowdowns, a biting squeeze (spill → retries →
         // overcommit) and a smooth degradation curve.
         let seed = flags.value("--seed").unwrap_or(3);
         let report = fault_sweep::run(seed);
         println!("{}", report.render());
-        if json {
-            let path = "BENCH_fault_sweep.json";
-            if let Err(e) = std::fs::write(path, report.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
-        }
         if smoke {
             if let Some(msg) = report.smoke_failure() {
                 eprintln!("{msg}");

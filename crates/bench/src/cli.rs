@@ -1,5 +1,6 @@
-//! Strict flag parsing shared by the `repro` subcommands (`bench`,
-//! `exec-smoke`, `mem-smoke`, `fault-sweep`, `custom`, ...).
+//! Strict flag parsing shared by the `repro` subcommands
+//! (`exec-smoke`, `mem-smoke`, `sweep-smoke`, `fault-sweep`, `custom`,
+//! ...).
 //!
 //! One table-driven parser instead of a hand-rolled loop per
 //! subcommand, so the strictness contract is uniform and cannot drift:
@@ -15,7 +16,7 @@ use harmony::simulate::SchemeKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueKind {
     /// `usize >= 1`; a bare trailing flag is a usage error
-    /// (`--workers` must never quietly mean "the default pool").
+    /// (`--cells` must never quietly mean "the default cell count").
     PositiveInt,
     /// `u64`; a bare trailing flag falls back to the subcommand's
     /// default (`--seed` alone means "the documented default seed"),
@@ -53,7 +54,7 @@ pub(crate) fn model_names() -> String {
         .join("|")
 }
 
-/// One value-taking flag: its token (e.g. `--workers`) and its
+/// One value-taking flag: its token (e.g. `--cells`) and its
 /// missing-value and parse discipline.
 pub type ValueFlag = (&'static str, ValueKind);
 
@@ -63,24 +64,13 @@ pub struct Spec {
     /// Subcommand name, used in the unknown-flag diagnostic.
     pub cmd: &'static str,
     /// Grammar summary quoted in diagnostics, e.g.
-    /// `[--json] [--workers N]`.
+    /// `[--smoke] [--seed N]`.
     pub expected: &'static str,
     /// Presence-only flags.
     pub bools: &'static [&'static str],
     /// Value-taking flags.
     pub values: &'static [ValueFlag],
 }
-
-/// `repro bench [--json] [--workers N] [--scheme NAME]`.
-pub const BENCH: Spec = Spec {
-    cmd: "bench",
-    expected: "[--json] [--workers N] [--scheme NAME]",
-    bools: &["--json"],
-    values: &[
-        ("--workers", ValueKind::PositiveInt),
-        ("--scheme", ValueKind::Scheme),
-    ],
-};
 
 /// `repro conformance [seed] [--scheme NAME]` — the positional seed is
 /// stripped by the binary before flag parsing (back-compat with
@@ -116,11 +106,11 @@ pub const MEM_SMOKE: Spec = Spec {
     values: &[],
 };
 
-/// `repro fault-sweep [--smoke] [--json] [--seed N]`.
+/// `repro fault-sweep [--smoke] [--seed N]`.
 pub const FAULT_SWEEP: Spec = Spec {
     cmd: "fault-sweep",
-    expected: "[--smoke] [--json] [--seed N]",
-    bools: &["--smoke", "--json"],
+    expected: "[--smoke] [--seed N]",
+    bools: &["--smoke"],
     values: &[("--seed", ValueKind::OptionalInt)],
 };
 
@@ -220,7 +210,7 @@ fn parse_value(&(name, kind): &ValueFlag, s: &str) -> Result<u64, String> {
 /// Parses `args` against `spec`; the returned error is the exact
 /// diagnostic to print before exiting 2. Value flags are resolved (and
 /// their errors reported) before the unknown-flag sweep, so
-/// `--workers garbage --bogus` names the garbage value first — the more
+/// `--cells garbage --bogus` names the garbage value first — the more
 /// actionable of the two problems.
 pub fn parse<'a>(spec: &Spec, args: &'a [String]) -> Result<Parsed<'a>, String> {
     let mut values = Vec::with_capacity(spec.values.len());
@@ -279,23 +269,23 @@ mod tests {
 
     #[test]
     fn bools_and_values_round_trip() {
-        let args = argv(&["--json", "--workers", "3"]);
-        let p = parse(&BENCH, &args).expect("valid invocation");
-        assert!(p.has("--json"));
-        assert_eq!(p.value("--workers"), Some(3));
+        let args = argv(&["--smoke", "--seed", "3"]);
+        let p = parse(&FAULT_SWEEP, &args).expect("valid invocation");
+        assert!(p.has("--smoke"));
+        assert_eq!(p.value("--seed"), Some(3));
         let args = argv(&[]);
-        let p = parse(&BENCH, &args).expect("empty is valid");
-        assert!(!p.has("--json"));
-        assert_eq!(p.value("--workers"), None);
+        let p = parse(&FAULT_SWEEP, &args).expect("empty is valid");
+        assert!(!p.has("--smoke"));
+        assert_eq!(p.value("--seed"), None);
     }
 
     #[test]
     fn bare_required_value_flag_is_an_error() {
-        let args = argv(&["--workers"]);
-        let e = parse(&BENCH, &args).expect_err("bare --workers");
+        let args = argv(&["--gpus"]);
+        let e = parse(&CUSTOM, &args).expect_err("bare --gpus");
         assert_eq!(
             e,
-            "--workers requires a value; expected [--json] [--workers N] [--scheme NAME]"
+            format!("--gpus requires a value; expected {}", CUSTOM.expected)
         );
     }
 
@@ -310,12 +300,9 @@ mod tests {
     #[test]
     fn malformed_values_are_errors_with_the_exact_message() {
         for bad in ["0", "-3", "four"] {
-            let args = argv(&["--workers", bad]);
-            let e = parse(&BENCH, &args).expect_err("bad workers value");
-            assert_eq!(
-                e,
-                format!("--workers takes a positive integer, got `{bad}`")
-            );
+            let args = argv(&["--cells", bad]);
+            let e = parse(&SWEEP_SMOKE, &args).expect_err("bad cells value");
+            assert_eq!(e, format!("--cells takes a positive integer, got `{bad}`"));
         }
         let args = argv(&["--seed", "x"]);
         let e = parse(&FAULT_SWEEP, &args).expect_err("bad seed value");
@@ -327,11 +314,11 @@ mod tests {
         let args = argv(&["--gird"]);
         let e = parse(&MEM_SMOKE, &args).expect_err("typo");
         assert_eq!(e, "unknown mem-smoke flag `--gird`; expected [--grid]");
-        let args = argv(&["--workers", "2", "extra"]);
-        let e = parse(&BENCH, &args).expect_err("stray operand");
+        let args = argv(&["--seed", "2", "extra"]);
+        let e = parse(&FAULT_SWEEP, &args).expect_err("stray operand");
         assert_eq!(
             e,
-            "unknown bench flag `extra`; expected [--json] [--workers N] [--scheme NAME]"
+            "unknown fault-sweep flag `extra`; expected [--smoke] [--seed N]"
         );
     }
 
@@ -352,7 +339,7 @@ mod tests {
     fn scheme_flags_round_trip_every_valid_name() {
         for (i, k) in SchemeKind::ALL.iter().enumerate() {
             let args = argv(&["--scheme", k.name()]);
-            for spec in [&BENCH, &EXEC_SMOKE, &CONFORMANCE] {
+            for spec in [&EXEC_SMOKE, &CONFORMANCE, &CUSTOM] {
                 let p = parse(spec, &args)
                     .unwrap_or_else(|e| panic!("{} --scheme {}: {e}", spec.cmd, k.name()));
                 assert_eq!(p.scheme("--scheme"), Some(*k), "index {i}");
@@ -433,8 +420,8 @@ mod tests {
 
     #[test]
     fn value_errors_win_over_unknown_flag_errors() {
-        let args = argv(&["--workers", "--json"]);
-        let e = parse(&BENCH, &args).expect_err("flag where value expected");
-        assert_eq!(e, "--workers takes a positive integer, got `--json`");
+        let args = argv(&["--gpus", "--gantt"]);
+        let e = parse(&CUSTOM, &args).expect_err("flag where value expected");
+        assert_eq!(e, "--gpus takes a positive integer, got `--gantt`");
     }
 }

@@ -465,27 +465,6 @@ pub struct TangoPoint {
     pub feasible: bool,
 }
 
-/// The tango's pack-size sweep through the Performance Tuner, split out
-/// so `repro bench` can export the tune result's plan-cache telemetry
-/// (`plan_cache_hits`/`plan_cache_misses`) without re-deriving the grid.
-pub fn pack_sweep_tune() -> tuner::TuneResult {
-    let model = workloads::analytical_model();
-    let topo = presets::commodity_4x1080ti();
-    let base = workloads::fig2_workload();
-    tuner::tune(
-        &model,
-        &topo,
-        &WorkloadConfig {
-            group_size: Some(2),
-            ..base
-        },
-        &[1, 2, 4, 8, 16],
-        &[base.microbatches],
-        &[false],
-        |m, w| harmony_sched::plan_harmony_pp(m, 4, w).map_err(|e| e.to_string()),
-    )
-}
-
 /// §4 memory–performance tango: (a) the group-size sweep — larger groups
 /// cut weight swaps but serialise pipeline stages; (b) the pack-size sweep
 /// via the Performance Tuner — larger packs cut p2p/handoff traffic until a
@@ -533,7 +512,18 @@ pub fn tango() -> (String, Vec<TangoPoint>, Vec<TangoPoint>) {
     }
 
     // Pack-size sweep through the Performance Tuner.
-    let result = pack_sweep_tune();
+    let result = tuner::tune(
+        &model,
+        &topo,
+        &WorkloadConfig {
+            group_size: Some(2),
+            ..base
+        },
+        &[1, 2, 4, 8, 16],
+        &[base.microbatches],
+        &[false],
+        |m, w| harmony_sched::plan_harmony_pp(m, 4, w).map_err(|e| e.to_string()),
+    );
     let mut t2 = Table::new(
         "§4 tango (b) — Harmony-PP pack-size sweep (Performance Tuner)",
         &["pack size", "throughput (seqs/s)", "swap (GB)", "feasible"],

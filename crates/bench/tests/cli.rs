@@ -1,9 +1,8 @@
 //! CLI strictness of the `repro` binary: malformed invocations must
 //! fail loudly (exit 2 with a diagnostic), never silently fall back to
 //! a default. Each test here pins a bug that used to do exactly that —
-//! `exec-smoke` ignored everything but `nth(2) == "--grid"`, and
-//! `bench --workers` with a missing value quietly ran at the default
-//! pool size.
+//! `exec-smoke` ignored everything but `nth(2) == "--grid"`, and a bare
+//! `--cells` quietly ran at the default cell count.
 
 use std::process::{Command, Output};
 
@@ -69,25 +68,14 @@ fn fault_sweep_rejects_garbage_seed_and_unknown_flags() {
 }
 
 #[test]
-fn bench_workers_requires_a_value() {
-    // A bare trailing `--workers` used to fall back to the default pool
-    // size; it must be a usage error instead.
-    let out = repro(&["bench", "--workers"]);
-    assert_usage_error(&out, "--workers requires a value", "bench --workers");
-}
-
-#[test]
-fn bench_workers_rejects_non_positive_and_garbage_values() {
-    for bad in ["0", "-3", "four"] {
-        let out = repro(&["bench", "--workers", bad]);
-        assert_usage_error(&out, "positive integer", &format!("bench --workers {bad}"));
-    }
-}
-
-#[test]
-fn bench_rejects_unknown_flags() {
-    let out = repro(&["bench", "--jsno"]);
-    assert_usage_error(&out, "--jsno", "bench --jsno");
+fn removed_bench_and_fault_sweep_json_exit_2() {
+    // The `bench` subcommand and `fault-sweep --json` wrote perf records
+    // nothing read; e2ebench is the perf record. Both are usage errors
+    // now, never a silent run of something else.
+    let out = repro(&["bench"]);
+    assert_usage_error(&out, "unknown artefact `bench`", "bench");
+    let out = repro(&["fault-sweep", "--json"]);
+    assert_usage_error(&out, "--json", "fault-sweep --json");
 }
 
 #[test]
@@ -95,7 +83,7 @@ fn scheme_filters_reject_unknown_and_bare_names() {
     // A misspelt or unknown scheme name must exit 2 listing the valid
     // schemes — never panic, and never silently run the unfiltered (or
     // an empty) grid.
-    for cmd in ["conformance", "bench", "exec-smoke"] {
+    for cmd in ["conformance", "exec-smoke", "custom"] {
         let out = repro(&[cmd, "--scheme", "pipe-1f2b"]);
         assert_usage_error(
             &out,

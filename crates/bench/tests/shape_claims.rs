@@ -115,6 +115,22 @@ fn tango_group_sweep_has_interior_throughput_optimum_or_knee() {
 }
 
 #[test]
+fn tango_pack_sweep_has_a_feasibility_cliff() {
+    // Larger packs cut handoff traffic until a pack's working set no
+    // longer fits: the tuner's sweep must show both sides of that edge.
+    let (_, _, pack_points) = figures::tango();
+    let knobs = |feasible: bool| -> Vec<usize> {
+        pack_points
+            .iter()
+            .filter(|p| p.feasible == feasible)
+            .map(|p| p.knob)
+            .collect()
+    };
+    assert_eq!(knobs(true), [1, 2, 4], "feasible packs: {pack_points:?}");
+    assert_eq!(knobs(false), [8, 16], "infeasible packs: {pack_points:?}");
+}
+
+#[test]
 fn tuned_harmony_pp_beats_baseline_pp_on_both_axes() {
     let model = workloads::analytical_model();
     let topo = presets::commodity_4x1080ti();
@@ -190,6 +206,85 @@ fn recompute_eliminates_stash_swap_class() {
         assert!(
             rec_run.global_swap() < stash_run.global_swap(),
             "pack {pack}: recompute should reduce total swap here"
+        );
+    }
+}
+
+#[test]
+fn recompute_vs_swap_pins_the_recorded_trade_off() {
+    // The simulator is deterministic, so the §4 stash-vs-recompute grid
+    // is pinned exactly: per pack size, (stash seqs/s, recompute seqs/s)
+    // to the recorded six decimals, and (stash swap bytes, recompute swap
+    // bytes, stash-class bytes of the stash run).
+    let expected: [(usize, f64, f64, u64, u64, u64); 3] = [
+        (
+            1,
+            0.218429,
+            0.236342,
+            1_447_858_683_904,
+            614_898_171_904,
+            906_976_952_320,
+        ),
+        (
+            2,
+            0.213477,
+            0.242686,
+            1_467_234_107_392,
+            563_489_226_752,
+            912_848_977_920,
+        ),
+        (
+            4,
+            0.214410,
+            0.239200,
+            1_530_019_315_712,
+            571_421_081_600,
+            920_398_725_120,
+        ),
+    ];
+    let (_, rows) = figures::recompute_ablation();
+    assert_eq!(rows.len(), expected.len());
+    for ((pack, stash, rec), &(want_pack, st, rc, st_bytes, rc_bytes, class)) in
+        rows.iter().zip(&expected)
+    {
+        assert_eq!(*pack, want_pack);
+        assert!(
+            (stash.throughput() - st).abs() <= 5e-7,
+            "pack {pack}: stash {} seqs/s vs recorded {st}",
+            stash.throughput()
+        );
+        assert!(
+            (rec.throughput() - rc).abs() <= 5e-7,
+            "pack {pack}: recompute {} seqs/s vs recorded {rc}",
+            rec.throughput()
+        );
+        assert!(
+            rec.throughput() > stash.throughput(),
+            "pack {pack}: recompute must win while the run is swap-bound"
+        );
+        assert_eq!(stash.global_swap(), st_bytes, "pack {pack}: stash swap");
+        assert_eq!(rec.global_swap(), rc_bytes, "pack {pack}: recompute swap");
+        assert_eq!(
+            stash.swap_by_class["stash"], class,
+            "pack {pack}: stash class"
+        );
+    }
+}
+
+#[test]
+fn table_a_simulated_volumes_track_the_closed_forms() {
+    // Boundary effects (cold starts, end-of-run flushes) keep every
+    // simulated/analytic ratio within ±35% of the closed form.
+    let (_, rows) = figures::table_a();
+    assert_eq!(rows.len(), 12);
+    for r in &rows {
+        let ratio = r.measured / r.analytic.max(1e-9);
+        assert!(
+            (0.65..=1.35).contains(&ratio),
+            "{} m={} n={}: ratio {ratio:.2}",
+            r.scheme.name(),
+            r.m,
+            r.n
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Observer hooks for the memory manager.
 //!
 //! A [`MemObserver`] receives a [`MemEvent`] after every state-changing
-//! operation on a [`MemoryManager`](crate::MemoryManager), together with
+//! operation on a [`MemoryManager`], together with
 //! a read-only view of the manager *after* the transition. The manager
 //! emits events only when at least one observer is attached, so
 //! production runs pay a single `is_empty` branch per operation.

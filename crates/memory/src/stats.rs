@@ -34,7 +34,9 @@ pub struct MemCounters {
     /// Ordered-victim-index mutations (inserts, removes, re-keys) at
     /// residency/pin/recency transitions.
     pub index_ops: u64,
-    /// Victims taken straight off the ordered index in O(log n) pops.
+    /// Victims chosen without `EvictionPolicy::choose`: popped off an
+    /// ordered index, or picked by the next-use selection scan over the
+    /// resident set that serves small device populations.
     pub victim_pops: u64,
 }
 

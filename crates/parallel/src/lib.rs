@@ -74,7 +74,8 @@ pub fn worker_count() -> usize {
 
 /// Runs `f` with the worker count pinned to `n` (restoring the previous
 /// override afterwards, including on panic). Used by the determinism
-/// tests and the `repro bench` sequential-vs-parallel comparison.
+/// tests, which compare 1-worker output with N-worker output byte for
+/// byte.
 pub fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {

@@ -289,7 +289,7 @@ impl<T> Strategy for Union<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: a range or an exact length.
+    /// Length specification for [`vec()`]: a range or an exact length.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
@@ -329,7 +329,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

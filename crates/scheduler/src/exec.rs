@@ -82,10 +82,10 @@
 //! steady-state heap allocation:
 //!
 //! * **Dense key arena** — logical tensor keys `(iter, replica, ref)` map
-//!   to indices in a [`KeySpace`]; tensor ids, next-use cursors, and
+//!   to indices in a `KeySpace`; tensor ids, next-use cursors, and
 //!   future-use sequences live in flat parallel arrays indexed by key.
 //! * **Struct-of-arrays step state** — the current and prefetch step of
-//!   every GPU are planes of parallel vectors ([`StepPlane`]); fetch
+//!   every GPU are planes of parallel vectors (`StepPlane`); fetch
 //!   targets are precompiled per queue item into one shared arena and
 //!   walked by cursor.
 //! * **Generational slab** — pending transfers live in a

@@ -1,6 +1,7 @@
 //! Network hot-path stress: many concurrent transfers over shared
 //! channels, timed in wall clock. Used to measure the cost of the
-//! fair-share rate recomputation (`repro bench` records the same figure).
+//! fair-share rate recomputation; `./verify` runs it at 4096 transfers
+//! as the network scaling smoke.
 //!
 //! Usage: `cargo run --release -p harmony-simulator --example net_stress
 //! [transfers] [waves]`

@@ -77,7 +77,8 @@ pub struct MemPlanningCounters {
     pub candidate_scans: u64,
     /// Ordered-victim-index mutations at state transitions.
     pub index_ops: u64,
-    /// Victims taken straight off the ordered index.
+    /// Victims chosen without `EvictionPolicy::choose` (an ordered-index
+    /// pop or the small-population next-use scan).
     pub victim_pops: u64,
 }
 
@@ -196,9 +197,8 @@ impl RunSummary {
         self.global_swap_in() + self.global_swap_out()
     }
 
-    /// Executor events per wall-clock second — the hot-path throughput
-    /// `repro bench` tracks across the scaling grid. Zero when no wall
-    /// clock was recorded (hand-built summaries).
+    /// Executor events per wall-clock second of the event loop. Zero
+    /// when no wall clock was recorded (hand-built summaries).
     pub fn events_per_sec(&self) -> f64 {
         if self.elapsed_secs > 0.0 {
             self.events_processed as f64 / self.elapsed_secs
@@ -212,8 +212,8 @@ impl RunSummary {
     /// `None` when the ratio is unbounded (some GPU swaps nothing while
     /// another swaps): the old `f64::INFINITY` sentinel serialised to
     /// `null` in JSON exports (non-finite floats have no JSON
-    /// representation), corrupting trace/bench files. `Some(1.0)` for a
-    /// run with no swap traffic at all (perfectly balanced).
+    /// representation), corrupting trace and summary files. `Some(1.0)`
+    /// for a run with no swap traffic at all (perfectly balanced).
     pub fn swap_imbalance(&self) -> Option<f64> {
         let totals: Vec<u64> = self
             .swap_in_bytes
