@@ -83,10 +83,10 @@ const EXEC_GATE: HotPathGate = HotPathGate {
 
 /// `mem-smoke`: the rewritten memory manager must never run measurably
 /// slower than the frozen core it replaced, and planning must be
-/// allocation-free. `fresh_allocs` counts scratch `Vec`s the manager
-/// could not reuse plus one-time lazy victim-index builds — bounded by
-/// the device count, never by the plan count. A per-plan allocation
-/// regression shows up as thousands over a run.
+/// allocation-free. `fresh_allocs` counts planning buffers the manager
+/// could not reuse — bounded by the device count, never by the plan
+/// count. A per-plan allocation regression shows up as thousands over a
+/// run.
 const MEM_GATE: HotPathGate = HotPathGate {
     name: "mem",
     reference: "dense core",
@@ -117,7 +117,7 @@ fn gate_hot_path(gate: &HotPathGate, points: &[sweeps::HotPathTiming]) {
         println!(
             "{}_hot_path R={} m={} N={} iters={}: {:.0} events/s \
              ({} events in {:.3} s; {} {:.0} events/s, {:.2}x speedup; \
-             {} slab slots grown, {} fresh plan allocs, {:.3} index ops/event, \
+             {} slab slots grown, {} fresh plan allocs, {:.3} membership ops/event, \
              {:.3} victims/event)",
             gate.name,
             p.layers,

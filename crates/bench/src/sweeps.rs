@@ -46,9 +46,9 @@ pub struct HotPathTiming {
     pub slab_fresh_allocs: u64,
     /// The default run's memory-planning counters. `fresh_allocs` is
     /// the allocation-free-planning witness `repro mem-smoke` gates
-    /// against the device count; `index_ops` and `victim_pops` (victims
-    /// chosen without `EvictionPolicy::choose`, by an ordered-index pop
-    /// or the small-population next-use scan) are recorded per event.
+    /// against the device count; `index_ops` (resident-membership
+    /// insertions and removals) and `victim_pops` (victims picked by the
+    /// selection scan) are recorded per event.
     pub mem: MemPlanningCounters,
 }
 

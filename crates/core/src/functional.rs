@@ -22,7 +22,9 @@
 //! ([`ExecModel::train_step_accum`]) — the paper's "illusion of a single
 //! virtual device with practically unbounded memory".
 
-use harmony_memory::{Lru, MemError, MemoryManager, Residency, TensorClass, TensorId, TensorStore};
+use harmony_memory::{
+    MemError, MemoryManager, PolicyKind, Residency, TensorClass, TensorId, TensorStore,
+};
 use harmony_models::exec::{ExecModel, SkipSource};
 use harmony_tensor::nn::{cross_entropy, Layer};
 use harmony_tensor::ops;
@@ -240,7 +242,7 @@ impl FunctionalSession {
     /// Evicts until `bytes` fit on `dev` (clean tensors drop for free —
     /// functional mode always runs the full Harmony scheme).
     fn make_room(&mut self, dev: usize, bytes: u64) -> Result<(), HarmonyError> {
-        let victims = self.mm.make_room(dev, bytes, &Lru)?;
+        let victims = self.mm.make_room(dev, bytes, PolicyKind::Lru)?;
         for v in victims {
             if self.mm.can_drop(v)? {
                 self.mm.drop_to_host(v)?;

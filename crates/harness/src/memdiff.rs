@@ -1,7 +1,7 @@
 //! Differential checking of the memory manager's rewritten hot path: the
-//! SoA/ordered-victim-index core (default) against the frozen pre-rewrite
-//! core (`MemoryManager::convert_to_dense`, behind `harmony-memory`'s
-//! `dense_memory` feature).
+//! SoA core with its one victim-selection scan (default) against the
+//! frozen pre-rewrite core (`MemoryManager::convert_to_dense`, behind
+//! `harmony-memory`'s `dense_memory` feature).
 //!
 //! Two differentials, the same way simdiff/execdiff prove their rewrites:
 //!
@@ -17,12 +17,12 @@
 //!   victim lists in eviction order, errors by message, candidate order,
 //!   per-device `used`, `host_used` — must match exactly. The proptest in
 //!   `tests/memdiff_proptest.rs` feeds this with arbitrary interleavings,
-//!   and [`MemScriptOp::Sabotage`] (an armed index desync on the fast
+//!   and [`MemScriptOp::Sabotage`] (an armed membership desync on the fast
 //!   core only) proves the differential actually catches the
 //!   missed-membership-update bug class.
 
 use harmony::{RunSpec, SweepSession};
-use harmony_memory::{EvictionPolicy, Lru, MemoryManager, NextUseAware, TensorClass, TensorId};
+use harmony_memory::{MemoryManager, PolicyKind, TensorClass, TensorId};
 use harmony_models::ModelSpec;
 use harmony_topology::Topology;
 
@@ -63,7 +63,7 @@ pub enum MemScriptOp {
     SwapOut(usize),
     /// begin_p2p + finish_move_to_device.
     P2p(usize, usize),
-    /// begin_p2p + cancel_move_to_device (re-enters the source index).
+    /// begin_p2p + cancel_move_to_device (re-enters the source membership).
     P2pCancel(usize, usize),
     /// Pin.
     Pin(usize),
@@ -86,11 +86,11 @@ pub enum MemScriptOp {
     /// or next-use (`true`).
     PlanFetch(usize, usize, bool),
     /// Sabotage (fast core only; inert on the dense core): silently
-    /// desync one tensor out of the evictable/victim indexes on this
-    /// device. A script containing this op MUST make [`check_script`]
-    /// report a divergence if the sabotage removed anything — that is the
-    /// mutation-catch proof that the differential detects index-desync
-    /// bugs.
+    /// desync one unpinned tensor out of the sorted resident membership
+    /// on this device. A script containing this op MUST make
+    /// [`check_script`] report a divergence if the sabotage removed
+    /// anything — that is the mutation-catch proof that the differential
+    /// detects membership-desync bugs.
     Sabotage(usize),
 }
 
@@ -133,11 +133,11 @@ fn pick(ids: &[TensorId], t: usize) -> Option<TensorId> {
     ids.get(t).copied()
 }
 
-fn policy_of(next_use: bool) -> &'static dyn EvictionPolicy {
+fn policy_of(next_use: bool) -> PolicyKind {
     if next_use {
-        &NextUseAware
+        PolicyKind::NextUseAware
     } else {
-        &Lru
+        PolicyKind::Lru
     }
 }
 
@@ -241,9 +241,9 @@ fn apply_op(mm: &mut MemoryManager, ids: &mut Vec<TensorId>, op: &MemScriptOp) -
         },
         MemScriptOp::Sabotage(d) => {
             // Inert (false) on the dense core by design — the divergence
-            // must come from the fast core's now-desynced index, exactly
+            // must come from the fast core's now-desynced membership, exactly
             // like a real missed membership update would.
-            format!("sabotage {}", mm.arm_index_desync(d))
+            format!("sabotage {}", mm.arm_membership_desync(d))
         }
     }
 }
@@ -301,7 +301,7 @@ mod tests {
             SchemeKind::HarmonyPp,
             SchemeKind::BaselinePp,
             // Weight stashing adds the WeightStash plane to the victim
-            // index — the heaviest per-class pressure mix.
+            // candidates — the heaviest per-class pressure mix.
             SchemeKind::Pipe1F1B,
         ] {
             check_fast_vs_dense_memory(
@@ -369,7 +369,7 @@ mod tests {
     fn sabotaged_fast_index_is_flagged() {
         use MemScriptOp as O;
         // Two resident tensors, then desync one out of the fast core's
-        // indexes: the very next candidate-order digest must differ.
+        // membership: the very next candidate-order digest must differ.
         let script = vec![
             O::AllocDevice(300, 0),
             O::AllocDevice(400, 0),
@@ -377,7 +377,7 @@ mod tests {
             O::MakeRoom(0, 500, false),
         ];
         let err = check_script(&[1000], &script)
-            .expect_err("differential must flag an armed index desync");
+            .expect_err("differential must flag an armed membership desync");
         assert!(err.contains("diverges"), "unexpected message: {err}");
     }
 }

@@ -1,11 +1,12 @@
-//! Property-based memdiff: the rewritten SoA/ordered-index memory
-//! manager must be byte-identical to the frozen dense core on (a)
-//! randomized manager scripts — per-op results, victim order, candidate
-//! order, errors, capacity/host accounting — and (b) full executor runs
-//! over random models × schemes × workloads (trace + summary JSON).
-//! A third property proves the script differential *detects* sabotage:
-//! an armed index desync that removes a candidate must always be
-//! flagged.
+//! Property-based memdiff: the rewritten memory manager (SoA planes, a
+//! sorted resident membership and one victim-selection scan) must be
+//! byte-identical to the frozen dense core on (a) randomized manager
+//! scripts — per-op results, victim order, candidate order, errors,
+//! capacity/host accounting — at small populations and on a device
+//! holding 150+ residents, and (b) full executor runs over random
+//! models × schemes × workloads (trace + summary JSON). A further
+//! property proves the script differential *detects* sabotage: an armed
+//! membership desync that removes a candidate must always be flagged.
 
 use harmony::simulate::SchemeKind;
 use harmony::RunSpec;
@@ -47,14 +48,30 @@ proptest! {
         }
     }
 
-    /// An index desync planted after a random prefix must always be
+    /// Random scripts on a device that already holds 150+ small
+    /// residents, so planning probes scan far larger resident sets than
+    /// the 40-tensor operand range reaches on its own.
+    #[test]
+    fn random_scripts_replay_identically_on_a_crowded_device(
+        sizes in prop::collection::vec(1u64..40, 150..200),
+        ops in prop::collection::vec(op_strategy(), 1..120),
+    ) {
+        let mut script: Vec<MemScriptOp> =
+            sizes.into_iter().map(|b| MemScriptOp::AllocDevice(b, 0)).collect();
+        script.extend(ops);
+        if let Err(e) = check_script(&[8_000, 5_000, 2_500], &script) {
+            panic!("cores diverged: {e}");
+        }
+    }
+
+    /// A membership desync planted after a random prefix must always be
     /// flagged. The sabotage lands on a fourth device the prefix strategy
     /// never targets, so the appended alloc is guaranteed to succeed and
     /// leave exactly one evictable candidate for the desync to remove —
     /// the candidate-order digest must then diverge at the sabotage op
     /// itself (or at the planning probe right after).
     #[test]
-    fn planted_index_desync_is_always_flagged(
+    fn planted_membership_desync_is_always_flagged(
         prefix in prop::collection::vec(op_strategy(), 1..40),
         need in 1u64..4000,
         next_use in any::<bool>(),
@@ -65,7 +82,7 @@ proptest! {
         ops.push(O::Sabotage(3));
         ops.push(O::MakeRoom(3, need, next_use));
         let Err(e) = check_script(&[8_000, 5_000, 2_500, 2_000], &ops) else {
-            panic!("sabotaged index went undetected");
+            panic!("sabotaged membership went undetected");
         };
         prop_assert!(e.contains("diverges"), "unexpected message: {e}");
     }

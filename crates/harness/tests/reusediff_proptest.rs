@@ -121,7 +121,7 @@ proptest! {
 
     /// The pressure regime (tight topology): eviction, demotion and
     /// spill traffic dominates — the paths where stale pooled state
-    /// (victim indexes, residency lists, next-use cursors) would most
+    /// (resident membership, residency lists, next-use cursors) would most
     /// plausibly leak across cells.
     #[test]
     fn pressure_regime_sequences_are_byte_identical(

@@ -1,7 +1,7 @@
 //! The pre-rewrite memory manager, frozen as the `dense_memory` reference.
 //!
-//! This is the seed-era data layout the ordered-victim-index rewrite
-//! replaced: an AoS `Vec<TensorInfo>`, an `O(tensors)` `host_used` re-scan,
+//! This is the seed-era data layout the SoA-planes rewrite replaced:
+//! an AoS `Vec<TensorInfo>`, an `O(tensors)` `host_used` re-scan,
 //! and a `make_room` that materializes a fresh candidate slice and
 //! re-offers it to `policy.choose` once per victim. `harness::memdiff`
 //! proves the fast core byte-identical to this one (same traces, same
@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use crate::manager::{FetchAction, Residency, TensorInfo, TensorView};
 use crate::observe::MemEvent;
-use crate::policy::EvictionPolicy;
+use crate::policy::PolicyKind;
 use crate::stats::{Direction, SwapStats};
 use crate::{DeviceId, MemError, TensorClass, TensorId};
 
@@ -352,7 +352,7 @@ impl DenseCore {
         &mut self,
         dev: DeviceId,
         bytes: u64,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
         out: &mut Vec<TensorId>,
     ) -> Result<(), MemError> {
         let mut free = self.free_bytes(dev)?;
@@ -372,9 +372,8 @@ impl DenseCore {
                 let Some(victim) = policy.choose(&candidates) else {
                     break Err(self.insufficient(dev, bytes));
                 };
-                // The policy is an external trait object: a buggy
-                // implementation returning an id outside the candidate set
-                // is an error to report, not an invariant to die on.
+                // A `choose` returning an id outside the candidate set is
+                // an error to report, not an invariant to die on.
                 match candidates.iter().position(|t| t.id == victim) {
                     Some(idx) => {
                         free += candidates[idx].bytes;
@@ -401,7 +400,7 @@ impl DenseCore {
         &mut self,
         id: TensorId,
         dev: DeviceId,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
         out: &mut Vec<TensorId>,
     ) -> Result<FetchAction, MemError> {
         let (residency, bytes) = {

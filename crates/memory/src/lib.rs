@@ -17,21 +17,22 @@
 //! * **Swap accounting** — every swap-in/swap-out is tallied per device,
 //!   direction, and tensor class ([`SwapStats`]); these tallies are the
 //!   y-axes of Fig 2(a)/(c) and the quantities of the §3 analytical model.
-//! * **Policy pluggability** — the baseline per-GPU virtualization uses
-//!   LRU eviction in isolation; Harmony's scheduler passes *next-use
-//!   hints* so eviction approximates Belady's OPT and cooperates with task
-//!   placement ("the scheduler and swapping algorithms inform each other's
-//!   decisions", §1).
+//! * **Two eviction policies** ([`PolicyKind`]) — the baseline per-GPU
+//!   virtualization uses LRU eviction in isolation; Harmony's scheduler
+//!   passes *next-use hints* so eviction approximates Belady's OPT and
+//!   cooperates with task placement ("the scheduler and swapping
+//!   algorithms inform each other's decisions", §1). Both pick victims
+//!   through one selection scan over the device's resident set.
 
 //! ```
-//! use harmony_memory::{Lru, MemoryManager, TensorClass};
+//! use harmony_memory::{MemoryManager, PolicyKind, TensorClass};
 //! let mut mm = MemoryManager::new(vec![1000]);
 //! let w = mm.register_on_host("w", 600, TensorClass::Weight);
 //! mm.begin_swap_in(w, 0).unwrap();
 //! mm.finish_move_to_device(w).unwrap();
 //! // Fetching something bigger than the remaining space plans an eviction.
 //! let k = mm.register_on_host("k", 500, TensorClass::OptState);
-//! let plan = mm.plan_fetch(k, 0, &Lru).unwrap();
+//! let plan = mm.plan_fetch(k, 0, PolicyKind::Lru).unwrap();
 //! assert_eq!(plan.evictions, vec![w]);
 //! ```
 
@@ -48,7 +49,7 @@ pub mod store;
 
 pub use manager::{FetchAction, FetchPlan, MemoryManager, Residency, TensorInfo, TensorView};
 pub use observe::{MemEvent, MemObserver};
-pub use policy::{EvictionPolicy, Lru, NextUseAware, PolicyIndexKind};
+pub use policy::PolicyKind;
 pub use stats::{Direction, MemCounters, SwapStats};
 pub use store::TensorStore;
 

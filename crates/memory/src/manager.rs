@@ -1,17 +1,15 @@
 //! The tensor-residency state machine and per-device capacity accounting.
 //!
 //! Internally the manager keeps its per-tensor hot fields in flat
-//! struct-of-arrays planes indexed by [`TensorId`] and maintains, per
-//! device, an *ordered victim index* keyed by the eviction policy's exact
-//! comparison, so `make_room` pops victims in O(log n) each and
-//! `plan_fetch` plans without allocating (DESIGN §13). The pre-rewrite
-//! manager survives as `crate::dense` behind the `dense_memory` feature
-//! and `harness::memdiff` proves the two byte-identical.
-
-use std::collections::BTreeSet;
+//! struct-of-arrays planes indexed by [`TensorId`] and, per device, a
+//! sorted resident membership; `make_room` picks victims with one
+//! allocation-free selection scan over it, taking the minimum
+//! [`PolicyKind::key`] (DESIGN §13). The pre-rewrite manager survives as
+//! `crate::dense` behind the `dense_memory` feature and `harness::memdiff`
+//! proves the two byte-identical.
 
 use crate::observe::{MemEvent, MemObserver};
-use crate::policy::{EvictionPolicy, PolicyIndexKind};
+use crate::policy::PolicyKind;
 use crate::stats::{Direction, SwapStats};
 use crate::{DeviceId, MemError, TensorClass, TensorId};
 
@@ -56,10 +54,11 @@ impl Residency {
     }
 }
 
-/// Owned per-tensor metadata record — the view given to eviction policies
-/// (and the storage layout of the frozen `dense_memory` reference). The
-/// manager's own hot path keeps these fields in flat planes instead; use
-/// [`MemoryManager::info`] for an allocation-free borrowed [`TensorView`].
+/// Owned per-tensor metadata record — the view [`PolicyKind::choose`]
+/// compares (and the storage layout of the frozen `dense_memory`
+/// reference). The manager's own hot path keeps these fields in flat
+/// planes instead; use [`MemoryManager::info`] for an allocation-free
+/// borrowed [`TensorView`].
 #[derive(Debug, Clone)]
 pub struct TensorInfo {
     /// Tensor id.
@@ -131,7 +130,7 @@ impl<'a> TensorView<'a> {
         }
     }
 
-    /// Owned copy of this record (e.g. to offer to an [`EvictionPolicy`]).
+    /// Owned copy of this record (e.g. to offer to [`PolicyKind::choose`]).
     pub fn to_owned_info(&self) -> TensorInfo {
         TensorInfo {
             id: self.id,
@@ -449,14 +448,12 @@ impl MemoryManager {
     /// Plans evictions to free at least `bytes` on `dev` (over and above
     /// current free space), appending victims to `out` in eviction order.
     /// Does not change residency state; on error the contents appended to
-    /// `out` are unspecified. This is the allocation-free planning entry:
-    /// with an index-declaring policy ([`EvictionPolicy::index_kind`])
-    /// victims pop off the ordered victim index in O(log n) each.
+    /// `out` are unspecified. This is the allocation-free planning entry.
     pub fn make_room_into(
         &mut self,
         dev: DeviceId,
         bytes: u64,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
         out: &mut Vec<TensorId>,
     ) -> Result<(), MemError> {
         with_core_mut!(self, c => c.make_room_into(dev, bytes, policy, out))
@@ -468,7 +465,7 @@ impl MemoryManager {
         &mut self,
         dev: DeviceId,
         bytes: u64,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
     ) -> Result<Vec<TensorId>, MemError> {
         with_core_mut!(self, c => c.stats_mut().counters.fresh_allocs += 1);
         let mut out = Vec::new();
@@ -483,7 +480,7 @@ impl MemoryManager {
         &mut self,
         id: TensorId,
         dev: DeviceId,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
         out: &mut Vec<TensorId>,
     ) -> Result<FetchAction, MemError> {
         with_core_mut!(self, c => c.plan_fetch_into(id, dev, policy, out))
@@ -495,7 +492,7 @@ impl MemoryManager {
         &mut self,
         id: TensorId,
         dev: DeviceId,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
     ) -> Result<FetchPlan, MemError> {
         with_core_mut!(self, c => c.stats_mut().counters.fresh_allocs += 1);
         let mut evictions = Vec::new();
@@ -619,7 +616,7 @@ impl MemoryManager {
         // The dense core maintains an unpinned-only evictable set; the
         // fast core's resident membership includes pinned tensors, so
         // filter here rather than handing it over verbatim.
-        let evictable: Vec<BTreeSet<TensorId>> = f
+        let evictable = f
             .resident
             .iter()
             .map(|s| {
@@ -645,17 +642,17 @@ impl MemoryManager {
     }
 
     /// Sabotage hook for differential mutation-catch tests: silently drops
-    /// one tensor from the fast core's evictable/victim indexes without
-    /// changing its logical state — the "missed membership update" bug
-    /// class the memdiff differential must flag. Returns false if there
-    /// was nothing to desync (or the dense core is active).
+    /// one unpinned tensor from the fast core's sorted resident membership
+    /// without changing its logical state — the "missed membership
+    /// update" bug class the memdiff differential must flag. Returns false
+    /// if there was nothing to desync (or the dense core is active).
     #[cfg(feature = "mutation_hooks")]
-    pub fn arm_index_desync(&mut self, dev: DeviceId) -> bool {
+    pub fn arm_membership_desync(&mut self, dev: DeviceId) -> bool {
         #[cfg(feature = "dense_memory")]
         if self.dense.is_some() {
             return false;
         }
-        self.fast.arm_index_desync(dev)
+        self.fast.arm_membership_desync(dev)
     }
 
     /// Sabotage hook for the pooled-run differential's mutation-catch
@@ -670,33 +667,8 @@ impl MemoryManager {
     }
 }
 
-/// Ordered-victim-index key for LRU: ascending `(last_use, id)`.
-/// `last_use` values are globally unique (the logical clock strictly
-/// increases and each value is assigned to at most one tensor), so keys
-/// never collide across tensors.
-type LruKey = (u64, TensorId);
-
-/// Ordered-victim-index key for next-use-aware eviction: ascending
-/// `(u64::MAX - hint_or_max, last_use, id)` — the componentwise
-/// order-reversal of [`crate::NextUseAware`]'s `max_by_key`, so the set's
-/// first element is exactly the policy's choice.
-type NextUseKey = (u64, u64, TensorId);
-
-/// Device population above which a next-use victim walk builds the
-/// ordered NU index. Below it, planning runs a direct selection scan
-/// over the resident set: hints churn on every tensor use, so a built
-/// index charges `set_next_use` two tree ops per shrinking key, which
-/// only amortizes once per-victim scans cost more than the churn.
-const NU_INDEX_BUILD_ABOVE: usize = 96;
-
-/// Device population below which an already-built NU index is dropped
-/// again (planning reverts to the scan, `set_next_use` back to a pure
-/// field write). Strictly less than [`NU_INDEX_BUILD_ABOVE`] so the
-/// boundary has hysteresis instead of thrash.
-const NU_INDEX_DROP_BELOW: usize = 32;
-
-/// The rewritten hot-path core: SoA planes + incrementally maintained
-/// ordered victim indexes + O(1) aggregate counters.
+/// The rewritten hot-path core: SoA planes + a sorted resident
+/// membership per device + O(1) aggregate counters.
 #[derive(Debug)]
 struct FastCore {
     capacities: Vec<u64>,
@@ -730,38 +702,6 @@ struct FastCore {
     /// a tree, and selection scans walk contiguous memory. The public
     /// candidate order filters `pinned == 0` at read time.
     resident: Vec<Vec<TensorId>>,
-    /// Lazily built per-device ordered victim index for [`crate::Lru`]
-    /// (first *valid* element = the policy's choice). `None` until the
-    /// first `make_room` with an LRU-kind policy on that device.
-    ///
-    /// Maintained under a *lazy one-entry* discipline so the executor's
-    /// hot transitions (`touch`/`pin`/`unpin`) stay pure field writes:
-    /// each resident tensor has exactly one entry, recorded in the
-    /// `lru_entry` plane, whose key is a lower bound on the tensor's
-    /// current key (LRU keys only grow on touch, so touching just leaves
-    /// the old entry as that bound). Victim walks detect staleness
-    /// (stored key != recomputed key), drop the entry, and re-insert the
-    /// exact current key — which sorts after the walk cursor, preserving
-    /// the policy's exact order; a run of touches between walks thus
-    /// costs one normalization instead of one re-key each. Pinned-but-
-    /// valid entries are skipped in place (pin/unpin never touch the
-    /// index). Departures (`begin_swap_out`/`begin_p2p`/`free`/
-    /// `drop_to_host`) remove their entry exactly via the stored key, so
-    /// the index never accumulates garbage.
-    lru_index: Vec<Option<BTreeSet<LruKey>>>,
-    /// Same, for [`crate::NextUseAware`]-kind policies — with one twist:
-    /// a *growing* next-use hint shrinks the order-reversed key, so
-    /// `set_next_use` eagerly re-keys (remove stored + insert exact)
-    /// whenever the new key drops below the stored one — the only
-    /// transition that can violate the lower bound.
-    nu_index: Vec<Option<BTreeSet<NextUseKey>>>,
-    /// `last_use` value of this tensor's current `lru_index` entry (the
-    /// stored key is `(lru_entry[i], id)`); meaningful only while the
-    /// tensor is device-resident and the index is built.
-    lru_entry: Vec<u64>,
-    /// This tensor's current `nu_index` entry; meaningful only while the
-    /// tensor is device-resident and the index is built.
-    nu_entry: Vec<NextUseKey>,
     next_id: TensorId,
     clock: u64,
     stats: SwapStats,
@@ -769,8 +709,6 @@ struct FastCore {
     /// buffer a [`MemEvent`] for the wrapper to flush.
     record: bool,
     pending: Vec<MemEvent>,
-    /// Reused owned-record scratch for the foreign-policy fallback.
-    fallback_infos: Vec<TensorInfo>,
     /// Armed sabotage for the reusediff mutation-catch test: the next
     /// [`FastCore::reset`] skips zeroing the `peak_used` plane — the
     /// "one plane leaked across recycling" bug class the fresh-vs-pooled
@@ -799,16 +737,11 @@ impl FastCore {
             dirty: Vec::new(),
             host_copy: Vec::new(),
             resident: vec![Vec::new(); n],
-            lru_index: vec![None; n],
-            nu_index: vec![None; n],
-            lru_entry: Vec::new(),
-            nu_entry: Vec::new(),
             next_id: 0,
             clock: 0,
             stats: SwapStats::new(),
             record: false,
             pending: Vec::new(),
-            fallback_infos: Vec::new(),
             #[cfg(feature = "mutation_hooks")]
             leak_peak_across_reset: false,
         }
@@ -817,7 +750,7 @@ impl FastCore {
     /// Returns the core to `FastCore::new(capacities)` state while
     /// keeping the SoA planes' allocated capacity (the pooled-run
     /// recycling contract, DESIGN §14). Every observable field —
-    /// accounting, residency, indexes, clock, stats — restarts from the
+    /// accounting, residency, membership, clock, stats — restarts from the
     /// constructor's values; only heap capacity survives.
     fn reset(&mut self, capacities: Vec<u64>) {
         let n = capacities.len();
@@ -849,18 +782,11 @@ impl FastCore {
             set.clear();
         }
         self.resident.resize_with(n, Vec::new);
-        self.lru_index.clear();
-        self.lru_index.resize_with(n, || None);
-        self.nu_index.clear();
-        self.nu_index.resize_with(n, || None);
-        self.lru_entry.clear();
-        self.nu_entry.clear();
         self.next_id = 0;
         self.clock = 0;
         self.stats = SwapStats::new();
         self.record = false;
         self.pending.clear();
-        self.fallback_infos.clear();
     }
 
     fn note(&mut self, event: MemEvent) {
@@ -993,64 +919,22 @@ impl FastCore {
         }
     }
 
-    fn lru_key(&self, i: usize, id: TensorId) -> LruKey {
-        (self.last_use[i], id)
-    }
-
-    fn nu_key(&self, i: usize, id: TensorId) -> NextUseKey {
-        (
-            u64::MAX - self.next_use[i].map_or(u64::MAX, |h| h),
-            self.last_use[i],
-            id,
-        )
-    }
-
-    /// Enters `id` into `dev`'s resident membership and seeds its exact
-    /// key into any built ordered index (keys are computed from the
-    /// current planes — call after updating them), recording the stored
-    /// keys for exact removal at departure.
+    /// Enters `id` into `dev`'s sorted resident membership.
     fn arrive(&mut self, dev: DeviceId, id: TensorId) {
         let set = &mut self.resident[dev];
         if let Err(at) = set.binary_search(&id) {
             set.insert(at, id);
         }
-        let i = id as usize;
-        let lru = self.lru_key(i, id);
-        let nu = self.nu_key(i, id);
-        let mut ops = 0u64;
-        if let Some(idx) = self.lru_index[dev].as_mut() {
-            idx.insert(lru);
-            self.lru_entry[i] = lru.0;
-            ops += 1;
-        }
-        if let Some(idx) = self.nu_index[dev].as_mut() {
-            idx.insert(nu);
-            self.nu_entry[i] = nu;
-            ops += 1;
-        }
-        self.stats.counters.index_ops += ops;
+        self.stats.counters.index_ops += 1;
     }
 
-    /// Removes `id` from `dev`'s resident membership and drops its one
-    /// ordered-index entry per built index, located exactly by the
-    /// stored key (the live key may have drifted since — that's the
-    /// lazy discipline; the stored key is the ground truth).
+    /// Removes `id` from `dev`'s sorted resident membership.
     fn depart(&mut self, dev: DeviceId, id: TensorId) {
         let set = &mut self.resident[dev];
         if let Ok(at) = set.binary_search(&id) {
             set.remove(at);
         }
-        let i = id as usize;
-        let mut ops = 0u64;
-        if let Some(idx) = self.lru_index[dev].as_mut() {
-            idx.remove(&(self.lru_entry[i], id));
-            ops += 1;
-        }
-        if let Some(idx) = self.nu_index[dev].as_mut() {
-            idx.remove(&self.nu_entry[i]);
-            ops += 1;
-        }
-        self.stats.counters.index_ops += ops;
+        self.stats.counters.index_ops += 1;
     }
 
     fn register_on_host(&mut self, name: &str, bytes: u64, class: TensorClass) -> TensorId {
@@ -1067,8 +951,6 @@ impl FastCore {
         self.next_use.push(None);
         self.dirty.push(false);
         self.host_copy.push(true);
-        self.lru_entry.push(0);
-        self.nu_entry.push((0, 0, 0));
         self.host_bytes += bytes;
         self.note(MemEvent::RegisterHost { id, bytes, class });
         id
@@ -1099,8 +981,6 @@ impl FastCore {
         // Fresh device-side outputs have no host copy yet.
         self.dirty.push(true);
         self.host_copy.push(false);
-        self.lru_entry.push(0);
-        self.nu_entry.push((0, 0, 0));
         self.arrive(dev, id);
         self.note(MemEvent::Alloc {
             id,
@@ -1116,9 +996,6 @@ impl FastCore {
         self.clock += 1;
         let clock = self.clock;
         let i = self.check(id)?;
-        // Pure field write: the LRU key `(last_use, id)` only grows, so
-        // any stale ordered-index entry is a lower bound that the next
-        // victim walk normalizes in place.
         self.last_use[i] = clock;
         self.note(MemEvent::Use { id });
         Ok(())
@@ -1126,24 +1003,6 @@ impl FastCore {
 
     fn set_next_use(&mut self, id: TensorId, hint: Option<u64>) -> Result<(), MemError> {
         let i = self.check(id)?;
-        if let Residency::OnDevice(d) = self.residency[i] {
-            if self.nu_index[d].is_some() {
-                // A growing hint shrinks the order-reversed NU key; only
-                // a key dropping below the *stored* entry must re-key
-                // eagerly to keep the lower-bound invariant. Grown keys
-                // normalize lazily at the next victim walk.
-                self.next_use[i] = hint;
-                let new = self.nu_key(i, id);
-                if new < self.nu_entry[i] {
-                    let idx = self.nu_index[d].as_mut().expect("checked is_some above");
-                    idx.remove(&self.nu_entry[i]);
-                    idx.insert(new);
-                    self.nu_entry[i] = new;
-                    self.stats.counters.index_ops += 2;
-                }
-                return Ok(());
-            }
-        }
         self.next_use[i] = hint;
         Ok(())
     }
@@ -1153,8 +1012,8 @@ impl FastCore {
         match self.residency[i] {
             Residency::OnDevice(d) => {
                 // Pure field writes: pinned tensors stay in the resident
-                // membership and ordered indexes; candidate reads and
-                // victim walks skip them by the `pinned` plane.
+                // membership; candidate reads and the victim scan skip
+                // them by the `pinned` plane.
                 if self.pinned[i] == 0 {
                     self.pinned_bytes[d] += self.bytes[i];
                 }
@@ -1222,304 +1081,56 @@ impl FastCore {
         Ok(())
     }
 
+    /// The one victim-selection path: each victim is the minimum
+    /// [`PolicyKind::key`] among the device's unpinned residents, found by
+    /// a scan over the sorted membership and the SoA planes — nothing to
+    /// maintain at transitions, nothing allocated. Keys are unique (the id
+    /// is in the key) and fixed for the length of the call, so requiring
+    /// `key > last_pick` excludes exactly the victims already chosen, the
+    /// same set the dense choose loop removes from its slice.
     fn make_room_into(
         &mut self,
         dev: DeviceId,
         bytes: u64,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
         out: &mut Vec<TensorId>,
     ) -> Result<(), MemError> {
-        let free = self.free_bytes(dev)?;
-        if free >= bytes {
-            return Ok(());
-        }
-        match policy.index_kind() {
-            Some(PolicyIndexKind::Lru) => {
-                self.ensure_lru_index(dev);
-                let mut freed = free;
-                let mut pops = 0u64;
-                let mut norm_ops = 0u64;
-                let mut cursor: Option<LruKey> = None;
-                // Walk ascending, normalizing stale entries as they
-                // surface. LRU keys only grow, so a normalized re-insert
-                // lands *after* the cursor: the walk visits each live
-                // tensor exactly once, in the policy's exact order, and
-                // a run of touches between walks costs one
-                // normalization here instead of one re-key per touch.
-                let result = loop {
-                    if freed >= bytes {
-                        break Ok(());
-                    }
-                    let next = {
-                        let idx = self.lru_index[dev].as_ref().expect("built just above");
-                        match cursor {
-                            None => idx.iter().next().copied(),
-                            Some(c) => idx
-                                .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded))
-                                .next()
-                                .copied(),
-                        }
-                    };
-                    let Some(entry) = next else {
-                        break Err(self.insufficient(dev, bytes));
-                    };
-                    cursor = Some(entry);
-                    let id = entry.1;
-                    let i = id as usize;
-                    if self.last_use[i] != entry.0 {
-                        // Stale lower bound: re-key to the exact spot
-                        // (always ahead of the cursor — keys only grow).
-                        let exact = (self.last_use[i], id);
-                        let idx = self.lru_index[dev].as_mut().expect("built just above");
-                        idx.remove(&entry);
-                        idx.insert(exact);
-                        self.lru_entry[i] = exact.0;
-                        norm_ops += 2;
-                        continue;
-                    }
-                    if self.pinned[i] > 0 {
-                        continue; // valid entry, just not currently evictable
-                    }
-                    freed += self.bytes[i];
-                    out.push(id);
-                    pops += 1;
-                };
-                self.stats.counters.victim_pops += pops;
-                self.stats.counters.index_ops += norm_ops;
-                result
-            }
-            Some(PolicyIndexKind::NextUse) => {
-                // Adaptive: next-use hints churn on every tensor use, so
-                // a built NU index charges `set_next_use` an eager
-                // re-key (two tree ops) per shrinking key — a net loss
-                // on small device populations where a direct selection
-                // scan over the resident set is a few cache lines. The
-                // index pays for itself only at scale; hysteresis keeps
-                // the build/drop boundary from thrashing.
-                let n = self.resident[dev].len();
-                match &self.nu_index[dev] {
-                    None if n <= NU_INDEX_BUILD_ABOVE => {
-                        return self.make_room_scan_nu(dev, bytes, free, out);
-                    }
-                    Some(_) if n < NU_INDEX_DROP_BELOW => {
-                        self.nu_index[dev] = None;
-                        return self.make_room_scan_nu(dev, bytes, free, out);
-                    }
-                    _ => {}
-                }
-                self.ensure_nu_index(dev);
-                let mut freed = free;
-                let mut pops = 0u64;
-                let mut norm_ops = 0u64;
-                let mut cursor: Option<NextUseKey> = None;
-                // As above; keys that *shrank* were re-keyed eagerly by
-                // `set_next_use`, so every stale entry's exact key is
-                // ahead of the cursor — never missed.
-                let result = loop {
-                    if freed >= bytes {
-                        break Ok(());
-                    }
-                    let next = {
-                        let idx = self.nu_index[dev].as_ref().expect("built just above");
-                        match cursor {
-                            None => idx.iter().next().copied(),
-                            Some(c) => idx
-                                .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded))
-                                .next()
-                                .copied(),
-                        }
-                    };
-                    let Some(entry) = next else {
-                        break Err(self.insufficient(dev, bytes));
-                    };
-                    cursor = Some(entry);
-                    let id = entry.2;
-                    let i = id as usize;
-                    let exact = self.nu_key(i, id);
-                    if exact != entry {
-                        let idx = self.nu_index[dev].as_mut().expect("built just above");
-                        idx.remove(&entry);
-                        idx.insert(exact);
-                        self.nu_entry[i] = exact;
-                        norm_ops += 2;
-                        continue;
-                    }
-                    if self.pinned[i] > 0 {
-                        continue; // valid entry, just not currently evictable
-                    }
-                    freed += self.bytes[i];
-                    out.push(id);
-                    pops += 1;
-                };
-                self.stats.counters.victim_pops += pops;
-                self.stats.counters.index_ops += norm_ops;
-                result
-            }
-            None => self.make_room_fallback(dev, bytes, free, policy, out),
-        }
-    }
-
-    /// Allocation-free next-use planning for small device populations: a
-    /// selection loop straight over the resident membership and the SoA
-    /// planes — no index maintenance anywhere on the hot path, no
-    /// materialized candidate set. Victim order is the policy's exact
-    /// comparison (min ascending NU key == `NextUseAware`'s
-    /// `max_by_key`), with already-planned victims of *this* call
-    /// excluded exactly like the dense choose-loop's shrinking slice.
-    fn make_room_scan_nu(
-        &mut self,
-        dev: DeviceId,
-        bytes: u64,
-        free: u64,
-        out: &mut Vec<TensorId>,
-    ) -> Result<(), MemError> {
-        let start = out.len();
-        let mut freed = free;
+        let mut freed = self.free_bytes(dev)?;
+        let mut last_pick = None;
         let mut pops = 0u64;
         let result = loop {
             if freed >= bytes {
                 break Ok(());
             }
-            let mut best: Option<NextUseKey> = None;
+            let mut best = None;
             for &id in &self.resident[dev] {
                 let i = id as usize;
-                if self.pinned[i] > 0 || out[start..].contains(&id) {
+                if self.pinned[i] > 0 {
                     continue;
                 }
-                let key = self.nu_key(i, id);
-                if best.is_none_or(|b| key < b) {
+                let key = policy.key(self.last_use[i], self.next_use[i], id);
+                if last_pick.is_none_or(|l| key > l) && best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
             }
-            let Some((_, _, id)) = best else {
+            let Some(key) = best else {
                 break Err(self.insufficient(dev, bytes));
             };
+            let id = key.2;
             freed += self.bytes[id as usize];
             out.push(id);
+            last_pick = best;
             pops += 1;
         };
         self.stats.counters.victim_pops += pops;
         result
     }
 
-    /// Foreign-policy path: preserves the seed semantics exactly (owned
-    /// candidate snapshot in ascending id order, `choose` re-offered the
-    /// shrinking set once per victim, same errors) — just through a
-    /// reused scratch buffer.
-    fn make_room_fallback(
-        &mut self,
-        dev: DeviceId,
-        bytes: u64,
-        mut free: u64,
-        policy: &dyn EvictionPolicy,
-        out: &mut Vec<TensorId>,
-    ) -> Result<(), MemError> {
-        let mut infos = std::mem::take(&mut self.fallback_infos);
-        infos.clear();
-        if let Some(set) = self.resident.get(dev) {
-            for &id in set.iter() {
-                let i = id as usize;
-                if self.pinned[i] > 0 {
-                    continue; // resident membership includes pinned; the policy sees only evictables
-                }
-                infos.push(TensorInfo {
-                    id,
-                    name: self.name(i).to_string(),
-                    bytes: self.bytes[i],
-                    class: self.classes[i],
-                    residency: self.residency[i],
-                    pinned: self.pinned[i],
-                    last_use: self.last_use[i],
-                    next_use_hint: self.next_use[i],
-                    dirty: self.dirty[i],
-                    host_copy_valid: self.host_copy[i],
-                });
-            }
-        }
-        let mut scans = 0u64;
-        let result = {
-            let mut candidates: Vec<&TensorInfo> = infos.iter().collect();
-            loop {
-                if free >= bytes {
-                    break Ok(());
-                }
-                scans += candidates.len() as u64;
-                let Some(victim) = policy.choose(&candidates) else {
-                    break Err(self.insufficient(dev, bytes));
-                };
-                // The policy is an external trait object: a buggy
-                // implementation returning an id outside the candidate
-                // set is an error to report, not an invariant to die on.
-                match candidates.iter().position(|t| t.id == victim) {
-                    Some(idx) => {
-                        free += candidates[idx].bytes;
-                        out.push(victim);
-                        candidates.remove(idx);
-                    }
-                    None => {
-                        break Err(MemError::InvalidState {
-                            id: victim,
-                            op: "evict",
-                            state: "not in the eviction-candidate set the policy was offered"
-                                .to_string(),
-                        })
-                    }
-                }
-            }
-        };
-        self.stats.counters.fresh_allocs += 1;
-        self.stats.counters.candidate_scans += scans;
-        self.fallback_infos = infos;
-        result
-    }
-
-    /// Builds `dev`'s LRU victim index from the resident set (pinned
-    /// included — they may unpin without another key-changing touch) on
-    /// first use; lazy lower-bound maintenance keeps it walkable
-    /// afterwards.
-    fn ensure_lru_index(&mut self, dev: DeviceId) {
-        if self.lru_index[dev].is_some() {
-            return;
-        }
-        let mut set = BTreeSet::new();
-        for &id in &self.resident[dev] {
-            let i = id as usize;
-            self.lru_entry[i] = self.last_use[i];
-            set.insert((self.last_use[i], id));
-        }
-        self.stats.counters.fresh_allocs += 1;
-        self.stats.counters.index_ops += set.len() as u64;
-        self.lru_index[dev] = Some(set);
-    }
-
-    /// Builds `dev`'s next-use victim index from the resident set on
-    /// first use; lazy lower-bound maintenance keeps it walkable
-    /// afterwards.
-    fn ensure_nu_index(&mut self, dev: DeviceId) {
-        if self.nu_index[dev].is_some() {
-            return;
-        }
-        let mut set = BTreeSet::new();
-        for &id in &self.resident[dev] {
-            let i = id as usize;
-            let key = (
-                u64::MAX - self.next_use[i].map_or(u64::MAX, |h| h),
-                self.last_use[i],
-                id,
-            );
-            self.nu_entry[i] = key;
-            set.insert(key);
-        }
-        self.stats.counters.fresh_allocs += 1;
-        self.stats.counters.index_ops += set.len() as u64;
-        self.nu_index[dev] = Some(set);
-    }
-
     fn plan_fetch_into(
         &mut self,
         id: TensorId,
         dev: DeviceId,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
         out: &mut Vec<TensorId>,
     ) -> Result<FetchAction, MemError> {
         let i = self.check(id)?;
@@ -1794,27 +1405,20 @@ impl FastCore {
         }
     }
 
-    /// See [`MemoryManager::arm_index_desync`].
+    /// See [`MemoryManager::arm_membership_desync`].
     #[cfg(feature = "mutation_hooks")]
-    fn arm_index_desync(&mut self, dev: DeviceId) -> bool {
+    fn arm_membership_desync(&mut self, dev: DeviceId) -> bool {
         // Pick an unpinned resident (a pinned one is invisible to both
-        // candidates and victim walks, so dropping it would be a silent
-        // no-op the differential could legitimately miss).
-        let Some(&id) = self
+        // candidates and the victim scan, so dropping it would be a
+        // silent no-op the differential could legitimately miss).
+        let Some(at) = self
             .resident
             .get(dev)
-            .and_then(|s| s.iter().find(|&&id| self.pinned[id as usize] == 0))
+            .and_then(|s| s.iter().position(|&id| self.pinned[id as usize] == 0))
         else {
             return false;
         };
-        let i = id as usize;
-        if let Some(idx) = self.lru_index[dev].as_mut() {
-            idx.remove(&(self.lru_entry[i], id));
-        }
-        if let Some(idx) = self.nu_index[dev].as_mut() {
-            idx.remove(&self.nu_entry[i]);
-        }
-        self.resident[dev].retain(|&r| r != id);
+        self.resident[dev].remove(at);
         true
     }
 }
@@ -1822,7 +1426,7 @@ impl FastCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Lru, NextUseAware};
+    use PolicyKind::{Lru, NextUseAware};
 
     fn mm() -> MemoryManager {
         MemoryManager::new(vec![1000, 1000])
@@ -1853,30 +1457,6 @@ mod tests {
         assert_eq!(pooled.peak_used(0).unwrap(), 0, "no leak across reset");
         assert_eq!(pooled.host_used(), fresh.host_used());
         assert_eq!(pooled.tensor_infos().count(), fresh.tensor_infos().count());
-    }
-
-    #[test]
-    fn make_room_reports_a_policy_that_picks_a_non_candidate() {
-        // A policy returning an id outside the offered candidate set is a
-        // bug in external code: the manager must surface a typed error,
-        // not panic.
-        struct Rogue;
-        impl crate::policy::EvictionPolicy for Rogue {
-            fn choose(&self, _candidates: &[&TensorInfo]) -> Option<TensorId> {
-                Some(TensorId::MAX)
-            }
-            fn name(&self) -> &'static str {
-                "rogue"
-            }
-        }
-        let mut m = mm();
-        let a = m.alloc_on_device("a", 800, TensorClass::Stash, 0).unwrap();
-        let _ = a;
-        let err = m.make_room(0, 500, &Rogue).unwrap_err();
-        assert!(
-            matches!(err, MemError::InvalidState { id, op: "evict", .. } if id == TensorId::MAX),
-            "wrong error: {err}"
-        );
     }
 
     #[test]
@@ -2011,32 +1591,32 @@ mod tests {
         let a = m.alloc_on_device("a", 400, TensorClass::Weight, 0).unwrap();
         let b = m.alloc_on_device("b", 400, TensorClass::Weight, 0).unwrap();
         m.touch(a).unwrap(); // b is now least recently used
-        let victims = m.make_room(0, 300, &Lru).unwrap();
+        let victims = m.make_room(0, 300, Lru).unwrap();
         assert_eq!(victims, vec![b]);
         // Needs more than one victim.
-        let victims = m.make_room(0, 900, &Lru).unwrap();
+        let victims = m.make_room(0, 900, Lru).unwrap();
         assert_eq!(victims.len(), 2);
         // Impossible even with every candidate evicted.
-        assert!(m.make_room(0, 1500, &Lru).is_err());
+        assert!(m.make_room(0, 1500, Lru).is_err());
     }
 
     #[test]
     fn plan_fetch_covers_all_sources() {
         let mut m = mm();
         let w = m.register_on_host("w", 500, TensorClass::Weight);
-        let plan = m.plan_fetch(w, 0, &Lru).unwrap();
+        let plan = m.plan_fetch(w, 0, Lru).unwrap();
         assert!(plan.needs_transfer);
         assert!(plan.src_device.is_none());
         assert!(plan.evictions.is_empty());
 
         m.begin_swap_in(w, 0).unwrap();
-        assert!(m.plan_fetch(w, 0, &Lru).is_err(), "in flight");
+        assert!(m.plan_fetch(w, 0, Lru).is_err(), "in flight");
         m.finish_move_to_device(w).unwrap();
-        let plan = m.plan_fetch(w, 0, &Lru).unwrap();
+        let plan = m.plan_fetch(w, 0, Lru).unwrap();
         assert!(!plan.needs_transfer, "already resident");
 
         // From another device → p2p candidate.
-        let plan = m.plan_fetch(w, 1, &Lru).unwrap();
+        let plan = m.plan_fetch(w, 1, Lru).unwrap();
         assert!(plan.needs_transfer);
         assert_eq!(plan.src_device, Some(0));
     }
@@ -2046,7 +1626,7 @@ mod tests {
         let mut m = mm();
         let a = m.alloc_on_device("a", 900, TensorClass::Stash, 0).unwrap();
         let w = m.register_on_host("w", 500, TensorClass::Weight);
-        let plan = m.plan_fetch(w, 0, &Lru).unwrap();
+        let plan = m.plan_fetch(w, 0, Lru).unwrap();
         assert_eq!(plan.evictions, vec![a]);
     }
 
@@ -2060,8 +1640,8 @@ mod tests {
         m.set_next_use(a, Some(5)).unwrap();
         m.set_next_use(b, None).unwrap();
         m.touch(b).unwrap(); // make a the LRU victim
-        assert_eq!(m.make_room(0, 100, &Lru).unwrap(), vec![a]);
-        assert_eq!(m.make_room(0, 100, &NextUseAware).unwrap(), vec![b]);
+        assert_eq!(m.make_room(0, 100, Lru).unwrap(), vec![a]);
+        assert_eq!(m.make_room(0, 100, NextUseAware).unwrap(), vec![b]);
     }
 
     #[test]
@@ -2154,12 +1734,12 @@ mod tests {
     }
 
     /// Replays the policy's own `choose` loop over owned candidate copies
-    /// — the seed-era semantics the ordered victim index must match.
+    /// — the seed-era semantics the selection scan must match.
     fn choose_loop_victims(
         m: &MemoryManager,
         dev: DeviceId,
         bytes: u64,
-        policy: &dyn EvictionPolicy,
+        policy: PolicyKind,
     ) -> Result<Vec<TensorId>, MemError> {
         let mut free = m.free_bytes(dev)?;
         if free >= bytes {
@@ -2179,7 +1759,11 @@ mod tests {
                     device: dev,
                     needed: bytes,
                     capacity: m.capacity(dev)?,
-                    pinned: 0,
+                    pinned: m
+                        .tensor_infos()
+                        .filter(|t| t.pinned > 0 && t.residency == Residency::OnDevice(dev))
+                        .map(|t| t.bytes)
+                        .sum(),
                 })?;
             let idx = candidates.iter().position(|t| t.id == victim).unwrap();
             free += candidates[idx].bytes;
@@ -2190,65 +1774,137 @@ mod tests {
     }
 
     #[test]
+    fn selection_scan_matches_choose_loop_at_scale() {
+        // Populations far above the other tests' handful of tensors; 600
+        // exceeds the largest resident set any e2ebench workload reaches
+        // at a `make_room` (528, on `tuner-grid`).
+        for n in [120usize, 600] {
+            let mut m = MemoryManager::new(vec![n as u64 * 100]);
+            let ids: Vec<TensorId> = (0..n)
+                .map(|i| {
+                    m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
+                        .unwrap()
+                })
+                .collect();
+            // Hints with many ties (and some `None`) so the last_use and id
+            // tie-breaks decide real picks; touches in a scrambled order so
+            // recency disagrees with id order.
+            for (k, &id) in ids.iter().enumerate() {
+                let hint = (k % 7 != 0).then_some((k * 3 % 41) as u64);
+                m.set_next_use(id, hint).unwrap();
+            }
+            for k in 0..n / 2 {
+                m.touch(ids[k * 37 % n]).unwrap();
+            }
+            // Single victims, a two-victim burst, and bursts over a
+            // quarter and over all of the device.
+            let bursts = [50, 150, n as u64 * 25, n as u64 * 100];
+            let verify = |m: &mut MemoryManager, what: &str| {
+                for need in bursts {
+                    for policy in [Lru, NextUseAware] {
+                        assert_eq!(
+                            m.make_room(0, need, policy),
+                            choose_loop_victims(m, 0, need, policy),
+                            "{policy:?} victims diverged from the choose loop \
+                             ({n} residents, need {need}, after {what})"
+                        );
+                    }
+                }
+            };
+            verify(&mut m, "setup");
+            m.touch(ids[5]).unwrap();
+            verify(&mut m, "touch");
+            m.set_next_use(ids[9], Some(1_000)).unwrap();
+            verify(&mut m, "hint growth");
+            m.set_next_use(ids[9], Some(2)).unwrap();
+            verify(&mut m, "hint shrink");
+            m.set_next_use(ids[11], None).unwrap();
+            verify(&mut m, "hint cleared");
+            m.pin(ids[0]).unwrap();
+            m.pin(ids[n - 1]).unwrap();
+            verify(&mut m, "pin");
+            m.unpin(ids[0]).unwrap();
+            verify(&mut m, "unpin");
+            m.begin_swap_out(ids[3]).unwrap();
+            verify(&mut m, "swap-out begun");
+            m.finish_swap_out(ids[3]).unwrap();
+            verify(&mut m, "swap-out");
+            m.begin_swap_in(ids[3], 0).unwrap();
+            verify(&mut m, "swap-in begun");
+            m.finish_move_to_device(ids[3]).unwrap();
+            verify(&mut m, "swap-in");
+            m.begin_swap_out(ids[4]).unwrap();
+            m.finish_swap_out(ids[4]).unwrap();
+            m.begin_swap_in(ids[4], 0).unwrap();
+            m.cancel_move_to_device(ids[4]).unwrap();
+            verify(&mut m, "cancelled swap-in");
+            m.mark_dirty(ids[6]).unwrap();
+            verify(&mut m, "mark dirty");
+            m.free(ids[7]).unwrap();
+            verify(&mut m, "free");
+            m.begin_swap_out(ids[8]).unwrap();
+            m.finish_swap_out(ids[8]).unwrap();
+            m.begin_swap_in(ids[8], 0).unwrap();
+            m.finish_move_to_device(ids[8]).unwrap();
+            m.drop_to_host(ids[8]).unwrap();
+            verify(&mut m, "drop to host");
+            let tail = m.register_on_host("tail", 100, TensorClass::Weight);
+            m.begin_swap_in(tail, 0).unwrap();
+            m.finish_move_to_device(tail).unwrap();
+            verify(&mut m, "fresh arrival");
+        }
+    }
+
+    #[test]
     fn ordered_index_matches_choose_loop_across_transitions() {
+        // Small population on a two-device manager: the scan must keep
+        // matching the choose loop as residents leave and re-enter the
+        // sorted membership, including a cancelled peer-to-peer move.
         let mut m = mm();
         let a = m.alloc_on_device("a", 200, TensorClass::Weight, 0).unwrap();
         let b = m.alloc_on_device("b", 250, TensorClass::Stash, 0).unwrap();
         let c = m.alloc_on_device("c", 300, TensorClass::Grad, 0).unwrap();
-        // Small population: LRU planning walks the ordered index (built
-        // on first use), next-use planning runs the selection scan. The
-        // at-scale indexed NU walk is covered separately in
-        // `nu_index_walk_matches_choose_loop_at_scale`.
-        for need in [100, 400, 800] {
-            assert_eq!(
-                m.make_room(0, need, &Lru).unwrap(),
-                choose_loop_victims(&m, 0, need, &Lru).unwrap()
-            );
-            assert_eq!(
-                m.make_room(0, need, &NextUseAware).unwrap(),
-                choose_loop_victims(&m, 0, need, &NextUseAware).unwrap()
-            );
-        }
-        let verify = |m: &mut MemoryManager| {
+        let verify = |m: &mut MemoryManager, what: &str| {
             for need in [100, 400, 800] {
-                let fast = m.make_room(0, need, &Lru);
-                let dense = choose_loop_victims(m, 0, need, &Lru);
-                assert_eq!(fast.ok(), dense.ok(), "lru victims diverged");
-                let fast = m.make_room(0, need, &NextUseAware);
-                let dense = choose_loop_victims(m, 0, need, &NextUseAware);
-                assert_eq!(fast.ok(), dense.ok(), "next-use victims diverged");
+                for policy in [Lru, NextUseAware] {
+                    assert_eq!(
+                        m.make_room(0, need, policy),
+                        choose_loop_victims(m, 0, need, policy),
+                        "{policy:?} victims diverged (need {need}, after {what})"
+                    );
+                }
             }
         };
-        m.touch(a).unwrap(); // re-keys a in the built LRU index
-        verify(&mut m);
-        m.set_next_use(b, Some(7)).unwrap(); // re-keys b in the NU index
-        verify(&mut m);
+        verify(&mut m, "setup");
+        m.touch(a).unwrap();
+        verify(&mut m, "touch");
+        m.set_next_use(b, Some(7)).unwrap();
+        verify(&mut m, "hint");
         m.set_next_use(b, None).unwrap();
-        verify(&mut m);
-        m.pin(c).unwrap(); // leaves both indexes
-        verify(&mut m);
-        m.unpin(c).unwrap(); // re-enters with its old last_use (middle insert)
-        verify(&mut m);
+        verify(&mut m, "hint cleared");
+        m.pin(c).unwrap();
+        verify(&mut m, "pin");
+        m.unpin(c).unwrap(); // keeps its old last_use
+        verify(&mut m, "unpin");
         m.begin_p2p(c, 1).unwrap();
-        verify(&mut m);
-        m.cancel_move_to_device(c).unwrap(); // re-enters dev 0's indexes
-        verify(&mut m);
+        verify(&mut m, "p2p begun");
+        m.cancel_move_to_device(c).unwrap(); // back among dev 0's residents
+        verify(&mut m, "cancelled p2p");
         m.begin_swap_out(b).unwrap();
         m.finish_swap_out(b).unwrap();
-        verify(&mut m);
+        verify(&mut m, "swap-out");
         m.begin_swap_in(b, 0).unwrap();
         m.finish_move_to_device(b).unwrap(); // fresh arrival, new last_use
-        verify(&mut m);
+        verify(&mut m, "swap-in");
         m.free(a).unwrap();
-        verify(&mut m);
+        verify(&mut m, "free");
     }
 
     #[test]
     fn nu_index_walk_matches_choose_loop_at_scale() {
-        // Below NU_INDEX_BUILD_ABOVE residents, next-use planning runs
-        // the selection scan; this test crosses the threshold so the
-        // maintained ordered index serves the walk, then exercises every
-        // maintenance path against the policy's own choose loop.
+        // 120 residents on a device with free space left, so each plan
+        // evicts only the 5 or 10 victims that cover the shortfall; the
+        // next-use scan must pick them exactly as the choose loop does.
         let mut m = MemoryManager::new(vec![100_000]);
         let ids: Vec<TensorId> = (0..120)
             .map(|i| {
@@ -2257,71 +1913,35 @@ mod tests {
             })
             .collect();
         for (k, &id) in ids.iter().enumerate() {
-            let hint = if k % 7 == 0 {
-                None
-            } else {
-                Some((k * 3 % 41) as u64)
-            };
+            let hint = (k % 7 != 0).then_some((k * 3 % 41) as u64);
             m.set_next_use(id, hint).unwrap();
         }
         let verify = |m: &mut MemoryManager| {
             for need in [88_500, 89_000] {
                 assert_eq!(
-                    m.make_room(0, need, &NextUseAware).unwrap(),
-                    choose_loop_victims(m, 0, need, &NextUseAware).unwrap(),
-                    "indexed next-use victims diverged from the choose loop"
+                    m.make_room(0, need, NextUseAware).unwrap(),
+                    choose_loop_victims(m, 0, need, NextUseAware).unwrap(),
+                    "next-use victims diverged from the choose loop"
                 );
             }
         };
-        verify(&mut m); // first plan at 120 residents builds the index
-        assert!(
-            m.fast.nu_index[0].is_some(),
-            "120 residents must build the ordered NU index"
-        );
-        m.touch(ids[5]).unwrap(); // lazy: normalized at the next walk
         verify(&mut m);
-        m.set_next_use(ids[9], Some(1_000)).unwrap(); // key shrink: eager re-key
+        m.touch(ids[5]).unwrap();
         verify(&mut m);
-        m.set_next_use(ids[9], Some(2)).unwrap(); // key growth: lazy
+        m.set_next_use(ids[9], Some(1_000)).unwrap();
         verify(&mut m);
-        m.pin(ids[0]).unwrap(); // field write; walk skips in place
+        m.set_next_use(ids[9], Some(2)).unwrap();
+        verify(&mut m);
+        m.pin(ids[0]).unwrap();
         verify(&mut m);
         m.unpin(ids[0]).unwrap();
         verify(&mut m);
-        m.begin_swap_out(ids[3]).unwrap(); // departure removes its entry
+        m.begin_swap_out(ids[3]).unwrap();
         m.finish_swap_out(ids[3]).unwrap();
         verify(&mut m);
         m.begin_swap_in(ids[3], 0).unwrap();
-        m.finish_move_to_device(ids[3]).unwrap(); // arrival seeds a fresh key
+        m.finish_move_to_device(ids[3]).unwrap();
         verify(&mut m);
-        assert!(m.fast.nu_index[0].is_some(), "population stayed large");
-    }
-
-    #[test]
-    fn nu_index_drops_back_to_scan_when_population_shrinks() {
-        let mut m = MemoryManager::new(vec![100_000]);
-        let ids: Vec<TensorId> = (0..120)
-            .map(|i| {
-                m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
-                    .unwrap()
-            })
-            .collect();
-        m.make_room(0, 88_500, &NextUseAware).unwrap();
-        assert!(m.fast.nu_index[0].is_some());
-        for &id in &ids[..100] {
-            m.free(id).unwrap();
-        }
-        // 20 residents < NU_INDEX_DROP_BELOW: the next walk drops the
-        // index (set_next_use reverts to a pure field write) and the
-        // scan still matches the choose loop exactly.
-        assert_eq!(
-            m.make_room(0, 98_500, &NextUseAware).unwrap(),
-            choose_loop_victims(&m, 0, 98_500, &NextUseAware).unwrap()
-        );
-        assert!(
-            m.fast.nu_index[0].is_none(),
-            "a shrunken population must drop the NU index"
-        );
     }
 
     #[test]
@@ -2332,18 +1952,18 @@ mod tests {
                 .unwrap();
         }
         let mut scratch = Vec::new();
-        for _ in 0..100 {
-            scratch.clear();
-            m.make_room_into(0, 300, &Lru, &mut scratch).unwrap();
-            assert_eq!(scratch.len(), 1, "one 100 B victim frees 300 B of 200 free");
+        for policy in [Lru, NextUseAware] {
+            for _ in 0..100 {
+                scratch.clear();
+                m.make_room_into(0, 300, policy, &mut scratch).unwrap();
+                assert_eq!(scratch.len(), 1, "one 100 B victim frees 300 B of 200 free");
+            }
         }
         let c = m.stats().counters;
-        assert_eq!(
-            c.fresh_allocs, 1,
-            "one lazy index build; repeated planning allocates nothing"
-        );
-        assert_eq!(c.victim_pops, 100);
-        assert_eq!(c.candidate_scans, 0, "indexed path never calls choose");
+        assert_eq!(c.fresh_allocs, 0, "planning into scratch allocates nothing");
+        assert_eq!(c.candidate_scans, 0, "the scan never calls choose");
+        assert_eq!(c.victim_pops, 200);
+        assert_eq!(c.index_ops, 8, "one membership insertion per allocation");
     }
 }
 

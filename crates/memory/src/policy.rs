@@ -1,101 +1,65 @@
 //! Eviction policies.
 //!
 //! The baseline per-GPU virtualization systems the paper critiques evict by
-//! recency ([`Lru`]), blind to the training schedule. Harmony's scheduler
-//! knows each tensor's next use (the task graph is ahead of it), so
-//! [`NextUseAware`] approximates Belady's OPT: evict the resident tensor
-//! whose next use is farthest in the future (never-used-again first).
+//! recency ([`PolicyKind::Lru`]), blind to the training schedule. Harmony's
+//! scheduler knows each tensor's next use (the task graph is ahead of it),
+//! so [`PolicyKind::NextUseAware`] approximates Belady's OPT: evict the
+//! resident tensor whose next use is farthest in the future (never-used-
+//! again first).
+//!
+//! The manager picks victims with one selection scan over a device's
+//! resident set, taking the minimum [`PolicyKind::key`] (DESIGN §13).
+//! [`PolicyKind::choose`] states each policy independently, as the
+//! comparison over owned candidate records that the frozen dense
+//! reference and the test oracles replay.
 
 use crate::manager::TensorInfo;
 use crate::TensorId;
 
-/// The ordered-victim-index key a policy's comparison corresponds to.
-///
-/// A policy that declares its kind promises that for any candidate set its
-/// [`EvictionPolicy::choose`] returns exactly the minimum of the matching
-/// index key — which lets [`crate::MemoryManager`] pop victims off an
-/// incrementally maintained `BTreeSet` in O(log n) instead of re-offering
-/// a freshly materialized candidate slice per victim (DESIGN §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyIndexKind {
-    /// `choose` == min over `(last_use, id)` (see [`Lru`]).
+/// Which resident tensor a full device gives up first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PolicyKind {
+    /// Least-recently-used eviction (what LMS-style per-GPU
+    /// virtualization effectively does).
     Lru,
-    /// `choose` == min over `(u64::MAX - hint_or_max, last_use, id)` where
-    /// `hint_or_max = next_use_hint.map_or(u64::MAX, |h| h)` — the
-    /// componentwise order-reversal of [`NextUseAware`]'s `max_by_key`.
-    NextUse,
+    /// Next-use-aware (Belady-approximate) eviction driven by scheduler
+    /// hints. Tensors with no recorded next use are evicted first
+    /// (farthest possible future), then those with the latest
+    /// `next_use_hint`; ties break by LRU then id for determinism.
+    NextUseAware,
 }
 
-/// Chooses which resident tensor to evict from a device.
-pub trait EvictionPolicy {
+impl PolicyKind {
     /// Picks a victim among `candidates` (all unpinned, resident on the
     /// pressured device). Returns `None` only if `candidates` is empty.
-    fn choose(&self, candidates: &[&TensorInfo]) -> Option<TensorId>;
-
-    /// Policy name for traces.
-    fn name(&self) -> &'static str;
-
-    /// The ordered-index key this policy's choice is the minimum of, if
-    /// any. Defaults to `None`: foreign policies keep today's semantics
-    /// (the manager materializes the candidate set and calls `choose`
-    /// per victim); only return `Some` if `choose` is *exactly*
-    /// equivalent to the declared key order — the manager then never
-    /// calls `choose` on the hot path.
-    fn index_kind(&self) -> Option<PolicyIndexKind> {
-        None
-    }
-}
-
-/// Least-recently-used eviction (what LMS-style per-GPU virtualization
-/// effectively does).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lru;
-
-impl EvictionPolicy for Lru {
-    fn choose(&self, candidates: &[&TensorInfo]) -> Option<TensorId> {
-        candidates
-            .iter()
-            .min_by_key(|t| (t.last_use, t.id))
-            .map(|t| t.id)
+    pub fn choose(self, candidates: &[&TensorInfo]) -> Option<TensorId> {
+        match self {
+            PolicyKind::Lru => candidates
+                .iter()
+                .min_by_key(|t| (t.last_use, t.id))
+                .map(|t| t.id),
+            PolicyKind::NextUseAware => candidates
+                .iter()
+                .max_by_key(|t| {
+                    (
+                        t.next_use_hint.map_or(u64::MAX, |h| h),
+                        u64::MAX - t.last_use, // older first among ties
+                        u64::MAX - t.id,       // lower id wins final tie
+                    )
+                })
+                .map(|t| t.id),
+        }
     }
 
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn index_kind(&self) -> Option<PolicyIndexKind> {
-        Some(PolicyIndexKind::Lru)
-    }
-}
-
-/// Next-use-aware (Belady-approximate) eviction driven by scheduler hints.
-///
-/// Tensors with no recorded next use are evicted first (farthest possible
-/// future), then those with the latest `next_use_hint`; ties break by LRU
-/// then id for determinism.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NextUseAware;
-
-impl EvictionPolicy for NextUseAware {
-    fn choose(&self, candidates: &[&TensorInfo]) -> Option<TensorId> {
-        candidates
-            .iter()
-            .max_by_key(|t| {
-                (
-                    t.next_use_hint.map_or(u64::MAX, |h| h),
-                    u64::MAX - t.last_use, // older first among ties
-                    u64::MAX - t.id,       // lower id wins final tie
-                )
-            })
-            .map(|t| t.id)
-    }
-
-    fn name(&self) -> &'static str {
-        "next_use_aware"
-    }
-
-    fn index_kind(&self) -> Option<PolicyIndexKind> {
-        Some(PolicyIndexKind::NextUse)
+    /// The victim-order key of a tensor: among any candidate set,
+    /// [`PolicyKind::choose`] returns the candidate with the smallest key.
+    /// Keys are unique per tensor (the id is the last component).
+    pub fn key(self, last_use: u64, next_use: Option<u64>, id: TensorId) -> (u64, u64, TensorId) {
+        match self {
+            PolicyKind::Lru => (0, last_use, id),
+            // The componentwise order-reversal of `choose`'s `max_by_key`.
+            PolicyKind::NextUseAware => (u64::MAX - next_use.map_or(u64::MAX, |h| h), last_use, id),
+        }
     }
 }
 
@@ -104,6 +68,7 @@ mod tests {
     use super::*;
     use crate::manager::Residency;
     use crate::TensorClass;
+    use PolicyKind::{Lru, NextUseAware};
 
     fn info(id: TensorId, last_use: u64, next: Option<u64>) -> TensorInfo {
         TensorInfo {

@@ -11,32 +11,29 @@ pub enum Direction {
     Out,
 }
 
-/// Structural counters of the memory manager's planning hot path — the
-/// complexity contract of the ordered-victim-index rewrite (DESIGN §13),
-/// the memory-side analogue of the executor's `ExecCounters`.
+/// Structural counters of the memory manager's planning hot path (DESIGN
+/// §13), the memory-side analogue of the executor's `ExecCounters`.
 ///
-/// `fresh_allocs` is the no-per-fetch-allocation witness: it counts
-/// planning-path buffer/index materialisations (compat-wrapper `Vec`s,
-/// foreign-policy candidate snapshots, lazy ordered-index builds), so in
-/// a run that plans through the `_into` API with an indexable policy it
-/// stays bounded by the device count — never by the fetch count.
-/// `repro mem-smoke` gates on exactly that.
+/// `fresh_allocs` is the no-per-fetch-allocation witness: planning
+/// through the `_into` API on the fast core allocates nothing, so a run
+/// that plans that way reports zero — `repro mem-smoke` gates it against
+/// the device count. `fresh_allocs` and `candidate_scans` grow only on
+/// the dense reference core and through the allocating `make_room` /
+/// `plan_fetch` wrappers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemCounters {
-    /// Planning-path heap materialisations (buffers and index builds).
-    /// Plan-bounded on the fast path; grows per fetch on the dense
-    /// reference (it snapshots the candidate set every `make_room`).
+    /// Planning-path heap materialisations: one per allocating-wrapper
+    /// call, and per `make_room` on the dense reference (it snapshots
+    /// the candidate set each time).
     pub fresh_allocs: u64,
-    /// Candidate records offered to `EvictionPolicy::choose` across all
-    /// victim selections — the dense path re-offers the whole remaining
-    /// slice per victim, the indexed path never calls `choose` at all.
+    /// Candidate records offered to `PolicyKind::choose` across all
+    /// victim selections — the dense core re-offers the whole remaining
+    /// slice per victim; the fast core's scan never calls `choose`.
     pub candidate_scans: u64,
-    /// Ordered-victim-index mutations (inserts, removes, re-keys) at
-    /// residency/pin/recency transitions.
+    /// Resident-membership insertions and removals: one per arrival on a
+    /// device and one per departure from it.
     pub index_ops: u64,
-    /// Victims chosen without `EvictionPolicy::choose`: popped off an
-    /// ordered index, or picked by the next-use selection scan over the
-    /// resident set that serves small device populations.
+    /// Victims picked by the fast core's selection scan.
     pub victim_pops: u64,
 }
 

@@ -3,8 +3,7 @@
 //! statistics must exactly mirror the transfers performed.
 
 use harmony_memory::{
-    Direction, EvictionPolicy, Lru, MemError, MemoryManager, NextUseAware, Residency, TensorClass,
-    TensorId, TensorInfo,
+    Direction, MemError, MemoryManager, PolicyKind, Residency, TensorClass, TensorId, TensorInfo,
 };
 use proptest::prelude::*;
 
@@ -178,9 +177,9 @@ proptest! {
             }
         }
         let result = if use_next_use {
-            mm.make_room(0, need, &NextUseAware)
+            mm.make_room(0, need, PolicyKind::NextUseAware)
         } else {
-            mm.make_room(0, need, &Lru)
+            mm.make_room(0, need, PolicyKind::Lru)
         };
         match result {
             Ok(victims) => {
@@ -212,12 +211,11 @@ proptest! {
     }
 }
 
-/// Ops for the ordered-victim-index differential: all 8 residency/pin
+/// Ops for the victim-selection differential: all 8 residency/pin
 /// transitions (register/alloc, swap in, swap out, p2p, pin, unpin, free,
 /// finish/cancel), plus drop_to_host, touch, mark_dirty, and set_next_use
-/// re-keying — with `make_room` probes interleaved so the ordered indexes
-/// get built mid-sequence and every later transition exercises the
-/// incremental maintenance.
+/// — with `make_room` probes interleaved so every key change and
+/// membership change is followed by a selection scan.
 #[derive(Debug, Clone)]
 enum IxOp {
     RegisterHost(u64),
@@ -264,7 +262,7 @@ fn dense_make_room(
     mm: &MemoryManager,
     dev: usize,
     bytes: u64,
-    policy: &dyn EvictionPolicy,
+    policy: PolicyKind,
 ) -> Result<Vec<TensorId>, MemError> {
     let mut free = mm.free_bytes(dev)?;
     let infos: Vec<TensorInfo> = mm
@@ -327,8 +325,8 @@ proptest! {
 
     /// The tentpole's correctness core: after arbitrary interleavings of
     /// every residency/pin transition (including cancel_move_to_device
-    /// and drop_to_host), the incrementally maintained ordered victim
-    /// index produces exactly the victims (and errors) of a dense
+    /// and drop_to_host), the selection scan over the sorted resident
+    /// membership produces exactly the victims (and errors) of a dense
     /// filter-and-sort + choose-loop recomputation, for both built-in
     /// policies; candidate order and host_used stay dense-equal too.
     #[test]
@@ -422,45 +420,47 @@ proptest! {
                     }
                 }
                 IxOp::MakeRoom(d, b, next_use) => {
-                    // Planning probe: builds the device's ordered index on
-                    // first use, walks it afterwards. Must match the dense
-                    // recompute exactly — victims, order, and errors.
-                    let policy: &dyn EvictionPolicy =
-                        if next_use { &NextUseAware } else { &Lru };
+                    // Planning probe: must match the dense recompute
+                    // exactly — victims, order, and errors.
+                    let policy = if next_use {
+                        PolicyKind::NextUseAware
+                    } else {
+                        PolicyKind::Lru
+                    };
                     let dense = dense_make_room(&mm, d, b, policy);
                     let fast = mm.make_room(d, b, policy);
                     prop_assert_eq!(
                         &fast, &dense,
-                        "indexed make_room diverged from dense recompute \
-                         (dev {}, need {}, policy {})",
-                        d, b, policy.name()
+                        "make_room diverged from dense recompute \
+                         (dev {}, need {}, policy {:?})",
+                        d, b, policy
                     );
                 }
             }
             // After every op: candidate order and host_used stay
-            // dense-equal (catches a missed index update immediately, at
-            // the op that caused it).
+            // dense-equal (catches a missed membership update immediately,
+            // at the op that caused it).
             for d in 0..caps.len() {
                 let indexed: Vec<TensorId> = mm.eviction_candidates(d).map(|t| t.id).collect();
                 prop_assert_eq!(
                     indexed,
                     dense_candidates(&mm, d),
-                    "evictable index diverged on device {}", d
+                    "resident membership diverged on device {}", d
                 );
             }
             prop_assert_eq!(mm.host_used(), dense_host_used(&mm), "host_used drift");
         }
         // Final sweep: force planning on every device with both policies
-        // so sequences that never drew a MakeRoom still check the index.
+        // so sequences that never drew a MakeRoom still check the scan.
         for (d, &cap) in caps.iter().enumerate() {
             for need in [1u64, cap / 2, cap] {
                 prop_assert_eq!(
-                    mm.make_room(d, need, &Lru),
-                    dense_make_room(&mm, d, need, &Lru)
+                    mm.make_room(d, need, PolicyKind::Lru),
+                    dense_make_room(&mm, d, need, PolicyKind::Lru)
                 );
                 prop_assert_eq!(
-                    mm.make_room(d, need, &NextUseAware),
-                    dense_make_room(&mm, d, need, &NextUseAware)
+                    mm.make_room(d, need, PolicyKind::NextUseAware),
+                    dense_make_room(&mm, d, need, PolicyKind::NextUseAware)
                 );
             }
         }

@@ -1,13 +1,6 @@
 //! Scheme and workload configuration.
 
-/// Which eviction policy the memory manager uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PolicyKind {
-    /// Least-recently-used (baseline per-GPU virtualization).
-    Lru,
-    /// Next-use-aware (Harmony: scheduler hints approximate Belady OPT).
-    NextUseAware,
-}
+pub use harmony_memory::PolicyKind;
 
 /// The knobs that distinguish baselines from Harmony. See crate docs for
 /// the scheme matrix.

@@ -16,9 +16,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use harmony_memory::{
-    EvictionPolicy, Lru, MemError, MemObserver, MemoryManager, NextUseAware, Residency, TensorId,
-};
+use harmony_memory::{MemError, MemObserver, MemoryManager, Residency, TensorId};
 use harmony_models::ModelSpec;
 use harmony_simulator::{Completion, Simulator, TransferId};
 use harmony_taskgraph::{TaskId, TensorRef};
@@ -28,7 +26,6 @@ use harmony_trace::{
     SpanKind, SymbolId, Trace,
 };
 
-use crate::config::PolicyKind;
 use crate::exec::{ExecCounters, ExecError, TaskLabel, TensorLabel};
 use crate::obs::{ExecContext, ExecEvent, ExecObserver, Fault, TimedFault};
 use crate::plan::{ExecutionPlan, WorkItem};
@@ -210,7 +207,6 @@ pub struct ReferenceExecutor<'a> {
     plan: &'a ExecutionPlan,
     sim: Simulator,
     mm: MemoryManager,
-    policy: Box<dyn EvictionPolicy>,
     ids: HashMap<Key, TensorId>,
     gpus: Vec<GpuState>,
     done: HashSet<(u32, usize, TaskId)>,
@@ -346,10 +342,6 @@ impl<'a> ReferenceExecutor<'a> {
                 }
             }
         }
-        let policy: Box<dyn EvictionPolicy> = match plan.scheme.policy {
-            PolicyKind::Lru => Box::new(Lru),
-            PolicyKind::NextUseAware => Box::new(NextUseAware),
-        };
         let gpus = plan
             .queues
             .iter()
@@ -384,7 +376,6 @@ impl<'a> ReferenceExecutor<'a> {
             plan,
             sim,
             mm,
-            policy,
             ids,
             gpus,
             done: HashSet::new(),
@@ -1485,7 +1476,7 @@ impl<'a> ReferenceExecutor<'a> {
                         }
                         Residency::OnDevice(src) => {
                             // Needs to come from a peer GPU.
-                            let plan = match self.mm.plan_fetch(id, g, self.policy.as_ref()) {
+                            let plan = match self.mm.plan_fetch(id, g, self.plan.scheme.policy) {
                                 Ok(p) => p,
                                 Err(e) => return self.spill_guard(g, slot, step_id, e),
                             };
@@ -1578,7 +1569,7 @@ impl<'a> ReferenceExecutor<'a> {
                             }
                         }
                         Residency::OnHost => {
-                            let plan = match self.mm.plan_fetch(id, g, self.policy.as_ref()) {
+                            let plan = match self.mm.plan_fetch(id, g, self.plan.scheme.policy) {
                                 Ok(p) => p,
                                 Err(e) => return self.spill_guard(g, slot, step_id, e),
                             };
@@ -1659,7 +1650,7 @@ impl<'a> ReferenceExecutor<'a> {
                     let cfg = self.plan.graph.config();
                     let bytes = key.2.bytes(self.model, cfg.ubatch_size, cfg.opt_slots);
                     if self.mm.free_bytes(g)? < bytes {
-                        let victims = match self.mm.make_room(g, bytes, self.policy.as_ref()) {
+                        let victims = match self.mm.make_room(g, bytes, self.plan.scheme.policy) {
                             Ok(v) => v,
                             Err(e) => return self.spill_guard(g, slot, step_id, e),
                         };

@@ -104,9 +104,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
-use harmony_memory::{
-    EvictionPolicy, Lru, MemError, MemObserver, MemoryManager, NextUseAware, Residency, TensorId,
-};
+use harmony_memory::{MemError, MemObserver, MemoryManager, Residency, TensorId};
 use harmony_models::ModelSpec;
 use harmony_simulator::{Completion, SimError, Simulator, TransferId};
 use harmony_taskgraph::{TaskId, TensorRef};
@@ -116,7 +114,6 @@ use harmony_trace::{
     SpanKind, SymbolId, Trace,
 };
 
-use crate::config::PolicyKind;
 use crate::obs::{EventPool, ExecContext, ExecEvent, ExecObserver, Fault, TimedFault};
 use crate::plan::{ExecutionPlan, WorkItem};
 use crate::slab::{Slab, SlabHandle};
@@ -554,7 +551,6 @@ pub struct SimExecutor<'a> {
     plan: &'a ExecutionPlan,
     sim: Simulator,
     mm: MemoryManager,
-    policy: Box<dyn EvictionPolicy>,
     /// Dense key-index space (see [`KeySpace`]).
     ks: KeySpace,
     iterations: u32,
@@ -685,7 +681,7 @@ pub struct SimExecutor<'a> {
 /// Hash-ordered containers whose iteration order could reach an
 /// observable output (`done_mirror`, `reroute_attempts`,
 /// `degraded_channels`) are deliberately *not* pooled — they are rebuilt
-/// fresh per run, as are the policy box, observers, faults and counters.
+/// fresh per run, as are observers, faults and counters.
 #[derive(Debug, Default)]
 pub struct ExecPool {
     sim: Option<Simulator>,
@@ -901,10 +897,6 @@ impl<'a> SimExecutor<'a> {
                 }
             }
         }
-        let policy: Box<dyn EvictionPolicy> = match plan.scheme.policy {
-            PolicyKind::Lru => Box::new(Lru),
-            PolicyKind::NextUseAware => Box::new(NextUseAware),
-        };
         // Flatten the work queues and precompile each distinct item's
         // fetch targets once; every iteration's instance shares the range.
         let mut q_items: Vec<QItem> = recycled(&mut pool.q_items);
@@ -1042,7 +1034,6 @@ impl<'a> SimExecutor<'a> {
             plan,
             sim,
             mm,
-            policy,
             ks,
             iterations,
             num_tasks,
@@ -1919,8 +1910,8 @@ impl<'a> SimExecutor<'a> {
 
     /// Returns every recyclable container to `pool`, consuming the
     /// executor. Hash-ordered state (`done_mirror`, `reroute_attempts`,
-    /// `degraded_channels`) and run-specific state (policy, observers,
-    /// faults, counters) are dropped — rebuilt fresh each run, so no
+    /// `degraded_channels`) and run-specific state (observers, faults,
+    /// counters) are dropped — rebuilt fresh each run, so no
     /// iteration-order artifact can leak across cells.
     fn dismantle(self, pool: &mut ExecPool) {
         pool.sim = Some(self.sim);
@@ -2462,7 +2453,7 @@ impl<'a> SimExecutor<'a> {
                         victims.clear();
                         if let Err(e) =
                             self.mm
-                                .plan_fetch_into(id, g, self.policy.as_ref(), &mut victims)
+                                .plan_fetch_into(id, g, self.plan.scheme.policy, &mut victims)
                         {
                             self.evict_scratch = victims;
                             return self.spill_guard(g, slot, step_id, e);
@@ -2536,7 +2527,7 @@ impl<'a> SimExecutor<'a> {
                         victims.clear();
                         if let Err(e) =
                             self.mm
-                                .plan_fetch_into(id, g, self.policy.as_ref(), &mut victims)
+                                .plan_fetch_into(id, g, self.plan.scheme.policy, &mut victims)
                         {
                             self.evict_scratch = victims;
                             return self.spill_guard(g, slot, step_id, e);
@@ -2604,7 +2595,7 @@ impl<'a> SimExecutor<'a> {
                     victims.clear();
                     if let Err(e) =
                         self.mm
-                            .make_room_into(g, bytes, self.policy.as_ref(), &mut victims)
+                            .make_room_into(g, bytes, self.plan.scheme.policy, &mut victims)
                     {
                         self.evict_scratch = victims;
                         return self.spill_guard(g, slot, step_id, e);

@@ -68,17 +68,20 @@ impl ResilienceOutcome {
 /// exported into run summaries (a dependency-free mirror of
 /// `harmony-memory`'s `MemCounters` — this crate sits below the memory
 /// crate in the dependency order). `fresh_allocs` is the
-/// no-per-fetch-allocation witness `repro mem-smoke` gates on.
+/// no-per-fetch-allocation witness `repro mem-smoke` gates on; it and
+/// `candidate_scans` stay zero on the fast core's `_into` planning path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemPlanningCounters {
-    /// Planning-path heap materialisations (buffers and index builds).
+    /// Planning-path heap materialisations (allocating wrappers and the
+    /// dense reference's per-`make_room` candidate snapshots).
     pub fresh_allocs: u64,
-    /// Candidate records offered to `EvictionPolicy::choose`.
+    /// Candidate records offered to `PolicyKind::choose` (dense
+    /// reference only).
     pub candidate_scans: u64,
-    /// Ordered-victim-index mutations at state transitions.
+    /// Resident-membership insertions and removals (one per arrival on a
+    /// device, one per departure).
     pub index_ops: u64,
-    /// Victims chosen without `EvictionPolicy::choose` (an ordered-index
-    /// pop or the small-population next-use scan).
+    /// Victims picked by the fast core's selection scan.
     pub victim_pops: u64,
 }
 
