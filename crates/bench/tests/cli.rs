@@ -226,3 +226,16 @@ fn custom_capacity_error_names_the_pinned_bytes() {
         "the error must give the pinned bytes, got: {stderr}"
     );
 }
+
+#[test]
+fn custom_rejects_a_task_graph_beyond_its_arena_offsets() {
+    // 4 × 10^8 pipeline microbatches of lenet's 7 layers need more task
+    // list entries than the graph's `u32` arena offsets address. That is
+    // a typed error on any host, not an abort on a ~800 GB reservation.
+    let out = repro(&["custom", "--microbatches", "100000000", "--model", "lenet"]);
+    assert_usage_error(
+        &out,
+        "task graph too large",
+        "custom --microbatches 100000000",
+    );
+}

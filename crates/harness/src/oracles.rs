@@ -272,7 +272,7 @@ impl ExecObserver for DependencyOracle {
             gpu,
         } = *event
         {
-            for &dep in &ctx.plan.graph.task(task).deps {
+            for &dep in ctx.plan.graph.deps(task) {
                 assert!(
                     ctx.done.contains(&(iter, replica, dep)),
                     "dependency oracle: task {task:?} started on gpu{gpu} \
@@ -402,7 +402,7 @@ impl ExecObserver for StashWindowOracle {
             } => {
                 let t = ctx.plan.graph.task(task);
                 let packs = ctx.plan.graph.packs();
-                for (refs, write) in [(&t.reads, false), (&t.writes, true)] {
+                for (refs, write) in [(t.reads, false), (t.writes, true)] {
                     for r in refs.iter() {
                         if let TensorRef::WeightStash { layer, ubatch } = *r {
                             assert!(
@@ -423,7 +423,7 @@ impl ExecObserver for StashWindowOracle {
                 task,
                 ..
             } => {
-                for r in &ctx.plan.graph.task(task).frees {
+                for r in ctx.plan.graph.frees(task) {
                     if let TensorRef::WeightStash { layer, ubatch } = *r {
                         self.closed.insert((iter, replica, layer, ubatch));
                     }

@@ -118,7 +118,7 @@ fn stash_reading_backward(
     for id in plan.graph.topo_order() {
         let t = plan.graph.task(id);
         if matches!(t.kind, TaskKind::Backward { .. }) {
-            for r in &t.reads {
+            for r in t.reads {
                 if let TensorRef::WeightStash { layer, ubatch } = *r {
                     return (id, layer, ubatch);
                 }

@@ -1154,13 +1154,13 @@ impl<'a> ReferenceExecutor<'a> {
             WorkItem::Task { replica, task } => {
                 let t = self.plan.graph.task(task);
                 let mut seen: Vec<TensorRef> = Vec::new();
-                for &rf in &t.reads {
+                for &rf in t.reads {
                     if !seen.contains(&rf) {
                         seen.push(rf);
                         targets.push_back(Target::Input(key_of(iter, replica, rf)));
                     }
                 }
-                for &rf in &t.writes {
+                for &rf in t.writes {
                     if !seen.contains(&rf) {
                         seen.push(rf);
                         targets.push_back(Target::Alloc(key_of(iter, replica, rf)));
@@ -1822,11 +1822,11 @@ impl<'a> ReferenceExecutor<'a> {
             self.wake_tensor_waiters(*id);
         }
         let t = self.plan.graph.task(task);
-        for &rf in &t.writes {
+        for &rf in t.writes {
             let id = self.tensor_id(key_of(step.iter, replica, rf))?;
             self.mm.mark_dirty(id)?;
         }
-        for &rf in &t.frees {
+        for &rf in t.frees {
             let id = self.tensor_id(key_of(step.iter, replica, rf))?;
             self.mm.free(id)?;
             // Waiters stalled on a now-dead tensor must still advance (to
@@ -1957,7 +1957,6 @@ fn item_keys(plan: &ExecutionPlan, iter: u32, item: WorkItem) -> Vec<Key> {
             .graph
             .task(task)
             .touched()
-            .into_iter()
             .map(|rf| key_of(iter, replica, rf))
             .collect(),
         WorkItem::AllReduce { pack } => plan.graph.packs()[pack]

@@ -32,8 +32,11 @@ pub fn plan_baseline_dp(
     let np = graph.packs().len();
     let m = w.microbatches;
     let mut queues = Vec::with_capacity(n_gpus);
+    // Per replica: every task of the graph, plus one AllReduce per pack
+    // when there is more than one GPU.
+    let queue_len = graph.num_tasks() + if n_gpus > 1 { np } else { 0 };
     for r in 0..n_gpus {
-        let mut q = Vec::new();
+        let mut q = Vec::with_capacity(queue_len);
         let t = |kind| WorkItem::Task {
             replica: r,
             task: graph.id_of(kind).expect("task exists by construction"),
@@ -56,6 +59,7 @@ pub fn plan_baseline_dp(
         for p in (0..np).rev() {
             q.push(t(TaskKind::Update { pack: p }));
         }
+        debug_assert_eq!(q.len(), queue_len);
         queues.push(q);
     }
     Ok(ExecutionPlan {
@@ -82,8 +86,11 @@ pub fn plan_harmony_dp(
     let np = graph.packs().len();
     let m = w.microbatches;
     let mut queues = Vec::with_capacity(n_gpus);
+    // Per replica: every task of the graph, plus one AllReduce per pack
+    // when there is more than one GPU.
+    let queue_len = graph.num_tasks() + if n_gpus > 1 { np } else { 0 };
     for r in 0..n_gpus {
-        let mut q = Vec::new();
+        let mut q = Vec::with_capacity(queue_len);
         let t = |kind| WorkItem::Task {
             replica: r,
             task: graph.id_of(kind).expect("task exists by construction"),
@@ -118,6 +125,7 @@ pub fn plan_harmony_dp(
                 }
             }
         }
+        debug_assert_eq!(q.len(), queue_len);
         queues.push(q);
     }
     Ok(ExecutionPlan {

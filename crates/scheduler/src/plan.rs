@@ -1,6 +1,6 @@
 //! Execution plans: the planner → executor interface.
 
-use harmony_taskgraph::{TaskGraph, TaskId, TensorRef};
+use harmony_taskgraph::{TaskGraph, TaskId};
 
 use crate::config::SchemeConfig;
 
@@ -51,49 +51,16 @@ impl ExecutionPlan {
         self.queues.iter().map(Vec::len).sum()
     }
 
-    /// Exclusive upper bounds `(layers, ubatches)` over every tensor
-    /// reference reachable from this plan's graph: reads, writes, **and
-    /// frees** of every task (the executor resolves freed refs too), plus
-    /// pack layer ranges (collectives target per-layer gradients). Used to
-    /// size the executor's dense key space defensively — a graph that
-    /// references a layer or microbatch beyond the model/workload config
-    /// still gets in-bounds indices.
-    pub fn ref_dims(&self) -> (usize, usize) {
-        let mut layers = 0usize;
-        let mut ubatches = 0usize;
-        let mut visit = |rf: &TensorRef| {
-            let (l, u) = match *rf {
-                TensorRef::Weight { layer }
-                | TensorRef::Grad { layer }
-                | TensorRef::OptState { layer } => (layer + 1, 0),
-                TensorRef::Activation { layer, ubatch }
-                | TensorRef::ActGrad { layer, ubatch }
-                | TensorRef::Stash { layer, ubatch }
-                | TensorRef::WeightStash { layer, ubatch } => (layer + 1, ubatch + 1),
-                TensorRef::Input { ubatch } => (0, ubatch + 1),
-            };
-            layers = layers.max(l);
-            ubatches = ubatches.max(u);
-        };
-        for t in self.graph.tasks() {
-            for rf in t.reads.iter().chain(&t.writes).chain(&t.frees) {
-                visit(rf);
-            }
-        }
-        for p in self.graph.packs() {
-            layers = layers.max(p.end);
-        }
-        (layers, ubatches)
-    }
-
-    /// Validates structural invariants: every referenced task exists, every
-    /// graph task of every replica is scheduled exactly once, and AllReduce
-    /// items appear the same number of times on every GPU.
+    /// Validates structural invariants: every referenced task and pack
+    /// exists, every graph task of every replica is scheduled exactly once,
+    /// and AllReduce items appear the same number of times on every GPU.
     pub fn validate(&self) -> Result<(), String> {
-        use std::collections::HashMap;
-        let ntasks = self.graph.tasks().len();
-        let mut seen: HashMap<(usize, TaskId), usize> = HashMap::new();
-        let mut reduce_counts: Vec<HashMap<usize, usize>> = vec![HashMap::new(); self.queues.len()];
+        let ntasks = self.graph.num_tasks();
+        let npacks = self.graph.packs().len();
+        // Dense counts: `replica * ntasks + task`, and `gpu * npacks + pack`.
+        let too_large = || format!("{} replicas × {ntasks} tasks overflow", self.replicas);
+        let mut seen = vec![0u32; self.replicas.checked_mul(ntasks).ok_or_else(too_large)?];
+        let mut reduce_counts = vec![0u32; self.queues.len() * npacks];
         for (g, q) in self.queues.iter().enumerate() {
             for item in q {
                 match *item {
@@ -104,25 +71,29 @@ impl ExecutionPlan {
                         if task >= ntasks {
                             return Err(format!("gpu{g}: task {task} out of range"));
                         }
-                        *seen.entry((replica, task)).or_insert(0) += 1;
+                        seen[replica * ntasks + task] += 1;
                     }
                     WorkItem::AllReduce { pack } => {
-                        *reduce_counts[g].entry(pack).or_insert(0) += 1;
+                        if pack >= npacks {
+                            return Err(format!("gpu{g}: AllReduce pack {pack} out of range"));
+                        }
+                        reduce_counts[g * npacks + pack] += 1;
                     }
                 }
             }
         }
         for r in 0..self.replicas {
             for t in 0..ntasks {
-                match seen.get(&(r, t)) {
-                    Some(1) => {}
-                    Some(k) => return Err(format!("task {t} of replica {r} scheduled {k}×")),
-                    None => return Err(format!("task {t} of replica {r} never scheduled")),
+                match seen[r * ntasks + t] {
+                    1 => {}
+                    0 => return Err(format!("task {t} of replica {r} never scheduled")),
+                    k => return Err(format!("task {t} of replica {r} scheduled {k}×")),
                 }
             }
         }
-        if let Some(first) = reduce_counts.first() {
-            for (g, counts) in reduce_counts.iter().enumerate() {
+        let mut gpus = reduce_counts.chunks_exact(npacks.max(1)).enumerate();
+        if let Some((_, first)) = gpus.next() {
+            for (g, counts) in gpus {
                 if counts != first {
                     return Err(format!("gpu{g}: AllReduce set differs from gpu0"));
                 }
@@ -237,5 +208,24 @@ mod tests {
             1,
         );
         assert!(plan.validate().is_err());
+        // A pack beyond the graph's packs fails validation, so building
+        // an executor for it is an error rather than a panic.
+        let plan = tiny_plan(
+            vec![(0..4)
+                .map(|t| WorkItem::Task {
+                    replica: 0,
+                    task: t,
+                })
+                .chain([WorkItem::AllReduce { pack: 1 }])
+                .collect()],
+            1,
+        );
+        assert_eq!(
+            plan.validate(),
+            Err("gpu0: AllReduce pack 1 out of range".to_string())
+        );
+        let model = TransformerConfig::tiny().build();
+        let topo = harmony_topology::presets::commodity_4x1080ti();
+        assert!(crate::SimExecutor::new(&topo, &model, &plan).is_err());
     }
 }

@@ -45,17 +45,18 @@ pub fn partition_packs(
         prefix[i + 1] = prefix[i] + l;
     }
     let seg = |a: usize, b: usize| prefix[b] - prefix[a];
-    let inf = f64::INFINITY;
-    let mut cost = vec![vec![inf; n + 1]; np + 1];
-    let mut cut = vec![vec![0usize; n + 1]; np + 1];
-    cost[0][0] = 0.0;
+    // Row-major `(np + 1) × (n + 1)` tables: entry `[i][k]` at `i * w + k`.
+    let w = n + 1;
+    let mut cost = vec![f64::INFINITY; (np + 1) * w];
+    let mut cut = vec![0usize; (np + 1) * w];
+    cost[0] = 0.0;
     for k in 1..=n {
         for i in 0..=np {
             for j in 0..=i {
-                let c = cost[j][k - 1].max(seg(j, i));
-                if c < cost[i][k] {
-                    cost[i][k] = c;
-                    cut[i][k] = j;
+                let c = cost[j * w + k - 1].max(seg(j, i));
+                if c < cost[i * w + k] {
+                    cost[i * w + k] = c;
+                    cut[i * w + k] = j;
                 }
             }
         }
@@ -64,7 +65,7 @@ pub fn partition_packs(
     let mut bounds = vec![np];
     let mut i = np;
     for k in (1..=n).rev() {
-        i = cut[i][k];
+        i = cut[i * w + k];
         bounds.push(i);
     }
     bounds.reverse();
@@ -237,8 +238,11 @@ fn plan_pp(
     let mut queues = Vec::with_capacity(s_count);
     let mut demand = Vec::with_capacity(s_count);
     for (s, stage) in stages.iter().enumerate() {
-        let mut q = Vec::new();
         let is_last = s == s_count - 1;
+        // Each of the stage's packs runs a forward and a backward per
+        // microbatch plus one update; the last stage also runs the losses.
+        let queue_len = stage.len() * (2 * m_total + 1) + if is_last { m_total } else { 0 };
+        let mut q = Vec::with_capacity(queue_len);
         if harmony {
             // Grouped sweeps: each pack runs a *group* of microbatches
             // back-to-back (input-batch grouping); groups pipeline across
@@ -306,6 +310,7 @@ fn plan_pp(
         } else {
             0
         };
+        debug_assert_eq!(q.len(), queue_len);
         demand.push(
             stage_state_bytes(&graph, model, stage, w.opt_slots)
                 + stage_stash_per_ubatch(&graph, model, stage, w.ubatch_size) * in_flight

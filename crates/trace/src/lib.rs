@@ -128,9 +128,10 @@ impl Trace {
     /// Reserves room for at least `extra` further spans. Callers that can
     /// bound their span count up front (the executor: a handful per work
     /// item) use this to keep the hot recording path free of growth
-    /// reallocations.
-    pub fn reserve_spans(&mut self, extra: usize) {
-        self.spans.reserve(extra);
+    /// reallocations. Fails, rather than aborting, when the allocator
+    /// refuses the room.
+    pub fn reserve_spans(&mut self, extra: usize) -> Result<(), std::collections::TryReserveError> {
+        self.spans.try_reserve(extra)
     }
 
     /// Interns `label` in this trace's symbol table.

@@ -71,7 +71,7 @@ fn to_json_allocates_a_constant_not_per_span() {
             _ => t.intern(&format!("r0.L{i}.W")),
         })
         .collect();
-    t.reserve_spans(SPANS);
+    t.reserve_spans(SPANS).unwrap();
     for i in 0..SPANS {
         // Times advance in small steps shared between lanes, as an
         // executor records them; every eighth span sits on the host lane.
