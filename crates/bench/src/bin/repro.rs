@@ -5,10 +5,12 @@
 //! table_a dominance tango prefetch recompute eviction steady all`, the
 //! correctness gate `conformance [seed]` (prints the oracle-instrumented
 //! pass/fail matrix, exits nonzero on any failing cell), one of the
-//! same-moment perf smokes `exec-smoke`, `mem-smoke`, `sweep-smoke` and
-//! `fault-sweep --smoke` that `./verify` gates on, or `custom` followed
-//! by flags (see `repro custom --help`) to run an arbitrary model ×
-//! scheme × server configuration.
+//! same-moment perf smokes `exec-smoke`, `mem-smoke` and `fault-sweep
+//! --smoke` that `./verify` gates on, or `custom` followed by flags (see
+//! `repro custom --help`) to run an arbitrary model × scheme × server
+//! configuration. Everything a run prints goes through [`emit`], so a
+//! reader that closes the pipe early (`repro all | head -1`) ends the
+//! run quietly with exit 0.
 
 use harmony_bench::{cli, custom, fault_sweep, figures, sweeps};
 
@@ -28,8 +30,6 @@ gates and sweeps:
                                    oracle-instrumented pass/fail matrix
                                    (exits nonzero on any failing cell);
                                    --scheme restricts to one scheme's cells
-  sweep-smoke [--cells N]          pooled-session sweep throughput vs fresh
-                                   per-cell setup, byte-identity checked
   exec-smoke [--grid] [--scheme NAME]
                                    executor hot path vs the dense reference
   mem-smoke [--grid]               memory-manager hot path vs the frozen
@@ -114,7 +114,7 @@ const MEM_GATE: HotPathGate = HotPathGate {
 fn gate_hot_path(gate: &HotPathGate, points: &[sweeps::HotPathTiming]) {
     let per_event = |n: u64, p: &sweeps::HotPathTiming| n as f64 / p.events.max(1) as f64;
     for p in points {
-        println!(
+        emit(format_args!(
             "{}_hot_path R={} m={} N={} iters={}: {:.0} events/s \
              ({} events in {:.3} s; {} {:.0} events/s, {:.2}x speedup; \
              {} slab slots grown, {} fresh plan allocs, {:.3} membership ops/event, \
@@ -134,7 +134,7 @@ fn gate_hot_path(gate: &HotPathGate, points: &[sweeps::HotPathTiming]) {
             p.mem.fresh_allocs,
             per_event(p.mem.index_ops, p),
             per_event(p.mem.victim_pops, p),
-        );
+        ));
     }
     if points.iter().any(|p| p.events == 0 || p.secs <= 0.0) {
         eprintln!("{} hot path produced no events or no wall clock", gate.name);
@@ -147,14 +147,14 @@ fn gate_hot_path(gate: &HotPathGate, points: &[sweeps::HotPathTiming]) {
             p.layers, p.microbatches, p.gpus, p.iterations
         );
         if p.secs < GATE_MIN_SECS {
-            println!(
+            emit(format_args!(
                 "{} speedup at cell {cell}: {:.2}x vs {} (recorded, not gated: \
                  fast leg {:.4} s < {GATE_MIN_SECS} s)",
                 gate.name,
                 p.speedup(),
                 gate.reference,
                 p.secs,
-            );
+            ));
         } else if p.speedup() < gate.min_speedup {
             eprintln!(
                 "{} perf gate FAILED at cell {cell}: {:.2}x vs {} \
@@ -179,6 +179,21 @@ fn gate_hot_path(gate: &HotPathGate, points: &[sweeps::HotPathTiming]) {
     }
 }
 
+/// Writes `text` and a newline to stdout: the one way `repro` prints
+/// its output. A reader that has gone away (`repro all | head -1`) is
+/// not an error — the run stops quietly with exit 0, as a pipeline
+/// expects. Any other write failure exits 1 with a diagnostic.
+fn emit(text: impl std::fmt::Display) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{text}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("repro: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Parses `args` against `spec` ([`cli::parse`]) or prints the
 /// diagnostic and exits 2 — the usage-error contract `tests/cli.rs` pins.
 fn parse_or_exit<'a>(spec: &cli::Spec, args: &'a [String]) -> cli::Parsed<'a> {
@@ -191,7 +206,7 @@ fn parse_or_exit<'a>(spec: &cli::Spec, args: &'a [String]) -> cli::Parsed<'a> {
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     if arg == "help" || arg == "--help" || arg == "-h" {
-        println!("{USAGE}");
+        emit(USAGE);
         return;
     }
     if arg == "conformance" {
@@ -213,63 +228,8 @@ fn main() {
             .unwrap_or(0);
         let scheme = parse_or_exit(&cli::CONFORMANCE, &flag_args).scheme("--scheme");
         let report = harmony_harness::run_conformance_filtered(seed, scheme);
-        println!("{}", report.render());
+        emit(report.render());
         if !report.all_passed() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if arg == "sweep-smoke" {
-        // The sweep-throughput gate `./verify` runs: the pooled session
-        // must never run a campaign slower than fresh per-cell setup,
-        // and its outputs must be byte-identical. Both legs interleave
-        // in one process, so the gate is a same-moment ratio — but a
-        // near-1.0 ratio can still wobble on a busy host, so a miss is
-        // re-measured after a settle; a real regression fails every
-        // window.
-        let rest: Vec<String> = std::env::args().skip(2).collect();
-        let flags = parse_or_exit(&cli::SWEEP_SMOKE, &rest);
-        let cells = flags
-            .value("--cells")
-            .map_or(sweeps::SWEEP_THROUGHPUT_CELLS, |n| n as usize);
-        let mut t = sweeps::sweep_throughput(cells);
-        let mut attempts = 1;
-        while t.identical && t.speedup() < 1.0 && attempts < 3 {
-            eprintln!(
-                "sweep throughput gate miss at {} cells: pooled {:.0} cells/s vs \
-                 fresh {:.0} cells/s (attempt {attempts}); re-measuring",
-                t.cells,
-                t.pooled_cells_per_sec(),
-                t.fresh_cells_per_sec(),
-            );
-            std::thread::sleep(std::time::Duration::from_millis(500));
-            t = sweeps::sweep_throughput(cells);
-            attempts += 1;
-        }
-        println!(
-            "sweep_throughput {} cells: pooled {:.0} cells/s vs fresh {:.0} cells/s \
-             ({:.2}x speedup; {} plan-cache hits, {} misses; identical: {})",
-            t.cells,
-            t.pooled_cells_per_sec(),
-            t.fresh_cells_per_sec(),
-            t.speedup(),
-            t.plan_cache_hits,
-            t.plan_cache_misses,
-            t.identical,
-        );
-        if !t.identical {
-            eprintln!("reuse contract violation: pooled outputs diverged from fresh");
-            std::process::exit(1);
-        }
-        if t.speedup() < 1.0 {
-            eprintln!(
-                "sweep throughput gate FAILED at {} cells: {:.2}x vs fresh over \
-                 {attempts} windows (need >= 1.0x; pooled {:.4} s, fresh {:.4} s)",
-                t.cells,
-                t.speedup(),
-                t.pooled_secs,
-                t.fresh_secs,
-            );
             std::process::exit(1);
         }
         return;
@@ -317,7 +277,7 @@ fn main() {
         // overcommit) and a smooth degradation curve.
         let seed = flags.value("--seed").unwrap_or(3);
         let report = fault_sweep::run(seed);
-        println!("{}", report.render());
+        emit(report.render());
         if smoke {
             if let Some(msg) = report.smoke_failure() {
                 eprintln!("{msg}");
@@ -329,11 +289,11 @@ fn main() {
     if arg == "custom" {
         let rest: Vec<String> = std::env::args().skip(2).collect();
         if rest.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", custom::usage());
+            emit(custom::usage());
             return;
         }
         match custom::CustomArgs::from_args(&rest).and_then(|a| custom::run(&a)) {
-            Ok(report) => println!("{report}"),
+            Ok(report) => emit(report),
             Err(e) => {
                 eprintln!("{e}");
                 std::process::exit(2);
@@ -344,59 +304,59 @@ fn main() {
     let mut ran = false;
     let want = |name: &str| arg == name || arg == "all";
     if want("fig1") {
-        println!("{}", figures::fig1());
+        emit(figures::fig1());
         ran = true;
     }
     if want("fig2a") {
-        println!("{}", figures::fig2a().0);
+        emit(figures::fig2a().0);
         ran = true;
     }
     if want("fig2b") {
-        println!("{}", figures::fig2b());
+        emit(figures::fig2b());
         ran = true;
     }
     if want("fig2c") {
-        println!("{}", figures::fig2c().0);
+        emit(figures::fig2c().0);
         ran = true;
     }
     if want("fig4") {
-        println!("{}", figures::fig4());
+        emit(figures::fig4());
         ran = true;
     }
     if want("fig5a") {
-        println!("{}", figures::fig5a());
+        emit(figures::fig5a());
         ran = true;
     }
     if want("fig5bc") {
-        println!("{}", figures::fig5bc());
+        emit(figures::fig5bc());
         ran = true;
     }
     if want("table_a") {
-        println!("{}", figures::table_a().0);
+        emit(figures::table_a().0);
         ran = true;
     }
     if want("dominance") {
-        println!("{}", figures::dominance().0);
+        emit(figures::dominance().0);
         ran = true;
     }
     if want("tango") {
-        println!("{}", figures::tango().0);
+        emit(figures::tango().0);
         ran = true;
     }
     if want("prefetch") {
-        println!("{}", figures::prefetch_ablation().0);
+        emit(figures::prefetch_ablation().0);
         ran = true;
     }
     if want("recompute") {
-        println!("{}", figures::recompute_ablation().0);
+        emit(figures::recompute_ablation().0);
         ran = true;
     }
     if want("eviction") {
-        println!("{}", figures::eviction_ablation().0);
+        emit(figures::eviction_ablation().0);
         ran = true;
     }
     if want("steady") {
-        println!("{}", figures::steady_state().0);
+        emit(figures::steady_state().0);
         ran = true;
     }
     if !ran {

@@ -1,6 +1,5 @@
 //! Strict flag parsing shared by the `repro` subcommands
-//! (`exec-smoke`, `mem-smoke`, `sweep-smoke`, `fault-sweep`, `custom`,
-//! ...).
+//! (`exec-smoke`, `mem-smoke`, `fault-sweep`, `custom`, ...).
 //!
 //! One table-driven parser instead of a hand-rolled loop per
 //! subcommand, so the strictness contract is uniform and cannot drift:
@@ -16,7 +15,7 @@ use harmony::simulate::SchemeKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueKind {
     /// `usize >= 1`; a bare trailing flag is a usage error
-    /// (`--cells` must never quietly mean "the default cell count").
+    /// (`--gpus` must never quietly mean "the default GPU count").
     PositiveInt,
     /// `u64`; a bare trailing flag falls back to the subcommand's
     /// default (`--seed` alone means "the documented default seed"),
@@ -54,7 +53,7 @@ pub(crate) fn model_names() -> String {
         .join("|")
 }
 
-/// One value-taking flag: its token (e.g. `--cells`) and its
+/// One value-taking flag: its token (e.g. `--gpus`) and its
 /// missing-value and parse discipline.
 pub type ValueFlag = (&'static str, ValueKind);
 
@@ -80,14 +79,6 @@ pub const CONFORMANCE: Spec = Spec {
     expected: "[seed] [--scheme NAME]",
     bools: &[],
     values: &[("--scheme", ValueKind::Scheme)],
-};
-
-/// `repro sweep-smoke [--cells N]`.
-pub const SWEEP_SMOKE: Spec = Spec {
-    cmd: "sweep-smoke",
-    expected: "[--cells N]",
-    bools: &[],
-    values: &[("--cells", ValueKind::PositiveInt)],
 };
 
 /// `repro exec-smoke [--grid] [--scheme NAME]`.
@@ -210,7 +201,7 @@ fn parse_value(&(name, kind): &ValueFlag, s: &str) -> Result<u64, String> {
 /// Parses `args` against `spec`; the returned error is the exact
 /// diagnostic to print before exiting 2. Value flags are resolved (and
 /// their errors reported) before the unknown-flag sweep, so
-/// `--cells garbage --bogus` names the garbage value first — the more
+/// `--gpus garbage --bogus` names the garbage value first — the more
 /// actionable of the two problems.
 pub fn parse<'a>(spec: &Spec, args: &'a [String]) -> Result<Parsed<'a>, String> {
     let mut values = Vec::with_capacity(spec.values.len());
@@ -300,9 +291,9 @@ mod tests {
     #[test]
     fn malformed_values_are_errors_with_the_exact_message() {
         for bad in ["0", "-3", "four"] {
-            let args = argv(&["--cells", bad]);
-            let e = parse(&SWEEP_SMOKE, &args).expect_err("bad cells value");
-            assert_eq!(e, format!("--cells takes a positive integer, got `{bad}`"));
+            let args = argv(&["--gpus", bad]);
+            let e = parse(&CUSTOM, &args).expect_err("bad gpus value");
+            assert_eq!(e, format!("--gpus takes a positive integer, got `{bad}`"));
         }
         let args = argv(&["--seed", "x"]);
         let e = parse(&FAULT_SWEEP, &args).expect_err("bad seed value");
@@ -320,19 +311,6 @@ mod tests {
             e,
             "unknown fault-sweep flag `extra`; expected [--smoke] [--seed N]"
         );
-    }
-
-    #[test]
-    fn sweep_smoke_grammar_is_strict() {
-        let args = argv(&["--cells", "32"]);
-        let p = parse(&SWEEP_SMOKE, &args).expect("valid invocation");
-        assert_eq!(p.value("--cells"), Some(32));
-        let args = argv(&["--cells"]);
-        let e = parse(&SWEEP_SMOKE, &args).expect_err("bare --cells");
-        assert_eq!(e, "--cells requires a value; expected [--cells N]");
-        let args = argv(&["--cels", "32"]);
-        let e = parse(&SWEEP_SMOKE, &args).expect_err("typo");
-        assert_eq!(e, "unknown sweep-smoke flag `--cels`; expected [--cells N]");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The same-moment perf smokes behind `repro exec-smoke`, `repro
-//! mem-smoke` and `repro sweep-smoke`.
+//! The same-moment perf smokes behind `repro exec-smoke` and `repro
+//! mem-smoke`.
 //!
 //! Each smoke times a default path against a reference path in one
 //! process, interleaved pair by pair, so its gate is a ratio that host
@@ -8,7 +8,6 @@
 
 use harmony::prelude::*;
 use harmony::simulate::SchemeKind;
-use harmony_harness::reusediff;
 use harmony_sched::SimExecutor;
 use harmony_trace::summary::MemPlanningCounters;
 
@@ -94,51 +93,6 @@ pub const EXEC_HOT_PATH_SCALES: [(usize, usize, usize, u32); 4] =
 pub const MEM_HOT_PATH_SCALES: [(usize, usize, usize, u32); 4] =
     [(6, 4, 2, 2), (8, 8, 4, 2), (12, 16, 4, 4), (16, 32, 8, 4)];
 
-/// Cells of the sweep-throughput campaign gated by `repro sweep-smoke`:
-/// a 15-spec grid (5 schemes × 3 microbatch counts) cycled to this
-/// length, so revisited specs exercise the plan cache the way a
-/// multi-seed or repeated-measurement campaign does.
-pub const SWEEP_THROUGHPUT_CELLS: usize = 48;
-
-/// Wall clock of one sweep-throughput measurement: the identical cell
-/// sequence run fresh (plan + construct per cell) and through a pooled
-/// [`SweepSession`] (memoized plans, recycled arenas), interleaved
-/// best-of-N in the same process so both legs see the same host weather.
-/// `identical` is the reuse contract: the pooled leg's trace and summary
-/// JSON must be byte-identical to the fresh leg's on every cell.
-#[derive(Debug, Clone)]
-pub struct SweepThroughputTiming {
-    /// Cells per leg.
-    pub cells: usize,
-    /// Best wall-clock seconds of the fresh leg.
-    pub fresh_secs: f64,
-    /// Best wall-clock seconds of the pooled leg.
-    pub pooled_secs: f64,
-    /// Plan-cache hits the pooled session recorded (all legs).
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses the pooled session recorded (all legs).
-    pub plan_cache_misses: u64,
-    /// Whether every cell's pooled output was byte-identical to fresh.
-    pub identical: bool,
-}
-
-impl SweepThroughputTiming {
-    /// Cells per wall-clock second of the fresh leg.
-    pub fn fresh_cells_per_sec(&self) -> f64 {
-        ratio(self.cells as f64, self.fresh_secs)
-    }
-
-    /// Cells per wall-clock second of the pooled leg.
-    pub fn pooled_cells_per_sec(&self) -> f64 {
-        ratio(self.cells as f64, self.pooled_secs)
-    }
-
-    /// Same-moment pooled-over-fresh throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        ratio(self.fresh_secs, self.pooled_secs)
-    }
-}
-
 /// Times two legs of one measurement pair by pair and returns each
 /// leg's best seconds, `(first, second)`. `leg(false)` runs the first
 /// leg and `leg(true)` the second; each returns its wall-clock seconds.
@@ -148,8 +102,7 @@ impl SweepThroughputTiming {
 /// (scheduling quanta, frequency ramp-up), and the minimum elapsed time
 /// is the least-noise estimator of the true cost — interference only
 /// ever adds time. The first pair pays one-time costs (page faults,
-/// branch history warm-up, a pooled session's first plan-cache misses
-/// and arena growth) neither leg owns and is discarded. Small
+/// branch history warm-up) neither leg owns and is discarded. Small
 /// measurements finish in a few milliseconds and are noise-dominated, so
 /// pairs repeat until ~half a second of samples accumulates (at most 200
 /// pairs); long ones stop at five pairs. With `alternate`, the legs also
@@ -206,8 +159,8 @@ fn time_against_reference(
     let mut events = None;
     let mut last = None;
     let (secs, reference_secs) = interleaved_best_of(alternate, |on_reference| {
-        let (summary, _, counters) = SweepSession::new()
-            .run_configured(&model, &topo, &spec, |exec| {
+        let (summary, _, counters) = spec
+            .run_configured(&model, &topo, |exec| {
                 if on_reference {
                     reference(exec);
                 }
@@ -311,75 +264,4 @@ pub fn mem_hot_path_scaling() -> Vec<HotPathTiming> {
         .iter()
         .map(|&(r, m, n, it)| mem_hot_path(r, m, n, it))
         .collect()
-}
-
-/// The sweep-throughput cell sequence: 5 schemes × 3 microbatch counts
-/// (15 distinct plan keys) cycled to `cells` entries, so every key past
-/// the first fifteen cells is a revisit — the shape of a multi-seed or
-/// repeated-measurement campaign, where plan memoization pays.
-fn sweep_cells(cells: usize) -> Vec<RunSpec> {
-    let microbatch_counts = [1usize, 2, 3];
-    (0..cells)
-        .map(|i| {
-            let scheme = SchemeKind::ALL[i % SchemeKind::ALL.len()];
-            let m = microbatch_counts[(i / SchemeKind::ALL.len()) % microbatch_counts.len()];
-            RunSpec::new(scheme, workloads::tight_workload(m))
-        })
-        .collect()
-}
-
-/// Times the sweep-throughput campaign: `cells` grid cells run fresh and
-/// through one pooled [`SweepSession`], interleaved best-of-N with the
-/// leg order alternating across pairs (same estimator as
-/// [`mem_hot_path`]) so the pooled-over-fresh ratio is a same-moment
-/// comparison. Byte-identity of the two legs is checked first, outside
-/// the timed region, through the harness's `reusediff` differential.
-pub fn sweep_throughput(cells: usize) -> SweepThroughputTiming {
-    let model = workloads::uniform_model(6, 4096);
-    let topo = workloads::tight_topo(2);
-    let specs = sweep_cells(cells);
-
-    // Identity first: every cell's pooled output (on arenas dirtied by
-    // all cells before it) byte-identical to fresh.
-    let identical = reusediff::check_cell_sequence(&model, &topo, &specs).is_ok();
-
-    let mut session = SweepSession::new();
-    let (fresh_secs, pooled_secs) = interleaved_best_of(true, |pooled| {
-        let start = std::time::Instant::now();
-        for c in &specs {
-            if pooled {
-                let (_, trace) = session.run(&model, &topo, c).expect("pooled sweep cell");
-                session.recycle_trace(trace);
-            } else {
-                // A session of one per cell: plan and arenas from nothing.
-                c.run(&model, &topo).expect("fresh sweep cell");
-            }
-        }
-        start.elapsed().as_secs_f64()
-    });
-    SweepThroughputTiming {
-        cells,
-        fresh_secs,
-        pooled_secs,
-        plan_cache_hits: session.plan_cache_hits(),
-        plan_cache_misses: session.plan_cache_misses(),
-        identical,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_throughput_is_identical_and_caches_plans() {
-        // A small sequence keeps the test fast; 16 cells over 15 distinct
-        // plan keys still forces a revisit, so the cache must show hits.
-        let t = sweep_throughput(16);
-        assert!(t.identical, "pooled leg diverged from fresh");
-        assert_eq!(t.cells, 16);
-        assert_eq!(t.plan_cache_misses, 15, "15 distinct plan keys");
-        assert!(t.plan_cache_hits > 0, "revisits must hit the plan cache");
-        assert!(t.fresh_secs > 0.0 && t.pooled_secs > 0.0);
-    }
 }

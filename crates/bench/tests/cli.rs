@@ -4,7 +4,7 @@
 //! `exec-smoke` ignored everything but `nth(2) == "--grid"`, and a bare
 //! `--cells` quietly ran at the default cell count.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -48,18 +48,6 @@ fn mem_smoke_rejects_unknown_flags() {
 }
 
 #[test]
-fn sweep_smoke_rejects_unknown_flags_and_bare_cells() {
-    // Same contract as the other smokes: a typo must not silently run
-    // the default cell count, and a bare `--cells` must not either.
-    let out = repro(&["sweep-smoke", "--cels", "32"]);
-    assert_usage_error(&out, "--cels", "sweep-smoke --cels");
-    let out = repro(&["sweep-smoke", "--cells"]);
-    assert_usage_error(&out, "--cells requires a value", "sweep-smoke --cells");
-    let out = repro(&["sweep-smoke", "--cells", "0"]);
-    assert_usage_error(&out, "positive integer", "sweep-smoke --cells 0");
-}
-
-#[test]
 fn fault_sweep_rejects_garbage_seed_and_unknown_flags() {
     let out = repro(&["fault-sweep", "--seed", "x"]);
     assert_usage_error(&out, "--seed takes an integer", "fault-sweep --seed x");
@@ -70,10 +58,13 @@ fn fault_sweep_rejects_garbage_seed_and_unknown_flags() {
 #[test]
 fn removed_bench_and_fault_sweep_json_exit_2() {
     // The `bench` subcommand and `fault-sweep --json` wrote perf records
-    // nothing read; e2ebench is the perf record. Both are usage errors
-    // now, never a silent run of something else.
+    // nothing read; e2ebench is the perf record. `sweep-smoke` timed a
+    // cross-run executor pool that no longer exists. All are usage
+    // errors now, never a silent run of something else.
     let out = repro(&["bench"]);
     assert_usage_error(&out, "unknown artefact `bench`", "bench");
+    let out = repro(&["sweep-smoke"]);
+    assert_usage_error(&out, "unknown artefact `sweep-smoke`", "sweep-smoke");
     let out = repro(&["fault-sweep", "--json"]);
     assert_usage_error(&out, "--json", "fault-sweep --json");
 }
@@ -238,4 +229,39 @@ fn custom_rejects_a_task_graph_beyond_its_arena_offsets() {
         "task graph too large",
         "custom --microbatches 100000000",
     );
+}
+
+#[test]
+fn custom_rejects_sizes_that_overflow_64_bits() {
+    // Both microbatch sizes wrap lenet's `u64` byte sizes. The first
+    // used to exit 0 with 0.00 samples/s and nothing swapped; the second
+    // reported a capacity shortfall of the wrapped byte count. Both are
+    // typed errors before any planner runs.
+    for ubatch in ["9223372036854775808", "10000000000000000"] {
+        let out = repro(&["custom", "--model", "lenet", "--ubatch", ubatch]);
+        assert_usage_error(
+            &out,
+            "overflow 64 bits",
+            &format!("custom --model lenet --ubatch {ubatch}"),
+        );
+    }
+}
+
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    // `repro custom ... | head -1` closes the pipe before repro writes:
+    // the write fails with a broken pipe, which must end the run quietly
+    // instead of panicking with exit 101.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["custom", "--model", "lenet"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("repro binary must spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
 }

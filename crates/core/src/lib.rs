@@ -23,9 +23,9 @@
 //!   Harmony's decomposed, grouped, JIT schedule on capacity-limited
 //!   virtual devices with real tensor swapping, and verify bit-identical
 //!   parameters against the user's sequential program.
-//! * [`sweep`] — run whole *grids* of simulations through a
-//!   [`sweep::SweepSession`]: plans are memoized across cells and
-//!   executor arenas recycled, byte-identically to fresh runs.
+//! * [`sweep`] — [`RunSpec`], the one description of a run, and
+//!   [`RunSpec::run_configured`], the one path that plans, builds and
+//!   runs it; whole grids of simulations are many independent runs.
 //!
 //! ```
 //! use harmony::prelude::*;
@@ -50,7 +50,7 @@ pub mod sweep;
 pub mod prelude {
     pub use crate::functional::{FunctionalSession, SessionConfig, StepReport};
     pub use crate::simulate;
-    pub use crate::sweep::{RunSpec, SweepSession};
+    pub use crate::sweep::RunSpec;
     pub use harmony_analytical as analytical;
     pub use harmony_models::exec::{mlp, tiny_transformer, ExecModel};
     pub use harmony_models::{zoo, LayerClass, LayerSpec, ModelSpec, TransformerConfig};
@@ -64,4 +64,4 @@ pub mod prelude {
 }
 
 pub use functional::{FunctionalSession, SessionConfig, StepReport};
-pub use sweep::{RunSpec, SweepSession};
+pub use sweep::RunSpec;

@@ -1,43 +1,18 @@
-//! Run descriptions and sweep sessions: one [`RunSpec`] per run, and
-//! per-cell setup amortised across a grid of them.
+//! Run descriptions: one [`RunSpec`] per run, and one path that plans
+//! and runs it.
 //!
 //! Every figure/table reproduction in `harmony-bench` is a *sweep*: the
 //! same model/topology simulated across a grid of [`RunSpec`]s, each
-//! cell an independent plan-then-execute run. Two per-cell
-//! costs dominate outside the event loop and repeat across cells:
-//!
-//! 1. **Planning.** Grid cells frequently share their plan-relevant
-//!    inputs (e.g. the prefetch ablation runs the same plan twice, once
-//!    per prefetch setting; repeated knob values collide outright), and
-//!    the planners are pure functions of those inputs.
-//! 2. **Construction.** Each [`SimExecutor`] build allocates arenas
-//!    proportional to the plan (key space, queues, dependency bitsets)
-//!    plus a simulator, memory manager and trace — all of which the
-//!    previous cell just dropped.
-//!
-//! A [`SweepSession`] eliminates both: a **plan cache** keyed by the
-//! exact inputs that reach [`RunSpec::plan`] (scheme, model, topology
-//! *shape* — the planners consume only the GPU count — workload knobs
-//! and the policy/prefetch overrides) memoizes `Arc<ExecutionPlan>`s,
-//! and a pooled run path recycles every executor arena through an
-//! [`ExecPool`] (DESIGN §14). Both are byte-invisible: a pooled cell's
-//! summary, trace and error are identical to those of a new session's
-//! run — the `reusediff` differential in `harmony-harness` proves it
-//! over random cell sequences. A single run ([`RunSpec::run`]) is a
-//! session of one.
-//!
-//! Sessions are deliberately *not* shared across threads: a parallel
-//! sweep gives each worker its own session
-//! (`harmony_parallel::par_map_with(cells, SweepSession::new, ..)`), so
-//! pools never contend and results stay identical at any worker count.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+//! cell an independent plan-then-execute run. [`RunSpec::run_configured`]
+//! is that run: [`RunSpec::plan`], then a fresh
+//! [`SimExecutor::with_iterations`] build, then
+//! [`SimExecutor::run_counted`]. Nothing is carried from one cell to the
+//! next, so a parallel sweep (`harmony_parallel::par_map`) is
+//! byte-identical at any worker count.
 
 use harmony_models::ModelSpec;
 use harmony_sched::{
-    ExecCounters, ExecError, ExecPool, ExecutionPlan, PolicyKind, SimExecutor, TimedFault,
-    WorkloadConfig,
+    ExecCounters, ExecError, ExecutionPlan, PolicyKind, SimExecutor, TimedFault, WorkloadConfig,
 };
 use harmony_topology::Topology;
 use harmony_trace::{summary::RunSummary, Trace};
@@ -45,9 +20,8 @@ use harmony_trace::{summary::RunSummary, Trace};
 use crate::simulate::{self, SchemeKind};
 
 /// One run: everything (besides the model and server) that determines
-/// it. The first five fields shape the plan; `faults`, `resilience` and
-/// `event_budget` only configure the executor, so specs that differ in
-/// them (or in `iterations`) share one cached plan.
+/// it. The first four fields shape the plan; `iterations`, `faults`,
+/// `resilience` and `event_budget` only configure the executor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Training scheme to plan.
@@ -94,8 +68,10 @@ impl RunSpec {
     /// Lowers the spec into an execution plan for `topo.num_gpus()` GPUs
     /// via [`simulate::plan`], then applies the policy and prefetch
     /// overrides. The only place those overrides (and the `+prefetch`
-    /// rename) are applied.
+    /// rename) are applied. A spec whose sizes overflow 64-bit counts is
+    /// refused with [`ExecError::TooLarge`] before any planner runs.
     pub fn plan(&self, model: &ModelSpec, topo: &Topology) -> Result<ExecutionPlan, ExecError> {
+        self.check_sizes(model, topo)?;
         let mut plan = simulate::plan(self.scheme, model, topo, &self.workload)?;
         if let Some(policy) = self.policy {
             plan.scheme.policy = policy;
@@ -107,159 +83,70 @@ impl RunSpec {
         Ok(plan)
     }
 
-    /// Plans and simulates the run: a [`SweepSession`] of one.
+    /// Refuses a spec whose byte sizes, FLOPs or sample counts overflow a
+    /// `u64`. Every size is checked at a whole iteration's samples (all
+    /// GPUs' microbatches at once, which bounds every per-microbatch size
+    /// and every size the planners multiply by a microbatch count), and
+    /// the run's sample total across `iterations` must fit too.
+    fn check_sizes(&self, model: &ModelSpec, topo: &Topology) -> Result<(), ExecError> {
+        let w = &self.workload;
+        let samples = (topo.num_gpus() as u64)
+            .checked_mul(w.microbatches as u64)
+            .and_then(|n| n.checked_mul(w.ubatch_size));
+        let fits = samples.is_some_and(|s| {
+            s.checked_mul(u64::from(self.iterations)).is_some() && model.sizes_fit(s, w.opt_slots)
+        });
+        if fits {
+            return Ok(());
+        }
+        Err(ExecError::TooLarge(format!(
+            "{} over {} GPU(s) × {} microbatch(es) of {} sample(s), {} optimizer slot(s), \
+             {} iteration(s): byte sizes, FLOPs or sample counts overflow 64 bits",
+            model.name,
+            topo.num_gpus(),
+            w.microbatches,
+            w.ubatch_size,
+            w.opt_slots,
+            self.iterations
+        )))
+    }
+
+    /// Plans and simulates the run.
     pub fn run(
         &self,
         model: &ModelSpec,
         topo: &Topology,
     ) -> Result<(RunSummary, Trace), ExecError> {
-        SweepSession::new().run(model, topo, self)
-    }
-}
-
-/// The exact inputs a cached plan depends on. The topology enters only
-/// through its GPU count — the planners consume nothing else — so two
-/// topologies with equal `num_gpus` share cache entries by design.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    scheme: SchemeKind,
-    model: ModelSpec,
-    num_gpus: usize,
-    workload: WorkloadConfig,
-    policy: Option<PolicyKind>,
-    prefetch: bool,
-}
-
-impl PlanKey {
-    /// The plan-shaping part of `spec`; the executor-only fields
-    /// (`iterations`, `faults`, `resilience`, `event_budget`) are left out.
-    fn of(spec: &RunSpec, model: &ModelSpec, topo: &Topology) -> Self {
-        PlanKey {
-            scheme: spec.scheme,
-            model: model.clone(),
-            num_gpus: topo.num_gpus(),
-            workload: spec.workload,
-            policy: spec.policy,
-            prefetch: spec.prefetch,
-        }
-    }
-}
-
-/// Amortises planning and executor construction across the cells of a
-/// sweep. See module docs. Holds a plan cache plus an [`ExecPool`]; use
-/// one session per worker thread.
-#[derive(Debug, Default)]
-pub struct SweepSession {
-    /// Planner errors are cached too (as their message): re-planning an
-    /// infeasible cell is as wasteful as re-planning a feasible one, and
-    /// the replayed error must match the first one byte-for-byte.
-    cache: HashMap<PlanKey, Result<Arc<ExecutionPlan>, String>>,
-    hits: u64,
-    misses: u64,
-    pool: ExecPool,
-}
-
-impl SweepSession {
-    /// An empty session: the first use of each distinct cell shape plans
-    /// and allocates fresh; everything after recycles.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The plan for `spec`, memoized. A cache hit returns the previously
-    /// planned `Arc` (or replays the previously observed planner error);
-    /// a miss plans via [`RunSpec::plan`] and caches the outcome.
-    fn plan(
-        &mut self,
-        model: &ModelSpec,
-        topo: &Topology,
-        spec: &RunSpec,
-    ) -> Result<Arc<ExecutionPlan>, ExecError> {
-        let key = PlanKey::of(spec, model, topo);
-        if let Some(cached) = self.cache.get(&key) {
-            self.hits += 1;
-            return cached.clone().map_err(ExecError::Plan);
-        }
-        self.misses += 1;
-        // `simulate::plan` folds every planner error into
-        // `ExecError::Plan(msg)`; cache the message so a replay
-        // reconstructs the identical error.
-        let planned = match spec.plan(model, topo) {
-            Ok(p) => Ok(Arc::new(p)),
-            Err(ExecError::Plan(msg)) => Err(msg),
-            Err(other) => Err(other.to_string()),
-        };
-        self.cache.insert(key, planned.clone());
-        planned.map_err(ExecError::Plan)
-    }
-
-    /// Plans (memoized) and executes `spec` through the session's pool.
-    /// Byte-identical to a fresh session's run in summary, trace and
-    /// error — wall clocks (`elapsed_secs`, `setup_secs`) excepted, as
-    /// always.
-    pub fn run(
-        &mut self,
-        model: &ModelSpec,
-        topo: &Topology,
-        spec: &RunSpec,
-    ) -> Result<(RunSummary, Trace), ExecError> {
-        let (summary, trace, _) = self.run_configured(model, topo, spec, |_| Ok(()))?;
+        let (summary, trace, _) = self.run_configured(model, topo, |_| Ok(()))?;
         Ok((summary, trace))
     }
 
-    /// Like [`SweepSession::run`], but hands the executor to `configure`
+    /// Like [`RunSpec::run`], but hands the executor to `configure`
     /// after the spec's faults, resilience seed and event budget are
     /// applied and before it starts (oracle observers, the dense
     /// reference switches, armed mutants), and also returns the event
     /// loop's [`ExecCounters`]. The one place outside the scheduler that
-    /// constructs a [`SimExecutor`].
+    /// constructs a [`SimExecutor`] from a spec.
     pub fn run_configured(
-        &mut self,
+        &self,
         model: &ModelSpec,
         topo: &Topology,
-        spec: &RunSpec,
         configure: impl FnOnce(&mut SimExecutor<'_>) -> Result<(), ExecError>,
     ) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         let plan_start = std::time::Instant::now();
-        let plan = self.plan(model, topo, spec)?;
+        let plan = self.plan(model, topo)?;
         let plan_secs = plan_start.elapsed().as_secs_f64();
-        let mut exec = SimExecutor::pooled(topo, model, &plan, spec.iterations, &mut self.pool)?;
+        let mut exec = SimExecutor::with_iterations(topo, model, &plan, self.iterations)?;
         exec.add_setup_secs(plan_secs);
-        exec.inject_faults(&spec.faults)?;
-        if let Some(seed) = spec.resilience {
+        exec.inject_faults(&self.faults)?;
+        if let Some(seed) = self.resilience {
             exec.enable_resilience(seed);
         }
-        if let Some(budget) = spec.event_budget {
+        if let Some(budget) = self.event_budget {
             exec.set_event_budget(budget);
         }
         configure(&mut exec)?;
-        exec.run_pooled(&mut self.pool)
-    }
-
-    /// Returns a finished cell's trace so the next cell recycles its span
-    /// arena and symbol table. Optional — skipping it only costs the
-    /// reuse, never correctness.
-    pub fn recycle_trace(&mut self, trace: Trace) {
-        self.pool.recycle_trace(trace);
-    }
-
-    /// Sabotage (testing only): arm the pooled memory manager's
-    /// leak-one-plane-across-reset mutant. Returns whether the pool held
-    /// a manager to arm. See [`ExecPool::arm_leak_plane_across_reset`].
-    #[cfg(feature = "mutation_hooks")]
-    pub fn arm_leak_plane_across_reset(&mut self) -> bool {
-        self.pool.arm_leak_plane_across_reset()
-    }
-
-    /// Cells served from the plan cache so far.
-    pub fn plan_cache_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cells that had to be planned (including planner failures, which
-    /// are cached as errors).
-    pub fn plan_cache_misses(&self) -> u64 {
-        self.misses
+        exec.run_counted()
     }
 }
 
@@ -292,9 +179,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Wall clocks are the one sanctioned divergence between fresh and
-    /// pooled runs; zero them before byte comparison, as every
-    /// differential does.
+    /// Wall clocks are the one sanctioned divergence between runs; zero
+    /// them before byte comparison, as every differential does.
     fn canon(mut s: RunSummary) -> String {
         s.elapsed_secs = 0.0;
         s.setup_secs = 0.0;
@@ -302,37 +188,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn repeated_cells_hit_the_plan_cache() {
+    fn spec_runs_match_direct_executor_runs_byte_for_byte() {
         let model = TransformerConfig::tiny().build();
         let topo = topo();
-        let mut session = SweepSession::new();
-        let cell = RunSpec::new(SchemeKind::HarmonyDp, workload(2));
-        session.run(&model, &topo, &cell).unwrap();
-        assert_eq!(
-            (session.plan_cache_misses(), session.plan_cache_hits()),
-            (1, 0)
-        );
-        session.run(&model, &topo, &cell).unwrap();
-        assert_eq!(
-            (session.plan_cache_misses(), session.plan_cache_hits()),
-            (1, 1)
-        );
-        // A different workload knob is a different plan key.
-        let other = RunSpec::new(SchemeKind::HarmonyDp, workload(3));
-        session.run(&model, &topo, &other).unwrap();
-        assert_eq!(
-            (session.plan_cache_misses(), session.plan_cache_hits()),
-            (2, 1)
-        );
-    }
-
-    #[test]
-    fn pooled_cells_match_fresh_runs_byte_for_byte() {
-        let model = TransformerConfig::tiny().build();
-        let topo = topo();
-        let mut session = SweepSession::new();
-        // A dirty-then-reuse sequence across schemes, knobs and overrides
-        // (the full differential lives in harmony-harness::reusediff).
+        // The spec's overrides and iterations reach the executor exactly
+        // as a hand-built plan-then-run would apply them.
         let cells = [
             RunSpec::new(SchemeKind::BaselineDp, workload(2)),
             RunSpec::new(SchemeKind::HarmonyPp, workload(3)),
@@ -345,51 +205,25 @@ pub(crate) mod tests {
                 iterations: 2,
                 ..RunSpec::new(SchemeKind::HarmonyDp, workload(2))
             },
-            // Revisit the first cell: pure cache hit + warm pool.
-            RunSpec::new(SchemeKind::BaselineDp, workload(2)),
         ];
         for cell in &cells {
-            let (ps, pt) = session.run(&model, &topo, cell).unwrap();
+            let (ss, st) = cell.run(&model, &topo).unwrap();
             let plan = cell.plan(&model, &topo).unwrap();
             let (fs, ft) = SimExecutor::with_iterations(&topo, &model, &plan, cell.iterations)
                 .unwrap()
                 .run()
                 .unwrap();
-            assert_eq!(pt.to_json(), ft.to_json(), "trace diverged: {}", plan.name);
-            assert_eq!(canon(ps), canon(fs), "summary diverged: {}", plan.name);
-            session.recycle_trace(pt);
+            assert_eq!(st.to_json(), ft.to_json(), "trace diverged: {}", plan.name);
+            assert_eq!(canon(ss), canon(fs), "summary diverged: {}", plan.name);
         }
-    }
-
-    #[test]
-    fn planner_errors_are_cached_and_replayed_identically() {
-        let model = TransformerConfig::tiny().build();
-        let topo = topo();
-        let mut session = SweepSession::new();
-        // Zero microbatches is a planner rejection, not an exec error.
-        let bad = RunSpec::new(SchemeKind::HarmonyPp, workload(0));
-        let fresh = bad
-            .run(&model, &topo)
-            .expect_err("workload must be rejected");
-        let first = session
-            .run(&model, &topo, &bad)
-            .expect_err("workload must be rejected");
-        let replay = session
-            .run(&model, &topo, &bad)
-            .expect_err("cached error must replay");
-        assert_eq!(first.to_string(), fresh.to_string());
-        assert_eq!(replay.to_string(), fresh.to_string());
-        assert_eq!(session.plan_cache_misses(), 1, "error was cached");
-        assert_eq!(session.plan_cache_hits(), 1);
     }
 
     #[test]
     fn setup_secs_is_populated_but_identity_exempt() {
         let model = TransformerConfig::tiny().build();
         let topo = topo();
-        let mut session = SweepSession::new();
         let cell = RunSpec::new(SchemeKind::BaselineDp, workload(2));
-        let (s, _) = session.run(&model, &topo, &cell).unwrap();
+        let (s, _) = cell.run(&model, &topo).unwrap();
         assert!(
             s.setup_secs.is_finite() && s.setup_secs >= 0.0,
             "setup_secs must be a real measurement, got {}",
@@ -401,64 +235,51 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn executor_only_fields_share_one_plan_cache_entry() {
+    fn overflowing_sizes_are_refused_before_planning() {
         let model = TransformerConfig::tiny().build();
         let topo = topo();
-        let mut session = SweepSession::new();
-        let base = RunSpec::new(SchemeKind::HarmonyDp, workload(2));
-        session.run(&model, &topo, &base).unwrap();
-        let jitter = TimedFault {
-            at: 1e-4,
-            fault: harmony_sched::Fault::ComputeJitter {
-                gpu: 0,
-                factor: 1.5,
-            },
+        let huge = |ubatch_size, opt_slots, iterations| RunSpec {
+            iterations,
+            ..RunSpec::new(
+                SchemeKind::HarmonyDp,
+                WorkloadConfig {
+                    ubatch_size,
+                    opt_slots,
+                    ..workload(2)
+                },
+            )
         };
-        let tweaks: [fn(&mut RunSpec, TimedFault); 4] = [
-            |s, f| s.faults = vec![f],
-            |s, _| s.resilience = Some(7),
-            |s, _| s.event_budget = Some(1_000_000),
-            |s, _| s.iterations = 2,
-        ];
-        for (i, tweak) in tweaks.iter().enumerate() {
-            let mut spec = base.clone();
-            tweak(&mut spec, jitter);
-            session.run(&model, &topo, &spec).unwrap();
-            assert_eq!(
-                (session.plan_cache_misses(), session.plan_cache_hits()),
-                (1, i as u64 + 1),
-                "{spec:?} must reuse the first plan"
-            );
+        for spec in [
+            huge(1 << 63, 2, 1),
+            huge(10_000_000_000_000_000, 2, 1),
+            huge(1, u64::MAX / 2, 1),
+            // Fits per iteration, but not the run's sample total.
+            huge(1 << 40, 2, u32::MAX),
+        ] {
+            let err = spec.plan(&model, &topo).expect_err("must be refused");
+            assert!(matches!(err, ExecError::TooLarge(_)), "{spec:?}: {err}");
+            assert!(matches!(
+                spec.run(&model, &topo),
+                Err(ExecError::TooLarge(_))
+            ));
         }
+        huge(1 << 40, 2, 1)
+            .plan(&model, &topo)
+            .expect("a large but representable spec still plans");
     }
 
     #[test]
-    fn event_budget_surfaces_as_stuck_fresh_and_warm() {
+    fn event_budget_surfaces_as_stuck() {
         let model = TransformerConfig::tiny().build();
         let topo = topo();
         let starved = RunSpec {
             event_budget: Some(3),
             ..RunSpec::new(SchemeKind::HarmonyDp, workload(2))
         };
-        let fresh = starved.run(&model, &topo);
+        let run = starved.run(&model, &topo);
         assert!(
-            matches!(fresh, Err(ExecError::Stuck(_))),
-            "expected Stuck, got {fresh:?}"
-        );
-        // A warm session that already ran another cell applies the
-        // budget just the same.
-        let mut session = SweepSession::new();
-        session
-            .run(
-                &model,
-                &topo,
-                &RunSpec::new(SchemeKind::BaselinePp, workload(3)),
-            )
-            .unwrap();
-        let warm = session.run(&model, &topo, &starved);
-        assert!(
-            matches!(warm, Err(ExecError::Stuck(_))),
-            "expected Stuck, got {warm:?}"
+            matches!(run, Err(ExecError::Stuck(_))),
+            "expected Stuck, got {run:?}"
         );
     }
 }

@@ -26,7 +26,7 @@
 //! ([`check_work_equivalence`]).
 
 use harmony::simulate::{self, SchemeKind};
-use harmony::{RunSpec, SweepSession};
+use harmony::RunSpec;
 use harmony_analytical as analytical;
 use harmony_analytical::exact::{
     grad_swap_volume_exact, opt_state_swap_volume_exact, p2p_volume_exact,
@@ -39,19 +39,18 @@ use harmony_trace::summary::RunSummary;
 
 use crate::oracles::{instrument, OracleConfig};
 
-/// Runs `spec` in a session of its own with oracles attached — the
-/// harness's single entry point to the executor.
+/// Runs `spec` with oracles attached — the harness's single entry point
+/// to the executor.
 pub fn run_spec_instrumented(
     model: &ModelSpec,
     topo: &Topology,
     spec: &RunSpec,
     oracles: &OracleConfig,
 ) -> Result<RunSummary, ExecError> {
-    let (summary, _trace, _counters) =
-        SweepSession::new().run_configured(model, topo, spec, |exec| {
-            instrument(exec, oracles);
-            Ok(())
-        })?;
+    let (summary, _trace, _counters) = spec.run_configured(model, topo, |exec| {
+        instrument(exec, oracles);
+        Ok(())
+    })?;
     Ok(summary)
 }
 

@@ -12,7 +12,7 @@
 //! message. The proptest in `tests/execdiff_proptest.rs` feeds this
 //! with random models × schemes × fault plans × prefetch settings.
 
-use harmony::{RunSpec, SweepSession};
+use harmony::RunSpec;
 use harmony_models::ModelSpec;
 use harmony_sched::{ExecCounters, ExecError};
 use harmony_topology::Topology;
@@ -33,16 +33,16 @@ pub struct ExecDiffOutcome {
 
 pub(crate) type ModeResult = Result<(RunSummary, Trace, ExecCounters), ExecError>;
 
-/// Runs `spec` through the wake-set loop and the dense reference, each
-/// in a session of its own, and checks byte-identical results, or
-/// returns a message naming the first divergence.
+/// Runs `spec` through the wake-set loop and through the dense
+/// reference, and checks byte-identical results, or returns a message
+/// naming the first divergence.
 pub fn check_dense_vs_fast(
     model: &ModelSpec,
     topo: &Topology,
     spec: &RunSpec,
 ) -> Result<ExecDiffOutcome, String> {
-    let fast = SweepSession::new().run_configured(model, topo, spec, |_| Ok(()));
-    let dense = SweepSession::new().run_configured(model, topo, spec, |exec| {
+    let fast = spec.run_configured(model, topo, |_| Ok(()));
+    let dense = spec.run_configured(model, topo, |exec| {
         exec.use_dense_advance();
         Ok(())
     });
@@ -111,8 +111,7 @@ pub(crate) fn compare_modes(
 }
 
 /// Locates the first divergent byte and quotes a window around it.
-/// Shared with `reusediff`, whose divergence messages have the same shape.
-pub(crate) fn first_diff(what: &str, a_name: &str, b_name: &str, a: &str, b: &str) -> String {
+fn first_diff(what: &str, a_name: &str, b_name: &str, a: &str, b: &str) -> String {
     let pos = a
         .bytes()
         .zip(b.bytes())

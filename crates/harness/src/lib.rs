@@ -36,13 +36,6 @@
 //! must produce byte-identical trace and summary JSON across schemes,
 //! fault plans, and prefetch settings.
 //!
-//! A sixth ([`reusediff`]) guards the sweep-throughput layer: random
-//! cell sequences run through a pooled `SweepSession` (memoized plans,
-//! recycled executor arenas) must be byte-identical — trace JSON,
-//! summary JSON, matched errors — to the same cells run fresh, at any
-//! worker count; an armed leak-one-plane-across-reset mutant must be
-//! caught.
-//!
 //! [`conformance`] sweeps all of this over a scheme × configuration
 //! matrix and renders a pass/fail table (`repro conformance` in
 //! `harmony-bench`).
@@ -56,7 +49,6 @@ pub mod execdiff;
 pub mod faults;
 pub mod memdiff;
 pub mod oracles;
-pub mod reusediff;
 pub mod simdiff;
 pub mod workloads;
 
@@ -73,5 +65,4 @@ pub use oracles::{
     check_stash_access, instrument, instrument_memory, OracleConfig, RecomputeFetchOracle,
     StashWindowOracle,
 };
-pub use reusediff::{check_cell_sequence, ReuseDiffOutcome};
 pub use simdiff::{check_fast_vs_dense, SimOp};

@@ -21,7 +21,7 @@
 //!   core only) proves the differential actually catches the
 //!   missed-membership-update bug class.
 
-use harmony::{RunSpec, SweepSession};
+use harmony::RunSpec;
 use harmony_memory::{MemoryManager, PolicyKind, TensorClass, TensorId};
 use harmony_models::ModelSpec;
 use harmony_topology::Topology;
@@ -29,16 +29,15 @@ use harmony_topology::Topology;
 use crate::execdiff::{self, ExecDiffOutcome};
 
 /// Runs `spec` on the fast manager and on the dense-memory reference,
-/// each in a session of its own, and checks byte-identical results
-/// (execdiff's exact contract), or returns a message naming the first
-/// divergence.
+/// and checks byte-identical results (execdiff's exact contract), or
+/// returns a message naming the first divergence.
 pub fn check_fast_vs_dense_memory(
     model: &ModelSpec,
     topo: &Topology,
     spec: &RunSpec,
 ) -> Result<ExecDiffOutcome, String> {
-    let fast = SweepSession::new().run_configured(model, topo, spec, |_| Ok(()));
-    let dense = SweepSession::new().run_configured(model, topo, spec, |exec| {
+    let fast = spec.run_configured(model, topo, |_| Ok(()));
+    let dense = spec.run_configured(model, topo, |exec| {
         exec.use_dense_memory();
         Ok(())
     });

@@ -18,7 +18,7 @@
 //! that never fires leaves the run clean and the assertions below fail).
 
 use harmony::simulate::SchemeKind;
-use harmony::{RunSpec, SweepSession};
+use harmony::RunSpec;
 use harmony_harness::workloads::{tight_topo, tight_workload, uniform_model};
 use harmony_sched::{ExecError, SimExecutor};
 use harmony_trace::{summary::RunSummary, Trace};
@@ -33,15 +33,11 @@ fn run_armed(arm: fn(&mut SimExecutor<'_>)) -> Result<(RunSummary, Trace), ExecE
         iterations: 2,
         ..RunSpec::new(SchemeKind::HarmonyPp, tight_workload(4))
     };
-    let (summary, trace, _) = SweepSession::new().run_configured(
-        &uniform_model(8, 4096),
-        &tight_topo(2),
-        &spec,
-        |exec| {
+    let (summary, trace, _) =
+        spec.run_configured(&uniform_model(8, 4096), &tight_topo(2), |exec| {
             arm(exec);
             Ok(())
-        },
-    )?;
+        })?;
     Ok((summary, trace))
 }
 

@@ -236,21 +236,6 @@ impl MemoryManager {
         }
     }
 
-    /// Rebinds a recycled manager to a new device set, keeping the SoA
-    /// planes' heap capacity while discarding all tensor state, stats,
-    /// observers, and (if converted) the dense reference core.
-    /// Equivalent to `MemoryManager::new(capacities)` for every
-    /// observable output — the pooled-run recycling contract (DESIGN
-    /// §14, proven fresh-vs-pooled by the harness's reusediff).
-    pub fn reset(&mut self, capacities: Vec<u64>) {
-        self.fast.reset(capacities);
-        #[cfg(feature = "dense_memory")]
-        {
-            self.dense = None;
-        }
-        self.observers.clear();
-    }
-
     /// Attaches an observer; every subsequent state transition is reported
     /// to it. With no observers attached, operations pay one branch.
     pub fn attach_observer(&mut self, observer: Box<dyn MemObserver>) {
@@ -654,17 +639,6 @@ impl MemoryManager {
         }
         self.fast.arm_membership_desync(dev)
     }
-
-    /// Sabotage hook for the pooled-run differential's mutation-catch
-    /// test: the next [`MemoryManager::reset`] leaks the `peak_used`
-    /// plane across the recycle instead of zeroing it — the "stale state
-    /// survives reset" bug class the fresh-vs-pooled reusediff must
-    /// flag (leaked peaks surface in `RunSummary::peak_mem_bytes`).
-    /// One-shot: the armed reset disarms it.
-    #[cfg(feature = "mutation_hooks")]
-    pub fn arm_leak_plane_across_reset(&mut self) {
-        self.fast.leak_peak_across_reset = true;
-    }
 }
 
 /// The rewritten hot-path core: SoA planes + a sorted resident
@@ -709,12 +683,6 @@ struct FastCore {
     /// buffer a [`MemEvent`] for the wrapper to flush.
     record: bool,
     pending: Vec<MemEvent>,
-    /// Armed sabotage for the reusediff mutation-catch test: the next
-    /// [`FastCore::reset`] skips zeroing the `peak_used` plane — the
-    /// "one plane leaked across recycling" bug class the fresh-vs-pooled
-    /// differential must flag. One-shot; inert unless armed.
-    #[cfg(feature = "mutation_hooks")]
-    leak_peak_across_reset: bool,
 }
 
 impl FastCore {
@@ -742,51 +710,7 @@ impl FastCore {
             stats: SwapStats::new(),
             record: false,
             pending: Vec::new(),
-            #[cfg(feature = "mutation_hooks")]
-            leak_peak_across_reset: false,
         }
-    }
-
-    /// Returns the core to `FastCore::new(capacities)` state while
-    /// keeping the SoA planes' allocated capacity (the pooled-run
-    /// recycling contract, DESIGN §14). Every observable field —
-    /// accounting, residency, membership, clock, stats — restarts from the
-    /// constructor's values; only heap capacity survives.
-    fn reset(&mut self, capacities: Vec<u64>) {
-        let n = capacities.len();
-        self.capacities = capacities;
-        self.used.clear();
-        self.used.resize(n, 0);
-        #[cfg(feature = "mutation_hooks")]
-        let leak = std::mem::take(&mut self.leak_peak_across_reset);
-        #[cfg(not(feature = "mutation_hooks"))]
-        let leak = false;
-        if !leak {
-            self.peak_used.clear();
-        }
-        self.peak_used.resize(n, 0);
-        self.pinned_bytes.clear();
-        self.pinned_bytes.resize(n, 0);
-        self.host_bytes = 0;
-        self.names.clear();
-        self.name_ends.clear();
-        self.classes.clear();
-        self.bytes.clear();
-        self.residency.clear();
-        self.pinned.clear();
-        self.last_use.clear();
-        self.next_use.clear();
-        self.dirty.clear();
-        self.host_copy.clear();
-        for set in &mut self.resident {
-            set.clear();
-        }
-        self.resident.resize_with(n, Vec::new);
-        self.next_id = 0;
-        self.clock = 0;
-        self.stats = SwapStats::new();
-        self.record = false;
-        self.pending.clear();
     }
 
     fn note(&mut self, event: MemEvent) {
@@ -1430,33 +1354,6 @@ mod tests {
 
     fn mm() -> MemoryManager {
         MemoryManager::new(vec![1000, 1000])
-    }
-
-    #[test]
-    fn reset_manager_matches_fresh_manager_observably() {
-        // Dirty a manager thoroughly, reset it onto a different device
-        // set, and replay a script against a truly fresh manager: ids,
-        // accounting, stats, and views must coincide.
-        let mut pooled = mm();
-        let a = pooled
-            .alloc_on_device("old", 600, TensorClass::Stash, 0)
-            .unwrap();
-        pooled.touch(a).unwrap();
-        pooled.register_on_host("host-old", 50, TensorClass::Weight);
-        pooled.reset(vec![2000, 2000, 2000]);
-        let mut fresh = MemoryManager::new(vec![2000, 2000, 2000]);
-        for m in [&mut pooled, &mut fresh] {
-            let w = m.register_on_host("w", 100, TensorClass::Weight);
-            assert_eq!(w, 0, "ids restart from zero");
-            let x = m.alloc_on_device("x", 300, TensorClass::Stash, 2).unwrap();
-            m.touch(x).unwrap();
-        }
-        assert_eq!(pooled.num_devices(), fresh.num_devices());
-        assert_eq!(pooled.used(2).unwrap(), fresh.used(2).unwrap());
-        assert_eq!(pooled.peak_used(2).unwrap(), fresh.peak_used(2).unwrap());
-        assert_eq!(pooled.peak_used(0).unwrap(), 0, "no leak across reset");
-        assert_eq!(pooled.host_used(), fresh.host_used());
-        assert_eq!(pooled.tensor_infos().count(), fresh.tensor_infos().count());
     }
 
     #[test]

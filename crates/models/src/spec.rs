@@ -144,6 +144,37 @@ impl ModelSpec {
     pub fn total_fwd_flops(&self, ubatch: u64) -> u64 {
         self.layers.iter().map(|l| l.fwd_flops(ubatch)).sum()
     }
+
+    /// Whether every size the accessors above derive fits a `u64` for
+    /// `samples` samples at once with `opt_slots` optimizer-state tensors:
+    /// each layer's weights, gradients and optimizer state, its input,
+    /// output and stash activations and its forward FLOPs, and the
+    /// model-wide totals of bytes and FLOPs. The accessors multiply
+    /// unchecked and would wrap past it. Passing a whole iteration's
+    /// samples also covers every per-microbatch size times a microbatch
+    /// count up to that iteration's.
+    pub fn sizes_fit(&self, samples: u64, opt_slots: u64) -> bool {
+        let totals = || {
+            let (mut bytes, mut flops) = (0u64, 0u64);
+            for l in &self.layers {
+                let state = l
+                    .params
+                    .checked_mul(BYTES_PER_ELEM)?
+                    .checked_mul(opt_slots.checked_add(2)?)?;
+                let acts = l
+                    .in_elems_per_sample
+                    .checked_mul(2)?
+                    .checked_add(l.out_elems_per_sample)?
+                    .checked_add(l.extra_stash_elems_per_sample)?
+                    .checked_mul(samples)?
+                    .checked_mul(BYTES_PER_ELEM)?;
+                bytes = bytes.checked_add(state)?.checked_add(acts)?;
+                flops = flops.checked_add(l.fwd_flops_per_sample.checked_mul(samples)?)?;
+            }
+            Some((bytes, flops))
+        };
+        totals().is_some()
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +214,33 @@ mod tests {
         assert_eq!(m.total_weight_bytes(), 1200);
         assert_eq!(m.num_layers(), 2);
         assert_eq!(m.total_fwd_flops(2), (200 + 400) * 2);
+    }
+
+    #[test]
+    fn sizes_fit_until_a_product_or_a_total_wraps() {
+        let m = ModelSpec {
+            name: "toy".to_string(),
+            layers: vec![layer(100, 10), layer(200, 20)],
+            seq_len: 8,
+        };
+        assert!(m.sizes_fit(1 << 40, 2));
+        assert!(m.sizes_fit(0, 0));
+        // A per-sample size times the samples wraps.
+        assert!(!m.sizes_fit(1 << 63, 2));
+        // Optimizer state wraps.
+        assert!(!m.sizes_fit(1, u64::MAX / 4));
+        // Each layer fits on its own, but the model-wide total does not.
+        let big = layer(u64::MAX / 4 / 4, 0);
+        assert!(ModelSpec {
+            layers: vec![big.clone()],
+            ..m.clone()
+        }
+        .sizes_fit(0, 1));
+        assert!(!ModelSpec {
+            layers: vec![big.clone(), big],
+            ..m
+        }
+        .sizes_fit(0, 1));
     }
 
     #[test]

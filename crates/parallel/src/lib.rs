@@ -2,7 +2,9 @@
 //!
 //! A deterministic, order-preserving work pool for the workspace's
 //! embarrassingly-parallel driver loops: the Performance Tuner's sweep,
-//! the conformance/pinned matrices, and the `repro` sweep subcommands.
+//! the conformance/pinned matrices, and the `repro` figure sweeps. Each
+//! item runs on its own state; nothing is carried from one item to the
+//! next.
 //!
 //! Design constraints (DESIGN.md §7):
 //!
@@ -150,80 +152,6 @@ where
         .collect()
 }
 
-/// [`par_map`] with a lazily created per-worker state, for maps whose
-/// items want to recycle expensive scratch (arenas, pools, sessions)
-/// *within* a worker without sharing it *across* workers.
-///
-/// Each worker thread creates its own state with `init()` on first use
-/// and threads it through every item that worker claims, so states never
-/// contend. Determinism contract: `f` must produce the same result for an
-/// item whatever state instance (fresh or reused) it receives — exactly
-/// the byte-identity the pooled run path guarantees — so the output stays
-/// identical at any worker count even though *which* state serves which
-/// item varies with claim interleaving.
-pub fn par_map_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    par_map_workers_with(worker_count(), items, init, f)
-}
-
-/// [`par_map_with`] with an explicit worker count.
-pub fn par_map_workers_with<T, R, S, I, F>(workers: usize, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers == 1 || items.len() <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let init = &init;
-    let f = &f;
-    let cursor = &cursor;
-    let mut slots: Vec<Option<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut mine: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        mine.push((i, f(&mut state, i, &items[i])));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for h in handles {
-            // A worker panic propagates: the pool never swallows failures.
-            for (i, r) in h.join().expect("worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-        slots
-    });
-    slots
-        .iter_mut()
-        .map(|s| s.take().expect("every index claimed exactly once"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,39 +214,5 @@ mod tests {
         assert!(parse_workers_env("-3").is_err());
         assert!(parse_workers_env("").is_err());
         assert!(parse_workers_env("4.5").is_err());
-    }
-
-    #[test]
-    fn stateful_map_is_identical_across_worker_counts() {
-        let items: Vec<u64> = (0..41).collect();
-        // The state is reuse-invisible scratch: cleared before each item,
-        // exactly the pooled-run discipline the real callers follow.
-        let run = |w| {
-            par_map_workers_with(w, &items, Vec::<u64>::new, |scratch, i, &x| {
-                scratch.clear();
-                scratch.extend(0..=x);
-                (i as u64) + scratch.iter().sum::<u64>()
-            })
-        };
-        let base = run(1);
-        for w in [2, 3, 8, 64] {
-            assert_eq!(run(w), base, "worker count {w} changed results");
-        }
-    }
-
-    #[test]
-    fn stateful_map_creates_at_most_one_state_per_worker() {
-        use std::sync::atomic::AtomicUsize;
-        let items: Vec<u32> = (0..100).collect();
-        let inits = AtomicUsize::new(0);
-        let out = par_map_workers_with(
-            4,
-            &items,
-            || inits.fetch_add(1, Ordering::Relaxed),
-            |_, _, &x| x,
-        );
-        assert_eq!(out, items);
-        let n = inits.load(Ordering::Relaxed);
-        assert!(n <= 4, "4 workers must not create {n} states");
     }
 }

@@ -53,8 +53,8 @@ impl SchemeConfig {
     }
 }
 
-/// Workload parameters shared by all planners. `Eq + Hash` (every field
-/// is integral) so a workload can key the sweep-session plan cache.
+/// Workload parameters shared by all planners. Every field is integral,
+/// so workloads compare and hash exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadConfig {
     /// Microbatches per GPU (`m` of the analytical model). For pipeline

@@ -335,44 +335,6 @@ impl StepPlane {
             pinned: (0..n).map(|_| Vec::new()).collect(),
         }
     }
-
-    /// Returns the plane to the exact `StepPlane::new(n)` state while
-    /// keeping every lane's capacity (including the per-GPU pin lists) —
-    /// the pooled-run recycling contract. A cleared-and-refilled lane
-    /// holds the same values as a freshly allocated one, so recycled
-    /// planes are byte-indistinguishable from fresh ones.
-    fn reset(&mut self, n: usize) {
-        self.live.clear();
-        self.live.resize(n, false);
-        self.id.clear();
-        self.id.resize(n, 0);
-        self.seq.clear();
-        self.seq.resize(n, 0);
-        self.iter.clear();
-        self.iter.resize(n, 0);
-        self.item.clear();
-        self.item.resize(n, WorkItem::AllReduce { pack: 0 });
-        self.t_cur.clear();
-        self.t_cur.resize(n, 0);
-        self.t_end.clear();
-        self.t_end.resize(n, 0);
-        self.targets_built.clear();
-        self.targets_built.resize(n, false);
-        self.front_converted.clear();
-        self.front_converted.resize(n, false);
-        self.inflight.clear();
-        self.inflight.resize(n, InFlight::Idle);
-        for p in &mut self.pinned {
-            p.clear();
-        }
-        self.pinned.resize_with(n, Vec::new);
-    }
-}
-
-impl Default for StepPlane {
-    fn default() -> Self {
-        StepPlane::new(0)
-    }
 }
 
 /// A pooled record of an in-flight transfer. Lives in the executor's
@@ -483,7 +445,7 @@ enum Slot {
 /// *non-zero-byte* transfer over the route — exactly when the reference
 /// path's `start_transfer` would create it — so flight-class ordering
 /// stays bit-identical.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RouteEntry {
     route: Vec<ChannelId>,
     class: Option<usize>,
@@ -671,109 +633,11 @@ pub struct SimExecutor<'a> {
     setup_secs: f64,
 }
 
-/// Recyclable heap state for pooled executor construction (DESIGN §14).
-///
-/// [`SimExecutor::pooled`] draws every owned container from the pool
-/// instead of allocating, and [`SimExecutor::run_pooled`] hands them back
-/// afterwards — on success *and* on error, so failed sweep cells recycle
-/// too. A default (empty) pool vends empty containers, which makes the
-/// pooled build path *literally* the fresh build path:
-/// [`SimExecutor::with_iterations`] constructs through the same code with
-/// a throwaway empty pool, so byte-identity of pooled and fresh runs is
-/// structural, not incidental.
-///
-/// Hash-ordered containers whose iteration order could reach an
-/// observable output (`done_mirror`, `reroute_attempts`,
-/// `degraded_channels`) are deliberately *not* pooled — they are rebuilt
-/// fresh per run, as are observers, faults and counters.
-#[derive(Debug, Default)]
-pub struct ExecPool {
-    sim: Option<Simulator>,
-    mm: Option<MemoryManager>,
-    trace: Option<Trace>,
-    cur: Option<StepPlane>,
-    pre: Option<StepPlane>,
-    transfers: Slab<PendingTransfer>,
-    event_pool: EventPool,
-    ids: Vec<Option<TensorId>>,
-    labels: Vec<SymbolId>,
-    task_syms: Vec<Option<SymbolId>>,
-    ref_syms: Vec<Option<SymbolId>>,
-    nu_count: Vec<u32>,
-    nu_start: Vec<u32>,
-    nu_end: Vec<u32>,
-    nu_cur: Vec<u32>,
-    nu_seqs: Vec<u64>,
-    q_items: Vec<QItem>,
-    q_bounds: Vec<(u32, u32)>,
-    q_cursor: Vec<u32>,
-    ct_items: Vec<CTarget>,
-    computes: Vec<Option<ComputeRec>>,
-    collectives: Vec<CollSlot>,
-    done_words: Vec<u64>,
-    dep_w: Vec<u64>,
-    tw: Vec<u64>,
-    pass_w: Vec<u64>,
-    pending_w: Vec<u64>,
-    poll_w: Vec<u64>,
-    compute_rate: Vec<f64>,
-    routes_h2g: Vec<Option<RouteEntry>>,
-    routes_g2h: Vec<Option<RouteEntry>>,
-    routes_p2p: Vec<Option<RouteEntry>>,
-    spills: Vec<Option<SpillState>>,
-    retry_meta: Vec<RetryKind>,
-    evict_scratch: Vec<TensorId>,
-}
-
-impl ExecPool {
-    /// An empty pool. The first pooled run through it behaves exactly like
-    /// a fresh run (there is nothing to recycle yet); subsequent runs
-    /// reuse its arenas.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a finished run's trace to the pool so the next pooled build
-    /// recycles its span arena and interned symbol table.
-    /// [`SimExecutor::run_pooled`] hands the trace to the caller (it is
-    /// part of the run's output); call this once done reading it.
-    pub fn recycle_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
-    }
-
-    /// Sabotage (testing only): arm the pooled memory manager's
-    /// leak-one-plane-across-reset mutant, so its next recycled build
-    /// keeps the previous run's peak-memory plane. Returns whether a
-    /// retained manager was armed (an empty pool has nothing to leak
-    /// from). The `reusediff` mutation-catch test uses this to prove the
-    /// fresh-vs-pooled differential detects reset leaks.
-    #[cfg(feature = "mutation_hooks")]
-    pub fn arm_leak_plane_across_reset(&mut self) -> bool {
-        match self.mm.as_mut() {
-            Some(mm) => {
-                mm.arm_leak_plane_across_reset();
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Takes the vector out of its pool slot, cleared and ready to refill.
-/// Clearing before reuse is what makes recycling byte-invisible: a
-/// cleared-then-refilled vector holds exactly the contents a freshly
-/// allocated one would, whatever its capacity.
-fn recycled<T>(slot: &mut Vec<T>) -> Vec<T> {
-    let mut v = std::mem::take(slot);
-    v.clear();
-    v
-}
-
-/// Like [`recycled`], with room for exactly `n` elements reserved
+/// An empty vector with room for exactly `n` elements, reserved
 /// fallibly: a plan too large for the host is an [`ExecError::TooLarge`]
 /// instead of an allocation abort.
-fn reserved<T>(slot: &mut Vec<T>, n: usize) -> Result<Vec<T>, ExecError> {
-    let mut v = recycled(slot);
+fn reserved<T>(n: usize) -> Result<Vec<T>, ExecError> {
+    let mut v = Vec::new();
     v.try_reserve_exact(n).map_err(|e| {
         ExecError::TooLarge(format!(
             "cannot reserve {n} × {} B: {e}",
@@ -805,26 +669,6 @@ impl<'a> SimExecutor<'a> {
         model: &'a ModelSpec,
         plan: &'a ExecutionPlan,
         iterations: u32,
-    ) -> Result<Self, ExecError> {
-        // A fresh build is a pooled build that draws from an empty
-        // throwaway pool: taking from an empty slot yields an empty
-        // container, so one constructor body serves both paths and the
-        // pooled path cannot drift from this one.
-        Self::pooled(topo, model, plan, iterations, &mut ExecPool::default())
-    }
-
-    /// Like [`SimExecutor::with_iterations`], drawing every owned
-    /// container from `pool` instead of allocating (and recycling the
-    /// pool's retained simulator, memory manager and trace when present).
-    /// Run the result with [`SimExecutor::run_pooled`] to hand the
-    /// containers back for the next cell. This is the one constructor
-    /// body: a fresh build simply draws from an empty throwaway pool.
-    pub fn pooled(
-        topo: &'a Topology,
-        model: &'a ModelSpec,
-        plan: &'a ExecutionPlan,
-        iterations: u32,
-        pool: &mut ExecPool,
     ) -> Result<Self, ExecError> {
         if iterations == 0 {
             return Err(ExecError::Plan("iterations must be positive".to_string()));
@@ -902,42 +746,29 @@ impl<'a> SimExecutor<'a> {
             rslots,
             num_refs,
         };
-        let mut ids: Vec<Option<TensorId>> = reserved(&mut pool.ids, total_keys)?;
-        let mut ref_syms = reserved(&mut pool.ref_syms, ref_slots)?;
-        let mut nu_count: Vec<u32> = reserved(&mut pool.nu_count, total_keys)?;
-        let mut nu_start: Vec<u32> = reserved(&mut pool.nu_start, total_keys)?;
-        let mut nu_end = reserved(&mut pool.nu_end, total_keys)?;
-        let mut nu_cur = reserved(&mut pool.nu_cur, total_keys)?;
-        let mut nu_seqs: Vec<u64> = reserved(&mut pool.nu_seqs, nu_len)?;
-        let mut q_items: Vec<QItem> = reserved(&mut pool.q_items, queue_len)?;
-        let mut task_syms = reserved(&mut pool.task_syms, task_slots)?;
-        let mut collectives = reserved(&mut pool.collectives, coll_slots)?;
-        let mut done_words = reserved(&mut pool.done_words, done_len)?;
-        let mut dep_w = reserved(&mut pool.dep_w, dep_w_len)?;
-        let mut trace = pool.trace.take().unwrap_or_default();
-        trace.reset(plan.name.clone());
+        let mut ids: Vec<Option<TensorId>> = reserved(total_keys)?;
+        let mut ref_syms = reserved(ref_slots)?;
+        let mut nu_count: Vec<u32> = reserved(total_keys)?;
+        let mut nu_start: Vec<u32> = reserved(total_keys)?;
+        let mut nu_end = reserved(total_keys)?;
+        let mut nu_cur = reserved(total_keys)?;
+        let mut nu_seqs: Vec<u64> = reserved(nu_len)?;
+        let mut q_items: Vec<QItem> = reserved(queue_len)?;
+        let mut task_syms = reserved(task_slots)?;
+        let mut collectives = reserved(coll_slots)?;
+        let mut done_words = reserved(done_len)?;
+        let mut dep_w = reserved(dep_w_len)?;
+        let mut trace = Trace::new(plan.name.clone());
         trace.reserve_spans(span_hint).map_err(|e| {
             ExecError::TooLarge(format!("cannot reserve {span_hint} trace spans: {e}"))
         })?;
-        let sim = match pool.sim.take() {
-            Some(mut s) => {
-                s.reset(topo);
-                s
-            }
-            None => Simulator::new(topo),
-        };
+        let sim = Simulator::new(topo);
         let capacities = (0..num_gpus)
             .map(|g| topo.gpu(g).map(|s| s.mem_bytes))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut mm = match pool.mm.take() {
-            Some(mut m) => {
-                m.reset(capacities);
-                m
-            }
-            None => MemoryManager::new(capacities),
-        };
+        let mut mm = MemoryManager::new(capacities);
         ids.resize(total_keys, None);
-        let mut labels: Vec<SymbolId> = recycled(&mut pool.labels);
+        let mut labels: Vec<SymbolId> = Vec::new();
         ref_syms.resize(ref_slots, None);
         let mut counters = ExecCounters::default();
         // Persistent per-replica state. Labels are interned once per key
@@ -974,9 +805,8 @@ impl<'a> SimExecutor<'a> {
         // Flatten the work queues and precompile each distinct item's
         // fetch targets once, with its first iteration's entry; every
         // later iteration's instance copies the entry and shares the range.
-        let mut ct_items: Vec<CTarget> = recycled(&mut pool.ct_items);
-        let mut q_bounds: Vec<(u32, u32)> = recycled(&mut pool.q_bounds);
-        q_bounds.reserve(n_q);
+        let mut ct_items: Vec<CTarget> = Vec::new();
+        let mut q_bounds: Vec<(u32, u32)> = Vec::with_capacity(n_q);
         for (g, q) in plan.queues.iter().enumerate() {
             let start = q_items.len();
             for (i, item) in q.iter().enumerate() {
@@ -1034,43 +864,13 @@ impl<'a> SimExecutor<'a> {
             }
         }
         nu_cur.extend_from_slice(&nu_start);
-        // The count table is build-only scratch: hand it straight back.
-        nu_count.clear();
-        pool.nu_count = nu_count;
-        let mut q_cursor: Vec<u32> = recycled(&mut pool.q_cursor);
-        q_cursor.extend(q_bounds.iter().map(|b| b.0));
+        // The count table is build-only scratch.
+        drop(nu_count);
+        let q_cursor: Vec<u32> = q_bounds.iter().map(|b| b.0).collect();
         task_syms.resize(task_slots, None);
-        let mut cur = pool.cur.take().unwrap_or_default();
-        cur.reset(n_q);
-        let mut pre = pool.pre.take().unwrap_or_default();
-        pre.reset(n_q);
-        let mut transfers = std::mem::take(&mut pool.transfers);
-        transfers.reset();
-        let mut computes = recycled(&mut pool.computes);
-        computes.resize(n_q, None);
         collectives.resize(coll_slots, CollSlot::default());
         done_words.resize(done_len, 0);
         dep_w.resize(dep_w_len, 0);
-        let tw = recycled(&mut pool.tw);
-        let mut pass_w = recycled(&mut pool.pass_w);
-        pass_w.resize(wpg, 0);
-        let mut pending_w = recycled(&mut pool.pending_w);
-        pending_w.resize(wpg, 0);
-        let mut poll_w = recycled(&mut pool.poll_w);
-        poll_w.resize(wpg, 0);
-        let event_pool = std::mem::take(&mut pool.event_pool);
-        let mut compute_rate = recycled(&mut pool.compute_rate);
-        compute_rate.resize(num_gpus, 1.0);
-        let mut routes_h2g = recycled(&mut pool.routes_h2g);
-        routes_h2g.resize_with(num_gpus, || None);
-        let mut routes_g2h = recycled(&mut pool.routes_g2h);
-        routes_g2h.resize_with(num_gpus, || None);
-        let mut routes_p2p = recycled(&mut pool.routes_p2p);
-        routes_p2p.resize_with(num_gpus * num_gpus, || None);
-        let mut spills = recycled(&mut pool.spills);
-        spills.resize(num_gpus, None);
-        let retry_meta = recycled(&mut pool.retry_meta);
-        let evict_scratch = recycled(&mut pool.evict_scratch);
         Ok(SimExecutor {
             topo,
             model,
@@ -1093,11 +893,11 @@ impl<'a> SimExecutor<'a> {
             q_bounds,
             q_cursor,
             ct_items,
-            cur,
-            pre,
+            cur: StepPlane::new(n_q),
+            pre: StepPlane::new(n_q),
             next_step_id: 0,
-            transfers,
-            computes,
+            transfers: Slab::new(),
+            computes: vec![None; n_q],
             next_compute_tag: 0,
             collectives,
             done_words,
@@ -1105,24 +905,24 @@ impl<'a> SimExecutor<'a> {
             wpg,
             dep_w,
             dep_live: 0,
-            tw,
+            tw: Vec::new(),
             tw_live: 0,
-            pass_w,
-            pending_w,
-            poll_w,
+            pass_w: vec![0; wpg],
+            pending_w: vec![0; wpg],
+            poll_w: vec![0; wpg],
             advancing: None,
             mutations: 0,
             counters,
             trace,
             observers: Vec::new(),
-            event_pool,
+            event_pool: EventPool::default(),
             faults: Vec::new(),
-            compute_rate,
+            compute_rate: vec![1.0; num_gpus],
             event_budget: None,
             events_processed: 0,
-            routes_h2g,
-            routes_g2h,
-            routes_p2p,
+            routes_h2g: vec![None; num_gpus],
+            routes_g2h: vec![None; num_gpus],
+            routes_p2p: vec![None; num_gpus * num_gpus],
             n_topo: num_gpus,
             #[cfg(feature = "dense_advance")]
             dense: false,
@@ -1130,11 +930,11 @@ impl<'a> SimExecutor<'a> {
             resilience_seed: 0,
             fault_applied: false,
             degraded_channels: BTreeSet::new(),
-            spills,
-            retry_meta,
+            spills: vec![None; num_gpus],
+            retry_meta: Vec::new(),
             reroute_attempts: HashMap::new(),
             res_outcome: ResilienceOutcome::default(),
-            evict_scratch,
+            evict_scratch: Vec::new(),
             #[cfg(feature = "mutation_hooks")]
             drop_one_wake: false,
             #[cfg(feature = "mutation_hooks")]
@@ -1918,81 +1718,17 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Like [`SimExecutor::run`], but also returns the event-loop's
-    /// structural [`ExecCounters`].
-    pub fn run_counted(self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
-        self.run_pooled(&mut ExecPool::default())
-    }
-
-    /// The one run body: like [`SimExecutor::run_counted`], but returns
-    /// every recyclable container to `pool` afterwards — on success *and*
-    /// on error, so a failed sweep cell (a planner rejection happens
-    /// before construction, an execution error after) still recycles its
-    /// arenas. The returned trace is part of the run's output; hand it
-    /// back with [`ExecPool::recycle_trace`] once read.
-    ///
-    /// Dense-reference mode is delegated to the frozen executor and not
-    /// pooled (the reference predates the pooling layer); the pool is
-    /// left untouched in that case.
-    pub fn run_pooled(
-        mut self,
-        pool: &mut ExecPool,
-    ) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
+    /// structural [`ExecCounters`]. Dense-reference mode is delegated to
+    /// the frozen executor.
+    pub fn run_counted(mut self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         #[cfg(feature = "dense_advance")]
         if self.dense {
             return self.run_dense();
         }
         let wall_start = std::time::Instant::now();
-        let out = self.run_core().map(|()| {
-            let summary = self.build_summary(wall_start.elapsed().as_secs_f64());
-            (summary, std::mem::take(&mut self.trace), self.counters)
-        });
-        self.dismantle(pool);
-        out
-    }
-
-    /// Returns every recyclable container to `pool`, consuming the
-    /// executor. Hash-ordered state (`done_mirror`, `reroute_attempts`,
-    /// `degraded_channels`) and run-specific state (observers, faults,
-    /// counters) are dropped — rebuilt fresh each run, so no
-    /// iteration-order artifact can leak across cells.
-    fn dismantle(self, pool: &mut ExecPool) {
-        pool.sim = Some(self.sim);
-        pool.mm = Some(self.mm);
-        // `run_pooled` takes the real trace before dismantling (it is the
-        // run's output); what lands here on the error path still carries
-        // its arena, which is all the pool wants.
-        pool.trace = Some(self.trace);
-        pool.cur = Some(self.cur);
-        pool.pre = Some(self.pre);
-        pool.transfers = self.transfers;
-        pool.event_pool = self.event_pool;
-        pool.ids = self.ids;
-        pool.labels = self.labels;
-        pool.task_syms = self.task_syms;
-        pool.ref_syms = self.ref_syms;
-        pool.nu_start = self.nu_start;
-        pool.nu_end = self.nu_end;
-        pool.nu_cur = self.nu_cur;
-        pool.nu_seqs = self.nu_seqs;
-        pool.q_items = self.q_items;
-        pool.q_bounds = self.q_bounds;
-        pool.q_cursor = self.q_cursor;
-        pool.ct_items = self.ct_items;
-        pool.computes = self.computes;
-        pool.collectives = self.collectives;
-        pool.done_words = self.done_words;
-        pool.dep_w = self.dep_w;
-        pool.tw = self.tw;
-        pool.pass_w = self.pass_w;
-        pool.pending_w = self.pending_w;
-        pool.poll_w = self.poll_w;
-        pool.compute_rate = self.compute_rate;
-        pool.routes_h2g = self.routes_h2g;
-        pool.routes_g2h = self.routes_g2h;
-        pool.routes_p2p = self.routes_p2p;
-        pool.spills = self.spills;
-        pool.retry_meta = self.retry_meta;
-        pool.evict_scratch = self.evict_scratch;
+        self.run_core()?;
+        let summary = self.build_summary(wall_start.elapsed().as_secs_f64());
+        Ok((summary, std::mem::take(&mut self.trace), self.counters))
     }
 
     /// Adds planning (or other caller-side setup) wall time to the
@@ -2004,7 +1740,7 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// The event loop proper: initial pass, drain, stuck check, dirty-state
-    /// flush, run by [`Self::run_pooled`].
+    /// flush, run by [`Self::run_counted`].
     fn run_core(&mut self) -> Result<(), ExecError> {
         // Initial pass: every GPU.
         self.wake_all();

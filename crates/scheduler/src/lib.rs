@@ -40,7 +40,7 @@ pub mod tuner;
 
 pub use config::{PolicyKind, SchemeConfig, WorkloadConfig};
 pub use dp::{plan_baseline_dp, plan_harmony_dp};
-pub use exec::{ExecCounters, ExecError, ExecPool, SimExecutor};
+pub use exec::{ExecCounters, ExecError, SimExecutor};
 pub use obs::{ExecContext, ExecEvent, ExecObserver, Fault, TimedFault};
 pub use plan::{ExecutionPlan, WorkItem};
 pub use pp::{

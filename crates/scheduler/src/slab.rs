@@ -248,24 +248,6 @@ impl<T> Slab<T> {
         self.fresh_allocs
     }
 
-    /// Returns the slab to its freshly-constructed state while keeping
-    /// the entry and free-list capacity: all slots (and their
-    /// generations) are discarded, so the next insert mints slot 0 at
-    /// generation 0 exactly as a new slab would. This is the pooled-run
-    /// recycling contract (DESIGN §14): handles issued after a reset are
-    /// indistinguishable from a fresh slab's, so a recycled executor's
-    /// simulator tags are byte-identical to a fresh one's. Handles issued
-    /// *before* the reset must not be used again — they may alias
-    /// re-minted ones — which holds for the executor because a run ends
-    /// with its slab drained.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.free.clear();
-        self.live = 0;
-        self.high_water = 0;
-        self.fresh_allocs = 0;
-    }
-
     /// Live `(handle, value)` pairs in ascending slot order.
     pub fn iter(&self) -> impl Iterator<Item = (SlabHandle, &T)> {
         self.entries.iter().enumerate().filter_map(|(slot, e)| {
@@ -324,22 +306,6 @@ mod tests {
         assert_eq!(s.high_water(), 1);
         assert_eq!(s.fresh_allocs(), 1, "one slot, recycled 100 times");
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn reset_slab_mints_fresh_identical_handles() {
-        let mut recycled = Slab::new();
-        for _ in 0..3 {
-            let h = recycled.insert(9u32);
-            recycled.remove(h).unwrap();
-        }
-        recycled.reset();
-        let mut fresh = Slab::new();
-        for i in 0..4u32 {
-            assert_eq!(recycled.insert(i).to_bits(), fresh.insert(i).to_bits());
-        }
-        assert_eq!(recycled.high_water(), fresh.high_water());
-        assert_eq!(recycled.fresh_allocs(), fresh.fresh_allocs());
     }
 
     #[test]

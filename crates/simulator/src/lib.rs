@@ -412,48 +412,6 @@ impl Simulator {
         }
     }
 
-    /// Rebinds a recycled simulator to `topology`, keeping allocated
-    /// capacity (event heap, flight list, scratch buffers, per-channel
-    /// vectors) while discarding all state. Equivalent to
-    /// [`Simulator::new`] (or `new_dense_reference` — the engine mode is
-    /// retained) for every observable output: virtual time, sequence
-    /// numbers, waves, transfer ids, flight classes, stats, and counters
-    /// all restart from the constructor's values, so a reset simulator's
-    /// event stream is byte-identical to a fresh one's (the pooled-run
-    /// contract, DESIGN §14).
-    pub fn reset(&mut self, topology: &Topology) {
-        let channels = topology.channels().len();
-        self.now = 0.0;
-        self.seq = 0;
-        self.events.clear();
-        self.streams.clear();
-        self.streams
-            .resize_with(topology.num_gpus(), GpuStream::default);
-        self.channel_bw.clear();
-        self.channel_bw
-            .extend(topology.channels().iter().map(|c| c.bandwidth));
-        self.active.clear();
-        self.active.resize(channels, 0);
-        // Lookup-only map (never iterated), so clearing cannot perturb
-        // any observable order.
-        self.class_of.clear();
-        self.flights.clear();
-        self.occupied.clear();
-        self.occupied_at.clear();
-        self.affected_scratch.clear();
-        self.route_scratch.clear();
-        self.routed = 0;
-        self.immediates.clear();
-        self.next_transfer_id = 0;
-        self.net_generation = 0;
-        self.cur_wave = 0;
-        self.popped = false;
-        self.last_busy_update.clear();
-        self.last_busy_update.resize(channels, 0.0);
-        self.stats = SimStats::new(topology.num_gpus(), channels);
-        self.counters = NetCounters::default();
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now

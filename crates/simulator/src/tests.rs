@@ -472,61 +472,10 @@ fn cancel_matches_dense_reference() {
 }
 
 #[test]
-fn reset_simulator_replays_byte_identically() {
-    // Drive a mixed script (transfers, timers, compute, a cancel) and
-    // record the exact completion stream bit-for-bit; a reset simulator
-    // must reproduce it, including stats and counters, from any dirty
-    // prior state — even mid-flight.
-    let topo = commodity_4x1080ti();
-    let script = |s: &mut Simulator| -> Vec<(u64, String)> {
-        let mut ids = Vec::new();
-        for g in 0..4 {
-            let r = topo
-                .route(Endpoint::Gpu(g), Endpoint::Host)
-                .unwrap()
-                .to_vec();
-            ids.push(
-                s.start_transfer(&r, 1_500_000_000 * (g as u64 + 1), 10 + g as u64, g as u32)
-                    .unwrap(),
-            );
-        }
-        s.set_timer(0.1, 77, 0).unwrap();
-        s.submit_compute(1, 0.05, 88).unwrap();
-        let mut trace = Vec::new();
-        let (t, c) = s.next().unwrap();
-        trace.push((t.to_bits(), format!("{c:?}")));
-        s.cancel_transfer(ids[3]).unwrap();
-        while let Some((t, c)) = s.next() {
-            trace.push((t.to_bits(), format!("{c:?}")));
-        }
-        for (ch, busy) in s.stats().channel_busy_secs.iter().enumerate() {
-            trace.push((busy.to_bits(), format!("busy[{ch}]")));
-        }
-        trace
-    };
-    let mut fresh = Simulator::new(&topo);
-    let want = script(&mut fresh);
-    // Dirty the recycled instance: leave transfers in flight, then reset.
-    let mut pooled = Simulator::new(&topo);
-    let r = topo
-        .route(Endpoint::Gpu(0), Endpoint::Host)
-        .unwrap()
-        .to_vec();
-    pooled.start_transfer(&r, 5_000_000_000, 999, 0).unwrap();
-    pooled.set_timer(9.0, 998, 0).unwrap();
-    let _ = pooled.next();
-    pooled.reset(&topo);
-    assert_eq!(script(&mut pooled), want);
-    // And again, proving repeated recycling stays stable.
-    pooled.reset(&topo);
-    assert_eq!(script(&mut pooled), want);
-}
-
-#[test]
 fn occupied_list_tracks_non_empty_flights() {
     // The occupied list must equal the set of flights with a non-empty
     // queue after every transition that can empty (or fill) one: a pop
-    // that drains a flight, a cancel that empties one, and `reset`.
+    // that drains a flight and a cancel that empties one.
     let topo = commodity_4x1080ti();
     let route = |a, b| topo.route(a, b).unwrap().to_vec();
     let occupied = |s: &Simulator| {
@@ -555,15 +504,9 @@ fn occupied_list_tracks_non_empty_flights() {
     assert_eq!(occupied(&s), vec![2]);
     assert!(s.cancel_transfer(c).unwrap());
     assert_eq!(occupied(&s), vec![2]);
-    // A refilled flight re-enters; reset empties the list.
+    // A refilled flight re-enters; draining every flight empties the list.
     s.start_transfer(&out0, 1_000_000, 5, 0).unwrap();
     assert_eq!(occupied(&s), vec![0, 2]);
-    s.reset(&topo);
-    assert_eq!(occupied(&s), Vec::<usize>::new());
-    assert!(s.occupied_at.is_empty());
-    // After reset the same script rebuilds the same flights.
-    s.start_transfer(&p2p, 1_000, 6, 2).unwrap();
-    assert_eq!(occupied(&s), vec![0]);
     while s.next().is_some() {}
     assert_eq!(occupied(&s), Vec::<usize>::new());
     // Dense mode keeps the list too (cancel searches it in both modes).

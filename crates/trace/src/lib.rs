@@ -109,17 +109,6 @@ impl Trace {
         }
     }
 
-    /// Rebinds a recycled trace to a new run: renames it and empties the
-    /// span list and symbol table while keeping their capacity, so a
-    /// pooled sweep records without growth reallocations. Equivalent to
-    /// `Trace::new(name)` for every observable output (spans, labels,
-    /// JSON) — symbol ids re-intern densely from zero.
-    pub fn reset(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-        self.spans.clear();
-        self.symbols.clear();
-    }
-
     /// Records a span.
     pub fn push(&mut self, span: Span) {
         self.spans.push(span);
@@ -474,22 +463,6 @@ mod tests {
         assert_eq!(back.symbols.len(), 2);
         // And the re-export is byte-identical.
         assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn reset_trace_matches_fresh_trace_byte_for_byte() {
-        let mut pooled = Trace::new("first");
-        pooled.record(0.0, 1.0, Some(0), SpanKind::Compute, "old-a");
-        pooled.record(1.0, 2.0, Some(1), SpanKind::SwapIn, "old-b");
-        pooled.reset("second");
-        let mut fresh = Trace::new("second");
-        for t in [&mut pooled, &mut fresh] {
-            t.record(0.0, 1.0, Some(0), SpanKind::P2p, "x");
-            t.record(1.0, 2.0, Some(0), SpanKind::P2p, "y");
-        }
-        assert_eq!(pooled.to_json(), fresh.to_json());
-        assert_eq!(pooled.spans[0].label, fresh.spans[0].label);
-        assert_eq!(pooled.symbols.len(), fresh.symbols.len());
     }
 
     #[test]

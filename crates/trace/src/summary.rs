@@ -132,11 +132,9 @@ pub struct RunSummary {
     pub elapsed_secs: f64,
     /// Wall-clock seconds spent *setting up* the run — planning plus
     /// executor construction (key arenas, registration, queue
-    /// compilation) — as opposed to executing it (`elapsed_secs`). The
-    /// sweep-session work (DESIGN §14) exists to amortise exactly this
-    /// cost, so it is observable per run. Wall clock like `elapsed_secs`:
-    /// excluded from equality and zeroed before byte-for-byte
-    /// comparisons.
+    /// compilation) — as opposed to executing it (`elapsed_secs`). Wall
+    /// clock like `elapsed_secs`: excluded from equality and zeroed
+    /// before byte-for-byte comparisons.
     pub setup_secs: f64,
     /// What the resilience layer did, for runs where it was armed AND
     /// faults were injected; `None` on clean runs (so clean summaries are
