@@ -32,8 +32,8 @@ pub struct CustomArgs {
     pub model: &'static str,
     /// GPU count.
     pub gpus: usize,
-    /// Per-GPU memory in GiB.
-    pub mem_gib: f64,
+    /// Per-GPU memory in bytes (`--mem-gib` × 2³⁰, rounded).
+    pub gpu_mem: u64,
     /// Scheme, workload knobs, prefetch and iterations.
     pub run: RunSpec,
     /// Render a Gantt chart.
@@ -66,7 +66,7 @@ impl CustomArgs {
         Ok(CustomArgs {
             model: p.model("--model").unwrap_or("bert_xxl"),
             gpus: count("--gpus", 4),
-            mem_gib: p.float("--mem-gib").unwrap_or(11.0),
+            gpu_mem: gib_to_bytes(p.float("--mem-gib").unwrap_or(11.0))?,
             run: RunSpec {
                 prefetch: p.has("--prefetch"),
                 iterations,
@@ -74,6 +74,25 @@ impl CustomArgs {
             },
             gantt: p.has("--gantt"),
         })
+    }
+}
+
+/// `--mem-gib` as a byte count: GiB × 2³⁰, rounded. A value that rounds
+/// to 0 B or exceeds `u64::MAX` is a usage error, never a 0-byte GPU or
+/// a saturated `u64::MAX`-byte one.
+fn gib_to_bytes(gib: f64) -> Result<u64, String> {
+    let bytes = (gib * (1u64 << 30) as f64).round();
+    // `u64::MAX as f64` rounds up to 2^64, the first value that does
+    // not fit.
+    if bytes < 1.0 {
+        Err(format!("--mem-gib {gib:?} rounds to 0 B per GPU"))
+    } else if bytes >= u64::MAX as f64 {
+        Err(format!(
+            "--mem-gib {gib:?} exceeds {} B per GPU, the largest byte count",
+            u64::MAX
+        ))
+    } else {
+        Ok(bytes as u64)
     }
 }
 
@@ -99,12 +118,19 @@ pub fn resolve_model(name: &str) -> Result<ModelSpec, String> {
 /// Runs the configuration and returns the rendered report.
 pub fn run(args: &CustomArgs) -> Result<String, String> {
     let model = resolve_model(args.model)?;
+    let (pack, layers) = (args.run.workload.pack_size, model.num_layers());
+    if pack > layers {
+        return Err(format!(
+            "--pack {pack} exceeds {}'s {layers} layers",
+            args.model
+        ));
+    }
     let topo = presets::commodity_server(presets::CommodityParams {
         num_gpus: args.gpus,
         gpus_per_switch: args.gpus.max(1),
         pcie_bw: 12.0 * presets::GBPS,
         host_uplink_bw: 12.0 * presets::GBPS,
-        gpu_mem: (args.mem_gib * (1u64 << 30) as f64) as u64,
+        gpu_mem: args.gpu_mem,
         gpu_flops: 11.3e12,
     })
     .map_err(|e| e.to_string())?;
@@ -173,7 +199,7 @@ mod tests {
         assert_eq!(a.model, "gpt_10b");
         assert_eq!(a.run.scheme, SchemeKind::HarmonyPp);
         assert_eq!(a.gpus, 2);
-        assert_eq!(a.mem_gib, 8.5);
+        assert_eq!(a.gpu_mem, 17 << 29);
         let w = a.run.workload;
         assert_eq!((w.microbatches, w.ubatch_size, w.pack_size), (3, 2, 2));
         assert_eq!(w.group_size, Some(2));
@@ -202,6 +228,8 @@ mod tests {
             ("--mem-gib nan", "--mem-gib"),
             ("--mem-gib -3", "--mem-gib"),
             ("--mem-gib 0", "--mem-gib"),
+            ("--mem-gib 1e-12", "--mem-gib"),
+            ("--mem-gib 1e30", "--mem-gib"),
         ] {
             let e = CustomArgs::from_args(&argv(bad)).unwrap_err();
             assert!(e.contains(flag), "{bad}: {e}");

@@ -164,6 +164,29 @@ fn custom_rejects_non_finite_and_non_positive_values() {
 }
 
 #[test]
+fn custom_rejects_mem_gib_without_a_u64_byte_count() {
+    // `1e30` GiB used to saturate to a `u64::MAX`-byte GPU and exit 0;
+    // `1e-12` GiB truncated to a 0-byte GPU and failed later with
+    // "capacity is 0 B". Both are usage errors naming the flag.
+    for (value, needle) in [("1e30", "exceeds"), ("1e-12", "rounds to 0 B")] {
+        let out = repro(&["custom", "--model", "lenet", "--mem-gib", value]);
+        let what = format!("custom --mem-gib {value}");
+        assert_usage_error(&out, "--mem-gib", &what);
+        assert_usage_error(&out, needle, &what);
+    }
+}
+
+#[test]
+fn custom_rejects_a_pack_above_the_layer_count() {
+    // lenet has 7 layers: `--pack 1000` used to exit 0 echoing
+    // `pack=1000` while the planner built one 7-layer pack.
+    let out = repro(&["custom", "--model", "lenet", "--pack", "1000"]);
+    assert_usage_error(&out, "lenet's 7 layers", "custom --model lenet --pack 1000");
+    let out = repro(&["custom", "--model", "lenet", "--pack", "7"]);
+    assert_eq!(out.status.code(), Some(0), "custom --model lenet --pack 7");
+}
+
+#[test]
 fn custom_prefetch_names_the_run_plus_prefetch() {
     // The summary line and the Gantt header both carry the plan name,
     // which a prefetch run must mark.
@@ -202,11 +225,12 @@ fn custom_help_prints_usage_and_exits_0() {
 
 #[test]
 fn custom_capacity_error_names_the_pinned_bytes() {
-    // A pack larger than the model puts every layer's working set in one
-    // step: the run cannot fit, and the error must say that the device
-    // is held by the step's own pins, not merely that it is too small.
-    let out = repro(&["custom", "--pack", "1000"]);
-    assert_usage_error(&out, "even after eviction", "custom --pack 1000");
+    // A pack of all 98 of bert_xxl's layers puts every layer's working
+    // set in one step: the run cannot fit, and the error must say that
+    // the device is held by the step's own pins, not merely that it is
+    // too small.
+    let out = repro(&["custom", "--pack", "98"]);
+    assert_usage_error(&out, "even after eviction", "custom --pack 98");
     let stderr = String::from_utf8_lossy(&out.stderr);
     let pinned = stderr
         .split(", ")

@@ -106,7 +106,7 @@ use std::fmt;
 
 use harmony_memory::{MemError, MemObserver, MemoryManager, Residency, TensorId};
 use harmony_models::ModelSpec;
-use harmony_simulator::{Completion, SimError, Simulator, TransferId};
+use harmony_simulator::{Completion, NetCounters, SimError, Simulator, TransferId};
 use harmony_taskgraph::{TaskId, TensorRef};
 use harmony_topology::{ChannelId, Endpoint, Topology, TopologyError};
 use harmony_trace::{
@@ -431,6 +431,10 @@ pub struct ExecCounters {
     /// zero-per-event-allocation claim); diverging from it — or growing
     /// with event count — is a pooling regression.
     pub slab_fresh_allocs: u64,
+    /// The simulator's network-core counters at the end of the run
+    /// (zeroed in dense-reference mode): rate derivations, event-heap
+    /// pushes and pops, and network-candidate refreshes.
+    pub net: NetCounters,
 }
 
 /// Which step slot of a GPU is being driven.
@@ -1791,6 +1795,7 @@ impl<'a> SimExecutor<'a> {
         self.emit(ExecEvent::RunFinished);
         self.counters.slab_high_water = u64::from(self.transfers.high_water());
         self.counters.slab_fresh_allocs = self.transfers.fresh_allocs();
+        self.counters.net = *self.sim.net_counters();
         Ok(())
     }
 

@@ -849,3 +849,57 @@ mod resilience {
         assert_eq!(out.final_mode.as_str(), "normal");
     }
 }
+
+#[test]
+fn network_completions_never_enter_the_event_heap() {
+    // A `large-run`-shaped cell: gpt_10b on the 8-GPU `repro custom`
+    // server (8:1 oversubscribed uplink), m = 16, 2 iterations,
+    // baseline-dp. Transfers are most of its events, yet the event heap
+    // must carry only compute kernels and timers: network completions
+    // come from the simulator's cached candidate, refreshed at most once
+    // per delivered event.
+    let model = harmony_models::TransformerConfig::gpt_10b().build();
+    let topo = commodity_server(CommodityParams {
+        num_gpus: 8,
+        gpus_per_switch: 8,
+        pcie_bw: 12.0 * GBPS,
+        host_uplink_bw: 12.0 * GBPS,
+        gpu_mem: 11 << 30,
+        gpu_flops: 11.3e12,
+    })
+    .unwrap();
+    let w = WorkloadConfig {
+        microbatches: 16,
+        ..WorkloadConfig::default()
+    };
+    let plan = plan_baseline_dp(&model, 8, &w).unwrap();
+    let (summary, trace, counters) = SimExecutor::with_iterations(&topo, &model, &plan, 2)
+        .unwrap()
+        .run_counted()
+        .unwrap();
+    let kernels = trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == harmony_trace::SpanKind::Compute)
+        .count() as u64;
+    let timers = 0; // no faults, no resilience retries
+    let net = counters.net;
+    assert!(kernels > 0 && net.net_deliveries > 0, "{net:?}");
+    assert_eq!(
+        net.heap_pushes,
+        kernels + timers,
+        "a heap entry beyond kernels and timers: {net:?}"
+    );
+    assert_eq!(net.heap_pops, net.heap_pushes, "{net:?}");
+    assert_eq!(
+        net.heap_pops + net.net_deliveries,
+        summary.events_processed,
+        "{net:?}"
+    );
+    assert!(
+        net.candidate_refreshes <= summary.events_processed,
+        "{} refreshes for {} events",
+        net.candidate_refreshes,
+        summary.events_processed
+    );
+}

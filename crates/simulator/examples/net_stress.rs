@@ -3,6 +3,11 @@
 //! fair-share rate recomputation; `./verify` runs it at 4096 transfers
 //! as the network scaling smoke.
 //!
+//! It is also a structural gate: the script submits only transfers, so
+//! it exits 1 unless no event-heap entry was pushed (every completion
+//! came from the network candidate) and the candidate was refreshed at
+//! most once per `next()` call.
+//!
 //! Usage: `cargo run --release -p harmony-simulator --example net_stress
 //! [transfers] [waves]`
 
@@ -39,7 +44,7 @@ fn main() {
 
     let start = std::time::Instant::now();
     let mut s = Simulator::new(&topo);
-    let mut events: u64 = 0;
+    let (mut events, mut next_calls) = (0u64, 0u64);
     for wave in 0..waves {
         for i in 0..transfers {
             let g = i % gpus;
@@ -49,7 +54,11 @@ fn main() {
             s.start_transfer(&routes[g], bytes, (wave * transfers + i) as u64, g as u32)
                 .expect("transfer");
         }
-        while s.next().is_some() {
+        loop {
+            next_calls += 1;
+            if s.next().is_none() {
+                break;
+            }
             events += 1;
         }
     }
@@ -62,5 +71,14 @@ fn main() {
         secs,
         events as f64 / secs
     );
-    println!("counters: {:?}", s.net_counters());
+    let c = s.net_counters();
+    println!("counters: {c:?}, next() calls: {next_calls}");
+    if c.heap_pushes != 0 || c.candidate_refreshes > next_calls {
+        eprintln!(
+            "net_stress: {} event-heap pushes (want 0) and {} candidate refreshes \
+             for {next_calls} next() calls (want at most one each)",
+            c.heap_pushes, c.candidate_refreshes
+        );
+        std::process::exit(1);
+    }
 }

@@ -23,12 +23,14 @@
 //! share, so their rates are equal at every instant. The engine therefore
 //! aggregates in-flight transfers into **flights** (route classes):
 //!
-//! * A per-channel **active count** is the fair-share denominator. A
-//!   swap-remove list of the **occupied flights** (those with queued
-//!   transfers) turns an event on a route into its *affected flight
-//!   set* — the occupied flights whose route shares a channel with it —
-//!   and is all a network check scans for the next completion: no walk
-//!   over the whole in-flight population, nor over idle flights.
+//! * A per-channel **active count** is the fair-share denominator, and
+//!   each channel caches its **share** `bw_c / max(active_c, 1)`, so a
+//!   flight's rate is a min over cached shares. Each flight records, when
+//!   it is created, its **conflict set**: a bitset of the flights that
+//!   share a channel with it (itself included). An event on flight `k`
+//!   re-derives exactly `conflicts[k] ∩ occupied`, where *occupied* is a
+//!   bitset of the flights holding queued transfers — no walk over the
+//!   in-flight population, nor over idle or disjoint flights.
 //! * Byte progress is **lazy and per flight**: a flight stores
 //!   `(drained, rate, touch)` — cumulative bytes drained per member as of
 //!   its last materialization — and is materialized only when its rate
@@ -39,17 +41,31 @@
 //!   its members in a plain min-heap ordered by `(depart, id)` with no
 //!   invalidation: rate changes move predicted *times*, not departure
 //!   *order*. Picking the next completion is a heap peek; the next
-//!   network event is the minimum of the flights' cached predictions.
+//!   network completion is the minimum of the flights' cached predictions.
 //!
-//! Per-event cost is O(occupied flights + log members + channels), versus
-//! the previous engine's three full passes over every in-flight transfer
-//! (progress advance, rate recompute, completion min-scan).
+//! ## The network candidate: no network entries in the event heap
+//!
+//! The event heap holds only compute completions and timers. The next
+//! network completion lives in one cached **candidate**: its due time,
+//! the `(wave, lane)` it orders under, and which flight head or pending
+//! immediate it delivers. Every network state change (a transfer start,
+//! completion or cancel, an immediate insert, a bandwidth change) only
+//! marks the candidate stale; [`Simulator::next`] refreshes a stale
+//! candidate in one pass over the occupied flights, then delivers
+//! whichever of the heap top and the candidate comes first in the
+//! canonical order. Network deliveries rank after timers and computes at
+//! the same `(time, wave, lane)`, so the comparison never ties.
+//!
+//! Per-event cost is O(affected flights + occupied flights + log
+//! members + channels), versus the previous engine's three full passes
+//! over every in-flight transfer (progress advance, rate recompute,
+//! completion min-scan).
 //!
 //! A `dense_reference` mode (behind the `dense_reference` feature, and
-//! always available to in-crate tests) ignores the occupied list: it
-//! re-derives **every** occupied flight's rate on every network event and
-//! scans every flight for the next completion — the full-rescan
-//! structure of the previous engine. Both modes share
+//! always available to in-crate tests) ignores the conflict and occupied
+//! sets: it re-derives **every** occupied flight's rate on every network
+//! event and scans every flight for the next completion — the
+//! full-rescan structure of the previous engine. Both modes share
 //! the same per-flight arithmetic, and a flight whose re-derived rate is
 //! bitwise unchanged is left untouched, so the rescan degenerates to a
 //! no-op for unaffected flights and the two engines produce
@@ -140,22 +156,25 @@ impl std::error::Error for SimError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
     ComputeDone { gpu: usize, tag: u64 },
-    NetworkCheck { generation: u64 },
     Timer { tag: u64 },
 }
+
+/// Canonical within-(time, wave, lane) rank of a network delivery, which
+/// never enters the heap (see [`EventKind::rank`]).
+const NETWORK_RANK: u8 = 2;
 
 impl EventKind {
     /// Canonical within-(time, lane) rank: timers fire first (fault
     /// injection precedes the work it perturbs, matching the old
     /// seq-order behaviour where fault timers carry the lowest seqs),
-    /// then compute completions, then network deliveries (a kernel's
-    /// completion is typically submitted before the network check that
-    /// races it, so this also matches the common old order).
+    /// then compute completions, then network deliveries
+    /// ([`NETWORK_RANK`]; a kernel's completion is typically submitted
+    /// before the transfer that races it, so this also matches the
+    /// common old order).
     fn rank(self) -> u8 {
         match self {
             EventKind::Timer { .. } => 0,
             EventKind::ComputeDone { .. } => 1,
-            EventKind::NetworkCheck { .. } => 2,
         }
     }
 }
@@ -219,7 +238,7 @@ pub const CONTROL_LANE: u32 = u32::MAX;
 /// `Ord` is exactly "earliest departure first, lowest id first" — ids
 /// are unique, so `tag` and `lane` never decide. The lane rides along
 /// for the cross-flight delivery order (see
-/// [`Simulator::pick_candidate`]).
+/// [`Simulator::refresh_candidate`]).
 type Member = (u64, TransferId, u64, u32);
 
 /// A route class: every in-flight transfer with this exact channel route.
@@ -287,16 +306,37 @@ impl Flight {
 // Sub-byte drain remainders are fp residue, not real payload.
 const RESIDUE_BYTES: f64 = 0.5;
 
-/// `Simulator::occupied_at` of a flight with an empty queue.
-const NOT_OCCUPIED: usize = usize::MAX;
-
-/// Bottleneck fair share over `route`: `min_c (bw_c / active_c)`.
-fn derive_rate(channel_bw: &[f64], active: &[u32], route: &[ChannelId]) -> f64 {
+/// Bottleneck fair share over `route`: the min of its channels' cached
+/// shares `bw_c / max(active_c, 1)`.
+fn derive_rate(share: &[f64], route: &[ChannelId]) -> f64 {
     let mut rate = f64::INFINITY;
     for &c in route {
-        rate = rate.min(channel_bw[c] / active[c].max(1) as f64);
+        rate = rate.min(share[c]);
     }
     rate
+}
+
+/// Sets bit `i` of a growable bitset.
+fn set_bit(bits: &mut Vec<u64>, i: usize) {
+    let w = i / 64;
+    if bits.len() <= w {
+        bits.resize(w + 1, 0);
+    }
+    bits[w] |= 1 << (i % 64);
+}
+
+/// The indices of the set bits of `bits`, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 #[derive(Debug, Default)]
@@ -305,13 +345,39 @@ struct GpuStream {
     queue: VecDeque<(f64, u64)>, // (duration, tag)
 }
 
-/// What the network check delivers next: the due completion with the
-/// lowest `(wave, lane, id)`, which is either a pending immediate (by
-/// its map key) or the head of a due flight (by index).
-#[derive(Debug, Clone, Copy)]
+/// What a network delivery hands out: either a pending immediate (by its
+/// map key) or the head of a due flight (by index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Candidate {
     Immediate((u32, u32, TransferId)),
     Flight(usize),
+}
+
+/// The cached next network completion: the due completion with the
+/// lowest `(at, wave, lane, id)`, where `at` is its predicted time
+/// clamped to now. `(at, wave, lane)` is where it orders against the
+/// event heap; `pick` is what it delivers. No state it reads changes
+/// between a refresh and the delivery without marking it stale.
+#[derive(Debug, Clone, Copy)]
+struct NetCandidate {
+    at: SimTime,
+    wave: u32,
+    lane: u32,
+    pick: Candidate,
+}
+
+impl NetCandidate {
+    /// Whether this delivery comes before heap event `ev` in the
+    /// canonical `(time, wave, lane, kind rank)` order. The ranks differ,
+    /// so `seq` never decides.
+    fn precedes(&self, ev: &Event) -> bool {
+        self.at
+            .total_cmp(&ev.time)
+            .then(self.wave.cmp(&ev.wave))
+            .then(self.lane.cmp(&ev.lane))
+            .then(NETWORK_RANK.cmp(&ev.kind.rank()))
+            == Ordering::Less
+    }
 }
 
 /// The discrete-event engine. See module docs.
@@ -319,46 +385,55 @@ enum Candidate {
 pub struct Simulator {
     /// `dense_reference` mode: every network event re-derives every
     /// occupied flight and scans every flight (full rescan, the previous
-    /// engine's structure) instead of consulting the occupied list. Same
-    /// arithmetic, same traces — the differential oracle.
+    /// engine's structure) instead of consulting the conflict and
+    /// occupied sets. Same arithmetic, same traces — the differential
+    /// oracle.
     dense: bool,
     now: SimTime,
     seq: u64,
+    /// Compute completions and timers; network completions come from
+    /// `candidate` instead.
     events: BinaryHeap<Event>,
     streams: Vec<GpuStream>,
     channel_bw: Vec<f64>,
     /// Per-channel count of in-flight routed transfers: the fair-share
     /// denominator, maintained incrementally.
     active: Vec<u32>,
+    /// Per-channel fair share `channel_bw[c] / max(active[c], 1)`,
+    /// updated wherever either input changes.
+    share: Vec<f64>,
     /// Route → flight index.
     class_of: HashMap<Vec<ChannelId>, usize>,
     flights: Vec<Flight>,
-    /// The occupied flights (non-empty queue), in no particular order:
-    /// the affected-set and candidate index. A flight joins when a
-    /// transfer enters its empty queue and leaves (swap-remove) when its
-    /// last member completes or is cancelled.
-    occupied: Vec<usize>,
-    /// Each flight's position in `occupied`, `NOT_OCCUPIED` when empty.
-    occupied_at: Vec<usize>,
-    /// Scratch buffers reused across events to avoid per-event allocation.
-    affected_scratch: Vec<usize>,
-    route_scratch: Vec<ChannelId>,
+    /// Per flight, a bitset over flight indices: the flights sharing a
+    /// channel with it, itself included. Flights are never deleted, so a
+    /// set only grows (as later conflicting flights are created).
+    conflicts: Vec<Vec<u64>>,
+    /// Bitset of the occupied flights (non-empty queue): a flight joins
+    /// when a transfer enters its empty queue and leaves when its last
+    /// member completes or is cancelled. One word per 64 flights.
+    occupied: Vec<u64>,
     /// Number of in-flight transfers with a non-empty route.
     routed: usize,
     /// Tags of pending zero-byte/empty-route transfers, keyed by
     /// `(wave, lane, id)` — the wave is the spawn wave at insertion.
-    /// They are delivered through the network-check path: at any
+    /// They are delivered through the network candidate: at any
     /// instant, all due completions — immediate or routed — are handed
     /// out in ascending `(wave, lane, id)`. That total order depends
     /// only on spawn phase and each lane's own issue order, never on
     /// event-heap sequence numbers or cross-lane interleaving.
     immediates: BTreeMap<(u32, u32, TransferId), u64>,
     next_transfer_id: TransferId,
-    net_generation: u64,
-    /// Wave of the event currently being processed (the last pop);
+    /// The next network completion, valid while `candidate_stale` is
+    /// false; `None` when nothing routed or immediate can complete.
+    candidate: Option<NetCandidate>,
+    /// Set by every network state change; cleared by
+    /// [`Self::refresh_candidate`].
+    candidate_stale: bool,
+    /// Wave of the event currently being processed (the last delivery);
     /// pushes at the same instant join wave `cur_wave + 1`.
     cur_wave: u32,
-    /// Whether any event has been popped yet: pre-run submissions at
+    /// Whether anything has been delivered yet: pre-run submissions at
     /// `t == 0` are wave 0, not spawns of a phantom instant.
     popped: bool,
     /// Per-channel busy-accrual watermark: the last time each channel's
@@ -384,6 +459,7 @@ impl Simulator {
     }
 
     fn with_mode(topology: &Topology, dense: bool) -> Self {
+        let channel_bw: Vec<f64> = topology.channels().iter().map(|c| c.bandwidth).collect();
         Simulator {
             dense,
             now: 0.0,
@@ -392,18 +468,18 @@ impl Simulator {
             streams: (0..topology.num_gpus())
                 .map(|_| GpuStream::default())
                 .collect(),
-            channel_bw: topology.channels().iter().map(|c| c.bandwidth).collect(),
-            active: vec![0; topology.channels().len()],
+            active: vec![0; channel_bw.len()],
+            share: channel_bw.clone(),
+            channel_bw,
             class_of: HashMap::new(),
             flights: Vec::new(),
+            conflicts: Vec::new(),
             occupied: Vec::new(),
-            occupied_at: Vec::new(),
-            affected_scratch: Vec::new(),
-            route_scratch: Vec::new(),
             routed: 0,
             immediates: BTreeMap::new(),
             next_transfer_id: 0,
-            net_generation: 0,
+            candidate: None,
+            candidate_stale: false,
             cur_wave: 0,
             popped: false,
             last_busy_update: vec![0.0; topology.channels().len()],
@@ -446,12 +522,20 @@ impl Simulator {
         if !(bandwidth.is_finite() && bandwidth > 0.0) {
             return Err(SimError::InvalidParameter(format!("bandwidth {bandwidth}")));
         }
-        self.accrue_busy_time(&[channel]);
+        self.accrue_busy_time(channel);
         self.channel_bw[channel] = bandwidth;
-        let affected = self.collect_affected(&[channel]);
-        self.recompute_flights(&affected);
-        self.affected_scratch = affected;
-        self.schedule_network_check();
+        self.update_share(channel);
+        // A channel has no conflict set of its own: scan the occupied
+        // flights for the ones crossing it (every occupied flight in
+        // dense mode).
+        let due_wave = self.spawn_wave(self.now);
+        for k in 0..self.flights.len() {
+            let crosses = self.dense || self.flights[k].route.contains(&channel);
+            if crosses && !self.flights[k].queue.is_empty() {
+                self.recompute_flight(k, due_wave);
+            }
+        }
+        self.candidate_stale = true;
         Ok(())
     }
 
@@ -461,9 +545,10 @@ impl Simulator {
     }
 
     /// Diagnostic counters of the network core (per-flight rate
-    /// derivations, queue traffic). These expose the O(affected)
-    /// contract: an event on one route must not touch flights on
-    /// disjoint routes, however many transfers they carry.
+    /// derivations, queue and event-heap traffic, candidate refreshes).
+    /// These expose the O(affected) contract: an event on one route must
+    /// not touch flights on disjoint routes, however many transfers they
+    /// carry.
     pub fn net_counters(&self) -> &NetCounters {
         &self.counters
     }
@@ -480,14 +565,11 @@ impl Simulator {
     }
 
     fn push(&mut self, time: SimTime, lane: u32, kind: EventKind) {
-        let wave = self.spawn_wave(time);
-        self.push_at_wave(time, wave, lane, kind);
-    }
-
-    fn push_at_wave(&mut self, time: SimTime, wave: u32, lane: u32, kind: EventKind) {
         debug_assert!(time.is_finite(), "non-finite event time");
+        let wave = self.spawn_wave(time);
         let seq = self.seq;
         self.seq += 1;
+        self.counters.heap_pushes += 1;
         self.events.push(Event {
             time,
             wave,
@@ -516,7 +598,7 @@ impl Simulator {
 
     // Reserved ceiling for user timer tags (immediate transfers formerly
     // rode timer events above this bias; they now deliver through the
-    // network-check path so same-instant completions stay id-ordered).
+    // network candidate so same-instant completions stay id-ordered).
     const IMMEDIATE_BIAS: u64 = 1 << 62;
 
     /// Starts a transfer of `bytes` along `route` (ordered channels),
@@ -536,56 +618,18 @@ impl Simulator {
                 return Err(SimError::UnknownChannel(c));
             }
         }
-        let id = self.next_transfer_id;
-        self.next_transfer_id += 1;
         if bytes == 0 || route.is_empty() {
-            // Queue for the network-check path: it completes "now", but
-            // in ascending-(wave, lane, id) order with every other due
-            // completion.
+            let id = self.next_transfer_id;
+            self.next_transfer_id += 1;
+            // It completes "now", but in ascending-(wave, lane, id) order
+            // with every other due completion.
             let wave = self.spawn_wave(self.now);
             self.immediates.insert((wave, lane, id), tag);
-            self.schedule_network_check();
+            self.candidate_stale = true;
             return Ok(id);
         }
-        self.accrue_busy_time(route);
-        for &c in route {
-            self.stats.channel_bytes[c] += bytes;
-            self.active[c] += 1;
-        }
-        self.routed += 1;
         let k = self.flight_for(route);
-        // Every occupied flight crossing one of these channels saw its
-        // denominator grow, strictly lowering its share — including `k`
-        // itself, whose materialization leaves it fresh for the insert.
-        let affected = self.collect_affected(route);
-        self.recompute_flights(&affected);
-        self.affected_scratch = affected;
-        self.enqueue(k, bytes, id, tag, lane);
-        Ok(id)
-    }
-
-    /// Adds transfer `id` to flight `k`, whose rates are fresh at `now`,
-    /// and reschedules the network check.
-    fn enqueue(&mut self, k: usize, bytes: u64, id: TransferId, tag: u64, lane: u32) {
-        let f = &mut self.flights[k];
-        if f.queue.is_empty() {
-            // Fresh drain epoch: nothing shares this route right now, so
-            // the cumulative drain restarts at zero (bounds cancellation).
-            f.drained = 0.0;
-            f.touch = self.now;
-            f.rate = derive_rate(&self.channel_bw, &self.active, &f.route);
-            self.counters.rate_recomputes += 1;
-            self.occupy(k);
-        }
-        let f = &mut self.flights[k];
-        debug_assert_eq!(f.touch, self.now, "flight must be fresh at insert");
-        let depart = bytes as f64 + f.drained;
-        debug_assert!(depart >= 0.0 && depart.is_finite());
-        self.counters.queue_pushes += 1;
-        f.queue.push(Reverse((depart.to_bits(), id, tag, lane)));
-        let due_wave = self.spawn_wave(self.now);
-        self.flights[k].refresh_pred(self.now, due_wave);
-        self.schedule_network_check();
+        Ok(self.start_routed(k, bytes, tag, lane))
     }
 
     /// Pre-registers (or looks up) the flight class for `route`, so
@@ -632,23 +676,61 @@ impl Simulator {
                 "zero-byte transfers take the immediate path of start_transfer".to_string(),
             ));
         }
+        Ok(self.start_routed(class, bytes, tag, lane))
+    }
+
+    /// Starts a transfer of `bytes > 0` on flight `k`: takes a share of
+    /// every channel on the route, re-derives the flights that share one
+    /// with it, and queues the transfer.
+    fn start_routed(&mut self, k: usize, bytes: u64, tag: u64, lane: u32) -> TransferId {
         let id = self.next_transfer_id;
         self.next_transfer_id += 1;
-        let mut route = std::mem::take(&mut self.route_scratch);
-        route.clear();
-        route.extend_from_slice(&self.flights[class].route);
-        self.accrue_busy_time(&route);
-        for &c in &route {
+        for i in 0..self.flights[k].route.len() {
+            let c = self.flights[k].route[i];
+            self.accrue_busy_time(c);
             self.stats.channel_bytes[c] += bytes;
             self.active[c] += 1;
+            self.update_share(c);
         }
         self.routed += 1;
-        let affected = self.collect_affected(&route);
-        self.recompute_flights(&affected);
-        self.affected_scratch = affected;
-        self.route_scratch = route;
-        self.enqueue(class, bytes, id, tag, lane);
-        Ok(id)
+        // Every occupied flight crossing one of these channels saw its
+        // denominator grow, strictly lowering its share — including `k`
+        // itself, whose materialization leaves it fresh for the insert.
+        self.recompute_conflicts(k);
+        let f = &mut self.flights[k];
+        if f.queue.is_empty() {
+            // Fresh drain epoch: nothing shares this route right now, so
+            // the cumulative drain restarts at zero (bounds cancellation).
+            f.drained = 0.0;
+            f.touch = self.now;
+            f.rate = derive_rate(&self.share, &f.route);
+            self.counters.rate_recomputes += 1;
+            set_bit(&mut self.occupied, k);
+        }
+        let f = &mut self.flights[k];
+        debug_assert_eq!(f.touch, self.now, "flight must be fresh at insert");
+        let depart = bytes as f64 + f.drained;
+        debug_assert!(depart >= 0.0 && depart.is_finite());
+        self.counters.queue_pushes += 1;
+        f.queue.push(Reverse((depart.to_bits(), id, tag, lane)));
+        let due_wave = self.spawn_wave(self.now);
+        self.flights[k].refresh_pred(self.now, due_wave);
+        self.candidate_stale = true;
+        id
+    }
+
+    /// Releases one transfer's share of every channel on flight `k`'s
+    /// route and re-derives the flights that share one with it.
+    fn release_routed(&mut self, k: usize) {
+        for i in 0..self.flights[k].route.len() {
+            let c = self.flights[k].route[i];
+            self.accrue_busy_time(c);
+            self.active[c] -= 1;
+            self.update_share(c);
+        }
+        self.routed -= 1;
+        self.recompute_conflicts(k);
+        self.candidate_stale = true;
     }
 
     /// Schedules a timer at absolute time `at` (clamped to now) on
@@ -687,12 +769,11 @@ impl Simulator {
     /// state for it.
     pub fn cancel_transfer(&mut self, id: TransferId) -> Result<bool, SimError> {
         if let Some(&key) = self.immediates.keys().find(|&&(_, _, i)| i == id) {
-            // The pending network check simply finds one fewer candidate;
-            // if none remain it reschedules itself away.
             self.immediates.remove(&key);
+            self.candidate_stale = true;
             return Ok(true);
         }
-        let Some(k) = self.occupied.iter().copied().find(|&k| {
+        let Some(k) = ones(&self.occupied).find(|&k| {
             self.flights[k]
                 .queue
                 .iter()
@@ -700,10 +781,6 @@ impl Simulator {
         }) else {
             return Ok(false);
         };
-        let mut route = std::mem::take(&mut self.route_scratch);
-        route.clear();
-        route.extend_from_slice(&self.flights[k].route);
-        self.accrue_busy_time(&route);
         // Credit drain up to now under the old rate, then rebuild the
         // member heap without the victim. Departure thresholds are
         // immutable, so the survivors' order is untouched.
@@ -716,38 +793,43 @@ impl Simulator {
         if self.flights[k].queue.is_empty() {
             self.vacate(k);
         }
-        for &c in &route {
-            self.active[c] -= 1;
-        }
-        self.routed -= 1;
-        let affected = self.collect_affected(&route);
-        self.recompute_flights(&affected);
-        self.affected_scratch = affected;
-        self.route_scratch = route;
+        self.release_routed(k);
         // The victim may have been the flight's head while the rate (and
-        // hence `recompute_flights`' no-op check) is unchanged — e.g. the
+        // hence `recompute_flight`'s no-op check) is unchanged — e.g. the
         // flight's other channels still bottleneck it — so the cached
         // prediction must be refreshed unconditionally.
         let due_wave = self.spawn_wave(self.now);
         self.flights[k].refresh_pred(self.now, due_wave);
-        self.schedule_network_check();
         Ok(true)
     }
 
-    /// True if no events remain (all work delivered).
+    /// True if no work remains: no heap event and no routed or immediate
+    /// transfer.
     pub fn idle(&self) -> bool {
-        self.events.is_empty()
+        self.events.is_empty() && self.routed == 0 && self.immediates.is_empty()
     }
 
-    /// Flight index for `route`, created on first use. Flights persist —
-    /// there are at most O(endpoint pairs) distinct routes — and an empty
-    /// flight costs one skip per rescan in dense mode, nothing in fast
-    /// mode.
+    /// Flight index for `route`, created on first use with its conflict
+    /// set. Flights persist — there are at most O(endpoint pairs)
+    /// distinct routes — and an empty flight costs one skip per rescan in
+    /// dense mode, nothing in fast mode.
     fn flight_for(&mut self, route: &[ChannelId]) -> usize {
         if let Some(&k) = self.class_of.get(route) {
             return k;
         }
         let k = self.flights.len();
+        let mut mine = Vec::new();
+        for j in 0..k {
+            if self.flights[j].route.iter().any(|c| route.contains(c)) {
+                set_bit(&mut mine, j);
+                set_bit(&mut self.conflicts[j], k);
+            }
+        }
+        set_bit(&mut mine, k);
+        self.conflicts.push(mine);
+        if self.occupied.len() <= k / 64 {
+            self.occupied.push(0);
+        }
         self.class_of.insert(route.to_vec(), k);
         self.flights.push(Flight {
             route: route.to_vec(),
@@ -758,188 +840,151 @@ impl Simulator {
             pred_wave: 0,
             queue: BinaryHeap::new(),
         });
-        self.occupied_at.push(NOT_OCCUPIED);
         self.counters.route_classes = self.flights.len() as u64;
         k
     }
 
-    /// Advances busy-time accounting for `channels` to `now`. A channel
+    /// Advances busy-time accounting for `channel` to `now`. A channel
     /// is busy while any transfer uses it — exactly when its active count
     /// is nonzero. Accrual happens only at a channel's *own* transitions
     /// (a transfer starting, finishing or cancelling on it, or a
     /// bandwidth change), so each channel's floating-point accumulation
     /// order is a function of its own event times alone — activity on
-    /// disjoint channels cannot re-partition the sum. O(route length)
-    /// per event.
-    fn accrue_busy_time(&mut self, channels: &[ChannelId]) {
-        for &c in channels {
-            let dt = self.now - self.last_busy_update[c];
-            if dt > 0.0 && self.active[c] > 0 {
-                self.stats.channel_busy_secs[c] += dt;
-            }
-            self.last_busy_update[c] = self.now;
+    /// disjoint channels cannot re-partition the sum.
+    fn accrue_busy_time(&mut self, c: ChannelId) {
+        let dt = self.now - self.last_busy_update[c];
+        if dt > 0.0 && self.active[c] > 0 {
+            self.stats.channel_busy_secs[c] += dt;
         }
+        self.last_busy_update[c] = self.now;
     }
 
-    /// The flights whose fair-share rate may have changed after an event
-    /// on `channels`: the occupied flights whose route crosses one of
-    /// them (fast mode), or every occupied flight (dense reference — the
-    /// full rescan). The returned buffer is `affected_scratch`; callers
-    /// put it back after [`Self::recompute_flights`].
-    fn collect_affected(&mut self, channels: &[ChannelId]) -> Vec<usize> {
-        let mut v = std::mem::take(&mut self.affected_scratch);
-        v.clear();
-        if self.dense {
-            for (k, f) in self.flights.iter().enumerate() {
-                if !f.queue.is_empty() {
-                    v.push(k);
-                }
-            }
-        } else {
-            // Routes are a few channels long: a direct overlap test per
-            // occupied flight beats any per-channel index.
-            v.extend(
-                self.occupied
-                    .iter()
-                    .copied()
-                    .filter(|&k| self.flights[k].route.iter().any(|c| channels.contains(c))),
-            );
-        }
-        v
-    }
-
-    /// Enters flight `k`, whose queue just went from empty to occupied,
-    /// into the occupied list.
-    fn occupy(&mut self, k: usize) {
-        debug_assert_eq!(self.occupied_at[k], NOT_OCCUPIED);
-        self.occupied_at[k] = self.occupied.len();
-        self.occupied.push(k);
+    /// Re-caches channel `c`'s fair share after its bandwidth or active
+    /// count changed.
+    fn update_share(&mut self, c: ChannelId) {
+        self.share[c] = self.channel_bw[c] / self.active[c].max(1) as f64;
     }
 
     /// Removes flight `k`, whose queue just emptied, from the occupied
-    /// list (swap-remove: the moved flight's position is patched).
+    /// set.
     fn vacate(&mut self, k: usize) {
-        let at = std::mem::replace(&mut self.occupied_at[k], NOT_OCCUPIED);
-        self.occupied.swap_remove(at);
-        if let Some(&moved) = self.occupied.get(at) {
-            self.occupied_at[moved] = at;
-        }
+        debug_assert!(self.occupied[k / 64] & (1 << (k % 64)) != 0);
+        self.occupied[k / 64] &= !(1 << (k % 64));
     }
 
-    /// The flights a network check scans: every flight in dense mode
-    /// (the full-scan structure the reference keeps), the occupied list
-    /// otherwise. An empty flight's prediction is `+inf` and its queue
-    /// has no head, so it can never be a candidate either way.
-    fn scanned_flights(&self) -> impl Iterator<Item = usize> + '_ {
-        let (all, occupied) = if self.dense {
-            (0..self.flights.len(), &[][..])
-        } else {
-            (0..0, &self.occupied[..])
-        };
-        all.chain(occupied.iter().copied())
-    }
-
-    /// The occupied-list invariant: `occupied` holds exactly the flights
-    /// with a non-empty queue, and `occupied_at` indexes it.
+    /// The occupied-set invariant: `occupied` holds exactly the flights
+    /// with a non-empty queue.
     fn occupied_is_exact(&self) -> bool {
-        let mut listed = vec![false; self.flights.len()];
-        for (at, &k) in self.occupied.iter().enumerate() {
-            if listed[k] || self.occupied_at[k] != at {
-                return false;
-            }
-            listed[k] = true;
-        }
-        self.flights
-            .iter()
-            .zip(&listed)
-            .zip(&self.occupied_at)
-            .all(|((f, &listed), &at)| {
-                listed != f.queue.is_empty() && (listed || at == NOT_OCCUPIED)
-            })
+        self.occupied.len() == self.flights.len().div_ceil(64)
+            && self
+                .flights
+                .iter()
+                .enumerate()
+                .all(|(k, f)| (self.occupied[k / 64] & (1 << (k % 64)) != 0) != f.queue.is_empty())
     }
 
-    /// Re-derives the bottleneck fair-share rate of each flight. A flight
-    /// whose rate value is unchanged is left untouched — its lazy drain
-    /// tuple and cached prediction stay valid. (This is what makes the
-    /// indexed and dense modes trace-identical: an unaffected flight's
-    /// inputs are unchanged, so the dense rescan re-derives the same bits
-    /// and also no-ops.) On a change the flight is materialized — drain
-    /// credited under the old rate — then the new rate and prediction are
-    /// installed.
-    fn recompute_flights(&mut self, affected: &[usize]) {
+    /// Re-derives the flights whose share may have changed after an
+    /// event on flight `k`'s route: `conflicts[k] ∩ occupied` (fast
+    /// mode), or every occupied flight (dense reference — the full
+    /// rescan). Each flight's re-derivation reads only the cached shares
+    /// and its own state, so the visiting order changes no bits.
+    fn recompute_conflicts(&mut self, k: usize) {
         let due_wave = self.spawn_wave(self.now);
-        for &k in affected {
-            self.counters.rate_recomputes += 1;
-            let f = &mut self.flights[k];
-            let rate = derive_rate(&self.channel_bw, &self.active, &f.route);
-            if rate == f.rate {
-                continue;
-            }
-            f.materialize(self.now);
-            f.rate = rate;
-            f.refresh_pred(self.now, due_wave);
-        }
-    }
-
-    /// Schedules the next network check at the earliest flight prediction
-    /// (clamped to now), stamped with a fresh generation so checks
-    /// scheduled before this recomputation are ignored. The event's heap
-    /// lane mirrors the candidate [`Self::pick_candidate`] will deliver
-    /// at that time — any later state change reschedules with a fresh
-    /// generation, so the stamp cannot go stale. O(occupied flights) —
-    /// bounded by distinct routes, not by in-flight transfers (every
-    /// flight in dense mode).
-    fn schedule_network_check(&mut self) {
-        debug_assert!(self.occupied_is_exact(), "occupied list out of sync");
-        self.net_generation += 1;
-        let generation = self.net_generation;
-        if self.routed == 0 && self.immediates.is_empty() {
-            return;
-        }
-        // A pending immediate is due right away; routed flights at their
-        // predicted head departure.
-        let mut min_pred = if self.immediates.is_empty() {
-            f64::INFINITY
-        } else {
-            self.now
-        };
-        for k in self.scanned_flights() {
-            min_pred = min_pred.min(self.flights[k].pred);
-        }
-        if min_pred.is_finite() {
-            let at = min_pred.max(self.now);
-            let mut best: Option<(u32, u32, TransferId)> = self.immediates.keys().next().copied();
-            for k in self.scanned_flights() {
-                let f = &self.flights[k];
-                if f.pred <= at {
-                    if let Some(&Reverse((_, id, _, lane))) = f.queue.peek() {
-                        let key = (f.pred_wave, lane, id);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
+        if self.dense {
+            for j in 0..self.flights.len() {
+                if !self.flights[j].queue.is_empty() {
+                    self.recompute_flight(j, due_wave);
                 }
             }
-            // The check rides the wave and lane of the candidate it will
-            // deliver, so delivery never outruns (or lags) its phase.
-            let (wave, lane) = best.map_or((0, 0), |(w, l, _)| (w, l));
-            self.push_at_wave(at, wave, lane, EventKind::NetworkCheck { generation });
+            return;
         }
+        for w in 0..self.conflicts[k].len() {
+            let mut word = self.conflicts[k][w] & self.occupied[w];
+            while word != 0 {
+                let j = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.recompute_flight(j, due_wave);
+            }
+        }
+    }
+
+    /// Re-derives flight `k`'s bottleneck fair-share rate. A flight whose
+    /// rate value is unchanged is left untouched — its lazy drain tuple
+    /// and cached prediction stay valid. (This is what makes the indexed
+    /// and dense modes trace-identical: an unaffected flight's inputs are
+    /// unchanged, so the dense rescan re-derives the same bits and also
+    /// no-ops.) On a change the flight is materialized — drain credited
+    /// under the old rate — then the new rate and prediction are
+    /// installed.
+    fn recompute_flight(&mut self, k: usize, due_wave: u32) {
+        self.counters.rate_recomputes += 1;
+        let f = &mut self.flights[k];
+        let rate = derive_rate(&self.share, &f.route);
+        if rate == f.rate {
+            return;
+        }
+        f.materialize(self.now);
+        f.rate = rate;
+        f.refresh_pred(self.now, due_wave);
+    }
+
+    /// Recomputes the cached network candidate in one pass over the
+    /// occupied flights (every flight in dense mode): the lowest
+    /// `(at, wave, lane, id)` over the pending immediates (due now) and
+    /// each flight head (due at its prediction clamped to now). A flight
+    /// that can never complete (`pred == +inf`) is no candidate.
+    fn refresh_candidate(&mut self) {
+        debug_assert!(self.occupied_is_exact(), "occupied set out of sync");
+        self.counters.candidate_refreshes += 1;
+        self.candidate_stale = false;
+        let now = self.now;
+        let mut best = self.immediates.keys().next().map(|&(wave, lane, id)| {
+            (
+                now,
+                (wave, lane, id),
+                Candidate::Immediate((wave, lane, id)),
+            )
+        });
+        let mut consider = |f: &Flight, k: usize| {
+            if !f.pred.is_finite() {
+                return;
+            }
+            if let Some(&Reverse((_, id, _, lane))) = f.queue.peek() {
+                let at = f.pred.max(now);
+                let key = (f.pred_wave, lane, id);
+                let better = best.is_none_or(|(b_at, b_key, _)| {
+                    at.total_cmp(&b_at).then(key.cmp(&b_key)) == Ordering::Less
+                });
+                if better {
+                    best = Some((at, key, Candidate::Flight(k)));
+                }
+            }
+        };
+        if self.dense {
+            for (k, f) in self.flights.iter().enumerate() {
+                consider(f, k);
+            }
+        } else {
+            for k in ones(&self.occupied) {
+                consider(&self.flights[k], k);
+            }
+        }
+        self.candidate = best.map(|(at, (wave, lane, _), pick)| NetCandidate {
+            at,
+            wave,
+            lane,
+            pick,
+        });
     }
 
     /// The completion due at the current time with the lowest
-    /// `(wave, lane, id)`, if any: the head of a due flight
-    /// (`pred <= now`) or a pending immediate (always due). One
-    /// completion per check event keeps ordering deterministic;
-    /// remaining due completions are delivered by the rescheduled check
-    /// at the same virtual time. Ascending-(wave, lane, id) delivery
-    /// makes the same-instant order spawn-phase-major, then lane-major,
-    /// with each lane's sub-order a function of its own issue order
-    /// alone.
+    /// `(wave, lane, id)`, if any, found by a full rescan: the head of a
+    /// due flight (`pred <= now`) or a pending immediate (always due).
+    /// Debug builds check every delivery of the cached candidate against
+    /// it.
     fn pick_candidate(&self) -> Option<Candidate> {
         let mut best: Option<((u32, u32, TransferId), usize)> = None;
-        for k in self.scanned_flights() {
-            let f = &self.flights[k];
+        for (k, f) in self.flights.iter().enumerate() {
             if f.pred <= self.now {
                 if let Some(&Reverse((_, id, _, lane))) = f.queue.peek() {
                     let key = (f.pred_wave, lane, id);
@@ -958,105 +1003,98 @@ impl Simulator {
     }
 
     /// Advances virtual time to the next completion and returns it, or
-    /// `None` when no work remains.
+    /// `None` when no work remains. Refreshes a stale network candidate
+    /// at most once, then delivers whichever of it and the event-heap
+    /// top comes first. One completion per call keeps ordering
+    /// deterministic; ascending-(wave, lane, id) delivery makes the
+    /// same-instant order spawn-phase-major, then lane-major, with each
+    /// lane's sub-order a function of its own issue order alone.
     ///
     /// Named like — but deliberately not implementing — `Iterator::next`:
     /// drivers interleave `next()` with new submissions, which an
     /// `Iterator` cannot express.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(SimTime, Completion)> {
-        while let Some(ev) = self.events.pop() {
-            debug_assert!(ev.time >= self.now - 1e-12, "time went backwards");
-            match ev.kind {
-                EventKind::ComputeDone { gpu, tag } => {
-                    self.now = self.now.max(ev.time);
-                    self.cur_wave = ev.wave;
-                    self.popped = true;
-                    // Start next queued kernel, if any.
-                    let next = self.streams[gpu].queue.pop_front();
-                    match next {
-                        Some((secs, next_tag)) => {
-                            self.stats.gpu_busy_secs[gpu] += secs;
-                            let t = self.now + secs;
-                            self.push(t, gpu as u32, EventKind::ComputeDone { gpu, tag: next_tag });
-                        }
-                        None => self.streams[gpu].busy = false,
+        if self.candidate_stale {
+            self.refresh_candidate();
+        }
+        match (self.candidate, self.events.peek()) {
+            (Some(c), None) => Some(self.deliver(c)),
+            (Some(c), Some(ev)) if c.precedes(ev) => Some(self.deliver(c)),
+            (_, Some(_)) => Some(self.pop_event()),
+            (None, None) => None,
+        }
+    }
+
+    /// Pops the event-heap top: a compute completion (starting the GPU's
+    /// next queued kernel, if any) or a timer.
+    fn pop_event(&mut self) -> (SimTime, Completion) {
+        let ev = self
+            .events
+            .pop()
+            .expect("invariant: next() pops only a non-empty heap");
+        self.counters.heap_pops += 1;
+        debug_assert!(ev.time >= self.now - 1e-12, "time went backwards");
+        self.now = self.now.max(ev.time);
+        self.cur_wave = ev.wave;
+        self.popped = true;
+        match ev.kind {
+            EventKind::ComputeDone { gpu, tag } => {
+                match self.streams[gpu].queue.pop_front() {
+                    Some((secs, next_tag)) => {
+                        self.stats.gpu_busy_secs[gpu] += secs;
+                        let t = self.now + secs;
+                        self.push(t, gpu as u32, EventKind::ComputeDone { gpu, tag: next_tag });
                     }
-                    return Some((self.now, Completion::Compute { gpu, tag }));
+                    None => self.streams[gpu].busy = false,
                 }
-                EventKind::Timer { tag } => {
-                    self.now = self.now.max(ev.time);
-                    self.cur_wave = ev.wave;
-                    self.popped = true;
-                    return Some((self.now, Completion::Timer { tag }));
+                (self.now, Completion::Compute { gpu, tag })
+            }
+            EventKind::Timer { tag } => (self.now, Completion::Timer { tag }),
+        }
+    }
+
+    /// Delivers the cached network candidate `c` at its due time.
+    fn deliver(&mut self, c: NetCandidate) -> (SimTime, Completion) {
+        debug_assert!(c.at >= self.now - 1e-12, "time went backwards");
+        self.counters.net_deliveries += 1;
+        self.now = self.now.max(c.at);
+        self.cur_wave = c.wave;
+        self.popped = true;
+        self.candidate_stale = true;
+        debug_assert_eq!(
+            Some(c.pick),
+            self.pick_candidate(),
+            "cached candidate differs from a full rescan"
+        );
+        match c.pick {
+            Candidate::Immediate(key) => {
+                let tag = self
+                    .immediates
+                    .remove(&key)
+                    .expect("invariant: the candidate is a pending immediate");
+                // No channel state to release (never routed).
+                let (_, _, id) = key;
+                (self.now, Completion::Transfer { id, tag })
+            }
+            Candidate::Flight(k) => {
+                let f = &mut self.flights[k];
+                f.materialize(self.now);
+                let Reverse((_, id, tag, _)) = f.queue.pop().expect(
+                    "invariant: a flight candidate has a finite pred, and pred is \
+                     finite only while the flight's transfer queue is non-empty",
+                );
+                if f.queue.is_empty() {
+                    f.pred = f64::INFINITY;
+                    self.vacate(k);
                 }
-                EventKind::NetworkCheck { generation } => {
-                    if generation != self.net_generation {
-                        continue; // stale prediction
-                    }
-                    self.counters.network_checks += 1;
-                    self.now = self.now.max(ev.time);
-                    self.popped = true;
-                    // The event's own wave only ordered the check in the
-                    // heap; the wave the run observes is the *delivered
-                    // candidate's* — the check may deliver a different
-                    // completion than the one it was scheduled for.
-                    match self.pick_candidate() {
-                        Some(Candidate::Immediate(key)) => {
-                            self.cur_wave = key.0;
-                            let tag = self
-                                .immediates
-                                .remove(&key)
-                                .expect("pick_candidate returned a pending immediate");
-                            // No channel state to release (never routed);
-                            // later due completions ride the reschedule.
-                            self.schedule_network_check();
-                            let (_, _, id) = key;
-                            return Some((self.now, Completion::Transfer { id, tag }));
-                        }
-                        Some(Candidate::Flight(k)) => {
-                            self.cur_wave = self.flights[k].pred_wave;
-                            let f = &mut self.flights[k];
-                            f.materialize(self.now);
-                            let Reverse((_, id, tag, _)) = f.queue.pop().expect(
-                                "invariant: pick_candidate only returns flights with a \
-                                 finite pred, and pred is finite only while the \
-                                 flight's transfer queue is non-empty",
-                            );
-                            if f.queue.is_empty() {
-                                f.pred = f64::INFINITY;
-                                self.vacate(k);
-                            }
-                            // The head's share frees up on every channel of
-                            // the route: sibling flights (including this
-                            // one, if still occupied) re-derive their rates.
-                            let mut route = std::mem::take(&mut self.route_scratch);
-                            route.clear();
-                            route.extend_from_slice(&self.flights[k].route);
-                            self.accrue_busy_time(&route);
-                            for &c in &route {
-                                self.active[c] -= 1;
-                            }
-                            self.routed -= 1;
-                            let affected = self.collect_affected(&route);
-                            self.recompute_flights(&affected);
-                            self.affected_scratch = affected;
-                            self.route_scratch = route;
-                            self.schedule_network_check();
-                            return Some((self.now, Completion::Transfer { id, tag }));
-                        }
-                        None => {
-                            // Defensive: a valid-generation check implies a
-                            // due flight (its scheduled prediction has
-                            // arrived), but reschedule rather than spin.
-                            self.schedule_network_check();
-                            continue;
-                        }
-                    }
-                }
+                // The head's share frees up on every channel of the
+                // route: sibling flights (including this one, if still
+                // occupied) re-derive their rates.
+                self.release_routed(k);
+                (self.now, Completion::Transfer { id, tag })
             }
         }
-        None
     }
 }
 

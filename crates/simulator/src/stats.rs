@@ -31,22 +31,32 @@ impl SimStats {
 }
 
 /// Diagnostic counters of the network core. These are *structural*
-/// measurements (how many per-transfer rate derivations, how much heap
-/// traffic), not wall-clock timings, so tests can assert the
-/// O(affected) complexity contract deterministically: an event on one
-/// route must not re-derive rates for transfers on disjoint routes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// measurements (how many per-flight rate derivations, how much queue and
+/// event-heap traffic, how many candidate refreshes), not wall-clock
+/// timings, so tests can assert the complexity contract
+/// deterministically: an event on one route must not re-derive rates for
+/// transfers on disjoint routes, and no network completion enters the
+/// event heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetCounters {
     /// Per-flight bottleneck-rate derivations (one per affected flight
     /// per network event, plus one for each flight restart from empty).
     pub rate_recomputes: u64,
     /// Departure-queue entries pushed (exactly one per routed transfer).
     pub queue_pushes: u64,
-    /// Network-check events processed with a valid generation.
-    pub network_checks: u64,
+    /// Transfer completions delivered from the network candidate.
+    pub net_deliveries: u64,
     /// Route classes (flights) created so far — a gauge, bounded by the
     /// number of distinct routes ever used, not by in-flight transfers.
     pub route_classes: u64,
+    /// Event-heap entries pushed: one per compute kernel started and one
+    /// per timer. Network completions never enter the heap.
+    pub heap_pushes: u64,
+    /// Event-heap entries popped; every pop delivers a completion.
+    pub heap_pops: u64,
+    /// Network-candidate refreshes: at most one per `Simulator::next`
+    /// call, and only after a network state change.
+    pub candidate_refreshes: u64,
 }
 
 #[cfg(test)]
@@ -58,8 +68,12 @@ mod tests {
         let c = NetCounters::default();
         assert_eq!(c.rate_recomputes, 0);
         assert_eq!(c.queue_pushes, 0);
-        assert_eq!(c.network_checks, 0);
+        assert_eq!(c.net_deliveries, 0);
         assert_eq!(c.route_classes, 0);
+        assert_eq!(
+            (c.heap_pushes, c.heap_pops, c.candidate_refreshes),
+            (0, 0, 0)
+        );
     }
 
     #[test]

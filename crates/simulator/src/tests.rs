@@ -473,16 +473,14 @@ fn cancel_matches_dense_reference() {
 
 #[test]
 fn occupied_list_tracks_non_empty_flights() {
-    // The occupied list must equal the set of flights with a non-empty
+    // The occupied set must equal the set of flights with a non-empty
     // queue after every transition that can empty (or fill) one: a pop
     // that drains a flight and a cancel that empties one.
     let topo = commodity_4x1080ti();
     let route = |a, b| topo.route(a, b).unwrap().to_vec();
     let occupied = |s: &Simulator| {
-        assert!(s.occupied_is_exact(), "occupied list out of sync");
-        let mut v = s.occupied.clone();
-        v.sort_unstable();
-        v
+        assert!(s.occupied_is_exact(), "occupied set out of sync");
+        ones(&s.occupied).collect::<Vec<_>>()
     };
     let mut s = Simulator::new(&topo);
     let out0 = route(Endpoint::Gpu(0), Endpoint::Host);
@@ -509,10 +507,112 @@ fn occupied_list_tracks_non_empty_flights() {
     assert_eq!(occupied(&s), vec![0, 2]);
     while s.next().is_some() {}
     assert_eq!(occupied(&s), Vec::<usize>::new());
-    // Dense mode keeps the list too (cancel searches it in both modes).
+    // Dense mode keeps the set too (cancel searches it in both modes).
     let mut d = Simulator::new_dense_reference(&topo);
     let x = d.start_transfer(&out0, 1_000_000, 7, 0).unwrap();
     assert_eq!(occupied(&d), vec![0]);
     assert!(d.cancel_transfer(x).unwrap());
     assert_eq!(occupied(&d), Vec::<usize>::new());
+}
+
+/// Drains the simulator, returning each completion's tag.
+fn drain_tags(s: &mut Simulator) -> Vec<u64> {
+    std::iter::from_fn(|| s.next())
+        .map(|(_, c)| match c {
+            Completion::Compute { tag, .. }
+            | Completion::Transfer { tag, .. }
+            | Completion::Timer { tag } => tag,
+        })
+        .collect()
+}
+
+/// At one instant, wave and lane, a timer fires first, then a compute
+/// completion, then a network delivery; the next lane's timer follows
+/// all three.
+#[test]
+fn same_lane_order_is_timer_compute_network() {
+    let (mut s, _) = sim();
+    // Everything is due at t = 0, wave 0.
+    s.set_timer(0.0, 4, 1).unwrap();
+    s.start_transfer(&[], 0, 3, 0).unwrap();
+    s.submit_compute(0, 0.0, 2).unwrap();
+    s.set_timer(0.0, 1, 0).unwrap();
+    assert_eq!(drain_tags(&mut s), vec![1, 2, 3, 4]);
+}
+
+/// At one instant and wave the lane decides before the kind: a network
+/// delivery on lane 0 precedes a compute on lane 1, which precedes lane
+/// 1's own network delivery.
+#[test]
+fn lower_lane_delivery_precedes_higher_lane_compute() {
+    let (mut s, _) = sim();
+    s.submit_compute(1, 0.0, 10).unwrap();
+    s.start_transfer(&[], 0, 12, 1).unwrap();
+    s.start_transfer(&[], 0, 11, 0).unwrap();
+    assert_eq!(drain_tags(&mut s), vec![11, 10, 12]);
+}
+
+/// A transfer started mid-instant joins the next wave: it is not
+/// delivered before a compute already due at the instant's opening
+/// wave, and it precedes a compute spawned in its own wave on a higher
+/// lane.
+#[test]
+fn mid_instant_transfer_waits_for_the_current_wave() {
+    let (mut s, _) = sim();
+    s.submit_compute(0, 1.0, 20).unwrap();
+    s.submit_compute(1, 1.0, 21).unwrap();
+    assert_eq!(
+        s.next(),
+        Some((1.0, Completion::Compute { gpu: 0, tag: 20 }))
+    );
+    // Spawned while the wave-0 completion is handled: both are wave 1.
+    s.start_transfer(&[], 0, 22, 0).unwrap();
+    s.submit_compute(2, 0.0, 23).unwrap();
+    assert_eq!(drain_tags(&mut s), vec![21, 22, 23]);
+    assert!(s.idle());
+}
+
+/// A zero-byte immediate and a due routed head deliver in `(wave, lane,
+/// id)` order, whichever kind holds the lower key.
+#[test]
+fn immediates_and_due_heads_deliver_by_wave_lane_id() {
+    let topo = commodity_4x1080ti();
+    let route = topo
+        .route(Endpoint::Gpu(0), Endpoint::Host)
+        .unwrap()
+        .to_vec();
+    for (routed_lane, immediate_lane, want) in [(0, 0, [31, 32, 33]), (1, 0, [31, 33, 32])] {
+        let mut s = Simulator::new(&topo);
+        // Equal members of one flight depart together; once the first
+        // is delivered the second is pinned due at wave 1.
+        s.start_transfer(&route, 1_000_000, 31, routed_lane)
+            .unwrap();
+        s.start_transfer(&route, 1_000_000, 32, routed_lane)
+            .unwrap();
+        let (t, c) = s.next().unwrap();
+        assert!(matches!(c, Completion::Transfer { tag: 31, .. }));
+        // The immediate is also wave 1, with the highest id.
+        s.start_transfer(&[], 0, 33, immediate_lane).unwrap();
+        let rest: Vec<_> = std::iter::from_fn(|| s.next()).collect();
+        assert!(rest.iter().all(|&(u, _)| u == t), "{rest:?} not at {t}");
+        let mut got = vec![31];
+        got.extend(rest.iter().map(|&(_, c)| match c {
+            Completion::Transfer { tag, .. } => tag,
+            other => panic!("unexpected {other:?}"),
+        }));
+        assert_eq!(got, want, "routed lane {routed_lane}");
+    }
+}
+
+/// Cancelling the due immediate leaves no stale delivery slot behind:
+/// the next immediate, on a higher lane, still waits for a compute on
+/// a lane in between.
+#[test]
+fn cancelled_immediate_leaves_no_stale_slot() {
+    let (mut s, _) = sim();
+    let first = s.start_transfer(&[], 0, 40, 0).unwrap();
+    s.submit_compute(1, 0.0, 41).unwrap();
+    s.start_transfer(&[], 0, 42, 3).unwrap();
+    assert!(s.cancel_transfer(first).unwrap());
+    assert_eq!(drain_tags(&mut s), vec![41, 42]);
 }
