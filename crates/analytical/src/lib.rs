@@ -431,54 +431,3 @@ mod tests {
         assert!(p.act_bytes_per_ubatch > 0);
     }
 }
-
-/// Stashed-activation swap volume when *recompute* replaces stashing
-/// (gradient checkpointing at pack granularity, §4): per-layer stashes
-/// vanish; only pack-boundary activations persist from forward to
-/// backward, paid once out and once in per microbatch.
-pub fn stash_swap_volume_recompute(p: &Params) -> u64 {
-    let Params {
-        m,
-        n,
-        act_bytes_per_ubatch: a,
-        ..
-    } = *p;
-    // The retained boundary activations are a subset of the per-microbatch
-    // activation bytes.
-    2 * m * n * a
-}
-
-/// Extra compute incurred by recompute, as a fraction of the baseline
-/// iteration FLOPs: forward runs twice (`1 + (1 + bwd_mult)` vs
-/// `1 + bwd_mult`).
-pub fn recompute_flops_overhead(bwd_mult: f64) -> f64 {
-    (2.0 + bwd_mult) / (1.0 + bwd_mult) - 1.0
-}
-
-#[cfg(test)]
-mod recompute_tests {
-    use super::*;
-
-    #[test]
-    fn recompute_eliminates_stash_volume_when_stash_dominates() {
-        let p = Params {
-            m: 4,
-            n: 4,
-            weight_bytes: 100,
-            opt_state_bytes: 0,
-            stash_bytes_per_ubatch: 10_000, // stash ≫ boundary acts
-            act_bytes_per_ubatch: 100,
-        };
-        let with_stash = stash_swap_volume(Scheme::HarmonyPp, &p);
-        let with_recompute = stash_swap_volume_recompute(&p);
-        assert!(with_recompute * 10 < with_stash);
-    }
-
-    #[test]
-    fn recompute_overhead_matches_paper_ballpark() {
-        // With backward = 2× forward, recompute adds 33% compute.
-        assert!((recompute_flops_overhead(2.0) - 1.0 / 3.0).abs() < 1e-9);
-        // With backward = 3× forward, it adds 25%.
-        assert!((recompute_flops_overhead(3.0) - 0.25).abs() < 1e-9);
-    }
-}

@@ -1,8 +1,7 @@
 //! Differential checking of the executor's event loop: the wake-set
 //! fast path (default) against the dense reference loop
-//! (`SimExecutor::use_dense_advance`, behind `harmony-sched`'s
-//! `dense_advance` feature), which re-advances every GPU after every
-//! simulator event.
+//! (`SimExecutor::use_dense_advance`), which re-advances every GPU after
+//! every simulator event.
 //!
 //! The two loops must be **byte-identical** on everything a run
 //! produces: the trace's JSON export and the run summary's JSON export

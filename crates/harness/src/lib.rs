@@ -32,7 +32,7 @@
 //!
 //! A fifth ([`execdiff`]) does the same for the *executor's* event loop:
 //! the wake-set fast path against the dense re-advance-everything
-//! reference (behind `harmony-sched`'s `dense_advance` feature), which
+//! reference (`SimExecutor::use_dense_advance`), which
 //! must produce byte-identical trace and summary JSON across schemes,
 //! fault plans, and prefetch settings.
 //!

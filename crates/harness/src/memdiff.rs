@@ -1,7 +1,6 @@
 //! Differential checking of the memory manager's rewritten hot path: the
 //! SoA core with its one victim-selection scan (default) against the
-//! frozen pre-rewrite core (`MemoryManager::convert_to_dense`, behind
-//! `harmony-memory`'s `dense_memory` feature).
+//! frozen pre-rewrite core (`MemoryManager::convert_to_dense`).
 //!
 //! Two differentials, the same way simdiff/execdiff prove their rewrites:
 //!

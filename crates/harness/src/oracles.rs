@@ -274,7 +274,7 @@ impl ExecObserver for DependencyOracle {
         {
             for &dep in ctx.plan.graph.deps(task) {
                 assert!(
-                    ctx.done.contains(&(iter, replica, dep)),
+                    (ctx.done)(iter, replica, dep),
                     "dependency oracle: task {task:?} started on gpu{gpu} \
                      (iter {iter}, replica {replica}) before dependency {dep:?} finished"
                 );
@@ -299,7 +299,7 @@ impl ExecObserver for BandwidthConservationOracle {
                 if self.issued.is_empty() {
                     self.issued = vec![0; ctx.sim.num_channels()];
                 }
-                for &c in route {
+                for &c in *route {
                     self.issued[c] += bytes;
                 }
             }

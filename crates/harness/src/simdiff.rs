@@ -1,8 +1,7 @@
 //! Differential checking of the simulator's network core: the indexed
 //! fast path (`Simulator::new`) against the dense reference engine
-//! (`Simulator::new_dense_reference`, behind the simulator's
-//! `dense_reference` feature), which re-derives every occupied route
-//! class's fair-share rate on every network event.
+//! (`Simulator::new_dense_reference`), which re-derives every occupied
+//! route class's fair-share rate on every network event.
 //!
 //! The two engines must be **bitwise** trace-identical: same completion
 //! order, same `f64` time bit patterns, same tags, same channel

@@ -2,7 +2,7 @@
 //!
 //! A differential or structural check is only worth its runtime if it
 //! *fails* when the thing it guards is actually broken. These tests arm
-//! the `mutation_hooks` sabotage points in `harmony-sched` — a dropped
+//! the `arm_*` sabotage points of `harmony-sched`'s executor — a dropped
 //! wake registration and a corrupted slab-handle generation — and assert
 //! that the corresponding defense flags each one:
 //!

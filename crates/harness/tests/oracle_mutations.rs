@@ -6,8 +6,6 @@
 //! silently accepts its target mutation is dead weight; these tests keep
 //! the harness honest.
 
-use std::collections::HashSet;
-
 use harmony::simulate::{self, SchemeKind};
 use harmony_harness::oracles::{DependencyOracle, FlushOracle, ResidencyUseOracle};
 use harmony_harness::workloads::{tight_topo, tight_workload, uniform_model};
@@ -30,21 +28,21 @@ fn use_without_swap_in_is_caught() {
     mm.touch(id).unwrap();
 }
 
+/// The done predicate of a run in which no task has finished.
+fn nothing_done(_iter: u32, _replica: usize, _task: harmony_taskgraph::TaskId) -> bool {
+    false
+}
+
 /// Builds a real plan + simulator + memory manager for hand-feeding
 /// executor events to the executor-side oracles.
-fn exec_fixture() -> (
-    harmony_sched::ExecutionPlan,
-    Simulator,
-    MemoryManager,
-    HashSet<(u32, usize, harmony_taskgraph::TaskId)>,
-) {
+fn exec_fixture() -> (harmony_sched::ExecutionPlan, Simulator, MemoryManager) {
     let model = uniform_model(4, 4096);
     let topo = tight_topo(1);
     let plan = simulate::plan(SchemeKind::HarmonyDp, &model, &topo, &tight_workload(2))
         .expect("plan builds");
     let sim = Simulator::new(&topo);
     let mm = MemoryManager::new(vec![topo.gpu(0).unwrap().mem_bytes]);
-    (plan, sim, mm, HashSet::new())
+    (plan, sim, mm)
 }
 
 /// Mutation: the executor finishes a run without flushing dirty state —
@@ -53,7 +51,7 @@ fn exec_fixture() -> (
 #[test]
 #[should_panic(expected = "flush oracle")]
 fn skipped_flush_is_caught() {
-    let (plan, sim, mut mm, done) = exec_fixture();
+    let (plan, sim, mut mm) = exec_fixture();
     let id = mm
         .alloc_on_device("w0", 4096, TensorClass::Weight, 0)
         .expect("fits");
@@ -63,7 +61,7 @@ fn skipped_flush_is_caught() {
         plan: &plan,
         mm: &mm,
         sim: &sim,
-        done: &done,
+        done: &nothing_done,
     };
     FlushOracle.on_event(&ctx, &ExecEvent::RunFinished);
 }
@@ -73,7 +71,7 @@ fn skipped_flush_is_caught() {
 #[test]
 #[should_panic(expected = "dependency oracle")]
 fn dependency_violation_is_caught() {
-    let (plan, sim, mm, done) = exec_fixture();
+    let (plan, sim, mm) = exec_fixture();
     // Find a task that has at least one dependency.
     let task = plan
         .graph
@@ -85,7 +83,7 @@ fn dependency_violation_is_caught() {
         plan: &plan,
         mm: &mm,
         sim: &sim,
-        done: &done, // empty: nothing has finished, so any dep is unmet
+        done: &nothing_done, // empty: nothing has finished, so any dep is unmet
     };
     DependencyOracle.on_event(
         &ctx,
@@ -103,12 +101,12 @@ fn dependency_violation_is_caught() {
 /// that a clean fixture does not trip the hand-fed oracles.
 #[test]
 fn clean_fixture_passes_hand_fed_oracles() {
-    let (plan, sim, mm, done) = exec_fixture();
+    let (plan, sim, mm) = exec_fixture();
     let ctx = ExecContext {
         plan: &plan,
         mm: &mm,
         sim: &sim,
-        done: &done,
+        done: &nothing_done,
     };
     FlushOracle.on_event(&ctx, &ExecEvent::RunFinished);
     let mut residency = ResidencyUseOracle;

@@ -17,8 +17,6 @@
 //! armed, and both oracles are mutation-tested: a hand-fed violation
 //! must panic with the oracle's signature message.
 
-use std::collections::HashSet;
-
 use harmony::simulate::{self, SchemeKind};
 use harmony_harness::workloads::{slack_topo, tight_workload, uniform_model};
 use harmony_harness::StashWindowOracle;
@@ -93,21 +91,21 @@ proptest! {
     }
 }
 
+/// The done predicate of a run in which no task has finished.
+fn nothing_done(_iter: u32, _replica: usize, _task: harmony_taskgraph::TaskId) -> bool {
+    false
+}
+
 /// Builds a real 1F1B weight-stashing plan plus the executor context
 /// pieces needed to hand-feed events to the stash-window oracle.
-fn pipe_fixture() -> (
-    harmony_sched::ExecutionPlan,
-    Simulator,
-    MemoryManager,
-    HashSet<(u32, usize, harmony_taskgraph::TaskId)>,
-) {
+fn pipe_fixture() -> (harmony_sched::ExecutionPlan, Simulator, MemoryManager) {
     let model = uniform_model(6, 4096);
     let topo = slack_topo(2);
     let plan = simulate::plan(SchemeKind::Pipe1F1B, &model, &topo, &tight_workload(2))
         .expect("pipe-1f1b plan builds");
     let sim = Simulator::new(&topo);
     let mm = MemoryManager::new(vec![topo.gpu(0).unwrap().mem_bytes]);
-    (plan, sim, mm, HashSet::new())
+    (plan, sim, mm)
 }
 
 /// The backward task of the fixture plan that reads a stashed weight
@@ -134,13 +132,13 @@ fn stash_reading_backward(
 #[test]
 #[should_panic(expected = "after its window closed")]
 fn stale_stash_read_after_window_close_is_caught() {
-    let (plan, sim, mm, done) = pipe_fixture();
+    let (plan, sim, mm) = pipe_fixture();
     let (task, _, _) = stash_reading_backward(&plan);
     let ctx = ExecContext {
         plan: &plan,
         mm: &mm,
         sim: &sim,
-        done: &done,
+        done: &nothing_done,
     };
     let mut oracle = StashWindowOracle::default();
     // Legal first pass: the backward starts and finishes, freeing its

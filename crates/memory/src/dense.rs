@@ -1,4 +1,4 @@
-//! The pre-rewrite memory manager, frozen as the `dense_memory` reference.
+//! The pre-rewrite memory manager, frozen as the memdiff reference.
 //!
 //! This is the seed-era data layout the SoA-planes rewrite replaced:
 //! an AoS `Vec<TensorInfo>`, an `O(tensors)` `host_used` re-scan,
@@ -18,8 +18,8 @@ use crate::policy::PolicyKind;
 use crate::stats::{Direction, SwapStats};
 use crate::{DeviceId, MemError, TensorClass, TensorId};
 
-/// The frozen dense state machine. Lives behind the `dense_memory`
-/// feature; reached only through [`crate::MemoryManager::convert_to_dense`].
+/// The frozen dense state machine, reached only through
+/// [`crate::MemoryManager::convert_to_dense`].
 #[derive(Debug)]
 pub(crate) struct DenseCore {
     capacities: Vec<u64>,

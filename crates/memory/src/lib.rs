@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "dense_memory")]
 mod dense;
 pub mod manager;
 pub mod observe;

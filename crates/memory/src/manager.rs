@@ -5,8 +5,8 @@
 //! sorted resident membership; `make_room` picks victims with one
 //! allocation-free selection scan over it, taking the minimum
 //! [`PolicyKind::key`] (DESIGN §13). The pre-rewrite manager survives as
-//! `crate::dense` behind the `dense_memory` feature and `harness::memdiff`
-//! proves the two byte-identical.
+//! `crate::dense`, reached through [`MemoryManager::convert_to_dense`],
+//! and `harness::memdiff` proves the two byte-identical.
 
 use crate::observe::{MemEvent, MemObserver};
 use crate::policy::PolicyKind;
@@ -55,8 +55,8 @@ impl Residency {
 }
 
 /// Owned per-tensor metadata record — the view [`PolicyKind::choose`]
-/// compares (and the storage layout of the frozen `dense_memory`
-/// reference). The manager's own hot path keeps these fields in flat
+/// compares (and the storage layout of the frozen dense reference
+/// core). The manager's own hot path keeps these fields in flat
 /// planes instead; use [`MemoryManager::info`] for an allocation-free
 /// borrowed [`TensorView`].
 #[derive(Debug, Clone)]
@@ -114,7 +114,6 @@ pub struct TensorView<'a> {
 
 impl<'a> TensorView<'a> {
     // Only the frozen dense core stores owned records to view through.
-    #[cfg_attr(not(feature = "dense_memory"), allow(dead_code))]
     pub(crate) fn of(t: &'a TensorInfo) -> Self {
         TensorView {
             id: t.id,
@@ -173,21 +172,14 @@ pub struct FetchAction {
     pub src_device: Option<DeviceId>,
 }
 
-/// Dispatches `$body` against the active core, binding it to `$c` (shared
-/// borrow). With `dense_memory` off this compiles to a direct field access.
+/// Dispatches `$body` against the active core (the frozen dense core
+/// once [`MemoryManager::convert_to_dense`] ran, the fast core
+/// otherwise), binding it to `$c` (shared borrow).
 macro_rules! with_core {
     ($self:expr, $c:ident => $body:expr) => {{
-        #[cfg(feature = "dense_memory")]
-        {
-            if let Some($c) = $self.dense.as_deref() {
-                $body
-            } else {
-                let $c = &$self.fast;
-                $body
-            }
-        }
-        #[cfg(not(feature = "dense_memory"))]
-        {
+        if let Some($c) = $self.dense.as_deref() {
+            $body
+        } else {
             let $c = &$self.fast;
             $body
         }
@@ -197,17 +189,9 @@ macro_rules! with_core {
 /// Mutable-borrow variant of [`with_core!`].
 macro_rules! with_core_mut {
     ($self:expr, $c:ident => $body:expr) => {{
-        #[cfg(feature = "dense_memory")]
-        {
-            if let Some($c) = $self.dense.as_deref_mut() {
-                $body
-            } else {
-                let $c = &mut $self.fast;
-                $body
-            }
-        }
-        #[cfg(not(feature = "dense_memory"))]
-        {
+        if let Some($c) = $self.dense.as_deref_mut() {
+            $body
+        } else {
             let $c = &mut $self.fast;
             $body
         }
@@ -219,8 +203,7 @@ macro_rules! with_core_mut {
 pub struct MemoryManager {
     fast: FastCore,
     /// When `Some`, every operation routes to the frozen pre-rewrite core
-    /// instead (the `dense_memory` differential reference).
-    #[cfg(feature = "dense_memory")]
+    /// instead (the memdiff differential reference).
     dense: Option<Box<crate::dense::DenseCore>>,
     observers: Vec<Box<dyn MemObserver>>,
 }
@@ -230,7 +213,6 @@ impl MemoryManager {
     pub fn new(capacities: Vec<u64>) -> Self {
         MemoryManager {
             fast: FastCore::new(capacities),
-            #[cfg(feature = "dense_memory")]
             dense: None,
             observers: Vec::new(),
         }
@@ -344,7 +326,6 @@ impl MemoryManager {
     /// A tensor's residency alone: one plane read, where [`Self::info`]
     /// assembles the whole view (name included).
     pub fn residency(&self, id: TensorId) -> Result<Residency, MemError> {
-        #[cfg(feature = "dense_memory")]
         if let Some(c) = self.dense.as_deref() {
             return c
                 .view(id)
@@ -576,9 +557,8 @@ impl MemoryManager {
     /// Transplants the manager's state into the frozen pre-rewrite core;
     /// every subsequent operation runs the seed-era dense logic. Valid at
     /// any point in a run (both cores expose identical logical state).
-    /// This is the `dense_memory` differential seam used by
-    /// `harness::memdiff` — the memory analogue of `use_dense_advance`.
-    #[cfg(feature = "dense_memory")]
+    /// This is the differential seam used by `harness::memdiff` — the
+    /// memory analogue of `use_dense_advance`.
     pub fn convert_to_dense(&mut self) {
         if self.dense.is_some() {
             return;
@@ -631,9 +611,7 @@ impl MemoryManager {
     /// without changing its logical state — the "missed membership
     /// update" bug class the memdiff differential must flag. Returns false
     /// if there was nothing to desync (or the dense core is active).
-    #[cfg(feature = "mutation_hooks")]
     pub fn arm_membership_desync(&mut self, dev: DeviceId) -> bool {
-        #[cfg(feature = "dense_memory")]
         if self.dense.is_some() {
             return false;
         }
@@ -1330,7 +1308,6 @@ impl FastCore {
     }
 
     /// See [`MemoryManager::arm_membership_desync`].
-    #[cfg(feature = "mutation_hooks")]
     fn arm_membership_desync(&mut self, dev: DeviceId) -> bool {
         // Pick an unpinned resident (a pinned one is invisible to both
         // candidates and the victim scan, so dropping it would be a

@@ -81,14 +81,6 @@ impl SwapStats {
             .map_or(0, |row| row[dir as usize].iter().sum())
     }
 
-    /// Global swap volume in a direction across all devices.
-    pub fn global_total(&self, dir: Direction) -> u64 {
-        self.by_device
-            .iter()
-            .map(|row| row[dir as usize].iter().sum::<u64>())
-            .sum()
-    }
-
     /// Global swap volume for one tensor class, both directions.
     pub fn class_total(&self, class: TensorClass) -> u64 {
         self.by_device
@@ -117,7 +109,6 @@ mod tests {
         s.record(1, Direction::In, TensorClass::Grad, 10);
         assert_eq!(s.device_total(0, Direction::In), 150);
         assert_eq!(s.device_total(0, Direction::Out), 30);
-        assert_eq!(s.global_total(Direction::In), 160);
         assert_eq!(s.class_total(TensorClass::Weight), 180);
         assert_eq!(s.total(), 190);
     }

@@ -481,14 +481,14 @@ impl<'a> ReferenceExecutor<'a> {
 
     /// Notifies observers of `event`; no-op (and no allocation) when none
     /// are attached.
-    fn emit(&mut self, event: ExecEvent) {
+    fn emit(&mut self, event: ExecEvent<'_>) {
         self.emit_with(|| event);
     }
 
     /// Like [`Self::emit`], but the event is only *constructed* when an
     /// observer is attached — callers with allocating payloads (route
     /// vectors) pay nothing on unobserved runs.
-    fn emit_with(&mut self, make: impl FnOnce() -> ExecEvent) {
+    fn emit_with<'e>(&mut self, make: impl FnOnce() -> ExecEvent<'e>) {
         if self.observers.is_empty() {
             return;
         }
@@ -499,7 +499,7 @@ impl<'a> ReferenceExecutor<'a> {
                 plan: self.plan,
                 mm: &self.mm,
                 sim: &self.sim,
-                done: &self.done,
+                done: &|iter, replica, task| self.done.contains(&(iter, replica, task)),
             };
             for o in &mut obs {
                 o.on_event(&ctx, &event);
@@ -509,8 +509,8 @@ impl<'a> ReferenceExecutor<'a> {
     }
 
     /// Starts a transfer on the simulator, emitting
-    /// [`ExecEvent::TransferIssued`] when observers are attached (the
-    /// route vector is only cloned in that case — `emit_with` guards).
+    /// [`ExecEvent::TransferIssued`], which borrows the route, when
+    /// observers are attached (`emit_with` guards).
     fn issue_transfer(
         &mut self,
         route: &[ChannelId],
@@ -519,10 +519,7 @@ impl<'a> ReferenceExecutor<'a> {
     ) -> Result<TransferId, ExecError> {
         let xfer = self.sim.start_transfer(route, bytes, 0, lane as u32)?;
         self.mutations += 1;
-        self.emit_with(|| ExecEvent::TransferIssued {
-            route: route.to_vec(),
-            bytes,
-        });
+        self.emit_with(|| ExecEvent::TransferIssued { route, bytes });
         Ok(xfer)
     }
 

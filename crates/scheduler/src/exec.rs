@@ -68,9 +68,8 @@
 //! Wakes produced *during* a pass for a GPU above the one currently
 //! advancing join the same pass (dense visibility order); wakes at or
 //! below it are deferred to the next event's pass, and are dropped if the
-//! event queue runs dry — matching dense stuck detection. The
-//! `dense_advance` feature exposes the reference mode
-//! ([`SimExecutor::use_dense_advance`]), which delegates to the frozen
+//! event queue runs dry — matching dense stuck detection. The reference
+//! mode ([`SimExecutor::use_dense_advance`]) delegates to the frozen
 //! pre-rewrite executor; the harness proves both modes produce
 //! byte-identical traces and summaries, and [`ExecCounters`] pins the
 //! structural claims (no O(N_gpus) rescan per event, no per-event heap
@@ -96,12 +95,14 @@
 //! * **Batched wake words** — wake/poll/pass sets are `u64` bitmask words;
 //!   all wakes of one timestamp coalesce into the words and drain in a
 //!   single ascending bit-scan.
-//! * **Pooled payloads** — route vectors for observer events come from a
-//!   reusable [`crate::obs::EventPool`]; trace spans stamp pre-interned
-//!   [`SymbolId`]s; routes and their simulator flight classes are cached
-//!   per (endpoint, endpoint) pair.
+//! * **Borrowed payloads** — routes are cached per (endpoint, endpoint)
+//!   pair as the slices [`Topology::route`] returns, with their lazily
+//!   registered simulator flight classes; observer events borrow those
+//!   slices and observers ask the done bitset directly, so an observed
+//!   run copies no executor state. Trace spans stamp pre-interned
+//!   [`SymbolId`]s.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use harmony_memory::{MemError, MemObserver, MemoryManager, Residency, TensorId};
@@ -114,7 +115,7 @@ use harmony_trace::{
     SpanKind, SymbolId, Trace,
 };
 
-use crate::obs::{EventPool, ExecContext, ExecEvent, ExecObserver, Fault, TimedFault};
+use crate::obs::{ExecContext, ExecEvent, ExecObserver, Fault, TimedFault};
 use crate::plan::{ExecutionPlan, WorkItem};
 use crate::slab::{Slab, SlabHandle};
 
@@ -450,8 +451,8 @@ enum Slot {
 /// path's `start_transfer` would create it — so flight-class ordering
 /// stays bit-identical.
 #[derive(Debug, Clone)]
-struct RouteEntry {
-    route: Vec<ChannelId>,
+struct RouteEntry<'a> {
+    route: &'a [ChannelId],
     class: Option<usize>,
 }
 
@@ -559,11 +560,9 @@ pub struct SimExecutor<'a> {
     next_compute_tag: u64,
     /// AllReduce barrier slots, indexed `iter * num_packs + pack`.
     collectives: Vec<CollSlot>,
-    /// Completed-task bitset, bit index = dep_ix(iter, replica, task).
+    /// Completed-task bitset, bit index = dep_ix(iter, replica, task);
+    /// it also answers [`ExecContext::done`].
     done_words: Vec<u64>,
-    /// Keyed mirror of the done set, maintained only while observers are
-    /// attached (it backs [`ExecContext::done`]).
-    done_mirror: HashSet<(u32, usize, TaskId)>,
     /// Words per GPU-bitmask (`ceil(num_queues / 64)`).
     wpg: usize,
     /// Dependency waiters: `wpg` words per (iter, replica, task) entry.
@@ -585,8 +584,6 @@ pub struct SimExecutor<'a> {
     counters: ExecCounters,
     trace: Trace,
     observers: Vec<Box<dyn ExecObserver>>,
-    /// Reusable payload buffers for observer events.
-    event_pool: EventPool,
     faults: Vec<TimedFault>,
     /// Per-GPU compute-rate multiplier (1.0 nominal), set by jitter faults.
     compute_rate: Vec<f64>,
@@ -595,12 +592,11 @@ pub struct SimExecutor<'a> {
     events_processed: u64,
     /// Cached routes (and lazily registered flight classes) per endpoint
     /// pair: host→GPU, GPU→host, and GPU→GPU (`src * n_topo + dst`).
-    routes_h2g: Vec<Option<RouteEntry>>,
-    routes_g2h: Vec<Option<RouteEntry>>,
-    routes_p2p: Vec<Option<RouteEntry>>,
+    routes_h2g: Vec<Option<RouteEntry<'a>>>,
+    routes_g2h: Vec<Option<RouteEntry<'a>>>,
+    routes_p2p: Vec<Option<RouteEntry<'a>>>,
     n_topo: usize,
     /// Dense-reference mode: delegate to the frozen reference executor.
-    #[cfg(feature = "dense_advance")]
     dense: bool,
     /// Graceful-degradation layer (DESIGN §10): when armed, post-fault
     /// capacity shortfalls spill-and-retry instead of aborting, and p2p
@@ -625,10 +621,8 @@ pub struct SimExecutor<'a> {
     /// the per-fetch planning path allocates nothing (DESIGN §13).
     evict_scratch: Vec<TensorId>,
     /// Sabotage: silently skip the next tensor-waiter registration.
-    #[cfg(feature = "mutation_hooks")]
     drop_one_wake: bool,
     /// Sabotage: flip a generation bit on the next transfer completion.
-    #[cfg(feature = "mutation_hooks")]
     corrupt_one_gen: bool,
     /// Wall-clock seconds spent constructing this executor (arenas,
     /// registration, queue compilation), plus any planning time added via
@@ -905,7 +899,6 @@ impl<'a> SimExecutor<'a> {
             next_compute_tag: 0,
             collectives,
             done_words,
-            done_mirror: HashSet::new(),
             wpg,
             dep_w,
             dep_live: 0,
@@ -919,7 +912,6 @@ impl<'a> SimExecutor<'a> {
             counters,
             trace,
             observers: Vec::new(),
-            event_pool: EventPool::default(),
             faults: Vec::new(),
             compute_rate: vec![1.0; num_gpus],
             event_budget: None,
@@ -928,7 +920,6 @@ impl<'a> SimExecutor<'a> {
             routes_g2h: vec![None; num_gpus],
             routes_p2p: vec![None; num_gpus * num_gpus],
             n_topo: num_gpus,
-            #[cfg(feature = "dense_advance")]
             dense: false,
             resilience: false,
             resilience_seed: 0,
@@ -939,9 +930,7 @@ impl<'a> SimExecutor<'a> {
             reroute_attempts: HashMap::new(),
             res_outcome: ResilienceOutcome::default(),
             evict_scratch: Vec::new(),
-            #[cfg(feature = "mutation_hooks")]
             drop_one_wake: false,
-            #[cfg(feature = "mutation_hooks")]
             corrupt_one_gen: false,
             setup_secs: setup_start.elapsed().as_secs_f64(),
         })
@@ -965,18 +954,16 @@ impl<'a> SimExecutor<'a> {
     /// (the run delegates to the frozen pre-rewrite executor). The harness
     /// differential proves this mode and the default wake-set loop produce
     /// byte-identical traces and summaries.
-    #[cfg(feature = "dense_advance")]
     pub fn use_dense_advance(&mut self) {
         self.dense = true;
     }
 
     /// Routes every memory-manager operation through the frozen
-    /// pre-rewrite core (`harmony-memory`'s `dense_memory` reference
-    /// mode) — the memory analogue of
-    /// [`SimExecutor::use_dense_advance`]. The `harness::memdiff`
-    /// differential proves this mode and the default SoA/ordered-index
-    /// manager produce byte-identical traces and summaries.
-    #[cfg(feature = "dense_memory")]
+    /// pre-rewrite core ([`MemoryManager::convert_to_dense`]) — the
+    /// memory analogue of [`SimExecutor::use_dense_advance`]. The
+    /// `harness::memdiff` differential proves this mode and the default
+    /// SoA/ordered-index manager produce byte-identical traces and
+    /// summaries.
     pub fn use_dense_memory(&mut self) {
         self.mm.convert_to_dense();
     }
@@ -985,7 +972,6 @@ impl<'a> SimExecutor<'a> {
     /// silently skipped, exactly the bug class the wake-set loop can have
     /// (a stalled GPU never re-advanced). The execdiff differential must
     /// flag the resulting divergence (a stuck run or a trace mismatch).
-    #[cfg(feature = "mutation_hooks")]
     pub fn arm_drop_wake(&mut self) {
         self.drop_one_wake = true;
     }
@@ -995,7 +981,6 @@ impl<'a> SimExecutor<'a> {
     /// flipped, simulating a use-after-free of the record slot. The
     /// generational index must surface this as a typed
     /// [`ExecError::Slab`] stale-handle error, never a silent misread.
-    #[cfg(feature = "mutation_hooks")]
     pub fn arm_corrupt_slab_generation(&mut self) {
         self.corrupt_one_gen = true;
     }
@@ -1052,70 +1037,41 @@ impl<'a> SimExecutor<'a> {
         &self.sim
     }
 
-    /// Notifies observers of `event`; no-op (and no allocation) when none
-    /// are attached.
-    fn emit(&mut self, event: ExecEvent) {
+    /// Notifies observers of `event`; no-op when none are attached.
+    fn emit(&mut self, event: ExecEvent<'_>) {
         self.emit_with(|| event);
     }
 
     /// Like [`Self::emit`], but the event is only *constructed* when an
-    /// observer is attached — callers with allocating payloads (route
-    /// vectors) pay nothing on unobserved runs.
-    fn emit_with(&mut self, make: impl FnOnce() -> ExecEvent) {
+    /// observer is attached, so unobserved runs pay only the `is_empty`
+    /// branch. Observers see the executor's own done bitset through
+    /// [`ExecContext::done`]; a tuple outside the plan's index space is
+    /// reported not done.
+    fn emit_with<'e>(&mut self, make: impl FnOnce() -> ExecEvent<'e>) {
         if self.observers.is_empty() {
             return;
         }
         let event = make();
         let mut obs = std::mem::take(&mut self.observers);
         {
+            let this = &*self;
+            let done = |iter: u32, replica: usize, task: TaskId| {
+                iter < this.iterations
+                    && replica < this.ks.rslots
+                    && task < this.num_tasks
+                    && this.is_done(iter, replica, task)
+            };
             let ctx = ExecContext {
-                plan: self.plan,
-                mm: &self.mm,
-                sim: &self.sim,
-                done: &self.done_mirror,
+                plan: this.plan,
+                mm: &this.mm,
+                sim: &this.sim,
+                done: &done,
             };
             for o in &mut obs {
                 o.on_event(&ctx, &event);
             }
         }
         self.observers = obs;
-    }
-
-    /// Emits [`ExecEvent::TransferIssued`] for a transfer just started on
-    /// `sel`'s cached route. The route payload comes from (and returns to)
-    /// the event pool, so observed runs do not allocate per transfer
-    /// either; unobserved runs pay only the `is_empty` branch.
-    fn emit_transfer_issued(&mut self, sel: RouteSel, bytes: u64) {
-        if self.observers.is_empty() {
-            return;
-        }
-        let mut route = self.event_pool.take_route();
-        {
-            let entry = match sel {
-                RouteSel::HostToGpu(g) => self.routes_h2g[g].as_ref(),
-                RouteSel::GpuToHost(g) => self.routes_g2h[g].as_ref(),
-                RouteSel::P2p(s, d) => self.routes_p2p[s * self.n_topo + d].as_ref(),
-            }
-            .expect("invariant: start_on cached this route before emitting");
-            route.extend_from_slice(&entry.route);
-        }
-        let event = ExecEvent::TransferIssued { route, bytes };
-        let mut obs = std::mem::take(&mut self.observers);
-        {
-            let ctx = ExecContext {
-                plan: self.plan,
-                mm: &self.mm,
-                sim: &self.sim,
-                done: &self.done_mirror,
-            };
-            for o in &mut obs {
-                o.on_event(&ctx, &event);
-            }
-        }
-        self.observers = obs;
-        if let ExecEvent::TransferIssued { route, .. } = event {
-            self.event_pool.reclaim_route(route);
-        }
     }
 
     /// Starts a transfer over the cached route for `sel`, registering the
@@ -1124,16 +1080,16 @@ impl<'a> SimExecutor<'a> {
     /// ordering is bit-identical). Zero-byte transfers keep the immediate
     /// path of `start_transfer`. Route errors are not cached: a failing
     /// pair re-surfaces its topology error on every attempt, like the
-    /// reference.
+    /// reference. Returns the transfer with its route.
     fn start_on(
         &mut self,
         sel: RouteSel,
         bytes: u64,
         tag: u64,
         lane: u32,
-    ) -> Result<TransferId, ExecError> {
+    ) -> Result<(TransferId, &'a [ChannelId]), ExecError> {
+        let topo: &'a Topology = self.topo;
         let Self {
-            topo,
             sim,
             routes_h2g,
             routes_g2h,
@@ -1141,7 +1097,7 @@ impl<'a> SimExecutor<'a> {
             n_topo,
             ..
         } = self;
-        let slot: &mut Option<RouteEntry> = match sel {
+        let slot: &mut Option<RouteEntry<'a>> = match sel {
             RouteSel::HostToGpu(g) => &mut routes_h2g[g],
             RouteSel::GpuToHost(g) => &mut routes_g2h[g],
             RouteSel::P2p(s, d) => &mut routes_p2p[s * *n_topo + d],
@@ -1152,22 +1108,23 @@ impl<'a> SimExecutor<'a> {
                 RouteSel::GpuToHost(g) => (Endpoint::Gpu(g), Endpoint::Host),
                 RouteSel::P2p(s, d) => (Endpoint::Gpu(s), Endpoint::Gpu(d)),
             };
-            let route = topo.route(a, b)?.to_vec();
+            let route = topo.route(a, b)?;
             *slot = Some(RouteEntry { route, class: None });
         }
         let entry = slot.as_mut().expect("invariant: populated just above");
+        let route = entry.route;
         if bytes == 0 {
-            return Ok(sim.start_transfer(&entry.route, 0, tag, lane)?);
+            return Ok((sim.start_transfer(route, 0, tag, lane)?, route));
         }
         let class = match entry.class {
             Some(c) => c,
             None => {
-                let c = sim.register_route_class(&entry.route)?;
+                let c = sim.register_route_class(route)?;
                 entry.class = Some(c);
                 c
             }
         };
-        Ok(sim.start_transfer_on_class(class, bytes, tag, lane)?)
+        Ok((sim.start_transfer_on_class(class, bytes, tag, lane)?, route))
     }
 
     /// Pools a [`PendingTransfer`] record, starts the transfer with the
@@ -1193,13 +1150,13 @@ impl<'a> SimExecutor<'a> {
             label,
         });
         match self.start_on(sel, bytes, h.to_bits(), lane as u32) {
-            Ok(xfer) => {
+            Ok((xfer, route)) => {
                 self.transfers
                     .get_mut(h)
                     .expect("invariant: inserted just above")
                     .xfer = xfer;
                 self.mutations += 1;
-                self.emit_transfer_issued(sel, bytes);
+                self.emit_with(|| ExecEvent::TransferIssued { route, bytes });
                 Ok(xfer)
             }
             Err(e) => {
@@ -1255,14 +1212,9 @@ impl<'a> SimExecutor<'a> {
         self.done_words[ix / 64] & (1u64 << (ix % 64)) != 0
     }
 
-    /// Marks a task done; the keyed mirror (for observers) is maintained
-    /// only while observers are attached.
     fn set_done(&mut self, iter: u32, replica: usize, task: TaskId) {
         let ix = self.dep_ix(iter, replica, task);
         self.done_words[ix / 64] |= 1u64 << (ix % 64);
-        if !self.observers.is_empty() {
-            self.done_mirror.insert((iter, replica, task));
-        }
     }
 
     /// Marks `g` as unblockable. During a pass, GPUs above the one
@@ -1336,7 +1288,6 @@ impl<'a> SimExecutor<'a> {
 
     /// Registers `g` as stalled on tensor `id` (moving / pinned elsewhere).
     fn register_tensor_waiter(&mut self, g: usize, id: TensorId) {
-        #[cfg(feature = "mutation_hooks")]
         if self.drop_one_wake {
             self.drop_one_wake = false;
             return;
@@ -1725,7 +1676,6 @@ impl<'a> SimExecutor<'a> {
     /// structural [`ExecCounters`]. Dense-reference mode is delegated to
     /// the frozen executor.
     pub fn run_counted(mut self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
-        #[cfg(feature = "dense_advance")]
         if self.dense {
             return self.run_dense();
         }
@@ -1875,7 +1825,6 @@ impl<'a> SimExecutor<'a> {
     /// reference keeps the old keyed-map internals verbatim, so the
     /// execdiff differential compares the slab/SoA engine against true
     /// reference semantics, not a re-skin of itself.
-    #[cfg(feature = "dense_advance")]
     fn run_dense(mut self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         let mut r = crate::dense::ReferenceExecutor::with_iterations(
             self.topo,
@@ -2599,7 +2548,6 @@ impl<'a> SimExecutor<'a> {
                 self.wake(gpu);
             }
             Completion::Transfer { id, tag } => {
-                #[cfg(feature = "mutation_hooks")]
                 let tag = if self.corrupt_one_gen {
                     self.corrupt_one_gen = false;
                     tag ^ (1 << 32)
@@ -2883,8 +2831,7 @@ mod tests {
     }
 
     /// Satellite of the wake-set rework: with zero observers attached,
-    /// `emit_with` must not even *construct* the event (no boxing, no
-    /// route-vector clones on the hot path).
+    /// `emit_with` must not even *construct* the event.
     #[test]
     fn emit_with_skips_event_construction_without_observers() {
         let model = tiny_model();
@@ -2906,7 +2853,7 @@ mod tests {
         #[derive(Debug)]
         struct Counter(std::rc::Rc<std::cell::Cell<u32>>);
         impl ExecObserver for Counter {
-            fn on_event(&mut self, _ctx: &ExecContext<'_>, _event: &ExecEvent) {
+            fn on_event(&mut self, _ctx: &ExecContext<'_>, _event: &ExecEvent<'_>) {
                 self.0.set(self.0.get() + 1);
             }
         }

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-#[cfg(feature = "dense_advance")]
 pub(crate) mod dense;
 pub mod dp;
 pub mod exec;

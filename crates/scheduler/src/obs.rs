@@ -7,6 +7,11 @@
 //! harness's invariant oracles: production runs attach none and pay one
 //! branch per event.
 //!
+//! Observers read the executor's own state rather than copies of it:
+//! [`ExecContext::done`] asks the executor's completed-task set, and
+//! [`ExecEvent::TransferIssued`] borrows its route instead of owning a
+//! copy.
+//!
 //! [`Fault`]s are deterministic, timed perturbations applied through the
 //! simulator's event queue: each [`TimedFault`] schedules a timer, and
 //! when it fires the executor degrades a link, squeezes a device's
@@ -14,8 +19,6 @@
 //! deterministic for a fixed fault list.
 //!
 //! [`SimExecutor`]: crate::SimExecutor
-
-use std::collections::HashSet;
 
 use harmony_memory::MemoryManager;
 use harmony_simulator::Simulator;
@@ -70,15 +73,17 @@ pub struct ExecContext<'c> {
     pub mm: &'c MemoryManager,
     /// The simulator.
     pub sim: &'c Simulator,
-    /// Completed tasks, keyed by `(iteration, replica, task)`.
-    pub done: &'c HashSet<(u32, usize, TaskId)>,
+    /// Whether task `(iteration, replica, task)` has completed, answered
+    /// from the executor's own completed-task set.
+    pub done: &'c dyn Fn(u32, usize, TaskId) -> bool,
 }
 
-/// An executor state transition.
+/// An executor state transition. `'r` is the lifetime of the route an
+/// [`ExecEvent::TransferIssued`] borrows.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExecEvent {
+pub enum ExecEvent<'r> {
     /// A task's kernel was submitted to its GPU (all inputs resident and
-    /// pinned; dependencies must already be in `ctx.done`).
+    /// pinned; `ctx.done` must already hold for every dependency).
     TaskStarted {
         /// GPU running the kernel.
         gpu: usize,
@@ -104,7 +109,7 @@ pub enum ExecEvent {
     /// A transfer was handed to the simulator.
     TransferIssued {
         /// Ordered channels of the route.
-        route: Vec<ChannelId>,
+        route: &'r [ChannelId],
         /// Payload bytes.
         bytes: u64,
     },
@@ -139,35 +144,5 @@ pub enum ExecEvent {
 /// Receives executor state transitions. See module docs.
 pub trait ExecObserver: std::fmt::Debug {
     /// Called after each transition; `ctx` reflects the state *after* it.
-    fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent);
-}
-
-/// A reuse pool for heap-carrying [`ExecEvent`] payloads.
-///
-/// Events are delivered to observers by reference and dropped after
-/// dispatch, so any buffer inside one (today: the route vector of
-/// [`ExecEvent::TransferIssued`]) can be recycled instead of reallocated
-/// per event. The executor takes a cleared buffer before constructing the
-/// event and reclaims it after dispatch; with zero observers attached no
-/// event is built and the pool is never touched. Capacity is retained
-/// across reuse, so a steady-state observed run performs no per-event
-/// heap allocation for event payloads.
-#[derive(Debug, Default)]
-pub struct EventPool {
-    routes: Vec<Vec<ChannelId>>,
-}
-
-impl EventPool {
-    /// Takes an empty route buffer out of the pool (allocating only when
-    /// the pool is dry — the first few events of a run).
-    pub fn take_route(&mut self) -> Vec<ChannelId> {
-        self.routes.pop().unwrap_or_default()
-    }
-
-    /// Returns a route buffer to the pool, clearing it but keeping its
-    /// capacity for the next event.
-    pub fn reclaim_route(&mut self, mut route: Vec<ChannelId>) {
-        route.clear();
-        self.routes.push(route);
-    }
+    fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent<'_>);
 }

@@ -903,3 +903,78 @@ fn network_completions_never_enter_the_event_heap() {
         summary.events_processed
     );
 }
+
+/// Observers read the executor's own completed-task set through
+/// `ExecContext::done`: at every `TaskStarted` the task is not done and
+/// every dependency is, and at every `TaskFinished` the task is done.
+/// Checked on both event loops over a 2-GPU, 2-iteration harmony-dp run.
+#[test]
+fn done_predicate_tracks_task_lifecycle_on_both_loops() {
+    use harmony_sched::{ExecContext, ExecEvent, ExecObserver};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    #[derive(Debug)]
+    struct DoneProbe {
+        started: Rc<Cell<usize>>,
+        finished: Rc<Cell<usize>>,
+    }
+    impl ExecObserver for DoneProbe {
+        fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent<'_>) {
+            match *event {
+                ExecEvent::TaskStarted {
+                    iter,
+                    replica,
+                    task,
+                    ..
+                } => {
+                    self.started.set(self.started.get() + 1);
+                    assert!(
+                        !(ctx.done)(iter, replica, task),
+                        "task {task} (iter {iter}, replica {replica}) done at its start"
+                    );
+                    for &dep in ctx.plan.graph.deps(task) {
+                        assert!(
+                            (ctx.done)(iter, replica, dep),
+                            "task {task} (iter {iter}, replica {replica}) started \
+                             before dependency {dep} was done"
+                        );
+                    }
+                }
+                ExecEvent::TaskFinished {
+                    iter,
+                    replica,
+                    task,
+                    ..
+                } => {
+                    self.finished.set(self.finished.get() + 1);
+                    assert!(
+                        (ctx.done)(iter, replica, task),
+                        "task {task} (iter {iter}, replica {replica}) not done at its finish"
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let model = uniform_model(LAYERS, PARAMS);
+    let topo = pressured_topo(2, GPU_MEM);
+    let plan = plan_harmony_dp(&model, 2, &workload(2)).unwrap();
+    let tasks = 2 * plan.replicas * plan.graph.num_tasks();
+    for dense in [false, true] {
+        let started = Rc::new(Cell::new(0));
+        let finished = Rc::new(Cell::new(0));
+        let mut ex = SimExecutor::with_iterations(&topo, &model, &plan, 2).unwrap();
+        if dense {
+            ex.use_dense_advance();
+        }
+        ex.attach_observer(Box::new(DoneProbe {
+            started: started.clone(),
+            finished: finished.clone(),
+        }));
+        ex.run().unwrap();
+        assert_eq!(started.get(), tasks, "dense loop: {dense}");
+        assert_eq!(finished.get(), tasks, "dense loop: {dense}");
+    }
+}

@@ -6,24 +6,37 @@
 //! It is also a structural gate: the script submits only transfers, so
 //! it exits 1 unless no event-heap entry was pushed (every completion
 //! came from the network candidate) and the candidate was refreshed at
-//! most once per `next()` call.
+//! most once per `next()` call. A closed stdout only stops the report:
+//! the gate still sets the exit status.
 //!
 //! Usage: `cargo run --release -p harmony-simulator --example net_stress
-//! [transfers] [waves]`
+//! [transfers] [waves]` — both positive integers (default 256 and 8); any
+//! other value exits 2 naming the argument.
+
+use std::io::Write;
 
 use harmony_simulator::Simulator;
 use harmony_topology::presets::{commodity_server, CommodityParams, GBPS};
 use harmony_topology::Endpoint;
 
+/// Positional argument `index`, named `name`, as a positive integer
+/// (`default` when absent); any other value exits 2 naming it.
+fn positive_arg(index: usize, name: &str, default: usize) -> usize {
+    let Some(s) = std::env::args().nth(index) else {
+        return default;
+    };
+    match s.parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => {
+            eprintln!("net_stress: {name} takes a positive integer, got `{s}`");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
-    let transfers: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256);
-    let waves: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let transfers = positive_arg(1, "transfers", 256);
+    let waves = positive_arg(2, "waves", 8);
     let gpus = 8;
     let topo = commodity_server(CommodityParams {
         num_gpus: gpus,
@@ -63,16 +76,20 @@ fn main() {
         }
     }
     let secs = start.elapsed().as_secs_f64();
-    println!(
+    let c = s.net_counters();
+    // A reader that closed the pipe early gets no report; write errors
+    // are dropped so the gate below still decides the exit status.
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(
+        out,
         "net_stress: {} transfers x {} waves, {} completions, {:.3} s wall, {:.0} events/s",
         transfers,
         waves,
         events,
         secs,
         events as f64 / secs
-    );
-    let c = s.net_counters();
-    println!("counters: {c:?}, next() calls: {next_calls}");
+    )
+    .and_then(|()| writeln!(out, "counters: {c:?}, next() calls: {next_calls}"));
     if c.heap_pushes != 0 || c.candidate_refreshes > next_calls {
         eprintln!(
             "net_stress: {} event-heap pushes (want 0) and {} candidate refreshes \

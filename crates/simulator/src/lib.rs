@@ -61,9 +61,8 @@
 //! over every in-flight transfer (progress advance, rate recompute,
 //! completion min-scan).
 //!
-//! A `dense_reference` mode (behind the `dense_reference` feature, and
-//! always available to in-crate tests) ignores the conflict and occupied
-//! sets: it re-derives **every** occupied flight's rate on every network
+//! A dense-reference mode ([`Simulator::new_dense_reference`]) ignores
+//! the conflict and occupied sets: it re-derives **every** occupied flight's rate on every network
 //! event and scans every flight for the next completion — the
 //! full-rescan structure of the previous engine. Both modes share
 //! the same per-flight arithmetic, and a flight whose re-derived rate is
@@ -383,7 +382,7 @@ impl NetCandidate {
 /// The discrete-event engine. See module docs.
 #[derive(Debug)]
 pub struct Simulator {
-    /// `dense_reference` mode: every network event re-derives every
+    /// Dense-reference mode: every network event re-derives every
     /// occupied flight and scans every flight (full rescan, the previous
     /// engine's structure) instead of consulting the conflict and
     /// occupied sets. Same arithmetic, same traces — the differential
@@ -449,11 +448,10 @@ impl Simulator {
         Self::with_mode(topology, false)
     }
 
-    /// Creates a simulator in `dense_reference` mode: the previous
+    /// Creates a simulator in dense-reference mode: the previous
     /// engine's full-rescan structure (every network event re-derives
     /// every occupied flight) with identical per-flight arithmetic, used
     /// as the differential oracle against the indexed fast path.
-    #[cfg(any(test, feature = "dense_reference"))]
     pub fn new_dense_reference(topology: &Topology) -> Self {
         Self::with_mode(topology, true)
     }
@@ -496,14 +494,6 @@ impl Simulator {
     /// Number of bandwidth channels.
     pub fn num_channels(&self) -> usize {
         self.channel_bw.len()
-    }
-
-    /// Current bandwidth of a channel (bytes/sec).
-    pub fn channel_bandwidth(&self, channel: ChannelId) -> Result<f64, SimError> {
-        self.channel_bw
-            .get(channel)
-            .copied()
-            .ok_or(SimError::UnknownChannel(channel))
     }
 
     /// Changes a channel's bandwidth at the current virtual time (fault

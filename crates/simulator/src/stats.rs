@@ -20,14 +20,6 @@ impl SimStats {
             channel_busy_secs: vec![0.0; channels],
         }
     }
-
-    /// Utilisation of GPU `g` over a horizon of `total_secs`.
-    pub fn gpu_utilisation(&self, g: usize, total_secs: f64) -> f64 {
-        if total_secs <= 0.0 {
-            return 0.0;
-        }
-        self.gpu_busy_secs.get(g).copied().unwrap_or(0.0) / total_secs
-    }
 }
 
 /// Diagnostic counters of the network core. These are *structural*
@@ -81,14 +73,5 @@ mod tests {
         let s = SimStats::new(2, 3);
         assert_eq!(s.gpu_busy_secs, vec![0.0, 0.0]);
         assert_eq!(s.channel_bytes, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn utilisation_handles_edges() {
-        let mut s = SimStats::new(1, 0);
-        s.gpu_busy_secs[0] = 2.0;
-        assert_eq!(s.gpu_utilisation(0, 4.0), 0.5);
-        assert_eq!(s.gpu_utilisation(0, 0.0), 0.0);
-        assert_eq!(s.gpu_utilisation(9, 4.0), 0.0);
     }
 }

@@ -6,7 +6,7 @@
 //! direction per pair. The *ratios* (oversubscription, p2p vs host path)
 //! are what drive the reproduced results.
 
-use crate::{Endpoint, GpuId, GpuSpec, Topology, TopologyBuilder, TopologyError};
+use crate::{Endpoint, GpuSpec, Topology, TopologyBuilder, TopologyError};
 
 /// 1 GiB.
 pub const GIB: u64 = 1 << 30;
@@ -182,11 +182,6 @@ pub fn dgx1_like() -> Topology {
         }
     }
     b.build().expect("static preset is valid")
-}
-
-/// Utility: all GPU ids of a topology.
-pub fn all_gpus(t: &Topology) -> Vec<GpuId> {
-    (0..t.num_gpus()).collect()
 }
 
 #[cfg(test)]
