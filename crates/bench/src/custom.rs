@@ -41,12 +41,11 @@ pub struct CustomArgs {
 }
 
 impl CustomArgs {
-    /// Parses `custom` flags through [`cli::CUSTOM`]; the error is the
-    /// diagnostic to print before exiting 2. Absent flags keep the
-    /// defaults: `bert_xxl`, `harmony-pp`, 4 × 11 GiB GPUs,
+    /// Reads `custom` flags already parsed against [`cli::CUSTOM`]; the
+    /// error is the diagnostic to print before exiting 2. Absent flags
+    /// keep the defaults: `bert_xxl`, `harmony-pp`, 4 × 11 GiB GPUs,
     /// [`WorkloadConfig::default`], one iteration.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        let p = cli::parse(&cli::CUSTOM, args)?;
+    pub fn from_flags(p: &cli::Parsed) -> Result<Self, String> {
         let count = |name: &str, default: usize| p.value(name).map_or(default, |v| v as usize);
         let base = WorkloadConfig::default();
         let workload = WorkloadConfig {
@@ -184,17 +183,19 @@ pub fn run(args: &CustomArgs) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_string).collect()
+    /// `custom` arguments `s` through the command's grammar.
+    fn parse(s: &str) -> Result<CustomArgs, String> {
+        let args: Vec<String> = s.split_whitespace().map(str::to_string).collect();
+        CustomArgs::from_flags(&cli::parse(&cli::CUSTOM, &args)?)
     }
 
     #[test]
     fn parse_roundtrips_flags() {
-        let a = CustomArgs::from_args(&argv(
+        let a = parse(
             "--model gpt_10b --scheme harmony-pp --gpus 2 --mem-gib 8.5 --microbatches 3 \
              --ubatch 2 --pack 2 --group 2 --opt-slots 0 --recompute --prefetch \
              --iterations 2 --gantt",
-        ))
+        )
         .unwrap();
         assert_eq!(a.model, "gpt_10b");
         assert_eq!(a.run.scheme, SchemeKind::HarmonyPp);
@@ -217,7 +218,7 @@ mod tests {
             "--gpus",
             "--mem-gib 8 --mem-gib",
         ] {
-            assert!(CustomArgs::from_args(&argv(bad)).is_err(), "{bad}");
+            assert!(parse(bad).is_err(), "{bad}");
         }
         for (bad, flag) in [
             ("--group 0", "--group"),
@@ -231,7 +232,7 @@ mod tests {
             ("--mem-gib 1e-12", "--mem-gib"),
             ("--mem-gib 1e30", "--mem-gib"),
         ] {
-            let e = CustomArgs::from_args(&argv(bad)).unwrap_err();
+            let e = parse(bad).unwrap_err();
             assert!(e.contains(flag), "{bad}: {e}");
         }
     }
@@ -239,10 +240,10 @@ mod tests {
     #[test]
     fn parse_accepts_every_shared_scheme_name() {
         for scheme in SchemeKind::ALL {
-            let a = CustomArgs::from_args(&argv(&format!("--scheme {}", scheme.name()))).unwrap();
+            let a = parse(&format!("--scheme {}", scheme.name())).unwrap();
             assert_eq!(a.run.scheme, scheme);
         }
-        let e = CustomArgs::from_args(&argv("--scheme pipe-1f2b")).unwrap_err();
+        let e = parse("--scheme pipe-1f2b").unwrap_err();
         assert!(
             e.contains("baseline-dp|baseline-pp|harmony-dp|harmony-pp|pipe-1f1b"),
             "{e}"
@@ -255,7 +256,7 @@ mod tests {
         for (name, _) in MODELS {
             assert!(resolve_model(name).is_ok(), "{name}");
             assert!(usage().contains(name), "usage must list {name}");
-            let a = CustomArgs::from_args(&argv(&format!("--model {name}"))).unwrap();
+            let a = parse(&format!("--model {name}")).unwrap();
             assert_eq!(a.model, name);
         }
         assert!(resolve_model("skynet").is_err());
@@ -263,10 +264,7 @@ mod tests {
 
     #[test]
     fn custom_run_end_to_end() {
-        let mut args = CustomArgs::from_args(&argv(
-            "--model lenet --scheme harmony-dp --gpus 2 --ubatch 1",
-        ))
-        .unwrap();
+        let mut args = parse("--model lenet --scheme harmony-dp --gpus 2 --ubatch 1").unwrap();
         args.run.workload.microbatches = 1;
         let report = run(&args).unwrap();
         assert!(report.contains("lenet"));

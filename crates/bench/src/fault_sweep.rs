@@ -138,7 +138,7 @@ impl FaultSweepReport {
 /// over 90% of its simulated duration so every fault lands mid-run.
 pub fn run(seed: u64) -> FaultSweepReport {
     let model = workloads::uniform_model(6, 4096);
-    let topo = workloads::pressured_topo(2);
+    let topo = workloads::slack_topo(2);
     // Adam-state workload: a layer's update working set (weights, grads,
     // two optimizer slots — 64 KiB) sits close to the 96 KiB capacity, so
     // the generator's capacity squeezes (to 60–95% of nominal) can push

@@ -725,7 +725,7 @@ pub fn recompute_ablation() -> (String, Vec<(usize, RunSummary, RunSummary)>) {
 pub fn eviction_ablation() -> (String, Vec<(String, u64)>) {
     use harmony_sched::PolicyKind;
     let model = workloads::uniform_model(8, 4096);
-    let topo = workloads::pressured_topo(2);
+    let topo = workloads::slack_topo(2);
     let w = workloads::uniform_workload(3);
     let mut t = Table::new(
         "Ablation — eviction policy under the Harmony-DP schedule",

@@ -1,16 +1,20 @@
-//! The same-moment perf smokes behind `repro exec-smoke` and `repro
-//! mem-smoke`.
+//! The hot-path smokes behind `repro exec-smoke`, `repro mem-smoke` and
+//! `repro net-smoke`.
 //!
-//! Each smoke times a default path against a reference path in one
-//! process, interleaved pair by pair, so its gate is a ratio that host
-//! weather cannot move. Absolute throughput is printed as a record only;
-//! the end-to-end perf record of the repo is the `e2ebench/` benchmark.
+//! The exec and mem smokes time a default path against a reference path
+//! in one process, interleaved pair by pair, so their gate is a ratio
+//! that host weather cannot move. The net smoke gates structural
+//! counters only. Absolute throughput is printed as a record only; the
+//! end-to-end perf record of the repo is the `e2ebench/` benchmark.
 
 use harmony::prelude::*;
 use harmony::simulate::SchemeKind;
 use harmony_sched::SimExecutor;
+use harmony_simulator::Simulator;
+use harmony_topology::Endpoint;
 use harmony_trace::summary::MemPlanningCounters;
 
+use crate::cli::Outcome;
 use crate::workloads;
 
 /// Events/second of one hot-path grid cell on the default executor and
@@ -77,20 +81,15 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// The executor scaling grid of `repro exec-smoke --grid`:
-/// `(layers R, microbatches m, gpus N, iterations)`. Event counts grow
-/// roughly with R × m × N × iterations, so per-event scheduling cost
-/// shows up as a falling events/s curve when it is super-constant.
-pub const EXEC_HOT_PATH_SCALES: [(usize, usize, usize, u32); 4] =
-    [(6, 4, 2, 2), (8, 8, 4, 2), (12, 16, 4, 4), (16, 32, 8, 4)];
-
-/// The memory-manager scaling grid of `repro mem-smoke --grid`: the same
-/// `(layers R, microbatches m, gpus N, iterations)` cells as
-/// [`EXEC_HOT_PATH_SCALES`], so the two hot paths stay comparable. The
-/// tight-memory server keeps every cell under constant eviction
-/// pressure — each fetch decision exercises `plan_fetch`/`make_room`,
-/// which is what this sweep times.
-pub const MEM_HOT_PATH_SCALES: [(usize, usize, usize, u32); 4] =
+/// The scaling grid of `repro exec-smoke --grid` and `repro mem-smoke
+/// --grid`: `(layers R, microbatches m, gpus N, iterations)`. Event
+/// counts grow roughly with R × m × N × iterations, so per-event
+/// scheduling or planning cost shows up as a falling events/s curve when
+/// it is super-constant. The tight-memory server keeps every cell under
+/// constant eviction pressure, so each fetch decision exercises
+/// `plan_fetch`/`make_room`. Without `--grid` a smoke times only the
+/// last, largest cell.
+pub const HOT_PATH_SCALES: [(usize, usize, usize, u32); 4] =
     [(6, 4, 2, 2), (8, 8, 4, 2), (12, 16, 4, 4), (16, 32, 8, 4)];
 
 /// Times two legs of one measurement pair by pair and returns each
@@ -201,8 +200,8 @@ fn time_against_reference(
 /// the dense reference loop (`SimExecutor::use_dense_advance`) with the
 /// default leg always first in each pair. Every swap/fetch/compute
 /// decision flows through the executor's event loop, so events/s here
-/// measures per-event *scheduling* cost (the `net_stress` example of
-/// `harmony-simulator` covers the network core).
+/// measures per-event *scheduling* cost (`repro net-smoke` covers the
+/// network core).
 pub fn exec_hot_path(
     scheme: SchemeKind,
     layers: usize,
@@ -220,15 +219,6 @@ pub fn exec_hot_path(
         |exec| exec.use_dense_advance(),
         false,
     )
-}
-
-/// Runs the executor hot path of `scheme` at every
-/// [`EXEC_HOT_PATH_SCALES`] point.
-pub fn exec_hot_path_scaling(scheme: SchemeKind) -> Vec<HotPathTiming> {
-    EXEC_HOT_PATH_SCALES
-        .iter()
-        .map(|&(r, m, n, it)| exec_hot_path(scheme, r, m, n, it))
-        .collect()
 }
 
 /// Times the memory-manager hot path: the identical Harmony-PP run as
@@ -258,10 +248,219 @@ pub fn mem_hot_path(
     )
 }
 
-/// Runs the memory hot path at every [`MEM_HOT_PATH_SCALES`] point.
-pub fn mem_hot_path_scaling() -> Vec<HotPathTiming> {
-    MEM_HOT_PATH_SCALES
-        .iter()
-        .map(|&(r, m, n, it)| mem_hot_path(r, m, n, it))
-        .collect()
+/// Shortest fast-leg wall clock (seconds) at which `exec-smoke` and
+/// `mem-smoke` gate a cell's speedup over its reference; shorter cells
+/// are too noisy to gate and are printed as records only.
+pub(crate) const GATE_MIN_SECS: f64 = 0.010;
+
+/// The gates of one hot-path smoke ([`HotPathGate::run`]).
+pub(crate) struct HotPathGate {
+    /// Prefix of each printed cell line.
+    name: &'static str,
+    /// What the reference leg is called in the printed lines.
+    reference: &'static str,
+    /// Least same-moment speedup over the reference on a gated cell.
+    min_speedup: f64,
+    /// The deterministic structural gate: the failure message, or `None`
+    /// when the cell passes.
+    structural: fn(&HotPathTiming, &str) -> Option<String>,
+}
+
+/// `exec-smoke`: the wake-set loop must beat the dense reference loop by
+/// 2x, and transfer-slab slots ever grown must be a vanishing fraction
+/// of events processed, or steady-state completions are allocating
+/// instead of recycling.
+pub(crate) const EXEC_GATE: HotPathGate = HotPathGate {
+    name: "exec",
+    reference: "dense",
+    min_speedup: 2.0,
+    structural: |p, cell| {
+        (p.slab_fresh_allocs * 8 > p.events).then(|| {
+            format!(
+                "slab pooling gate FAILED at cell {cell}: {} transfer slots grown \
+                 over {} events — the pool is allocating per event, not per plan",
+                p.slab_fresh_allocs, p.events,
+            )
+        })
+    },
+};
+
+/// `mem-smoke`: the rewritten memory manager must never run measurably
+/// slower than the frozen core it replaced, and planning must be
+/// allocation-free. `fresh_allocs` counts planning buffers the manager
+/// could not reuse — bounded by the device count, never by the plan
+/// count. A per-plan allocation regression shows up as thousands over a
+/// run.
+pub(crate) const MEM_GATE: HotPathGate = HotPathGate {
+    name: "mem",
+    reference: "dense core",
+    min_speedup: 1.0,
+    structural: |p, cell| {
+        (p.mem.fresh_allocs > p.gpus as u64 * 8).then(|| {
+            format!(
+                "allocation-free planning gate FAILED at cell {cell}: {} fresh \
+                 planning allocations on a {}-GPU server over {} events — the \
+                 hot path is allocating per plan, not reusing scratch",
+                p.mem.fresh_allocs, p.gpus, p.events,
+            )
+        })
+    },
+};
+
+impl HotPathGate {
+    /// Times every [`HOT_PATH_SCALES`] cell with `grid` (the largest
+    /// cell alone without), then gates the timings: the outcome prints
+    /// every cell and fails on any gate. The speedup gate compares
+    /// against the reference timed in the same process at the same
+    /// moment, but a sub-10 ms fast leg is dominated by timer and
+    /// scheduler noise, so only cells whose fast leg runs at least
+    /// [`GATE_MIN_SECS`] are gated; shorter cells are recorded, not
+    /// gated. Events/s is printed as a record only: an absolute floor is
+    /// hostage to host weather. The structural gate is deterministic and
+    /// applies to every cell.
+    pub(crate) fn run(
+        &self,
+        grid: bool,
+        time: impl Fn(usize, usize, usize, u32) -> HotPathTiming,
+    ) -> Outcome {
+        let cells = if grid {
+            &HOT_PATH_SCALES[..]
+        } else {
+            &HOT_PATH_SCALES[HOT_PATH_SCALES.len() - 1..]
+        };
+        let points: Vec<HotPathTiming> = cells
+            .iter()
+            .map(|&(r, m, n, it)| time(r, m, n, it))
+            .collect();
+        let per_event = |n: u64, p: &HotPathTiming| n as f64 / p.events.max(1) as f64;
+        let mut out = Outcome::default();
+        for p in &points {
+            out.line(format_args!(
+                "{}_hot_path R={} m={} N={} iters={}: {:.0} events/s \
+                 ({} events in {:.3} s; {} {:.0} events/s, {:.2}x speedup; \
+                 {} slab slots grown, {} fresh plan allocs, {:.3} membership ops/event, \
+                 {:.3} victims/event)",
+                self.name,
+                p.layers,
+                p.microbatches,
+                p.gpus,
+                p.iterations,
+                p.events_per_sec(),
+                p.events,
+                p.secs,
+                self.reference,
+                p.reference_events_per_sec(),
+                p.speedup(),
+                p.slab_fresh_allocs,
+                p.mem.fresh_allocs,
+                per_event(p.mem.index_ops, p),
+                per_event(p.mem.victim_pops, p),
+            ));
+        }
+        if points.iter().any(|p| p.events == 0 || p.secs <= 0.0) {
+            out.fail(format_args!(
+                "{} hot path produced no events or no wall clock",
+                self.name
+            ));
+            return out;
+        }
+        for p in &points {
+            let cell = format!(
+                "R={} m={} N={} iters={}",
+                p.layers, p.microbatches, p.gpus, p.iterations
+            );
+            if p.secs < GATE_MIN_SECS {
+                out.line(format_args!(
+                    "{} speedup at cell {cell}: {:.2}x vs {} (recorded, not gated: \
+                     fast leg {:.4} s < {GATE_MIN_SECS} s)",
+                    self.name,
+                    p.speedup(),
+                    self.reference,
+                    p.secs,
+                ));
+            } else if p.speedup() < self.min_speedup {
+                out.fail(format_args!(
+                    "{} perf gate FAILED at cell {cell}: {:.2}x vs {} \
+                     (need >= {:.1}x; fast {:.3} s, {} {:.3} s)",
+                    self.name,
+                    p.speedup(),
+                    self.reference,
+                    self.min_speedup,
+                    p.secs,
+                    self.reference,
+                    p.reference_secs,
+                ));
+            }
+            if let Some(msg) = (self.structural)(p, &cell) {
+                out.fail(msg);
+            }
+        }
+        out
+    }
+}
+
+/// `repro net-smoke`: the network hot path under many concurrent
+/// transfers over shared channels, timed in wall clock as a record.
+/// Each of `waves` waves starts `transfers` GPU→host transfers spread
+/// over an 8-GPU commodity server, then drains them with `next()`.
+///
+/// It is also a structural gate: the script submits only transfers, so
+/// it fails unless no event-heap entry was pushed (every completion
+/// came from the network candidate) and the candidate was refreshed at
+/// most once per `next()` call.
+pub(crate) fn net_smoke(transfers: usize, waves: usize) -> Outcome {
+    let gpus = 8;
+    let topo = presets::commodity_server(presets::CommodityParams {
+        num_gpus: gpus,
+        gpus_per_switch: 4,
+        pcie_bw: 12.0 * presets::GBPS,
+        host_uplink_bw: 12.0 * presets::GBPS,
+        gpu_mem: 11 << 30,
+        gpu_flops: 11e12,
+    })
+    .expect("valid params");
+    let routes: Vec<_> = (0..gpus)
+        .map(|g| {
+            topo.route(Endpoint::Gpu(g), Endpoint::Host)
+                .expect("every GPU routes to the host")
+        })
+        .collect();
+
+    let start = std::time::Instant::now();
+    let mut s = Simulator::new(&topo);
+    let (mut events, mut next_calls) = (0u64, 0u64);
+    for wave in 0..waves {
+        for i in 0..transfers {
+            let g = i % gpus;
+            // Varied sizes so completions interleave and every arrival /
+            // departure re-shares the bottleneck uplink.
+            let bytes = (1 + (i as u64 % 17)) * 100_000_000;
+            s.start_transfer(routes[g], bytes, (wave * transfers + i) as u64, g as u32)
+                .expect("transfer");
+        }
+        loop {
+            next_calls += 1;
+            if s.next().is_none() {
+                break;
+            }
+            events += 1;
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    let c = s.net_counters();
+    let mut out = Outcome::default();
+    out.line(format_args!(
+        "net-smoke: {transfers} transfers x {waves} waves, {events} completions, \
+         {secs:.3} s wall, {:.0} events/s",
+        events as f64 / secs
+    ));
+    out.line(format_args!("counters: {c:?}, next() calls: {next_calls}"));
+    if c.heap_pushes != 0 || c.candidate_refreshes > next_calls {
+        out.fail(format_args!(
+            "net-smoke: {} event-heap pushes (want 0) and {} candidate refreshes \
+             for {next_calls} next() calls (want at most one each)",
+            c.heap_pushes, c.candidate_refreshes
+        ));
+    }
+    out
 }

@@ -4,7 +4,7 @@
 //! conformance harness's own.
 
 use harmony::prelude::*;
-pub use harmony_harness::workloads::{tight_topo, tight_workload, uniform_model};
+pub use harmony_harness::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
 
 /// The Fig 2 workload: a BERT-style model whose training footprint exceeds
 /// the aggregate memory of four 11 GB GPUs, trained with the paper's
@@ -32,21 +32,6 @@ pub fn fig2_workload() -> WorkloadConfig {
 /// the paper's `(4m+2)N|W|` vs `3N|W|` vs `3|W|` analysis assumes).
 pub fn analytical_model() -> ModelSpec {
     TransformerConfig::gpt_10b().build()
-}
-
-/// A small pressured server for the uniform-model cross-checks: capacity
-/// holds roughly one task working set (the paper's one-layer-at-a-time
-/// assumption).
-pub fn pressured_topo(n: usize) -> Topology {
-    presets::commodity_server(presets::CommodityParams {
-        num_gpus: n,
-        gpus_per_switch: n.max(1),
-        pcie_bw: presets::GBPS,
-        host_uplink_bw: presets::GBPS,
-        gpu_mem: 96 * 1024,
-        gpu_flops: 1e9,
-    })
-    .expect("valid params")
 }
 
 /// Workload for the uniform cross-checks: [`tight_workload`] with Adam
@@ -126,9 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn pressured_topo_is_actually_pressured() {
+    fn slack_topo_is_still_pressured_by_adam_state() {
         let m = uniform_model(6, 4096);
-        let t = pressured_topo(2);
+        let t = slack_topo(2);
         let state = m.total_weight_bytes() * 4;
         assert!(state > t.gpu(0).unwrap().mem_bytes);
     }

@@ -110,6 +110,25 @@ fn conformance_keeps_positional_seed_and_rejects_garbage() {
 }
 
 #[test]
+fn every_command_rejects_stray_flags_and_operands() {
+    // Every command of the table, figures and `all` included, must exit
+    // 2 naming a stray token rather than run as if it were absent; the
+    // generated usage text lists every command.
+    let usage = String::from_utf8_lossy(&repro(&["help"]).stdout).into_owned();
+    for cmd in harmony_bench::cli::COMMANDS {
+        let name = cmd.spec.cmd;
+        for stray in ["--bogus", "stray"] {
+            let out = repro(&[name, stray]);
+            assert_usage_error(&out, &format!("`{stray}`"), &format!("{name} {stray}"));
+        }
+        assert!(
+            usage.contains(&format!("\n  {name} ")),
+            "usage must list {name}: {usage}"
+        );
+    }
+}
+
+#[test]
 fn unknown_subcommand_prints_usage_and_exits_2() {
     let out = repro(&["frobnicate"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -148,18 +167,20 @@ fn custom_rejects_non_finite_and_non_positive_values() {
     // unrelated capacity error (`nan`, `-3`), or surface as a topology
     // or plan error (the zero counts). Each must be a usage error that
     // names its flag.
-    for (flag, value) in [
-        ("--mem-gib", "inf"),
-        ("--mem-gib", "nan"),
-        ("--mem-gib", "-3"),
-        ("--gpus", "0"),
-        ("--microbatches", "0"),
-        ("--ubatch", "0"),
-        ("--pack", "0"),
-        ("--iterations", "0"),
+    // `net-smoke` parses its counts through the same grammar.
+    for (cmd, flag, value) in [
+        ("custom", "--mem-gib", "inf"),
+        ("custom", "--mem-gib", "nan"),
+        ("custom", "--mem-gib", "-3"),
+        ("custom", "--gpus", "0"),
+        ("custom", "--microbatches", "0"),
+        ("custom", "--ubatch", "0"),
+        ("custom", "--pack", "0"),
+        ("custom", "--iterations", "0"),
+        ("net-smoke", "--transfers", "abc"),
     ] {
-        let out = repro(&["custom", flag, value]);
-        assert_usage_error(&out, flag, &format!("custom {flag} {value}"));
+        let out = repro(&[cmd, flag, value]);
+        assert_usage_error(&out, flag, &format!("{cmd} {flag} {value}"));
     }
 }
 
@@ -275,17 +296,19 @@ fn custom_rejects_sizes_that_overflow_64_bits() {
 fn closed_stdout_is_not_a_panic() {
     // `repro custom ... | head -1` closes the pipe before repro writes:
     // the write fails with a broken pipe, which must end the run quietly
-    // instead of panicking with exit 101.
-    let (reader, writer) = std::io::pipe().expect("pipe");
-    drop(reader);
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["custom", "--model", "lenet"])
-        .stdout(writer)
-        .stderr(Stdio::piped())
-        .output()
-        .expect("repro binary must spawn");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_ne!(out.status.code(), Some(101), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    // with the command's own verdict instead of panicking with exit 101.
+    for args in [&["custom", "--model", "lenet"][..], &["net-smoke"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("repro binary must spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
 }

@@ -48,12 +48,6 @@ impl SchemeKind {
         }
     }
 
-    /// Parses a display name back into a scheme (the `--scheme` grid
-    /// filters of `repro`). Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<SchemeKind> {
-        SchemeKind::ALL.into_iter().find(|s| s.name() == name)
-    }
-
     /// The matching analytical-model scheme.
     pub fn analytical(&self) -> harmony_analytical::Scheme {
         match self {

@@ -16,9 +16,8 @@
 //! the boundary-exact forms **byte for byte** for every
 //! schedule-independent class: weights, gradients, optimizer state, and
 //! (where schedule-independent) p2p traffic. Any drift means one of the
-//! two models changed meaning. [`compare_swap_volumes`] reports the
-//! steady-state deltas for all six classes so convergence can be
-//! eyeballed; [`check_swap_volumes_exact`] is the hard oracle.
+//! two models changed meaning; [`check_swap_volumes_exact`] is that
+//! oracle.
 //!
 //! Independently of memory, all five schemes must decompose a training
 //! iteration into the *same logical work* — identical per-layer
@@ -100,85 +99,6 @@ pub fn exact_params(model: &ModelSpec, topo: &Topology, workload: &WorkloadConfi
         first.weight_bytes(),
         first.out_bytes(workload.ubatch_size),
     )
-}
-
-/// One tensor class's expected-vs-measured volumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VolumeDelta {
-    /// Tensor class (or `"p2p"`).
-    pub class: &'static str,
-    /// Closed-form prediction (bytes/iteration).
-    pub expected: u64,
-    /// Simulator-measured bytes.
-    pub measured: u64,
-}
-
-impl VolumeDelta {
-    /// Exact agreement?
-    pub fn exact(&self) -> bool {
-        self.expected == self.measured
-    }
-}
-
-/// Runs `scheme` in the given configuration and compares every tensor
-/// class's measured swap volume (plus p2p traffic) against the
-/// **steady-state** closed forms. The deltas show boundary corrections
-/// and schedule-sensitive classes; use [`check_swap_volumes_exact`] for
-/// the byte-exact oracle.
-pub fn compare_swap_volumes(
-    scheme: SchemeKind,
-    model: &ModelSpec,
-    topo: &Topology,
-    workload: &WorkloadConfig,
-    oracles: &OracleConfig,
-) -> Result<Vec<VolumeDelta>, ExecError> {
-    let summary = run_spec_instrumented(model, topo, &RunSpec::new(scheme, *workload), oracles)?;
-    let p = analytical::Params::from_model(
-        model,
-        workload.ubatch_size,
-        workload.opt_slots,
-        workload.microbatches as u64,
-        topo.num_gpus() as u64,
-    );
-    let a = scheme.analytical();
-    let class = |name: &str| summary.swap_by_class.get(name).copied().unwrap_or(0);
-    Ok(vec![
-        VolumeDelta {
-            class: "weight",
-            expected: analytical::weight_swap_volume(a, &p),
-            measured: class("weight"),
-        },
-        VolumeDelta {
-            class: "weight_stash",
-            expected: analytical::weight_stash_swap_volume(a, &p),
-            measured: class("weight_stash"),
-        },
-        VolumeDelta {
-            class: "grad",
-            expected: analytical::grad_swap_volume(a, &p),
-            measured: class("grad"),
-        },
-        VolumeDelta {
-            class: "opt_state",
-            expected: analytical::opt_state_swap_volume(a, &p),
-            measured: class("opt_state"),
-        },
-        VolumeDelta {
-            class: "stash",
-            expected: analytical::stash_swap_volume(a, &p),
-            measured: class("stash"),
-        },
-        VolumeDelta {
-            class: "activation",
-            expected: analytical::act_swap_volume(a, &p),
-            measured: class("activation"),
-        },
-        VolumeDelta {
-            class: "p2p",
-            expected: analytical::p2p_volume(a, &p),
-            measured: summary.p2p_bytes,
-        },
-    ])
 }
 
 /// Asserts byte-exact agreement between the simulator and the

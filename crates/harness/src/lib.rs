@@ -55,8 +55,7 @@ pub mod workloads;
 pub use conformance::{run_conformance, run_conformance_filtered, CellOutcome, ConformanceReport};
 pub use differential::exact_params;
 pub use differential::{
-    check_swap_volumes_exact, check_work_equivalence, compare_swap_volumes, run_instrumented,
-    run_spec_instrumented, VolumeDelta,
+    check_swap_volumes_exact, check_work_equivalence, run_instrumented, run_spec_instrumented,
 };
 pub use execdiff::{check_dense_vs_fast, ExecDiffOutcome};
 pub use faults::FaultPlan;

@@ -3,7 +3,7 @@
 //! with `HashMap`/`BTreeMap` keyed lookups on the per-event path and the
 //! re-advance-every-GPU dense loop hardwired on.
 //!
-//! `use_dense_advance`(crate::SimExecutor::use_dense_advance)
+//! [`use_dense_advance`](crate::SimExecutor::use_dense_advance)
 //! delegates an entire run to this module, so the execdiff differential
 //! (byte-identical trace JSON + run summary, matched errors) proves the
 //! rewritten hot path against yesterday's executor, and the exec-smoke

@@ -137,6 +137,12 @@ fn reserved<T>(n: usize) -> Option<Vec<T>> {
     Some(v)
 }
 
+/// Backward FLOPs as a multiple of forward (paper §4: 2–3×).
+const BWD_FLOPS_MULT: f64 = 2.0;
+
+/// Update FLOPs per parameter (≈4 for Adam).
+const UPDATE_FLOPS_PER_PARAM: f64 = 4.0;
+
 /// Task-graph construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphConfig {
@@ -146,17 +152,13 @@ pub struct GraphConfig {
     pub ubatch_size: u64,
     /// Layers per pack (1 = layer granularity).
     pub pack_size: usize,
-    /// Backward FLOPs as a multiple of forward (paper §4: 2–3×).
-    pub bwd_flops_mult: f64,
-    /// Update FLOPs per parameter (≈4 for Adam).
-    pub update_flops_per_param: f64,
     /// Optimizer state tensors per parameter tensor (2 for Adam).
     pub opt_slots: u64,
     /// Recompute instead of stash (gradient checkpointing at pack
     /// granularity, Chen et al. '16 — cited by the paper's §4): forward
     /// keeps only each pack's *boundary* input activation alive; backward
     /// re-runs the pack's forward before differentiating. Trades
-    /// `(1 + bwd_flops_mult)`× backward compute for eliminating the
+    /// `(1 + BWD_FLOPS_MULT)`× backward compute for eliminating the
     /// per-layer stash footprint and its swap traffic.
     pub recompute: bool,
     /// 1F1B weight stashing (PipeDream): each microbatch's forward stashes
@@ -173,8 +175,6 @@ impl Default for GraphConfig {
             microbatches: 1,
             ubatch_size: 1,
             pack_size: 1,
-            bwd_flops_mult: 2.0,
-            update_flops_per_param: 4.0,
             opt_slots: 2,
             recompute: false,
             weight_stash: false,
@@ -470,14 +470,14 @@ impl TaskGraph {
                     }
                     if config.recompute {
                         flops += model.layers[l].fwd_flops(config.ubatch_size) as f64
-                            * (1.0 + config.bwd_flops_mult);
+                            * (1.0 + BWD_FLOPS_MULT);
                     } else {
                         g.reads.push(TensorRef::Stash {
                             layer: l,
                             ubatch: u,
                         });
-                        flops += model.layers[l].fwd_flops(config.ubatch_size) as f64
-                            * config.bwd_flops_mult;
+                        flops +=
+                            model.layers[l].fwd_flops(config.ubatch_size) as f64 * BWD_FLOPS_MULT;
                     }
                     g.reads.push(TensorRef::Grad { layer: l });
                     g.writes.push(TensorRef::Grad { layer: l });
@@ -521,7 +521,7 @@ impl TaskGraph {
             }
             g.close(
                 TaskKind::Update { pack: p },
-                (params as f64 * config.update_flops_per_param) as u64,
+                (params as f64 * UPDATE_FLOPS_PER_PARAM) as u64,
             );
         }
 
