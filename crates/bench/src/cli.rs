@@ -447,7 +447,7 @@ pub const COMMANDS: &[Command] = &[
     artefact("tango", "§4 memory-performance tango", || tango().0),
     artefact("prefetch", "§4 double buffering", || prefetch_ablation().0),
     artefact("recompute", "§4 checkpointing", || recompute_ablation().0),
-    artefact("eviction", "§1 eviction policy", || eviction_ablation().0),
+    artefact("eviction", "§1 eviction policy", eviction_ablation),
     artefact("steady", "steady-state swap volumes", || steady_state().0),
     tool(Spec::bare("all"), "every artefact above (default)", |_| {
         let mut out = Outcome::default();

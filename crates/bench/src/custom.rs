@@ -125,12 +125,8 @@ pub fn run(args: &CustomArgs) -> Result<String, String> {
         ));
     }
     let topo = presets::commodity_server(presets::CommodityParams {
-        num_gpus: args.gpus,
-        gpus_per_switch: args.gpus.max(1),
-        pcie_bw: 12.0 * presets::GBPS,
-        host_uplink_bw: 12.0 * presets::GBPS,
         gpu_mem: args.gpu_mem,
-        gpu_flops: 11.3e12,
+        ..presets::CommodityParams::gtx_1080ti(args.gpus, args.gpus.max(1))
     })
     .map_err(|e| e.to_string())?;
     let (summary, trace) = args.run.run(&model, &topo).map_err(|e| e.to_string())?;

@@ -722,7 +722,7 @@ pub fn recompute_ablation() -> (String, Vec<(usize, RunSummary, RunSummary)>) {
 /// Ablation — eviction policy: baseline LRU vs Harmony's next-use-aware
 /// eviction (the "scheduler and swapping algorithms inform each other's
 /// decisions" of §1). Runs the same Harmony-DP plan under both policies.
-pub fn eviction_ablation() -> (String, Vec<(String, u64)>) {
+pub fn eviction_ablation() -> String {
     use harmony_sched::PolicyKind;
     let model = workloads::uniform_model(8, 4096);
     let topo = workloads::slack_topo(2);
@@ -731,7 +731,6 @@ pub fn eviction_ablation() -> (String, Vec<(String, u64)>) {
         "Ablation — eviction policy under the Harmony-DP schedule",
         &["policy", "swap (MB)", "throughput (samples/s)"],
     );
-    let mut rows = Vec::new();
     for (name, policy) in [
         ("lru", PolicyKind::Lru),
         ("next-use-aware", PolicyKind::NextUseAware),
@@ -746,17 +745,13 @@ pub fn eviction_ablation() -> (String, Vec<(String, u64)>) {
             format!("{:.2}", s.global_swap() as f64 / 1e6),
             f2(s.throughput()),
         ]);
-        rows.push((name.to_string(), s.global_swap()));
     }
-    (
-        format!(
-            "{}\nNext-use hints from the scheduler let the memory manager evict the\n\
-             tensor whose reuse is farthest away (Belady-style) instead of the\n\
-             least-recently-used one; under Harmony's grouped order the two\n\
-             mostly agree, and the hints never hurt.\n",
-            t.render()
-        ),
-        rows,
+    format!(
+        "{}\nNext-use hints from the scheduler let the memory manager evict the\n\
+         tensor whose reuse is farthest away (Belady-style) instead of the\n\
+         least-recently-used one; under Harmony's grouped order the two\n\
+         mostly agree, and the hints never hurt.\n",
+        t.render()
     )
 }
 

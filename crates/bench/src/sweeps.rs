@@ -399,6 +399,10 @@ impl HotPathGate {
     }
 }
 
+/// The most transfers one `repro net-smoke` wave starts: at about 30 B
+/// of simulator state each, a full wave stays near 35 MB.
+const MAX_SMOKE_TRANSFERS: usize = 1 << 20;
+
 /// `repro net-smoke`: the network hot path under many concurrent
 /// transfers over shared channels, timed in wall clock as a record.
 /// Each of `waves` waves starts `transfers` GPU→host transfers spread
@@ -409,6 +413,11 @@ impl HotPathGate {
 /// came from the network candidate) and the candidate was refreshed at
 /// most once per `next()` call.
 pub(crate) fn net_smoke(transfers: usize, waves: usize) -> Outcome {
+    if transfers > MAX_SMOKE_TRANSFERS {
+        return Outcome::usage_error(format!(
+            "--transfers {transfers} is above {MAX_SMOKE_TRANSFERS}"
+        ));
+    }
     let gpus = 8;
     let topo = presets::commodity_server(presets::CommodityParams {
         num_gpus: gpus,
@@ -435,7 +444,7 @@ pub(crate) fn net_smoke(transfers: usize, waves: usize) -> Outcome {
             // Varied sizes so completions interleave and every arrival /
             // departure re-shares the bottleneck uplink.
             let bytes = (1 + (i as u64 % 17)) * 100_000_000;
-            s.start_transfer(routes[g], bytes, (wave * transfers + i) as u64, g as u32)
+            s.start_transfer(&routes[g], bytes, (wave * transfers + i) as u64, g as u32)
                 .expect("transfer");
         }
         loop {

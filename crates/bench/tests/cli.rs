@@ -185,6 +185,14 @@ fn custom_rejects_non_finite_and_non_positive_values() {
 }
 
 #[test]
+fn net_smoke_refuses_unbounded_transfer_counts() {
+    // `--transfers 100000000` once allocated until the process aborted.
+    // One past the bound is refused before any transfer starts.
+    let out = repro(&["net-smoke", "--transfers", "1048577", "--waves", "1"]);
+    assert_usage_error(&out, "--transfers", "net-smoke --transfers 1048577");
+}
+
+#[test]
 fn custom_rejects_mem_gib_without_a_u64_byte_count() {
     // `1e30` GiB used to saturate to a `u64::MAX`-byte GPU and exit 0;
     // `1e-12` GiB truncated to a 0-byte GPU and failed later with

@@ -155,7 +155,7 @@ mod tests {
                 mem_bytes: 1 << 20,
                 flops: 1e9,
             },
-            0,
+            None,
         );
         let topo = b.build().unwrap();
         let mut squeezes = 0;

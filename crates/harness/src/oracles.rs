@@ -299,7 +299,7 @@ impl ExecObserver for BandwidthConservationOracle {
                 if self.issued.is_empty() {
                     self.issued = vec![0; ctx.sim.num_channels()];
                 }
-                for &c in *route {
+                for &c in route.iter() {
                     self.issued[c] += bytes;
                 }
             }

@@ -109,16 +109,14 @@ pub fn run_script(sim: &mut Simulator, topo: &Topology, ops: &[SimOp]) -> Vec<Tr
             SimOp::ToHost { gpu, mb } => {
                 let route = topo
                     .route(Endpoint::Gpu(gpu % gpus), Endpoint::Host)
-                    .expect("route")
-                    .to_vec();
+                    .expect("route");
                 sim.start_transfer(&route, mb as u64 * 1_000_000, tag, (gpu % gpus) as u32)
                     .expect("to-host");
             }
             SimOp::FromHost { gpu, mb } => {
                 let route = topo
                     .route(Endpoint::Host, Endpoint::Gpu(gpu % gpus))
-                    .expect("route")
-                    .to_vec();
+                    .expect("route");
                 sim.start_transfer(&route, mb as u64 * 1_000_000, tag, (gpu % gpus) as u32)
                     .expect("from-host");
             }
@@ -127,8 +125,7 @@ pub fn run_script(sim: &mut Simulator, topo: &Topology, ops: &[SimOp]) -> Vec<Tr
                 if src != dst {
                     let route = topo
                         .route(Endpoint::Gpu(src), Endpoint::Gpu(dst))
-                        .expect("route")
-                        .to_vec();
+                        .expect("route");
                     sim.start_transfer(&route, mb as u64 * 1_000_000, tag, src as u32)
                         .expect("p2p");
                 }

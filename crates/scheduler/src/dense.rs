@@ -20,7 +20,7 @@ use harmony_memory::{MemError, MemObserver, MemoryManager, Residency, TensorId};
 use harmony_models::ModelSpec;
 use harmony_simulator::{Completion, Simulator, TransferId};
 use harmony_taskgraph::{TaskId, TensorRef};
-use harmony_topology::{ChannelId, Endpoint, Topology};
+use harmony_topology::{ChannelId, Endpoint, Route, Topology};
 use harmony_trace::{
     summary::{ResilienceMode, ResilienceOutcome, RunSummary},
     SpanKind, SymbolId, Trace,
@@ -469,26 +469,16 @@ impl<'a> ReferenceExecutor<'a> {
         self.event_budget = Some(budget);
     }
 
-    /// Read access to the executor's memory manager (for tests/oracles).
-    pub fn memory(&self) -> &MemoryManager {
-        &self.mm
-    }
-
-    /// Read access to the executor's simulator (for tests/oracles).
-    pub fn simulator(&self) -> &Simulator {
-        &self.sim
-    }
-
     /// Notifies observers of `event`; no-op (and no allocation) when none
     /// are attached.
-    fn emit(&mut self, event: ExecEvent<'_>) {
+    fn emit(&mut self, event: ExecEvent) {
         self.emit_with(|| event);
     }
 
     /// Like [`Self::emit`], but the event is only *constructed* when an
     /// observer is attached — callers with allocating payloads (route
     /// vectors) pay nothing on unobserved runs.
-    fn emit_with<'e>(&mut self, make: impl FnOnce() -> ExecEvent<'e>) {
+    fn emit_with(&mut self, make: impl FnOnce() -> ExecEvent) {
         if self.observers.is_empty() {
             return;
         }
@@ -509,15 +499,15 @@ impl<'a> ReferenceExecutor<'a> {
     }
 
     /// Starts a transfer on the simulator, emitting
-    /// [`ExecEvent::TransferIssued`], which borrows the route, when
-    /// observers are attached (`emit_with` guards).
+    /// [`ExecEvent::TransferIssued`] when observers are attached
+    /// (`emit_with` guards).
     fn issue_transfer(
         &mut self,
-        route: &[ChannelId],
+        route: Route,
         bytes: u64,
         lane: usize,
     ) -> Result<TransferId, ExecError> {
-        let xfer = self.sim.start_transfer(route, bytes, 0, lane as u32)?;
+        let xfer = self.sim.start_transfer(&route, bytes, 0, lane as u32)?;
         self.mutations += 1;
         self.emit_with(|| ExecEvent::TransferIssued { route, bytes });
         Ok(xfer)
@@ -1110,11 +1100,8 @@ impl<'a> ReferenceExecutor<'a> {
         for id in sorted {
             let label = self.tensor_sym(id)?;
             let (src, bytes) = self.mm.begin_swap_out(id)?;
-            let route = self
-                .topo
-                .route(Endpoint::Gpu(src), Endpoint::Host)?
-                .to_vec();
-            let xfer = self.issue_transfer(&route, bytes, src)?;
+            let route = self.topo.route(Endpoint::Gpu(src), Endpoint::Host)?;
+            let xfer = self.issue_transfer(route, bytes, src)?;
             self.transfers.insert(
                 xfer,
                 PendingTransfer {
@@ -1249,11 +1236,8 @@ impl<'a> ReferenceExecutor<'a> {
             }
             let label = self.tensor_sym(v)?;
             let (src, bytes) = self.mm.begin_swap_out(v)?;
-            let route = self
-                .topo
-                .route(Endpoint::Gpu(src), Endpoint::Host)?
-                .to_vec();
-            let xfer = self.issue_transfer(&route, bytes, src)?;
+            let route = self.topo.route(Endpoint::Gpu(src), Endpoint::Host)?;
+            let xfer = self.issue_transfer(route, bytes, src)?;
             self.transfers.insert(
                 xfer,
                 PendingTransfer {
@@ -1494,10 +1478,9 @@ impl<'a> ReferenceExecutor<'a> {
                                     Ok((_, bytes)) => {
                                         let route = self
                                             .topo
-                                            .route(Endpoint::Gpu(src), Endpoint::Gpu(g))?
-                                            .to_vec();
+                                            .route(Endpoint::Gpu(src), Endpoint::Gpu(g))?;
                                         let label = self.tensor_sym(id)?;
-                                        let xfer = self.issue_transfer(&route, bytes, g)?;
+                                        let xfer = self.issue_transfer(route, bytes, g)?;
                                         self.transfers.insert(
                                             xfer,
                                             PendingTransfer {
@@ -1531,12 +1514,10 @@ impl<'a> ReferenceExecutor<'a> {
                             // peer first (§2: "only CPU-GPU swaps").
                             match self.mm.begin_swap_out(id) {
                                 Ok((src, bytes)) => {
-                                    let route = self
-                                        .topo
-                                        .route(Endpoint::Gpu(src), Endpoint::Host)?
-                                        .to_vec();
+                                    let route =
+                                        self.topo.route(Endpoint::Gpu(src), Endpoint::Host)?;
                                     let label = self.tensor_sym(id)?;
-                                    let xfer = self.issue_transfer(&route, bytes, src)?;
+                                    let xfer = self.issue_transfer(route, bytes, src)?;
                                     self.transfers.insert(
                                         xfer,
                                         PendingTransfer {
@@ -1584,9 +1565,9 @@ impl<'a> ReferenceExecutor<'a> {
                                 Ok(b) => b,
                                 Err(e) => return self.spill_guard(g, slot, step_id, e),
                             };
-                            let route = self.topo.route(Endpoint::Host, Endpoint::Gpu(g))?.to_vec();
+                            let route = self.topo.route(Endpoint::Host, Endpoint::Gpu(g))?;
                             let label = self.tensor_sym(id)?;
-                            let xfer = self.issue_transfer(&route, bytes, g)?;
+                            let xfer = self.issue_transfer(route, bytes, g)?;
                             self.transfers.insert(
                                 xfer,
                                 PendingTransfer {
@@ -1753,11 +1734,8 @@ impl<'a> ReferenceExecutor<'a> {
         let ring_bytes = 2 * (n as u64 - 1) * grad_bytes / n as u64;
         for src in 0..n {
             let dst = (src + 1) % n;
-            let route = self
-                .topo
-                .route(Endpoint::Gpu(src), Endpoint::Gpu(dst))?
-                .to_vec();
-            let xfer = self.issue_transfer(&route, ring_bytes, src)?;
+            let route = self.topo.route(Endpoint::Gpu(src), Endpoint::Gpu(dst))?;
+            let xfer = self.issue_transfer(route, ring_bytes, src)?;
             self.transfers.insert(
                 xfer,
                 PendingTransfer {

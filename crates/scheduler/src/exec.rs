@@ -109,7 +109,7 @@ use harmony_memory::{MemError, MemObserver, MemoryManager, Residency, TensorId};
 use harmony_models::ModelSpec;
 use harmony_simulator::{Completion, NetCounters, SimError, Simulator, TransferId};
 use harmony_taskgraph::{TaskId, TensorRef};
-use harmony_topology::{ChannelId, Endpoint, Topology, TopologyError};
+use harmony_topology::{ChannelId, Endpoint, Route, Topology, TopologyError};
 use harmony_trace::{
     summary::{ResilienceMode, ResilienceOutcome, RunSummary},
     SpanKind, SymbolId, Trace,
@@ -451,8 +451,8 @@ enum Slot {
 /// path's `start_transfer` would create it — so flight-class ordering
 /// stays bit-identical.
 #[derive(Debug, Clone)]
-struct RouteEntry<'a> {
-    route: &'a [ChannelId],
+struct RouteEntry {
+    route: Route,
     class: Option<usize>,
 }
 
@@ -591,11 +591,11 @@ pub struct SimExecutor<'a> {
     event_budget: Option<u64>,
     events_processed: u64,
     /// Cached routes (and lazily registered flight classes) per endpoint
-    /// pair: host→GPU, GPU→host, and GPU→GPU (`src * n_topo + dst`).
-    routes_h2g: Vec<Option<RouteEntry<'a>>>,
-    routes_g2h: Vec<Option<RouteEntry<'a>>>,
-    routes_p2p: Vec<Option<RouteEntry<'a>>>,
-    n_topo: usize,
+    /// pair: host→GPU and GPU→host per GPU, and GPU→GPU only for the
+    /// `(src, dst)` pairs the run has transferred between.
+    routes_h2g: Vec<Option<RouteEntry>>,
+    routes_g2h: Vec<Option<RouteEntry>>,
+    routes_p2p: HashMap<(usize, usize), Option<RouteEntry>>,
     /// Dense-reference mode: delegate to the frozen reference executor.
     dense: bool,
     /// Graceful-degradation layer (DESIGN §10): when armed, post-fault
@@ -918,8 +918,7 @@ impl<'a> SimExecutor<'a> {
             events_processed: 0,
             routes_h2g: vec![None; num_gpus],
             routes_g2h: vec![None; num_gpus],
-            routes_p2p: vec![None; num_gpus * num_gpus],
-            n_topo: num_gpus,
+            routes_p2p: HashMap::new(),
             dense: false,
             resilience: false,
             resilience_seed: 0,
@@ -1027,18 +1026,8 @@ impl<'a> SimExecutor<'a> {
         self.event_budget = Some(budget);
     }
 
-    /// Read access to the executor's memory manager (for tests/oracles).
-    pub fn memory(&self) -> &MemoryManager {
-        &self.mm
-    }
-
-    /// Read access to the executor's simulator (for tests/oracles).
-    pub fn simulator(&self) -> &Simulator {
-        &self.sim
-    }
-
     /// Notifies observers of `event`; no-op when none are attached.
-    fn emit(&mut self, event: ExecEvent<'_>) {
+    fn emit(&mut self, event: ExecEvent) {
         self.emit_with(|| event);
     }
 
@@ -1047,7 +1036,7 @@ impl<'a> SimExecutor<'a> {
     /// branch. Observers see the executor's own done bitset through
     /// [`ExecContext::done`]; a tuple outside the plan's index space is
     /// reported not done.
-    fn emit_with<'e>(&mut self, make: impl FnOnce() -> ExecEvent<'e>) {
+    fn emit_with(&mut self, make: impl FnOnce() -> ExecEvent) {
         if self.observers.is_empty() {
             return;
         }
@@ -1087,20 +1076,19 @@ impl<'a> SimExecutor<'a> {
         bytes: u64,
         tag: u64,
         lane: u32,
-    ) -> Result<(TransferId, &'a [ChannelId]), ExecError> {
-        let topo: &'a Topology = self.topo;
+    ) -> Result<(TransferId, Route), ExecError> {
         let Self {
+            topo,
             sim,
             routes_h2g,
             routes_g2h,
             routes_p2p,
-            n_topo,
             ..
         } = self;
-        let slot: &mut Option<RouteEntry<'a>> = match sel {
+        let slot = match sel {
             RouteSel::HostToGpu(g) => &mut routes_h2g[g],
             RouteSel::GpuToHost(g) => &mut routes_g2h[g],
-            RouteSel::P2p(s, d) => &mut routes_p2p[s * *n_topo + d],
+            RouteSel::P2p(s, d) => routes_p2p.entry((s, d)).or_default(),
         };
         if slot.is_none() {
             let (a, b) = match sel {
@@ -1114,12 +1102,12 @@ impl<'a> SimExecutor<'a> {
         let entry = slot.as_mut().expect("invariant: populated just above");
         let route = entry.route;
         if bytes == 0 {
-            return Ok((sim.start_transfer(route, 0, tag, lane)?, route));
+            return Ok((sim.start_transfer(&route, 0, tag, lane)?, route));
         }
         let class = match entry.class {
             Some(c) => c,
             None => {
-                let c = sim.register_route_class(route)?;
+                let c = sim.register_route_class(&route)?;
                 entry.class = Some(c);
                 c
             }
@@ -2853,7 +2841,7 @@ mod tests {
         #[derive(Debug)]
         struct Counter(std::rc::Rc<std::cell::Cell<u32>>);
         impl ExecObserver for Counter {
-            fn on_event(&mut self, _ctx: &ExecContext<'_>, _event: &ExecEvent<'_>) {
+            fn on_event(&mut self, _ctx: &ExecContext<'_>, _event: &ExecEvent) {
                 self.0.set(self.0.get() + 1);
             }
         }

@@ -9,8 +9,8 @@
 //!
 //! Observers read the executor's own state rather than copies of it:
 //! [`ExecContext::done`] asks the executor's completed-task set, and
-//! [`ExecEvent::TransferIssued`] borrows its route instead of owning a
-//! copy.
+//! [`ExecEvent::TransferIssued`] carries its route as the small `Copy`
+//! value the topology derives.
 //!
 //! [`Fault`]s are deterministic, timed perturbations applied through the
 //! simulator's event queue: each [`TimedFault`] schedules a timer, and
@@ -23,7 +23,7 @@
 use harmony_memory::MemoryManager;
 use harmony_simulator::Simulator;
 use harmony_taskgraph::TaskId;
-use harmony_topology::ChannelId;
+use harmony_topology::{ChannelId, Route};
 
 use crate::plan::ExecutionPlan;
 
@@ -78,10 +78,9 @@ pub struct ExecContext<'c> {
     pub done: &'c dyn Fn(u32, usize, TaskId) -> bool,
 }
 
-/// An executor state transition. `'r` is the lifetime of the route an
-/// [`ExecEvent::TransferIssued`] borrows.
+/// An executor state transition.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExecEvent<'r> {
+pub enum ExecEvent {
     /// A task's kernel was submitted to its GPU (all inputs resident and
     /// pinned; `ctx.done` must already hold for every dependency).
     TaskStarted {
@@ -109,7 +108,7 @@ pub enum ExecEvent<'r> {
     /// A transfer was handed to the simulator.
     TransferIssued {
         /// Ordered channels of the route.
-        route: &'r [ChannelId],
+        route: Route,
         /// Payload bytes.
         bytes: u64,
     },
@@ -144,5 +143,5 @@ pub enum ExecEvent<'r> {
 /// Receives executor state transitions. See module docs.
 pub trait ExecObserver: std::fmt::Debug {
     /// Called after each transition; `ctx` reflects the state *after* it.
-    fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent<'_>);
+    fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent);
 }

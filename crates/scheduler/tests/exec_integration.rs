@@ -7,7 +7,7 @@ use harmony_sched::{
     WorkloadConfig,
 };
 use harmony_topology::presets::{commodity_server, CommodityParams, GBPS};
-use harmony_topology::Topology;
+use harmony_topology::{Route, Topology};
 use harmony_trace::summary::RunSummary;
 
 /// A uniform synthetic model: `r` identical layers (the paper's analytical
@@ -746,7 +746,7 @@ mod resilience {
         // Issue instants of inter-GPU transfers: (virtual time, channel).
         #[derive(Debug)]
         struct P2pProbe {
-            inter_gpu: Vec<Vec<ChannelId>>,
+            inter_gpu: Vec<Route>,
             seen: Rc<RefCell<Vec<(f64, ChannelId)>>>,
         }
         impl ExecObserver for P2pProbe {
@@ -766,11 +766,7 @@ mod resilience {
         for a in 0..topo.num_gpus() {
             for b in 0..topo.num_gpus() {
                 if a != b {
-                    inter_gpu.push(
-                        topo.route(Endpoint::Gpu(a), Endpoint::Gpu(b))
-                            .unwrap()
-                            .to_vec(),
-                    );
+                    inter_gpu.push(topo.route(Endpoint::Gpu(a), Endpoint::Gpu(b)).unwrap());
                 }
             }
         }
@@ -920,7 +916,7 @@ fn done_predicate_tracks_task_lifecycle_on_both_loops() {
         finished: Rc<Cell<usize>>,
     }
     impl ExecObserver for DoneProbe {
-        fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent<'_>) {
+        fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent) {
             match *event {
                 ExecEvent::TaskStarted {
                     iter,

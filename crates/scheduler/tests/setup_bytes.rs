@@ -1,0 +1,95 @@
+//! Structural byte gate for server size: building a commodity server and
+//! an executor for it allocates O(GPUs) bytes, not O(GPUs²). Routes are
+//! derived from the switch tree on demand and the executor caches only
+//! the GPU pairs a run transfers between. Its own test binary, because it
+//! installs a counting global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use harmony_models::cnn;
+use harmony_sched::{plan_harmony_pp, SimExecutor, WorkloadConfig};
+use harmony_topology::presets::{self, CommodityParams, GBPS, GIB};
+
+/// Counts bytes allocated (fresh, and the growth of a reallocation) by the
+/// current thread, so the test harness's other threads cannot disturb the
+/// count.
+struct Counting;
+
+thread_local! {
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(bytes: usize) {
+    // `try_with`: the slot may already be gone during thread teardown.
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; counting only bumps a
+// thread-local `Cell` whose const initializer never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(new_size.saturating_sub(layout.size()));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+/// Bytes allocated by building `repro custom`'s server (every GPU under
+/// one switch) for `gpus` GPUs plus the executor of a lenet harmony-pp
+/// plan with 4 microbatches. Planning itself is not counted.
+fn setup_bytes(gpus: usize) -> u64 {
+    let model = cnn::lenet();
+    let w = WorkloadConfig {
+        microbatches: 4,
+        ..WorkloadConfig::default()
+    };
+    let plan = plan_harmony_pp(&model, gpus, &w).unwrap();
+    let before = bytes();
+    let topo = presets::commodity_server(CommodityParams {
+        num_gpus: gpus,
+        gpus_per_switch: gpus,
+        pcie_bw: 12.0 * GBPS,
+        host_uplink_bw: 12.0 * GBPS,
+        gpu_mem: 11 * GIB,
+        gpu_flops: 11.3e12,
+    })
+    .unwrap();
+    let exec = SimExecutor::with_iterations(&topo, &model, &plan, 1).unwrap();
+    let n = bytes() - before;
+    drop(exec);
+    n
+}
+
+#[test]
+fn server_and_executor_build_allocate_linearly_in_gpus() {
+    let small = setup_bytes(64);
+    let large = setup_bytes(128);
+    let ratio = large as f64 / small as f64;
+    println!("64 GPUs: {small} B; 128 GPUs: {large} B; ratio {ratio:.3}");
+    assert!(
+        ratio <= 2.1,
+        "doubling the GPUs from 64 to 128 multiplied setup bytes by {ratio:.3} ({small} B -> {large} B)"
+    );
+}

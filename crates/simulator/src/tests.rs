@@ -30,7 +30,8 @@ fn single_transfer_runs_at_bottleneck_rate() {
     let (mut s, topo) = sim();
     let route = topo.route(Endpoint::Gpu(0), Endpoint::Host).unwrap();
     // 12 GB over a 12 GB/s path → 1 s.
-    s.start_transfer(route, (12.0 * GBPS) as u64, 7, 0).unwrap();
+    s.start_transfer(&route, (12.0 * GBPS) as u64, 7, 0)
+        .unwrap();
     let (t, c) = s.next().unwrap();
     assert!(matches!(c, Completion::Transfer { tag: 7, .. }));
     assert!((t - 1.0).abs() < 1e-6, "t = {t}");
@@ -104,7 +105,7 @@ fn rates_rise_when_a_competitor_finishes() {
 fn zero_byte_transfer_completes_now() {
     let (mut s, topo) = sim();
     let route = topo.route(Endpoint::Gpu(0), Endpoint::Host).unwrap();
-    s.start_transfer(route, 0, 9, 0).unwrap();
+    s.start_transfer(&route, 0, 9, 0).unwrap();
     let (t, c) = s.next().unwrap();
     assert_eq!(t, 0.0);
     assert!(matches!(c, Completion::Transfer { tag: 9, .. }));
@@ -148,7 +149,8 @@ fn nan_times_rejected_at_submission() {
     // still runs to completion in order.
     let route = topo.route(Endpoint::Gpu(0), Endpoint::Host).unwrap();
     s.set_timer(0.5, 2, 0).unwrap();
-    s.start_transfer(route, (12.0 * GBPS) as u64, 3, 0).unwrap();
+    s.start_transfer(&route, (12.0 * GBPS) as u64, 3, 0)
+        .unwrap();
     assert_eq!(s.next().unwrap().1, Completion::Timer { tag: 2 });
     assert!(matches!(
         s.next().unwrap().1,

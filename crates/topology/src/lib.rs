@@ -17,7 +17,9 @@
 //! * GPU↔GPU transfers through a common switch do **not** cross the host
 //!   uplink — the fast p2p path Harmony exploits (§3, optimization 3).
 //!
-//! Transfers are routed with [`Topology::route`]; the discrete-event
+//! A server is described once, as GPUs under switches under the host
+//! (plus any direct GPU↔GPU links), and [`Topology::route`] derives each
+//! transfer's channels from that tree on demand; the discrete-event
 //! simulator applies fair-share contention per channel.
 
 #![forbid(unsafe_code)]
@@ -25,10 +27,10 @@
 
 pub mod presets;
 
-use std::collections::HashMap;
 use std::fmt;
 
-/// Identifier of a GPU device (index into [`Topology::gpus`]).
+/// Identifier of a GPU device (index into the topology's GPUs, see
+/// [`Topology::gpu`]).
 pub type GpuId = usize;
 
 /// A memory endpoint: host RAM or one GPU's memory.
@@ -100,48 +102,95 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// A server's device and interconnect description.
-#[derive(Debug, Clone)]
+/// One physical link as its two directed channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Link {
+    /// The channel toward the upper level: GPU → switch, switch → host,
+    /// or out of a switch toward the other switches.
+    pub up: ChannelId,
+    /// The channel in the opposite direction.
+    pub down: ChannelId,
+}
+
+/// A switch's two links: its host uplink, and the port pair p2p to a GPU
+/// under another switch leaves (`up`) and enters (`down`) by.
+#[derive(Debug, Clone, Copy)]
+struct Switch {
+    host: Link,
+    fabric: Link,
+}
+
+/// The ordered channels a transfer traverses: a small value of at most
+/// four channels (lane, switch port, peer switch port, peer lane) that
+/// derefs to `&[ChannelId]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    len: usize,
+    hops: [ChannelId; 4],
+}
+
+impl Route {
+    fn new(route: &[ChannelId]) -> Route {
+        let mut hops = [0; 4];
+        hops[..route.len()].copy_from_slice(route);
+        Route {
+            len: route.len(),
+            hops,
+        }
+    }
+}
+
+impl std::ops::Deref for Route {
+    type Target = [ChannelId];
+
+    fn deref(&self) -> &[ChannelId] {
+        &self.hops[..self.len]
+    }
+}
+
+/// A server's device and interconnect description: GPUs under switches
+/// under the host, plus any direct GPU→GPU links. Routes are derived
+/// from it on demand, so a server costs O(GPUs + links), never O(GPUs²).
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     /// Display name, e.g. `"4x1080Ti (PCIe, 4:1)"`.
     pub name: String,
     gpus: Vec<GpuSpec>,
     channels: Vec<Channel>,
-    routes: HashMap<(Endpoint, Endpoint), Vec<ChannelId>>,
-    /// Which switch each GPU hangs off (for reporting).
-    switch_of: Vec<usize>,
+    /// Per GPU: the switch it hangs off and its own lane to it, `None`
+    /// for a GPU with no PCIe link.
+    attach: Vec<Option<(usize, Link)>>,
+    switches: Vec<Switch>,
+    /// Direct GPU→GPU channels sorted by `(src, dst)`, consulted before
+    /// the tree.
+    direct: Vec<((GpuId, GpuId), ChannelId)>,
 }
 
 /// Builder used by presets and tests to assemble a topology.
-#[derive(Debug, Default)]
-pub struct TopologyBuilder {
-    name: String,
-    gpus: Vec<GpuSpec>,
-    channels: Vec<Channel>,
-    routes: HashMap<(Endpoint, Endpoint), Vec<ChannelId>>,
-    switch_of: Vec<usize>,
-}
+#[derive(Debug)]
+pub struct TopologyBuilder(Topology);
 
 impl TopologyBuilder {
     /// Starts a named topology.
     pub fn new(name: impl Into<String>) -> Self {
-        TopologyBuilder {
+        TopologyBuilder(Topology {
             name: name.into(),
-            ..Default::default()
-        }
+            ..Topology::default()
+        })
     }
 
-    /// Adds a GPU, returning its id.
-    pub fn gpu(&mut self, spec: GpuSpec, switch: usize) -> GpuId {
-        self.gpus.push(spec);
-        self.switch_of.push(switch);
-        self.gpus.len() - 1
+    /// Adds a GPU, returning its id. `lane` is the switch it hangs off and
+    /// its own link to it; a GPU with none is reached only by direct links.
+    pub fn gpu(&mut self, spec: GpuSpec, lane: Option<(usize, Link)>) -> GpuId {
+        self.0.gpus.push(spec);
+        self.0.attach.push(lane);
+        self.0.gpus.len() - 1
     }
 
     /// Adds a directed channel, returning its id.
     pub fn channel(&mut self, name: impl Into<String>, bandwidth: f64) -> ChannelId {
-        let id = self.channels.len();
-        self.channels.push(Channel {
+        let id = self.0.channels.len();
+        self.0.channels.push(Channel {
             id,
             name: name.into(),
             bandwidth,
@@ -149,36 +198,53 @@ impl TopologyBuilder {
         id
     }
 
-    /// Registers the route (ordered channel list) from `src` to `dst`.
-    pub fn route(&mut self, src: Endpoint, dst: Endpoint, channels: Vec<ChannelId>) {
-        self.routes.insert((src, dst), channels);
+    /// Adds the two channels of one full-duplex link, `up` first.
+    pub fn link(&mut self, up: impl Into<String>, down: impl Into<String>, bandwidth: f64) -> Link {
+        Link {
+            up: self.channel(up, bandwidth),
+            down: self.channel(down, bandwidth),
+        }
     }
 
-    /// Finalises the topology, validating all route references.
+    /// Adds the next switch, with host uplink `host` and cross-switch port
+    /// pair `fabric`.
+    pub fn switch(&mut self, host: Link, fabric: Link) {
+        self.0.switches.push(Switch { host, fabric });
+    }
+
+    /// Adds a direct channel from `src` to `dst`: their route is that one
+    /// channel, whatever the tree between them.
+    pub fn direct(&mut self, src: GpuId, dst: GpuId, channel: ChannelId) {
+        self.0.direct.push(((src, dst), channel));
+    }
+
+    /// Finalises the topology, validating every switch, GPU and channel
+    /// reference.
     pub fn build(self) -> Result<Topology, TopologyError> {
-        for ((src, dst), chans) in &self.routes {
-            for &c in chans {
-                if c >= self.channels.len() {
-                    return Err(TopologyError::Invalid(format!(
-                        "route {src}->{dst} references unknown channel {c}"
-                    )));
-                }
+        let mut t = self.0;
+        t.direct.sort_unstable();
+        let attach = t.attach.iter().flatten();
+        let links = (attach.clone().map(|&(_, lane)| lane))
+            .chain(t.switches.iter().flat_map(|s| [s.host, s.fabric]));
+        let mut refs = links
+            .flat_map(|l| [l.up, l.down])
+            .chain(t.direct.iter().map(|&(_, c)| c));
+        if let Some(c) = refs.find(|&c| c >= t.channels.len()) {
+            return Err(TopologyError::Invalid(format!("unknown channel {c}")));
+        }
+        if let Some((s, _)) = attach.clone().find(|&&(s, _)| s >= t.switches.len()) {
+            return Err(TopologyError::Invalid(format!("unknown switch {s}")));
+        }
+        for (i, &((src, dst), _)) in t.direct.iter().enumerate() {
+            if src.max(dst) >= t.gpus.len() {
+                return Err(TopologyError::UnknownGpu(src.max(dst)));
             }
-            for ep in [src, dst] {
-                if let Endpoint::Gpu(g) = ep {
-                    if *g >= self.gpus.len() {
-                        return Err(TopologyError::UnknownGpu(*g));
-                    }
-                }
+            if src == dst || (i > 0 && t.direct[i - 1].0 == (src, dst)) {
+                let msg = format!("direct link {src}->{dst} loops or repeats");
+                return Err(TopologyError::Invalid(msg));
             }
         }
-        Ok(Topology {
-            name: self.name,
-            gpus: self.gpus,
-            channels: self.channels,
-            routes: self.routes,
-            switch_of: self.switch_of,
-        })
+        Ok(t)
     }
 }
 
@@ -193,25 +259,26 @@ impl Topology {
         self.gpus.get(id).ok_or(TopologyError::UnknownGpu(id))
     }
 
-    /// All GPU specs.
-    pub fn gpus(&self) -> &[GpuSpec] {
-        &self.gpus
-    }
-
     /// All channels.
     pub fn channels(&self) -> &[Channel] {
         &self.channels
     }
 
-    /// The switch index a GPU hangs off.
+    /// The switch a GPU hangs off: its host swaps share that switch's
+    /// uplink, and its p2p to a GPU under another switch crosses both
+    /// switches' fabric ports.
     pub fn switch_of(&self, id: GpuId) -> Result<usize, TopologyError> {
-        self.switch_of
-            .get(id)
-            .copied()
-            .ok_or(TopologyError::UnknownGpu(id))
+        let attach = self.attach.get(id).ok_or(TopologyError::UnknownGpu(id))?;
+        attach.map(|(s, _)| s).ok_or(TopologyError::NoRoute {
+            src: Endpoint::Gpu(id),
+            dst: Endpoint::Host,
+        })
     }
 
-    /// The ordered channel list a transfer from `src` to `dst` traverses.
+    /// The ordered channel list a transfer from `src` to `dst` traverses,
+    /// derived from the tree: a direct link if one exists, else the
+    /// GPU's lane and its switch's host uplink, the two lanes through a
+    /// shared switch, or the lanes and both switches' fabric ports.
     ///
     /// ```
     /// use harmony_topology::{presets, Endpoint};
@@ -220,12 +287,39 @@ impl Topology {
     /// assert_eq!(topo.route(Endpoint::Gpu(0), Endpoint::Host).unwrap().len(), 2);
     /// // p2p through the switch never touches the uplink.
     /// assert!(topo.p2p_avoids_host_uplink(0, 3).unwrap());
+    /// // Across switches, p2p leaves by one switch's port and enters by the
+    /// // other's: four channels.
+    /// let wide = presets::commodity_server(presets::CommodityParams::gtx_1080ti(4, 2)).unwrap();
+    /// let route = wide.route(Endpoint::Gpu(0), Endpoint::Gpu(3)).unwrap();
+    /// let names: Vec<_> = route.iter().map(|&c| wide.channels()[c].name.as_str()).collect();
+    /// assert_eq!(names, ["gpu0->sw0", "sw0->host", "host->sw1", "sw1->gpu3"]);
     /// ```
-    pub fn route(&self, src: Endpoint, dst: Endpoint) -> Result<&[ChannelId], TopologyError> {
-        self.routes
-            .get(&(src, dst))
-            .map(Vec::as_slice)
-            .ok_or(TopologyError::NoRoute { src, dst })
+    pub fn route(&self, src: Endpoint, dst: Endpoint) -> Result<Route, TopologyError> {
+        let attach = |g: GpuId| self.attach.get(g).copied().flatten();
+        let route = match (src, dst) {
+            (Endpoint::Gpu(g), Endpoint::Gpu(h)) if g != h => {
+                match self.direct.binary_search_by_key(&(g, h), |&(pair, _)| pair) {
+                    Ok(i) => Some(Route::new(&[self.direct[i].1])),
+                    Err(_) => attach(g).zip(attach(h)).map(|((s, a), (t, b))| {
+                        if s == t {
+                            Route::new(&[a.up, b.down])
+                        } else {
+                            let (out, into) =
+                                (self.switches[s].fabric.up, self.switches[t].fabric.down);
+                            Route::new(&[a.up, out, into, b.down])
+                        }
+                    }),
+                }
+            }
+            (Endpoint::Gpu(g), Endpoint::Host) => {
+                attach(g).map(|(s, lane)| Route::new(&[lane.up, self.switches[s].host.up]))
+            }
+            (Endpoint::Host, Endpoint::Gpu(g)) => {
+                attach(g).map(|(s, lane)| Route::new(&[self.switches[s].host.down, lane.down]))
+            }
+            _ => None,
+        };
+        route.ok_or(TopologyError::NoRoute { src, dst })
     }
 
     /// Zero-contention transfer time for `bytes` from `src` to `dst`
@@ -249,41 +343,31 @@ impl Topology {
         Ok(bytes as f64 / min_bw)
     }
 
-    /// Host-uplink oversubscription ratio: the sum of per-GPU link
+    /// Host-uplink oversubscription ratio: the sum of per-GPU lane
     /// bandwidth behind each switch divided by that switch's uplink
     /// bandwidth, maximised over switches. 1.0 means no oversubscription.
     ///
     /// This is the "4:1 or 8:1" figure the paper cites for commodity
     /// servers (§2, inefficiency 3).
     pub fn host_oversubscription(&self) -> f64 {
-        // Uplink of a switch = the last channel on some GPU->Host route;
-        // per-GPU bandwidth = the first channel on it.
-        let mut per_switch_sum: HashMap<ChannelId, f64> = HashMap::new();
-        for g in 0..self.num_gpus() {
-            if let Ok(route) = self.route(Endpoint::Gpu(g), Endpoint::Host) {
-                if route.len() >= 2 {
-                    let first_bw = self.channels[route[0]].bandwidth;
-                    let uplink = *route.last().expect("len >= 2");
-                    *per_switch_sum.entry(uplink).or_insert(0.0) += first_bw;
-                }
-            }
+        let mut lanes = vec![0.0; self.switches.len()];
+        for &(s, lane) in self.attach.iter().flatten() {
+            lanes[s] += self.channels[lane.up].bandwidth;
         }
-        per_switch_sum
-            .into_iter()
-            .map(|(uplink, sum)| sum / self.channels[uplink].bandwidth)
+        lanes
+            .iter()
+            .zip(&self.switches)
+            .map(|(sum, s)| sum / self.channels[s.host.up].bandwidth)
             .fold(1.0, f64::max)
     }
 
-    /// True if GPU↔GPU transfers between `a` and `b` avoid every channel on
-    /// either GPU's host route's *uplink* — i.e. p2p does not contend with
-    /// host swaps beyond the GPUs' own lanes.
+    /// True if GPU↔GPU transfers between `a` and `b` avoid `a`'s host
+    /// uplink — i.e. p2p does not contend with host swaps beyond the
+    /// GPUs' own lanes.
     pub fn p2p_avoids_host_uplink(&self, a: GpuId, b: GpuId) -> Result<bool, TopologyError> {
         let p2p = self.route(Endpoint::Gpu(a), Endpoint::Gpu(b))?;
-        let host_a = self.route(Endpoint::Gpu(a), Endpoint::Host)?;
-        let uplink = host_a
-            .last()
-            .ok_or_else(|| TopologyError::Invalid("empty host route".to_string()))?;
-        Ok(!p2p.contains(uplink))
+        let uplink = self.route(Endpoint::Gpu(a), Endpoint::Host)?[1];
+        Ok(!p2p.contains(&uplink))
     }
 }
 
@@ -297,20 +381,12 @@ mod tests {
             mem_bytes: 1 << 30,
             flops: 1e12,
         };
-        let g0 = b.gpu(spec, 0);
-        let g1 = b.gpu(spec, 0);
-        let g0_up = b.channel("gpu0->sw", 10.0);
-        let g0_down = b.channel("sw->gpu0", 10.0);
-        let g1_up = b.channel("gpu1->sw", 10.0);
-        let g1_down = b.channel("sw->gpu1", 10.0);
-        let sw_up = b.channel("sw->host", 10.0);
-        let sw_down = b.channel("host->sw", 10.0);
-        b.route(Endpoint::Gpu(g0), Endpoint::Host, vec![g0_up, sw_up]);
-        b.route(Endpoint::Host, Endpoint::Gpu(g0), vec![sw_down, g0_down]);
-        b.route(Endpoint::Gpu(g1), Endpoint::Host, vec![g1_up, sw_up]);
-        b.route(Endpoint::Host, Endpoint::Gpu(g1), vec![sw_down, g1_down]);
-        b.route(Endpoint::Gpu(g0), Endpoint::Gpu(g1), vec![g0_up, g1_down]);
-        b.route(Endpoint::Gpu(g1), Endpoint::Gpu(g0), vec![g1_up, g0_down]);
+        let lane0 = b.link("gpu0->sw", "sw->gpu0", 10.0);
+        let lane1 = b.link("gpu1->sw", "sw->gpu1", 10.0);
+        let host = b.link("sw->host", "host->sw", 10.0);
+        b.gpu(spec, Some((0, lane0)));
+        b.gpu(spec, Some((0, lane1)));
+        b.switch(host, host);
         b.build().unwrap()
     }
 
@@ -319,6 +395,32 @@ mod tests {
         let t = two_gpu_topo();
         assert_eq!(t.route(Endpoint::Gpu(0), Endpoint::Host).unwrap().len(), 2);
         assert!(t.route(Endpoint::Host, Endpoint::Host).is_err());
+        assert!(t.route(Endpoint::Gpu(1), Endpoint::Gpu(1)).is_err());
+        assert!(t.route(Endpoint::Gpu(2), Endpoint::Host).is_err());
+    }
+
+    #[test]
+    fn direct_links_override_the_tree() {
+        let mut b = TopologyBuilder::new("direct");
+        let spec = GpuSpec {
+            mem_bytes: 1 << 30,
+            flops: 1e12,
+        };
+        let lane0 = b.link("gpu0->sw", "sw->gpu0", 10.0);
+        let lane1 = b.link("gpu1->sw", "sw->gpu1", 10.0);
+        let host = b.link("sw->host", "host->sw", 10.0);
+        b.gpu(spec, Some((0, lane0)));
+        b.gpu(spec, Some((0, lane1)));
+        b.switch(host, host);
+        let nv = b.channel("nv0->1", 100.0);
+        b.direct(0, 1, nv);
+        let t = b.build().unwrap();
+        assert_eq!(&*t.route(Endpoint::Gpu(0), Endpoint::Gpu(1)).unwrap(), [nv]);
+        // Only the linked direction is overridden.
+        assert_eq!(
+            &*t.route(Endpoint::Gpu(1), Endpoint::Gpu(0)).unwrap(),
+            [lane1.up, lane0.down]
+        );
     }
 
     #[test]
@@ -345,14 +447,32 @@ mod tests {
 
     #[test]
     fn build_rejects_dangling_refs() {
+        let spec = GpuSpec {
+            mem_bytes: 1,
+            flops: 1.0,
+        };
         let mut b = TopologyBuilder::new("bad");
-        b.route(Endpoint::Gpu(0), Endpoint::Host, vec![99]);
+        b.gpu(spec, Some((0, Link { up: 99, down: 98 })));
+        let c = b.channel("c", 1.0);
+        b.switch(Link { up: c, down: c }, Link { up: c, down: c });
         assert!(b.build().is_err());
 
         let mut b = TopologyBuilder::new("bad2");
         let c = b.channel("c", 1.0);
-        b.route(Endpoint::Gpu(3), Endpoint::Host, vec![c]);
+        b.gpu(spec, Some((1, Link { up: c, down: c })));
+        b.switch(Link { up: c, down: c }, Link { up: c, down: c });
+        assert!(b.build().is_err());
+
+        let mut b = TopologyBuilder::new("bad3");
+        let c = b.channel("c", 1.0);
+        b.direct(0, 3, c);
         assert!(matches!(b.build(), Err(TopologyError::UnknownGpu(3))));
+
+        let mut b = TopologyBuilder::new("bad4");
+        let c = b.channel("c", 1.0);
+        b.gpu(spec, None);
+        b.direct(0, 0, c);
+        assert!(b.build().is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! direction per pair. The *ratios* (oversubscription, p2p vs host path)
 //! are what drive the reproduced results.
 
-use crate::{Endpoint, GpuSpec, Topology, TopologyBuilder, TopologyError};
+use crate::{GpuSpec, Topology, TopologyBuilder, TopologyError};
 
 /// 1 GiB.
 pub const GIB: u64 = 1 << 30;
@@ -30,6 +30,51 @@ pub struct CommodityParams {
     pub gpu_flops: f64,
 }
 
+impl CommodityParams {
+    /// `num_gpus` 11 GB 1080Ti GPUs on 12 GB/s PCIe lanes,
+    /// `gpus_per_switch` to a switch with a 12 GB/s host uplink.
+    pub fn gtx_1080ti(num_gpus: usize, gpus_per_switch: usize) -> Self {
+        CommodityParams {
+            num_gpus,
+            gpus_per_switch,
+            pcie_bw: 12.0 * GBPS,
+            host_uplink_bw: 12.0 * GBPS,
+            gpu_mem: 11 * GIB,
+            gpu_flops: 11.3e12,
+        }
+    }
+}
+
+/// The one tree constructor behind every preset: GPU `g` hangs off
+/// switch `g / gpus_per_switch` by its own PCIe lane, and each switch has
+/// a host uplink. Cross-switch p2p rides the uplinks, unless `nic_bw`
+/// gives every switch a NIC pair of its own: then each switch is a
+/// server with its own host. Channel ids follow that order: every GPU
+/// lane, then each switch's uplink and NIC pairs.
+fn tree(name: String, p: &CommodityParams, nic_bw: Option<f64>) -> TopologyBuilder {
+    let mut b = TopologyBuilder::new(name);
+    let spec = GpuSpec {
+        mem_bytes: p.gpu_mem,
+        flops: p.gpu_flops,
+    };
+    for g in 0..p.num_gpus {
+        let s = g / p.gpus_per_switch;
+        let (up, down) = (format!("gpu{g}->sw{s}"), format!("sw{s}->gpu{g}"));
+        let lane = b.link(up, down, p.pcie_bw);
+        b.gpu(spec, Some((s, lane)));
+    }
+    for s in 0..p.num_gpus.div_ceil(p.gpus_per_switch) {
+        let host = nic_bw.map_or("host".to_string(), |_| format!("host{s}"));
+        let (up, down) = (format!("sw{s}->{host}"), format!("{host}->sw{s}"));
+        let uplink = b.link(up, down, p.host_uplink_bw);
+        let fabric = nic_bw.map_or(uplink, |bw| {
+            b.link(format!("nic{s}->wire"), format!("wire->nic{s}"), bw)
+        });
+        b.switch(uplink, fabric);
+    }
+    b
+}
+
 /// Builds a switched PCIe server: GPUs grouped under switches, each switch
 /// sharing one host uplink; p2p within a switch goes GPU→switch→GPU without
 /// touching the uplink; p2p across switches crosses both uplinks.
@@ -41,91 +86,29 @@ pub fn commodity_server(p: CommodityParams) -> Result<Topology, TopologyError> {
     }
     let num_switches = p.num_gpus.div_ceil(p.gpus_per_switch);
     let over = (p.gpus_per_switch as f64 * p.pcie_bw) / p.host_uplink_bw;
-    let mut b = TopologyBuilder::new(format!(
+    let name = format!(
         "commodity {}xGPU ({} switch(es), {:.0}:1 host oversubscription)",
         p.num_gpus, num_switches, over
-    ));
-    let spec = GpuSpec {
-        mem_bytes: p.gpu_mem,
-        flops: p.gpu_flops,
-    };
-    let mut gpu_up = Vec::new(); // gpu -> switch
-    let mut gpu_down = Vec::new(); // switch -> gpu
-    for g in 0..p.num_gpus {
-        let sw = g / p.gpus_per_switch;
-        b.gpu(spec, sw);
-        gpu_up.push(b.channel(format!("gpu{g}->sw{sw}"), p.pcie_bw));
-        gpu_down.push(b.channel(format!("sw{sw}->gpu{g}"), p.pcie_bw));
-    }
-    let mut sw_up = Vec::new();
-    let mut sw_down = Vec::new();
-    for s in 0..num_switches {
-        sw_up.push(b.channel(format!("sw{s}->host"), p.host_uplink_bw));
-        sw_down.push(b.channel(format!("host->sw{s}"), p.host_uplink_bw));
-    }
-    for g in 0..p.num_gpus {
-        let s = g / p.gpus_per_switch;
-        b.route(Endpoint::Gpu(g), Endpoint::Host, vec![gpu_up[g], sw_up[s]]);
-        b.route(
-            Endpoint::Host,
-            Endpoint::Gpu(g),
-            vec![sw_down[s], gpu_down[g]],
-        );
-        for (h, &down) in gpu_down.iter().enumerate() {
-            if g == h {
-                continue;
-            }
-            let t = h / p.gpus_per_switch;
-            let route = if s == t {
-                vec![gpu_up[g], down]
-            } else {
-                vec![gpu_up[g], sw_up[s], sw_down[t], down]
-            };
-            b.route(Endpoint::Gpu(g), Endpoint::Gpu(h), route);
-        }
-    }
-    b.build()
+    );
+    tree(name, &p, None).build()
 }
 
 /// The paper's testbed: four 11 GB 1080Ti GPUs behind one PCIe switch with
 /// a 4:1-oversubscribed host uplink (Fig 2b).
 pub fn commodity_4x1080ti() -> Topology {
-    commodity_server(CommodityParams {
-        num_gpus: 4,
-        gpus_per_switch: 4,
-        pcie_bw: 12.0 * GBPS,
-        host_uplink_bw: 12.0 * GBPS,
-        gpu_mem: 11 * GIB,
-        gpu_flops: 11.3e12,
-    })
-    .expect("static preset is valid")
+    commodity_server(CommodityParams::gtx_1080ti(4, 4)).expect("static preset is valid")
 }
 
 /// Like [`commodity_4x1080ti`] but with `n` GPUs behind one switch (used by
 /// the Fig 2(a) sweep over GPU count: oversubscription grows with `n`).
 pub fn commodity_n_1080ti(n: usize) -> Result<Topology, TopologyError> {
-    commodity_server(CommodityParams {
-        num_gpus: n,
-        gpus_per_switch: n.max(1),
-        pcie_bw: 12.0 * GBPS,
-        host_uplink_bw: 12.0 * GBPS,
-        gpu_mem: 11 * GIB,
-        gpu_flops: 11.3e12,
-    })
+    commodity_server(CommodityParams::gtx_1080ti(n, n.max(1)))
 }
 
 /// An 8-GPU single-root server (8:1 host oversubscription), as in the
 /// ASUS/PNY dense servers the paper cites.
 pub fn commodity_8gpu() -> Topology {
-    commodity_server(CommodityParams {
-        num_gpus: 8,
-        gpus_per_switch: 8,
-        pcie_bw: 12.0 * GBPS,
-        host_uplink_bw: 12.0 * GBPS,
-        gpu_mem: 11 * GIB,
-        gpu_flops: 11.3e12,
-    })
-    .expect("static preset is valid")
+    commodity_server(CommodityParams::gtx_1080ti(8, 8)).expect("static preset is valid")
 }
 
 /// A DGX-1-like box: 8 × 32 GB GPUs, PCIe to host, but direct NVLink p2p
@@ -133,52 +116,17 @@ pub fn commodity_8gpu() -> Topology {
 /// by ablations contrasting p2p-rich and p2p-poor interconnects.
 pub fn dgx1_like() -> Topology {
     let p = CommodityParams {
-        num_gpus: 8,
-        gpus_per_switch: 4,
-        pcie_bw: 12.0 * GBPS,
-        host_uplink_bw: 12.0 * GBPS,
         gpu_mem: 32 * GIB,
         gpu_flops: 15.7e12,
+        ..CommodityParams::gtx_1080ti(8, 4)
     };
     // Same PCIe tree as a commodity box, but every GPU->GPU route gets its
     // own dedicated NVLink channel.
-    let mut b = TopologyBuilder::new("dgx1-like (NVLink p2p)");
+    let mut b = tree("dgx1-like (NVLink p2p)".to_string(), &p, None);
     for g in 0..p.num_gpus {
-        b.gpu(
-            GpuSpec {
-                mem_bytes: p.gpu_mem,
-                flops: p.gpu_flops,
-            },
-            g / p.gpus_per_switch,
-        );
-    }
-    let mut gpu_up = Vec::new();
-    let mut gpu_down = Vec::new();
-    for g in 0..p.num_gpus {
-        let sw = g / p.gpus_per_switch;
-        gpu_up.push(b.channel(format!("gpu{g}->sw{sw}"), p.pcie_bw));
-        gpu_down.push(b.channel(format!("sw{sw}->gpu{g}"), p.pcie_bw));
-    }
-    let num_switches = p.num_gpus.div_ceil(p.gpus_per_switch);
-    let mut sw_up = Vec::new();
-    let mut sw_down = Vec::new();
-    for s in 0..num_switches {
-        sw_up.push(b.channel(format!("sw{s}->host"), p.host_uplink_bw));
-        sw_down.push(b.channel(format!("host->sw{s}"), p.host_uplink_bw));
-    }
-    for g in 0..p.num_gpus {
-        let s = g / p.gpus_per_switch;
-        b.route(Endpoint::Gpu(g), Endpoint::Host, vec![gpu_up[g], sw_up[s]]);
-        b.route(
-            Endpoint::Host,
-            Endpoint::Gpu(g),
-            vec![sw_down[s], gpu_down[g]],
-        );
-        for h in 0..p.num_gpus {
-            if g != h {
-                let nv = b.channel(format!("nvlink{g}->{h}"), 20.0 * GBPS);
-                b.route(Endpoint::Gpu(g), Endpoint::Gpu(h), vec![nv]);
-            }
+        for h in (0..p.num_gpus).filter(|&h| h != g) {
+            let nv = b.channel(format!("nvlink{g}->{h}"), 20.0 * GBPS);
+            b.direct(g, h, nv);
         }
     }
     b.build().expect("static preset is valid")
@@ -187,6 +135,7 @@ pub fn dgx1_like() -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Endpoint;
 
     #[test]
     fn paper_testbed_is_4_to_1_oversubscribed() {
@@ -232,10 +181,7 @@ mod tests {
     #[test]
     fn dgx_p2p_is_direct_nvlink() {
         let t = dgx1_like();
-        let route = t
-            .route(Endpoint::Gpu(0), Endpoint::Gpu(7))
-            .unwrap()
-            .to_vec();
+        let route = t.route(Endpoint::Gpu(0), Endpoint::Gpu(7)).unwrap();
         assert_eq!(route.len(), 1);
         assert!(t.channels()[route[0]].name.starts_with("nvlink"));
     }
@@ -297,54 +243,19 @@ pub fn two_server(p: TwoServerParams) -> Result<Topology, TopologyError> {
         return Err(TopologyError::Invalid("need GPUs per server".to_string()));
     }
     let g = p.gpus_per_server;
-    let mut b = TopologyBuilder::new(format!(
+    let name = format!(
         "2 servers × {g} GPUs (NIC {:.0} Gb/s)",
         p.nic_bw * 8.0 / 1e9
-    ));
-    let spec = GpuSpec {
-        mem_bytes: p.gpu_mem,
-        flops: p.gpu_flops,
+    );
+    let servers = CommodityParams {
+        num_gpus: 2 * g,
+        gpus_per_switch: g,
+        pcie_bw: p.pcie_bw,
+        host_uplink_bw: p.host_uplink_bw,
+        gpu_mem: p.gpu_mem,
+        gpu_flops: p.gpu_flops,
     };
-    let mut gpu_up = Vec::new();
-    let mut gpu_down = Vec::new();
-    for i in 0..2 * g {
-        let server = i / g;
-        b.gpu(spec, server);
-        gpu_up.push(b.channel(format!("gpu{i}->sw{server}"), p.pcie_bw));
-        gpu_down.push(b.channel(format!("sw{server}->gpu{i}"), p.pcie_bw));
-    }
-    let mut sw_up = Vec::new();
-    let mut sw_down = Vec::new();
-    let mut nic_out = Vec::new();
-    let mut nic_in = Vec::new();
-    for s in 0..2 {
-        sw_up.push(b.channel(format!("sw{s}->host{s}"), p.host_uplink_bw));
-        sw_down.push(b.channel(format!("host{s}->sw{s}"), p.host_uplink_bw));
-        nic_out.push(b.channel(format!("nic{s}->wire"), p.nic_bw));
-        nic_in.push(b.channel(format!("wire->nic{s}"), p.nic_bw));
-    }
-    for i in 0..2 * g {
-        let s = i / g;
-        b.route(Endpoint::Gpu(i), Endpoint::Host, vec![gpu_up[i], sw_up[s]]);
-        b.route(
-            Endpoint::Host,
-            Endpoint::Gpu(i),
-            vec![sw_down[s], gpu_down[i]],
-        );
-        for (j, &down) in gpu_down.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let t = j / g;
-            let route = if s == t {
-                vec![gpu_up[i], down]
-            } else {
-                vec![gpu_up[i], nic_out[s], nic_in[t], down]
-            };
-            b.route(Endpoint::Gpu(i), Endpoint::Gpu(j), route);
-        }
-    }
-    b.build()
+    tree(name, &servers, Some(p.nic_bw)).build()
 }
 
 /// A ready-made two-server box: 2 × 4 × 11 GB GPUs, 12 GB/s PCIe,
@@ -364,6 +275,7 @@ pub fn two_server_4x1080ti() -> Topology {
 #[cfg(test)]
 mod two_server_tests {
     use super::*;
+    use crate::Endpoint;
 
     #[test]
     fn cross_server_routes_use_the_nic() {

@@ -169,31 +169,25 @@ fn dgx_like_p2p_reduces_pipeline_handoff_latency() {
         .expect("run");
     // An identical box with 10× faster p2p channels.
     let mut b = harmony_topology::TopologyBuilder::new("fast-p2p");
-    for g in 0..2 {
+    let lanes = [
+        b.link("gpu0->sw", "sw->gpu0", 1e9),
+        b.link("gpu1->sw", "sw->gpu1", 1e9),
+    ];
+    let host = b.link("sw->host", "host->sw", 1e9);
+    for lane in lanes {
         b.gpu(
             harmony_topology::GpuSpec {
                 mem_bytes: 8 * 1024 * 1024,
                 flops: 1e9,
             },
-            0,
+            Some((0, lane)),
         );
-        let _ = g;
     }
-    let g0u = b.channel("gpu0->sw", 1e9);
-    let g0d = b.channel("sw->gpu0", 1e9);
-    let g1u = b.channel("gpu1->sw", 1e9);
-    let g1d = b.channel("sw->gpu1", 1e9);
-    let swu = b.channel("sw->host", 1e9);
-    let swd = b.channel("host->sw", 1e9);
-    use harmony_topology::Endpoint;
-    b.route(Endpoint::Gpu(0), Endpoint::Host, vec![g0u, swu]);
-    b.route(Endpoint::Host, Endpoint::Gpu(0), vec![swd, g0d]);
-    b.route(Endpoint::Gpu(1), Endpoint::Host, vec![g1u, swu]);
-    b.route(Endpoint::Host, Endpoint::Gpu(1), vec![swd, g1d]);
+    b.switch(host, host);
     let nv01 = b.channel("nv0->1", 1e10);
     let nv10 = b.channel("nv1->0", 1e10);
-    b.route(Endpoint::Gpu(0), Endpoint::Gpu(1), vec![nv01]);
-    b.route(Endpoint::Gpu(1), Endpoint::Gpu(0), vec![nv10]);
+    b.direct(0, 1, nv01);
+    b.direct(1, 0, nv10);
     let fast = b.build().expect("valid");
     let (s_fast, _) = RunSpec::new(SchemeKind::HarmonyPp, w)
         .run(&model, &fast)
