@@ -403,6 +403,10 @@ impl HotPathGate {
 /// of simulator state each, a full wave stays near 35 MB.
 const MAX_SMOKE_TRANSFERS: usize = 1 << 20;
 
+/// The most transfers one `repro net-smoke` run starts over all its
+/// waves: eight full waves, which ran in 5.5 s on a 2-vCPU host.
+const MAX_SMOKE_TOTAL: usize = 1 << 23;
+
 /// `repro net-smoke`: the network hot path under many concurrent
 /// transfers over shared channels, timed in wall clock as a record.
 /// Each of `waves` waves starts `transfers` GPU→host transfers spread
@@ -416,6 +420,11 @@ pub(crate) fn net_smoke(transfers: usize, waves: usize) -> Outcome {
     if transfers > MAX_SMOKE_TRANSFERS {
         return Outcome::usage_error(format!(
             "--transfers {transfers} is above {MAX_SMOKE_TRANSFERS}"
+        ));
+    }
+    if transfers.saturating_mul(waves) > MAX_SMOKE_TOTAL {
+        return Outcome::usage_error(format!(
+            "--waves {waves} times --transfers {transfers} is above {MAX_SMOKE_TOTAL} transfers"
         ));
     }
     let gpus = 8;

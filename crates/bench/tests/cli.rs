@@ -193,6 +193,18 @@ fn net_smoke_refuses_unbounded_transfer_counts() {
 }
 
 #[test]
+fn net_smoke_refuses_unbounded_wave_counts() {
+    // `--transfers 1 --waves 100000000` once ran without a time limit.
+    // A run past 8,388,608 transfers in all is refused before any
+    // transfer starts, however they split into waves.
+    for (transfers, waves) in [("1", "8388609"), ("1048576", "9"), ("2", "100000000000")] {
+        let out = repro(&["net-smoke", "--transfers", transfers, "--waves", waves]);
+        let what = format!("net-smoke --transfers {transfers} --waves {waves}");
+        assert_usage_error(&out, "--waves", &what);
+    }
+}
+
+#[test]
 fn custom_rejects_mem_gib_without_a_u64_byte_count() {
     // `1e30` GiB used to saturate to a `u64::MAX`-byte GPU and exit 0;
     // `1e-12` GiB truncated to a 0-byte GPU and failed later with

@@ -1,8 +1,8 @@
 //! The tensor-residency state machine and per-device capacity accounting.
 //!
 //! Internally the manager keeps its per-tensor hot fields in flat
-//! struct-of-arrays planes indexed by [`TensorId`] and, per device, a
-//! sorted resident membership; `make_room` picks victims with one
+//! struct-of-arrays planes indexed by [`TensorId`] and, per device, an
+//! unordered resident membership; `make_room` picks victims with one
 //! allocation-free selection scan over it, taking the minimum
 //! [`PolicyKind::key`] (DESIGN §13). The pre-rewrite manager survives as
 //! `crate::dense`, reached through [`MemoryManager::convert_to_dense`],
@@ -12,6 +12,9 @@ use crate::observe::{MemEvent, MemObserver};
 use crate::policy::PolicyKind;
 use crate::stats::{Direction, SwapStats};
 use crate::{DeviceId, MemError, TensorClass, TensorId};
+
+/// [`FastCore::member_at`] of a tensor in no device's membership.
+const NOT_MEMBER: u32 = u32::MAX;
 
 /// Where a tensor's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,16 +401,21 @@ impl MemoryManager {
     }
 
     /// Unpinned tensors resident on `dev`, as eviction candidates, in
-    /// ascending id order — served straight off the per-device residency
-    /// index without materializing a `Vec`. The fast core's membership
+    /// ascending id order. The fast core's membership is unordered and
     /// includes pinned tensors (pin/unpin are pure field writes there),
-    /// so the pinned filter lives here; the dense core's set is already
-    /// unpinned-only and passes the filter trivially.
+    /// so this observer-facing read filters and sorts a copy of it; the
+    /// dense core's set is already sorted and unpinned-only. The event
+    /// loop never calls it.
     pub fn eviction_candidates(&self, dev: DeviceId) -> impl Iterator<Item = TensorView<'_>> {
-        // The two cores keep their sets in different containers.
-        let ids: Box<dyn Iterator<Item = &TensorId> + '_> =
-            with_core!(self, c => Box::new(c.evictable_set(dev).into_iter().flatten()));
-        ids.map(move |&id| self.view_known(id))
+        let mut ids: Vec<TensorId> = with_core!(self, c => c
+            .evictable_set(dev)
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect());
+        ids.sort_unstable();
+        ids.into_iter()
+            .map(move |id| self.view_known(id))
             .filter(|v| v.pinned == 0)
     }
 
@@ -578,9 +586,9 @@ impl MemoryManager {
                 host_copy_valid: f.host_copy[i],
             })
             .collect();
-        // The dense core maintains an unpinned-only evictable set; the
-        // fast core's resident membership includes pinned tensors, so
-        // filter here rather than handing it over verbatim.
+        // The dense core maintains a sorted, unpinned-only evictable set;
+        // the fast core's resident membership is unordered and includes
+        // pinned tensors, so filter here and let the `BTreeSet` sort.
         let evictable = f
             .resident
             .iter()
@@ -607,7 +615,7 @@ impl MemoryManager {
     }
 
     /// Sabotage hook for differential mutation-catch tests: silently drops
-    /// one unpinned tensor from the fast core's sorted resident membership
+    /// one unpinned tensor from the fast core's resident membership
     /// without changing its logical state — the "missed membership
     /// update" bug class the memdiff differential must flag. Returns false
     /// if there was nothing to desync (or the dense core is active).
@@ -619,7 +627,7 @@ impl MemoryManager {
     }
 }
 
-/// The rewritten hot-path core: SoA planes + a sorted resident
+/// The rewritten hot-path core: SoA planes + an unordered resident
 /// membership per device + O(1) aggregate counters.
 #[derive(Debug)]
 struct FastCore {
@@ -648,12 +656,16 @@ struct FastCore {
     dirty: Vec<bool>,
     host_copy: Vec<bool>,
     /// Per-device membership of device-resident tensors (pinned
-    /// included — pin/unpin stay pure field writes), a sorted `Vec` of
-    /// ids: a device holds tens to a few hundred tensors and arrivals are
-    /// mostly the newest ids, so a binary search plus a short move beats
-    /// a tree, and selection scans walk contiguous memory. The public
-    /// candidate order filters `pinned == 0` at read time.
+    /// included — pin/unpin stay pure field writes), an unordered `Vec`
+    /// of ids: an arrival pushes, a departure swap-removes through
+    /// `member_at`, so neither moves more than one id. Victim keys are
+    /// unique, so the selection scan's order never decides a victim; the
+    /// public candidate order filters `pinned == 0` and sorts at read
+    /// time.
     resident: Vec<Vec<TensorId>>,
+    /// Each tensor's position in its device's `resident` list, or
+    /// `NOT_MEMBER` while it is in none.
+    member_at: Vec<u32>,
     next_id: TensorId,
     clock: u64,
     stats: SwapStats,
@@ -683,6 +695,7 @@ impl FastCore {
             dirty: Vec::new(),
             host_copy: Vec::new(),
             resident: vec![Vec::new(); n],
+            member_at: Vec::new(),
             next_id: 0,
             clock: 0,
             stats: SwapStats::new(),
@@ -821,22 +834,35 @@ impl FastCore {
         }
     }
 
-    /// Enters `id` into `dev`'s sorted resident membership.
+    /// Enters `id` into `dev`'s resident membership, at its end.
     fn arrive(&mut self, dev: DeviceId, id: TensorId) {
-        let set = &mut self.resident[dev];
-        if let Err(at) = set.binary_search(&id) {
-            set.insert(at, id);
+        let i = id as usize;
+        if self.member_at[i] == NOT_MEMBER {
+            self.member_at[i] = self.resident[dev].len() as u32;
+            self.resident[dev].push(id);
         }
         self.stats.counters.index_ops += 1;
     }
 
-    /// Removes `id` from `dev`'s sorted resident membership.
+    /// Removes `id` from `dev`'s resident membership.
     fn depart(&mut self, dev: DeviceId, id: TensorId) {
-        let set = &mut self.resident[dev];
-        if let Ok(at) = set.binary_search(&id) {
-            set.remove(at);
+        let at = self.member_at[id as usize];
+        if at != NOT_MEMBER {
+            self.remove_member(dev, at as usize);
         }
         self.stats.counters.index_ops += 1;
+    }
+
+    /// Swap-removes the member at position `at` of `dev`'s membership:
+    /// the last member, if it is another, moves into the gap.
+    fn remove_member(&mut self, dev: DeviceId, at: usize) {
+        let set = &mut self.resident[dev];
+        let id = set.swap_remove(at);
+        self.member_at[id as usize] = NOT_MEMBER;
+        if let Some(&moved) = set.get(at) {
+            self.member_at[moved as usize] = at as u32;
+            self.stats.counters.membership_shifts += 1;
+        }
     }
 
     fn register_on_host(&mut self, name: &str, bytes: u64, class: TensorClass) -> TensorId {
@@ -853,6 +879,7 @@ impl FastCore {
         self.next_use.push(None);
         self.dirty.push(false);
         self.host_copy.push(true);
+        self.member_at.push(NOT_MEMBER);
         self.host_bytes += bytes;
         self.note(MemEvent::RegisterHost { id, bytes, class });
         id
@@ -883,6 +910,7 @@ impl FastCore {
         // Fresh device-side outputs have no host copy yet.
         self.dirty.push(true);
         self.host_copy.push(false);
+        self.member_at.push(NOT_MEMBER);
         self.arrive(dev, id);
         self.note(MemEvent::Alloc {
             id,
@@ -985,7 +1013,7 @@ impl FastCore {
 
     /// The one victim-selection path: each victim is the minimum
     /// [`PolicyKind::key`] among the device's unpinned residents, found by
-    /// a scan over the sorted membership and the SoA planes — nothing to
+    /// a scan over the membership and the SoA planes — nothing to
     /// maintain at transitions, nothing allocated. Keys are unique (the id
     /// is in the key) and fixed for the length of the call, so requiring
     /// `key > last_pick` excludes exactly the victims already chosen, the
@@ -1005,6 +1033,7 @@ impl FastCore {
                 break Ok(());
             }
             let mut best = None;
+            self.stats.counters.resident_visits += self.resident[dev].len() as u64;
             for &id in &self.resident[dev] {
                 let i = id as usize;
                 if self.pinned[i] > 0 {
@@ -1309,17 +1338,18 @@ impl FastCore {
 
     /// See [`MemoryManager::arm_membership_desync`].
     fn arm_membership_desync(&mut self, dev: DeviceId) -> bool {
-        // Pick an unpinned resident (a pinned one is invisible to both
-        // candidates and the victim scan, so dropping it would be a
-        // silent no-op the differential could legitimately miss).
-        let Some(at) = self
-            .resident
-            .get(dev)
-            .and_then(|s| s.iter().position(|&id| self.pinned[id as usize] == 0))
-        else {
+        // Pick the lowest-id unpinned resident (a pinned one is invisible
+        // to both candidates and the victim scan, so dropping it would be
+        // a silent no-op the differential could legitimately miss).
+        let Some(id) = self.resident.get(dev).and_then(|s| {
+            s.iter()
+                .copied()
+                .filter(|&id| self.pinned[id as usize] == 0)
+                .min()
+        }) else {
             return false;
         };
-        self.resident[dev].remove(at);
+        self.remove_member(dev, self.member_at[id as usize] as usize);
         true
     }
 }

@@ -35,6 +35,14 @@ pub struct MemCounters {
     pub index_ops: u64,
     /// Victims picked by the fast core's selection scan.
     pub victim_pops: u64,
+    /// Membership entries the fast core's selection scan examined: the
+    /// device's whole membership, pinned included, once per victim and
+    /// once for the scan that finds the room made (or none left).
+    pub resident_visits: u64,
+    /// Ids that arrivals and departures moved inside a device's
+    /// membership: at most one per departure (the swap-removed gap's
+    /// filler), none per arrival.
+    pub membership_shifts: u64,
 }
 
 /// Classes a tally row holds: one slot per [`TensorClass`] variant

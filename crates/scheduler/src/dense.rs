@@ -1070,6 +1070,8 @@ impl<'a> ReferenceExecutor<'a> {
                     candidate_scans: c.candidate_scans,
                     index_ops: c.index_ops,
                     victim_pops: c.victim_pops,
+                    resident_visits: c.resident_visits,
+                    membership_shifts: c.membership_shifts,
                 })
             },
         };

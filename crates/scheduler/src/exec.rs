@@ -389,6 +389,89 @@ struct CollSlot {
     outstanding: u32,
 }
 
+/// [`Waiters::block`] of an entry with no waiter.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// GPU waiter sets keyed by an entry index (a dependency entry or a
+/// tensor id): per entry, the pool block holding its waiters' bitset
+/// (`wpg` words), or `NO_BLOCK`. Only entries with a waiter hold a
+/// block, and a drained block returns to a free list, so the pool is as
+/// large as the waits in progress rather than entries × GPUs.
+#[derive(Debug)]
+struct Waiters {
+    /// Words per bitset (`ceil(num_queues / 64)`).
+    wpg: usize,
+    /// Block per entry; grown on first use past its end.
+    block: Vec<u32>,
+    pool: Vec<u64>,
+    free: Vec<u32>,
+    /// Waiter bits set across all blocks.
+    live: u64,
+}
+
+impl Waiters {
+    fn new(wpg: usize, block: Vec<u32>) -> Self {
+        Waiters {
+            wpg,
+            block,
+            pool: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+
+    /// Blocks currently holding a waiter set.
+    fn blocks_in_use(&self) -> usize {
+        self.pool.len() / self.wpg - self.free.len()
+    }
+
+    /// Adds GPU `g` to `entry`'s set.
+    fn insert(&mut self, entry: usize, g: usize) {
+        if entry >= self.block.len() {
+            self.block.resize(entry + 1, NO_BLOCK);
+        }
+        let mut b = self.block[entry];
+        if b == NO_BLOCK {
+            b = self.free.pop().unwrap_or_else(|| {
+                self.pool.resize(self.pool.len() + self.wpg, 0);
+                (self.pool.len() / self.wpg - 1) as u32
+            });
+            self.block[entry] = b;
+        }
+        let w = &mut self.pool[b as usize * self.wpg + g / 64];
+        let bit = 1u64 << (g % 64);
+        if *w & bit == 0 {
+            *w |= bit;
+            self.live += 1;
+        }
+    }
+
+    /// Empties `entry`'s set, passing each member to `wake` in ascending
+    /// GPU order.
+    fn drain(&mut self, entry: usize, mut wake: impl FnMut(usize)) {
+        if self.live == 0 {
+            return;
+        }
+        let Some(b) = self.block.get_mut(entry) else {
+            return;
+        };
+        let b = std::mem::replace(b, NO_BLOCK);
+        if b == NO_BLOCK {
+            return;
+        }
+        let base = b as usize * self.wpg;
+        for wi in 0..self.wpg {
+            let mut rem = std::mem::take(&mut self.pool[base + wi]);
+            self.live -= u64::from(rem.count_ones());
+            while rem != 0 {
+                wake(wi * 64 + rem.trailing_zeros() as usize);
+                rem &= rem - 1;
+            }
+        }
+        self.free.push(b);
+    }
+}
+
 /// The single outstanding kernel of a GPU (at most one per GPU, so a
 /// per-GPU slot replaces the tag-keyed map; the globally sequential tag
 /// is kept for cross-checking the simulator's completion).
@@ -565,12 +648,10 @@ pub struct SimExecutor<'a> {
     done_words: Vec<u64>,
     /// Words per GPU-bitmask (`ceil(num_queues / 64)`).
     wpg: usize,
-    /// Dependency waiters: `wpg` words per (iter, replica, task) entry.
-    dep_w: Vec<u64>,
-    dep_live: u64,
-    /// Tensor waiters: `wpg` words per tensor id, grown lazily.
-    tw: Vec<u64>,
-    tw_live: u64,
+    /// GPUs blocked on a dependency, per (iter, replica, task) entry.
+    dep_waiters: Waiters,
+    /// GPUs stalled on a tensor, per tensor id.
+    tensor_waiters: Waiters,
     /// Wake bitmask words: the in-flight pass, wakes deferred to the next
     /// pass, and the every-pass poll set.
     pass_w: Vec<u64>,
@@ -736,7 +817,6 @@ impl<'a> SimExecutor<'a> {
         let task_slots = mul(rslots, num_tasks)?;
         let coll_slots = mul(its, num_packs)?;
         let done_len = dep_entries.div_ceil(64).max(1);
-        let dep_w_len = mul(dep_entries, wpg)?;
         let span_hint = mul(queue_len, 4)?;
         let ks = KeySpace {
             layers,
@@ -755,7 +835,7 @@ impl<'a> SimExecutor<'a> {
         let mut task_syms = reserved(task_slots)?;
         let mut collectives = reserved(coll_slots)?;
         let mut done_words = reserved(done_len)?;
-        let mut dep_w = reserved(dep_w_len)?;
+        let mut dep_block = reserved(dep_entries)?;
         let mut trace = Trace::new(plan.name.clone());
         trace.reserve_spans(span_hint).map_err(|e| {
             ExecError::TooLarge(format!("cannot reserve {span_hint} trace spans: {e}"))
@@ -868,7 +948,7 @@ impl<'a> SimExecutor<'a> {
         task_syms.resize(task_slots, None);
         collectives.resize(coll_slots, CollSlot::default());
         done_words.resize(done_len, 0);
-        dep_w.resize(dep_w_len, 0);
+        dep_block.resize(dep_entries, NO_BLOCK);
         Ok(SimExecutor {
             topo,
             model,
@@ -900,10 +980,8 @@ impl<'a> SimExecutor<'a> {
             collectives,
             done_words,
             wpg,
-            dep_w,
-            dep_live: 0,
-            tw: Vec::new(),
-            tw_live: 0,
+            dep_waiters: Waiters::new(wpg, dep_block),
+            tensor_waiters: Waiters::new(wpg, Vec::new()),
             pass_w: vec![0; wpg],
             pending_w: vec![0; wpg],
             poll_w: vec![0; wpg],
@@ -1205,15 +1283,9 @@ impl<'a> SimExecutor<'a> {
         self.done_words[ix / 64] |= 1u64 << (ix % 64);
     }
 
-    /// Marks `g` as unblockable. During a pass, GPUs above the one
-    /// currently advancing join the same pass (dense visibility order);
-    /// everything else waits for the next event's pass.
+    /// Marks `g` as unblockable (see [`wake_in`]).
     fn wake(&mut self, g: usize) {
-        let (wi, bit) = (g / 64, 1u64 << (g % 64));
-        match self.advancing {
-            Some(cur) if g > cur => self.pass_w[wi] |= bit,
-            _ => self.pending_w[wi] |= bit,
-        }
+        wake_in(&mut self.pass_w, &mut self.pending_w, self.advancing, g);
     }
 
     /// Wakes every GPU (collective completion, fault application).
@@ -1243,35 +1315,23 @@ impl<'a> SimExecutor<'a> {
             .iter()
             .find(|d| !self.is_done(iter, replica, **d));
         if let Some(&d) = missing {
-            let base = self.dep_ix(iter, replica, d) * self.wpg;
-            let w = &mut self.dep_w[base + g / 64];
-            let bit = 1u64 << (g % 64);
-            if *w & bit == 0 {
-                *w |= bit;
-                self.dep_live += 1;
-            }
+            let entry = self.dep_ix(iter, replica, d);
+            self.dep_waiters.insert(entry, g);
+            // A GPU waits on at most one dependency per step slot.
+            debug_assert!(
+                self.dep_waiters.blocks_in_use() <= 2 * self.q_bounds.len(),
+                "more dependency waits than step slots"
+            );
         }
     }
 
     /// Wakes GPUs blocked on task `(iter, replica, task)` completing.
     fn wake_dep_waiters(&mut self, iter: u32, replica: usize, task: TaskId) {
-        if self.dep_live == 0 {
-            return;
-        }
-        let base = self.dep_ix(iter, replica, task) * self.wpg;
-        for wi in 0..self.wpg {
-            let w = std::mem::take(&mut self.dep_w[base + wi]);
-            if w == 0 {
-                continue;
-            }
-            self.dep_live -= u64::from(w.count_ones());
-            let mut rem = w;
-            while rem != 0 {
-                let b = rem.trailing_zeros() as usize;
-                rem &= rem - 1;
-                self.wake(wi * 64 + b);
-            }
-        }
+        let entry = self.dep_ix(iter, replica, task);
+        let (pass_w, pending_w, advancing) =
+            (&mut self.pass_w, &mut self.pending_w, self.advancing);
+        self.dep_waiters
+            .drain(entry, |g| wake_in(pass_w, pending_w, advancing, g));
     }
 
     /// Registers `g` as stalled on tensor `id` (moving / pinned elsewhere).
@@ -1280,41 +1340,16 @@ impl<'a> SimExecutor<'a> {
             self.drop_one_wake = false;
             return;
         }
-        let base = id as usize * self.wpg;
-        if self.tw.len() < base + self.wpg {
-            self.tw.resize(base + self.wpg, 0);
-        }
-        let w = &mut self.tw[base + g / 64];
-        let bit = 1u64 << (g % 64);
-        if *w & bit == 0 {
-            *w |= bit;
-            self.tw_live += 1;
-        }
+        self.tensor_waiters.insert(id as usize, g);
     }
 
     /// Wakes GPUs stalled on tensor `id` (its move settled, or it was
     /// unpinned or freed).
     fn wake_tensor_waiters(&mut self, id: TensorId) {
-        if self.tw_live == 0 {
-            return;
-        }
-        let base = id as usize * self.wpg;
-        if self.tw.len() < base + self.wpg {
-            return;
-        }
-        for wi in 0..self.wpg {
-            let w = std::mem::take(&mut self.tw[base + wi]);
-            if w == 0 {
-                continue;
-            }
-            self.tw_live -= u64::from(w.count_ones());
-            let mut rem = w;
-            while rem != 0 {
-                let b = rem.trailing_zeros() as usize;
-                rem &= rem - 1;
-                self.wake(wi * 64 + b);
-            }
-        }
+        let (pass_w, pending_w, advancing) =
+            (&mut self.pass_w, &mut self.pending_w, self.advancing);
+        self.tensor_waiters
+            .drain(id as usize, |g| wake_in(pass_w, pending_w, advancing, g));
     }
 
     /// Applies an injected fault when its timer fires.
@@ -1803,6 +1838,8 @@ impl<'a> SimExecutor<'a> {
                     candidate_scans: c.candidate_scans,
                     index_ops: c.index_ops,
                     victim_pops: c.victim_pops,
+                    resident_visits: c.resident_visits,
+                    membership_shifts: c.membership_shifts,
                 })
             },
         }
@@ -2366,10 +2403,8 @@ impl<'a> SimExecutor<'a> {
         let label = match self.task_syms[six] {
             Some(s) => s,
             None => {
-                let s = self.trace.symbols.intern_fmt(format_args!(
-                    "{}",
-                    TaskLabel(replica, self.plan.graph.kind(task))
-                ));
+                let label = TaskLabel(replica, self.plan.graph.kind(task));
+                let s = self.trace.symbols.append(|w| label.write(w));
                 self.counters.label_interns += 1;
                 self.task_syms[six] = Some(s);
                 s
@@ -2410,11 +2445,12 @@ impl<'a> SimExecutor<'a> {
             return Ok(());
         }
         // Barrier lifted: one ring-exchange hop per GPU of 2(N−1)/N · |dW|,
-        // ascending source.
+        // ascending source. Each `(iter, pack)` barrier lifts once, so its
+        // label is new.
         let label = self
             .trace
             .symbols
-            .intern_fmt(format_args!("allreduce p{pack} i{iter}"));
+            .append(|w| write_allreduce_label(w, pack, iter));
         self.counters.label_interns += 1;
         let grad_bytes: u64 = self.plan.graph.packs()[pack]
             .clone()
@@ -2711,11 +2747,13 @@ fn item_refs(plan: &ExecutionPlan, item: WorkItem, mut visit: impl FnMut(usize, 
 }
 
 /// The trace symbol of `(replica, rf)`'s tensor, whose text is also
-/// the memory manager's name for it. The label is formatted into the
+/// the memory manager's name for it. The label is written into the
 /// trace's symbol arena on the key's first sight only (cached in
-/// `ref_syms`), so interning stays bounded by distinct labels however
-/// often the key is re-registered or re-allocated; a cache hit yields
-/// the id `intern` would return, so symbol ids are unchanged.
+/// `ref_syms`), so minting stays bounded by distinct labels however
+/// often the key is re-registered or re-allocated. Every executor label
+/// is distinct by construction — one per `(replica, ref)`, `(replica,
+/// task)` or `(iter, pack)`, in spellings that cannot collide — so it is
+/// appended without a lookup, and gets the id `intern` would return.
 fn intern_ref(
     trace: &mut Trace,
     ref_syms: &mut [Option<SymbolId>],
@@ -2727,47 +2765,113 @@ fn intern_ref(
     let rix = replica * ks.num_refs + ks.ref_ix(rf);
     *ref_syms[rix].get_or_insert_with(|| {
         counters.label_interns += 1;
-        trace
-            .symbols
-            .intern_fmt(format_args!("{}", TensorLabel(replica, rf)))
+        trace.symbols.append(|w| TensorLabel(replica, rf).write(w))
     })
+}
+
+/// Marks `g` as unblockable. During a pass (`advancing` is the GPU being
+/// advanced), GPUs above it join the same pass (dense visibility order);
+/// everything else waits for the next event's pass.
+fn wake_in(pass_w: &mut [u64], pending_w: &mut [u64], advancing: Option<usize>, g: usize) {
+    let (wi, bit) = (g / 64, 1u64 << (g % 64));
+    match advancing {
+        Some(cur) if g > cur => pass_w[wi] |= bit,
+        _ => pending_w[wi] |= bit,
+    }
+}
+
+/// Writes `n` in decimal, as `{n}` formats it, without `core::fmt`'s
+/// integer formatting.
+fn write_digits<W: fmt::Write>(w: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    w.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+/// Writes the label of pack `pack`'s allreduce in iteration `iter`,
+/// e.g. `allreduce p2 i0`.
+fn write_allreduce_label<W: fmt::Write>(w: &mut W, pack: usize, iter: u32) -> fmt::Result {
+    w.write_str("allreduce p")?;
+    write_digits(w, pack as u64)?;
+    w.write_str(" i")?;
+    write_digits(w, u64::from(iter))
 }
 
 /// The label of replica `.0`'s tensor `.1`, e.g. `r0.L3.Y.u1`: the
 /// trace label and memory-manager name of its tensor.
 pub(crate) struct TensorLabel(pub(crate) usize, pub(crate) TensorRef);
 
+impl TensorLabel {
+    /// Writes the label; `Display` is this writer.
+    fn write<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        use TensorRef::*;
+        let TensorLabel(r, rf) = *self;
+        let (layer, kind, ubatch) = match rf {
+            Weight { layer } => (Some(layer), ".W", None),
+            Grad { layer } => (Some(layer), ".dW", None),
+            OptState { layer } => (Some(layer), ".K", None),
+            Activation { layer, ubatch } => (Some(layer), ".Y.u", Some(ubatch)),
+            ActGrad { layer, ubatch } => (Some(layer), ".dY.u", Some(ubatch)),
+            Stash { layer, ubatch } => (Some(layer), ".stash.u", Some(ubatch)),
+            WeightStash { layer, ubatch } => (Some(layer), ".Wstash.u", Some(ubatch)),
+            Input { ubatch } => (None, ".input.u", Some(ubatch)),
+        };
+        w.write_char('r')?;
+        write_digits(w, r as u64)?;
+        if let Some(layer) = layer {
+            w.write_str(".L")?;
+            write_digits(w, layer as u64)?;
+        }
+        w.write_str(kind)?;
+        ubatch.map_or(Ok(()), |u| write_digits(w, u as u64))
+    }
+}
+
 impl fmt::Display for TensorLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let TensorLabel(r, rf) = *self;
-        match rf {
-            TensorRef::Weight { layer } => write!(f, "r{r}.L{layer}.W"),
-            TensorRef::Grad { layer } => write!(f, "r{r}.L{layer}.dW"),
-            TensorRef::OptState { layer } => write!(f, "r{r}.L{layer}.K"),
-            TensorRef::Activation { layer, ubatch } => write!(f, "r{r}.L{layer}.Y.u{ubatch}"),
-            TensorRef::ActGrad { layer, ubatch } => write!(f, "r{r}.L{layer}.dY.u{ubatch}"),
-            TensorRef::Stash { layer, ubatch } => write!(f, "r{r}.L{layer}.stash.u{ubatch}"),
-            TensorRef::WeightStash { layer, ubatch } => {
-                write!(f, "r{r}.L{layer}.Wstash.u{ubatch}")
-            }
-            TensorRef::Input { ubatch } => write!(f, "r{r}.input.u{ubatch}"),
-        }
+        self.write(f)
     }
 }
 
 /// The trace label of replica `.0`'s task `.1`, e.g. `F p2 u0 r1`.
 pub(crate) struct TaskLabel(pub(crate) usize, pub(crate) harmony_taskgraph::TaskKind);
 
-impl fmt::Display for TaskLabel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl TaskLabel {
+    /// Writes the label; `Display` is this writer.
+    fn write<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
         use harmony_taskgraph::TaskKind::*;
         let TaskLabel(r, kind) = *self;
-        match kind {
-            Forward { pack, ubatch } => write!(f, "F p{pack} u{ubatch} r{r}"),
-            Loss { ubatch } => write!(f, "Loss u{ubatch} r{r}"),
-            Backward { pack, ubatch } => write!(f, "B p{pack} u{ubatch} r{r}"),
-            Update { pack } => write!(f, "U p{pack} r{r}"),
+        let (head, pack, ubatch) = match kind {
+            Forward { pack, ubatch } => ("F", Some(pack), Some(ubatch)),
+            Loss { ubatch } => ("Loss", None, Some(ubatch)),
+            Backward { pack, ubatch } => ("B", Some(pack), Some(ubatch)),
+            Update { pack } => ("U", Some(pack), None),
+        };
+        w.write_str(head)?;
+        if let Some(pack) = pack {
+            w.write_str(" p")?;
+            write_digits(w, pack as u64)?;
         }
+        if let Some(ubatch) = ubatch {
+            w.write_str(" u")?;
+            write_digits(w, ubatch as u64)?;
+        }
+        w.write_str(" r")?;
+        write_digits(w, r as u64)
+    }
+}
+
+impl fmt::Display for TaskLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f)
     }
 }
 
@@ -2858,5 +2962,89 @@ mod tests {
         });
         assert!(constructed);
         assert_eq!(seen.get(), 1);
+    }
+
+    /// Every writer's bytes against the `format!` spelling of its label,
+    /// for every variant at digit-count boundaries.
+    #[test]
+    fn label_writers_match_format_at_digit_boundaries() {
+        use harmony_taskgraph::TaskKind;
+        let ns = [0usize, 9, 10, 99, 100, u32::MAX as usize];
+        let written = |f: &dyn Fn(&mut String) -> fmt::Result| {
+            let mut s = String::new();
+            f(&mut s).unwrap();
+            s
+        };
+        for r in ns {
+            for l in ns {
+                for u in ns {
+                    let refs = [
+                        (TensorRef::Weight { layer: l }, format!("r{r}.L{l}.W")),
+                        (TensorRef::Grad { layer: l }, format!("r{r}.L{l}.dW")),
+                        (TensorRef::OptState { layer: l }, format!("r{r}.L{l}.K")),
+                        (
+                            TensorRef::Activation {
+                                layer: l,
+                                ubatch: u,
+                            },
+                            format!("r{r}.L{l}.Y.u{u}"),
+                        ),
+                        (
+                            TensorRef::ActGrad {
+                                layer: l,
+                                ubatch: u,
+                            },
+                            format!("r{r}.L{l}.dY.u{u}"),
+                        ),
+                        (
+                            TensorRef::Stash {
+                                layer: l,
+                                ubatch: u,
+                            },
+                            format!("r{r}.L{l}.stash.u{u}"),
+                        ),
+                        (
+                            TensorRef::WeightStash {
+                                layer: l,
+                                ubatch: u,
+                            },
+                            format!("r{r}.L{l}.Wstash.u{u}"),
+                        ),
+                        (TensorRef::Input { ubatch: u }, format!("r{r}.input.u{u}")),
+                    ];
+                    for (rf, want) in refs {
+                        let label = TensorLabel(r, rf);
+                        assert_eq!(written(&|w| label.write(w)), want);
+                        assert_eq!(label.to_string(), want);
+                    }
+                    let tasks = [
+                        (
+                            TaskKind::Forward { pack: l, ubatch: u },
+                            format!("F p{l} u{u} r{r}"),
+                        ),
+                        (TaskKind::Loss { ubatch: u }, format!("Loss u{u} r{r}")),
+                        (
+                            TaskKind::Backward { pack: l, ubatch: u },
+                            format!("B p{l} u{u} r{r}"),
+                        ),
+                        (TaskKind::Update { pack: l }, format!("U p{l} r{r}")),
+                    ];
+                    for (kind, want) in tasks {
+                        let label = TaskLabel(r, kind);
+                        assert_eq!(written(&|w| label.write(w)), want);
+                        assert_eq!(label.to_string(), want);
+                    }
+                }
+                let iter = u32::try_from(l).unwrap();
+                assert_eq!(
+                    written(&|w| write_allreduce_label(w, r, iter)),
+                    format!("allreduce p{r} i{iter}")
+                );
+            }
+        }
+        assert_eq!(
+            written(&|w| write_digits(w, u64::MAX)),
+            u64::MAX.to_string()
+        );
     }
 }

@@ -583,6 +583,112 @@ fn label_interning_is_once_per_distinct_label() {
 }
 
 #[test]
+fn executor_labels_are_distinct_and_never_hashed() {
+    // The executor appends its labels without a lookup: one per
+    // `(replica, ref)`, `(replica, task)` and `(iter, pack)`, so every text
+    // must be distinct, and a run that only appends hashes none of them.
+    let model = uniform_model(LAYERS, PARAMS);
+    let topo = pressured_topo(2, GPU_MEM);
+    for planner in [
+        plan_baseline_dp,
+        plan_baseline_pp,
+        plan_harmony_dp,
+        plan_harmony_pp,
+        harmony_sched::plan_pipe_1f1b,
+    ] {
+        let plan = planner(&model, 2, &workload(2)).unwrap();
+        let (_, trace, _) = SimExecutor::with_iterations(&topo, &model, &plan, 3)
+            .unwrap()
+            .run_counted()
+            .unwrap();
+        let symbols = &trace.symbols;
+        let distinct: std::collections::HashSet<&str> = symbols.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            symbols.len(),
+            "{}: a label repeats",
+            plan.name
+        );
+        assert_eq!(
+            symbols.indexed_len(),
+            0,
+            "{}: a label was hashed",
+            plan.name
+        );
+    }
+}
+
+/// Counts departures from device memory: a device-resident tensor
+/// swapped out, moved peer-to-peer, dropped or freed.
+#[derive(Debug, Default)]
+struct Departures {
+    on_device: std::collections::HashSet<harmony_memory::TensorId>,
+    count: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl harmony_memory::MemObserver for Departures {
+    fn on_event(&mut self, _: &harmony_memory::MemoryManager, event: &harmony_memory::MemEvent) {
+        use harmony_memory::MemEvent::*;
+        let left = match *event {
+            Alloc { id, .. } | FinishMove { id, .. } | CancelMove { id, p2p: true, .. } => {
+                self.on_device.insert(id);
+                false
+            }
+            BeginSwapOut { id, .. } | BeginP2p { id, .. } | DropToHost { id, .. } | Free { id } => {
+                self.on_device.remove(&id)
+            }
+            _ => false,
+        };
+        if left {
+            self.count.set(self.count.get() + 1);
+        }
+    }
+}
+
+#[test]
+fn membership_moves_at_most_one_id_per_departure() {
+    // Lenet harmony-pp on four GPUs keeps thousands of tensors resident
+    // per device: a sorted membership moved ~2,000 ids per event at
+    // m = 500 and ~16,000 at m = 4000. Swap-removal moves at most the one
+    // id that fills the gap.
+    let model = harmony_models::cnn::lenet();
+    let topo = commodity_server(CommodityParams {
+        num_gpus: 4,
+        gpus_per_switch: 4,
+        pcie_bw: 12.0 * GBPS,
+        host_uplink_bw: 12.0 * GBPS,
+        gpu_mem: 11 << 30,
+        gpu_flops: 11.3e12,
+    })
+    .unwrap();
+    for m in [500, 4000] {
+        let w = WorkloadConfig {
+            microbatches: m,
+            ..WorkloadConfig::default()
+        };
+        let plan = plan_harmony_pp(&model, 4, &w).unwrap();
+        let mut exec = SimExecutor::with_iterations(&topo, &model, &plan, 1).unwrap();
+        let departures = Departures::default();
+        let count = departures.count.clone();
+        exec.attach_mem_observer(Box::new(departures));
+        let (summary, _, _) = exec.run_counted().unwrap();
+        let c = summary.mem_counters.unwrap();
+        let (shifts, events, departed) =
+            (c.membership_shifts, summary.events_processed, count.get());
+        println!("m = {m}: {shifts} shifts, {departed} departures, {events} events");
+        assert!(departed > 0 && shifts > 0, "m = {m}: the run must move ids");
+        assert!(
+            shifts <= departed,
+            "m = {m}: {shifts} membership shifts for {departed} departures"
+        );
+        assert!(
+            shifts <= 2 * events,
+            "m = {m}: {shifts} membership shifts for {events} events"
+        );
+    }
+}
+
+#[test]
 fn cross_gpu_circular_wait_is_reported_as_stuck() {
     // Failure injection: hand-build a plan whose two GPUs each wait on a
     // task the *other* GPU has queued behind its own blocked task. The

@@ -93,3 +93,19 @@ fn server_and_executor_build_allocate_linearly_in_gpus() {
         "doubling the GPUs from 64 to 128 multiplied setup bytes by {ratio:.3} ({small} B -> {large} B)"
     );
 }
+
+#[test]
+fn dependency_waiters_allocate_linearly_in_gpus() {
+    // A pipeline plan's task count grows with its GPUs, so a waiter
+    // bitset of ceil(GPUs / 64) words per dependency entry would grow
+    // quadratically: 46.7 MB at 1,024 GPUs against 21.4 MB at 512 (2.18×).
+    // Waiter bitsets live in a pool sized by the waits in progress.
+    let small = setup_bytes(512);
+    let large = setup_bytes(1024);
+    let ratio = large as f64 / small as f64;
+    println!("512 GPUs: {small} B; 1024 GPUs: {large} B; ratio {ratio:.3}");
+    assert!(
+        ratio <= 2.1,
+        "doubling the GPUs from 512 to 1024 multiplied setup bytes by {ratio:.3} ({small} B -> {large} B)"
+    );
+}

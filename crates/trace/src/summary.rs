@@ -83,6 +83,11 @@ pub struct MemPlanningCounters {
     pub index_ops: u64,
     /// Victims picked by the fast core's selection scan.
     pub victim_pops: u64,
+    /// Membership entries the fast core's selection scan examined.
+    pub resident_visits: u64,
+    /// Ids moved inside a device's membership by arrivals and
+    /// departures (at most one per departure).
+    pub membership_shifts: u64,
 }
 
 impl MemPlanningCounters {
@@ -90,8 +95,13 @@ impl MemPlanningCounters {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"fresh_allocs\": {}, \"candidate_scans\": {}, \"index_ops\": {}, \
-             \"victim_pops\": {}}}",
-            self.fresh_allocs, self.candidate_scans, self.index_ops, self.victim_pops,
+             \"victim_pops\": {}, \"resident_visits\": {}, \"membership_shifts\": {}}}",
+            self.fresh_allocs,
+            self.candidate_scans,
+            self.index_ops,
+            self.victim_pops,
+            self.resident_visits,
+            self.membership_shifts,
         )
     }
 }
@@ -490,6 +500,8 @@ mod tests {
                 candidate_scans: 0,
                 index_ops: 120,
                 victim_pops: 17,
+                resident_visits: 340,
+                membership_shifts: 9,
             }),
             ..summary()
         };
@@ -499,6 +511,10 @@ mod tests {
         let c = doc.get("mem_counters").expect("counters object emitted");
         assert_eq!(c.get("fresh_allocs").and_then(|v| v.as_f64()), Some(3.0));
         assert_eq!(c.get("victim_pops").and_then(|v| v.as_f64()), Some(17.0));
+        assert_eq!(
+            c.get("membership_shifts").and_then(|v| v.as_f64()),
+            Some(9.0)
+        );
         // Counters describe how the run was computed, not what it
         // computed: they do not participate in run identity.
         assert_eq!(plain, counted);

@@ -1,10 +1,10 @@
 //! Label interning: one text arena plus an open-addressed id index.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// An interned span label: an index into the owning [`crate::Trace`]'s
 /// [`SymbolTable`]. Copyable, 4 bytes, allocation-free to record — the
-/// executor interns each distinct label once at plan build/registration
+/// executor mints each distinct label once at plan build/registration
 /// and stamps millions of spans with the id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SymbolId(pub(crate) u32);
@@ -15,8 +15,14 @@ pub struct SymbolId(pub(crate) u32);
 /// open-addressed table of ids (linear probing over a power-of-two slot
 /// array, at most half full) finds a label by a multiplicative hash of
 /// its bytes. Interning a new label therefore costs one hash and one
-/// copy into the arena, never a `String` of its own, and
-/// [`SymbolTable::intern_fmt`] formats straight into the arena.
+/// copy into the arena, never a `String` of its own.
+///
+/// A caller that knows a label is new — the executor mints each of its
+/// labels once per key — [`SymbolTable::append`]s it instead: the text
+/// is written and the id minted, but nothing is hashed. The index covers
+/// ids `0..indexed_len()` and catches up on the appended ids at the next
+/// [`SymbolTable::intern`], hashing each of them once; a table that is
+/// only ever appended to never hashes at all.
 ///
 /// Ids are stable for the table's lifetime, so a `SymbolId` is only
 /// meaningful against the table that produced it (spans copied between
@@ -28,6 +34,10 @@ pub struct SymbolTable {
     /// `ends[i]` is where symbol `i` ends in `text`; it starts where
     /// symbol `i - 1` ends (or at 0).
     ends: Vec<u32>,
+    /// The top 32 bits of each indexed symbol's hash, in id order: the
+    /// index covers exactly the first `hashes.len()` ids. Growing the
+    /// slot array re-seats ids from here instead of re-hashing text.
+    hashes: Vec<u32>,
     /// Ids by hash slot, `EMPTY` where free. Lookup-only (never
     /// iterated), so slot placement cannot reach any output.
     slots: Vec<u32>,
@@ -71,17 +81,14 @@ impl SymbolTable {
         self.commit(start)
     }
 
-    /// Returns the id for the text `args` formats to, interning it on
-    /// first sight — the same id as `intern(&format!(…))`, formatted in
-    /// place in the arena instead of through a temporary `String`.
-    pub fn intern_fmt(&mut self, args: fmt::Arguments<'_>) -> SymbolId {
-        let start = self.text.len();
-        // Only a `Display` impl that reports an error fails here, which
-        // `format!` panics on too.
-        self.text
-            .write_fmt(args)
-            .expect("a formatting trait implementation returned an error");
-        self.commit(start)
+    /// Mints the next id for the label `write` writes into the arena,
+    /// without looking it up or hashing it. The caller guarantees the
+    /// label differs from every label already in the table (debug builds
+    /// check this when the index catches up); the id is then the one
+    /// `intern` would have returned.
+    pub fn append(&mut self, write: impl FnOnce(&mut String) -> fmt::Result) -> SymbolId {
+        write(&mut self.text).expect("a label writer returned an error");
+        self.push_end()
     }
 
     /// The text behind `id`. Empty string for an id minted by a
@@ -98,7 +105,7 @@ impl SymbolTable {
     }
 
     /// Every label in id order.
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &str> + Clone + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + Clone + '_ {
         (0..self.ends.len()).map(|i| self.text_of(i))
     }
 
@@ -112,64 +119,105 @@ impl SymbolTable {
         self.ends.is_empty()
     }
 
+    /// How many labels the hash index covers: ids from here to
+    /// [`SymbolTable::len`] were appended and are not hashed yet.
+    pub fn indexed_len(&self) -> usize {
+        self.hashes.len()
+    }
+
     fn text_of(&self, i: usize) -> &str {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
         &self.text[start..self.ends[i] as usize]
     }
 
-    fn hash(&self, bytes: &[u8]) -> u64 {
-        #[cfg(test)]
-        if let Some(h) = self.hasher {
-            return h(bytes);
-        }
-        hash_bytes(bytes)
+    /// Ends the label at the arena's end as the next id.
+    fn push_end(&mut self) -> SymbolId {
+        let id = self.ends.len() as u32;
+        let end = u32::try_from(self.text.len()).expect("label text beyond 4 GiB");
+        self.ends.push(end);
+        SymbolId(id)
     }
 
-    /// First slot `h` probes.
-    fn home(&self, h: u64) -> usize {
-        // The top `log2(slots)` bits of the hash.
-        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    /// The top 32 bits of the hash of `bytes`.
+    fn hash(&self, bytes: &[u8]) -> u32 {
+        #[cfg(test)]
+        if let Some(h) = self.hasher {
+            return (h(bytes) >> 32) as u32;
+        }
+        (hash_bytes(bytes) >> 32) as u32
+    }
+
+    /// First slot `h` probes: its top `log2(slots)` bits.
+    fn home(&self, h: u32) -> usize {
+        (u64::from(h) >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The first free slot on `h`'s probe path. With `text` given, an
+    /// indexed label equal to it stops the probe instead: `Err(its id)`.
+    fn probe(&self, h: u32, text: Option<&str>) -> Result<usize, u32> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(h);
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                return Ok(slot);
+            }
+            if let Some(text) = text {
+                if self.hashes[id as usize] == h && self.text_of(id as usize) == text {
+                    return Err(id);
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 
     /// Interns the tentative label `text[start..]` just appended to the
     /// arena: an equal label already present keeps its id and the copy
     /// is dropped; otherwise the copy stays and gets the next id.
     fn commit(&mut self, start: usize) -> SymbolId {
-        if 2 * (self.ends.len() + 1) > self.slots.len() {
-            self.grow();
-        }
+        self.catch_up();
         let h = self.hash(&self.text.as_bytes()[start..]);
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(h);
-        loop {
-            let id = self.slots[slot];
-            if id == EMPTY {
-                break;
-            }
-            if self.text_of(id as usize) == &self.text[start..] {
+        match self.probe(h, Some(&self.text[start..])) {
+            Err(id) => {
                 self.text.truncate(start);
-                return SymbolId(id);
+                SymbolId(id)
             }
-            slot = (slot + 1) & mask;
+            Ok(slot) => {
+                self.slots[slot] = self.ends.len() as u32;
+                self.hashes.push(h);
+                self.push_end()
+            }
         }
-        let id = self.ends.len() as u32;
-        let end = u32::try_from(self.text.len()).expect("label text beyond 4 GiB");
-        self.ends.push(end);
-        self.slots[slot] = id;
-        SymbolId(id)
     }
 
-    /// Doubles the slot array and re-seats every id.
-    fn grow(&mut self) {
-        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+    /// Brings the index up to every id, with room for one more: grows
+    /// the slot array first if the labels would fill more than half of
+    /// it, then hashes and seats each appended id once.
+    fn catch_up(&mut self) {
+        let want = 2 * (self.ends.len() + 1);
+        if want > self.slots.len() {
+            self.grow(want.next_power_of_two().max(MIN_SLOTS));
+        }
+        for i in self.hashes.len()..self.ends.len() {
+            let h = self.hash(self.text_of(i).as_bytes());
+            debug_assert!(
+                self.probe(h, Some(self.text_of(i))).is_ok(),
+                "appended label {:?} was not new",
+                self.text_of(i)
+            );
+            let slot = self.probe(h, None).expect("a free slot");
+            self.slots[slot] = i as u32;
+            self.hashes.push(h);
+        }
+    }
+
+    /// Replaces the slot array with `len` slots and re-seats every
+    /// indexed id by its stored hash.
+    fn grow(&mut self, len: usize) {
         self.slots.clear();
         self.slots.resize(len, EMPTY);
-        let mask = len - 1;
-        for i in 0..self.ends.len() {
-            let mut slot = self.home(self.hash(self.text_of(i).as_bytes()));
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
+        for i in 0..self.hashes.len() {
+            let slot = self.probe(self.hashes[i], None).expect("a free slot");
             self.slots[slot] = i as u32;
         }
     }
@@ -178,6 +226,7 @@ impl SymbolTable {
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+    use std::fmt::Write as _;
 
     use proptest::prelude::*;
 
@@ -298,20 +347,83 @@ mod tests {
         }
 
         #[test]
-        fn intern_fmt_equals_intern_of_format(
+        fn appends_interleaved_with_interns_match_hashmap_reference(
             hasher in 0usize..3,
-            keys in prop::collection::vec((0usize..5, 0usize..30, 0usize..6), 0..150),
+            ops in prop::collection::vec((any::<bool>(), label_strategy()), 0..200),
         ) {
-            let mut by_fmt = table(hasher);
-            let mut by_str = table(hasher);
-            for &(r, l, u) in &keys {
-                let a = by_fmt.intern_fmt(format_args!("r{r}.L{l}.Y.u{u}"));
-                let b = by_str.intern(&format!("r{r}.L{l}.Y.u{u}"));
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(by_fmt.resolve(a), by_str.resolve(b));
+            let mut arena = table(hasher);
+            let mut reference = Reference::default();
+            for (append, s) in &ops {
+                // Only a label the table has not seen may be appended.
+                let id = if *append && !reference.index.contains_key(s) {
+                    arena.append(|text| text.write_str(s))
+                } else {
+                    arena.intern(s)
+                };
+                prop_assert_eq!(id.0, reference.intern(s));
+                prop_assert_eq!(arena.resolve(id), s.as_str());
             }
-            prop_assert!(by_fmt.iter().eq(by_str.iter()));
+            prop_assert!(arena.iter().eq(reference.strings.iter().map(String::as_str)));
+            for (i, s) in reference.strings.iter().enumerate() {
+                prop_assert_eq!(arena.intern(s).0, i as u32);
+            }
+            prop_assert_eq!(arena.indexed_len(), arena.len());
         }
+    }
+
+    thread_local! {
+        /// Times [`counting`] hashed each text on this thread.
+        static HASHED: std::cell::RefCell<HashMap<Vec<u8>, u32>> =
+            std::cell::RefCell::default();
+    }
+
+    /// The real hash, counting how often each text is hashed.
+    fn counting(bytes: &[u8]) -> u64 {
+        HASHED.with(|m| *m.borrow_mut().entry(bytes.to_vec()).or_default() += 1);
+        hash_bytes(bytes)
+    }
+
+    #[test]
+    fn appended_labels_are_hashed_once_and_found_by_intern() {
+        let mut t = SymbolTable {
+            hasher: Some(counting),
+            ..SymbolTable::default()
+        };
+        for i in 0..50 {
+            t.append(|s| write!(s, "only{i}"));
+        }
+        assert_eq!(t.indexed_len(), 0, "an append-only table hashes nothing");
+        assert!(HASHED.with(|m| m.borrow().is_empty()));
+        // Runs of appends between interns, across several slot-array
+        // doublings (16 → 2048 slots).
+        let mut appended = Vec::new();
+        for i in 0..600 {
+            let text = format!("a{i}");
+            appended.push((t.append(|s| s.write_str(&text)), text));
+            if i % 7 == 0 {
+                let id = t.intern(&format!("n{i}"));
+                assert_eq!(t.resolve(id), format!("n{i}"));
+                assert_eq!(t.indexed_len(), t.len(), "an intern indexes every id");
+            }
+        }
+        assert_eq!(
+            t.indexed_len(),
+            t.len() - 4,
+            "a595..a599 are not indexed yet"
+        );
+        HASHED.with(|m| {
+            let m = m.borrow();
+            assert_eq!(m.len(), t.len() - 4);
+            assert!(m.values().all(|&n| n == 1), "a label was hashed twice");
+        });
+        for (id, text) in &appended {
+            assert_eq!(t.intern(text), *id);
+        }
+        assert_eq!(
+            t.len(),
+            50 + 600 + 86,
+            "interning appended text mints nothing"
+        );
     }
 
     #[test]
