@@ -62,9 +62,13 @@ impl CustomArgs {
                 .map_err(|_| format!("--iterations takes a positive integer, got `{k}`"))?,
         };
         let scheme = p.scheme("--scheme").unwrap_or(SchemeKind::HarmonyPp);
+        let gpus = count("--gpus", 4);
+        if let Some(group) = workload.group_size {
+            check_group(scheme, group, workload.microbatches, gpus)?;
+        }
         Ok(CustomArgs {
             model: p.model("--model").unwrap_or("bert_xxl"),
-            gpus: count("--gpus", 4),
+            gpus,
             gpu_mem: gib_to_bytes(p.float("--mem-gib").unwrap_or(11.0))?,
             run: RunSpec {
                 prefetch: p.has("--prefetch"),
@@ -74,6 +78,31 @@ impl CustomArgs {
             gantt: p.has("--gantt"),
         })
     }
+}
+
+/// `--group G` against the scheme it would shape: only the Harmony
+/// schemes group microbatches, and a group cannot exceed the microbatches
+/// the planner groups — m for harmony-dp, m·N for harmony-pp, whose
+/// pipeline feeds every stage all m·N. The planners clamp instead; a
+/// flag that would be ignored or clamped is a usage error here.
+fn check_group(scheme: SchemeKind, group: usize, m: usize, gpus: usize) -> Result<(), String> {
+    let grouped = match scheme {
+        SchemeKind::HarmonyDp => m,
+        SchemeKind::HarmonyPp => m.saturating_mul(gpus),
+        _ => {
+            return Err(format!(
+                "--group does not apply to {}: only harmony-dp and harmony-pp group microbatches",
+                scheme.name()
+            ))
+        }
+    };
+    if group > grouped {
+        return Err(format!(
+            "--group {group} exceeds the {grouped} microbatches {} groups",
+            scheme.name()
+        ));
+    }
+    Ok(())
 }
 
 /// `--mem-gib` as a byte count: GiB × 2³⁰, rounded. A value that rounds

@@ -197,7 +197,12 @@ pub fn fig4() -> String {
             .filter(|sp| sp.kind == harmony::prelude::SpanKind::Compute)
             .map(|sp| sp.end)
             .fold(0.0f64, f64::max);
-        let mut trimmed = Trace::new(format!("{} (flush omitted)", trace.name));
+        // The clipped spans keep their ids: symbol ids are per-trace, so
+        // the trimmed trace carries a copy of the source's labels.
+        let mut trimmed = Trace {
+            symbols: trace.symbols.clone(),
+            ..Trace::new(format!("{} (flush omitted)", trace.name))
+        };
         for sp in trace
             .spans
             .iter()
@@ -205,8 +210,7 @@ pub fn fig4() -> String {
         {
             let end = sp.end.min(last_compute);
             if end > sp.start {
-                // Re-intern: symbol ids are per-trace.
-                trimmed.record(sp.start, end, sp.gpu, sp.kind, trace.label(sp));
+                trimmed.push(Span { end, ..*sp });
             }
         }
         out.push_str(&gantt::render(&trimmed, 100));

@@ -12,7 +12,7 @@ use harmony::simulate::SchemeKind;
 use harmony_sched::SimExecutor;
 use harmony_simulator::Simulator;
 use harmony_topology::Endpoint;
-use harmony_trace::summary::MemPlanningCounters;
+use harmony_trace::summary::MemCounters;
 
 use crate::cli::Outcome;
 use crate::workloads;
@@ -52,7 +52,7 @@ pub struct HotPathTiming {
     /// against the device count; `index_ops` (resident-membership
     /// insertions and removals) and `victim_pops` (victims picked by the
     /// selection scan) are recorded per event.
-    pub mem: MemPlanningCounters,
+    pub mem: MemCounters,
 }
 
 impl HotPathTiming {

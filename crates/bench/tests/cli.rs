@@ -162,6 +162,36 @@ fn custom_rejects_group_zero() {
 }
 
 #[test]
+fn custom_rejects_a_group_the_scheme_ignores_or_clamps() {
+    // Each of these used to run: three schemes ignore `--group`, and the
+    // Harmony planners clamp it to the microbatches they group (m for
+    // harmony-dp, m·N for harmony-pp). Each must be a usage error that
+    // names `--group`.
+    for args in [
+        "--scheme baseline-dp --group 7",
+        "--scheme baseline-pp --group 2",
+        "--scheme pipe-1f1b --group 2",
+        "--scheme harmony-dp --microbatches 4 --group 5",
+        "--group 1000",
+        "--gpus 4 --microbatches 4 --group 17",
+    ] {
+        let mut argv = vec!["custom", "--model", "lenet"];
+        argv.extend(args.split_whitespace());
+        let out = repro(&argv);
+        assert_usage_error(&out, "--group", &format!("custom {args}"));
+    }
+    // The largest group harmony-pp fills: m·N = 4 × 4.
+    let args = "custom --model lenet --gpus 4 --microbatches 4 --group 16";
+    let out = repro(&args.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn custom_rejects_non_finite_and_non_positive_values() {
     // Each of these used to run (`--mem-gib inf`), fail later with an
     // unrelated capacity error (`nan`, `-3`), or surface as a topology

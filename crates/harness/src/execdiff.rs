@@ -83,6 +83,14 @@ pub(crate) fn compare_modes(
                     fc.advance_calls, dc.advance_calls
                 ));
             }
+            // The wake-set executor mints each label once per key; the
+            // dense reference mints one per registration or allocation.
+            let (fl, dl) = (ft.symbols.len(), dt.symbols.len());
+            if a_name == "fast" && fl > dl {
+                return Err(format!(
+                    "wake-set loop minted MORE labels than dense: {fl} vs {dl}"
+                ));
+            }
             Ok(ExecDiffOutcome {
                 trace_json_bytes: ftj.len(),
                 fast: fc,

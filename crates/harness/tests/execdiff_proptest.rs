@@ -111,15 +111,6 @@ fn wake_set_does_not_rescan_all_gpus_per_event() {
         out.dense.advance_calls,
         out.dense.wake_set_hits + out.dense.spurious_wakes
     );
-    // Label interning is plan-bounded, not event-bounded: the wake-set
-    // run interns each distinct label once, never more often than the
-    // frozen dense run (which re-interns per allocation).
-    assert!(
-        out.fast.label_interns <= out.dense.label_interns,
-        "fast {} vs dense {} label interns",
-        out.fast.label_interns,
-        out.dense.label_interns
-    );
 }
 
 /// Matched-error equivalence: a model with one oversized layer (its

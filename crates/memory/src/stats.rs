@@ -1,5 +1,7 @@
 //! Swap-volume accounting.
 
+pub use harmony_trace::summary::MemCounters;
+
 use crate::{DeviceId, TensorClass};
 
 /// Transfer direction relative to a device.
@@ -9,40 +11,6 @@ pub enum Direction {
     In,
     /// Device → host (or device → peer).
     Out,
-}
-
-/// Structural counters of the memory manager's planning hot path (DESIGN
-/// §13), the memory-side analogue of the executor's `ExecCounters`.
-///
-/// `fresh_allocs` is the no-per-fetch-allocation witness: planning
-/// through the `_into` API on the fast core allocates nothing, so a run
-/// that plans that way reports zero — `repro mem-smoke` gates it against
-/// the device count. `fresh_allocs` and `candidate_scans` grow only on
-/// the dense reference core and through the allocating `make_room` /
-/// `plan_fetch` wrappers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemCounters {
-    /// Planning-path heap materialisations: one per allocating-wrapper
-    /// call, and per `make_room` on the dense reference (it snapshots
-    /// the candidate set each time).
-    pub fresh_allocs: u64,
-    /// Candidate records offered to `PolicyKind::choose` across all
-    /// victim selections — the dense core re-offers the whole remaining
-    /// slice per victim; the fast core's scan never calls `choose`.
-    pub candidate_scans: u64,
-    /// Resident-membership insertions and removals: one per arrival on a
-    /// device and one per departure from it.
-    pub index_ops: u64,
-    /// Victims picked by the fast core's selection scan.
-    pub victim_pops: u64,
-    /// Membership entries the fast core's selection scan examined: the
-    /// device's whole membership, pinned included, once per victim and
-    /// once for the scan that finds the room made (or none left).
-    pub resident_visits: u64,
-    /// Ids that arrivals and departures moved inside a device's
-    /// membership: at most one per departure (the swap-removed gap's
-    /// filler), none per arrival.
-    pub membership_shifts: u64,
 }
 
 /// Classes a tally row holds: one slot per [`TensorClass`] variant

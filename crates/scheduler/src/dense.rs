@@ -313,15 +313,13 @@ impl<'a> ReferenceExecutor<'a> {
         let mut ids = HashMap::new();
         let mut trace = Trace::new(plan.name.clone());
         let mut labels = HashMap::new();
-        let mut counters = ExecCounters::default();
         // Persistent per-replica state. Labels are interned once here —
         // the event loop only ever stamps spans with the symbol.
         let mut register = |mm: &mut MemoryManager, ids: &mut HashMap<Key, TensorId>, key: Key| {
             let rf = key.2;
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
             let name = TensorLabel(key.1, rf).to_string();
-            let sym = trace.intern(&name);
-            counters.label_interns += 1;
+            let sym = trace.symbols.push(&name);
             let id = mm.register_on_host(&name, bytes, rf.class());
             labels.insert(id, sym);
             ids.insert(key, id);
@@ -402,7 +400,7 @@ impl<'a> ReferenceExecutor<'a> {
             tensor_waiters: HashMap::new(),
             poll: BTreeSet::new(),
             mutations: 0,
-            counters,
+            counters: ExecCounters::default(),
             resilience: false,
             resilience_seed: 0,
             fault_applied: false,
@@ -1063,17 +1061,7 @@ impl<'a> ReferenceExecutor<'a> {
             } else {
                 None
             },
-            mem_counters: {
-                let c = self.mm.stats().counters;
-                Some(harmony_trace::summary::MemPlanningCounters {
-                    fresh_allocs: c.fresh_allocs,
-                    candidate_scans: c.candidate_scans,
-                    index_ops: c.index_ops,
-                    victim_pops: c.victim_pops,
-                    resident_visits: c.resident_visits,
-                    membership_shifts: c.membership_shifts,
-                })
-            },
+            mem_counters: Some(self.mm.stats().counters),
         };
         Ok((summary, self.trace, self.counters))
     }
@@ -1647,8 +1635,7 @@ impl<'a> ReferenceExecutor<'a> {
                         // All victims dropped instantly; room is free now.
                     }
                     let name = TensorLabel(key.1, key.2).to_string();
-                    let sym = self.trace.intern(&name);
-                    self.counters.label_interns += 1;
+                    let sym = self.trace.symbols.push(&name);
                     let id = match self.mm.alloc_on_device(&name, bytes, key.2.class(), g) {
                         Ok(id) => id,
                         Err(e) => return self.spill_guard(g, slot, step_id, e),
@@ -1684,8 +1671,10 @@ impl<'a> ReferenceExecutor<'a> {
         let label = match self.task_syms.get(&(replica, task)) {
             Some(&s) => s,
             None => {
-                let s = self.trace.intern(&TaskLabel(replica, t.kind).to_string());
-                self.counters.label_interns += 1;
+                let s = self
+                    .trace
+                    .symbols
+                    .push(&TaskLabel(replica, t.kind).to_string());
                 self.task_syms.insert((replica, task), s);
                 s
             }
@@ -1726,8 +1715,10 @@ impl<'a> ReferenceExecutor<'a> {
         if state.arrived.len() < n {
             return Ok(());
         }
-        let label = self.trace.intern(&format!("allreduce p{pack} i{iter}"));
-        self.counters.label_interns += 1;
+        let label = self
+            .trace
+            .symbols
+            .push(&format!("allreduce p{pack} i{iter}"));
         // Everyone is here: issue one ring hop per GPU of 2(N−1)/N · |dW|.
         let grad_bytes: u64 = self.plan.graph.packs()[pack]
             .clone()

@@ -115,6 +115,7 @@ use harmony_trace::{
     SpanKind, SymbolId, Trace,
 };
 
+use crate::config::PolicyKind;
 use crate::obs::{ExecContext, ExecEvent, ExecObserver, Fault, TimedFault};
 use crate::plan::{ExecutionPlan, WorkItem};
 use crate::slab::{Slab, SlabHandle};
@@ -490,9 +491,7 @@ struct ComputeRec {
 /// `num_gpus × (passes)`; in wake-set mode it must track the number of
 /// *affected* GPUs per event instead. `wake_set_hits` counts advances
 /// that made progress (mutated executor state), `spurious_wakes` the
-/// no-op remainder. `label_interns` counts label-symbol interning calls —
-/// one per *distinct* label, so it equals the trace's symbol count
-/// (plan-sized) and never tracks event count. `slab_high_water` /
+/// no-op remainder. `slab_high_water` /
 /// `slab_fresh_allocs` pin the allocation contract: slots ever grown
 /// must equal the peak of
 /// concurrently live records (plan-bounded), never track event count —
@@ -505,8 +504,6 @@ pub struct ExecCounters {
     pub wake_set_hits: u64,
     /// Advances that were no-ops (over-approximation of the wake set).
     pub spurious_wakes: u64,
-    /// Trace-label interning calls (cache misses only).
-    pub label_interns: u64,
     /// Peak concurrently live pooled transfer records (plan-bounded).
     /// Zero in dense-reference mode (the frozen loop predates the slab).
     pub slab_high_water: u64,
@@ -848,7 +845,6 @@ impl<'a> SimExecutor<'a> {
         ids.resize(total_keys, None);
         let mut labels: Vec<SymbolId> = Vec::new();
         ref_syms.resize(ref_slots, None);
-        let mut counters = ExecCounters::default();
         // Persistent per-replica state. Labels are interned once per key
         // (an input's label is shared by every iteration) — the event
         // loop only ever stamps spans with the symbol.
@@ -858,7 +854,7 @@ impl<'a> SimExecutor<'a> {
                             replica: usize,
                             rf: TensorRef| {
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
-            let sym = intern_ref(&mut trace, &mut ref_syms, &mut counters, ks, replica, rf);
+            let sym = intern_ref(&mut trace, &mut ref_syms, ks, replica, rf);
             let id = mm.register_on_host(trace.symbols.resolve(sym), bytes, rf.class());
             debug_assert_eq!(id as usize, labels.len(), "tensor ids must be sequential");
             labels.push(sym);
@@ -987,7 +983,7 @@ impl<'a> SimExecutor<'a> {
             poll_w: vec![0; wpg],
             advancing: None,
             mutations: 0,
-            counters,
+            counters: ExecCounters::default(),
             trace,
             observers: Vec::new(),
             faults: Vec::new(),
@@ -1831,17 +1827,7 @@ impl<'a> SimExecutor<'a> {
             } else {
                 None
             },
-            mem_counters: {
-                let c = self.mm.stats().counters;
-                Some(harmony_trace::summary::MemPlanningCounters {
-                    fresh_allocs: c.fresh_allocs,
-                    candidate_scans: c.candidate_scans,
-                    index_ops: c.index_ops,
-                    victim_pops: c.victim_pops,
-                    resident_visits: c.resident_visits,
-                    membership_shifts: c.membership_shifts,
-                })
-            },
+            mem_counters: Some(self.mm.stats().counters),
         }
     }
 
@@ -2167,6 +2153,36 @@ impl<'a> SimExecutor<'a> {
         Ok(())
     }
 
+    /// Makes room on `g` for the target of `slot`'s step: `plan` appends
+    /// the victims to the eviction scratch list (reused across calls),
+    /// then the victims are issued. `Some` ends the target with
+    /// `process_targets`' result: a planning error routed through
+    /// [`Self::spill_guard`], or `true` with the step waiting on its
+    /// evictions. `None`: every victim dropped at once and the room is
+    /// free.
+    fn evict_for(
+        &mut self,
+        g: usize,
+        slot: Slot,
+        step_id: u64,
+        plan: impl FnOnce(&mut MemoryManager, PolicyKind, &mut Vec<TensorId>) -> Result<(), MemError>,
+    ) -> Result<Option<bool>, ExecError> {
+        let mut victims = std::mem::take(&mut self.evict_scratch);
+        victims.clear();
+        if let Err(e) = plan(&mut self.mm, self.plan.scheme.policy, &mut victims) {
+            self.evict_scratch = victims;
+            return self.spill_guard(g, slot, step_id, e).map(Some);
+        }
+        let evs = self.issue_evictions(g, step_id, &victims);
+        self.evict_scratch = victims;
+        let evs = evs?;
+        if evs > 0 {
+            self.plane_mut(slot).inflight[g] = InFlight::Evicting { remaining: evs };
+            return Ok(Some(true));
+        }
+        Ok(None)
+    }
+
     /// Processes fetch targets for a step slot of GPU `g`. Returns `true`
     /// if an async operation was issued (caller must wait), `false` if the
     /// front target could not progress (stall) or targets are exhausted.
@@ -2205,22 +2221,12 @@ impl<'a> SimExecutor<'a> {
                     }
                     Residency::OnDevice(src) => {
                         // Needs to come from a peer GPU.
-                        let mut victims = std::mem::take(&mut self.evict_scratch);
-                        victims.clear();
-                        if let Err(e) =
-                            self.mm
-                                .plan_fetch_into(id, g, self.plan.scheme.policy, &mut victims)
+                        if let Some(issued) =
+                            self.evict_for(g, slot, step_id, |mm, policy, v| {
+                                mm.plan_fetch_into(id, g, policy, v).map(drop)
+                            })?
                         {
-                            self.evict_scratch = victims;
-                            return self.spill_guard(g, slot, step_id, e);
-                        }
-                        let evs = self.issue_evictions(g, step_id, &victims);
-                        self.evict_scratch = victims;
-                        let evs = evs?;
-                        if evs > 0 {
-                            self.plane_mut(slot).inflight[g] =
-                                InFlight::Evicting { remaining: evs };
-                            return Ok(true);
+                            return Ok(issued);
                         }
                         // A degraded route falls through to the host
                         // bounce below (resilience reroute path).
@@ -2279,22 +2285,12 @@ impl<'a> SimExecutor<'a> {
                         }
                     }
                     Residency::OnHost => {
-                        let mut victims = std::mem::take(&mut self.evict_scratch);
-                        victims.clear();
-                        if let Err(e) =
-                            self.mm
-                                .plan_fetch_into(id, g, self.plan.scheme.policy, &mut victims)
+                        if let Some(issued) =
+                            self.evict_for(g, slot, step_id, |mm, policy, v| {
+                                mm.plan_fetch_into(id, g, policy, v).map(drop)
+                            })?
                         {
-                            self.evict_scratch = victims;
-                            return self.spill_guard(g, slot, step_id, e);
-                        }
-                        let evs = self.issue_evictions(g, step_id, &victims);
-                        self.evict_scratch = victims;
-                        let evs = evs?;
-                        if evs > 0 {
-                            self.plane_mut(slot).inflight[g] =
-                                InFlight::Evicting { remaining: evs };
-                            return Ok(true);
+                            return Ok(issued);
                         }
                         let bytes = match self.mm.begin_swap_in(id, g) {
                             Ok(b) => b,
@@ -2347,32 +2343,14 @@ impl<'a> SimExecutor<'a> {
                 let cfg = self.plan.graph.config();
                 let bytes = ct.rf.bytes(self.model, cfg.ubatch_size, cfg.opt_slots);
                 if self.mm.free_bytes(g)? < bytes {
-                    let mut victims = std::mem::take(&mut self.evict_scratch);
-                    victims.clear();
-                    if let Err(e) =
-                        self.mm
-                            .make_room_into(g, bytes, self.plan.scheme.policy, &mut victims)
-                    {
-                        self.evict_scratch = victims;
-                        return self.spill_guard(g, slot, step_id, e);
-                    }
-                    let evs = self.issue_evictions(g, step_id, &victims);
-                    self.evict_scratch = victims;
-                    let evs = evs?;
-                    if evs > 0 {
-                        self.plane_mut(slot).inflight[g] = InFlight::Evicting { remaining: evs };
-                        return Ok(true);
+                    if let Some(issued) = self.evict_for(g, slot, step_id, |mm, policy, v| {
+                        mm.make_room_into(g, bytes, policy, v)
+                    })? {
+                        return Ok(issued);
                     }
                     // All victims dropped instantly; room is free now.
                 }
-                let sym = intern_ref(
-                    &mut self.trace,
-                    &mut self.ref_syms,
-                    &mut self.counters,
-                    self.ks,
-                    replica,
-                    ct.rf,
-                );
+                let sym = intern_ref(&mut self.trace, &mut self.ref_syms, self.ks, replica, ct.rf);
                 let name = self.trace.symbols.resolve(sym);
                 let id = match self.mm.alloc_on_device(name, bytes, ct.rf.class(), g) {
                     Ok(id) => id,
@@ -2405,7 +2383,6 @@ impl<'a> SimExecutor<'a> {
             None => {
                 let label = TaskLabel(replica, self.plan.graph.kind(task));
                 let s = self.trace.symbols.append(|w| label.write(w));
-                self.counters.label_interns += 1;
                 self.task_syms[six] = Some(s);
                 s
             }
@@ -2451,7 +2428,6 @@ impl<'a> SimExecutor<'a> {
             .trace
             .symbols
             .append(|w| write_allreduce_label(w, pack, iter));
-        self.counters.label_interns += 1;
         let grad_bytes: u64 = self.plan.graph.packs()[pack]
             .clone()
             .map(|l| self.model.layers[l].grad_bytes())
@@ -2752,21 +2728,18 @@ fn item_refs(plan: &ExecutionPlan, item: WorkItem, mut visit: impl FnMut(usize, 
 /// `ref_syms`), so minting stays bounded by distinct labels however
 /// often the key is re-registered or re-allocated. Every executor label
 /// is distinct by construction — one per `(replica, ref)`, `(replica,
-/// task)` or `(iter, pack)`, in spellings that cannot collide — so it is
-/// appended without a lookup, and gets the id `intern` would return.
+/// task)` or `(iter, pack)`, in spellings that cannot collide — so the
+/// trace's symbol count is the number of distinct labels.
 fn intern_ref(
     trace: &mut Trace,
     ref_syms: &mut [Option<SymbolId>],
-    counters: &mut ExecCounters,
     ks: KeySpace,
     replica: usize,
     rf: TensorRef,
 ) -> SymbolId {
     let rix = replica * ks.num_refs + ks.ref_ix(rf);
-    *ref_syms[rix].get_or_insert_with(|| {
-        counters.label_interns += 1;
-        trace.symbols.append(|w| TensorLabel(replica, rf).write(w))
-    })
+    *ref_syms[rix]
+        .get_or_insert_with(|| trace.symbols.append(|w| TensorLabel(replica, rf).write(w)))
 }
 
 /// Marks `g` as unblockable. During a pass (`advancing` is the GPU being

@@ -551,42 +551,12 @@ mod multi_iteration {
 }
 
 #[test]
-fn label_interning_is_once_per_distinct_label() {
-    // Tensors are re-allocated every microbatch and iteration, and inputs
-    // are registered once per iteration, under the same labels: each
-    // label must be formatted and interned exactly once.
-    let model = uniform_model(LAYERS, PARAMS);
-    let topo = pressured_topo(2, GPU_MEM);
-    let planners = [
-        plan_baseline_dp,
-        plan_baseline_pp,
-        plan_harmony_dp,
-        plan_harmony_pp,
-        harmony_sched::plan_pipe_1f1b,
-    ];
-    for planner in planners {
-        let plan = planner(&model, 2, &workload(2)).unwrap();
-        for iterations in [1, 3] {
-            let (_, trace, counters) =
-                SimExecutor::with_iterations(&topo, &model, &plan, iterations)
-                    .unwrap()
-                    .run_counted()
-                    .unwrap();
-            assert_eq!(
-                counters.label_interns,
-                trace.symbols.len() as u64,
-                "{} at {iterations} iterations",
-                plan.name
-            );
-        }
-    }
-}
-
-#[test]
-fn executor_labels_are_distinct_and_never_hashed() {
+fn executor_labels_are_distinct() {
     // The executor appends its labels without a lookup: one per
     // `(replica, ref)`, `(replica, task)` and `(iter, pack)`, so every text
-    // must be distinct, and a run that only appends hashes none of them.
+    // must be distinct. Tensors are re-allocated every microbatch and
+    // iteration and inputs registered once per iteration, under the same
+    // labels, so a repeat would mean a label minted twice.
     let model = uniform_model(LAYERS, PARAMS);
     let topo = pressured_topo(2, GPU_MEM);
     for planner in [
@@ -597,24 +567,20 @@ fn executor_labels_are_distinct_and_never_hashed() {
         harmony_sched::plan_pipe_1f1b,
     ] {
         let plan = planner(&model, 2, &workload(2)).unwrap();
-        let (_, trace, _) = SimExecutor::with_iterations(&topo, &model, &plan, 3)
-            .unwrap()
-            .run_counted()
-            .unwrap();
-        let symbols = &trace.symbols;
-        let distinct: std::collections::HashSet<&str> = symbols.iter().collect();
-        assert_eq!(
-            distinct.len(),
-            symbols.len(),
-            "{}: a label repeats",
-            plan.name
-        );
-        assert_eq!(
-            symbols.indexed_len(),
-            0,
-            "{}: a label was hashed",
-            plan.name
-        );
+        for iterations in [1, 3] {
+            let (_, trace, _) = SimExecutor::with_iterations(&topo, &model, &plan, iterations)
+                .unwrap()
+                .run_counted()
+                .unwrap();
+            let symbols = &trace.symbols;
+            let distinct: std::collections::HashSet<&str> = symbols.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                symbols.len(),
+                "{} at {iterations} iterations: a label repeats",
+                plan.name
+            );
+        }
     }
 }
 

@@ -4,6 +4,12 @@
 //! benchmark harness. The `repro` binary renders Fig 4-style schedules
 //! with [`gantt::render`] and emits the paper's tables via
 //! [`table::Table`]; runs can be exported as JSON for external tooling.
+//!
+//! A span carries its label as a [`SymbolId`] into its trace's
+//! [`SymbolTable`], an append-only text arena with no lookup. Callers
+//! that stamp one label on many spans keep its id themselves; the JSON
+//! export writes each span's label text inline, so ids that share a text
+//! produce the same bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,7 +89,7 @@ pub struct Span {
     pub gpu: Option<usize>,
     /// Kind of activity.
     pub kind: SpanKind,
-    /// Short label, e.g. `"F L1 u0"`, interned in the owning trace's
+    /// Short label, e.g. `"F L1 u0"`, minted in the owning trace's
     /// symbol table (resolve with [`Trace::label`]).
     pub label: SymbolId,
 }
@@ -95,7 +101,7 @@ pub struct Trace {
     pub name: String,
     /// Recorded spans.
     pub spans: Vec<Span>,
-    /// Interned label texts for `spans`.
+    /// Label texts for `spans`.
     pub symbols: SymbolTable,
 }
 
@@ -123,17 +129,13 @@ impl Trace {
         self.spans.try_reserve(extra)
     }
 
-    /// Interns `label` in this trace's symbol table.
-    pub fn intern(&mut self, label: &str) -> SymbolId {
-        self.symbols.intern(label)
-    }
-
     /// The label text of a span recorded in this trace.
     pub fn label(&self, span: &Span) -> &str {
         self.symbols.resolve(span.label)
     }
 
-    /// Convenience: record a span from fields, interning the label.
+    /// Convenience: record a span from fields, minting a new id for the
+    /// label.
     pub fn record(
         &mut self,
         start: f64,
@@ -142,11 +144,11 @@ impl Trace {
         kind: SpanKind,
         label: impl AsRef<str>,
     ) {
-        let label = self.symbols.intern(label.as_ref());
+        let label = self.symbols.push(label.as_ref());
         self.record_sym(start, end, gpu, kind, label);
     }
 
-    /// Allocation-free record: stamp a span with an already-interned
+    /// Allocation-free record: stamp a span with an already-minted
     /// label (the executor hot path).
     pub fn record_sym(
         &mut self,
@@ -310,7 +312,7 @@ impl Trace {
                 .and_then(|v| v.as_str())
                 .and_then(SpanKind::from_str)
                 .ok_or_else(|| err(&format!("span {i}: bad `kind`")))?;
-            let label = symbols.intern(
+            let label = symbols.push(
                 sv.get("label")
                     .and_then(|v| v.as_str())
                     .ok_or_else(|| err(&format!("span {i}: missing `label`")))?,
@@ -427,21 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_dedups_and_resolves() {
-        let mut t = Trace::new("sym");
-        let a = t.intern("F L1 u0");
-        let b = t.intern("B L1 u0");
-        assert_ne!(a, b);
-        assert_eq!(t.intern("F L1 u0"), a, "re-intern must hit the cache");
-        assert_eq!(t.symbols.len(), 2);
-        t.record_sym(0.0, 1.0, Some(0), SpanKind::Compute, a);
-        t.record(1.0, 2.0, Some(0), SpanKind::Compute, "F L1 u0");
-        assert_eq!(t.spans[0].label, t.spans[1].label);
-        assert_eq!(t.label(&t.spans[0]), "F L1 u0");
-        assert_eq!(t.symbols.len(), 2, "record must not re-intern");
-    }
-
-    #[test]
     fn symbols_roundtrip_through_json_export() {
         // The JSON format carries label *text* (no symbol-table section),
         // so exports are byte-compatible with the old `label: String`
@@ -458,9 +445,6 @@ mod tests {
         for (a, b) in back.spans.iter().zip(&t.spans) {
             assert_eq!(back.label(a), t.label(b));
         }
-        // Shared labels stay shared after the round trip.
-        assert_eq!(back.spans[0].label, back.spans[2].label);
-        assert_eq!(back.symbols.len(), 2);
         // And the re-export is byte-identical.
         assert_eq!(back.to_json(), text);
     }
@@ -469,9 +453,9 @@ mod tests {
     fn foreign_symbol_resolves_empty_not_panic() {
         let mut other = Trace::new("other");
         for i in 0..4 {
-            other.intern(&format!("s{i}"));
+            other.symbols.push(&format!("s{i}"));
         }
-        let foreign = other.intern("outsider");
+        let foreign = other.symbols.push("outsider");
         let t = Trace::new("t");
         assert_eq!(t.symbols.resolve(foreign), "");
     }

@@ -64,33 +64,43 @@ impl ResilienceOutcome {
     }
 }
 
-/// Structural counters of the memory manager's planning hot path, as
-/// exported into run summaries (a dependency-free mirror of
-/// `harmony-memory`'s `MemCounters` — this crate sits below the memory
-/// crate in the dependency order). `fresh_allocs` is the
-/// no-per-fetch-allocation witness `repro mem-smoke` gates on; it and
-/// `candidate_scans` stay zero on the fast core's `_into` planning path.
+/// Structural counters of the memory manager's planning hot path (DESIGN
+/// §13), the memory-side analogue of the executor's `ExecCounters`.
+/// `harmony-memory` keeps them in its `SwapStats`; run summaries export
+/// them as they are.
+///
+/// `fresh_allocs` is the no-per-fetch-allocation witness: planning
+/// through the `_into` API on the fast core allocates nothing, so a run
+/// that plans that way reports zero — `repro mem-smoke` gates it against
+/// the device count. `fresh_allocs` and `candidate_scans` grow only on
+/// the dense reference core and through the allocating `make_room` /
+/// `plan_fetch` wrappers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemPlanningCounters {
-    /// Planning-path heap materialisations (allocating wrappers and the
-    /// dense reference's per-`make_room` candidate snapshots).
+pub struct MemCounters {
+    /// Planning-path heap materialisations: one per allocating-wrapper
+    /// call, and per `make_room` on the dense reference (it snapshots
+    /// the candidate set each time).
     pub fresh_allocs: u64,
-    /// Candidate records offered to `PolicyKind::choose` (dense
-    /// reference only).
+    /// Candidate records offered to `PolicyKind::choose` across all
+    /// victim selections — the dense core re-offers the whole remaining
+    /// slice per victim; the fast core's scan never calls `choose`.
     pub candidate_scans: u64,
-    /// Resident-membership insertions and removals (one per arrival on a
-    /// device, one per departure).
+    /// Resident-membership insertions and removals: one per arrival on a
+    /// device and one per departure from it.
     pub index_ops: u64,
     /// Victims picked by the fast core's selection scan.
     pub victim_pops: u64,
-    /// Membership entries the fast core's selection scan examined.
+    /// Membership entries the fast core's selection scan examined: the
+    /// device's whole membership, pinned included, once per victim and
+    /// once for the scan that finds the room made (or none left).
     pub resident_visits: u64,
-    /// Ids moved inside a device's membership by arrivals and
-    /// departures (at most one per departure).
+    /// Ids that arrivals and departures moved inside a device's
+    /// membership: at most one per departure (the swap-removed gap's
+    /// filler), none per arrival.
     pub membership_shifts: u64,
 }
 
-impl MemPlanningCounters {
+impl MemCounters {
     /// Serialises the counters as a JSON object (null-free by construction).
     pub fn to_json(&self) -> String {
         format!(
@@ -157,7 +167,7 @@ pub struct RunSummary {
     /// it computed: the dense-memory reference legitimately allocates per
     /// fetch where the indexed manager does not, so counters are excluded
     /// from equality and stripped before byte-for-byte JSON comparisons.
-    pub mem_counters: Option<MemPlanningCounters>,
+    pub mem_counters: Option<MemCounters>,
 }
 
 /// Equality over the *deterministic* content of a run. `elapsed_secs`
@@ -495,7 +505,7 @@ mod tests {
         let plain = summary();
         assert!(!plain.to_json().contains("mem_counters"));
         let counted = RunSummary {
-            mem_counters: Some(MemPlanningCounters {
+            mem_counters: Some(MemCounters {
                 fresh_allocs: 3,
                 candidate_scans: 0,
                 index_ops: 120,

@@ -38,9 +38,9 @@ fn reference_to_json(t: &Trace) -> String {
 fn foreign_symbol() -> SymbolId {
     let mut other = Trace::new("other");
     for i in 0..1000 {
-        other.intern(&format!("s{i}"));
+        other.symbols.push(&format!("s{i}"));
     }
-    other.intern("outsider")
+    other.symbols.push("outsider")
 }
 
 fn kind_strategy() -> impl Strategy<Value = SpanKind> {
@@ -87,7 +87,7 @@ fn span_strategy() -> impl Strategy<Value = SpanIx> {
 
 fn build(name: &str, times: &[f64], labels: &[String], spans: &[SpanIx]) -> Trace {
     let mut t = Trace::new(name);
-    let syms: Vec<SymbolId> = labels.iter().map(|l| t.intern(l)).collect();
+    let syms: Vec<SymbolId> = labels.iter().map(|l| t.symbols.push(l)).collect();
     let foreign = foreign_symbol();
     for &(a, b, gpu, kind, l) in spans {
         t.push(Span {

@@ -67,8 +67,8 @@ fn to_json_allocates_a_constant_not_per_span() {
     // One label needs escaping, which quotes it longer than its text.
     let syms: Vec<_> = (0..LABELS)
         .map(|i| match i {
-            0 => t.intern("r0.\"L0\"\n.W\u{1}"),
-            _ => t.intern(&format!("r0.L{i}.W")),
+            0 => t.symbols.push("r0.\"L0\"\n.W\u{1}"),
+            _ => t.symbols.push(&format!("r0.L{i}.W")),
         })
         .collect();
     t.reserve_spans(SPANS).unwrap();

@@ -15,7 +15,7 @@ fn kind_strategy() -> impl Strategy<Value = SpanKind> {
 }
 
 /// Raw span fields; recorded into a trace via `Trace::record` (labels
-/// are interned per trace, so spans can't exist detached from one).
+/// are minted per trace, so spans can't exist detached from one).
 type SpanFields = (f64, f64, Option<usize>, SpanKind, String);
 
 fn span_strategy() -> impl Strategy<Value = SpanFields> {
