@@ -34,7 +34,9 @@ use harmony_models::ModelSpec;
 
 pub mod exact;
 
-/// Training scheme being analysed.
+/// A training scheme: the paper's four, plus the PipeDream 1F1B
+/// weight-stashing extension. The analytical model and the simulator's
+/// planners (`harmony::simulate::SchemeKind`) share this one enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Data parallelism with per-GPU memory virtualization (IBM-LMS-style).
@@ -64,14 +66,14 @@ impl Scheme {
         Scheme::Pipe1F1B,
     ];
 
-    /// Display name.
+    /// The scheme's name as the command line spells it (`harmony-pp`, …).
     pub fn name(&self) -> &'static str {
         match self {
-            Scheme::BaselineDp => "DP + per-GPU virtualization",
-            Scheme::BaselinePp => "PP + per-GPU virtualization",
-            Scheme::HarmonyDp => "Harmony-DP",
-            Scheme::HarmonyPp => "Harmony-PP",
-            Scheme::Pipe1F1B => "PP + 1F1B weight stashing",
+            Scheme::BaselineDp => "baseline-dp",
+            Scheme::BaselinePp => "baseline-pp",
+            Scheme::HarmonyDp => "harmony-dp",
+            Scheme::HarmonyPp => "harmony-pp",
+            Scheme::Pipe1F1B => "pipe-1f1b",
         }
     }
 }
@@ -387,7 +389,7 @@ mod tests {
                 ] {
                     assert!(
                         hpp <= breakdown(s, &p).total(),
-                        "m={m} n={n}: Harmony-PP {hpp} vs {} {}",
+                        "m={m} n={n}: harmony-pp {hpp} vs {} {}",
                         s.name(),
                         breakdown(s, &p).total()
                     );

@@ -365,7 +365,7 @@ pub fn table_a() -> (String, Vec<TableARow>) {
         let w = workloads::tight_workload(m);
         let p =
             analytical::Params::from_model(&model, w.ubatch_size, w.opt_slots, m as u64, n as u64);
-        let analytic = analytical::weight_swap_volume(kind.analytical(), &p) as f64 / wbytes;
+        let analytic = analytical::weight_swap_volume(kind, &p) as f64 / wbytes;
         let (s, _) = RunSpec::new(kind, w)
             .run(&model, &topo)
             .expect("table_a run");
@@ -428,7 +428,7 @@ pub fn dominance() -> (String, Vec<(SchemeKind, u64)>) {
     );
     let mut totals = Vec::new();
     for kind in SchemeKind::ALL {
-        let breakdown = analytical::breakdown(kind.analytical(), &p);
+        let breakdown = analytical::breakdown(kind, &p);
         let (s, _) = RunSpec::new(kind, w)
             .run(&model, &topo)
             .expect("dominance run");
@@ -779,8 +779,7 @@ pub fn steady_state() -> (String, Vec<(SchemeKind, u32, f64)>) {
         SchemeKind::HarmonyPp,
     ] {
         let p = harmony::prelude::analytical::Params::from_model(&model, 1, 0, 4, 2);
-        let analytic =
-            harmony::prelude::analytical::weight_swap_volume(kind.analytical(), &p) as f64 / wbytes;
+        let analytic = harmony::prelude::analytical::weight_swap_volume(kind, &p) as f64 / wbytes;
         let mut cells = vec![kind.name().to_string(), f2(analytic)];
         for k in [1u32, 2, 4] {
             let (s, _) = RunSpec {

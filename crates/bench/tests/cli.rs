@@ -327,6 +327,30 @@ fn custom_rejects_a_task_graph_beyond_its_arena_offsets() {
 }
 
 #[test]
+fn custom_refuses_an_executor_beyond_the_address_space_limit() {
+    // gpt_10b on 4,096 GPUs plans within a 2 GB address space, but its
+    // executor does not fit: every plan-sized plane, the fetch-target
+    // arena included, is reserved fallibly, so the run is refused with a
+    // typed error instead of aborting mid-build (it used to abort while
+    // growing the fetch-target arena).
+    for scheme in ["harmony-pp", "baseline-pp", "pipe-1f1b"] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -v 2000000; exec \"$0\" custom --model gpt_10b --gpus 4096 --scheme {scheme}"
+            ))
+            .arg(env!("CARGO_BIN_EXE_repro"))
+            .output()
+            .expect("sh must spawn");
+        assert_usage_error(
+            &out,
+            "too large",
+            &format!("custom --model gpt_10b --gpus 4096 --scheme {scheme} under ulimit -v"),
+        );
+    }
+}
+
+#[test]
 fn custom_rejects_sizes_that_overflow_64_bits() {
     // Both microbatch sizes wrap lenet's `u64` byte sizes. The first
     // used to exit 0 with 0.00 samples/s and nothing swapped; the second

@@ -26,7 +26,7 @@ use harmony_memory::{
     MemError, MemoryManager, PolicyKind, Residency, TensorClass, TensorId, TensorStore,
 };
 use harmony_models::exec::{ExecModel, SkipSource};
-use harmony_tensor::nn::{cross_entropy, Layer};
+use harmony_tensor::nn::{cross_entropy, Layer, LayerOutput};
 use harmony_tensor::ops;
 use harmony_tensor::optim::Optimizer;
 use harmony_tensor::{Tensor, TensorError};
@@ -130,6 +130,23 @@ impl FunctionalSession {
             return Err(HarmonyError::Config(
                 "microbatches must be positive".to_string(),
             ));
+        }
+        // Every residual adds the input or a strictly earlier layer's
+        // output; `forward_layer` relies on it.
+        for (l, layer) in model.layers.iter().enumerate() {
+            match (&layer.op, layer.skip_from) {
+                (Layer::ResidualAdd, None) => {
+                    return Err(HarmonyError::Config(format!(
+                        "layer {l} residual without skip edge"
+                    )))
+                }
+                (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) if j >= l => {
+                    return Err(HarmonyError::Config(format!(
+                        "layer {l} skip edge from layer {j} is not an earlier layer"
+                    )))
+                }
+                _ => {}
+            }
         }
         let mut mm = MemoryManager::new(cfg.device_capacities.clone());
         let mut store = TensorStore::new();
@@ -321,35 +338,16 @@ impl FunctionalSession {
                 } else {
                     out_ids[l - 1][u]
                 };
-                self.fetch_pin(x_id, dev, &mut pins)?;
-                let skip_id = match (&self.model.layers[l].op, self.model.layers[l].skip_from) {
-                    (Layer::ResidualAdd, Some(SkipSource::Input)) => Some(input_ids[u]),
-                    (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) => Some(out_ids[j][u]),
-                    (Layer::ResidualAdd, None) => {
-                        return Err(HarmonyError::Config(format!(
-                            "layer {l} residual without skip edge"
-                        )))
-                    }
-                    _ => None,
-                };
-                if let Some(sid) = skip_id {
-                    self.fetch_pin(sid, dev, &mut pins)?;
-                }
-                let params: Vec<Tensor> = self.param_ids[l]
-                    .iter()
-                    .map(|&id| self.store.get(id).cloned())
-                    .collect::<Result<_, _>>()?;
-                let x = self.store.get(x_id)?.clone();
-                let out = match skip_id {
-                    Some(sid) => {
-                        let skip = self.store.get(sid)?.clone();
-                        self.model.layers[l]
-                            .op
-                            .forward_with_skip(&params, &x, &skip)?
-                    }
-                    None => self.model.layers[l].op.forward(&params, &x)?,
-                };
-                self.unpin_all(&mut pins)?;
+                let out = self.forward_layer(
+                    l,
+                    dev,
+                    x_id,
+                    |src| match src {
+                        SkipSource::Input => input_ids[u],
+                        SkipSource::LayerOutput(j) => out_ids[j][u],
+                    },
+                    &mut pins,
+                )?;
                 // Re-pin weights for the remaining microbatches of this
                 // layer (grouping keeps them resident).
                 for &pid in &self.param_ids[l] {
@@ -536,35 +534,18 @@ impl FunctionalSession {
             for pid in self.param_ids[l].clone() {
                 self.fetch_pin(pid, dev, &mut pins)?;
             }
-            self.fetch_pin(x_id, dev, &mut pins)?;
-            let skip_id = match (&self.model.layers[l].op, self.model.layers[l].skip_from) {
-                (Layer::ResidualAdd, Some(SkipSource::Input)) => Some(input_id),
-                (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) => retained[j],
-                (Layer::ResidualAdd, None) => {
-                    return Err(HarmonyError::Config(format!(
-                        "layer {l} residual without skip edge"
-                    )))
-                }
-                _ => None,
-            };
-            if let Some(sid) = skip_id {
-                self.fetch_pin(sid, dev, &mut pins)?;
-            }
-            let params: Vec<Tensor> = self.param_ids[l]
-                .iter()
-                .map(|&id| self.store.get(id).cloned())
-                .collect::<Result<_, _>>()?;
-            let x = self.store.get(x_id)?.clone();
-            let out = match skip_id {
-                Some(sid) => {
-                    let skip = self.store.get(sid)?.clone();
-                    self.model.layers[l]
-                        .op
-                        .forward_with_skip(&params, &x, &skip)?
-                }
-                None => self.model.layers[l].op.forward(&params, &x)?,
-            };
-            self.unpin_all(&mut pins)?;
+            let out = self.forward_layer(
+                l,
+                dev,
+                x_id,
+                |src| match src {
+                    SkipSource::Input => input_id,
+                    SkipSource::LayerOutput(j) => {
+                        retained[j].expect("an earlier residual source is retained")
+                    }
+                },
+                &mut pins,
+            )?;
             let needed_later =
                 self.model.layers.iter().skip(l + 1).any(
                     |later| matches!(later.skip_from, Some(SkipSource::LayerOutput(j)) if j == l),
@@ -593,6 +574,40 @@ impl FunctionalSession {
             self.free_tensor(r)?;
         }
         Ok(logits)
+    }
+
+    /// Layer `l`'s forward pass on `x_id` on `dev`, whose weights the
+    /// caller has pinned into `pins`: pins the input and, for a residual,
+    /// the operand `skip` names for the layer's skip edge (checked in
+    /// [`FunctionalSession::new`]), runs the op, then unpins all of `pins`.
+    fn forward_layer(
+        &mut self,
+        l: usize,
+        dev: usize,
+        x_id: TensorId,
+        skip: impl FnOnce(SkipSource) -> TensorId,
+        pins: &mut Vec<TensorId>,
+    ) -> Result<LayerOutput, HarmonyError> {
+        self.fetch_pin(x_id, dev, pins)?;
+        let skip_id = match (&self.model.layers[l].op, self.model.layers[l].skip_from) {
+            (Layer::ResidualAdd, Some(src)) => Some(skip(src)),
+            _ => None,
+        };
+        if let Some(sid) = skip_id {
+            self.fetch_pin(sid, dev, pins)?;
+        }
+        let params: Vec<Tensor> = self.param_ids[l]
+            .iter()
+            .map(|&id| self.store.get(id).cloned())
+            .collect::<Result<_, _>>()?;
+        let x = self.store.get(x_id)?.clone();
+        let op = &self.model.layers[l].op;
+        let out = match skip_id {
+            Some(sid) => op.forward_with_skip(&params, &x, self.store.get(sid)?)?,
+            None => op.forward(&params, &x)?,
+        };
+        self.unpin_all(pins)?;
+        Ok(out)
     }
 
     fn add_outgrad(
@@ -703,6 +718,43 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_residuals_without_an_earlier_skip_source() {
+        use harmony_models::exec::ExecLayer;
+        // mlp(&[2, 2, 2]) is Linear, ReLU, Linear; a residual appended as
+        // layer 3 may add the input or layers 0..=2, nothing later.
+        let with_residual = |skip_from| {
+            let mut model = mlp(&[2, 2, 2]);
+            model.layers.push(ExecLayer {
+                name: "res".to_string(),
+                op: Layer::ResidualAdd,
+                skip_from,
+            });
+            model
+        };
+        for skip_from in [
+            None,
+            Some(SkipSource::LayerOutput(3)),
+            Some(SkipSource::LayerOutput(4)),
+        ] {
+            let err = FunctionalSession::new(with_residual(skip_from), SessionConfig::default())
+                .err()
+                .unwrap_or_else(|| panic!("skip edge {skip_from:?} accepted"));
+            assert!(
+                matches!(&err, HarmonyError::Config(msg) if msg.starts_with("layer 3 ")),
+                "{skip_from:?}: {err}"
+            );
+        }
+        for skip_from in [SkipSource::Input, SkipSource::LayerOutput(2)] {
+            let model = with_residual(Some(skip_from));
+            let mut s = FunctionalSession::new(model, SessionConfig::default()).unwrap();
+            let mut rng = SplitMix64::new(3);
+            let (x, t) = batch(&mut rng, 4, 2, 2);
+            assert!(s.train_step(&x, &t).unwrap().loss.is_finite());
+            assert_eq!(s.evaluate(&x).unwrap().shape().dims(), &[4, 2]);
+        }
     }
 
     #[test]

@@ -9,56 +9,8 @@ use harmony_sched::{
 };
 use harmony_topology::Topology;
 
-/// The training schemes of the paper's analytical comparison, plus the
-/// PipeDream 1F1B-with-weight-stashing extension (ROADMAP item 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemeKind {
-    /// Data parallelism + per-GPU memory virtualization.
-    BaselineDp,
-    /// Pipeline parallelism (1F1B) + per-GPU memory virtualization.
-    BaselinePp,
-    /// Harmony data parallelism.
-    HarmonyDp,
-    /// Harmony pipeline parallelism.
-    HarmonyPp,
-    /// 1F1B with PipeDream weight stashing: per-GPU virtualization plus
-    /// one stashed weight version per in-flight microbatch, so backward
-    /// sees the weights its forward used.
-    Pipe1F1B,
-}
-
-impl SchemeKind {
-    /// Every scheme, baselines first, extensions last.
-    pub const ALL: [SchemeKind; 5] = [
-        SchemeKind::BaselineDp,
-        SchemeKind::BaselinePp,
-        SchemeKind::HarmonyDp,
-        SchemeKind::HarmonyPp,
-        SchemeKind::Pipe1F1B,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchemeKind::BaselineDp => "baseline-dp",
-            SchemeKind::BaselinePp => "baseline-pp",
-            SchemeKind::HarmonyDp => "harmony-dp",
-            SchemeKind::HarmonyPp => "harmony-pp",
-            SchemeKind::Pipe1F1B => "pipe-1f1b",
-        }
-    }
-
-    /// The matching analytical-model scheme.
-    pub fn analytical(&self) -> harmony_analytical::Scheme {
-        match self {
-            SchemeKind::BaselineDp => harmony_analytical::Scheme::BaselineDp,
-            SchemeKind::BaselinePp => harmony_analytical::Scheme::BaselinePp,
-            SchemeKind::HarmonyDp => harmony_analytical::Scheme::HarmonyDp,
-            SchemeKind::HarmonyPp => harmony_analytical::Scheme::HarmonyPp,
-            SchemeKind::Pipe1F1B => harmony_analytical::Scheme::Pipe1F1B,
-        }
-    }
-}
+/// The training schemes, shared with the analytical model.
+pub use harmony_analytical::Scheme as SchemeKind;
 
 /// Lowers a scheme into an execution plan for `topo.num_gpus()` GPUs.
 pub fn plan(
@@ -84,17 +36,6 @@ mod tests {
     use crate::sweep::tests::{topo, workload};
     use crate::sweep::RunSpec;
     use harmony_models::TransformerConfig;
-
-    #[test]
-    fn names_and_analytical_mapping_are_consistent() {
-        for s in SchemeKind::ALL {
-            assert!(!s.name().is_empty());
-        }
-        assert_eq!(
-            SchemeKind::HarmonyPp.analytical(),
-            harmony_analytical::Scheme::HarmonyPp
-        );
-    }
 
     #[test]
     fn run_executes_all_schemes_on_a_small_server() {

@@ -26,7 +26,6 @@
 
 use harmony::simulate::{self, SchemeKind};
 use harmony::RunSpec;
-use harmony_analytical as analytical;
 use harmony_analytical::exact::{
     grad_swap_volume_exact, opt_state_swap_volume_exact, p2p_volume_exact,
     weight_stash_swap_volume_exact, weight_swap_volume_exact, ExactParams,
@@ -121,7 +120,6 @@ pub fn check_swap_volumes_exact(
     let summary = run_spec_instrumented(model, topo, &RunSpec::new(scheme, *workload), oracles)
         .map_err(|e| format!("{} failed to run: {e}", scheme.name()))?;
     let p = exact_params(model, topo, workload);
-    let a = scheme.analytical();
     let class = |name: &str| summary.swap_by_class.get(name).copied().unwrap_or(0);
 
     let mut bad: Vec<String> = Vec::new();
@@ -132,24 +130,28 @@ pub fn check_swap_volumes_exact(
             ));
         }
     };
-    check("weight", weight_swap_volume_exact(a, &p), class("weight"));
+    check(
+        "weight",
+        weight_swap_volume_exact(scheme, &p),
+        class("weight"),
+    );
     check(
         "weight_stash",
-        weight_stash_swap_volume_exact(a, &p),
+        weight_stash_swap_volume_exact(scheme, &p),
         class("weight_stash"),
     );
-    check("grad", grad_swap_volume_exact(a, &p), class("grad"));
+    check("grad", grad_swap_volume_exact(scheme, &p), class("grad"));
     check(
         "opt_state",
-        opt_state_swap_volume_exact(a, &p),
+        opt_state_swap_volume_exact(scheme, &p),
         class("opt_state"),
     );
-    match p2p_volume_exact(a, &p) {
+    match p2p_volume_exact(scheme, &p) {
         Some(expected) => check("p2p", expected, summary.p2p_bytes),
         None => {
             // Harmony-PP: bound by baseline-PP's schedule-independent
             // boundary traffic.
-            let cap = p2p_volume_exact(analytical::Scheme::BaselinePp, &p)
+            let cap = p2p_volume_exact(SchemeKind::BaselinePp, &p)
                 .expect("baseline-pp p2p is schedule-independent");
             if summary.p2p_bytes > cap {
                 bad.push(format!(

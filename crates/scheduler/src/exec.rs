@@ -775,14 +775,22 @@ impl<'a> SimExecutor<'a> {
         // Replica slots cover the plan's replicas plus every GPU whose
         // queue holds an allreduce (its targets are the gradients of the
         // replica indexed by the GPU). One iteration's future-use entries
-        // are the refs every queue item touches.
+        // are the refs every queue item touches; the fetch-target arena
+        // holds each item's targets once (see `compile_targets`).
         let mut rslots = plan.replicas.max(1);
         let mut refs_per_iter = 0usize;
+        let mut num_targets = 0usize;
         for (g, q) in plan.queues.iter().enumerate() {
             for &item in q {
-                if let WorkItem::AllReduce { .. } = item {
-                    rslots = rslots.max(g + 1);
-                }
+                num_targets += match item {
+                    WorkItem::Task { task, .. } => {
+                        plan.graph.reads(task).len() + plan.graph.fresh_writes(task).len()
+                    }
+                    WorkItem::AllReduce { pack } => {
+                        rslots = rslots.max(g + 1);
+                        plan.graph.packs()[pack].len()
+                    }
+                };
                 item_refs(plan, item, |_, _| refs_per_iter += 1);
             }
         }
@@ -806,8 +814,8 @@ impl<'a> SimExecutor<'a> {
         let total_keys = mul(its, ref_slots)?;
         let queue_len = mul(plan.total_items(), its)?;
         let nu_len = mul(refs_per_iter, its)?;
-        // Queue cursors and future-use offsets are `u32`.
-        if u32::try_from(queue_len.max(nu_len)).is_err() {
+        // Queue cursors, future-use and fetch-target offsets are `u32`.
+        if u32::try_from(queue_len.max(nu_len).max(num_targets)).is_err() {
             return Err(too_large());
         }
         let dep_entries = mul(mul(its, rslots)?, num_tasks)?;
@@ -829,6 +837,7 @@ impl<'a> SimExecutor<'a> {
         let mut nu_cur = reserved(total_keys)?;
         let mut nu_seqs: Vec<u64> = reserved(nu_len)?;
         let mut q_items: Vec<QItem> = reserved(queue_len)?;
+        let mut ct_items: Vec<CTarget> = reserved(num_targets)?;
         let mut task_syms = reserved(task_slots)?;
         let mut collectives = reserved(coll_slots)?;
         let mut done_words = reserved(done_len)?;
@@ -879,7 +888,6 @@ impl<'a> SimExecutor<'a> {
         // Flatten the work queues and precompile each distinct item's
         // fetch targets once, with its first iteration's entry; every
         // later iteration's instance copies the entry and shares the range.
-        let mut ct_items: Vec<CTarget> = Vec::new();
         let mut q_bounds: Vec<(u32, u32)> = Vec::with_capacity(n_q);
         for (g, q) in plan.queues.iter().enumerate() {
             let start = q_items.len();
@@ -904,6 +912,7 @@ impl<'a> SimExecutor<'a> {
             }
             q_bounds.push((start as u32, q_items.len() as u32));
         }
+        debug_assert_eq!(ct_items.len(), num_targets, "the target count is exact");
         // Future-use table for next-use-aware eviction, as flat per-key
         // runs: count, prefix-sum into offsets, then fill — preserving the
         // reference push order exactly (queue-major, not globally sorted).

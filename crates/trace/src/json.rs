@@ -1,96 +1,12 @@
-//! Minimal JSON support for trace export/import.
+//! The JSON writer's escaping and number rules.
 //!
-//! The build environment has no registry access, so traces are
-//! (de)serialised by hand: a tiny recursive-descent parser producing a
-//! [`Value`] tree, plus string-escaping helpers for the writer. Only
-//! the subset of JSON the trace format emits is exercised, but the
-//! parser accepts arbitrary well-formed JSON documents.
+//! The build environment has no registry access, so traces and run
+//! summaries are serialised by hand. This module holds the two rules
+//! every writer shares: how a string is quoted ([`push_quoted`]) and how
+//! an `f64` is spelled ([`push_number`]). Nothing in the workspace reads
+//! JSON back; the tests below pin the rules' exact bytes instead.
 
-use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (stored as f64).
-    Number(f64),
-    /// A string (unescaped).
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object (key order not preserved).
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The array payload, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Looks up a key, if this is an object.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON parse failure with byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// What went wrong.
-    pub message: String,
-    /// Byte offset into the input.
-    pub offset: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses a complete JSON document.
-pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing input"));
-    }
-    Ok(v)
-}
+use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON document (adds quotes).
 pub fn quote(s: &str) -> String {
@@ -144,212 +60,55 @@ pub fn push_number(out: &mut String, v: f64) {
 /// (`-2.2250738585072014e-308`).
 pub const NUMBER_MAX_LEN: usize = 24;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
-        JsonError {
-            message: message.to_string(),
-            offset: self.pos,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(hex).ok_or_else(|| self.err("bad codepoint"))?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_nested_document() {
-        let v =
-            parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": null, "e": true}}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[1].as_f64(),
-            Some(2.5)
-        );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
-        assert_eq!(v.get("b").unwrap().get("e"), Some(&Value::Bool(true)));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("nope").is_err());
-        assert!(parse("{} extra").is_err());
-    }
-
-    #[test]
-    fn quote_roundtrips_specials() {
-        let s = "a\"b\\c\nd\te\u{1}";
-        let parsed = parse(&quote(s)).unwrap();
-        assert_eq!(parsed.as_str(), Some(s));
+    fn push_quoted_escapes_exactly_the_specials() {
+        for (text, expected) in [
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("\"", r#""\"""#),
+            ("\\", r#""\\""#),
+            ("\n", r#""\n""#),
+            ("\r", r#""\r""#),
+            ("\t", r#""\t""#),
+            ("\u{1}", r#""\u0001""#),
+            ("\u{1f}", r#""\u001f""#),
+            // Only C0 controls are escaped: DEL and non-ASCII pass through.
+            ("\u{7f}", "\"\u{7f}\""),
+            ("é", "\"é\""),
+            ("漢", "\"漢\""),
+            ("a\"b\\c\nd\te\u{1}", r#""a\"b\\c\nd\te\u0001""#),
+        ] {
+            let mut out = String::from("x");
+            push_quoted(&mut out, text);
+            assert_eq!(&out[1..], expected, "push_quoted({text:?})");
+            assert_eq!(quote(text), expected, "quote({text:?})");
+        }
     }
 
     #[test]
     fn number_format_roundtrips() {
-        for v in [0.0, 1.5, -3.25, 1e-9, 123456789.123456] {
-            let back = parse(&number(v)).unwrap().as_f64().unwrap();
-            assert_eq!(back, v);
+        for (v, expected) in [
+            (0.0, "0.0"),
+            (1.5, "1.5"),
+            (-3.25, "-3.25"),
+            (1e-9, "1e-9"),
+            (1e300, "1e300"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (123456789.123456, "123456789.123456"),
+        ] {
+            assert_eq!(number(v), expected, "number({v:e})");
+            let back: f64 = expected.parse().expect("a finite spelling parses");
+            assert_eq!(back.to_bits(), v.to_bits(), "{expected} round-trips");
+        }
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(number(v), "null", "number({v})");
+            let mut out = String::from("x");
+            push_number(&mut out, v);
+            assert_eq!(out, "xnull");
         }
     }
 }

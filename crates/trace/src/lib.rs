@@ -4,6 +4,7 @@
 //! benchmark harness. The `repro` binary renders Fig 4-style schedules
 //! with [`gantt::render`] and emits the paper's tables via
 //! [`table::Table`]; runs can be exported as JSON for external tooling.
+//! The crate writes JSON and never reads it back ([`json`]).
 //!
 //! A span carries its label as a [`SymbolId`] into its trace's
 //! [`SymbolTable`], an append-only text arena with no lookup. Callers
@@ -20,7 +21,6 @@ pub mod summary;
 mod symbols;
 pub mod table;
 
-pub use json::JsonError;
 pub use symbols::{SymbolId, SymbolTable};
 
 use std::fmt::Write as _;
@@ -51,9 +51,7 @@ impl SpanKind {
             SpanKind::Collective => '+',
         }
     }
-}
 
-impl SpanKind {
     /// The kind's name as the JSON format spells it (`Compute`, …); no
     /// character in it needs escaping.
     pub fn as_str(&self) -> &'static str {
@@ -64,17 +62,6 @@ impl SpanKind {
             SpanKind::P2p => "P2p",
             SpanKind::Collective => "Collective",
         }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "Compute" => SpanKind::Compute,
-            "SwapIn" => SpanKind::SwapIn,
-            "SwapOut" => SpanKind::SwapOut,
-            "P2p" => SpanKind::P2p,
-            "Collective" => SpanKind::Collective,
-            _ => return None,
-        })
     }
 }
 
@@ -272,65 +259,6 @@ impl Trace {
         debug_assert_eq!(out.capacity(), capacity, "the buffer must never regrow");
         out
     }
-
-    /// Parses a trace from JSON.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let err = |message: &str| JsonError {
-            message: message.to_string(),
-            offset: 0,
-        };
-        let doc = json::parse(s)?;
-        let name = doc
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| err("missing `name`"))?
-            .to_string();
-        let mut spans = Vec::new();
-        let mut symbols = SymbolTable::default();
-        for (i, sv) in doc
-            .get("spans")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| err("missing `spans`"))?
-            .iter()
-            .enumerate()
-        {
-            let field = |key: &str| {
-                sv.get(key)
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| err(&format!("span {i}: missing `{key}`")))
-            };
-            let gpu = match sv.get("gpu") {
-                None | Some(json::Value::Null) => None,
-                Some(v) => Some(
-                    v.as_f64()
-                        .ok_or_else(|| err(&format!("span {i}: bad `gpu`")))?
-                        as usize,
-                ),
-            };
-            let kind = sv
-                .get("kind")
-                .and_then(|v| v.as_str())
-                .and_then(SpanKind::from_str)
-                .ok_or_else(|| err(&format!("span {i}: bad `kind`")))?;
-            let label = symbols.push(
-                sv.get("label")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| err(&format!("span {i}: missing `label`")))?,
-            );
-            spans.push(Span {
-                start: field("start")?,
-                end: field("end")?,
-                gpu,
-                kind,
-                label,
-            });
-        }
-        Ok(Trace {
-            name,
-            spans,
-            symbols,
-        })
-    }
 }
 
 /// The trace writer's window of recently formatted numbers, keyed by bit
@@ -417,36 +345,46 @@ mod tests {
         assert_eq!(t.busy_secs(0, SpanKind::Compute), 0.0);
     }
 
+    /// A small trace exports to literal bytes, and the empty trace too.
     #[test]
     fn json_roundtrip() {
         let mut t = Trace::new("rt");
         t.record(0.0, 1.5, Some(2), SpanKind::P2p, "x");
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.name, "rt");
-        assert_eq!(back.spans.len(), 1);
-        assert_eq!(back.spans[0].kind, SpanKind::P2p);
-        assert_eq!(back.label(&back.spans[0]), "x");
+        assert_eq!(
+            t.to_json(),
+            r#"{
+  "name": "rt",
+  "spans": [
+    {"start": 0.0, "end": 1.5, "gpu": 2, "kind": "P2p", "label": "x"}
+  ]
+}"#
+        );
+        assert_eq!(
+            Trace::new("").to_json(),
+            "{\n  \"name\": \"\",\n  \"spans\": []\n}"
+        );
     }
 
+    /// The format carries label *text* inline (no symbol-table section),
+    /// so two ids minted for one text write the same bytes; a host lane is
+    /// `null`, as is a non-finite time.
     #[test]
     fn symbols_roundtrip_through_json_export() {
-        // The JSON format carries label *text* (no symbol-table section),
-        // so exports are byte-compatible with the old `label: String`
-        // schema and parse back losslessly whatever the id assignment.
-        let mut t = Trace::new("rt");
+        let mut t = Trace::new("a \"quoted\" name");
         t.record(0.0, 1.0, Some(0), SpanKind::Compute, "F L0 u0");
-        t.record(1.0, 2.0, Some(1), SpanKind::SwapIn, "W1");
-        t.record(2.0, 3.0, Some(0), SpanKind::Compute, "F L0 u0");
-        let text = t.to_json();
-        assert!(text.contains("\"label\": \"F L0 u0\""));
-        assert!(!text.contains("symbols"), "no table section in JSON");
-        let back = Trace::from_json(&text).unwrap();
-        assert_eq!(back.spans.len(), t.spans.len());
-        for (a, b) in back.spans.iter().zip(&t.spans) {
-            assert_eq!(back.label(a), t.label(b));
-        }
-        // And the re-export is byte-identical.
-        assert_eq!(back.to_json(), text);
+        t.record(1.0, 2.0, None, SpanKind::SwapIn, "W1\t\\");
+        t.record(2.0, f64::INFINITY, Some(0), SpanKind::Compute, "F L0 u0");
+        assert_eq!(
+            t.to_json(),
+            r#"{
+  "name": "a \"quoted\" name",
+  "spans": [
+    {"start": 0.0, "end": 1.0, "gpu": 0, "kind": "Compute", "label": "F L0 u0"},
+    {"start": 1.0, "end": 2.0, "gpu": null, "kind": "SwapIn", "label": "W1\t\\"},
+    {"start": 2.0, "end": null, "gpu": 0, "kind": "Compute", "label": "F L0 u0"}
+  ]
+}"#
+        );
     }
 
     #[test]

@@ -417,59 +417,69 @@ mod tests {
     }
 
     #[test]
-    fn json_export_parses_and_never_contains_null() {
-        for s in [
-            summary(),
+    fn json_export_matches_goldens_and_never_contains_null() {
+        let mut classes = std::collections::BTreeMap::new();
+        classes.insert("weight".to_string(), 700);
+        classes.insert("grad".to_string(), 300);
+        let mut channels = std::collections::BTreeMap::new();
+        channels.insert("sw0->host".to_string(), 1.5);
+        channels.insert("gpu\"0\"".to_string(), 0.25);
+        // A non-finite busy time is dropped, never written as `null`.
+        channels.insert("gpu1->sw0".to_string(), f64::NAN);
+        for (s, expected) in [
+            (
+                RunSummary {
+                    swap_by_class: classes,
+                    channel_busy_secs: channels,
+                    ..summary()
+                },
+                concat!(
+                    r#"{"name": "test", "sim_secs": 2.0, "samples": 10, "events_processed": 40, "#,
+                    r#""elapsed_secs": 0.5, "setup_secs": 0.1, "throughput": 5.0, "#,
+                    r#""swap_imbalance": 2.3333333333333335, "#,
+                    r#""swap_in_bytes": [100, 300], "swap_out_bytes": [200, 400], "#,
+                    r#""p2p_bytes": 50, "peak_mem_bytes": [1000, 2000], "#,
+                    r#""demand_bytes": [3000, 1500], "swap_by_class": {"grad": 300, "weight": 700}, "#,
+                    r#""channel_busy_secs": {"gpu\"0\"": 0.25, "sw0->host": 1.5}}"#,
+                ),
+            ),
             // Unbounded imbalance: the field is omitted, not `null`.
-            RunSummary {
-                swap_in_bytes: vec![0, 10],
-                swap_out_bytes: vec![0, 0],
-                ..summary()
-            },
+            (
+                RunSummary {
+                    swap_in_bytes: vec![0, 10],
+                    swap_out_bytes: vec![0, 0],
+                    ..summary()
+                },
+                concat!(
+                    r#"{"name": "test", "sim_secs": 2.0, "samples": 10, "events_processed": 40, "#,
+                    r#""elapsed_secs": 0.5, "setup_secs": 0.1, "throughput": 5.0, "#,
+                    r#""swap_in_bytes": [0, 10], "swap_out_bytes": [0, 0], "#,
+                    r#""p2p_bytes": 50, "peak_mem_bytes": [1000, 2000], "#,
+                    r#""demand_bytes": [3000, 1500], "swap_by_class": {}, "channel_busy_secs": {}}"#,
+                ),
+            ),
             // A non-finite wall clock must be omitted, never `null`.
-            RunSummary {
-                elapsed_secs: f64::INFINITY,
-                ..summary()
-            },
-            RunSummary {
-                setup_secs: f64::NAN,
-                ..summary()
-            },
+            (
+                RunSummary {
+                    elapsed_secs: f64::INFINITY,
+                    setup_secs: f64::NAN,
+                    ..summary()
+                },
+                concat!(
+                    r#"{"name": "test", "sim_secs": 2.0, "samples": 10, "events_processed": 40, "#,
+                    r#""throughput": 5.0, "swap_imbalance": 2.3333333333333335, "#,
+                    r#""swap_in_bytes": [100, 300], "swap_out_bytes": [200, 400], "#,
+                    r#""p2p_bytes": 50, "peak_mem_bytes": [1000, 2000], "#,
+                    r#""demand_bytes": [3000, 1500], "swap_by_class": {}, "channel_busy_secs": {}}"#,
+                ),
+            ),
         ] {
             let text = s.to_json();
+            assert_eq!(text, expected);
             assert!(
                 !text.contains("null"),
                 "non-finite leaked into JSON: {text}"
             );
-            let doc = crate::json::parse(&text).expect("valid JSON");
-            assert_eq!(doc.get("name").and_then(|v| v.as_str()), Some("test"));
-            assert_eq!(doc.get("sim_secs").and_then(|v| v.as_f64()), Some(2.0));
-            assert_eq!(
-                doc.get("events_processed").and_then(|v| v.as_f64()),
-                Some(40.0)
-            );
-            if s.elapsed_secs.is_finite() {
-                assert_eq!(
-                    doc.get("elapsed_secs").and_then(|v| v.as_f64()),
-                    Some(s.elapsed_secs)
-                );
-            } else {
-                assert!(doc.get("elapsed_secs").is_none());
-            }
-            if s.setup_secs.is_finite() {
-                assert_eq!(
-                    doc.get("setup_secs").and_then(|v| v.as_f64()),
-                    Some(s.setup_secs)
-                );
-            } else {
-                assert!(doc.get("setup_secs").is_none());
-            }
-            match s.swap_imbalance() {
-                Some(v) => {
-                    assert_eq!(doc.get("swap_imbalance").and_then(|x| x.as_f64()), Some(v))
-                }
-                None => assert!(doc.get("swap_imbalance").is_none()),
-            }
         }
     }
 
@@ -487,14 +497,18 @@ mod tests {
             }),
             ..summary()
         };
-        let text = degraded.to_json();
-        assert!(!text.contains("null"));
-        let doc = crate::json::parse(&text).expect("valid JSON");
-        let r = doc.get("resilience").expect("resilience object emitted");
-        assert_eq!(r.get("spill_events").and_then(|v| v.as_f64()), Some(2.0));
         assert_eq!(
-            r.get("final_mode").and_then(|v| v.as_str()),
-            Some("degraded")
+            degraded.to_json(),
+            concat!(
+                r#"{"name": "test", "sim_secs": 2.0, "samples": 10, "events_processed": 40, "#,
+                r#""elapsed_secs": 0.5, "setup_secs": 0.1, "throughput": 5.0, "#,
+                r#""resilience": {"spill_events": 2, "rerouted_transfers": 1, "retries": 3, "#,
+                r#""overcommits": 1, "final_mode": "degraded"}, "#,
+                r#""swap_imbalance": 2.3333333333333335, "#,
+                r#""swap_in_bytes": [100, 300], "swap_out_bytes": [200, 400], "#,
+                r#""p2p_bytes": 50, "peak_mem_bytes": [1000, 2000], "#,
+                r#""demand_bytes": [3000, 1500], "swap_by_class": {}, "channel_busy_secs": {}}"#,
+            )
         );
         // The outcome is part of a run's identity.
         assert_ne!(clean, degraded);
@@ -515,15 +529,18 @@ mod tests {
             }),
             ..summary()
         };
-        let text = counted.to_json();
-        assert!(!text.contains("null"));
-        let doc = crate::json::parse(&text).expect("valid JSON");
-        let c = doc.get("mem_counters").expect("counters object emitted");
-        assert_eq!(c.get("fresh_allocs").and_then(|v| v.as_f64()), Some(3.0));
-        assert_eq!(c.get("victim_pops").and_then(|v| v.as_f64()), Some(17.0));
         assert_eq!(
-            c.get("membership_shifts").and_then(|v| v.as_f64()),
-            Some(9.0)
+            counted.to_json(),
+            concat!(
+                r#"{"name": "test", "sim_secs": 2.0, "samples": 10, "events_processed": 40, "#,
+                r#""elapsed_secs": 0.5, "setup_secs": 0.1, "throughput": 5.0, "#,
+                r#""mem_counters": {"fresh_allocs": 3, "candidate_scans": 0, "index_ops": 120, "#,
+                r#""victim_pops": 17, "resident_visits": 340, "membership_shifts": 9}, "#,
+                r#""swap_imbalance": 2.3333333333333335, "#,
+                r#""swap_in_bytes": [100, 300], "swap_out_bytes": [200, 400], "#,
+                r#""p2p_bytes": 50, "peak_mem_bytes": [1000, 2000], "#,
+                r#""demand_bytes": [3000, 1500], "swap_by_class": {}, "channel_busy_secs": {}}"#,
+            )
         );
         // Counters describe how the run was computed, not what it
         // computed: they do not participate in run identity.

@@ -61,20 +61,6 @@ proptest! {
     }
 
     #[test]
-    fn json_roundtrip_preserves_span_structure(
-        spans in prop::collection::vec(span_strategy(), 0..30),
-    ) {
-        let t = build("rt", &spans);
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        prop_assert_eq!(back.spans.len(), t.spans.len());
-        for (a, b) in back.spans.iter().zip(&t.spans) {
-            prop_assert_eq!(a.gpu, b.gpu);
-            prop_assert_eq!(a.kind, b.kind);
-            prop_assert_eq!(back.label(a), t.label(b));
-        }
-    }
-
-    #[test]
     fn busy_secs_is_additive_over_kinds(
         spans in prop::collection::vec(span_strategy(), 0..30),
     ) {
