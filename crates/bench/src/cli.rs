@@ -2,10 +2,10 @@
 //! shares.
 //!
 //! [`COMMANDS`] lists every command `repro` knows: each figure and table
-//! of the paper, `all`, the gates (`conformance`, `exec-smoke`,
-//! `mem-smoke`, `net-smoke`, `fault-sweep --smoke`), `custom` and
-//! `help`. Each entry carries its flag grammar ([`Spec`]) and a one-line
-//! summary, and [`usage`] is generated from the table. The binary looks
+//! of the paper, `all`, the gates (`conformance`, `net-smoke`,
+//! `fault-sweep --smoke`), `custom` and `help`. Each entry carries its
+//! flag grammar ([`Spec`]) and a one-line summary, and [`usage`] is
+//! generated from the table. The binary looks
 //! a command up, parses its arguments with [`parse`], runs it and hands
 //! the [`Outcome`] to [`deliver`]; nothing else reads argv.
 //!
@@ -113,24 +113,6 @@ pub const CONFORMANCE: Spec = Spec {
     operand: Some("seed"),
     bools: &[],
     values: &[("--scheme", ValueKind::Scheme)],
-};
-
-/// `repro exec-smoke [--grid] [--scheme NAME]`.
-pub const EXEC_SMOKE: Spec = Spec {
-    cmd: "exec-smoke",
-    expected: "[--grid] [--scheme NAME]",
-    operand: None,
-    bools: &["--grid"],
-    values: &[("--scheme", ValueKind::Scheme)],
-};
-
-/// `repro mem-smoke [--grid]`.
-pub const MEM_SMOKE: Spec = Spec {
-    cmd: "mem-smoke",
-    expected: "[--grid]",
-    operand: None,
-    bools: &["--grid"],
-    values: &[],
 };
 
 /// `repro net-smoke [--transfers N] [--waves N]`.
@@ -467,14 +449,6 @@ pub const COMMANDS: &[Command] = &[
         }
         out
     }),
-    tool(EXEC_SMOKE, "executor loop vs dense reference", |flags| {
-        let scheme = flags.scheme("--scheme").unwrap_or(SchemeKind::HarmonyPp);
-        let time = |r, m, n, it| sweeps::exec_hot_path(scheme, r, m, n, it);
-        sweeps::EXEC_GATE.run(flags.has("--grid"), time)
-    }),
-    tool(MEM_SMOKE, "memory manager vs dense core", |flags| {
-        sweeps::MEM_GATE.run(flags.has("--grid"), sweeps::mem_hot_path)
-    }),
     tool(NET_SMOKE, "network hot path structural gate", |flags| {
         let count = |name, default| flags.value(name).map_or(default, |v| v as usize);
         sweeps::net_smoke(count("--transfers", 256), count("--waves", 8))
@@ -586,9 +560,12 @@ mod tests {
 
     #[test]
     fn unknown_flags_name_the_token_and_the_grammar() {
-        let args = argv(&["--gird"]);
-        let e = parse(&MEM_SMOKE, &args).expect_err("typo");
-        assert_eq!(e, "unknown mem-smoke flag `--gird`; expected [--grid]");
+        let args = argv(&["--smoek"]);
+        let e = parse(&FAULT_SWEEP, &args).expect_err("typo");
+        assert_eq!(
+            e,
+            "unknown fault-sweep flag `--smoek`; expected [--smoke] [--seed N]"
+        );
         let args = argv(&["--seed", "2", "extra"]);
         let e = parse(&FAULT_SWEEP, &args).expect_err("stray operand");
         assert_eq!(
@@ -601,7 +578,7 @@ mod tests {
     fn scheme_flags_round_trip_every_valid_name() {
         for (i, k) in SchemeKind::ALL.iter().enumerate() {
             let args = argv(&["--scheme", k.name()]);
-            for spec in [&EXEC_SMOKE, &CONFORMANCE, &CUSTOM] {
+            for spec in [&CONFORMANCE, &CUSTOM] {
                 let p = parse(spec, &args)
                     .unwrap_or_else(|e| panic!("{} --scheme {}: {e}", spec.cmd, k.name()));
                 assert_eq!(p.scheme("--scheme"), Some(*k), "index {i}");
@@ -628,26 +605,28 @@ mod tests {
             );
         }
         let args = argv(&["--scheme"]);
-        let e = parse(&EXEC_SMOKE, &args).expect_err("bare --scheme");
-        assert_eq!(
-            e,
-            "--scheme requires a scheme name; one of \
-             baseline-dp|baseline-pp|harmony-dp|harmony-pp|pipe-1f1b"
-        );
+        for spec in [&CONFORMANCE, &CUSTOM] {
+            let e = parse(spec, &args).expect_err("bare --scheme");
+            assert_eq!(
+                e,
+                "--scheme requires a scheme name; one of \
+                 baseline-dp|baseline-pp|harmony-dp|harmony-pp|pipe-1f1b"
+            );
+        }
     }
 
     #[test]
     fn scheme_values_are_not_stray_operands() {
         // The unknown-flag sweep must not flag a scheme name that is the
         // value of the preceding `--scheme`.
-        let args = argv(&["--grid", "--scheme", "pipe-1f1b"]);
-        let p = parse(&EXEC_SMOKE, &args).expect("grid + scheme filter");
-        assert!(p.has("--grid"));
+        let args = argv(&["--gantt", "--scheme", "pipe-1f1b"]);
+        let p = parse(&CUSTOM, &args).expect("gantt + scheme");
+        assert!(p.has("--gantt"));
         assert_eq!(p.scheme("--scheme"), Some(SchemeKind::Pipe1F1B));
         // ...but the same name anywhere else is still a stray operand.
         let args = argv(&["pipe-1f1b"]);
-        let e = parse(&EXEC_SMOKE, &args).expect_err("stray scheme operand");
-        assert!(e.contains("unknown exec-smoke flag `pipe-1f1b`"), "{e}");
+        let e = parse(&CUSTOM, &args).expect_err("stray scheme operand");
+        assert!(e.contains("unknown custom flag `pipe-1f1b`"), "{e}");
     }
 
     #[test]
@@ -723,8 +702,11 @@ mod tests {
             "unknown conformance flag `7`; expected [seed] [--scheme NAME]"
         );
         let args = argv(&["7"]);
-        let e = parse(&MEM_SMOKE, &args).expect_err("no operand");
-        assert_eq!(e, "unknown mem-smoke flag `7`; expected [--grid]");
+        let e = parse(&FAULT_SWEEP, &args).expect_err("no operand");
+        assert_eq!(
+            e,
+            "unknown fault-sweep flag `7`; expected [--smoke] [--seed N]"
+        );
     }
 
     #[test]

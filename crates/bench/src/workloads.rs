@@ -1,5 +1,5 @@
-//! Canonical workloads shared by the repro harness, its perf smokes and
-//! the shape-assertion tests. The exact-cross-check fixtures (a
+//! Canonical workloads shared by the repro harness and the
+//! shape-assertion tests. The exact-cross-check fixtures (a
 //! uniform-layer model, the tight server and its SGD workload) are the
 //! conformance harness's own.
 

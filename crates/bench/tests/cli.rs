@@ -1,7 +1,7 @@
 //! CLI strictness of the `repro` binary: malformed invocations must
 //! fail loudly (exit 2 with a diagnostic), never silently fall back to
 //! a default. Each test here pins a bug that used to do exactly that —
-//! `exec-smoke` ignored everything but `nth(2) == "--grid"`, and a bare
+//! a smoke once ignored everything but `nth(2) == "--grid"`, and a bare
 //! `--cells` quietly ran at the default cell count.
 
 use std::process::{Command, Output, Stdio};
@@ -28,43 +28,31 @@ fn assert_usage_error(out: &Output, needle: &str, what: &str) {
 }
 
 #[test]
-fn exec_smoke_rejects_unknown_flags() {
-    // A typo like `--gird` must not silently time the single-cell
-    // variant as if no flag had been passed.
-    let out = repro(&["exec-smoke", "--gird"]);
-    assert_usage_error(&out, "--gird", "exec-smoke --gird");
-    let out = repro(&["exec-smoke", "extra"]);
-    assert_usage_error(&out, "extra", "exec-smoke extra");
-}
-
-#[test]
-fn mem_smoke_rejects_unknown_flags() {
-    // Same contract as exec-smoke: a typo must not silently time the
-    // single-cell variant.
-    let out = repro(&["mem-smoke", "--gird"]);
-    assert_usage_error(&out, "--gird", "mem-smoke --gird");
-    let out = repro(&["mem-smoke", "extra"]);
-    assert_usage_error(&out, "extra", "mem-smoke extra");
-}
-
-#[test]
 fn fault_sweep_rejects_garbage_seed_and_unknown_flags() {
+    // A typo like `--smoek` must not silently run the sweep without its
+    // gate, as if no flag had been passed.
     let out = repro(&["fault-sweep", "--seed", "x"]);
     assert_usage_error(&out, "--seed takes an integer", "fault-sweep --seed x");
     let out = repro(&["fault-sweep", "--smoek"]);
     assert_usage_error(&out, "--smoek", "fault-sweep --smoek");
+    let out = repro(&["fault-sweep", "extra"]);
+    assert_usage_error(&out, "extra", "fault-sweep extra");
 }
 
 #[test]
 fn removed_bench_and_fault_sweep_json_exit_2() {
     // The `bench` subcommand and `fault-sweep --json` wrote perf records
     // nothing read; e2ebench is the perf record. `sweep-smoke` timed a
-    // cross-run executor pool that no longer exists. All are usage
-    // errors now, never a silent run of something else.
-    let out = repro(&["bench"]);
-    assert_usage_error(&out, "unknown artefact `bench`", "bench");
-    let out = repro(&["sweep-smoke"]);
-    assert_usage_error(&out, "unknown artefact `sweep-smoke`", "sweep-smoke");
+    // cross-run executor pool that no longer exists. `exec-smoke` and
+    // `mem-smoke` compared wall clocks against the dense references;
+    // exact work ceilings (harness tests/work_ceilings.rs) replace them.
+    // All are usage errors now, never a silent run of something else.
+    for cmd in ["bench", "sweep-smoke", "exec-smoke", "mem-smoke"] {
+        let out = repro(&[cmd]);
+        assert_usage_error(&out, &format!("unknown artefact `{cmd}`"), cmd);
+        let out = repro(&[cmd, "--grid"]);
+        assert_usage_error(&out, &format!("unknown artefact `{cmd}`"), cmd);
+    }
     let out = repro(&["fault-sweep", "--json"]);
     assert_usage_error(&out, "--json", "fault-sweep --json");
 }
@@ -74,7 +62,7 @@ fn scheme_filters_reject_unknown_and_bare_names() {
     // A misspelt or unknown scheme name must exit 2 listing the valid
     // schemes — never panic, and never silently run the unfiltered (or
     // an empty) grid.
-    for cmd in ["conformance", "exec-smoke", "custom"] {
+    for cmd in ["conformance", "custom"] {
         let out = repro(&[cmd, "--scheme", "pipe-1f2b"]);
         assert_usage_error(
             &out,

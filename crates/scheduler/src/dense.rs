@@ -6,12 +6,14 @@
 //! [`use_dense_advance`](crate::SimExecutor::use_dense_advance)
 //! delegates an entire run to this module, so the execdiff differential
 //! (byte-identical trace JSON + run summary, matched errors) proves the
-//! rewritten hot path against yesterday's executor, and the exec-smoke
-//! speedup gate measures the rewrite's constant-factor win against real
-//! code rather than a synthetic strawman. Keep this file frozen: fixes
-//! belong in `exec.rs`, and any intentional semantic change must land in
-//! both files in the same commit (the differential will catch a lone
-//! one).
+//! rewritten hot path against yesterday's executor. This loop
+//! re-advances every GPU after every event, so the harness's
+//! work-ceiling test (`tests/work_ceilings.rs`) requires it to break the
+//! `advance_calls` ceiling on every grid cell: proof that the ceilings
+//! would flag a wake-set loop that slid back to this much work. Keep
+//! this file frozen: fixes belong in `exec.rs`, and any intentional
+//! semantic change must land in both files in the same commit (the
+//! differential will catch a lone one).
 #![allow(dead_code)]
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};

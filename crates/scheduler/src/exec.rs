@@ -495,7 +495,10 @@ struct ComputeRec {
 /// `slab_fresh_allocs` pin the allocation contract: slots ever grown
 /// must equal the peak of
 /// concurrently live records (plan-bounded), never track event count —
-/// steady-state completions recycle slots instead of allocating.
+/// steady-state completions recycle slots instead of allocating. The
+/// harness's work-ceiling test (`tests/work_ceilings.rs`) holds
+/// `advance_calls`, `slab_fresh_allocs` and three `net` counters at or
+/// below a committed ceiling on every scheme × grid cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
     /// Total `advance` invocations across the run.

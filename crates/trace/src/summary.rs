@@ -71,10 +71,11 @@ impl ResilienceOutcome {
 ///
 /// `fresh_allocs` is the no-per-fetch-allocation witness: planning
 /// through the `_into` API on the fast core allocates nothing, so a run
-/// that plans that way reports zero — `repro mem-smoke` gates it against
-/// the device count. `fresh_allocs` and `candidate_scans` grow only on
-/// the dense reference core and through the allocating `make_room` /
-/// `plan_fetch` wrappers.
+/// that plans that way reports zero. `fresh_allocs` and
+/// `candidate_scans` grow only on the dense reference core and through
+/// the allocating `make_room` / `plan_fetch` wrappers. The harness's
+/// work-ceiling test (`tests/work_ceilings.rs`) holds every counter but
+/// `victim_pops` at or below a committed per-run ceiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemCounters {
     /// Planning-path heap materialisations: one per allocating-wrapper
