@@ -111,6 +111,7 @@ use harmony_simulator::{Completion, NetCounters, SimError, Simulator, TransferId
 use harmony_taskgraph::{TaskId, TensorRef};
 use harmony_topology::{ChannelId, Endpoint, Route, Topology, TopologyError};
 use harmony_trace::{
+    json::write_digits,
     summary::{ResilienceMode, ResilienceOutcome, RunSummary},
     SpanKind, SymbolId, Trace,
 };
@@ -2763,22 +2764,6 @@ fn wake_in(pass_w: &mut [u64], pending_w: &mut [u64], advancing: Option<usize>, 
         Some(cur) if g > cur => pass_w[wi] |= bit,
         _ => pending_w[wi] |= bit,
     }
-}
-
-/// Writes `n` in decimal, as `{n}` formats it, without `core::fmt`'s
-/// integer formatting.
-fn write_digits<W: fmt::Write>(w: &mut W, mut n: u64) -> fmt::Result {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    w.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
 }
 
 /// Writes the label of pack `pack`'s allreduce in iteration `iter`,

@@ -63,9 +63,10 @@ impl TuneResult {
 }
 
 /// Profiles `planner(workload)` across the candidate grid and returns every
-/// measurement plus the argmax. Infeasible configurations (executor errors)
-/// are recorded with `summary: None` rather than aborting the sweep — the
-/// tango's cliff edge is part of the result.
+/// measurement plus the argmax. Infeasible configurations (sizes that
+/// overflow 64 bits, planner or executor errors) are recorded with
+/// `summary: None` rather than aborting the sweep — the tango's cliff edge
+/// is part of the result.
 ///
 /// Each grid point is an independent simulation, so the sweep fans out on
 /// the `harmony-parallel` work pool; results are collected in sweep order
@@ -114,10 +115,20 @@ where
             recompute: rc,
             ..*base
         };
-        let summary = planner(model, &w)
-            .map_err(ExecError::Plan)
-            .and_then(|plan| SimExecutor::new(topo, model, &plan)?.run())
-            .ok()
+        // A cell whose sizes overflow 64 bits is infeasible before any
+        // planner runs: the size accessors would wrap (or panic in a debug
+        // build) on it.
+        let samples = (topo.num_gpus() as u64)
+            .checked_mul(m as u64)
+            .and_then(|n| n.checked_mul(w.ubatch_size));
+        let summary = samples
+            .filter(|&s| model.sizes_fit(s, w.opt_slots))
+            .and_then(|_| {
+                planner(model, &w)
+                    .map_err(ExecError::Plan)
+                    .and_then(|plan| SimExecutor::new(topo, model, &plan)?.run())
+                    .ok()
+            })
             .map(|(s, _)| s);
         TunePoint {
             pack_size: pack,
@@ -402,6 +413,27 @@ mod tests {
         assert_eq!(fresh.plan_cache_hits, 0);
         assert_eq!(fresh.plan_cache_misses, 4);
         assert_eq!(&deduped.points[..4], &fresh.points[..]);
+    }
+
+    /// A layer whose byte sizes overflow a `u64` makes every cell
+    /// infeasible without reaching the planner, in debug and release
+    /// builds alike (unchecked, the weight size wraps to a 0-byte tensor
+    /// that simulates as feasible).
+    #[test]
+    fn overflowing_sizes_are_infeasible_without_planning() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut m = model();
+        m.layers[1].params = 1 << 62;
+        let t = topo(96 * 1024);
+        let planned = AtomicUsize::new(0);
+        let result = tune(&m, &t, &base(), &[4], &[2], &[false], |m, w| {
+            planned.fetch_add(1, Ordering::Relaxed);
+            plan_harmony_pp(m, 2, w).map_err(|e| e.to_string())
+        });
+        assert_eq!(result.points.len(), 1);
+        assert!(result.points[0].summary.is_none());
+        assert!(result.best.is_none());
+        assert_eq!(planned.load(Ordering::Relaxed), 0);
     }
 
     #[test]

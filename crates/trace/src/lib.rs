@@ -23,8 +23,6 @@ pub mod table;
 
 pub use symbols::{SymbolId, SymbolTable};
 
-use std::fmt::Write as _;
-
 /// What a trace span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
@@ -184,9 +182,9 @@ impl Trace {
     /// upper bound and allocates only a constant number of times: the
     /// symbols are quoted once into one shared table, kinds are static
     /// text, and numbers are formatted in place — through a small memo
-    /// of recent values, since spans recorded in time order repeat the
-    /// same instants across lanes and as one span's end and the next's
-    /// start.
+    /// of recent values whose hits copy their earlier bytes, since spans
+    /// recorded in time order repeat the same instants across lanes and
+    /// as one span's end and the next's start.
     pub fn to_json(&self) -> String {
         // Fixed text around each span's five fields (the kind's quotes
         // included: kind names need no escaping).
@@ -237,7 +235,7 @@ impl Trace {
             match s.gpu {
                 // Writing into a `String` cannot fail.
                 Some(g) => {
-                    let _ = write!(out, "{g}");
+                    let _ = json::write_digits(&mut out, g as u64);
                 }
                 None => out.push_str("null"),
             }
@@ -261,24 +259,19 @@ impl Trace {
     }
 }
 
-/// The trace writer's window of recently formatted numbers, keyed by bit
-/// pattern. A hit copies the bytes [`json::push_number`] produced for
-/// that exact bit pattern, so the output is byte-identical to formatting
-/// the value again by construction.
+/// The trace writer's window of recently written numbers, keyed by bit
+/// pattern. A hit copies, from earlier in the output, the bytes
+/// [`json::push_number`] wrote for that exact bit pattern, so the output
+/// is byte-identical to formatting the value again by construction.
 struct NumberMemo {
-    /// Every entry holds a valid rendering at all times; empty slots
-    /// start as `0.0`.
-    entries: [MemoEntry; NumberMemo::WINDOW],
+    /// Bit patterns of the finite values in the window, apart from the
+    /// texts so that a lookup compares them all at once. Empty slots
+    /// hold NaN bits, which no lookup carries.
+    bits: [u64; NumberMemo::WINDOW],
+    /// `out[start..end]` spells the value with `bits[i]`.
+    texts: [(usize, usize); NumberMemo::WINDOW],
     /// Round-robin slot the next miss overwrites.
     next: usize,
-}
-
-#[derive(Clone, Copy)]
-struct MemoEntry {
-    bits: u64,
-    /// Bytes of `text` in use.
-    len: u8,
-    text: [u8; json::NUMBER_MAX_LEN],
 }
 
 impl NumberMemo {
@@ -288,34 +281,37 @@ impl NumberMemo {
     const WINDOW: usize = 16;
 
     fn new() -> Self {
-        let mut text = [0; json::NUMBER_MAX_LEN];
-        text[..3].copy_from_slice(b"0.0");
-        let zero = MemoEntry {
-            bits: 0.0f64.to_bits(),
-            len: 3,
-            text,
-        };
         NumberMemo {
-            entries: [zero; Self::WINDOW],
+            bits: [f64::NAN.to_bits(); Self::WINDOW],
+            texts: [(0, 0); Self::WINDOW],
             next: 0,
         }
     }
 
-    /// Appends `v` to `out` exactly as [`json::push_number`] would.
+    /// Appends `v` to `out` exactly as [`json::push_number`] would. `out`
+    /// only grows while the memo is in use.
     fn push(&mut self, out: &mut String, v: f64) {
+        if !v.is_finite() {
+            json::push_number(out, v);
+            return;
+        }
         let bits = v.to_bits();
-        if let Some(e) = self.entries.iter().find(|e| e.bits == bits) {
-            let text = std::str::from_utf8(&e.text[..e.len as usize]);
-            out.push_str(text.expect("memoized from `push_number`'s output"));
+        // One bit per matching slot, without an early exit, so the
+        // compares vectorize.
+        let hits = self
+            .bits
+            .iter()
+            .enumerate()
+            .fold(0u32, |hits, (i, &b)| hits | u32::from(b == bits) << i);
+        if hits != 0 {
+            let (start, end) = self.texts[hits.trailing_zeros() as usize];
+            out.extend_from_within(start..end);
             return;
         }
         let start = out.len();
         json::push_number(out, v);
-        let text = &out.as_bytes()[start..];
-        let e = &mut self.entries[self.next];
-        e.bits = bits;
-        e.len = text.len() as u8;
-        e.text[..text.len()].copy_from_slice(text);
+        self.bits[self.next] = bits;
+        self.texts[self.next] = (start, out.len());
         self.next = (self.next + 1) % Self::WINDOW;
     }
 }
