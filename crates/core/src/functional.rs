@@ -333,21 +333,7 @@ impl FunctionalSession {
                 self.fetch_pin(pid, dev, &mut pins)?;
             }
             for u in 0..m {
-                let x_id = if l == 0 {
-                    input_ids[u]
-                } else {
-                    out_ids[l - 1][u]
-                };
-                let out = self.forward_layer(
-                    l,
-                    dev,
-                    x_id,
-                    |src| match src {
-                        SkipSource::Input => input_ids[u],
-                        SkipSource::LayerOutput(j) => out_ids[j][u],
-                    },
-                    &mut pins,
-                )?;
+                let out = self.forward_layer(l, dev, u, &input_ids, &out_ids, &mut pins)?;
                 // Re-pin weights for the remaining microbatches of this
                 // layer (grouping keeps them resident).
                 for &pid in &self.param_ids[l] {
@@ -514,83 +500,29 @@ impl FunctionalSession {
         })
     }
 
-    /// Forward-only inference: runs the input through the model under the
-    /// same capacity-enforced, layer-major execution as training, but
-    /// without stashing, gradients, or updates. Returns the final logits.
-    pub fn evaluate(&mut self, input: &Tensor) -> Result<Tensor, HarmonyError> {
-        let n_layers = self.model.layers.len();
-        let mut pins: Vec<TensorId> = Vec::new();
-        let mut x_id = self.alloc(
-            "eval.input".to_string(),
-            input.clone(),
-            TensorClass::Activation,
-            self.placement[0],
-        )?;
-        // Outputs of layers that later residuals still need.
-        let mut retained: Vec<Option<TensorId>> = vec![None; n_layers];
-        let input_id = x_id;
-        for l in 0..n_layers {
-            let dev = self.placement[l];
-            for pid in self.param_ids[l].clone() {
-                self.fetch_pin(pid, dev, &mut pins)?;
-            }
-            let out = self.forward_layer(
-                l,
-                dev,
-                x_id,
-                |src| match src {
-                    SkipSource::Input => input_id,
-                    SkipSource::LayerOutput(j) => {
-                        retained[j].expect("an earlier residual source is retained")
-                    }
-                },
-                &mut pins,
-            )?;
-            let needed_later =
-                self.model.layers.iter().skip(l + 1).any(
-                    |later| matches!(later.skip_from, Some(SkipSource::LayerOutput(j)) if j == l),
-                );
-            let oid = self.alloc(
-                format!("eval.L{l}.Y"),
-                out.output,
-                TensorClass::Activation,
-                dev,
-            )?;
-            // The previous chain value is dead unless a residual retains
-            // it (or it is the model input, freed at the end).
-            if x_id != input_id && retained.iter().flatten().all(|&r| r != x_id) {
-                self.free_tensor(x_id)?;
-            }
-            if needed_later {
-                retained[l] = Some(oid);
-            }
-            x_id = oid;
-        }
-        let logits = self.store.get(x_id)?.clone();
-        // Clean up everything this evaluation allocated.
-        self.free_tensor(x_id)?;
-        self.free_tensor(input_id)?;
-        for r in retained.into_iter().flatten() {
-            self.free_tensor(r)?;
-        }
-        Ok(logits)
-    }
-
-    /// Layer `l`'s forward pass on `x_id` on `dev`, whose weights the
-    /// caller has pinned into `pins`: pins the input and, for a residual,
-    /// the operand `skip` names for the layer's skip edge (checked in
+    /// Layer `l`'s forward pass over microbatch `u` on `dev`, whose
+    /// weights the caller has pinned into `pins`: pins the input (the
+    /// previous layer's output, or the model input) and, for a residual,
+    /// the operand its skip edge names (checked in
     /// [`FunctionalSession::new`]), runs the op, then unpins all of `pins`.
     fn forward_layer(
         &mut self,
         l: usize,
         dev: usize,
-        x_id: TensorId,
-        skip: impl FnOnce(SkipSource) -> TensorId,
+        u: usize,
+        input_ids: &[TensorId],
+        out_ids: &[Vec<TensorId>],
         pins: &mut Vec<TensorId>,
     ) -> Result<LayerOutput, HarmonyError> {
+        let x_id = if l == 0 {
+            input_ids[u]
+        } else {
+            out_ids[l - 1][u]
+        };
         self.fetch_pin(x_id, dev, pins)?;
         let skip_id = match (&self.model.layers[l].op, self.model.layers[l].skip_from) {
-            (Layer::ResidualAdd, Some(src)) => Some(skip(src)),
+            (Layer::ResidualAdd, Some(SkipSource::Input)) => Some(input_ids[u]),
+            (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) => Some(out_ids[j][u]),
             _ => None,
         };
         if let Some(sid) = skip_id {
@@ -753,7 +685,6 @@ mod tests {
             let mut rng = SplitMix64::new(3);
             let (x, t) = batch(&mut rng, 4, 2, 2);
             assert!(s.train_step(&x, &t).unwrap().loss.is_finite());
-            assert_eq!(s.evaluate(&x).unwrap().shape().dims(), &[4, 2]);
         }
     }
 
@@ -894,87 +825,6 @@ mod tests {
         assert!(
             (s4 as f64) < (s1 as f64) * 2.5,
             "grouping failed: m=1 swaps {s1}, m=4 swaps {s4}"
-        );
-    }
-}
-
-#[cfg(test)]
-mod eval_tests {
-    use super::*;
-    use harmony_models::exec::{mlp, tiny_transformer};
-    use harmony_tensor::rng::SplitMix64;
-
-    #[test]
-    fn evaluate_matches_reference_forward() {
-        let model = tiny_transformer(11, 8, 2, 2, true).unwrap();
-        let mut session = FunctionalSession::new(
-            model.clone(),
-            SessionConfig {
-                device_capacities: vec![1 << 20; 2],
-                microbatches: 1,
-                optimizer: Optimizer::adam(0.01),
-                seed: 21,
-            },
-        )
-        .unwrap();
-        let mut rng = SplitMix64::new(4);
-        let ids: Vec<f32> = (0..2 * 5).map(|_| rng.next_bounded(11) as f32).collect();
-        let x = Tensor::from_vec([2, 5], ids).unwrap();
-        let logits = session.evaluate(&x).unwrap();
-        let params = model.init_params(21);
-        let trace = model.forward(&params, &x).unwrap();
-        assert_eq!(&logits, trace.outputs.last().unwrap());
-    }
-
-    #[test]
-    fn evaluate_is_repeatable_and_leak_free() {
-        let model = mlp(&[6, 12, 3]);
-        let mut session = FunctionalSession::new(
-            model,
-            SessionConfig {
-                device_capacities: vec![64 * 1024],
-                microbatches: 1,
-                optimizer: Optimizer::Sgd { lr: 0.1 },
-                seed: 2,
-            },
-        )
-        .unwrap();
-        let mut rng = SplitMix64::new(9);
-        let x = Tensor::randn([4, 6], 1.0, &mut rng);
-        let a = session.evaluate(&x).unwrap();
-        let used_after_first: Vec<u64> = (0..1).map(|d| session.mm.used(d).unwrap()).collect();
-        let b = session.evaluate(&x).unwrap();
-        assert_eq!(a, b);
-        // No transient leaks: device usage stable across evaluations.
-        for (d, &u) in used_after_first.iter().enumerate() {
-            assert_eq!(session.mm.used(d).unwrap(), u);
-        }
-    }
-
-    #[test]
-    fn evaluate_reflects_training_progress() {
-        let model = mlp(&[4, 8, 2]);
-        let mut session = FunctionalSession::new(
-            model,
-            SessionConfig {
-                device_capacities: vec![1 << 20],
-                microbatches: 2,
-                optimizer: Optimizer::adam(0.05),
-                seed: 13,
-            },
-        )
-        .unwrap();
-        let mut rng = SplitMix64::new(14);
-        let x = Tensor::randn([4, 4], 1.0, &mut rng);
-        let before = session.evaluate(&x).unwrap();
-        let targets = vec![0usize, 1, 0, 1];
-        for _ in 0..5 {
-            session.train_step(&x, &targets).unwrap();
-        }
-        let after = session.evaluate(&x).unwrap();
-        assert!(
-            before.max_abs_diff(&after).unwrap() > 1e-4,
-            "training must change outputs"
         );
     }
 }

@@ -1,12 +1,15 @@
-//! Data-parallel planners: baseline DDP-style vs Harmony-DP.
+//! Data-parallel planners: baseline DDP-style vs Harmony-DP, each `N`
+//! replicas of a one-stage pipeline.
 
 use harmony_models::ModelSpec;
-use harmony_taskgraph::{GraphError, TaskGraph, TaskKind};
+use harmony_taskgraph::GraphError;
 
-use crate::config::{SchemeConfig, WorkloadConfig};
-use crate::plan::{ExecutionPlan, WorkItem};
+use crate::config::WorkloadConfig;
+use crate::plan::ExecutionPlan;
+use crate::schedule::{plan, BASELINE_DP, HARMONY_DP};
 
-fn dp_demand(model: &ModelSpec, w: &WorkloadConfig) -> u64 {
+/// Logical demand of one replica.
+pub(crate) fn dp_demand(model: &ModelSpec, w: &WorkloadConfig) -> u64 {
     // Every replica holds the full training state: W + dW + K + m
     // microbatches of stash.
     model.training_footprint_bytes(w.ubatch_size, w.opt_slots)
@@ -20,129 +23,37 @@ fn dp_demand(model: &ModelSpec, w: &WorkloadConfig) -> u64 {
 
 /// Baseline data parallelism with per-GPU memory virtualization
 /// (PyTorch-DDP-style): each GPU runs its microbatches *µbatch-major*
-/// (full forward then full backward per microbatch), gradients are
-/// all-reduced per layer pack, and every weight update waits until the end
-/// of the iteration (§2 inefficiency 2).
+/// (full forward then full backward per microbatch — 1F1B over one stage
+/// holding every pack), gradients are all-reduced per layer pack, and
+/// every weight update waits until the end of the iteration (§2
+/// inefficiency 2).
 pub fn plan_baseline_dp(
     model: &ModelSpec,
     n_gpus: usize,
     w: &WorkloadConfig,
 ) -> Result<ExecutionPlan, GraphError> {
-    let graph = TaskGraph::build(model, w.graph_config(w.microbatches))?;
-    let np = graph.packs().len();
-    let m = w.microbatches;
-    let mut queues = Vec::with_capacity(n_gpus);
-    // Per replica: every task of the graph, plus one AllReduce per pack
-    // when there is more than one GPU.
-    let queue_len = graph.num_tasks() + if n_gpus > 1 { np } else { 0 };
-    for r in 0..n_gpus {
-        let mut q = Vec::with_capacity(queue_len);
-        let t = |kind| WorkItem::Task {
-            replica: r,
-            task: graph.id_of(kind).expect("task exists by construction"),
-        };
-        for u in 0..m {
-            for p in 0..np {
-                q.push(t(TaskKind::Forward { pack: p, ubatch: u }));
-            }
-            q.push(t(TaskKind::Loss { ubatch: u }));
-            for p in (0..np).rev() {
-                q.push(t(TaskKind::Backward { pack: p, ubatch: u }));
-            }
-        }
-        // Rigid epilogue: all collectives, then all updates.
-        if n_gpus > 1 {
-            for p in (0..np).rev() {
-                q.push(WorkItem::AllReduce { pack: p });
-            }
-        }
-        for p in (0..np).rev() {
-            q.push(t(TaskKind::Update { pack: p }));
-        }
-        debug_assert_eq!(q.len(), queue_len);
-        queues.push(q);
-    }
-    Ok(ExecutionPlan {
-        name: format!("baseline-dp(N={n_gpus},m={m})"),
-        graph,
-        replicas: n_gpus,
-        queues,
-        scheme: SchemeConfig::baseline("baseline-dp"),
-        samples_per_iteration: n_gpus as u64 * m as u64 * w.ubatch_size,
-        demand_bytes: vec![dp_demand(model, w); n_gpus],
-    })
+    plan(model, n_gpus, w, BASELINE_DP)
 }
 
 /// Harmony-DP: input-batch grouping (layer-major order — each pack runs all
 /// its microbatches back-to-back, Fig 5c), gradient AllReduce as soon as a
 /// pack's backward finishes, and JIT weight update immediately after, while
-/// `W`, `dW`, `K` are still resident.
+/// `W`, `dW`, `K` are still resident. The group size is honoured here too
+/// so the tuner can explore it uniformly.
 pub fn plan_harmony_dp(
     model: &ModelSpec,
     n_gpus: usize,
     w: &WorkloadConfig,
 ) -> Result<ExecutionPlan, GraphError> {
-    let graph = TaskGraph::build(model, w.graph_config(w.microbatches))?;
-    let np = graph.packs().len();
-    let m = w.microbatches;
-    let mut queues = Vec::with_capacity(n_gpus);
-    // Per replica: every task of the graph, plus one AllReduce per pack
-    // when there is more than one GPU.
-    let queue_len = graph.num_tasks() + if n_gpus > 1 { np } else { 0 };
-    for r in 0..n_gpus {
-        let mut q = Vec::with_capacity(queue_len);
-        let t = |kind| WorkItem::Task {
-            replica: r,
-            task: graph.id_of(kind).expect("task exists by construction"),
-        };
-        // Grouped forward sweep (group = m by default; smaller groups are
-        // only interesting for pipeline overlap, but the knob is honoured
-        // here too so the tuner can explore it uniformly).
-        let gsz = w.effective_group(m);
-        let groups: Vec<std::ops::Range<usize>> =
-            (0..m).step_by(gsz).map(|s| s..(s + gsz).min(m)).collect();
-        for g in &groups {
-            for p in 0..np {
-                for u in g.clone() {
-                    q.push(t(TaskKind::Forward { pack: p, ubatch: u }));
-                }
-            }
-            for u in g.clone() {
-                q.push(t(TaskKind::Loss { ubatch: u }));
-            }
-        }
-        // Grouped backward sweep with JIT reduce + update per pack.
-        for (gi, g) in groups.iter().enumerate().rev() {
-            for p in (0..np).rev() {
-                for u in g.clone() {
-                    q.push(t(TaskKind::Backward { pack: p, ubatch: u }));
-                }
-                if gi == 0 {
-                    if n_gpus > 1 {
-                        q.push(WorkItem::AllReduce { pack: p });
-                    }
-                    q.push(t(TaskKind::Update { pack: p }));
-                }
-            }
-        }
-        debug_assert_eq!(q.len(), queue_len);
-        queues.push(q);
-    }
-    Ok(ExecutionPlan {
-        name: format!("harmony-dp(N={n_gpus},m={m})"),
-        graph,
-        replicas: n_gpus,
-        queues,
-        scheme: SchemeConfig::harmony("harmony-dp"),
-        samples_per_iteration: n_gpus as u64 * m as u64 * w.ubatch_size,
-        demand_bytes: vec![dp_demand(model, w); n_gpus],
-    })
+    plan(model, n_gpus, w, HARMONY_DP)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::WorkItem;
     use harmony_models::TransformerConfig;
+    use harmony_taskgraph::TaskKind;
 
     fn workload() -> WorkloadConfig {
         WorkloadConfig {

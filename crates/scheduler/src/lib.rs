@@ -9,20 +9,23 @@
 //!
 //! Crucially, the **same executor** runs baselines and Harmony: the swap
 //! volumes and throughputs of the paper's figures are *emergent* from task
-//! order, placement, and memory policy — they are not hard-coded. The four
-//! schemes differ only in:
+//! order, placement, and memory policy — they are not hard-coded. Every
+//! scheme is a *layout* times a *schedule shape*, planned by one body
+//! (`schedule.rs`). A data-parallel replica is a one-stage pipeline, so
+//! each shape has one queue builder that serves both layouts:
 //!
-//! | scheme | task order | update | p2p | clean-drop | eviction |
-//! |---|---|---|---|---|---|
-//! | Baseline-DP | µbatch-major | end of iteration | no | no | LRU |
-//! | Baseline-PP (1F1B) | per-stage 1F1B | end of iteration | handoffs | no | LRU |
-//! | Harmony-DP | layer-major (input-batch grouping) | JIT per layer | yes | yes | next-use-aware |
-//! | Harmony-PP | stage + grouping (Fig 4) | JIT per layer | yes | yes | next-use-aware |
+//! | scheme | layout | shape | weight stash | update | p2p | clean-drop | eviction |
+//! |---|---|---|---|---|---|---|---|
+//! | Baseline-DP | N replicas × 1 stage, m µbatches | 1F1B (µbatch-major) | no | end of iteration, after an AllReduce epilogue | no | no | LRU |
+//! | Harmony-DP | N replicas × 1 stage, m µbatches | grouped sweep (layer-major) | no | JIT per pack, after its AllReduce | yes | yes | next-use-aware |
+//! | Baseline-PP | 1 replica × N compute-balanced stages, m·N µbatches | 1F1B | no | end of iteration | handoffs | no | LRU |
+//! | Pipe-1F1B | 1 replica × N compute-balanced stages, m·N µbatches | 1F1B | yes | end of iteration | handoffs | no | LRU |
+//! | Harmony-PP | 1 replica × N multi-dimensionally balanced stages, m·N µbatches | grouped sweep (Fig 4) | no | JIT per pack | yes | yes | next-use-aware |
 //!
 //! which are exactly the paper's four optimizations (input-batch grouping,
 //! JIT scheduling, p2p transfers, task packing/balancing) plus the
 //! cleanliness tracking that makes a grouped forward's weight eviction
-//! free.
+//! free, and PipeDream's weight stashing as a fifth comparison point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +37,7 @@ pub mod exec;
 pub mod obs;
 pub mod plan;
 pub mod pp;
+mod schedule;
 pub mod slab;
 pub mod tuner;
 

@@ -1,13 +1,16 @@
-//! Pipeline-parallel planners: baseline 1F1B (PipeDream-style) with
-//! per-GPU virtualization vs Harmony-PP (Fig 4's grouped schedule).
+//! Pipeline-parallel planners — baseline 1F1B (PipeDream-style) with
+//! per-GPU virtualization, 1F1B with weight stashing, and Harmony-PP
+//! (Fig 4's grouped schedule) — and the stage partitioner they share.
+//! Each is one replica cut into `N` stages, planned by `schedule.rs`.
 
 use std::ops::Range;
 
 use harmony_models::ModelSpec;
-use harmony_taskgraph::{GraphError, TaskGraph, TaskKind};
+use harmony_taskgraph::{GraphError, TaskGraph};
 
-use crate::config::{SchemeConfig, WorkloadConfig};
-use crate::plan::{ExecutionPlan, WorkItem};
+use crate::config::WorkloadConfig;
+use crate::plan::ExecutionPlan;
+use crate::schedule::{plan, BASELINE_PP, HARMONY_PP, PIPE_1F1B};
 
 /// What a stage partitioner balances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +39,29 @@ pub fn partition_packs(
     if n == 0 {
         return Vec::new();
     }
-    let loads: Vec<f64> = (0..np)
-        .map(|p| pack_load(graph, model, p, w, m_total, objective))
-        .collect();
+    // Per-layer compute, and memory: state plus every microbatch's stash.
+    let flops = |l: usize| model.layers[l].fwd_flops(w.ubatch_size) as f64 * 3.0;
+    let mem = |l: usize| {
+        (l_state_bytes(model, l, w.opt_slots)
+            + model.layers[l].stash_bytes(w.ubatch_size) * m_total as u64) as f64
+    };
+    let sum = |per_layer: &dyn Fn(usize) -> f64, layers: Range<usize>| -> f64 {
+        layers.map(per_layer).sum()
+    };
+    let packs = graph.packs().iter().cloned();
+    let loads: Vec<f64> = match objective {
+        PartitionObjective::Compute => packs.map(|r| sum(&flops, r)).collect(),
+        PartitionObjective::MultiDim => {
+            // Normalise each dimension by its model-wide total so neither
+            // dominates, then weight equally.
+            let all = 0..model.layers.len();
+            let total_flops = sum(&flops, all.clone()).max(1.0);
+            let total_mem = sum(&mem, all).max(1.0);
+            packs
+                .map(|r| sum(&flops, r.clone()) / total_flops + sum(&mem, r) / total_mem)
+                .collect()
+        }
+    };
     // DP over prefix sums: cost[i][k] = min over j of max(cost[j][k-1], sum(j..i)).
     let mut prefix = vec![0.0f64; np + 1];
     for (i, l) in loads.iter().enumerate() {
@@ -72,92 +95,30 @@ pub fn partition_packs(
     (0..n).map(|s| bounds[s]..bounds[s + 1]).collect()
 }
 
-fn pack_load(
-    graph: &TaskGraph,
-    model: &ModelSpec,
-    pack: usize,
-    w: &WorkloadConfig,
-    m_total: usize,
-    objective: PartitionObjective,
-) -> f64 {
-    let range = &graph.packs()[pack];
-    let flops: f64 = range
-        .clone()
-        .map(|l| model.layers[l].fwd_flops(w.ubatch_size) as f64 * 3.0)
-        .sum();
-    match objective {
-        PartitionObjective::Compute => flops,
-        PartitionObjective::MultiDim => {
-            let mem: f64 = range
-                .clone()
-                .map(|l| {
-                    (l_state_bytes(model, l, w.opt_slots)
-                        + model.layers[l].stash_bytes(w.ubatch_size) * m_total as u64)
-                        as f64
-                })
-                .sum();
-            // Normalise each dimension by its model-wide total so neither
-            // dominates, then weight equally.
-            let total_flops: f64 = (0..model.layers.len())
-                .map(|l| model.layers[l].fwd_flops(w.ubatch_size) as f64 * 3.0)
-                .sum();
-            let total_mem: f64 = (0..model.layers.len())
-                .map(|l| {
-                    (l_state_bytes(model, l, w.opt_slots)
-                        + model.layers[l].stash_bytes(w.ubatch_size) * m_total as u64)
-                        as f64
-                })
-                .sum();
-            flops / total_flops.max(1.0) + mem / total_mem.max(1.0)
-        }
-    }
-}
-
 fn l_state_bytes(model: &ModelSpec, l: usize, opt_slots: u64) -> u64 {
     let layer = &model.layers[l];
     layer.weight_bytes() + layer.grad_bytes() + layer.opt_state_bytes(opt_slots)
 }
 
-fn stage_state_bytes(graph: &TaskGraph, model: &ModelSpec, stage: &Range<usize>, opt: u64) -> u64 {
-    stage
-        .clone()
-        .flat_map(|p| graph.packs()[p].clone())
-        .map(|l| l_state_bytes(model, l, opt))
-        .sum()
-}
-
-fn stage_weight_bytes(graph: &TaskGraph, model: &ModelSpec, stage: &Range<usize>) -> u64 {
-    stage
-        .clone()
-        .flat_map(|p| graph.packs()[p].clone())
-        .map(|l| model.layers[l].weight_bytes())
-        .sum()
-}
-
-fn stage_stash_per_ubatch(
+/// Logical demand of a stage holding `in_flight` microbatches: its
+/// layers' state plus, per in-flight microbatch, their stashes (and one
+/// stashed weight copy under 1F1B weight stashing).
+pub(crate) fn stage_demand(
     graph: &TaskGraph,
     model: &ModelSpec,
     stage: &Range<usize>,
-    ub: u64,
+    w: &WorkloadConfig,
+    in_flight: usize,
+    weight_stash: bool,
 ) -> u64 {
-    stage
-        .clone()
-        .flat_map(|p| graph.packs()[p].clone())
-        .map(|l| model.layers[l].stash_bytes(ub))
-        .sum()
-}
-
-/// The pipeline-parallel scheme families one planner body serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PpFlavor {
-    /// PipeDream-style 1F1B with per-GPU virtualization, no stashing of
-    /// weight versions (backward reads the live weights).
-    Baseline,
-    /// Harmony-PP: grouped sweeps, JIT updates, p2p handoffs.
-    Harmony,
-    /// 1F1B with PipeDream weight stashing: each in-flight microbatch
-    /// carries a stashed weight copy from its forward to its backward.
-    Pipe1F1B,
+    let layer_demand = |l: usize| {
+        let layer = &model.layers[l];
+        let copy = u64::from(weight_stash) * layer.weight_bytes();
+        l_state_bytes(model, l, w.opt_slots)
+            + (layer.stash_bytes(w.ubatch_size) + copy) * in_flight as u64
+    };
+    let layers = stage.clone().flat_map(|p| graph.packs()[p].clone());
+    layers.map(layer_demand).sum()
 }
 
 /// Baseline pipeline parallelism: compute-balanced contiguous stages, the
@@ -170,7 +131,7 @@ pub fn plan_baseline_pp(
     n_gpus: usize,
     w: &WorkloadConfig,
 ) -> Result<ExecutionPlan, GraphError> {
-    plan_pp(model, n_gpus, w, PpFlavor::Baseline)
+    plan(model, n_gpus, w, BASELINE_PP)
 }
 
 /// Harmony-PP: multi-dimensionally balanced stages, input-batch grouping
@@ -181,7 +142,7 @@ pub fn plan_harmony_pp(
     n_gpus: usize,
     w: &WorkloadConfig,
 ) -> Result<ExecutionPlan, GraphError> {
-    plan_pp(model, n_gpus, w, PpFlavor::Harmony)
+    plan(model, n_gpus, w, HARMONY_PP)
 }
 
 /// 1F1B with PipeDream weight stashing: the baseline 1F1B schedule, but
@@ -195,159 +156,15 @@ pub fn plan_pipe_1f1b(
     n_gpus: usize,
     w: &WorkloadConfig,
 ) -> Result<ExecutionPlan, GraphError> {
-    plan_pp(model, n_gpus, w, PpFlavor::Pipe1F1B)
-}
-
-fn plan_pp(
-    model: &ModelSpec,
-    n_gpus: usize,
-    w: &WorkloadConfig,
-    flavor: PpFlavor,
-) -> Result<ExecutionPlan, GraphError> {
-    let harmony = flavor == PpFlavor::Harmony;
-    let m_total = w.microbatches * n_gpus;
-    let graph = TaskGraph::build(
-        model,
-        harmony_taskgraph::GraphConfig {
-            weight_stash: flavor == PpFlavor::Pipe1F1B,
-            ..w.graph_config(m_total)
-        },
-    )?;
-    let objective = if harmony {
-        PartitionObjective::MultiDim
-    } else {
-        PartitionObjective::Compute
-    };
-    let stages = partition_packs(&graph, model, n_gpus, w, m_total, objective);
-    let s_count = stages.len();
-    let t = |kind| WorkItem::Task {
-        replica: 0,
-        task: graph.id_of(kind).expect("task exists by construction"),
-    };
-    let fwd_stage = |q: &mut Vec<WorkItem>, stage: &Range<usize>, u: usize| {
-        for p in stage.clone() {
-            q.push(t(TaskKind::Forward { pack: p, ubatch: u }));
-        }
-    };
-    let bwd_stage = |q: &mut Vec<WorkItem>, stage: &Range<usize>, u: usize| {
-        for p in stage.clone().rev() {
-            q.push(t(TaskKind::Backward { pack: p, ubatch: u }));
-        }
-    };
-
-    let mut queues = Vec::with_capacity(s_count);
-    let mut demand = Vec::with_capacity(s_count);
-    for (s, stage) in stages.iter().enumerate() {
-        let is_last = s == s_count - 1;
-        // Each of the stage's packs runs a forward and a backward per
-        // microbatch plus one update; the last stage also runs the losses.
-        let queue_len = stage.len() * (2 * m_total + 1) + if is_last { m_total } else { 0 };
-        let mut q = Vec::with_capacity(queue_len);
-        if harmony {
-            // Grouped sweeps: each pack runs a *group* of microbatches
-            // back-to-back (input-batch grouping); groups pipeline across
-            // stages. group = m_total reproduces the §3 analytical regime;
-            // smaller groups restore stage overlap at the cost of more
-            // weight swap-ins — the §4 tango, explored by the tuner.
-            let gsz = w.effective_group(m_total);
-            let groups: Vec<Range<usize>> = (0..m_total)
-                .step_by(gsz)
-                .map(|s| s..(s + gsz).min(m_total))
-                .collect();
-            for g in &groups {
-                for p in stage.clone() {
-                    for u in g.clone() {
-                        q.push(t(TaskKind::Forward { pack: p, ubatch: u }));
-                    }
-                }
-                if is_last {
-                    for u in g.clone() {
-                        q.push(t(TaskKind::Loss { ubatch: u }));
-                    }
-                }
-            }
-            for (gi, g) in groups.iter().enumerate().rev() {
-                for p in stage.clone().rev() {
-                    for u in g.clone() {
-                        q.push(t(TaskKind::Backward { pack: p, ubatch: u }));
-                    }
-                    if gi == 0 {
-                        q.push(t(TaskKind::Update { pack: p })); // JIT
-                    }
-                }
-            }
-        } else {
-            // 1F1B: warmup forwards, steady alternation, drain backwards.
-            let warmup = (s_count - 1 - s).min(m_total);
-            for u in 0..warmup {
-                fwd_stage(&mut q, stage, u);
-            }
-            for i in 0..(m_total - warmup) {
-                let uf = warmup + i;
-                fwd_stage(&mut q, stage, uf);
-                if is_last {
-                    q.push(t(TaskKind::Loss { ubatch: uf }));
-                }
-                bwd_stage(&mut q, stage, i);
-            }
-            for u in (m_total - warmup)..m_total {
-                bwd_stage(&mut q, stage, u);
-            }
-            for p in stage.clone().rev() {
-                q.push(t(TaskKind::Update { pack: p }));
-            }
-        }
-        // Logical demand: per-stage state + in-flight stashes (+ one
-        // stashed weight copy per in-flight microbatch under 1F1B weight
-        // stashing).
-        let in_flight = if harmony {
-            m_total as u64
-        } else {
-            (s_count - s).min(m_total) as u64
-        };
-        let weight_stash_demand = if flavor == PpFlavor::Pipe1F1B {
-            stage_weight_bytes(&graph, model, stage) * in_flight
-        } else {
-            0
-        };
-        debug_assert_eq!(q.len(), queue_len);
-        demand.push(
-            stage_state_bytes(&graph, model, stage, w.opt_slots)
-                + stage_stash_per_ubatch(&graph, model, stage, w.ubatch_size) * in_flight
-                + weight_stash_demand,
-        );
-        queues.push(q);
-    }
-    let name = match flavor {
-        PpFlavor::Harmony => "harmony-pp",
-        PpFlavor::Baseline => "baseline-pp",
-        PpFlavor::Pipe1F1B => "pipe-1f1b",
-    };
-    Ok(ExecutionPlan {
-        name: format!("{name}(N={n_gpus},m={m_total})"),
-        graph,
-        replicas: 1,
-        queues,
-        scheme: if harmony {
-            SchemeConfig::harmony(name)
-        } else {
-            // Baseline PP (and 1F1B) still hands activations to the next
-            // stage over p2p when they are resident — PipeDream-style
-            // direct sends — but lacks cleanliness tracking and next-use
-            // hints.
-            let mut s = SchemeConfig::baseline(name);
-            s.p2p = true;
-            s
-        },
-        samples_per_iteration: m_total as u64 * w.ubatch_size,
-        demand_bytes: demand,
-    })
+    plan(model, n_gpus, w, PIPE_1F1B)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::WorkItem;
     use harmony_models::TransformerConfig;
+    use harmony_taskgraph::TaskKind;
 
     fn workload() -> WorkloadConfig {
         WorkloadConfig {
@@ -493,6 +310,21 @@ mod tests {
         let plan = plan_harmony_pp(&m, 3, &workload()).unwrap();
         for q in &plan.queues {
             assert!(q.iter().all(|i| !matches!(i, WorkItem::AllReduce { .. })));
+        }
+    }
+
+    #[test]
+    fn pipeline_microbatch_count_overflow_is_too_large() {
+        // m·N overflows `usize`: a typed refusal, not a multiply panic.
+        let w = WorkloadConfig {
+            microbatches: usize::MAX,
+            ..workload()
+        };
+        for plan in [plan_baseline_pp, plan_harmony_pp, plan_pipe_1f1b] {
+            assert!(matches!(
+                plan(&model(), 2, &w),
+                Err(GraphError::TooLarge(_))
+            ));
         }
     }
 
