@@ -3,14 +3,20 @@
 //!
 //! This is the mode that proves the *semantics* of the system: a
 //! [`FunctionalSession`] takes the user's sequential model (an
-//! [`ExecModel`]) and executes each training step the Harmony way —
+//! [`ExecModel`]) and executes each training step the Harmony way, through
+//! the same planner and stage partitioner the simulator runs —
 //!
-//! * the minibatch is split into microbatches (task decomposition),
-//! * layers are placed across virtual devices (late binding / packing),
-//! * execution is **layer-major** (input-batch grouping): each layer runs
-//!   all microbatches back-to-back while its weights are resident,
-//! * weight updates run **just-in-time**, immediately after a layer's last
+//! * the model is described as a [`ModelSpec`] (one layer per pack) and
+//!   planned by [`plan_harmony_pp`] on one stage: the minibatch is split
+//!   into microbatches (task decomposition), and the queue is
+//!   **layer-major** (input-batch grouping: each layer runs all
+//!   microbatches back-to-back while its weights are resident) with
+//!   **just-in-time** updates, each immediately after its layer's last
 //!   backward microbatch,
+//! * layers are placed across virtual devices by [`partition_packs`]'s
+//!   multi-dimensional balance, which with the description's zero
+//!   activation sizes balances parameter state,
+//! * `train_step` runs the queue's tasks in order, with real kernels,
 //! * tensors move between host and device arenas under *hard capacity
 //!   enforcement* — a model whose training footprint exceeds every
 //!   device's memory still trains, with evictions and swap-ins tracked by
@@ -26,6 +32,11 @@ use harmony_memory::{
     MemError, MemoryManager, PolicyKind, Residency, TensorClass, TensorId, TensorStore,
 };
 use harmony_models::exec::{ExecModel, SkipSource};
+use harmony_models::{LayerClass, LayerSpec, ModelSpec};
+use harmony_sched::{
+    partition_packs, plan_harmony_pp, ExecutionPlan, PartitionObjective, WorkItem, WorkloadConfig,
+};
+use harmony_taskgraph::{GraphError, TaskKind};
 use harmony_tensor::nn::{cross_entropy, Layer, LayerOutput};
 use harmony_tensor::ops;
 use harmony_tensor::optim::Optimizer;
@@ -115,21 +126,29 @@ pub struct FunctionalSession {
     grad_ids: Vec<Vec<TensorId>>,
     opt_ids: Vec<Vec<Vec<TensorId>>>,
     placement: Vec<usize>,
+    /// The planner's one-stage queue, one layer per pack.
+    schedule: Vec<TaskKind>,
     step: u64,
 }
 
 impl FunctionalSession {
-    /// Creates a session: initialises parameters (host-resident), zeroed
-    /// gradient buffers and optimizer state, and places layers across
-    /// devices in contiguous blocks balanced by parameter bytes.
+    /// Creates a session: plans the model's one-stage Harmony schedule,
+    /// places layers across devices in contiguous blocks balanced by
+    /// parameter state, and initialises parameters (host-resident), zeroed
+    /// gradient buffers and optimizer state.
     pub fn new(model: ExecModel, cfg: SessionConfig) -> Result<Self, HarmonyError> {
+        Self::with_planner(model, cfg, plan_harmony_pp)
+    }
+
+    /// [`FunctionalSession::new`] with the one-stage queue taken from
+    /// `planner` instead of [`plan_harmony_pp`].
+    fn with_planner(
+        model: ExecModel,
+        cfg: SessionConfig,
+        planner: fn(&ModelSpec, usize, &WorkloadConfig) -> Result<ExecutionPlan, GraphError>,
+    ) -> Result<Self, HarmonyError> {
         if cfg.device_capacities.is_empty() {
             return Err(HarmonyError::Config("need at least one device".to_string()));
-        }
-        if cfg.microbatches == 0 {
-            return Err(HarmonyError::Config(
-                "microbatches must be positive".to_string(),
-            ));
         }
         // Every residual adds the input or a strictly earlier layer's
         // output; `forward_layer` relies on it.
@@ -148,6 +167,44 @@ impl FunctionalSession {
                 _ => {}
             }
         }
+        // Only parameter counts matter to a one-stage order and its
+        // placement; activation sizes and FLOPs stay 0.
+        let spec = ModelSpec {
+            name: model.name.clone(),
+            layers: (model.layers.iter())
+                .map(|l| LayerSpec {
+                    name: l.name.clone(),
+                    class: LayerClass::Other,
+                    params: l.op.param_count() as u64,
+                    fwd_flops_per_sample: 0,
+                    out_elems_per_sample: 0,
+                    extra_stash_elems_per_sample: 0,
+                    in_elems_per_sample: 0,
+                })
+                .collect(),
+            seq_len: 1,
+        };
+        let w = WorkloadConfig {
+            microbatches: cfg.microbatches,
+            ubatch_size: 1,
+            pack_size: 1,
+            opt_slots: cfg.optimizer.state_slots() as u64,
+            group_size: None,
+            recompute: false,
+        };
+        let plan = planner(&spec, 1, &w).map_err(|e| HarmonyError::Config(e.to_string()))?;
+        let schedule = (plan.queues.iter().flatten())
+            .filter_map(|item| match *item {
+                WorkItem::Task { task, .. } => Some(plan.graph.task(task).kind),
+                WorkItem::AllReduce { .. } => None,
+            })
+            .collect();
+        let (n, m) = (cfg.device_capacities.len(), cfg.microbatches);
+        let stages = partition_packs(&plan.graph, &spec, n, &w, m, PartitionObjective::MultiDim);
+        // One layer per pack: stage `d`'s packs are the layers on device `d`.
+        let placement = (stages.into_iter().enumerate())
+            .flat_map(|(d, layers)| layers.map(move |_| d))
+            .collect();
         let mut mm = MemoryManager::new(cfg.device_capacities.clone());
         let mut store = TensorStore::new();
         let params = model.init_params(cfg.seed);
@@ -186,7 +243,6 @@ impl FunctionalSession {
             grad_ids.push(gids);
             opt_ids.push(oids);
         }
-        let placement = place_layers(&model, cfg.device_capacities.len());
         Ok(FunctionalSession {
             model,
             cfg,
@@ -196,6 +252,7 @@ impl FunctionalSession {
             grad_ids,
             opt_ids,
             placement,
+            schedule,
             step: 0,
         })
     }
@@ -293,22 +350,31 @@ impl FunctionalSession {
         Ok(())
     }
 
-    /// Runs one Harmony training step (see module docs) and returns the
-    /// report. `targets` are per-row class labels for the whole minibatch.
+    /// Runs one Harmony training step — the planned queue's tasks in
+    /// order (see module docs) — and returns the report. `targets` are
+    /// class labels for the whole minibatch, a whole number per input row.
+    /// A batch whose rows do not split into the session's microbatches, or
+    /// whose targets do not split over its rows, is refused before any
+    /// state changes.
     pub fn train_step(
         &mut self,
         input: &Tensor,
         targets: &[usize],
     ) -> Result<StepReport, HarmonyError> {
-        self.step += 1;
         let m = self.cfg.microbatches;
+        let chunks = ops::chunk_dim0(input, m)?;
+        let rows = input.shape().dim(0).unwrap_or(0);
+        if rows == 0 || !targets.len().is_multiple_of(rows) {
+            let msg = format!("{} targets for {rows} input rows", targets.len());
+            return Err(HarmonyError::Config(msg));
+        }
+        self.step += 1;
         let n_layers = self.model.layers.len();
         let swap_in_before: u64 = self.global_swap(harmony_memory::Direction::In);
         let swap_out_before: u64 = self.global_swap(harmony_memory::Direction::Out);
         let p2p_before = self.mm.stats().p2p_bytes;
 
-        let chunks = ops::chunk_dim0(input, m)?;
-        let rows = targets.len() / m;
+        let targets_per_ubatch = targets.len() / m;
         let scale = 1.0 / m as f32;
 
         // Input tensors live on the first layer's device.
@@ -322,162 +388,145 @@ impl FunctionalSession {
             )?);
         }
 
-        // Forward, layer-major (input-batch grouping).
-        let mut out_ids: Vec<Vec<TensorId>> = vec![Vec::new(); n_layers];
-        let mut stash_ids: Vec<Vec<Vec<TensorId>>> = vec![Vec::new(); n_layers];
-        let mut pins: Vec<TensorId> = Vec::new();
-        for l in 0..n_layers {
-            let dev = self.placement[l];
-            let pids = self.param_ids[l].clone();
-            for &pid in &pids {
-                self.fetch_pin(pid, dev, &mut pins)?;
-            }
-            for u in 0..m {
-                let out = self.forward_layer(l, dev, u, &input_ids, &out_ids, &mut pins)?;
-                // Re-pin weights for the remaining microbatches of this
-                // layer (grouping keeps them resident).
-                for &pid in &self.param_ids[l] {
-                    self.mm.pin(pid)?;
-                    pins.push(pid);
-                }
-                let oid = self.alloc(
-                    format!("L{l}.Y.u{u}"),
-                    out.output,
-                    TensorClass::Activation,
-                    dev,
-                )?;
-                out_ids[l].push(oid);
-                let mut sids = Vec::new();
-                for (si, s) in out.stash.tensors.into_iter().enumerate() {
-                    sids.push(self.alloc(
-                        format!("L{l}.stash{si}.u{u}"),
-                        s,
-                        TensorClass::Stash,
-                        dev,
-                    )?);
-                }
-                stash_ids[l].push(sids);
-            }
-            self.unpin_all(&mut pins)?;
-        }
-
-        // Loss (per microbatch), seeding the output gradients.
-        let last = n_layers - 1;
-        let last_dev = self.placement[last];
-        let mut loss_sum = 0.0f32;
-        // outgrad[l][u]: gradient w.r.t. layer l's output; `Some` once any
-        // contribution has arrived (first contribution copies, later ones
-        // accumulate — bit-compatible with the reference's slot logic).
+        // Per layer and microbatch: its output, its stash, and the
+        // gradient w.r.t. its output — `Some` once any contribution has
+        // arrived (first contribution copies, later ones accumulate —
+        // bit-compatible with the reference's slot logic).
+        let mut out_ids: Vec<Vec<Option<TensorId>>> = vec![vec![None; m]; n_layers];
+        let mut stash_ids: Vec<Vec<Vec<TensorId>>> = vec![vec![Vec::new(); m]; n_layers];
         let mut outgrad: Vec<Vec<Option<TensorId>>> = vec![vec![None; m]; n_layers];
-        let mut ingrad_seen = vec![false; m];
-        for u in 0..m {
-            let logits_id = out_ids[last][u];
-            self.fetch_pin(logits_id, last_dev, &mut pins)?;
-            let logits = self.store.get(logits_id)?;
-            let tgt = &targets[u * rows..(u + 1) * rows];
-            let (loss, dlogits) = cross_entropy(logits, tgt)?;
-            loss_sum += loss;
-            let dlogits = ops::scale(&dlogits, scale);
-            self.unpin_all(&mut pins)?;
-            let gid = self.alloc(
-                format!("L{last}.dY.u{u}"),
-                dlogits,
-                TensorClass::Activation,
-                last_dev,
-            )?;
-            outgrad[last][u] = Some(gid);
-        }
-
-        // Backward, layer-major reversed, with JIT updates.
-        for l in (0..n_layers).rev() {
-            let dev = self.placement[l];
-            for u in 0..m {
-                let Some(dy_id) = outgrad[l][u] else {
-                    // Output never used downstream — nothing to propagate.
-                    continue;
-                };
-                for pid in self.param_ids[l].clone() {
-                    self.fetch_pin(pid, dev, &mut pins)?;
-                }
-                self.fetch_pin(dy_id, dev, &mut pins)?;
-                for &sid in &stash_ids[l][u] {
-                    self.fetch_pin(sid, dev, &mut pins)?;
-                }
-                let params: Vec<Tensor> = self.param_ids[l]
-                    .iter()
-                    .map(|&id| self.store.get(id).cloned())
-                    .collect::<Result<_, _>>()?;
-                let stash = harmony_tensor::nn::Stash {
-                    tensors: stash_ids[l][u]
-                        .iter()
-                        .map(|&id| self.store.get(id).cloned())
-                        .collect::<Result<_, _>>()?,
-                };
-                let dy = self.store.get(dy_id)?.clone();
-                let (dx, grads) = self.model.layers[l].op.backward(&params, &stash, &dy)?;
-                self.unpin_all(&mut pins)?;
-                // Accumulate parameter gradients (dW += g), in place.
-                let gids = self.grad_ids[l].clone();
-                for (&gid, g) in gids.iter().zip(&grads.tensors) {
-                    self.fetch_pin(gid, dev, &mut pins)?;
-                    ops::axpy(self.store.get_mut(gid)?, 1.0, g)?;
-                    self.mm.mark_dirty(gid)?;
-                }
-                self.unpin_all(&mut pins)?;
-                // Propagate dx to the previous layer's output slot.
-                if l > 0 {
-                    self.add_outgrad(&mut outgrad, l - 1, u, dx, dev)?;
-                } else {
-                    ingrad_seen[u] = true; // input gradient: discarded
-                }
-                // Residual: duplicate dy to the skip source.
-                if let (Layer::ResidualAdd, Some(src)) =
-                    (&self.model.layers[l].op, self.model.layers[l].skip_from)
-                {
-                    match src {
-                        SkipSource::Input => {}
-                        SkipSource::LayerOutput(j) => {
-                            self.add_outgrad(&mut outgrad, j, u, dy, dev)?;
-                        }
+        let mut pins: Vec<TensorId> = Vec::new();
+        let mut loss_sum = 0.0f32;
+        for task in self.schedule.clone() {
+            match task {
+                TaskKind::Forward { pack: l, ubatch: u } => {
+                    let dev = self.placement[l];
+                    // The weights stay pinned until the outputs are stored.
+                    for pid in self.param_ids[l].clone() {
+                        self.fetch_pin(pid, dev, &mut pins)?;
                     }
-                }
-                // Dead after backward: this layer's stash and its dy.
-                for &sid in &stash_ids[l][u] {
-                    self.free_tensor(sid)?;
-                }
-                self.free_tensor(dy_id)?;
-                outgrad[l][u] = None;
-            }
-            // JIT update: gradients just accumulated, weights resident.
-            if !self.param_ids[l].is_empty() {
-                for group in [self.param_ids[l].clone(), self.grad_ids[l].clone()] {
-                    for id in group {
-                        self.fetch_pin(id, dev, &mut pins)?;
+                    let out = self.forward_layer(l, dev, u, &input_ids, &out_ids)?;
+                    let oid = self.alloc(
+                        format!("L{l}.Y.u{u}"),
+                        out.output,
+                        TensorClass::Activation,
+                        dev,
+                    )?;
+                    out_ids[l][u] = Some(oid);
+                    for (si, s) in out.stash.tensors.into_iter().enumerate() {
+                        let sid =
+                            self.alloc(format!("L{l}.stash{si}.u{u}"), s, TensorClass::Stash, dev)?;
+                        stash_ids[l][u].push(sid);
                     }
+                    self.unpin_all(&mut pins)?;
                 }
-                for slots in self.opt_ids[l].clone() {
-                    for sid in slots {
+                TaskKind::Loss { ubatch: u } => {
+                    // The loss seeds the last layer's output gradient.
+                    let last = n_layers - 1;
+                    let last_dev = self.placement[last];
+                    let logits_id =
+                        out_ids[last][u].expect("the queue runs a loss after its forward");
+                    self.fetch_pin(logits_id, last_dev, &mut pins)?;
+                    let logits = self.store.get(logits_id)?;
+                    let tgt = &targets[u * targets_per_ubatch..(u + 1) * targets_per_ubatch];
+                    let (loss, dlogits) = cross_entropy(logits, tgt)?;
+                    loss_sum += loss;
+                    let dlogits = ops::scale(&dlogits, scale);
+                    self.unpin_all(&mut pins)?;
+                    let gid = self.alloc(
+                        format!("L{last}.dY.u{u}"),
+                        dlogits,
+                        TensorClass::Activation,
+                        last_dev,
+                    )?;
+                    outgrad[last][u] = Some(gid);
+                }
+                TaskKind::Backward { pack: l, ubatch: u } => {
+                    let dev = self.placement[l];
+                    let Some(dy_id) = outgrad[l][u] else {
+                        // Output never used downstream — nothing to propagate.
+                        continue;
+                    };
+                    for pid in self.param_ids[l].clone() {
+                        self.fetch_pin(pid, dev, &mut pins)?;
+                    }
+                    self.fetch_pin(dy_id, dev, &mut pins)?;
+                    for &sid in &stash_ids[l][u] {
                         self.fetch_pin(sid, dev, &mut pins)?;
                     }
-                }
-                for pi in 0..self.param_ids[l].len() {
-                    let g = self.store.get(self.grad_ids[l][pi])?.clone();
-                    let mut state: Vec<Tensor> = self.opt_ids[l][pi]
+                    let params: Vec<Tensor> = self.param_ids[l]
                         .iter()
                         .map(|&id| self.store.get(id).cloned())
                         .collect::<Result<_, _>>()?;
-                    let p = self.store.get_mut(self.param_ids[l][pi])?;
-                    self.cfg.optimizer.step(p, &g, &mut state, self.step)?;
-                    for (&sid, s) in self.opt_ids[l][pi].iter().zip(state) {
-                        self.store.put(sid, s);
-                        self.mm.mark_dirty(sid)?;
+                    let stash = harmony_tensor::nn::Stash {
+                        tensors: stash_ids[l][u]
+                            .iter()
+                            .map(|&id| self.store.get(id).cloned())
+                            .collect::<Result<_, _>>()?,
+                    };
+                    let dy = self.store.get(dy_id)?.clone();
+                    let (dx, grads) = self.model.layers[l].op.backward(&params, &stash, &dy)?;
+                    self.unpin_all(&mut pins)?;
+                    // Accumulate parameter gradients (dW += g), in place.
+                    let gids = self.grad_ids[l].clone();
+                    for (&gid, g) in gids.iter().zip(&grads.tensors) {
+                        self.fetch_pin(gid, dev, &mut pins)?;
+                        ops::axpy(self.store.get_mut(gid)?, 1.0, g)?;
+                        self.mm.mark_dirty(gid)?;
                     }
-                    self.mm.mark_dirty(self.param_ids[l][pi])?;
-                    // Reset dW' (Fig 5a update output).
-                    self.store.get_mut(self.grad_ids[l][pi])?.zero_();
-                    self.mm.mark_dirty(self.grad_ids[l][pi])?;
+                    self.unpin_all(&mut pins)?;
+                    // Propagate dx to the previous layer's output slot (the
+                    // input gradient is discarded).
+                    if l > 0 {
+                        self.add_outgrad(&mut outgrad, l - 1, u, dx, dev)?;
+                    }
+                    // Residual: duplicate dy to the skip source.
+                    if let (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) =
+                        (&self.model.layers[l].op, self.model.layers[l].skip_from)
+                    {
+                        self.add_outgrad(&mut outgrad, j, u, dy, dev)?;
+                    }
+                    // Dead after backward: this layer's stash and its dy.
+                    for &sid in &stash_ids[l][u] {
+                        self.free_tensor(sid)?;
+                    }
+                    self.free_tensor(dy_id)?;
+                    outgrad[l][u] = None;
                 }
-                self.unpin_all(&mut pins)?;
+                // The update, after the layer's last backward: just in time
+                // in the grouped sweep, while its weights are resident.
+                TaskKind::Update { pack: l } if !self.param_ids[l].is_empty() => {
+                    let dev = self.placement[l];
+                    for group in [self.param_ids[l].clone(), self.grad_ids[l].clone()] {
+                        for id in group {
+                            self.fetch_pin(id, dev, &mut pins)?;
+                        }
+                    }
+                    for slots in self.opt_ids[l].clone() {
+                        for sid in slots {
+                            self.fetch_pin(sid, dev, &mut pins)?;
+                        }
+                    }
+                    for pi in 0..self.param_ids[l].len() {
+                        let g = self.store.get(self.grad_ids[l][pi])?.clone();
+                        let mut state: Vec<Tensor> = self.opt_ids[l][pi]
+                            .iter()
+                            .map(|&id| self.store.get(id).cloned())
+                            .collect::<Result<_, _>>()?;
+                        let p = self.store.get_mut(self.param_ids[l][pi])?;
+                        self.cfg.optimizer.step(p, &g, &mut state, self.step)?;
+                        for (&sid, s) in self.opt_ids[l][pi].iter().zip(state) {
+                            self.store.put(sid, s);
+                            self.mm.mark_dirty(sid)?;
+                        }
+                        self.mm.mark_dirty(self.param_ids[l][pi])?;
+                        // Reset dW' (Fig 5a update output).
+                        self.store.get_mut(self.grad_ids[l][pi])?.zero_();
+                        self.mm.mark_dirty(self.grad_ids[l][pi])?;
+                    }
+                    self.unpin_all(&mut pins)?;
+                }
+                TaskKind::Update { .. } => {}
             }
         }
 
@@ -485,8 +534,8 @@ impl FunctionalSession {
         for id in input_ids {
             self.free_tensor(id)?;
         }
-        for ids in out_ids.iter().flatten() {
-            self.free_tensor(*ids)?;
+        for id in out_ids.into_iter().flatten().flatten() {
+            self.free_tensor(id)?;
         }
 
         Ok(StepReport {
@@ -501,32 +550,34 @@ impl FunctionalSession {
     }
 
     /// Layer `l`'s forward pass over microbatch `u` on `dev`, whose
-    /// weights the caller has pinned into `pins`: pins the input (the
-    /// previous layer's output, or the model input) and, for a residual,
-    /// the operand its skip edge names (checked in
-    /// [`FunctionalSession::new`]), runs the op, then unpins all of `pins`.
+    /// weights the caller has pinned: pins the input (the previous layer's
+    /// output, or the model input) and, for a residual, the operand its
+    /// skip edge names (checked in [`FunctionalSession::new`]), runs the
+    /// op, then unpins those operands.
     fn forward_layer(
         &mut self,
         l: usize,
         dev: usize,
         u: usize,
         input_ids: &[TensorId],
-        out_ids: &[Vec<TensorId>],
-        pins: &mut Vec<TensorId>,
+        out_ids: &[Vec<Option<TensorId>>],
     ) -> Result<LayerOutput, HarmonyError> {
+        let output_of =
+            |j: usize| out_ids[j][u].expect("the queue runs a forward after its inputs'");
         let x_id = if l == 0 {
             input_ids[u]
         } else {
-            out_ids[l - 1][u]
+            output_of(l - 1)
         };
-        self.fetch_pin(x_id, dev, pins)?;
+        let mut pins = Vec::new();
+        self.fetch_pin(x_id, dev, &mut pins)?;
         let skip_id = match (&self.model.layers[l].op, self.model.layers[l].skip_from) {
             (Layer::ResidualAdd, Some(SkipSource::Input)) => Some(input_ids[u]),
-            (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) => Some(out_ids[j][u]),
+            (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) => Some(output_of(j)),
             _ => None,
         };
         if let Some(sid) = skip_id {
-            self.fetch_pin(sid, dev, pins)?;
+            self.fetch_pin(sid, dev, &mut pins)?;
         }
         let params: Vec<Tensor> = self.param_ids[l]
             .iter()
@@ -538,7 +589,7 @@ impl FunctionalSession {
             Some(sid) => op.forward_with_skip(&params, &x, self.store.get(sid)?)?,
             None => op.forward(&params, &x)?,
         };
-        self.unpin_all(pins)?;
+        self.unpin_all(&mut pins)?;
         Ok(out)
     }
 
@@ -583,30 +634,6 @@ impl FunctionalSession {
     }
 }
 
-/// Contiguous layer placement balanced by parameter bytes (a simple
-/// instance of Harmony's task-packing/load-balancing).
-fn place_layers(model: &ExecModel, n_devices: usize) -> Vec<usize> {
-    let total: u64 = model
-        .layers
-        .iter()
-        .map(|l| l.op.param_count() as u64 * 4 + 1)
-        .sum();
-    let per_dev = total.div_ceil(n_devices as u64).max(1);
-    let mut placement = Vec::with_capacity(model.layers.len());
-    let mut acc = 0u64;
-    let mut dev = 0usize;
-    for l in &model.layers {
-        let sz = l.op.param_count() as u64 * 4 + 1;
-        if acc + sz > per_dev && dev + 1 < n_devices {
-            dev += 1;
-            acc = 0;
-        }
-        acc += sz;
-        placement.push(dev);
-    }
-    placement
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,7 +649,15 @@ mod tests {
     #[test]
     fn placement_covers_devices_contiguously() {
         let model = mlp(&[4, 8, 8, 8, 3]);
-        let p = place_layers(&model, 3);
+        let session = FunctionalSession::new(
+            model.clone(),
+            SessionConfig {
+                device_capacities: vec![1 << 20; 3],
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let p = session.placement();
         assert_eq!(p.len(), model.layers.len());
         assert_eq!(p[0], 0);
         for w in p.windows(2) {
@@ -825,6 +860,116 @@ mod tests {
         assert!(
             (s4 as f64) < (s1 as f64) * 2.5,
             "grouping failed: m=1 swaps {s1}, m=4 swaps {s4}"
+        );
+    }
+
+    #[test]
+    fn every_planners_one_stage_schedule_trains_bit_identically() {
+        // Each planner's one-stage queue — 1F1B (µbatch-major, updates at
+        // the end) or the grouped sweep (layer-major, JIT updates) — must
+        // train exactly like the sequential reference, on devices small
+        // enough that every step after the first swaps.
+        use harmony_sched::{plan_baseline_dp, plan_baseline_pp, plan_harmony_dp, plan_pipe_1f1b};
+        type Planner = fn(&ModelSpec, usize, &WorkloadConfig) -> Result<ExecutionPlan, GraphError>;
+        let planners: [(&str, Planner); 5] = [
+            ("baseline-dp", plan_baseline_dp),
+            ("harmony-dp", plan_harmony_dp),
+            ("baseline-pp", plan_baseline_pp),
+            ("harmony-pp", plan_harmony_pp),
+            ("pipe-1f1b", plan_pipe_1f1b),
+        ];
+        let features = |rng: &mut SplitMix64| batch(rng, 8, 8, 4);
+        let tokens = |rng: &mut SplitMix64| {
+            let ids: Vec<f32> = (0..4 * 6).map(|_| rng.next_bounded(11) as f32).collect();
+            let t = ids.iter().map(|&v| v as usize).collect();
+            (Tensor::from_vec([4, 6], ids).unwrap(), t)
+        };
+        type MakeBatch<'a> = &'a dyn Fn(&mut SplitMix64) -> (Tensor, Vec<usize>);
+        let cases: [(ExecModel, Vec<u64>, usize, MakeBatch); 2] = [
+            (mlp(&[8, 16, 16, 4]), vec![8 * 1024; 2], 4, &features),
+            (
+                tiny_transformer(11, 8, 2, 2, false).unwrap(),
+                vec![24 * 1024; 3],
+                2,
+                &tokens,
+            ),
+        ];
+        let opt = Optimizer::adam(0.01);
+        for (model, device_capacities, m, make_batch) in cases {
+            for (scheme, planner) in planners {
+                let cfg = SessionConfig {
+                    device_capacities: device_capacities.clone(),
+                    microbatches: m,
+                    optimizer: opt,
+                    seed: 5,
+                };
+                let mut session = FunctionalSession::with_planner(model.clone(), cfg, planner)
+                    .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+                let mut ref_params = model.init_params(5);
+                let mut ref_state = model.init_opt_state(&ref_params, &opt);
+                let mut rng = SplitMix64::new(6);
+                for step in 1..=3 {
+                    let (x, t) = make_batch(&mut rng);
+                    let ref_loss = model
+                        .train_step_accum(&mut ref_params, &opt, &mut ref_state, &x, &t, m, step)
+                        .unwrap();
+                    let report = session.train_step(&x, &t).unwrap();
+                    let at = format!("{} {scheme} step {step}", model.name);
+                    assert_eq!(report.loss, ref_loss, "{at}");
+                    assert!(step == 1 || report.swap_in_bytes > 0, "{at}: no pressure");
+                }
+                assert_eq!(
+                    session.params().unwrap(),
+                    ref_params,
+                    "{} {scheme}",
+                    model.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_step_leaves_the_session_untouched() {
+        // 8 rows but 7 targets in 2 microbatches: refused before the step
+        // counter, the arenas or any pin change, so the next well-formed
+        // step is exactly the reference's first.
+        let model = mlp(&[8, 16, 4]);
+        let opt = Optimizer::adam(0.01);
+        let mut session = FunctionalSession::new(
+            model.clone(),
+            SessionConfig {
+                device_capacities: vec![1 << 20],
+                microbatches: 2,
+                optimizer: opt,
+                seed: 42,
+            },
+        )
+        .unwrap();
+        let mut rng = SplitMix64::new(7);
+        let (x, t) = batch(&mut rng, 8, 8, 4);
+        let err = session.train_step(&x, &t[..7]).unwrap_err();
+        assert_eq!(err.to_string(), "config: 7 targets for 8 input rows");
+        let mut ref_params = model.init_params(42);
+        let mut ref_state = model.init_opt_state(&ref_params, &opt);
+        let ref_loss = model
+            .train_step_accum(&mut ref_params, &opt, &mut ref_state, &x, &t, 2, 1)
+            .unwrap();
+        assert_eq!(session.train_step(&x, &t).unwrap().loss, ref_loss);
+        assert_eq!(session.params().unwrap(), ref_params);
+    }
+
+    #[test]
+    fn rejects_a_model_without_layers() {
+        let model = ExecModel {
+            name: "empty".to_string(),
+            layers: Vec::new(),
+        };
+        let err = FunctionalSession::new(model, SessionConfig::default())
+            .err()
+            .expect("a model without layers has no schedule");
+        assert!(
+            matches!(&err, HarmonyError::Config(msg) if msg == "cannot build task graph: model has no layers"),
+            "{err}"
         );
     }
 }

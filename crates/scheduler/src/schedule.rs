@@ -70,6 +70,19 @@ pub(crate) fn plan(
             })?,
         ),
     };
+    // The size accessors multiply unchecked: refuse an iteration whose
+    // samples, or any size derived from them, overflow a `u64`.
+    let samples = (replicas as u64)
+        .checked_mul(m as u64)
+        .and_then(|n| n.checked_mul(w.ubatch_size))
+        .filter(|&s| model.sizes_fit(s, w.opt_slots))
+        .ok_or_else(|| {
+            GraphError::TooLarge(format!(
+                "{}: {replicas} replica(s) × {m} microbatch(es) of {} sample(s) overflow \
+                 64-bit sizes",
+                model.name, w.ubatch_size
+            ))
+        })?;
     let config = GraphConfig {
         weight_stash,
         ..w.graph_config(m)
@@ -139,7 +152,7 @@ pub(crate) fn plan(
                 ..SchemeConfig::baseline(name)
             }
         },
-        samples_per_iteration: replicas as u64 * m as u64 * w.ubatch_size,
+        samples_per_iteration: samples,
         demand_bytes,
     })
 }
@@ -254,5 +267,38 @@ impl Stage<'_> {
         }
         debug_assert_eq!(q.len(), self.queue_len());
         q
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use harmony_models::TransformerConfig;
+    use harmony_taskgraph::GraphError;
+
+    use crate::{plan_baseline_dp, plan_baseline_pp, plan_harmony_dp, plan_harmony_pp};
+    use crate::{plan_pipe_1f1b, WorkloadConfig};
+
+    #[test]
+    fn every_planner_refuses_sizes_that_overflow_64_bits() {
+        // 2^60-sample microbatches wrap the tiny transformer's byte sizes:
+        // a typed refusal, not a multiply panic or a wrapped size.
+        let model = TransformerConfig::tiny().build();
+        let w = WorkloadConfig {
+            ubatch_size: 1 << 60,
+            ..WorkloadConfig::default()
+        };
+        for planner in [
+            plan_baseline_dp,
+            plan_harmony_dp,
+            plan_baseline_pp,
+            plan_harmony_pp,
+            plan_pipe_1f1b,
+        ] {
+            let refused = planner(&model, 2, &w);
+            assert!(
+                matches!(refused, Err(GraphError::TooLarge(_))),
+                "{refused:?}"
+            );
+        }
     }
 }
