@@ -1,5 +1,5 @@
 //! `repro` — regenerate every figure and table of the paper, and run the
-//! gates `./verify` checks.
+//! conformance gate `./verify` checks.
 //!
 //! Usage: `cargo run --release -p harmony-bench --bin repro -- [command]
 //! [arguments]`; `repro help` lists every command of the table in

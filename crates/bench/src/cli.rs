@@ -2,12 +2,11 @@
 //! shares.
 //!
 //! [`COMMANDS`] lists every command `repro` knows: each figure and table
-//! of the paper, `all`, the gates (`conformance`, `net-smoke`,
-//! `fault-sweep --smoke`), `custom` and `help`. Each entry carries its
-//! flag grammar ([`Spec`]) and a one-line summary, and [`usage`] is
-//! generated from the table. The binary looks
-//! a command up, parses its arguments with [`parse`], runs it and hands
-//! the [`Outcome`] to [`deliver`]; nothing else reads argv.
+//! of the paper, `all`, the `conformance` gate, `fault-sweep`, `custom`
+//! and `help`. Each entry carries its flag grammar ([`Spec`]) and a
+//! one-line summary, and [`usage`] is generated from the table. The
+//! binary looks a command up, parses its arguments with [`parse`], runs
+//! it and hands the [`Outcome`] to [`deliver`]; nothing else reads argv.
 //!
 //! One table-driven parser instead of a hand-rolled loop per command, so
 //! the strictness contract is uniform and cannot drift: unknown flags
@@ -26,7 +25,7 @@ use crate::figures::{
     dominance, eviction_ablation, fig1, fig2a, fig2b, fig2c, fig4, fig5a, fig5bc,
     prefetch_ablation, recompute_ablation, steady_state, table_a, tango,
 };
-use crate::{custom, fault_sweep, sweeps};
+use crate::{custom, fault_sweep};
 
 /// How a value-taking flag treats a missing value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +79,7 @@ pub struct Spec {
     /// Command name, used in the unknown-flag diagnostic.
     pub cmd: &'static str,
     /// Grammar summary quoted in diagnostics and the usage text, e.g.
-    /// `[--smoke] [--seed N]`; empty for a command that takes no
+    /// `[seed] [--scheme NAME]`; empty for a command that takes no
     /// arguments.
     pub expected: &'static str,
     /// The name of an optional leading integer operand (`conformance
@@ -115,24 +114,12 @@ pub const CONFORMANCE: Spec = Spec {
     values: &[("--scheme", ValueKind::Scheme)],
 };
 
-/// `repro net-smoke [--transfers N] [--waves N]`.
-pub const NET_SMOKE: Spec = Spec {
-    cmd: "net-smoke",
-    expected: "[--transfers N] [--waves N]",
-    operand: None,
-    bools: &[],
-    values: &[
-        ("--transfers", ValueKind::PositiveInt),
-        ("--waves", ValueKind::PositiveInt),
-    ],
-};
-
-/// `repro fault-sweep [--smoke] [--seed N]`.
+/// `repro fault-sweep [--seed N]`.
 pub const FAULT_SWEEP: Spec = Spec {
     cmd: "fault-sweep",
-    expected: "[--smoke] [--seed N]",
+    expected: "[--seed N]",
     operand: None,
-    bools: &["--smoke"],
+    bools: &[],
     values: &[("--seed", ValueKind::OptionalInt)],
 };
 
@@ -333,13 +320,6 @@ impl Outcome {
     pub fn line(&mut self, text: impl Display) {
         writeln!(self.stdout, "{text}").expect("writing to a String cannot fail");
     }
-
-    /// Records a failing gate: `diagnostic` goes to stderr and the exit
-    /// status becomes 1.
-    pub fn fail(&mut self, diagnostic: impl Display) {
-        writeln!(self.stderr, "{diagnostic}").expect("writing to a String cannot fail");
-        self.status = 1;
-    }
 }
 
 /// Writes `outcome` — stdout first, then its diagnostics to stderr — and
@@ -449,20 +429,11 @@ pub const COMMANDS: &[Command] = &[
         }
         out
     }),
-    tool(NET_SMOKE, "network hot path structural gate", |flags| {
-        let count = |name, default| flags.value(name).map_or(default, |v| v as usize);
-        sweeps::net_smoke(count("--transfers", 256), count("--waves", 8))
-    }),
     tool(FAULT_SWEEP, "throughput under seeded faults", |flags| {
         // Seed 3's plan exercises the whole layer on the reference
         // cell: link slowdowns, a biting squeeze (spill → retries →
         // overcommit) and a smooth degradation curve.
-        let report = fault_sweep::run(flags.value("--seed").unwrap_or(3));
-        let mut out = Outcome::print(report.render());
-        if let Some(msg) = report.smoke_failure().filter(|_| flags.has("--smoke")) {
-            out.fail(msg);
-        }
-        out
+        Outcome::print(fault_sweep::run(flags.value("--seed").unwrap_or(3)).render())
     }),
     tool(CUSTOM, "any model x scheme x server (--help)", |flags| {
         if flags.has("--help") || flags.has("-h") {
@@ -518,14 +489,14 @@ mod tests {
 
     #[test]
     fn bools_and_values_round_trip() {
-        let args = argv(&["--smoke", "--seed", "3"]);
-        let p = parse(&FAULT_SWEEP, &args).expect("valid invocation");
-        assert!(p.has("--smoke"));
-        assert_eq!(p.value("--seed"), Some(3));
+        let args = argv(&["--gantt", "--opt-slots", "3"]);
+        let p = parse(&CUSTOM, &args).expect("valid invocation");
+        assert!(p.has("--gantt"));
+        assert_eq!(p.value("--opt-slots"), Some(3));
         let args = argv(&[]);
-        let p = parse(&FAULT_SWEEP, &args).expect("empty is valid");
-        assert!(!p.has("--smoke"));
-        assert_eq!(p.value("--seed"), None);
+        let p = parse(&CUSTOM, &args).expect("empty is valid");
+        assert!(!p.has("--gantt"));
+        assert_eq!(p.value("--opt-slots"), None);
     }
 
     #[test]
@@ -540,10 +511,10 @@ mod tests {
 
     #[test]
     fn bare_optional_value_flag_falls_back() {
-        let args = argv(&["--smoke", "--seed"]);
-        let p = parse(&FAULT_SWEEP, &args).expect("bare --seed defaults");
-        assert!(p.has("--smoke"));
-        assert_eq!(p.value("--seed"), None);
+        let args = argv(&["--gantt", "--opt-slots"]);
+        let p = parse(&CUSTOM, &args).expect("bare --opt-slots defaults");
+        assert!(p.has("--gantt"));
+        assert_eq!(p.value("--opt-slots"), None);
     }
 
     #[test]
@@ -562,16 +533,10 @@ mod tests {
     fn unknown_flags_name_the_token_and_the_grammar() {
         let args = argv(&["--smoek"]);
         let e = parse(&FAULT_SWEEP, &args).expect_err("typo");
-        assert_eq!(
-            e,
-            "unknown fault-sweep flag `--smoek`; expected [--smoke] [--seed N]"
-        );
+        assert_eq!(e, "unknown fault-sweep flag `--smoek`; expected [--seed N]");
         let args = argv(&["--seed", "2", "extra"]);
         let e = parse(&FAULT_SWEEP, &args).expect_err("stray operand");
-        assert_eq!(
-            e,
-            "unknown fault-sweep flag `extra`; expected [--smoke] [--seed N]"
-        );
+        assert_eq!(e, "unknown fault-sweep flag `extra`; expected [--seed N]");
     }
 
     #[test]
@@ -676,8 +641,11 @@ mod tests {
     fn a_closed_stdout_keeps_the_verdict() {
         // A gate that fails must exit 1 even when nobody reads its report,
         // and its diagnostic still reaches stderr.
-        let mut failing = Outcome::print("report");
-        failing.fail("gate FAILED");
+        let failing = Outcome {
+            stderr: "gate FAILED\n".to_string(),
+            status: 1,
+            ..Outcome::print("report")
+        };
         for (outcome, want) in [(Outcome::print("report"), 0), (failing, 1)] {
             let mut stderr = Vec::new();
             assert_eq!(deliver(&outcome, &mut ClosedPipe, &mut stderr), want);
@@ -703,10 +671,7 @@ mod tests {
         );
         let args = argv(&["7"]);
         let e = parse(&FAULT_SWEEP, &args).expect_err("no operand");
-        assert_eq!(
-            e,
-            "unknown fault-sweep flag `7`; expected [--smoke] [--seed N]"
-        );
+        assert_eq!(e, "unknown fault-sweep flag `7`; expected [--seed N]");
     }
 
     #[test]

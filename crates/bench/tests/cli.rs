@@ -29,8 +29,8 @@ fn assert_usage_error(out: &Output, needle: &str, what: &str) {
 
 #[test]
 fn fault_sweep_rejects_garbage_seed_and_unknown_flags() {
-    // A typo like `--smoek` must not silently run the sweep without its
-    // gate, as if no flag had been passed.
+    // A typo like `--smoek` must not silently run the sweep as if no
+    // flag had been passed.
     let out = repro(&["fault-sweep", "--seed", "x"]);
     assert_usage_error(&out, "--seed takes an integer", "fault-sweep --seed x");
     let out = repro(&["fault-sweep", "--smoek"]);
@@ -46,15 +46,33 @@ fn removed_bench_and_fault_sweep_json_exit_2() {
     // cross-run executor pool that no longer exists. `exec-smoke` and
     // `mem-smoke` compared wall clocks against the dense references;
     // exact work ceilings (harness tests/work_ceilings.rs) replace them.
-    // All are usage errors now, never a silent run of something else.
-    for cmd in ["bench", "sweep-smoke", "exec-smoke", "mem-smoke"] {
+    // `net-smoke` and `fault-sweep --smoke` became exact tests (the
+    // simulator's tests/net_work_ceilings.rs and the fault-sweep unit
+    // tests). All are usage errors now, never a silent run of something
+    // else.
+    for cmd in [
+        "bench",
+        "sweep-smoke",
+        "exec-smoke",
+        "mem-smoke",
+        "net-smoke",
+    ] {
         let out = repro(&[cmd]);
         assert_usage_error(&out, &format!("unknown artefact `{cmd}`"), cmd);
         let out = repro(&[cmd, "--grid"]);
         assert_usage_error(&out, &format!("unknown artefact `{cmd}`"), cmd);
     }
-    let out = repro(&["fault-sweep", "--json"]);
-    assert_usage_error(&out, "--json", "fault-sweep --json");
+    let args = ["net-smoke", "--transfers", "4096", "--waves", "1"];
+    let out = repro(&args);
+    assert_usage_error(&out, "unknown artefact `net-smoke`", &args.join(" "));
+    for flag in ["--json", "--smoke"] {
+        let out = repro(&["fault-sweep", flag]);
+        assert_usage_error(
+            &out,
+            &format!("unknown fault-sweep flag `{flag}`"),
+            &format!("fault-sweep {flag}"),
+        );
+    }
 }
 
 #[test]
@@ -185,40 +203,18 @@ fn custom_rejects_non_finite_and_non_positive_values() {
     // unrelated capacity error (`nan`, `-3`), or surface as a topology
     // or plan error (the zero counts). Each must be a usage error that
     // names its flag.
-    // `net-smoke` parses its counts through the same grammar.
-    for (cmd, flag, value) in [
-        ("custom", "--mem-gib", "inf"),
-        ("custom", "--mem-gib", "nan"),
-        ("custom", "--mem-gib", "-3"),
-        ("custom", "--gpus", "0"),
-        ("custom", "--microbatches", "0"),
-        ("custom", "--ubatch", "0"),
-        ("custom", "--pack", "0"),
-        ("custom", "--iterations", "0"),
-        ("net-smoke", "--transfers", "abc"),
+    for (flag, value) in [
+        ("--mem-gib", "inf"),
+        ("--mem-gib", "nan"),
+        ("--mem-gib", "-3"),
+        ("--gpus", "0"),
+        ("--microbatches", "0"),
+        ("--ubatch", "0"),
+        ("--pack", "0"),
+        ("--iterations", "0"),
     ] {
-        let out = repro(&[cmd, flag, value]);
-        assert_usage_error(&out, flag, &format!("{cmd} {flag} {value}"));
-    }
-}
-
-#[test]
-fn net_smoke_refuses_unbounded_transfer_counts() {
-    // `--transfers 100000000` once allocated until the process aborted.
-    // One past the bound is refused before any transfer starts.
-    let out = repro(&["net-smoke", "--transfers", "1048577", "--waves", "1"]);
-    assert_usage_error(&out, "--transfers", "net-smoke --transfers 1048577");
-}
-
-#[test]
-fn net_smoke_refuses_unbounded_wave_counts() {
-    // `--transfers 1 --waves 100000000` once ran without a time limit.
-    // A run past 8,388,608 transfers in all is refused before any
-    // transfer starts, however they split into waves.
-    for (transfers, waves) in [("1", "8388609"), ("1048576", "9"), ("2", "100000000000")] {
-        let out = repro(&["net-smoke", "--transfers", transfers, "--waves", waves]);
-        let what = format!("net-smoke --transfers {transfers} --waves {waves}");
-        assert_usage_error(&out, "--waves", &what);
+        let out = repro(&["custom", flag, value]);
+        assert_usage_error(&out, flag, &format!("custom {flag} {value}"));
     }
 }
 
@@ -359,7 +355,7 @@ fn closed_stdout_is_not_a_panic() {
     // `repro custom ... | head -1` closes the pipe before repro writes:
     // the write fails with a broken pipe, which must end the run quietly
     // with the command's own verdict instead of panicking with exit 101.
-    for args in [&["custom", "--model", "lenet"][..], &["net-smoke"]] {
+    for args in [&["custom", "--model", "lenet"][..], &["fig2b"]] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))

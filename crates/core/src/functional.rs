@@ -129,6 +129,13 @@ pub struct FunctionalSession {
     /// The planner's one-stage queue, one layer per pack.
     schedule: Vec<TaskKind>,
     step: u64,
+    /// Every pin held, in the order taken; empty between tasks.
+    pins: Vec<TensorId>,
+    /// The tensors the step in progress allocated or brought from host.
+    step_tensors: Vec<TensorId>,
+    /// The step that began writing parameter state and has not finished:
+    /// set at its first backward, cleared when it completes.
+    torn_step: Option<u64>,
 }
 
 impl FunctionalSession {
@@ -207,37 +214,26 @@ impl FunctionalSession {
             .collect();
         let mut mm = MemoryManager::new(cfg.device_capacities.clone());
         let mut store = TensorStore::new();
-        let params = model.init_params(cfg.seed);
-        let mut param_ids = Vec::new();
-        let mut grad_ids = Vec::new();
-        let mut opt_ids = Vec::new();
-        for (l, pset) in params.into_iter().enumerate() {
-            let mut pids = Vec::new();
-            let mut gids = Vec::new();
-            let mut oids = Vec::new();
+        let mut register = |name: String, t: Tensor, class| {
+            let id = mm.register_on_host(&name, t.size_bytes(), class);
+            store.put(id, t);
+            id
+        };
+        let (mut param_ids, mut grad_ids, mut opt_ids) = (Vec::new(), Vec::new(), Vec::new());
+        for (l, pset) in model.init_params(cfg.seed).into_iter().enumerate() {
+            let (mut pids, mut gids, mut oids) = (Vec::new(), Vec::new(), Vec::new());
             for (pi, p) in pset.into_iter().enumerate() {
-                let gid =
-                    mm.register_on_host(&format!("L{l}.dW{pi}"), p.size_bytes(), TensorClass::Grad);
-                store.put(gid, Tensor::zeros(p.shape().clone()));
-                gids.push(gid);
-                let mut slot_ids = Vec::new();
-                for (si, s) in cfg.optimizer.init_state(&p).into_iter().enumerate() {
-                    let sid = mm.register_on_host(
-                        &format!("L{l}.K{pi}.{si}"),
-                        s.size_bytes(),
-                        TensorClass::OptState,
-                    );
-                    store.put(sid, s);
-                    slot_ids.push(sid);
-                }
-                oids.push(slot_ids);
-                let pid = mm.register_on_host(
-                    &format!("L{l}.W{pi}"),
-                    p.size_bytes(),
-                    TensorClass::Weight,
+                let dw = Tensor::zeros(p.shape().clone());
+                gids.push(register(format!("L{l}.dW{pi}"), dw, TensorClass::Grad));
+                let slots = cfg.optimizer.init_state(&p).into_iter().enumerate();
+                oids.push(
+                    slots
+                        .map(|(si, k)| {
+                            register(format!("L{l}.K{pi}.{si}"), k, TensorClass::OptState)
+                        })
+                        .collect(),
                 );
-                store.put(pid, p);
-                pids.push(pid);
+                pids.push(register(format!("L{l}.W{pi}"), p, TensorClass::Weight));
             }
             param_ids.push(pids);
             grad_ids.push(gids);
@@ -254,6 +250,9 @@ impl FunctionalSession {
             placement,
             schedule,
             step: 0,
+            pins: Vec::new(),
+            step_tensors: Vec::new(),
+            torn_step: None,
         })
     }
 
@@ -271,22 +270,19 @@ impl FunctionalSession {
     pub fn params(&self) -> Result<Vec<Vec<Tensor>>, HarmonyError> {
         self.param_ids
             .iter()
-            .map(|pids| {
-                pids.iter()
-                    .map(|&id| self.store.get(id).cloned().map_err(HarmonyError::from))
-                    .collect()
-            })
+            .map(|ids| self.payloads(ids))
             .collect()
     }
 
+    /// Copies of the payloads of `ids`.
+    fn payloads(&self, ids: &[TensorId]) -> Result<Vec<Tensor>, HarmonyError> {
+        let copies = ids.iter().map(|&id| self.store.get(id).cloned());
+        Ok(copies.collect::<Result<_, _>>()?)
+    }
+
     /// Makes `id` resident on `dev` (swap-in or p2p move, evicting as
-    /// needed) and pins it; pushes onto `pins`.
-    fn fetch_pin(
-        &mut self,
-        id: TensorId,
-        dev: usize,
-        pins: &mut Vec<TensorId>,
-    ) -> Result<(), HarmonyError> {
+    /// needed) and pins it; pushes onto the pin stack.
+    fn fetch_pin(&mut self, id: TensorId, dev: usize) -> Result<(), HarmonyError> {
         match self.mm.info(id)?.residency {
             Residency::OnDevice(d) if d == dev => {}
             Residency::OnDevice(_) => {
@@ -298,6 +294,7 @@ impl FunctionalSession {
                 self.make_room(dev, self.mm.info(id)?.bytes)?;
                 self.mm.begin_swap_in(id, dev)?;
                 self.mm.finish_move_to_device(id)?;
+                self.step_tensors.push(id);
             }
             ref other => {
                 return Err(HarmonyError::Mem(MemError::InvalidState {
@@ -309,21 +306,27 @@ impl FunctionalSession {
         }
         self.mm.touch(id)?;
         self.mm.pin(id)?;
-        pins.push(id);
+        self.pins.push(id);
         Ok(())
     }
 
     /// Evicts until `bytes` fit on `dev` (clean tensors drop for free —
     /// functional mode always runs the full Harmony scheme).
     fn make_room(&mut self, dev: usize, bytes: u64) -> Result<(), HarmonyError> {
-        let victims = self.mm.make_room(dev, bytes, PolicyKind::Lru)?;
-        for v in victims {
-            if self.mm.can_drop(v)? {
-                self.mm.drop_to_host(v)?;
-            } else {
-                self.mm.begin_swap_out(v)?;
-                self.mm.finish_swap_out(v)?;
-            }
+        for v in self.mm.make_room(dev, bytes, PolicyKind::Lru)? {
+            self.evict(v)?;
+        }
+        Ok(())
+    }
+
+    /// Moves device-resident `id` to host: a clean tensor drops, a dirty
+    /// one is written back.
+    fn evict(&mut self, id: TensorId) -> Result<(), HarmonyError> {
+        if self.mm.can_drop(id)? {
+            self.mm.drop_to_host(id)?;
+        } else {
+            self.mm.begin_swap_out(id)?;
+            self.mm.finish_swap_out(id)?;
         }
         Ok(())
     }
@@ -340,14 +343,24 @@ impl FunctionalSession {
         self.make_room(dev, bytes)?;
         let id = self.mm.alloc_on_device(&name, bytes, class, dev)?;
         self.store.put(id, payload);
+        self.step_tensors.push(id);
         Ok(id)
     }
 
-    fn unpin_all(&mut self, pins: &mut Vec<TensorId>) -> Result<(), HarmonyError> {
-        for id in pins.drain(..) {
+    /// Releases the pins taken since the pin stack held `mark` of them.
+    fn unpin_to(&mut self, mark: usize) -> Result<(), HarmonyError> {
+        for id in self.pins.drain(mark..) {
             self.mm.unpin(id)?;
         }
         Ok(())
+    }
+
+    /// Layer `l`'s parameter state: weights, gradients, optimizer slots.
+    fn layer_state(&self, l: usize) -> impl Iterator<Item = TensorId> + '_ {
+        let params_and_grads = self.param_ids[l].iter().chain(&self.grad_ids[l]);
+        params_and_grads
+            .chain(self.opt_ids[l].iter().flatten())
+            .copied()
     }
 
     /// Runs one Harmony training step — the planned queue's tasks in
@@ -356,11 +369,25 @@ impl FunctionalSession {
     /// A batch whose rows do not split into the session's microbatches, or
     /// whose targets do not split over its rows, is refused before any
     /// state changes.
+    ///
+    /// A step that fails mid-queue releases every pin it took, frees its
+    /// tensors and returns to host the parameter state it brought from
+    /// there, so no device holds more than before it. A failure before
+    /// the first backward (every loss precedes it in the grouped queue)
+    /// has written no parameter state: the step counter is restored and
+    /// the session trains on as if the step had never run. A later
+    /// failure has written state that cannot be undone, and every later
+    /// step is refused, naming the failed one.
     pub fn train_step(
         &mut self,
         input: &Tensor,
         targets: &[usize],
     ) -> Result<StepReport, HarmonyError> {
+        if let Some(step) = self.torn_step {
+            return Err(HarmonyError::Config(format!(
+                "step {step} failed after writing parameter state; the session cannot train on"
+            )));
+        }
         let m = self.cfg.microbatches;
         let chunks = ops::chunk_dim0(input, m)?;
         let rows = input.shape().dim(0).unwrap_or(0);
@@ -369,14 +396,36 @@ impl FunctionalSession {
             return Err(HarmonyError::Config(msg));
         }
         self.step += 1;
-        let n_layers = self.model.layers.len();
         let swap_in_before: u64 = self.global_swap(harmony_memory::Direction::In);
         let swap_out_before: u64 = self.global_swap(harmony_memory::Direction::Out);
         let p2p_before = self.mm.stats().p2p_bytes;
+        let loss = match self.run_queue(&chunks, targets) {
+            Ok(loss) => loss,
+            Err(e) => {
+                match (self.release_step(true), self.torn_step) {
+                    (Ok(()), None) => self.step -= 1,
+                    _ => self.torn_step = Some(self.step),
+                }
+                return Err(e);
+            }
+        };
+        Ok(StepReport {
+            loss,
+            swap_in_bytes: self.global_swap(harmony_memory::Direction::In) - swap_in_before,
+            swap_out_bytes: self.global_swap(harmony_memory::Direction::Out) - swap_out_before,
+            p2p_bytes: self.mm.stats().p2p_bytes - p2p_before,
+            peak_bytes: (0..self.cfg.device_capacities.len())
+                .map(|d| self.mm.peak_used(d).unwrap_or(0))
+                .collect(),
+        })
+    }
 
+    /// The queue walk of one step; returns the mean microbatch loss.
+    fn run_queue(&mut self, chunks: &[Tensor], targets: &[usize]) -> Result<f32, HarmonyError> {
+        let m = self.cfg.microbatches;
+        let n_layers = self.model.layers.len();
         let targets_per_ubatch = targets.len() / m;
         let scale = 1.0 / m as f32;
-
         // Input tensors live on the first layer's device.
         let mut input_ids = Vec::with_capacity(m);
         for (u, c) in chunks.iter().enumerate() {
@@ -395,15 +444,18 @@ impl FunctionalSession {
         let mut out_ids: Vec<Vec<Option<TensorId>>> = vec![vec![None; m]; n_layers];
         let mut stash_ids: Vec<Vec<Vec<TensorId>>> = vec![vec![Vec::new(); m]; n_layers];
         let mut outgrad: Vec<Vec<Option<TensorId>>> = vec![vec![None; m]; n_layers];
-        let mut pins: Vec<TensorId> = Vec::new();
         let mut loss_sum = 0.0f32;
+        // Each task releases its pins (`unpin_to(0)`) before the next.
         for task in self.schedule.clone() {
+            if matches!(task, TaskKind::Backward { .. } | TaskKind::Update { .. }) {
+                self.torn_step = Some(self.step);
+            }
             match task {
                 TaskKind::Forward { pack: l, ubatch: u } => {
                     let dev = self.placement[l];
                     // The weights stay pinned until the outputs are stored.
                     for pid in self.param_ids[l].clone() {
-                        self.fetch_pin(pid, dev, &mut pins)?;
+                        self.fetch_pin(pid, dev)?;
                     }
                     let out = self.forward_layer(l, dev, u, &input_ids, &out_ids)?;
                     let oid = self.alloc(
@@ -418,7 +470,7 @@ impl FunctionalSession {
                             self.alloc(format!("L{l}.stash{si}.u{u}"), s, TensorClass::Stash, dev)?;
                         stash_ids[l][u].push(sid);
                     }
-                    self.unpin_all(&mut pins)?;
+                    self.unpin_to(0)?;
                 }
                 TaskKind::Loss { ubatch: u } => {
                     // The loss seeds the last layer's output gradient.
@@ -426,13 +478,13 @@ impl FunctionalSession {
                     let last_dev = self.placement[last];
                     let logits_id =
                         out_ids[last][u].expect("the queue runs a loss after its forward");
-                    self.fetch_pin(logits_id, last_dev, &mut pins)?;
+                    self.fetch_pin(logits_id, last_dev)?;
                     let logits = self.store.get(logits_id)?;
                     let tgt = &targets[u * targets_per_ubatch..(u + 1) * targets_per_ubatch];
                     let (loss, dlogits) = cross_entropy(logits, tgt)?;
                     loss_sum += loss;
                     let dlogits = ops::scale(&dlogits, scale);
-                    self.unpin_all(&mut pins)?;
+                    self.unpin_to(0)?;
                     let gid = self.alloc(
                         format!("L{last}.dY.u{u}"),
                         dlogits,
@@ -448,33 +500,27 @@ impl FunctionalSession {
                         continue;
                     };
                     for pid in self.param_ids[l].clone() {
-                        self.fetch_pin(pid, dev, &mut pins)?;
+                        self.fetch_pin(pid, dev)?;
                     }
-                    self.fetch_pin(dy_id, dev, &mut pins)?;
+                    self.fetch_pin(dy_id, dev)?;
                     for &sid in &stash_ids[l][u] {
-                        self.fetch_pin(sid, dev, &mut pins)?;
+                        self.fetch_pin(sid, dev)?;
                     }
-                    let params: Vec<Tensor> = self.param_ids[l]
-                        .iter()
-                        .map(|&id| self.store.get(id).cloned())
-                        .collect::<Result<_, _>>()?;
+                    let params = self.payloads(&self.param_ids[l])?;
                     let stash = harmony_tensor::nn::Stash {
-                        tensors: stash_ids[l][u]
-                            .iter()
-                            .map(|&id| self.store.get(id).cloned())
-                            .collect::<Result<_, _>>()?,
+                        tensors: self.payloads(&stash_ids[l][u])?,
                     };
                     let dy = self.store.get(dy_id)?.clone();
                     let (dx, grads) = self.model.layers[l].op.backward(&params, &stash, &dy)?;
-                    self.unpin_all(&mut pins)?;
+                    self.unpin_to(0)?;
                     // Accumulate parameter gradients (dW += g), in place.
                     let gids = self.grad_ids[l].clone();
                     for (&gid, g) in gids.iter().zip(&grads.tensors) {
-                        self.fetch_pin(gid, dev, &mut pins)?;
+                        self.fetch_pin(gid, dev)?;
                         ops::axpy(self.store.get_mut(gid)?, 1.0, g)?;
                         self.mm.mark_dirty(gid)?;
                     }
-                    self.unpin_all(&mut pins)?;
+                    self.unpin_to(0)?;
                     // Propagate dx to the previous layer's output slot (the
                     // input gradient is discarded).
                     if l > 0 {
@@ -497,22 +543,12 @@ impl FunctionalSession {
                 // in the grouped sweep, while its weights are resident.
                 TaskKind::Update { pack: l } if !self.param_ids[l].is_empty() => {
                     let dev = self.placement[l];
-                    for group in [self.param_ids[l].clone(), self.grad_ids[l].clone()] {
-                        for id in group {
-                            self.fetch_pin(id, dev, &mut pins)?;
-                        }
-                    }
-                    for slots in self.opt_ids[l].clone() {
-                        for sid in slots {
-                            self.fetch_pin(sid, dev, &mut pins)?;
-                        }
+                    for id in self.layer_state(l).collect::<Vec<_>>() {
+                        self.fetch_pin(id, dev)?;
                     }
                     for pi in 0..self.param_ids[l].len() {
                         let g = self.store.get(self.grad_ids[l][pi])?.clone();
-                        let mut state: Vec<Tensor> = self.opt_ids[l][pi]
-                            .iter()
-                            .map(|&id| self.store.get(id).cloned())
-                            .collect::<Result<_, _>>()?;
+                        let mut state = self.payloads(&self.opt_ids[l][pi])?;
                         let p = self.store.get_mut(self.param_ids[l][pi])?;
                         self.cfg.optimizer.step(p, &g, &mut state, self.step)?;
                         for (&sid, s) in self.opt_ids[l][pi].iter().zip(state) {
@@ -524,29 +560,16 @@ impl FunctionalSession {
                         self.store.get_mut(self.grad_ids[l][pi])?.zero_();
                         self.mm.mark_dirty(self.grad_ids[l][pi])?;
                     }
-                    self.unpin_all(&mut pins)?;
+                    self.unpin_to(0)?;
                 }
                 TaskKind::Update { .. } => {}
             }
         }
 
-        // Free remaining per-step tensors (inputs and layer outputs).
-        for id in input_ids {
-            self.free_tensor(id)?;
-        }
-        for id in out_ids.into_iter().flatten().flatten() {
-            self.free_tensor(id)?;
-        }
-
-        Ok(StepReport {
-            loss: loss_sum * scale,
-            swap_in_bytes: self.global_swap(harmony_memory::Direction::In) - swap_in_before,
-            swap_out_bytes: self.global_swap(harmony_memory::Direction::Out) - swap_out_before,
-            p2p_bytes: self.mm.stats().p2p_bytes - p2p_before,
-            peak_bytes: (0..self.cfg.device_capacities.len())
-                .map(|d| self.mm.peak_used(d).unwrap_or(0))
-                .collect(),
-        })
+        // Free what is left of the step: its inputs and layer outputs.
+        self.release_step(false)?;
+        self.torn_step = None;
+        Ok(loss_sum * scale)
     }
 
     /// Layer `l`'s forward pass over microbatch `u` on `dev`, whose
@@ -569,27 +592,24 @@ impl FunctionalSession {
         } else {
             output_of(l - 1)
         };
-        let mut pins = Vec::new();
-        self.fetch_pin(x_id, dev, &mut pins)?;
+        let mark = self.pins.len();
+        self.fetch_pin(x_id, dev)?;
         let skip_id = match (&self.model.layers[l].op, self.model.layers[l].skip_from) {
             (Layer::ResidualAdd, Some(SkipSource::Input)) => Some(input_ids[u]),
             (Layer::ResidualAdd, Some(SkipSource::LayerOutput(j))) => Some(output_of(j)),
             _ => None,
         };
         if let Some(sid) = skip_id {
-            self.fetch_pin(sid, dev, &mut pins)?;
+            self.fetch_pin(sid, dev)?;
         }
-        let params: Vec<Tensor> = self.param_ids[l]
-            .iter()
-            .map(|&id| self.store.get(id).cloned())
-            .collect::<Result<_, _>>()?;
+        let params = self.payloads(&self.param_ids[l])?;
         let x = self.store.get(x_id)?.clone();
         let op = &self.model.layers[l].op;
         let out = match skip_id {
             Some(sid) => op.forward_with_skip(&params, &x, self.store.get(sid)?)?,
             None => op.forward(&params, &x)?,
         };
-        self.unpin_all(&mut pins)?;
+        self.unpin_to(mark)?;
         Ok(out)
     }
 
@@ -603,11 +623,11 @@ impl FunctionalSession {
     ) -> Result<(), HarmonyError> {
         match outgrad[layer][u] {
             Some(id) => {
-                let mut pins = Vec::new();
-                self.fetch_pin(id, dev, &mut pins)?;
+                let mark = self.pins.len();
+                self.fetch_pin(id, dev)?;
                 ops::axpy(self.store.get_mut(id)?, 1.0, &g)?;
                 self.mm.mark_dirty(id)?;
-                self.unpin_all(&mut pins)?;
+                self.unpin_to(mark)?;
             }
             None => {
                 let id =
@@ -615,6 +635,26 @@ impl FunctionalSession {
                 outgrad[layer][u] = Some(id);
             }
         }
+        Ok(())
+    }
+
+    /// Frees the step's live activations and stashes; with `undo`, first
+    /// releases every pin and then also returns to host the parameter
+    /// state the step brought from there.
+    fn release_step(&mut self, undo: bool) -> Result<(), HarmonyError> {
+        if undo {
+            self.unpin_to(0)?;
+        }
+        for i in 0..self.step_tensors.len() {
+            let id = self.step_tensors[i];
+            let t = self.mm.info(id)?;
+            match (t.class, t.residency) {
+                (TensorClass::Activation | TensorClass::Stash, _) => self.free_tensor(id)?,
+                (_, Residency::OnDevice(_)) if undo => self.evict(id)?,
+                _ => {}
+            }
+        }
+        self.step_tensors.clear();
         Ok(())
     }
 
@@ -930,32 +970,77 @@ mod tests {
 
     #[test]
     fn a_refused_step_leaves_the_session_untouched() {
-        // 8 rows but 7 targets in 2 microbatches: refused before the step
-        // counter, the arenas or any pin change, so the next well-formed
-        // step is exactly the reference's first.
+        // 7 targets for 8 rows are refused before the step begins; 16 are
+        // a whole number per row, pass that check, and are refused by the
+        // first loss ("8 targets for 4 rows"), before any backward. Either
+        // way the step counter, the device arena and every pin are as
+        // before, so the next well-formed step is exactly the reference's
+        // first.
         let model = mlp(&[8, 16, 4]);
         let opt = Optimizer::adam(0.01);
+        let mut rng = SplitMix64::new(7);
+        let (x, t) = batch(&mut rng, 8, 8, 4);
+        let twice: Vec<usize> = t.iter().chain(&t).copied().collect();
+        for (targets, want) in [
+            (&t[..7], "config: 7 targets for 8 input rows"),
+            (&twice[..], "tensor: "),
+        ] {
+            let mut session = FunctionalSession::new(
+                model.clone(),
+                SessionConfig {
+                    device_capacities: vec![1 << 20],
+                    microbatches: 2,
+                    optimizer: opt,
+                    seed: 42,
+                },
+            )
+            .unwrap();
+            let used = session.mm.used(0).unwrap();
+            let err = session.train_step(&x, targets).unwrap_err();
+            assert!(err.to_string().starts_with(want), "{err}");
+            assert_eq!(session.mm.used(0).unwrap(), used, "{err}");
+            assert!(session.mm.tensor_infos().all(|t| t.pinned == 0), "{err}");
+            let mut ref_params = model.init_params(42);
+            let mut ref_state = model.init_opt_state(&ref_params, &opt);
+            let ref_loss = model
+                .train_step_accum(&mut ref_params, &opt, &mut ref_state, &x, &t, 2, 1)
+                .unwrap();
+            assert_eq!(session.train_step(&x, &t).unwrap().loss, ref_loss, "{err}");
+            assert_eq!(session.params().unwrap(), ref_params, "{err}");
+        }
+    }
+
+    #[test]
+    fn a_step_that_fails_after_writing_state_ends_the_session() {
+        // On one 6 KiB device, mlp(&[8, 64, 4])'s first layer cannot fit
+        // its update working set (weights, gradients and two Adam slots,
+        // 10 KiB), so step 1 fails after the last layer's update has run.
+        // That cannot be undone: step 2 is refused, naming step 1, and
+        // changes no parameter.
         let mut session = FunctionalSession::new(
-            model.clone(),
+            mlp(&[8, 64, 4]),
             SessionConfig {
-                device_capacities: vec![1 << 20],
+                device_capacities: vec![6 * 1024],
                 microbatches: 2,
-                optimizer: opt,
+                optimizer: Optimizer::adam(0.01),
                 seed: 42,
             },
         )
         .unwrap();
         let mut rng = SplitMix64::new(7);
         let (x, t) = batch(&mut rng, 8, 8, 4);
-        let err = session.train_step(&x, &t[..7]).unwrap_err();
-        assert_eq!(err.to_string(), "config: 7 targets for 8 input rows");
-        let mut ref_params = model.init_params(42);
-        let mut ref_state = model.init_opt_state(&ref_params, &opt);
-        let ref_loss = model
-            .train_step_accum(&mut ref_params, &opt, &mut ref_state, &x, &t, 2, 1)
-            .unwrap();
-        assert_eq!(session.train_step(&x, &t).unwrap().loss, ref_loss);
-        assert_eq!(session.params().unwrap(), ref_params);
+        let initial = session.params().unwrap();
+        let err = session.train_step(&x, &t).unwrap_err();
+        assert!(matches!(err, HarmonyError::Mem(_)), "{err}");
+        let after_step_1 = session.params().unwrap();
+        assert_ne!(after_step_1, initial, "test premise: step 1 wrote state");
+        let err = session.train_step(&x, &t).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "config: step 1 failed after writing parameter state; the session cannot train on"
+        );
+        assert_eq!(session.params().unwrap(), after_step_1);
+        assert!(session.mm.tensor_infos().all(|t| t.pinned == 0));
     }
 
     #[test]

@@ -68,11 +68,20 @@ impl RunSpec {
     /// Lowers the spec into an execution plan for `topo.num_gpus()` GPUs
     /// via [`simulate::plan`], then applies the policy and prefetch
     /// overrides. The only place those overrides (and the `+prefetch`
-    /// rename) are applied. A spec whose sizes overflow 64-bit counts is
-    /// refused with [`ExecError::TooLarge`] before any planner runs.
+    /// rename) are applied. The planner refuses an iteration whose sizes
+    /// overflow 64-bit counts; a run whose sample total over `iterations`
+    /// does is refused here, both with [`ExecError::TooLarge`].
     pub fn plan(&self, model: &ModelSpec, topo: &Topology) -> Result<ExecutionPlan, ExecError> {
-        self.check_sizes(model, topo)?;
         let mut plan = simulate::plan(self.scheme, model, topo, &self.workload)?;
+        if (plan.samples_per_iteration)
+            .checked_mul(u64::from(self.iterations))
+            .is_none()
+        {
+            return Err(ExecError::TooLarge(format!(
+                "{} samples per iteration × {} iterations overflow 64 bits",
+                plan.samples_per_iteration, self.iterations
+            )));
+        }
         if let Some(policy) = self.policy {
             plan.scheme.policy = policy;
         }
@@ -81,34 +90,6 @@ impl RunSpec {
             plan.name = format!("{}+prefetch", plan.name);
         }
         Ok(plan)
-    }
-
-    /// Refuses a spec whose byte sizes, FLOPs or sample counts overflow a
-    /// `u64`. Every size is checked at a whole iteration's samples (all
-    /// GPUs' microbatches at once, which bounds every per-microbatch size
-    /// and every size the planners multiply by a microbatch count), and
-    /// the run's sample total across `iterations` must fit too.
-    fn check_sizes(&self, model: &ModelSpec, topo: &Topology) -> Result<(), ExecError> {
-        let w = &self.workload;
-        let samples = (topo.num_gpus() as u64)
-            .checked_mul(w.microbatches as u64)
-            .and_then(|n| n.checked_mul(w.ubatch_size));
-        let fits = samples.is_some_and(|s| {
-            s.checked_mul(u64::from(self.iterations)).is_some() && model.sizes_fit(s, w.opt_slots)
-        });
-        if fits {
-            return Ok(());
-        }
-        Err(ExecError::TooLarge(format!(
-            "{} over {} GPU(s) × {} microbatch(es) of {} sample(s), {} optimizer slot(s), \
-             {} iteration(s): byte sizes, FLOPs or sample counts overflow 64 bits",
-            model.name,
-            topo.num_gpus(),
-            w.microbatches,
-            w.ubatch_size,
-            w.opt_slots,
-            self.iterations
-        )))
     }
 
     /// Plans and simulates the run.

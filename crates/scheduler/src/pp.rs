@@ -102,7 +102,9 @@ fn l_state_bytes(model: &ModelSpec, l: usize, opt_slots: u64) -> u64 {
 
 /// Logical demand of a stage holding `in_flight` microbatches: its
 /// layers' state plus, per in-flight microbatch, their stashes (and one
-/// stashed weight copy under 1F1B weight stashing).
+/// stashed weight copy under 1F1B weight stashing). The planner's size
+/// check bounds one weight copy, not `in_flight` of them, so a demand
+/// that overflows a `u64` is refused.
 pub(crate) fn stage_demand(
     graph: &TaskGraph,
     model: &ModelSpec,
@@ -110,15 +112,22 @@ pub(crate) fn stage_demand(
     w: &WorkloadConfig,
     in_flight: usize,
     weight_stash: bool,
-) -> u64 {
+) -> Result<u64, GraphError> {
     let layer_demand = |l: usize| {
         let layer = &model.layers[l];
         let copy = u64::from(weight_stash) * layer.weight_bytes();
-        l_state_bytes(model, l, w.opt_slots)
-            + (layer.stash_bytes(w.ubatch_size) + copy) * in_flight as u64
+        (layer.stash_bytes(w.ubatch_size).checked_add(copy)?)
+            .checked_mul(in_flight as u64)?
+            .checked_add(l_state_bytes(model, l, w.opt_slots))
     };
-    let layers = stage.clone().flat_map(|p| graph.packs()[p].clone());
-    layers.map(layer_demand).sum()
+    let mut layers = stage.clone().flat_map(|p| graph.packs()[p].clone());
+    (layers.try_fold(0u64, |sum, l| sum.checked_add(layer_demand(l)?))).ok_or_else(|| {
+        GraphError::TooLarge(format!(
+            "{}: the demand of packs {stage:?} with {in_flight} microbatch(es) in flight \
+             overflows 64 bits",
+            model.name
+        ))
+    })
 }
 
 /// Baseline pipeline parallelism: compute-balanced contiguous stages, the

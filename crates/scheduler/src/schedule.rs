@@ -58,6 +58,9 @@ pub(crate) fn plan(
     scheme: Scheme,
 ) -> Result<ExecutionPlan, GraphError> {
     let Scheme(name, layout, shape, weight_stash) = scheme;
+    if n_gpus == 0 {
+        return Err(GraphError::Empty(format!("{name} needs at least one GPU")));
+    }
     let (replicas, m) = match layout {
         Layout::Dp => (n_gpus, w.microbatches),
         Layout::Pp => (
@@ -78,9 +81,9 @@ pub(crate) fn plan(
         .filter(|&s| model.sizes_fit(s, w.opt_slots))
         .ok_or_else(|| {
             GraphError::TooLarge(format!(
-                "{}: {replicas} replica(s) × {m} microbatch(es) of {} sample(s) overflow \
-                 64-bit sizes",
-                model.name, w.ubatch_size
+                "{}: {replicas} replica(s) × {m} microbatch(es) of {} sample(s), {} optimizer \
+                 slot(s): byte sizes, FLOPs or sample counts overflow 64 bits",
+                model.name, w.ubatch_size, w.opt_slots
             ))
         })?;
     let config = GraphConfig {
@@ -119,18 +122,25 @@ pub(crate) fn plan(
             });
         }
     }
+    // A replica's demand, its state plus `m` microbatches' stashes, is
+    // within the sizes checked above (its `m × ubatch` samples are at
+    // most the iteration's). A 1F1B stage's weight copy per microbatch
+    // in flight is not, so stage demand is summed checked.
     let demand_bytes = match layout {
         Layout::Dp => vec![dp_demand(model, w); n_gpus],
-        Layout::Pp => (stages.iter().enumerate())
-            .map(|(s, packs)| {
+        Layout::Pp => {
+            let mut demand = Vec::with_capacity(stages.len());
+            for (s, packs) in stages.iter().enumerate() {
                 // 1F1B stage `s` keeps up to `S − s` microbatches in flight.
                 let in_flight = match shape {
                     Shape::OneFOneB => (stages.len() - s).min(m),
                     Shape::Grouped => m,
                 };
-                stage_demand(&graph, model, packs, w, in_flight, weight_stash)
-            })
-            .collect(),
+                let bytes = stage_demand(&graph, model, packs, w, in_flight, weight_stash)?;
+                demand.push(bytes);
+            }
+            demand
+        }
     };
     // Sized up front: `format!` cannot estimate a string that opens with
     // an argument, so it would allocate twice.
@@ -272,11 +282,13 @@ impl Stage<'_> {
 
 #[cfg(test)]
 mod tests {
-    use harmony_models::TransformerConfig;
+    use harmony_models::{LayerClass, LayerSpec, ModelSpec, TransformerConfig};
     use harmony_taskgraph::GraphError;
 
     use crate::{plan_baseline_dp, plan_baseline_pp, plan_harmony_dp, plan_harmony_pp};
-    use crate::{plan_pipe_1f1b, WorkloadConfig};
+    use crate::{plan_pipe_1f1b, ExecutionPlan, WorkloadConfig};
+
+    type Planner = fn(&ModelSpec, usize, &WorkloadConfig) -> Result<ExecutionPlan, GraphError>;
 
     #[test]
     fn every_planner_refuses_sizes_that_overflow_64_bits() {
@@ -299,6 +311,66 @@ mod tests {
                 matches!(refused, Err(GraphError::TooLarge(_))),
                 "{refused:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_stashed_weight_copy_per_microbatch_in_flight_cannot_wrap_the_demand() {
+        // One 2^60-parameter layer fits the size check at 4 samples with
+        // no optimizer state (its weights and gradients are 2^63 B), but
+        // pipe-1f1b's first stage stashes a 2^62-B weight copy for each
+        // of its 4 microbatches in flight. That demand used to wrap (or
+        // panic in a debug build); every planner must return instead.
+        let layer = |params| LayerSpec {
+            name: format!("p{params}"),
+            class: LayerClass::Other,
+            params,
+            fwd_flops_per_sample: 1000,
+            out_elems_per_sample: 1,
+            extra_stash_elems_per_sample: 0,
+            in_elems_per_sample: 1,
+        };
+        let model = ModelSpec {
+            name: "wide".to_string(),
+            layers: vec![layer(1 << 60), layer(1), layer(1), layer(1)],
+            seq_len: 1,
+        };
+        let w = WorkloadConfig {
+            microbatches: 1,
+            ubatch_size: 1,
+            opt_slots: 0,
+            ..WorkloadConfig::default()
+        };
+        assert!(model.sizes_fit(4, 0), "test premise");
+        // With no GPU, no replica's samples bound the DP demand of huge
+        // microbatches: refused before any size is derived.
+        let huge = WorkloadConfig {
+            microbatches: 4,
+            ubatch_size: 1 << 60,
+            ..w
+        };
+        for (scheme, planner) in [
+            ("baseline-dp", plan_baseline_dp as Planner),
+            ("harmony-dp", plan_harmony_dp),
+            ("baseline-pp", plan_baseline_pp),
+            ("harmony-pp", plan_harmony_pp),
+            ("pipe-1f1b", plan_pipe_1f1b),
+        ] {
+            let zero = planner(&model, 0, &huge);
+            assert!(
+                matches!(zero, Err(GraphError::Empty(_))),
+                "{scheme}: {zero:?}"
+            );
+            let plan = planner(&model, 4, &w);
+            if scheme == "pipe-1f1b" {
+                assert!(
+                    matches!(&plan, Err(GraphError::TooLarge(msg)) if msg.contains("overflows 64 bits")),
+                    "{scheme}: {:?}",
+                    plan.as_ref().map(|p| &p.demand_bytes)
+                );
+            } else {
+                assert!(plan.is_ok(), "{scheme}: {:?}", plan.err());
+            }
         }
     }
 }
