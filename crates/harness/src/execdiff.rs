@@ -204,5 +204,20 @@ mod tests {
             check_dense_vs_fast(&model, &topo, &spec)
                 .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
         }
+        // From three replicas on, the reference's next-use run of replica
+        // 2's gradients opens with two other GPUs' AllReduce positions;
+        // the executor records only GPU 0's copy.
+        for gpus in [3, 4] {
+            let topo = slack_topo(gpus);
+            for scheme in [SchemeKind::BaselineDp, SchemeKind::HarmonyDp] {
+                let spec = RunSpec {
+                    prefetch: true,
+                    iterations: 2,
+                    ..RunSpec::new(scheme, w)
+                };
+                check_dense_vs_fast(&model, &topo, &spec)
+                    .unwrap_or_else(|e| panic!("{} on {gpus} GPUs: {e}", scheme.name()));
+            }
+        }
     }
 }

@@ -8,19 +8,6 @@ use crate::config::WorkloadConfig;
 use crate::plan::ExecutionPlan;
 use crate::schedule::{plan, BASELINE_DP, HARMONY_DP};
 
-/// Logical demand of one replica.
-pub(crate) fn dp_demand(model: &ModelSpec, w: &WorkloadConfig) -> u64 {
-    // Every replica holds the full training state: W + dW + K + m
-    // microbatches of stash.
-    model.training_footprint_bytes(w.ubatch_size, w.opt_slots)
-        + (w.microbatches as u64 - 1)
-            * model
-                .layers
-                .iter()
-                .map(|l| l.stash_bytes(w.ubatch_size))
-                .sum::<u64>()
-}
-
 /// Baseline data parallelism with per-GPU memory virtualization
 /// (PyTorch-DDP-style): each GPU runs its microbatches *µbatch-major*
 /// (full forward then full backward per microbatch — 1F1B over one stage

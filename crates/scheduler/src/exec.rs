@@ -621,10 +621,10 @@ pub struct SimExecutor<'a> {
     /// Interned tensor labels, indexed `replica * ks.num_refs +
     /// ks.ref_ix(rf)` (see [`intern_ref`]).
     ref_syms: Vec<Option<SymbolId>>,
-    /// Future-use arena: per key index, the run `nu_seqs[start..end)` with
-    /// a consume cursor (replaces per-key `VecDeque`s).
-    nu_start: Vec<u32>,
-    nu_end: Vec<u32>,
+    /// Future-use arena: key index `k`'s run is
+    /// `nu_seqs[nu_off[k]..nu_off[k + 1]]`, with a consume cursor per key
+    /// (replaces per-key `VecDeque`s).
+    nu_off: Vec<u32>,
     nu_cur: Vec<u32>,
     nu_seqs: Vec<u64>,
     /// Flattened per-GPU work queues (arena + cursor per GPU).
@@ -778,12 +778,13 @@ impl<'a> SimExecutor<'a> {
         let ubatches = cfg.microbatches;
         // Replica slots cover the plan's replicas plus every GPU whose
         // queue holds an allreduce (its targets are the gradients of the
-        // replica indexed by the GPU). One iteration's future-use entries
-        // are the refs every queue item touches; the fetch-target arena
-        // holds each item's targets once (see `compile_targets`).
+        // replica indexed by the GPU). The fetch-target arena holds each
+        // item's targets once (see `compile_targets`); one iteration's
+        // future-use entries are those targets plus GPU 0's allreduce
+        // targets again for every other replica (see `for_each_use`).
         let mut rslots = plan.replicas.max(1);
-        let mut refs_per_iter = 0usize;
         let mut num_targets = 0usize;
+        let mut foreign_uses = 0usize;
         for (g, q) in plan.queues.iter().enumerate() {
             for &item in q {
                 num_targets += match item {
@@ -792,12 +793,19 @@ impl<'a> SimExecutor<'a> {
                     }
                     WorkItem::AllReduce { pack } => {
                         rslots = rslots.max(g + 1);
-                        plan.graph.packs()[pack].len()
+                        let grads = plan.graph.packs()[pack].len();
+                        if g == 0 {
+                            foreign_uses += grads * plan.replicas.saturating_sub(1);
+                        }
+                        grads
                     }
                 };
-                item_refs(plan, item, |_, _| refs_per_iter += 1);
             }
         }
+        debug_assert!(
+            reduces_aligned(&plan.queues),
+            "every queue holds its allreduces where GPU 0's does"
+        );
         // Every plan-sized plane is sized with checked arithmetic and
         // reserved fallibly before any is filled, so a plan too large for
         // the host fails here with an error instead of aborting mid-build.
@@ -817,7 +825,7 @@ impl<'a> SimExecutor<'a> {
         let ref_slots = mul(rslots, num_refs)?;
         let total_keys = mul(its, ref_slots)?;
         let queue_len = mul(plan.total_items(), its)?;
-        let nu_len = mul(refs_per_iter, its)?;
+        let nu_len = mul(num_targets + foreign_uses, its)?;
         // Queue cursors, future-use and fetch-target offsets are `u32`.
         if u32::try_from(queue_len.max(nu_len).max(num_targets)).is_err() {
             return Err(too_large());
@@ -835,9 +843,7 @@ impl<'a> SimExecutor<'a> {
         };
         let mut ids: Vec<Option<TensorId>> = reserved(total_keys)?;
         let mut ref_syms = reserved(ref_slots)?;
-        let mut nu_count: Vec<u32> = reserved(total_keys)?;
-        let mut nu_start: Vec<u32> = reserved(total_keys)?;
-        let mut nu_end = reserved(total_keys)?;
+        let mut nu_off: Vec<u32> = reserved(total_keys.checked_add(1).ok_or_else(too_large)?)?;
         let mut nu_cur = reserved(total_keys)?;
         let mut nu_seqs: Vec<u64> = reserved(nu_len)?;
         let mut q_items: Vec<QItem> = reserved(queue_len)?;
@@ -918,41 +924,26 @@ impl<'a> SimExecutor<'a> {
         }
         debug_assert_eq!(ct_items.len(), num_targets, "the target count is exact");
         // Future-use table for next-use-aware eviction, as flat per-key
-        // runs: count, prefix-sum into offsets, then fill — preserving the
-        // reference push order exactly (queue-major, not globally sorted).
-        // An item touches the same refs in every iteration; only a key's
-        // iteration slot differs.
-        nu_count.resize(total_keys, 0);
-        for q in &plan.queues {
-            for it in 0..iterations {
-                for &item in q {
-                    item_refs(plan, item, |r, rf| nu_count[ks.key_ix(it, r, rf)] += 1);
-                }
-            }
-        }
-        nu_start.resize(total_keys, 0);
-        let mut acc: u32 = 0;
+        // runs: count into `nu_off[k + 1]`, prefix-sum, then fill through
+        // the cursors — preserving the queue-major push order exactly (a
+        // run is not globally sorted).
+        let queue0_len = q_bounds.first().map_or(0, |b| b.1 as usize);
+        let replicas = plan.replicas;
+        nu_off.resize(total_keys + 1, 0);
+        for_each_use(&q_items, queue0_len, &ct_items, ks, replicas, |k, _| {
+            nu_off[k + 1] += 1;
+        });
         for k in 0..total_keys {
-            nu_start[k] = acc;
-            acc += nu_count[k];
+            nu_off[k + 1] += nu_off[k];
         }
-        nu_end.extend_from_slice(&nu_start);
-        nu_seqs.resize(acc as usize, 0);
-        for q in &plan.queues {
-            for it in 0..iterations {
-                for (i, &item) in q.iter().enumerate() {
-                    let seq = (it as u64) * q.len() as u64 + i as u64;
-                    item_refs(plan, item, |r, rf| {
-                        let k = ks.key_ix(it, r, rf);
-                        nu_seqs[nu_end[k] as usize] = seq;
-                        nu_end[k] += 1;
-                    });
-                }
-            }
-        }
-        nu_cur.extend_from_slice(&nu_start);
-        // The count table is build-only scratch.
-        drop(nu_count);
+        nu_cur.extend_from_slice(&nu_off[..total_keys]);
+        nu_seqs.resize(nu_off[total_keys] as usize, 0);
+        for_each_use(&q_items, queue0_len, &ct_items, ks, replicas, |k, seq| {
+            nu_seqs[nu_cur[k] as usize] = seq;
+            nu_cur[k] += 1;
+        });
+        debug_assert_eq!(nu_seqs.len(), nu_len, "the future-use count is exact");
+        nu_cur.copy_from_slice(&nu_off[..total_keys]);
         let q_cursor: Vec<u32> = q_bounds.iter().map(|b| b.0).collect();
         task_syms.resize(task_slots, None);
         collectives.resize(coll_slots, CollSlot::default());
@@ -972,8 +963,7 @@ impl<'a> SimExecutor<'a> {
             labels,
             task_syms,
             ref_syms,
-            nu_start,
-            nu_end,
+            nu_off,
             nu_cur,
             nu_seqs,
             q_items,
@@ -1953,7 +1943,7 @@ impl<'a> SimExecutor<'a> {
         replica: usize,
         rf: TensorRef,
     ) -> Result<(), ExecError> {
-        let (start, end) = (self.nu_start[kix], self.nu_end[kix]);
+        let (start, end) = (self.nu_off[kix], self.nu_off[kix + 1]);
         if end > start {
             let mut cur = self.nu_cur[kix];
             while cur < end && self.nu_seqs[cur as usize] <= seq {
@@ -2716,23 +2706,45 @@ fn load_step(plane: &mut StepPlane, g: usize, id: u64, qi: &QItem, targets_built
     plane.inflight[g] = InFlight::Idle;
 }
 
-/// Visits the `(replica, ref)` of every tensor an item touches, in the
-/// future-use table's push order; the same in every iteration.
-fn item_refs(plan: &ExecutionPlan, item: WorkItem, mut visit: impl FnMut(usize, TensorRef)) {
-    match item {
-        WorkItem::Task { replica, task } => {
-            for rf in plan.graph.touched(task) {
-                visit(replica, rf);
-            }
-        }
-        WorkItem::AllReduce { pack } => {
-            for layer in plan.graph.packs()[pack].clone() {
-                for r in 0..plan.replicas {
-                    visit(r, TensorRef::Grad { layer });
-                }
+/// Visits `(key index, seq)` of every future use, queue-major: each queue
+/// item's fetch targets, and each allreduce target of GPU 0's queue (the
+/// first `queue0_len` items) once more for every replica `1..replicas`
+/// (DESIGN §18). Those extra entries are where every other replica's
+/// gradient run begins, so the next-use hints match the reference's table,
+/// in which every allreduce uses every replica's gradients.
+fn for_each_use(
+    q_items: &[QItem],
+    queue0_len: usize,
+    ct_items: &[CTarget],
+    ks: KeySpace,
+    replicas: usize,
+    mut visit: impl FnMut(usize, u64),
+) {
+    for (i, qi) in q_items.iter().enumerate() {
+        let foreign = if i < queue0_len && matches!(qi.item, WorkItem::AllReduce { .. }) {
+            1..replicas
+        } else {
+            0..0
+        };
+        for ct in &ct_items[qi.t_start as usize..qi.t_end as usize] {
+            visit(ks.key_ix(qi.iter, ct.replica as usize, ct.rf), qi.seq);
+            for r in foreign.clone() {
+                visit(ks.key_ix(qi.iter, r, ct.rf), qi.seq);
             }
         }
     }
+}
+
+/// Whether every queue holds its allreduces at the positions GPU 0's
+/// does, as the planner's one stage builder guarantees: `for_each_use`
+/// relies on it.
+fn reduces_aligned(queues: &[Vec<WorkItem>]) -> bool {
+    fn reduces(q: &[WorkItem]) -> impl Iterator<Item = (usize, &WorkItem)> {
+        q.iter()
+            .enumerate()
+            .filter(|(_, item)| matches!(item, WorkItem::AllReduce { .. }))
+    }
+    queues.iter().all(|q| reduces(q).eq(reduces(&queues[0])))
 }
 
 /// The trace symbol of `(replica, rf)`'s tensor, whose text is also

@@ -11,7 +11,6 @@ use harmony_models::ModelSpec;
 use harmony_taskgraph::{GraphConfig, GraphError, TaskGraph, TaskKind};
 
 use crate::config::{SchemeConfig, WorkloadConfig};
-use crate::dp::dp_demand;
 use crate::plan::{ExecutionPlan, WorkItem};
 use crate::pp::{partition_packs, stage_demand, PartitionObjective};
 
@@ -122,26 +121,21 @@ pub(crate) fn plan(
             });
         }
     }
-    // A replica's demand, its state plus `m` microbatches' stashes, is
-    // within the sizes checked above (its `m × ubatch` samples are at
-    // most the iteration's). A 1F1B stage's weight copy per microbatch
-    // in flight is not, so stage demand is summed checked.
-    let demand_bytes = match layout {
-        Layout::Dp => vec![dp_demand(model, w); n_gpus],
-        Layout::Pp => {
-            let mut demand = Vec::with_capacity(stages.len());
-            for (s, packs) in stages.iter().enumerate() {
-                // 1F1B stage `s` keeps up to `S − s` microbatches in flight.
-                let in_flight = match shape {
-                    Shape::OneFOneB => (stages.len() - s).min(m),
-                    Shape::Grouped => m,
-                };
-                let bytes = stage_demand(&graph, model, packs, w, in_flight, weight_stash)?;
-                demand.push(bytes);
-            }
-            demand
-        }
-    };
+    // A stage's demand is its state plus each in-flight microbatch's
+    // stashes. A 1F1B pipeline stage `s` keeps up to `S − s` microbatches
+    // in flight, any other stage all `m`; a 1F1B stage's weight copy per
+    // microbatch in flight is not within the sizes checked above, so
+    // stage demand is summed checked. DP replicas share their one stage's.
+    let mut demand_bytes = Vec::with_capacity(queues.len());
+    for (s, packs) in stages.iter().enumerate() {
+        let in_flight = match (layout, shape) {
+            (Layout::Pp, Shape::OneFOneB) => (stages.len() - s).min(m),
+            _ => m,
+        };
+        let bytes = stage_demand(&graph, model, packs, w, in_flight, weight_stash)?;
+        demand_bytes.push(bytes);
+    }
+    demand_bytes.resize(queues.len(), demand_bytes[0]);
     // Sized up front: `format!` cannot estimate a string that opens with
     // an argument, so it would allocate twice.
     let mut label = String::with_capacity(name.len() + 48);

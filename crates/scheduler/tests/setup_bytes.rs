@@ -7,8 +7,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use harmony_models::cnn;
-use harmony_sched::{plan_harmony_pp, SimExecutor, WorkloadConfig};
+use harmony_models::{cnn, ModelSpec};
+use harmony_sched::{plan_harmony_dp, plan_harmony_pp, ExecutionPlan, SimExecutor, WorkloadConfig};
+use harmony_taskgraph::GraphError;
 use harmony_topology::presets::{self, CommodityParams, GBPS, GIB};
 
 /// Counts bytes allocated (fresh, and the growth of a reallocation) by the
@@ -56,16 +57,18 @@ fn bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
+type Planner = fn(&ModelSpec, usize, &WorkloadConfig) -> Result<ExecutionPlan, GraphError>;
+
 /// Bytes allocated by building `repro custom`'s server (every GPU under
-/// one switch) for `gpus` GPUs plus the executor of a lenet harmony-pp
-/// plan with 4 microbatches. Planning itself is not counted.
-fn setup_bytes(gpus: usize) -> u64 {
+/// one switch) for `gpus` GPUs plus the executor of a lenet plan with 4
+/// microbatches. Planning itself is not counted.
+fn setup_bytes_of(planner: Planner, gpus: usize) -> u64 {
     let model = cnn::lenet();
     let w = WorkloadConfig {
         microbatches: 4,
         ..WorkloadConfig::default()
     };
-    let plan = plan_harmony_pp(&model, gpus, &w).unwrap();
+    let plan = planner(&model, gpus, &w).unwrap();
     let before = bytes();
     let topo = presets::commodity_server(CommodityParams {
         num_gpus: gpus,
@@ -80,6 +83,11 @@ fn setup_bytes(gpus: usize) -> u64 {
     let n = bytes() - before;
     drop(exec);
     n
+}
+
+/// [`setup_bytes_of`] a lenet harmony-pp plan.
+fn setup_bytes(gpus: usize) -> u64 {
+    setup_bytes_of(plan_harmony_pp, gpus)
 }
 
 #[test]
@@ -107,5 +115,22 @@ fn dependency_waiters_allocate_linearly_in_gpus() {
     assert!(
         ratio <= 2.1,
         "doubling the GPUs from 512 to 1024 multiplied setup bytes by {ratio:.3} ({small} B -> {large} B)"
+    );
+}
+
+#[test]
+fn data_parallel_next_use_table_allocates_linearly_in_gpus() {
+    // Every GPU's AllReduce used to record a future use of every
+    // replica's gradients, so the next-use table held layers × N²
+    // entries: 96.9 MB at 1,024 GPUs against 33.7 MB at 512 (2.87×).
+    // The table records each item's own fetch targets, plus GPU 0's
+    // AllReduces once for every other replica.
+    let small = setup_bytes_of(plan_harmony_dp, 512);
+    let large = setup_bytes_of(plan_harmony_dp, 1024);
+    let ratio = large as f64 / small as f64;
+    println!("harmony-dp 512 GPUs: {small} B; 1024 GPUs: {large} B; ratio {ratio:.3}");
+    assert!(
+        ratio <= 2.1,
+        "doubling harmony-dp's GPUs from 512 to 1024 multiplied setup bytes by {ratio:.3} ({small} B -> {large} B)"
     );
 }
