@@ -188,6 +188,42 @@ mod tests {
     }
 
     #[test]
+    fn policy_overrides_are_byte_identical_across_modes() {
+        // `RunSpec.policy` overrides the scheme's eviction policy (`repro
+        // eviction` runs Harmony-DP under LRU). The executor builds
+        // future-use runs and pushes hints only under next-use-aware
+        // eviction; the dense reference builds its table and pushes hints
+        // under either policy. Both must produce the same bytes.
+        use harmony_sched::PolicyKind::{Lru, NextUseAware};
+        let model = uniform_model(6, 4096);
+        let w = tight_workload(3);
+        for gpus in [2, 3] {
+            let topo = tight_topo(gpus);
+            for (scheme, policy) in [
+                (SchemeKind::HarmonyDp, Lru),
+                (SchemeKind::HarmonyPp, Lru),
+                (SchemeKind::BaselineDp, NextUseAware),
+                (SchemeKind::Pipe1F1B, NextUseAware),
+            ] {
+                let spec = RunSpec {
+                    policy: Some(policy),
+                    iterations: 2,
+                    ..RunSpec::new(scheme, w)
+                };
+                let out = check_dense_vs_fast(&model, &topo, &spec).unwrap_or_else(|e| {
+                    panic!("{} under {policy:?} on {gpus} GPUs: {e}", scheme.name())
+                });
+                assert!(
+                    out.error.is_none(),
+                    "{} under {policy:?} on {gpus} GPUs: {:?}",
+                    scheme.name(),
+                    out.error
+                );
+            }
+        }
+    }
+
+    #[test]
     fn prefetch_cancel_retry_path_is_byte_identical() {
         // The tight topology forces the opportunistic double-buffer to
         // cancel and retry — the poll-set path with LRU-recency side

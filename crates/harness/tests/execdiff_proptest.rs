@@ -11,10 +11,18 @@ use harmony::RunSpec;
 use harmony_harness::execdiff::check_dense_vs_fast;
 use harmony_harness::workloads::{slack_topo, tight_topo, tight_workload, uniform_model};
 use harmony_harness::FaultPlan;
+use harmony_sched::PolicyKind;
 use proptest::prelude::*;
 
 fn scheme_of(ix: usize) -> SchemeKind {
     SchemeKind::ALL[ix % SchemeKind::ALL.len()]
+}
+
+/// The scheme's own eviction policy, or an override either way: the
+/// executor builds next-use runs only under next-use-aware eviction,
+/// while the dense reference builds them under both.
+fn policy_of(ix: usize) -> Option<PolicyKind> {
+    [None, Some(PolicyKind::Lru), Some(PolicyKind::NextUseAware)][ix % 3]
 }
 
 proptest! {
@@ -33,6 +41,7 @@ proptest! {
         fault_seed in 0u64..64,
         fault_count in 0usize..4,
         resilience in any::<bool>(),
+        policy_ix in 0usize..3,
     ) {
         let model = uniform_model(layers, 4096);
         // Slack capacity keeps random capacity squeezes satisfiable, so
@@ -48,6 +57,7 @@ proptest! {
             // stay byte-identical across loops, clean runs byte-identical
             // with the layer on or off (checked by the harness grid).
             resilience: resilience.then_some(fault_seed),
+            policy: policy_of(policy_ix),
             ..RunSpec::new(scheme_of(scheme_ix), w)
         };
         if let Err(divergence) = check_dense_vs_fast(&model, &topo, &case) {

@@ -81,12 +81,13 @@
 //! steady-state heap allocation:
 //!
 //! * **Dense key arena** — logical tensor keys `(iter, replica, ref)` map
-//!   to indices in a `KeySpace`; tensor ids, next-use cursors, and
-//!   future-use sequences live in flat parallel arrays indexed by key.
+//!   to indices in a `KeySpace`; tensor ids and next-use cursors live in
+//!   flat arrays indexed by key, and a next-use-aware plan's future uses
+//!   in linked per-key runs (an LRU plan builds none).
 //! * **Struct-of-arrays step state** — the current and prefetch step of
 //!   every GPU are planes of parallel vectors (`StepPlane`); fetch
-//!   targets are precompiled per queue item into one shared arena and
-//!   walked by cursor.
+//!   targets are precompiled once per task and per pack into one shared
+//!   arena and walked by cursor, with the replica carried by the step.
 //! * **Generational slab** — pending transfers live in a
 //!   [`crate::slab::Slab`]; the packed [`crate::slab::SlabHandle`] rides
 //!   the simulator's completion tag, so the completion path is a
@@ -258,13 +259,12 @@ enum Target {
     Alloc(#[allow(dead_code)] Key),
 }
 
-/// A precompiled fetch target: iteration-independent, shared by every
-/// iteration's instance of its queue item. The full key index is
-/// `KeySpace::key_ix(step_iter, replica, rf)` at use time.
+/// A precompiled fetch target: iteration- and replica-independent, shared
+/// by every instance of its task or pack. The full key index is
+/// `KeySpace::key_ix(step_iter, step_replica, rf)` at use time.
 #[derive(Debug, Clone, Copy)]
 struct CTarget {
     rf: TensorRef,
-    replica: u32,
     /// Allocate-and-pin (task output) rather than fetch-and-pin (input).
     alloc: bool,
 }
@@ -274,6 +274,9 @@ struct CTarget {
 struct QItem {
     seq: u64,
     iter: u32,
+    /// The replica whose tensors the item's targets name: a task's own
+    /// replica, or for an allreduce the replica indexed by its GPU.
+    replica: u32,
     item: WorkItem,
     /// Precompiled target range in the shared target arena.
     t_start: u32,
@@ -311,6 +314,7 @@ struct StepPlane {
     id: Vec<u64>,
     seq: Vec<u64>,
     iter: Vec<u32>,
+    replica: Vec<u32>,
     item: Vec<WorkItem>,
     t_cur: Vec<u32>,
     t_end: Vec<u32>,
@@ -329,6 +333,7 @@ impl StepPlane {
             id: vec![0; n],
             seq: vec![0; n],
             iter: vec![0; n],
+            replica: vec![0; n],
             item: vec![WorkItem::AllReduce { pack: 0 }; n],
             t_cur: vec![0; n],
             t_end: vec![0; n],
@@ -393,6 +398,32 @@ struct CollSlot {
 
 /// [`Waiters::block`] of an entry with no waiter.
 const NO_BLOCK: u32 = u32::MAX;
+
+/// Trace spans reserved per queue item at build time: an estimate, not a
+/// bound. A step records its compute or collective span plus one span
+/// per swap-in, p2p move, eviction writeback and host bounce, so a trace
+/// that outgrows the reservation regrows amortized, by doubling, once or
+/// a few times per run. The LRU schemes of gpt_10b on 8 GPUs record 4.73
+/// (baseline-dp) and 4.90 (pipe-1f1b) per item and regrow once; the
+/// Harmony schemes record about 2.2. Reserving five per item removed that
+/// regrowth but raised `large-run`'s peak RSS by about 6% in paired runs
+/// (where the allocator places the larger block), so four stays.
+const SPANS_PER_ITEM: usize = 4;
+
+/// End of a future-use run: the `nu_cur` of a key with no use left and
+/// the `next` of a run's last entry.
+const NO_USE: u32 = u32::MAX;
+
+/// One entry of a key's future-use run: a use at queue position `seq`
+/// (a `u32`, as every queue position is below the checked `u32` queue
+/// length), linked to the key's next use. Position and link share an
+/// entry, so stepping a run reads one place per use.
+#[derive(Debug, Clone, Copy)]
+struct NextUse {
+    seq: u32,
+    /// The key's next entry in `nu_runs`, or [`NO_USE`].
+    next: u32,
+}
 
 /// GPU waiter sets keyed by an entry index (a dependency entry or a
 /// tensor id): per entry, the pool block holding its waiters' bitset
@@ -520,6 +551,17 @@ pub struct ExecCounters {
     /// (zeroed in dense-reference mode): rate derivations, event-heap
     /// pushes and pops, and network-candidate refreshes.
     pub net: NetCounters,
+    /// Entries of the compiled fetch-target arena: one range per task and
+    /// per pack, whatever the replica and iteration counts. A size fixed
+    /// at build time, not work done by the run; zero in dense-reference
+    /// mode.
+    pub fetch_targets: u64,
+    /// Entries of the future-use runs: zero under LRU, which builds none;
+    /// under next-use-aware eviction, every queue item's fetch targets
+    /// plus GPU 0's allreduce targets once more per other replica, per
+    /// iteration. A size fixed at build time; zero in dense-reference
+    /// mode.
+    pub future_uses: u64,
 }
 
 /// Which step slot of a GPU is being driven.
@@ -621,17 +663,19 @@ pub struct SimExecutor<'a> {
     /// Interned tensor labels, indexed `replica * ks.num_refs +
     /// ks.ref_ix(rf)` (see [`intern_ref`]).
     ref_syms: Vec<Option<SymbolId>>,
-    /// Future-use arena: key index `k`'s run is
-    /// `nu_seqs[nu_off[k]..nu_off[k + 1]]`, with a consume cursor per key
-    /// (replaces per-key `VecDeque`s).
-    nu_off: Vec<u32>,
+    /// Future-use runs, built only for a next-use-aware plan (empty
+    /// under LRU, whose victim key reads no hint). Key index `k`'s
+    /// unconsumed run starts at entry `nu_runs[nu_cur[k]]` and follows
+    /// the entries' links until [`NO_USE`]. The cursor is the run's head,
+    /// and only moves forward.
     nu_cur: Vec<u32>,
-    nu_seqs: Vec<u64>,
+    nu_runs: Vec<NextUse>,
     /// Flattened per-GPU work queues (arena + cursor per GPU).
     q_items: Vec<QItem>,
     q_bounds: Vec<(u32, u32)>,
     q_cursor: Vec<u32>,
-    /// Precompiled fetch targets, ranged into by [`QItem`]s.
+    /// Precompiled fetch targets, one range per task and per pack, ranged
+    /// into by [`QItem`]s.
     ct_items: Vec<CTarget>,
     /// Current / prefetch step planes (struct-of-arrays).
     cur: StepPlane,
@@ -779,15 +823,18 @@ impl<'a> SimExecutor<'a> {
         // Replica slots cover the plan's replicas plus every GPU whose
         // queue holds an allreduce (its targets are the gradients of the
         // replica indexed by the GPU). The fetch-target arena holds each
-        // item's targets once (see `compile_targets`); one iteration's
-        // future-use entries are those targets plus GPU 0's allreduce
-        // targets again for every other replica (see `for_each_use`).
+        // task's and each pack's targets once (see `compile_targets`).
+        // Only a next-use-aware plan builds future-use runs: one
+        // iteration's entries are every queue item's targets plus GPU 0's
+        // allreduce targets again for every other replica (see
+        // `for_each_use_rev`).
+        let hinted = plan.scheme.policy == PolicyKind::NextUseAware;
         let mut rslots = plan.replicas.max(1);
-        let mut num_targets = 0usize;
+        let mut item_targets = 0usize;
         let mut foreign_uses = 0usize;
         for (g, q) in plan.queues.iter().enumerate() {
             for &item in q {
-                num_targets += match item {
+                item_targets += match item {
                     WorkItem::Task { task, .. } => {
                         plan.graph.reads(task).len() + plan.graph.fresh_writes(task).len()
                     }
@@ -806,6 +853,10 @@ impl<'a> SimExecutor<'a> {
             reduces_aligned(&plan.queues),
             "every queue holds its allreduces where GPU 0's does"
         );
+        let num_targets = (0..num_tasks)
+            .map(|t| plan.graph.reads(t).len() + plan.graph.fresh_writes(t).len())
+            .chain(plan.graph.packs().iter().map(|p| p.len()))
+            .sum::<usize>();
         // Every plan-sized plane is sized with checked arithmetic and
         // reserved fallibly before any is filled, so a plan too large for
         // the host fails here with an error instead of aborting mid-build.
@@ -825,8 +876,13 @@ impl<'a> SimExecutor<'a> {
         let ref_slots = mul(rslots, num_refs)?;
         let total_keys = mul(its, ref_slots)?;
         let queue_len = mul(plan.total_items(), its)?;
-        let nu_len = mul(num_targets + foreign_uses, its)?;
-        // Queue cursors, future-use and fetch-target offsets are `u32`.
+        let nu_len = if hinted {
+            mul(item_targets + foreign_uses, its)?
+        } else {
+            0
+        };
+        // Queue cursors and positions, future-use links and fetch-target
+        // offsets are `u32`.
         if u32::try_from(queue_len.max(nu_len).max(num_targets)).is_err() {
             return Err(too_large());
         }
@@ -834,7 +890,7 @@ impl<'a> SimExecutor<'a> {
         let task_slots = mul(rslots, num_tasks)?;
         let coll_slots = mul(its, num_packs)?;
         let done_len = dep_entries.div_ceil(64).max(1);
-        let span_hint = mul(queue_len, 4)?;
+        let span_hint = mul(queue_len, SPANS_PER_ITEM)?;
         let ks = KeySpace {
             layers,
             ubatches,
@@ -843,11 +899,11 @@ impl<'a> SimExecutor<'a> {
         };
         let mut ids: Vec<Option<TensorId>> = reserved(total_keys)?;
         let mut ref_syms = reserved(ref_slots)?;
-        let mut nu_off: Vec<u32> = reserved(total_keys.checked_add(1).ok_or_else(too_large)?)?;
-        let mut nu_cur = reserved(total_keys)?;
-        let mut nu_seqs: Vec<u64> = reserved(nu_len)?;
+        let mut nu_cur = reserved(if hinted { total_keys } else { 0 })?;
+        let mut nu_runs: Vec<NextUse> = reserved(nu_len)?;
         let mut q_items: Vec<QItem> = reserved(queue_len)?;
         let mut ct_items: Vec<CTarget> = reserved(num_targets)?;
+        let mut ct_off: Vec<u32> = reserved(num_tasks + num_packs + 1)?;
         let mut task_syms = reserved(task_slots)?;
         let mut collectives = reserved(coll_slots)?;
         let mut done_words = reserved(done_len)?;
@@ -895,20 +951,27 @@ impl<'a> SimExecutor<'a> {
                 }
             }
         }
-        // Flatten the work queues and precompile each distinct item's
-        // fetch targets once, with its first iteration's entry; every
-        // later iteration's instance copies the entry and shares the range.
+        // Compile every task's and pack's fetch targets once, then
+        // flatten the work queues: each item's first iteration's entry
+        // takes its task's or pack's range, and every later iteration's
+        // instance copies the entry.
+        compile_targets(&mut ct_items, &mut ct_off, plan);
+        debug_assert_eq!(ct_items.len(), num_targets, "the target count is exact");
         let mut q_bounds: Vec<(u32, u32)> = Vec::with_capacity(n_q);
         for (g, q) in plan.queues.iter().enumerate() {
             let start = q_items.len();
-            for (i, item) in q.iter().enumerate() {
-                let (t_start, t_end) = compile_targets(&mut ct_items, plan, g, *item);
+            for (i, &item) in q.iter().enumerate() {
+                let (row, replica) = match item {
+                    WorkItem::Task { replica, task } => (task, replica),
+                    WorkItem::AllReduce { pack } => (num_tasks + pack, g),
+                };
                 q_items.push(QItem {
                     seq: i as u64,
                     iter: 0,
-                    item: *item,
-                    t_start,
-                    t_end,
+                    replica: replica as u32,
+                    item,
+                    t_start: ct_off[row],
+                    t_end: ct_off[row + 1],
                 });
             }
             for it in 1..iterations {
@@ -922,28 +985,35 @@ impl<'a> SimExecutor<'a> {
             }
             q_bounds.push((start as u32, q_items.len() as u32));
         }
-        debug_assert_eq!(ct_items.len(), num_targets, "the target count is exact");
-        // Future-use table for next-use-aware eviction, as flat per-key
-        // runs: count into `nu_off[k + 1]`, prefix-sum, then fill through
-        // the cursors — preserving the queue-major push order exactly (a
-        // run is not globally sorted).
-        let queue0_len = q_bounds.first().map_or(0, |b| b.1 as usize);
-        let replicas = plan.replicas;
-        nu_off.resize(total_keys + 1, 0);
-        for_each_use(&q_items, queue0_len, &ct_items, ks, replicas, |k, _| {
-            nu_off[k + 1] += 1;
-        });
-        for k in 0..total_keys {
-            nu_off[k + 1] += nu_off[k];
+        drop(ct_off);
+        // Future-use runs for next-use-aware eviction, linked per key in
+        // one backward walk of the compiled queue: each use is prepended
+        // to its key's run, so a run reads in the queue-major visit order
+        // exactly (it is not globally sorted).
+        if hinted {
+            nu_cur.resize(total_keys, NO_USE);
+            let queue0_len = q_bounds.first().map_or(0, |b| b.1 as usize);
+            for_each_use_rev(
+                &q_items,
+                queue0_len,
+                &ct_items,
+                ks,
+                plan.replicas,
+                |k, seq| {
+                    let next = std::mem::replace(&mut nu_cur[k], nu_runs.len() as u32);
+                    nu_runs.push(NextUse {
+                        seq: seq as u32,
+                        next,
+                    });
+                },
+            );
+            debug_assert_eq!(nu_runs.len(), nu_len, "the future-use count is exact");
         }
-        nu_cur.extend_from_slice(&nu_off[..total_keys]);
-        nu_seqs.resize(nu_off[total_keys] as usize, 0);
-        for_each_use(&q_items, queue0_len, &ct_items, ks, replicas, |k, seq| {
-            nu_seqs[nu_cur[k] as usize] = seq;
-            nu_cur[k] += 1;
-        });
-        debug_assert_eq!(nu_seqs.len(), nu_len, "the future-use count is exact");
-        nu_cur.copy_from_slice(&nu_off[..total_keys]);
+        let counters = ExecCounters {
+            fetch_targets: ct_items.len() as u64,
+            future_uses: nu_runs.len() as u64,
+            ..ExecCounters::default()
+        };
         let q_cursor: Vec<u32> = q_bounds.iter().map(|b| b.0).collect();
         task_syms.resize(task_slots, None);
         collectives.resize(coll_slots, CollSlot::default());
@@ -963,9 +1033,8 @@ impl<'a> SimExecutor<'a> {
             labels,
             task_syms,
             ref_syms,
-            nu_off,
             nu_cur,
-            nu_seqs,
+            nu_runs,
             q_items,
             q_bounds,
             q_cursor,
@@ -986,7 +1055,7 @@ impl<'a> SimExecutor<'a> {
             poll_w: vec![0; wpg],
             advancing: None,
             mutations: 0,
-            counters: ExecCounters::default(),
+            counters,
             trace,
             observers: Vec::new(),
             faults: Vec::new(),
@@ -1733,13 +1802,14 @@ impl<'a> SimExecutor<'a> {
                 let detail = if self.cur.live[g] {
                     let front = if self.cur.t_cur[g] < self.cur.t_end[g] {
                         let ct = self.ct_items[self.cur.t_cur[g] as usize];
-                        let key = key_of(self.cur.iter[g], ct.replica as usize, ct.rf);
+                        let (iter, replica) = (self.cur.iter[g], self.cur.replica[g] as usize);
+                        let key = key_of(iter, replica, ct.rf);
                         let t = if ct.alloc && !self.cur.front_converted[g] {
                             Target::Alloc(key)
                         } else {
                             Target::Input(key)
                         };
-                        let kix = self.ks.key_ix(self.cur.iter[g], ct.replica as usize, ct.rf);
+                        let kix = self.ks.key_ix(iter, replica, ct.rf);
                         let res = self.ids[kix]
                             .and_then(|id| self.mm.info(id).ok())
                             .map(|i| format!("{:?} pinned={}", i.residency, i.pinned))
@@ -1933,8 +2003,10 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Advances the per-key future-use cursor past `seq` and pushes the
-    /// next-use hint to the memory manager (when the key has a future-use
-    /// run at all).
+    /// next-use hint to the memory manager. A no-op under LRU, which has
+    /// no runs and reads no hint, and for a key with no use left: its
+    /// tensor's hint already reads `None` (every tensor starts with no
+    /// hint, and the call that ran the cursor off its run set `None`).
     fn update_next_use(
         &mut self,
         kix: usize,
@@ -1943,21 +2015,25 @@ impl<'a> SimExecutor<'a> {
         replica: usize,
         rf: TensorRef,
     ) -> Result<(), ExecError> {
-        let (start, end) = (self.nu_off[kix], self.nu_off[kix + 1]);
-        if end > start {
-            let mut cur = self.nu_cur[kix];
-            while cur < end && self.nu_seqs[cur as usize] <= seq {
-                cur += 1;
-            }
-            self.nu_cur[kix] = cur;
-            let hint = if cur < end {
-                Some(self.nu_seqs[cur as usize])
-            } else {
-                None
-            };
-            let id = self.tensor_id_at(kix, iter, replica, rf)?;
-            self.mm.set_next_use(id, hint)?;
+        if self.plan.scheme.policy != PolicyKind::NextUseAware {
+            return Ok(());
         }
+        let mut cur = self.nu_cur[kix];
+        if cur == NO_USE {
+            return Ok(());
+        }
+        let mut hint = None;
+        while cur != NO_USE {
+            let NextUse { seq: at, next } = self.nu_runs[cur as usize];
+            if u64::from(at) > seq {
+                hint = Some(u64::from(at));
+                break;
+            }
+            cur = next;
+        }
+        self.nu_cur[kix] = cur;
+        let id = self.tensor_id_at(kix, iter, replica, rf)?;
+        self.mm.set_next_use(id, hint)?;
         Ok(())
     }
 
@@ -2004,6 +2080,7 @@ impl<'a> SimExecutor<'a> {
         cur.id[g] = pre.id[g];
         cur.seq[g] = pre.seq[g];
         cur.iter[g] = pre.iter[g];
+        cur.replica[g] = pre.replica[g];
         cur.item[g] = pre.item[g];
         cur.t_cur[g] = pre.t_cur[g];
         cur.t_end[g] = pre.t_end[g];
@@ -2203,10 +2280,9 @@ impl<'a> SimExecutor<'a> {
             if t_cur >= plane.t_end[g] {
                 return Ok(false);
             }
-            let iter = plane.iter[g];
+            let (iter, replica) = (plane.iter[g], plane.replica[g] as usize);
             let converted = plane.front_converted[g];
             let ct = self.ct_items[t_cur as usize];
-            let replica = ct.replica as usize;
             let kix = self.ks.key_ix(iter, replica, ct.rf);
             if !ct.alloc || converted {
                 let id = self.tensor_id_at(kix, iter, replica, ct.rf)?;
@@ -2646,46 +2722,31 @@ impl<'a> SimExecutor<'a> {
     }
 }
 
-/// Compiles the fetch-target list of one work item into the shared dense
-/// target arena, returning its `[start, end)` range. Order and dedup are
-/// the reference's exactly: reads first, then writes, first occurrence
-/// wins — which, as every task list is duplicate-free, is the task's reads
-/// then its fresh writes, with no scan; an allreduce targets its pack's
-/// gradient buffers for the replica resident on `gpu`. Iteration is *not*
-/// baked in — every iteration's instance of the item shares one compiled
-/// range, with the key reconstructed from the running step's iteration at
-/// fetch time.
-fn compile_targets(
-    ct_items: &mut Vec<CTarget>,
-    plan: &ExecutionPlan,
-    gpu: usize,
-    item: WorkItem,
-) -> (u32, u32) {
-    let start = ct_items.len() as u32;
-    match item {
-        WorkItem::Task { replica, task } => {
-            let target = |alloc| {
-                move |&rf: &TensorRef| CTarget {
-                    rf,
-                    replica: replica as u32,
-                    alloc,
-                }
-            };
-            ct_items.extend(plan.graph.reads(task).iter().map(target(false)));
-            ct_items.extend(plan.graph.fresh_writes(task).iter().map(target(true)));
-        }
-        WorkItem::AllReduce { pack } => {
-            let replica = gpu;
-            for l in plan.graph.packs()[pack].clone() {
-                ct_items.push(CTarget {
-                    rf: TensorRef::Grad { layer: l },
-                    replica: replica as u32,
-                    alloc: false,
-                });
-            }
-        }
+/// Compiles the fetch-target list of every task, then of every pack's
+/// allreduce, into the shared dense target arena: row `t` (a task id) or
+/// `num_tasks + p` (pack `p`) spans `ct_off[row]..ct_off[row + 1]`. Order
+/// and dedup are the reference's exactly: reads first, then writes, first
+/// occurrence wins — which, as every task list is duplicate-free, is the
+/// task's reads then its fresh writes, with no scan; an allreduce targets
+/// its pack's gradient buffers. Neither iteration nor replica is baked
+/// in — every queue item of the task or pack shares one compiled range,
+/// with the key reconstructed from the running step's iteration and
+/// replica at fetch time.
+fn compile_targets(ct_items: &mut Vec<CTarget>, ct_off: &mut Vec<u32>, plan: &ExecutionPlan) {
+    let target = |alloc| move |&rf: &TensorRef| CTarget { rf, alloc };
+    ct_off.push(0);
+    for task in 0..plan.graph.num_tasks() {
+        ct_items.extend(plan.graph.reads(task).iter().map(target(false)));
+        ct_items.extend(plan.graph.fresh_writes(task).iter().map(target(true)));
+        ct_off.push(ct_items.len() as u32);
     }
-    (start, ct_items.len() as u32)
+    for pack in plan.graph.packs() {
+        ct_items.extend(pack.clone().map(|layer| CTarget {
+            rf: TensorRef::Grad { layer },
+            alloc: false,
+        }));
+        ct_off.push(ct_items.len() as u32);
+    }
 }
 
 /// Loads a popped queue entry into lane `g` of a step plane. The pin list
@@ -2698,6 +2759,7 @@ fn load_step(plane: &mut StepPlane, g: usize, id: u64, qi: &QItem, targets_built
     plane.id[g] = id;
     plane.seq[g] = qi.seq;
     plane.iter[g] = qi.iter;
+    plane.replica[g] = qi.replica;
     plane.item[g] = qi.item;
     plane.t_cur[g] = qi.t_start;
     plane.t_end[g] = qi.t_end;
@@ -2706,13 +2768,15 @@ fn load_step(plane: &mut StepPlane, g: usize, id: u64, qi: &QItem, targets_built
     plane.inflight[g] = InFlight::Idle;
 }
 
-/// Visits `(key index, seq)` of every future use, queue-major: each queue
-/// item's fetch targets, and each allreduce target of GPU 0's queue (the
-/// first `queue0_len` items) once more for every replica `1..replicas`
-/// (DESIGN §18). Those extra entries are where every other replica's
-/// gradient run begins, so the next-use hints match the reference's table,
-/// in which every allreduce uses every replica's gradients.
-fn for_each_use(
+/// Visits `(key index, seq)` of every future use in reverse of the
+/// queue-major order: each queue item's fetch targets, each followed by
+/// itself once more for every replica `1..replicas` when the item is an
+/// allreduce of GPU 0's queue (the first `queue0_len` items; DESIGN §18).
+/// Those extra entries are where every other replica's gradient run
+/// begins, so the next-use hints match the reference's table, in which
+/// every allreduce uses every replica's gradients. Prepending each visit
+/// to its key's run therefore leaves every run in forward order.
+fn for_each_use_rev(
     q_items: &[QItem],
     queue0_len: usize,
     ct_items: &[CTarget],
@@ -2720,23 +2784,26 @@ fn for_each_use(
     replicas: usize,
     mut visit: impl FnMut(usize, u64),
 ) {
-    for (i, qi) in q_items.iter().enumerate() {
+    for (i, qi) in q_items.iter().enumerate().rev() {
         let foreign = if i < queue0_len && matches!(qi.item, WorkItem::AllReduce { .. }) {
             1..replicas
         } else {
             0..0
         };
-        for ct in &ct_items[qi.t_start as usize..qi.t_end as usize] {
-            visit(ks.key_ix(qi.iter, ct.replica as usize, ct.rf), qi.seq);
-            for r in foreign.clone() {
+        for ct in ct_items[qi.t_start as usize..qi.t_end as usize]
+            .iter()
+            .rev()
+        {
+            for r in foreign.clone().rev() {
                 visit(ks.key_ix(qi.iter, r, ct.rf), qi.seq);
             }
+            visit(ks.key_ix(qi.iter, qi.replica as usize, ct.rf), qi.seq);
         }
     }
 }
 
 /// Whether every queue holds its allreduces at the positions GPU 0's
-/// does, as the planner's one stage builder guarantees: `for_each_use`
+/// does, as the planner's one stage builder guarantees: `for_each_use_rev`
 /// relies on it.
 fn reduces_aligned(queues: &[Vec<WorkItem>]) -> bool {
     fn reduces(q: &[WorkItem]) -> impl Iterator<Item = (usize, &WorkItem)> {

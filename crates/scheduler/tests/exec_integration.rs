@@ -1046,3 +1046,188 @@ fn done_predicate_tracks_task_lifecycle_on_both_loops() {
         assert_eq!(finished.get(), tasks, "dense loop: {dense}");
     }
 }
+
+/// The future-use table's length when every plan built one: each queue
+/// item's fetch targets (a task's reads and fresh writes, an allreduce's
+/// pack of gradients) plus GPU 0's allreduce targets once more for every
+/// other replica, per iteration.
+fn table_len(plan: &harmony_sched::ExecutionPlan, iterations: u64) -> u64 {
+    use harmony_sched::WorkItem;
+    let g = &plan.graph;
+    let mut entries = 0;
+    for (gpu, q) in plan.queues.iter().enumerate() {
+        for &item in q {
+            entries += match item {
+                WorkItem::Task { task, .. } => g.reads(task).len() + g.fresh_writes(task).len(),
+                WorkItem::AllReduce { pack } if gpu == 0 => g.packs()[pack].len() * plan.replicas,
+                WorkItem::AllReduce { pack } => g.packs()[pack].len(),
+            };
+        }
+    }
+    entries as u64 * iterations
+}
+
+#[test]
+fn only_next_use_aware_builds_future_uses() {
+    use harmony_sched::PolicyKind;
+    let model = uniform_model(LAYERS, PARAMS);
+    for gpus in [2, 3] {
+        let topo = pressured_topo(gpus, GPU_MEM);
+        for planner in [
+            plan_baseline_dp,
+            plan_baseline_pp,
+            plan_harmony_dp,
+            plan_harmony_pp,
+            harmony_sched::plan_pipe_1f1b,
+        ] {
+            let mut plan = planner(&model, gpus, &workload(2)).unwrap();
+            // Each plan under its own policy, then under each by override.
+            for policy in [
+                plan.scheme.policy,
+                PolicyKind::Lru,
+                PolicyKind::NextUseAware,
+            ] {
+                plan.scheme.policy = policy;
+                for iterations in [1, 2] {
+                    let (_, _, c) = SimExecutor::with_iterations(&topo, &model, &plan, iterations)
+                        .unwrap()
+                        .run_counted()
+                        .unwrap();
+                    let want = match policy {
+                        PolicyKind::Lru => 0,
+                        PolicyKind::NextUseAware => table_len(&plan, u64::from(iterations)),
+                    };
+                    assert_eq!(
+                        c.future_uses, want,
+                        "{} under {policy:?} on {gpus} GPUs, {iterations} iteration(s)",
+                        plan.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn data_parallel_fetch_targets_do_not_grow_with_gpus() {
+    // Every replica runs the same tasks, so their targets compile once:
+    // the arena holds each task's reads and fresh writes and each pack's
+    // gradients, whatever the GPU count.
+    let model = uniform_model(LAYERS, PARAMS);
+    for planner in [plan_baseline_dp, plan_harmony_dp] {
+        let targets: Vec<u64> = [2, 4, 8]
+            .into_iter()
+            .map(|gpus| {
+                let topo = pressured_topo(gpus, GPU_MEM);
+                let plan = planner(&model, gpus, &workload(2)).unwrap();
+                let g = &plan.graph;
+                let want = (0..g.num_tasks())
+                    .map(|t| g.reads(t).len() + g.fresh_writes(t).len())
+                    .chain(g.packs().iter().map(|p| p.len()))
+                    .sum::<usize>() as u64;
+                let (_, _, c) = SimExecutor::new(&topo, &model, &plan)
+                    .unwrap()
+                    .run_counted()
+                    .unwrap();
+                assert_eq!(c.fetch_targets, want, "{}", plan.name);
+                c.fetch_targets
+            })
+            .collect();
+        assert!(
+            targets.iter().all(|&t| t == targets[0]),
+            "fetch targets at 2, 4 and 8 GPUs: {targets:?}"
+        );
+    }
+}
+
+/// Whether any tensor carried a next-use hint at any executor event.
+#[derive(Debug)]
+struct HintProbe(std::rc::Rc<std::cell::Cell<bool>>);
+
+impl harmony_sched::ExecObserver for HintProbe {
+    fn on_event(&mut self, ctx: &harmony_sched::ExecContext<'_>, _: &harmony_sched::ExecEvent) {
+        if ctx.mm.tensor_infos().any(|t| t.next_use_hint.is_some()) {
+            self.0.set(true);
+        }
+    }
+}
+
+#[test]
+fn lru_runs_push_no_next_use_hints() {
+    // LRU's victim key reads no hint, so an LRU run pushes none: every
+    // tensor's hint stays `None` throughout. Next-use-aware runs carry
+    // hints, including a plan whose policy was overridden either way.
+    use harmony_sched::PolicyKind;
+    let model = uniform_model(LAYERS, PARAMS);
+    let topo = pressured_topo(2, GPU_MEM);
+    for planner in [
+        plan_baseline_dp,
+        plan_baseline_pp,
+        plan_harmony_dp,
+        plan_harmony_pp,
+        harmony_sched::plan_pipe_1f1b,
+    ] {
+        let mut plan = planner(&model, 2, &workload(2)).unwrap();
+        for policy in [
+            plan.scheme.policy,
+            PolicyKind::Lru,
+            PolicyKind::NextUseAware,
+        ] {
+            plan.scheme.policy = policy;
+            let seen = std::rc::Rc::new(std::cell::Cell::new(false));
+            let mut ex = SimExecutor::with_iterations(&topo, &model, &plan, 2).unwrap();
+            ex.attach_observer(Box::new(HintProbe(seen.clone())));
+            ex.run().unwrap();
+            assert_eq!(
+                seen.get(),
+                policy == PolicyKind::NextUseAware,
+                "{} under {policy:?}: a hint seen is {}",
+                plan.name,
+                seen.get()
+            );
+        }
+    }
+}
+
+#[test]
+fn span_reservation_is_four_per_item_and_regrows_by_doubling() {
+    // The executor reserves four spans per queue item, an estimate that
+    // amortizes growth rather than bounding it. On gpt_10b on the 8-GPU
+    // `repro custom` server (m = 16 per replica, two iterations)
+    // harmony-dp records about 2.2 spans per item and keeps the
+    // reservation; baseline-dp records 4.73 and pipe-1f1b 4.90, and each
+    // regrows exactly once, to twice the reservation.
+    let model = harmony_models::TransformerConfig::gpt_10b().build();
+    let topo = commodity_server(CommodityParams {
+        num_gpus: 8,
+        gpus_per_switch: 8,
+        pcie_bw: 12.0 * GBPS,
+        host_uplink_bw: 12.0 * GBPS,
+        gpu_mem: 11 << 30,
+        gpu_flops: 11.3e12,
+    })
+    .unwrap();
+    let w = WorkloadConfig {
+        microbatches: 16,
+        ..WorkloadConfig::default()
+    };
+    for (planner, doublings) in [
+        (plan_harmony_dp as fn(_, _, &_) -> _, 0),
+        (plan_baseline_dp, 1),
+        (harmony_sched::plan_pipe_1f1b, 1),
+    ] {
+        let plan = planner(&model, 8, &w).unwrap();
+        let reserved = 4 * 2 * plan.total_items();
+        let (_, trace, _) = SimExecutor::with_iterations(&topo, &model, &plan, 2)
+            .unwrap()
+            .run_counted()
+            .unwrap();
+        let spans = trace.spans.len();
+        assert_eq!(
+            trace.spans.capacity(),
+            reserved << doublings,
+            "{}: {spans} spans against {reserved} reserved",
+            plan.name
+        );
+    }
+}

@@ -106,10 +106,11 @@ impl Trace {
     }
 
     /// Reserves room for at least `extra` further spans. Callers that can
-    /// bound their span count up front (the executor: a handful per work
+    /// estimate their span count up front (the executor: four per work
     /// item) use this to keep the hot recording path free of growth
-    /// reallocations. Fails, rather than aborting, when the allocator
-    /// refuses the room.
+    /// reallocations while the estimate holds. It is not a bound: a trace
+    /// that outgrows it regrows amortized, by doubling. Fails, rather than
+    /// aborting, when the allocator refuses the room.
     pub fn reserve_spans(&mut self, extra: usize) -> Result<(), std::collections::TryReserveError> {
         self.spans.try_reserve(extra)
     }
