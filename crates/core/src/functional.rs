@@ -214,26 +214,20 @@ impl FunctionalSession {
             .collect();
         let mut mm = MemoryManager::new(cfg.device_capacities.clone());
         let mut store = TensorStore::new();
-        let mut register = |name: String, t: Tensor, class| {
-            let id = mm.register_on_host(&name, t.size_bytes(), class);
+        let mut register = |t: Tensor, class| {
+            let id = mm.register_on_host(t.size_bytes(), class);
             store.put(id, t);
             id
         };
         let (mut param_ids, mut grad_ids, mut opt_ids) = (Vec::new(), Vec::new(), Vec::new());
-        for (l, pset) in model.init_params(cfg.seed).into_iter().enumerate() {
+        for pset in model.init_params(cfg.seed) {
             let (mut pids, mut gids, mut oids) = (Vec::new(), Vec::new(), Vec::new());
-            for (pi, p) in pset.into_iter().enumerate() {
+            for p in pset {
                 let dw = Tensor::zeros(p.shape().clone());
-                gids.push(register(format!("L{l}.dW{pi}"), dw, TensorClass::Grad));
-                let slots = cfg.optimizer.init_state(&p).into_iter().enumerate();
-                oids.push(
-                    slots
-                        .map(|(si, k)| {
-                            register(format!("L{l}.K{pi}.{si}"), k, TensorClass::OptState)
-                        })
-                        .collect(),
-                );
-                pids.push(register(format!("L{l}.W{pi}"), p, TensorClass::Weight));
+                gids.push(register(dw, TensorClass::Grad));
+                let slots = cfg.optimizer.init_state(&p).into_iter();
+                oids.push(slots.map(|k| register(k, TensorClass::OptState)).collect());
+                pids.push(register(p, TensorClass::Weight));
             }
             param_ids.push(pids);
             grad_ids.push(gids);
@@ -286,12 +280,12 @@ impl FunctionalSession {
         match self.mm.info(id)?.residency {
             Residency::OnDevice(d) if d == dev => {}
             Residency::OnDevice(_) => {
-                self.make_room(dev, self.mm.info(id)?.bytes)?;
+                self.evict_until_fits(dev, self.mm.info(id)?.bytes)?;
                 self.mm.begin_p2p(id, dev)?;
                 self.mm.finish_move_to_device(id)?;
             }
             Residency::OnHost => {
-                self.make_room(dev, self.mm.info(id)?.bytes)?;
+                self.evict_until_fits(dev, self.mm.info(id)?.bytes)?;
                 self.mm.begin_swap_in(id, dev)?;
                 self.mm.finish_move_to_device(id)?;
                 self.step_tensors.push(id);
@@ -312,8 +306,11 @@ impl FunctionalSession {
 
     /// Evicts until `bytes` fit on `dev` (clean tensors drop for free —
     /// functional mode always runs the full Harmony scheme).
-    fn make_room(&mut self, dev: usize, bytes: u64) -> Result<(), HarmonyError> {
-        for v in self.mm.make_room(dev, bytes, PolicyKind::Lru)? {
+    fn evict_until_fits(&mut self, dev: usize, bytes: u64) -> Result<(), HarmonyError> {
+        let mut victims = Vec::new();
+        self.mm
+            .make_room_into(dev, bytes, PolicyKind::Lru, &mut victims)?;
+        for v in victims {
             self.evict(v)?;
         }
         Ok(())
@@ -334,14 +331,13 @@ impl FunctionalSession {
     /// Allocates a fresh tensor on `dev` with `payload`, evicting as needed.
     fn alloc(
         &mut self,
-        name: String,
         payload: Tensor,
         class: TensorClass,
         dev: usize,
     ) -> Result<TensorId, HarmonyError> {
         let bytes = payload.size_bytes();
-        self.make_room(dev, bytes)?;
-        let id = self.mm.alloc_on_device(&name, bytes, class, dev)?;
+        self.evict_until_fits(dev, bytes)?;
+        let id = self.mm.alloc_on_device(bytes, class, dev)?;
         self.store.put(id, payload);
         self.step_tensors.push(id);
         Ok(id)
@@ -428,13 +424,8 @@ impl FunctionalSession {
         let scale = 1.0 / m as f32;
         // Input tensors live on the first layer's device.
         let mut input_ids = Vec::with_capacity(m);
-        for (u, c) in chunks.iter().enumerate() {
-            input_ids.push(self.alloc(
-                format!("input.u{u}"),
-                c.clone(),
-                TensorClass::Activation,
-                self.placement[0],
-            )?);
+        for c in chunks {
+            input_ids.push(self.alloc(c.clone(), TensorClass::Activation, self.placement[0])?);
         }
 
         // Per layer and microbatch: its output, its stash, and the
@@ -458,16 +449,10 @@ impl FunctionalSession {
                         self.fetch_pin(pid, dev)?;
                     }
                     let out = self.forward_layer(l, dev, u, &input_ids, &out_ids)?;
-                    let oid = self.alloc(
-                        format!("L{l}.Y.u{u}"),
-                        out.output,
-                        TensorClass::Activation,
-                        dev,
-                    )?;
+                    let oid = self.alloc(out.output, TensorClass::Activation, dev)?;
                     out_ids[l][u] = Some(oid);
-                    for (si, s) in out.stash.tensors.into_iter().enumerate() {
-                        let sid =
-                            self.alloc(format!("L{l}.stash{si}.u{u}"), s, TensorClass::Stash, dev)?;
+                    for s in out.stash.tensors {
+                        let sid = self.alloc(s, TensorClass::Stash, dev)?;
                         stash_ids[l][u].push(sid);
                     }
                     self.unpin_to(0)?;
@@ -485,12 +470,7 @@ impl FunctionalSession {
                     loss_sum += loss;
                     let dlogits = ops::scale(&dlogits, scale);
                     self.unpin_to(0)?;
-                    let gid = self.alloc(
-                        format!("L{last}.dY.u{u}"),
-                        dlogits,
-                        TensorClass::Activation,
-                        last_dev,
-                    )?;
+                    let gid = self.alloc(dlogits, TensorClass::Activation, last_dev)?;
                     outgrad[last][u] = Some(gid);
                 }
                 TaskKind::Backward { pack: l, ubatch: u } => {
@@ -630,8 +610,7 @@ impl FunctionalSession {
                 self.unpin_to(mark)?;
             }
             None => {
-                let id =
-                    self.alloc(format!("L{layer}.dY.u{u}"), g, TensorClass::Activation, dev)?;
+                let id = self.alloc(g, TensorClass::Activation, dev)?;
                 outgrad[layer][u] = Some(id);
             }
         }

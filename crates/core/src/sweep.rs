@@ -190,9 +190,9 @@ pub(crate) mod tests {
         for cell in &cells {
             let (ss, st) = cell.run(&model, &topo).unwrap();
             let plan = cell.plan(&model, &topo).unwrap();
-            let (fs, ft) = SimExecutor::with_iterations(&topo, &model, &plan, cell.iterations)
+            let (fs, ft, _) = SimExecutor::with_iterations(&topo, &model, &plan, cell.iterations)
                 .unwrap()
-                .run()
+                .run_counted()
                 .unwrap();
             assert_eq!(st.to_json(), ft.to_json(), "trace diverged: {}", plan.name);
             assert_eq!(canon(ss), canon(fs), "summary diverged: {}", plan.name);

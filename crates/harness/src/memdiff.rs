@@ -11,8 +11,8 @@
 //!   the dense core legitimately allocates per fetch), with matched error
 //!   strings when both fail.
 //! * **Manager-script** ([`check_script`]): a randomized script of
-//!   residency/pin transitions with interleaved `make_room`/`plan_fetch`
-//!   probes replayed op-for-op on both cores; every per-op result —
+//!   residency/pin transitions with interleaved `make_room_into` /
+//!   `plan_fetch_into` probes replayed op-for-op on both cores; every per-op result —
 //!   victim lists in eviction order, errors by message, candidate order,
 //!   per-device `used`, `host_used` — must match exactly. The proptest in
 //!   `tests/memdiff_proptest.rs` feeds this with arbitrary interleavings,
@@ -77,11 +77,11 @@ pub enum MemScriptOp {
     MarkDirty(usize),
     /// set_next_use (next-use re-key).
     SetNextUse(usize, Option<u64>),
-    /// Planning probe: `make_room(device, bytes)` with LRU (`false`) or
-    /// next-use (`true`) — victims and errors enter the transcript.
+    /// Planning probe: `make_room_into(device, bytes)` with LRU (`false`)
+    /// or next-use (`true`) — victims and errors enter the transcript.
     MakeRoom(usize, u64, bool),
-    /// Planning probe: `plan_fetch(tensor, device)` with LRU (`false`)
-    /// or next-use (`true`).
+    /// Planning probe: `plan_fetch_into(tensor, device)` with LRU
+    /// (`false`) or next-use (`true`).
     PlanFetch(usize, usize, bool),
     /// Sabotage (fast core only; inert on the dense core): silently
     /// desync one unpinned tensor out of the sorted resident membership
@@ -103,9 +103,10 @@ pub fn run_script(caps: &[u64], ops: &[MemScriptOp], dense: bool) -> Vec<String>
         mm.convert_to_dense();
     }
     let mut ids: Vec<TensorId> = Vec::new();
+    let mut victims: Vec<TensorId> = Vec::new();
     let mut lines = Vec::with_capacity(ops.len());
     for op in ops {
-        let entry = apply_op(&mut mm, &mut ids, op);
+        let entry = apply_op(&mut mm, &mut ids, &mut victims, op);
         lines.push(format!("{entry} | {}", digest(&mm, caps.len())));
     }
     lines
@@ -141,27 +142,31 @@ fn policy_of(next_use: bool) -> PolicyKind {
 
 /// Executes one op, returning its transcript entry. Results render via
 /// `Debug`/`Display` so victim order and error messages compare
-/// byte-for-byte.
-fn apply_op(mm: &mut MemoryManager, ids: &mut Vec<TensorId>, op: &MemScriptOp) -> String {
+/// byte-for-byte. Planning probes write their victims into `victims`,
+/// reused from probe to probe.
+fn apply_op(
+    mm: &mut MemoryManager,
+    ids: &mut Vec<TensorId>,
+    victims: &mut Vec<TensorId>,
+    op: &MemScriptOp,
+) -> String {
     let fmt = |r: Result<String, harmony_memory::MemError>| match r {
         Ok(s) => format!("ok {s}"),
         Err(e) => format!("err {e}"),
     };
     match *op {
         MemScriptOp::RegisterHost(b) => {
-            let id = mm.register_on_host(&format!("h{}", ids.len()), b, TensorClass::Weight);
+            let id = mm.register_on_host(b, TensorClass::Weight);
             ids.push(id);
             format!("reg {id}")
         }
-        MemScriptOp::AllocDevice(b, d) => {
-            match mm.alloc_on_device(&format!("a{}", ids.len()), b, TensorClass::Stash, d) {
-                Ok(id) => {
-                    ids.push(id);
-                    format!("alloc ok {id}")
-                }
-                Err(e) => format!("alloc err {e}"),
+        MemScriptOp::AllocDevice(b, d) => match mm.alloc_on_device(b, TensorClass::Stash, d) {
+            Ok(id) => {
+                ids.push(id);
+                format!("alloc ok {id}")
             }
-        }
+            Err(e) => format!("alloc err {e}"),
+        },
         MemScriptOp::SwapIn(t, d) => match pick(ids, t) {
             Some(id) => fmt(mm.begin_swap_in(id, d).and_then(|b| {
                 mm.finish_move_to_device(id)?;
@@ -226,15 +231,18 @@ fn apply_op(mm: &mut MemoryManager, ids: &mut Vec<TensorId>, op: &MemScriptOp) -
             None => "skip".into(),
         },
         MemScriptOp::MakeRoom(d, b, nu) => {
-            fmt(mm.make_room(d, b, policy_of(nu)).map(|v| format!("{v:?}")))
+            victims.clear();
+            fmt(mm
+                .make_room_into(d, b, policy_of(nu), victims)
+                .map(|()| format!("{victims:?}")))
         }
         MemScriptOp::PlanFetch(t, d, nu) => match pick(ids, t) {
-            Some(id) => fmt(mm.plan_fetch(id, d, policy_of(nu)).map(|p| {
-                format!(
-                    "{:?}/{:?}/{:?}",
-                    p.evictions, p.needs_transfer, p.src_device
-                )
-            })),
+            Some(id) => {
+                victims.clear();
+                fmt(mm
+                    .plan_fetch_into(id, d, policy_of(nu), victims)
+                    .map(|a| format!("{victims:?}/{:?}/{:?}", a.needs_transfer, a.src_device)))
+            }
             None => "skip".into(),
         },
         MemScriptOp::Sabotage(d) => {

@@ -182,9 +182,7 @@ impl MemObserver for ResidencyUseOracle {
         let info = mm.info(id).expect("used tensor exists");
         assert!(
             matches!(info.residency, Residency::OnDevice(_)),
-            "residency oracle: tensor {} ({}) used while {:?} after {event:?}",
-            id,
-            info.name,
+            "residency oracle: tensor {id} used while {:?} after {event:?}",
             info.residency
         );
     }
@@ -332,10 +330,9 @@ impl ExecObserver for FlushOracle {
             for info in ctx.mm.tensor_infos() {
                 assert!(
                     !(info.dirty && matches!(info.residency, Residency::OnDevice(_))),
-                    "flush oracle: tensor {} ({}) is dirty and device-resident at run end \
+                    "flush oracle: tensor {} is dirty and device-resident at run end \
                      — flush_dirty_state was skipped or incomplete",
-                    info.id,
-                    info.name
+                    info.id
                 );
             }
         }
@@ -458,13 +455,11 @@ impl MemObserver for RecomputeFetchOracle {
                 );
             }
             MemEvent::BeginSwapIn { id, dst, .. } => {
-                let info = mm.info(id).expect("in-flight tensor exists");
                 assert_ne!(
-                    info.class,
+                    mm.info(id).expect("in-flight tensor exists").class,
                     TensorClass::Stash,
-                    "recompute oracle: stash tensor {id} ({}) fetched from host toward \
-                     device {dst} — recomputed activations are never swapped back in",
-                    info.name
+                    "recompute oracle: stash tensor {id} fetched from host toward \
+                     device {dst} — recomputed activations are never swapped back in"
                 );
             }
             _ => {}

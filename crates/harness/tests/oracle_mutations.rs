@@ -23,7 +23,7 @@ use harmony_simulator::Simulator;
 fn use_without_swap_in_is_caught() {
     let mut mm = MemoryManager::new(vec![1 << 20]);
     instrument_memory(&mut mm, &OracleConfig::all());
-    let id = mm.register_on_host("w0", 4096, TensorClass::Weight);
+    let id = mm.register_on_host(4096, TensorClass::Weight);
     // Bug: no begin_swap_in/finish_move_to_device before use.
     mm.touch(id).unwrap();
 }
@@ -53,7 +53,7 @@ fn exec_fixture() -> (harmony_sched::ExecutionPlan, Simulator, MemoryManager) {
 fn skipped_flush_is_caught() {
     let (plan, sim, mut mm) = exec_fixture();
     let id = mm
-        .alloc_on_device("w0", 4096, TensorClass::Weight, 0)
+        .alloc_on_device(4096, TensorClass::Weight, 0)
         .expect("fits");
     mm.mark_dirty(id).expect("dirty");
     // Bug: RunFinished with a dirty device-resident tensor still in place.

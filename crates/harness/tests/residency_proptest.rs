@@ -71,10 +71,10 @@ proptest! {
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Op::RegisterHost(b) => {
-                    ids.push(mm.register_on_host("h", b, classes[i % classes.len()]));
+                    ids.push(mm.register_on_host(b, classes[i % classes.len()]));
                 }
                 Op::AllocDevice(b, d) => {
-                    if let Ok(id) = mm.alloc_on_device("d", b, classes[i % classes.len()], d) {
+                    if let Ok(id) = mm.alloc_on_device(b, classes[i % classes.len()], d) {
                         ids.push(id);
                     }
                 }

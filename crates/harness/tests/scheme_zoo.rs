@@ -219,7 +219,7 @@ fn materialized_stash_under_recompute_is_caught() {
             ..OracleConfig::all()
         },
     );
-    mm.register_on_host("L0.SX.u0", 4096, TensorClass::Stash);
+    mm.register_on_host(4096, TensorClass::Stash);
 }
 
 /// Mutation: a stash-class tensor is fetched back from the host while
@@ -229,7 +229,7 @@ fn materialized_stash_under_recompute_is_caught() {
 fn stash_swap_in_under_recompute_is_caught() {
     let fetch = |class: TensorClass| {
         let mut mm = MemoryManager::new(vec![1 << 20]);
-        let id = mm.register_on_host("t0", 4096, class);
+        let id = mm.register_on_host(4096, class);
         instrument_memory(
             &mut mm,
             &OracleConfig {

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::manager::{FetchAction, Residency, TensorInfo, TensorView};
+use crate::manager::{FetchAction, Residency, TensorInfo};
 use crate::observe::MemEvent;
 use crate::policy::PolicyKind;
 use crate::stats::{Direction, SwapStats};
@@ -91,8 +91,8 @@ impl DenseCore {
         self.tensors.len()
     }
 
-    pub(crate) fn view(&self, id: TensorId) -> Option<TensorView<'_>> {
-        self.tensors.get(id as usize).map(TensorView::of)
+    pub(crate) fn view(&self, id: TensorId) -> Option<TensorInfo> {
+        self.tensors.get(id as usize).copied()
     }
 
     pub(crate) fn evictable_set(&self, dev: DeviceId) -> Option<&BTreeSet<TensorId>> {
@@ -130,10 +130,6 @@ impl DenseCore {
 
     pub(crate) fn stats(&self) -> &SwapStats {
         &self.stats
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut SwapStats {
-        &mut self.stats
     }
 
     /// The seed-era O(tensors) re-scan — deliberately kept: this is the
@@ -192,19 +188,13 @@ impl DenseCore {
         self.used[dev] = self.used[dev].saturating_sub(bytes);
     }
 
-    pub(crate) fn register_on_host(
-        &mut self,
-        name: &str,
-        bytes: u64,
-        class: TensorClass,
-    ) -> TensorId {
+    pub(crate) fn register_on_host(&mut self, bytes: u64, class: TensorClass) -> TensorId {
         let id = self.next_id;
         self.next_id += 1;
         self.clock += 1;
         debug_assert_eq!(id as usize, self.tensors.len());
         self.tensors.push(TensorInfo {
             id,
-            name: name.to_string(),
             bytes,
             class,
             residency: Residency::OnHost,
@@ -220,7 +210,6 @@ impl DenseCore {
 
     pub(crate) fn alloc_on_device(
         &mut self,
-        name: &str,
         bytes: u64,
         class: TensorClass,
         dev: DeviceId,
@@ -235,7 +224,6 @@ impl DenseCore {
         debug_assert_eq!(id as usize, self.tensors.len());
         self.tensors.push(TensorInfo {
             id,
-            name: name.to_string(),
             bytes,
             class,
             residency: Residency::OnDevice(dev),

@@ -8,9 +8,12 @@
 //! lifetime of all tensors used" (§3): every tensor has a byte size, a
 //! [`TensorClass`] (the Fig 5(a) taxonomy: weights, gradients, optimizer
 //! state, activations, stashed activations), and a [`Residency`] state.
-//! Capacity is charged per device; bringing a tensor onto a full device
-//! produces an eviction-and-transfer [`FetchPlan`] that the runtime
-//! executes on the simulator (or on real buffers in functional mode).
+//! Capacity is charged per device; planning a fetch onto a full device
+//! ([`MemoryManager::plan_fetch_into`]) appends the evictions it needs to
+//! a caller-owned buffer and returns the transfer ([`FetchAction`]) that
+//! the runtime executes on the simulator (or on real buffers in
+//! functional mode). The manager keeps no labels: a tensor is its id,
+//! and a runtime that names tensors keeps its own table by id.
 //!
 //! Two properties matter for reproducing the paper:
 //!
@@ -27,13 +30,16 @@
 //! ```
 //! use harmony_memory::{MemoryManager, PolicyKind, TensorClass};
 //! let mut mm = MemoryManager::new(vec![1000]);
-//! let w = mm.register_on_host("w", 600, TensorClass::Weight);
+//! let w = mm.register_on_host(600, TensorClass::Weight);
 //! mm.begin_swap_in(w, 0).unwrap();
 //! mm.finish_move_to_device(w).unwrap();
-//! // Fetching something bigger than the remaining space plans an eviction.
-//! let k = mm.register_on_host("k", 500, TensorClass::OptState);
-//! let plan = mm.plan_fetch(k, 0, PolicyKind::Lru).unwrap();
-//! assert_eq!(plan.evictions, vec![w]);
+//! // Fetching something bigger than the remaining space plans an eviction
+//! // into a buffer the caller reuses from plan to plan.
+//! let k = mm.register_on_host(500, TensorClass::OptState);
+//! let mut evictions = Vec::new();
+//! let action = mm.plan_fetch_into(k, 0, PolicyKind::Lru, &mut evictions).unwrap();
+//! assert_eq!(evictions, vec![w]);
+//! assert!(action.needs_transfer && action.src_device.is_none());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,7 +52,7 @@ pub mod policy;
 pub mod stats;
 pub mod store;
 
-pub use manager::{FetchAction, FetchPlan, MemoryManager, Residency, TensorInfo, TensorView};
+pub use manager::{FetchAction, MemoryManager, Residency, TensorInfo};
 pub use observe::{MemEvent, MemObserver};
 pub use policy::PolicyKind;
 pub use stats::{Direction, MemCounters, SwapStats};

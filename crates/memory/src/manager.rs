@@ -2,7 +2,7 @@
 //!
 //! Internally the manager keeps its per-tensor hot fields in flat
 //! struct-of-arrays planes indexed by [`TensorId`] and, per device, an
-//! unordered resident membership; `make_room` picks victims with one
+//! unordered resident membership; `make_room_into` picks victims with one
 //! allocation-free selection scan over it, taking the minimum
 //! [`PolicyKind::key`] (DESIGN §13). The pre-rewrite manager survives as
 //! `crate::dense`, reached through [`MemoryManager::convert_to_dense`],
@@ -57,17 +57,16 @@ impl Residency {
     }
 }
 
-/// Owned per-tensor metadata record — the view [`PolicyKind::choose`]
-/// compares (and the storage layout of the frozen dense reference
-/// core). The manager's own hot path keeps these fields in flat
-/// planes instead; use [`MemoryManager::info`] for an allocation-free
-/// borrowed [`TensorView`].
-#[derive(Debug, Clone)]
+/// Per-tensor metadata record: the fields [`PolicyKind::choose`]
+/// compares, the storage layout of the frozen dense reference core, and
+/// the allocation-free copy [`MemoryManager::info`] returns. The
+/// manager's own hot path keeps these fields in flat planes instead.
+/// Labels are not part of it: a runtime that names tensors keeps its
+/// own table by id.
+#[derive(Debug, Clone, Copy)]
 pub struct TensorInfo {
     /// Tensor id.
     pub id: TensorId,
-    /// Debug name, e.g. `"L3.W"`.
-    pub name: String,
     /// Payload size in bytes.
     pub bytes: u64,
     /// Swap-model class.
@@ -89,83 +88,9 @@ pub struct TensorInfo {
     pub host_copy_valid: bool,
 }
 
-/// Borrowed, allocation-free view of one tensor's metadata. Same fields as
-/// [`TensorInfo`] with the name borrowed from the manager.
-#[derive(Debug, Clone, Copy)]
-pub struct TensorView<'a> {
-    /// Tensor id.
-    pub id: TensorId,
-    /// Debug name, e.g. `"L3.W"`.
-    pub name: &'a str,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Swap-model class.
-    pub class: TensorClass,
-    /// Current residency.
-    pub residency: Residency,
-    /// Pin count; pinned tensors are never eviction candidates.
-    pub pinned: u32,
-    /// Logical clock of last access (LRU).
-    pub last_use: u64,
-    /// Scheduler hint: logical time of next use (Belady-style eviction).
-    pub next_use_hint: Option<u64>,
-    /// True if the device copy has been modified since the last host sync.
-    pub dirty: bool,
-    /// True if a valid copy of the bytes exists in host memory.
-    pub host_copy_valid: bool,
-}
-
-impl<'a> TensorView<'a> {
-    // Only the frozen dense core stores owned records to view through.
-    pub(crate) fn of(t: &'a TensorInfo) -> Self {
-        TensorView {
-            id: t.id,
-            name: &t.name,
-            bytes: t.bytes,
-            class: t.class,
-            residency: t.residency,
-            pinned: t.pinned,
-            last_use: t.last_use,
-            next_use_hint: t.next_use_hint,
-            dirty: t.dirty,
-            host_copy_valid: t.host_copy_valid,
-        }
-    }
-
-    /// Owned copy of this record (e.g. to offer to [`PolicyKind::choose`]).
-    pub fn to_owned_info(&self) -> TensorInfo {
-        TensorInfo {
-            id: self.id,
-            name: self.name.to_string(),
-            bytes: self.bytes,
-            class: self.class,
-            residency: self.residency,
-            pinned: self.pinned,
-            last_use: self.last_use,
-            next_use_hint: self.next_use_hint,
-            dirty: self.dirty,
-            host_copy_valid: self.host_copy_valid,
-        }
-    }
-}
-
-/// What the runtime must do to make a tensor resident on a device.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchPlan {
-    /// The tensor being fetched.
-    pub tensor: TensorId,
-    /// Tensors to swap out of the destination first (in order).
-    pub evictions: Vec<TensorId>,
-    /// Whether a transfer is required (false → already resident).
-    pub needs_transfer: bool,
-    /// If the tensor currently sits on another device, that device
-    /// (enables a p2p move instead of a host round-trip).
-    pub src_device: Option<DeviceId>,
-}
-
-/// The transfer half of a fetch plan, as returned by the allocation-free
-/// [`MemoryManager::plan_fetch_into`] (evictions land in the caller's
-/// buffer instead of a fresh `Vec`).
+/// What the runtime must do to make a tensor resident on a device, as
+/// returned by [`MemoryManager::plan_fetch_into`] (the evictions it
+/// needs first land in the caller's buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchAction {
     /// Whether a transfer is required (false → already resident).
@@ -272,12 +197,12 @@ impl MemoryManager {
     }
 
     /// All tensor records (any residency), in ascending id order.
-    pub fn tensor_infos(&self) -> impl Iterator<Item = TensorView<'_>> {
+    pub fn tensor_infos(&self) -> impl Iterator<Item = TensorInfo> + '_ {
         let n = with_core!(self, c => c.tensor_count()) as TensorId;
         (0..n).map(move |id| self.view_known(id))
     }
 
-    fn view_known(&self, id: TensorId) -> TensorView<'_> {
+    fn view_known(&self, id: TensorId) -> TensorInfo {
         with_core!(self, c => c.view(id).expect("id below tensor_count is registered"))
     }
 
@@ -321,13 +246,13 @@ impl MemoryManager {
         with_core!(self, c => c.host_used())
     }
 
-    /// Tensor metadata, as a borrowed allocation-free view.
-    pub fn info(&self, id: TensorId) -> Result<TensorView<'_>, MemError> {
+    /// Tensor metadata, copied out of the planes (allocation-free).
+    pub fn info(&self, id: TensorId) -> Result<TensorInfo, MemError> {
         with_core!(self, c => c.view(id)).ok_or(MemError::UnknownTensor(id))
     }
 
     /// A tensor's residency alone: one plane read, where [`Self::info`]
-    /// assembles the whole view (name included).
+    /// assembles the whole record.
     pub fn residency(&self, id: TensorId) -> Result<Residency, MemError> {
         if let Some(c) = self.dense.as_deref() {
             return c
@@ -343,23 +268,22 @@ impl MemoryManager {
     }
 
     /// Registers a host-resident tensor (e.g. initial weights, inputs).
-    pub fn register_on_host(&mut self, name: &str, bytes: u64, class: TensorClass) -> TensorId {
-        let id = with_core_mut!(self, c => c.register_on_host(name, bytes, class));
+    pub fn register_on_host(&mut self, bytes: u64, class: TensorClass) -> TensorId {
+        let id = with_core_mut!(self, c => c.register_on_host(bytes, class));
         self.flush_events();
         id
     }
 
     /// Registers a freshly produced device-resident tensor (a task output).
     /// Fails if the device lacks free capacity — callers must evict first
-    /// (see [`MemoryManager::make_room`]).
+    /// (see [`MemoryManager::make_room_into`]).
     pub fn alloc_on_device(
         &mut self,
-        name: &str,
         bytes: u64,
         class: TensorClass,
         dev: DeviceId,
     ) -> Result<TensorId, MemError> {
-        let r = with_core_mut!(self, c => c.alloc_on_device(name, bytes, class, dev));
+        let r = with_core_mut!(self, c => c.alloc_on_device(bytes, class, dev));
         self.flush_events();
         r
     }
@@ -406,7 +330,7 @@ impl MemoryManager {
     /// so this observer-facing read filters and sorts a copy of it; the
     /// dense core's set is already sorted and unpinned-only. The event
     /// loop never calls it.
-    pub fn eviction_candidates(&self, dev: DeviceId) -> impl Iterator<Item = TensorView<'_>> {
+    pub fn eviction_candidates(&self, dev: DeviceId) -> impl Iterator<Item = TensorInfo> + '_ {
         let mut ids: Vec<TensorId> = with_core!(self, c => c
             .evictable_set(dev)
             .into_iter()
@@ -422,7 +346,8 @@ impl MemoryManager {
     /// Plans evictions to free at least `bytes` on `dev` (over and above
     /// current free space), appending victims to `out` in eviction order.
     /// Does not change residency state; on error the contents appended to
-    /// `out` are unspecified. This is the allocation-free planning entry.
+    /// `out` are unspecified. Planning allocates nothing: callers reuse
+    /// `out` across plans.
     pub fn make_room_into(
         &mut self,
         dev: DeviceId,
@@ -431,20 +356,6 @@ impl MemoryManager {
         out: &mut Vec<TensorId>,
     ) -> Result<(), MemError> {
         with_core_mut!(self, c => c.make_room_into(dev, bytes, policy, out))
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`MemoryManager::make_room_into`] (counts one `fresh_alloc`).
-    pub fn make_room(
-        &mut self,
-        dev: DeviceId,
-        bytes: u64,
-        policy: PolicyKind,
-    ) -> Result<Vec<TensorId>, MemError> {
-        with_core_mut!(self, c => c.stats_mut().counters.fresh_allocs += 1);
-        let mut out = Vec::new();
-        self.make_room_into(dev, bytes, policy, &mut out)?;
-        Ok(out)
     }
 
     /// Plans how to make tensor `id` resident on `dev`, appending required
@@ -458,25 +369,6 @@ impl MemoryManager {
         out: &mut Vec<TensorId>,
     ) -> Result<FetchAction, MemError> {
         with_core_mut!(self, c => c.plan_fetch_into(id, dev, policy, out))
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`MemoryManager::plan_fetch_into`] (counts one `fresh_alloc`).
-    pub fn plan_fetch(
-        &mut self,
-        id: TensorId,
-        dev: DeviceId,
-        policy: PolicyKind,
-    ) -> Result<FetchPlan, MemError> {
-        with_core_mut!(self, c => c.stats_mut().counters.fresh_allocs += 1);
-        let mut evictions = Vec::new();
-        let action = self.plan_fetch_into(id, dev, policy, &mut evictions)?;
-        Ok(FetchPlan {
-            tensor: id,
-            evictions,
-            needs_transfer: action.needs_transfer,
-            src_device: action.src_device,
-        })
     }
 
     /// Begins evicting a tensor to host. Capacity stays charged until
@@ -575,7 +467,6 @@ impl MemoryManager {
         let tensors: Vec<TensorInfo> = (0..f.tensor_count())
             .map(|i| TensorInfo {
                 id: i as TensorId,
-                name: f.name(i).to_string(),
                 bytes: f.bytes[i],
                 class: f.classes[i],
                 residency: f.residency[i],
@@ -640,13 +531,7 @@ struct FastCore {
     /// Incrementally maintained host-resident byte total (tensors on host
     /// or moving there) — replaces the seed's O(tensors) re-scan.
     host_bytes: u64,
-    /// Every tensor's name, back to back in id order: one arena, not a
-    /// `String` per tensor.
-    names: String,
     // --- SoA planes, indexed flat by TensorId ---
-    /// End of each tensor's name in `names` (it starts where the
-    /// previous id's ends).
-    name_ends: Vec<usize>,
     classes: Vec<TensorClass>,
     bytes: Vec<u64>,
     residency: Vec<Residency>,
@@ -684,8 +569,6 @@ impl FastCore {
             peak_used: vec![0; n],
             pinned_bytes: vec![0; n],
             host_bytes: 0,
-            names: String::new(),
-            name_ends: Vec::new(),
             classes: Vec::new(),
             bytes: Vec::new(),
             residency: Vec::new(),
@@ -722,29 +605,16 @@ impl FastCore {
     }
 
     fn tensor_count(&self) -> usize {
-        self.name_ends.len()
+        self.bytes.len()
     }
 
-    /// Tensor `i`'s name, out of the arena.
-    fn name(&self, i: usize) -> &str {
-        let start = if i == 0 { 0 } else { self.name_ends[i - 1] };
-        &self.names[start..self.name_ends[i]]
-    }
-
-    /// Appends the next tensor's name to the arena.
-    fn push_name(&mut self, name: &str) {
-        self.names.push_str(name);
-        self.name_ends.push(self.names.len());
-    }
-
-    fn view(&self, id: TensorId) -> Option<TensorView<'_>> {
+    fn view(&self, id: TensorId) -> Option<TensorInfo> {
         let i = id as usize;
         if i >= self.tensor_count() {
             return None;
         }
-        Some(TensorView {
+        Some(TensorInfo {
             id,
-            name: self.name(i),
             bytes: self.bytes[i],
             class: self.classes[i],
             residency: self.residency[i],
@@ -792,10 +662,6 @@ impl FastCore {
 
     fn stats(&self) -> &SwapStats {
         &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut SwapStats {
-        &mut self.stats
     }
 
     fn host_used(&self) -> u64 {
@@ -865,12 +731,11 @@ impl FastCore {
         }
     }
 
-    fn register_on_host(&mut self, name: &str, bytes: u64, class: TensorClass) -> TensorId {
+    fn register_on_host(&mut self, bytes: u64, class: TensorClass) -> TensorId {
         let id = self.next_id;
         self.next_id += 1;
         self.clock += 1;
         debug_assert_eq!(id as usize, self.tensor_count());
-        self.push_name(name);
         self.classes.push(class);
         self.bytes.push(bytes);
         self.residency.push(Residency::OnHost);
@@ -887,7 +752,6 @@ impl FastCore {
 
     fn alloc_on_device(
         &mut self,
-        name: &str,
         bytes: u64,
         class: TensorClass,
         dev: DeviceId,
@@ -900,7 +764,6 @@ impl FastCore {
         self.next_id += 1;
         self.clock += 1;
         debug_assert_eq!(id as usize, self.tensor_count());
-        self.push_name(name);
         self.classes.push(class);
         self.bytes.push(bytes);
         self.residency.push(Residency::OnDevice(dev));
@@ -1363,21 +1226,40 @@ mod tests {
         MemoryManager::new(vec![1000, 1000])
     }
 
+    /// The victims [`MemoryManager::make_room_into`] plans, in order.
+    fn room(
+        m: &mut MemoryManager,
+        dev: DeviceId,
+        bytes: u64,
+        policy: PolicyKind,
+    ) -> Result<Vec<TensorId>, MemError> {
+        let mut out = Vec::new();
+        m.make_room_into(dev, bytes, policy, &mut out).map(|()| out)
+    }
+
+    /// [`MemoryManager::plan_fetch_into`]'s action and evictions.
+    fn fetch(
+        m: &mut MemoryManager,
+        id: TensorId,
+        dev: DeviceId,
+    ) -> Result<(FetchAction, Vec<TensorId>), MemError> {
+        let mut out = Vec::new();
+        m.plan_fetch_into(id, dev, Lru, &mut out).map(|a| (a, out))
+    }
+
     #[test]
     fn register_and_alloc_account_capacity() {
         let mut m = mm();
-        let w = m.register_on_host("w", 400, TensorClass::Weight);
+        let w = m.register_on_host(400, TensorClass::Weight);
         assert_eq!(m.info(w).unwrap().residency, Residency::OnHost);
         assert_eq!(m.used(0).unwrap(), 0);
-        let a = m
-            .alloc_on_device("a", 600, TensorClass::Activation, 0)
-            .unwrap();
+        let a = m.alloc_on_device(600, TensorClass::Activation, 0).unwrap();
         assert_eq!(m.used(0).unwrap(), 600);
         assert_eq!(m.free_bytes(0).unwrap(), 400);
         assert_eq!(m.info(a).unwrap().residency, Residency::OnDevice(0));
         // Over-capacity alloc fails.
         assert!(matches!(
-            m.alloc_on_device("b", 500, TensorClass::Activation, 0),
+            m.alloc_on_device(500, TensorClass::Activation, 0),
             Err(MemError::InsufficientMemory { .. })
         ));
     }
@@ -1385,7 +1267,7 @@ mod tests {
     #[test]
     fn swap_in_lifecycle() {
         let mut m = mm();
-        let w = m.register_on_host("w", 400, TensorClass::Weight);
+        let w = m.register_on_host(400, TensorClass::Weight);
         let bytes = m.begin_swap_in(w, 0).unwrap();
         assert_eq!(bytes, 400);
         assert_eq!(m.used(0).unwrap(), 400, "reserved during flight");
@@ -1398,7 +1280,7 @@ mod tests {
     #[test]
     fn swap_out_lifecycle_frees_capacity_at_finish() {
         let mut m = mm();
-        let a = m.alloc_on_device("a", 700, TensorClass::Stash, 0).unwrap();
+        let a = m.alloc_on_device(700, TensorClass::Stash, 0).unwrap();
         let (src, bytes) = m.begin_swap_out(a).unwrap();
         assert_eq!((src, bytes), (0, 700));
         assert_eq!(m.used(0).unwrap(), 700, "still charged in flight");
@@ -1411,9 +1293,7 @@ mod tests {
     #[test]
     fn p2p_counts_separately_from_swaps() {
         let mut m = mm();
-        let a = m
-            .alloc_on_device("a", 300, TensorClass::Activation, 0)
-            .unwrap();
+        let a = m.alloc_on_device(300, TensorClass::Activation, 0).unwrap();
         let (src, bytes) = m.begin_p2p(a, 1).unwrap();
         assert_eq!((src, bytes), (0, 300));
         assert_eq!(m.used(0).unwrap(), 300, "src charged in flight");
@@ -1428,9 +1308,7 @@ mod tests {
     #[test]
     fn cancel_move_reverts_p2p_to_source() {
         let mut m = mm();
-        let a = m
-            .alloc_on_device("a", 300, TensorClass::Activation, 0)
-            .unwrap();
+        let a = m.alloc_on_device(300, TensorClass::Activation, 0).unwrap();
         m.begin_p2p(a, 1).unwrap();
         m.cancel_move_to_device(a).unwrap();
         assert_eq!(m.info(a).unwrap().residency, Residency::OnDevice(0));
@@ -1450,7 +1328,7 @@ mod tests {
     #[test]
     fn cancel_move_reverts_swap_in_to_host() {
         let mut m = mm();
-        let w = m.register_on_host("w", 400, TensorClass::Weight);
+        let w = m.register_on_host(400, TensorClass::Weight);
         m.begin_swap_in(w, 0).unwrap();
         m.cancel_move_to_device(w).unwrap();
         assert_eq!(m.info(w).unwrap().residency, Residency::OnHost);
@@ -1466,7 +1344,7 @@ mod tests {
     #[test]
     fn pinning_blocks_eviction_and_free() {
         let mut m = mm();
-        let a = m.alloc_on_device("a", 300, TensorClass::Weight, 0).unwrap();
+        let a = m.alloc_on_device(300, TensorClass::Weight, 0).unwrap();
         m.pin(a).unwrap();
         assert!(m.begin_swap_out(a).is_err());
         assert!(m.free(a).is_err());
@@ -1479,9 +1357,7 @@ mod tests {
     #[test]
     fn free_releases_without_swap_traffic() {
         let mut m = mm();
-        let a = m
-            .alloc_on_device("a", 300, TensorClass::Activation, 0)
-            .unwrap();
+        let a = m.alloc_on_device(300, TensorClass::Activation, 0).unwrap();
         m.free(a).unwrap();
         assert_eq!(m.used(0).unwrap(), 0);
         assert_eq!(m.stats().total(), 0);
@@ -1492,68 +1368,65 @@ mod tests {
     #[test]
     fn make_room_picks_lru_victims() {
         let mut m = mm();
-        let a = m.alloc_on_device("a", 400, TensorClass::Weight, 0).unwrap();
-        let b = m.alloc_on_device("b", 400, TensorClass::Weight, 0).unwrap();
+        let a = m.alloc_on_device(400, TensorClass::Weight, 0).unwrap();
+        let b = m.alloc_on_device(400, TensorClass::Weight, 0).unwrap();
         m.touch(a).unwrap(); // b is now least recently used
-        let victims = m.make_room(0, 300, Lru).unwrap();
-        assert_eq!(victims, vec![b]);
+        assert_eq!(room(&mut m, 0, 300, Lru).unwrap(), vec![b]);
         // Needs more than one victim.
-        let victims = m.make_room(0, 900, Lru).unwrap();
-        assert_eq!(victims.len(), 2);
+        assert_eq!(room(&mut m, 0, 900, Lru).unwrap().len(), 2);
         // Impossible even with every candidate evicted.
-        assert!(m.make_room(0, 1500, Lru).is_err());
+        assert!(room(&mut m, 0, 1500, Lru).is_err());
     }
 
     #[test]
     fn plan_fetch_covers_all_sources() {
         let mut m = mm();
-        let w = m.register_on_host("w", 500, TensorClass::Weight);
-        let plan = m.plan_fetch(w, 0, Lru).unwrap();
-        assert!(plan.needs_transfer);
-        assert!(plan.src_device.is_none());
-        assert!(plan.evictions.is_empty());
+        let w = m.register_on_host(500, TensorClass::Weight);
+        let (action, evictions) = fetch(&mut m, w, 0).unwrap();
+        assert!(action.needs_transfer);
+        assert!(action.src_device.is_none());
+        assert!(evictions.is_empty());
 
         m.begin_swap_in(w, 0).unwrap();
-        assert!(m.plan_fetch(w, 0, Lru).is_err(), "in flight");
+        assert!(fetch(&mut m, w, 0).is_err(), "in flight");
         m.finish_move_to_device(w).unwrap();
-        let plan = m.plan_fetch(w, 0, Lru).unwrap();
-        assert!(!plan.needs_transfer, "already resident");
+        let (action, _) = fetch(&mut m, w, 0).unwrap();
+        assert!(!action.needs_transfer, "already resident");
 
         // From another device → p2p candidate.
-        let plan = m.plan_fetch(w, 1, Lru).unwrap();
-        assert!(plan.needs_transfer);
-        assert_eq!(plan.src_device, Some(0));
+        let (action, _) = fetch(&mut m, w, 1).unwrap();
+        assert!(action.needs_transfer);
+        assert_eq!(action.src_device, Some(0));
     }
 
     #[test]
     fn plan_fetch_evicts_when_full() {
         let mut m = mm();
-        let a = m.alloc_on_device("a", 900, TensorClass::Stash, 0).unwrap();
-        let w = m.register_on_host("w", 500, TensorClass::Weight);
-        let plan = m.plan_fetch(w, 0, Lru).unwrap();
-        assert_eq!(plan.evictions, vec![a]);
+        let a = m.alloc_on_device(900, TensorClass::Stash, 0).unwrap();
+        let w = m.register_on_host(500, TensorClass::Weight);
+        assert_eq!(fetch(&mut m, w, 0).unwrap().1, vec![a]);
     }
 
     #[test]
     fn next_use_hints_steer_eviction() {
         let mut m = mm();
-        let a = m.alloc_on_device("a", 500, TensorClass::Weight, 0).unwrap();
-        let b = m.alloc_on_device("b", 500, TensorClass::Weight, 0).unwrap();
+        let a = m.alloc_on_device(500, TensorClass::Weight, 0).unwrap();
+        let b = m.alloc_on_device(500, TensorClass::Weight, 0).unwrap();
         // a used again soon, b never again: NextUseAware must evict b even
         // though LRU would evict a.
         m.set_next_use(a, Some(5)).unwrap();
         m.set_next_use(b, None).unwrap();
         m.touch(b).unwrap(); // make a the LRU victim
-        assert_eq!(m.make_room(0, 100, Lru).unwrap(), vec![a]);
-        assert_eq!(m.make_room(0, 100, NextUseAware).unwrap(), vec![b]);
+        assert_eq!(room(&mut m, 0, 100, Lru).unwrap(), vec![a]);
+        assert_eq!(room(&mut m, 0, 100, NextUseAware).unwrap(), vec![b]);
     }
 
     #[test]
     fn peak_usage_tracks_high_water_mark() {
         let mut m = mm();
-        let a = m.alloc_on_device("a", 800, TensorClass::Stash, 0).unwrap();
+        let a = m.alloc_on_device(800, TensorClass::Stash, 0).unwrap();
         m.free(a).unwrap();
-        let _ = m.alloc_on_device("b", 300, TensorClass::Stash, 0).unwrap();
+        let _ = m.alloc_on_device(300, TensorClass::Stash, 0).unwrap();
         assert_eq!(m.peak_used(0).unwrap(), 800);
         assert_eq!(m.used(0).unwrap(), 300);
     }
@@ -1561,7 +1434,7 @@ mod tests {
     #[test]
     fn host_used_tracks_residency() {
         let mut m = mm();
-        let w = m.register_on_host("w", 400, TensorClass::Weight);
+        let w = m.register_on_host(400, TensorClass::Weight);
         assert_eq!(m.host_used(), 400);
         m.begin_swap_in(w, 0).unwrap();
         m.finish_move_to_device(w).unwrap();
@@ -1598,8 +1471,8 @@ mod tests {
                 "incremental host_used diverged from dense re-scan"
             );
         };
-        let w = m.register_on_host("w", 400, TensorClass::Weight);
-        let a = m.alloc_on_device("a", 200, TensorClass::Stash, 0).unwrap();
+        let w = m.register_on_host(400, TensorClass::Weight);
+        let a = m.alloc_on_device(200, TensorClass::Stash, 0).unwrap();
         check(&m);
         m.begin_swap_in(w, 0).unwrap();
         check(&m); // leaving host
@@ -1634,7 +1507,7 @@ mod tests {
         assert!(m.info(99).is_err());
         assert!(m.touch(99).is_err());
         assert!(m.capacity(7).is_err());
-        assert!(m.alloc_on_device("x", 10, TensorClass::Weight, 9).is_err());
+        assert!(m.alloc_on_device(10, TensorClass::Weight, 9).is_err());
     }
 
     /// Replays the policy's own `choose` loop over owned candidate copies
@@ -1652,7 +1525,6 @@ mod tests {
         let infos: Vec<TensorInfo> = m
             .tensor_infos()
             .filter(|t| t.pinned == 0 && t.residency == Residency::OnDevice(dev))
-            .map(|t| t.to_owned_info())
             .collect();
         let mut candidates: Vec<&TensorInfo> = infos.iter().collect();
         let mut victims = Vec::new();
@@ -1681,14 +1553,11 @@ mod tests {
     fn selection_scan_matches_choose_loop_at_scale() {
         // Populations far above the other tests' handful of tensors; 600
         // exceeds the largest resident set any e2ebench workload reaches
-        // at a `make_room` (528, on `tuner-grid`).
+        // at a `make_room_into` (528, on `tuner-grid`).
         for n in [120usize, 600] {
             let mut m = MemoryManager::new(vec![n as u64 * 100]);
             let ids: Vec<TensorId> = (0..n)
-                .map(|i| {
-                    m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
-                        .unwrap()
-                })
+                .map(|_| m.alloc_on_device(100, TensorClass::Stash, 0).unwrap())
                 .collect();
             // Hints with many ties (and some `None`) so the last_use and id
             // tie-breaks decide real picks; touches in a scrambled order so
@@ -1707,7 +1576,7 @@ mod tests {
                 for need in bursts {
                     for policy in [Lru, NextUseAware] {
                         assert_eq!(
-                            m.make_room(0, need, policy),
+                            room(m, 0, need, policy),
                             choose_loop_victims(m, 0, need, policy),
                             "{policy:?} victims diverged from the choose loop \
                              ({n} residents, need {need}, after {what})"
@@ -1752,7 +1621,7 @@ mod tests {
             m.finish_move_to_device(ids[8]).unwrap();
             m.drop_to_host(ids[8]).unwrap();
             verify(&mut m, "drop to host");
-            let tail = m.register_on_host("tail", 100, TensorClass::Weight);
+            let tail = m.register_on_host(100, TensorClass::Weight);
             m.begin_swap_in(tail, 0).unwrap();
             m.finish_move_to_device(tail).unwrap();
             verify(&mut m, "fresh arrival");
@@ -1765,14 +1634,14 @@ mod tests {
         // matching the choose loop as residents leave and re-enter the
         // sorted membership, including a cancelled peer-to-peer move.
         let mut m = mm();
-        let a = m.alloc_on_device("a", 200, TensorClass::Weight, 0).unwrap();
-        let b = m.alloc_on_device("b", 250, TensorClass::Stash, 0).unwrap();
-        let c = m.alloc_on_device("c", 300, TensorClass::Grad, 0).unwrap();
+        let a = m.alloc_on_device(200, TensorClass::Weight, 0).unwrap();
+        let b = m.alloc_on_device(250, TensorClass::Stash, 0).unwrap();
+        let c = m.alloc_on_device(300, TensorClass::Grad, 0).unwrap();
         let verify = |m: &mut MemoryManager, what: &str| {
             for need in [100, 400, 800] {
                 for policy in [Lru, NextUseAware] {
                     assert_eq!(
-                        m.make_room(0, need, policy),
+                        room(m, 0, need, policy),
                         choose_loop_victims(m, 0, need, policy),
                         "{policy:?} victims diverged (need {need}, after {what})"
                     );
@@ -1811,10 +1680,7 @@ mod tests {
         // next-use scan must pick them exactly as the choose loop does.
         let mut m = MemoryManager::new(vec![100_000]);
         let ids: Vec<TensorId> = (0..120)
-            .map(|i| {
-                m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
-                    .unwrap()
-            })
+            .map(|_| m.alloc_on_device(100, TensorClass::Stash, 0).unwrap())
             .collect();
         for (k, &id) in ids.iter().enumerate() {
             let hint = (k % 7 != 0).then_some((k * 3 % 41) as u64);
@@ -1823,7 +1689,7 @@ mod tests {
         let verify = |m: &mut MemoryManager| {
             for need in [88_500, 89_000] {
                 assert_eq!(
-                    m.make_room(0, need, NextUseAware).unwrap(),
+                    room(m, 0, need, NextUseAware).unwrap(),
                     choose_loop_victims(m, 0, need, NextUseAware).unwrap(),
                     "next-use victims diverged from the choose loop"
                 );
@@ -1851,9 +1717,8 @@ mod tests {
     #[test]
     fn into_planning_is_plan_bounded_on_fresh_allocs() {
         let mut m = mm();
-        for i in 0..8 {
-            m.alloc_on_device(&format!("t{i}"), 100, TensorClass::Stash, 0)
-                .unwrap();
+        for _ in 0..8 {
+            m.alloc_on_device(100, TensorClass::Stash, 0).unwrap();
         }
         let mut scratch = Vec::new();
         for policy in [Lru, NextUseAware] {
@@ -1879,7 +1744,7 @@ mod dirty_tests {
     #[test]
     fn fresh_device_tensors_are_dirty_without_host_copy() {
         let mut m = MemoryManager::new(vec![1000]);
-        let a = m.alloc_on_device("a", 100, TensorClass::Stash, 0).unwrap();
+        let a = m.alloc_on_device(100, TensorClass::Stash, 0).unwrap();
         assert!(m.info(a).unwrap().dirty);
         assert!(!m.info(a).unwrap().host_copy_valid);
         assert!(!m.can_drop(a).unwrap());
@@ -1889,7 +1754,7 @@ mod dirty_tests {
     #[test]
     fn swapped_in_weights_are_clean_and_droppable() {
         let mut m = MemoryManager::new(vec![1000]);
-        let w = m.register_on_host("w", 100, TensorClass::Weight);
+        let w = m.register_on_host(100, TensorClass::Weight);
         m.begin_swap_in(w, 0).unwrap();
         m.finish_move_to_device(w).unwrap();
         assert!(m.can_drop(w).unwrap(), "clean + host copy valid");
@@ -1903,7 +1768,7 @@ mod dirty_tests {
     #[test]
     fn marking_dirty_invalidates_host_copy() {
         let mut m = MemoryManager::new(vec![1000]);
-        let w = m.register_on_host("w", 100, TensorClass::Weight);
+        let w = m.register_on_host(100, TensorClass::Weight);
         m.begin_swap_in(w, 0).unwrap();
         m.finish_move_to_device(w).unwrap();
         m.mark_dirty(w).unwrap();
@@ -1918,7 +1783,7 @@ mod dirty_tests {
     #[test]
     fn pinned_tensors_cannot_be_dropped() {
         let mut m = MemoryManager::new(vec![1000]);
-        let w = m.register_on_host("w", 100, TensorClass::Weight);
+        let w = m.register_on_host(100, TensorClass::Weight);
         m.begin_swap_in(w, 0).unwrap();
         m.finish_move_to_device(w).unwrap();
         m.pin(w).unwrap();
@@ -1952,12 +1817,10 @@ mod dirty_tests {
     #[test]
     fn eviction_candidate_order_matches_dense_recomputation() {
         let mut m = MemoryManager::new(vec![1000, 1000]);
-        let a = m.alloc_on_device("a", 100, TensorClass::Weight, 0).unwrap();
-        let b = m
-            .alloc_on_device("b", 200, TensorClass::Activation, 0)
-            .unwrap();
-        let c = m.alloc_on_device("c", 300, TensorClass::Grad, 1).unwrap();
-        let h = m.register_on_host("h", 150, TensorClass::Weight);
+        let a = m.alloc_on_device(100, TensorClass::Weight, 0).unwrap();
+        let b = m.alloc_on_device(200, TensorClass::Activation, 0).unwrap();
+        let c = m.alloc_on_device(300, TensorClass::Grad, 1).unwrap();
+        let h = m.register_on_host(150, TensorClass::Weight);
         assert_index_matches_dense(&m);
 
         m.pin(a).unwrap();
@@ -2001,9 +1864,7 @@ mod dirty_tests {
     #[test]
     fn p2p_move_preserves_dirty_state() {
         let mut m = MemoryManager::new(vec![1000, 1000]);
-        let a = m
-            .alloc_on_device("a", 100, TensorClass::Activation, 0)
-            .unwrap();
+        let a = m.alloc_on_device(100, TensorClass::Activation, 0).unwrap();
         assert!(m.info(a).unwrap().dirty);
         m.begin_p2p(a, 1).unwrap();
         m.finish_move_to_device(a).unwrap();

@@ -73,7 +73,6 @@ mod tests {
     fn info(id: TensorId, last_use: u64, next: Option<u64>) -> TensorInfo {
         TensorInfo {
             id,
-            name: format!("t{id}"),
             bytes: 100,
             class: TensorClass::Weight,
             residency: Residency::OnDevice(0),

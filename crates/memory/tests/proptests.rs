@@ -75,10 +75,10 @@ proptest! {
         for op in ops {
             match op {
                 Op::RegisterHost(b) => {
-                    ids.push(mm.register_on_host("t", b, TensorClass::Weight));
+                    ids.push(mm.register_on_host(b, TensorClass::Weight));
                 }
                 Op::AllocDevice(b, d) => {
-                    if let Ok(id) = mm.alloc_on_device("a", b, TensorClass::Stash, d) {
+                    if let Ok(id) = mm.alloc_on_device(b, TensorClass::Stash, d) {
                         ids.push(id);
                     }
                 }
@@ -169,7 +169,7 @@ proptest! {
         let mut mm = MemoryManager::new(vec![3_000]);
         let mut ids = Vec::new();
         for (i, &b) in sizes.iter().enumerate() {
-            if let Ok(id) = mm.alloc_on_device("a", b, TensorClass::Weight, 0) {
+            if let Ok(id) = mm.alloc_on_device(b, TensorClass::Weight, 0) {
                 if pin_mask.get(i).copied().unwrap_or(false) {
                     mm.pin(id).unwrap();
                 }
@@ -177,9 +177,9 @@ proptest! {
             }
         }
         let result = if use_next_use {
-            mm.make_room(0, need, PolicyKind::NextUseAware)
+            planned_victims(&mut mm, 0, need, PolicyKind::NextUseAware)
         } else {
-            mm.make_room(0, need, PolicyKind::Lru)
+            planned_victims(&mut mm, 0, need, PolicyKind::Lru)
         };
         match result {
             Ok(victims) => {
@@ -255,10 +255,22 @@ fn ix_op_strategy() -> impl Strategy<Value = IxOp> {
     ]
 }
 
+/// The victims [`MemoryManager::make_room_into`] plans, in order.
+fn planned_victims(
+    mm: &mut MemoryManager,
+    dev: usize,
+    bytes: u64,
+    policy: PolicyKind,
+) -> Result<Vec<TensorId>, MemError> {
+    let mut out = Vec::new();
+    mm.make_room_into(dev, bytes, policy, &mut out)
+        .map(|()| out)
+}
+
 /// Dense recomputation of the seed-era `make_room` semantics through the
 /// public API: filter-and-sort the candidate set, then re-offer the
 /// shrinking owned snapshot to `policy.choose` once per victim.
-fn dense_make_room(
+fn dense_victims(
     mm: &MemoryManager,
     dev: usize,
     bytes: u64,
@@ -268,7 +280,6 @@ fn dense_make_room(
     let infos: Vec<TensorInfo> = mm
         .tensor_infos()
         .filter(|t| t.pinned == 0 && t.residency == Residency::OnDevice(dev))
-        .map(|t| t.to_owned_info())
         .collect();
     let mut candidates: Vec<&TensorInfo> = infos.iter().collect();
     let mut victims = Vec::new();
@@ -340,10 +351,10 @@ proptest! {
         for op in ops {
             match op {
                 IxOp::RegisterHost(b) => {
-                    ids.push(mm.register_on_host("t", b, TensorClass::Weight));
+                    ids.push(mm.register_on_host(b, TensorClass::Weight));
                 }
                 IxOp::AllocDevice(b, d) => {
-                    if let Ok(id) = mm.alloc_on_device("a", b, TensorClass::Stash, d) {
+                    if let Ok(id) = mm.alloc_on_device(b, TensorClass::Stash, d) {
                         ids.push(id);
                     }
                 }
@@ -427,8 +438,8 @@ proptest! {
                     } else {
                         PolicyKind::Lru
                     };
-                    let dense = dense_make_room(&mm, d, b, policy);
-                    let fast = mm.make_room(d, b, policy);
+                    let dense = dense_victims(&mm, d, b, policy);
+                    let fast = planned_victims(&mut mm, d, b, policy);
                     prop_assert_eq!(
                         &fast, &dense,
                         "make_room diverged from dense recompute \
@@ -455,12 +466,12 @@ proptest! {
         for (d, &cap) in caps.iter().enumerate() {
             for need in [1u64, cap / 2, cap] {
                 prop_assert_eq!(
-                    mm.make_room(d, need, PolicyKind::Lru),
-                    dense_make_room(&mm, d, need, PolicyKind::Lru)
+                    planned_victims(&mut mm, d, need, PolicyKind::Lru),
+                    dense_victims(&mm, d, need, PolicyKind::Lru)
                 );
                 prop_assert_eq!(
-                    mm.make_room(d, need, PolicyKind::NextUseAware),
-                    dense_make_room(&mm, d, need, PolicyKind::NextUseAware)
+                    planned_victims(&mut mm, d, need, PolicyKind::NextUseAware),
+                    dense_victims(&mm, d, need, PolicyKind::NextUseAware)
                 );
             }
         }

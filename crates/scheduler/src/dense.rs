@@ -320,9 +320,8 @@ impl<'a> ReferenceExecutor<'a> {
         let mut register = |mm: &mut MemoryManager, ids: &mut HashMap<Key, TensorId>, key: Key| {
             let rf = key.2;
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
-            let name = TensorLabel(key.1, rf).to_string();
-            let sym = trace.symbols.push(&name);
-            let id = mm.register_on_host(&name, bytes, rf.class());
+            let sym = trace.symbols.push(&TensorLabel(key.1, rf).to_string());
+            let id = mm.register_on_host(bytes, rf.class());
             labels.insert(id, sym);
             ids.insert(key, id);
         };
@@ -1449,11 +1448,12 @@ impl<'a> ReferenceExecutor<'a> {
                         }
                         Residency::OnDevice(src) => {
                             // Needs to come from a peer GPU.
-                            let plan = match self.mm.plan_fetch(id, g, self.plan.scheme.policy) {
-                                Ok(p) => p,
-                                Err(e) => return self.spill_guard(g, slot, step_id, e),
-                            };
-                            let evs = self.issue_evictions(g, step_id, &plan.evictions)?;
+                            let mut victims = Vec::new();
+                            let policy = self.plan.scheme.policy;
+                            if let Err(e) = self.mm.plan_fetch_into(id, g, policy, &mut victims) {
+                                return self.spill_guard(g, slot, step_id, e);
+                            }
+                            let evs = self.issue_evictions(g, step_id, &victims)?;
                             if !evs.is_empty() {
                                 self.step_mut(g, slot)
                                     .expect(
@@ -1539,11 +1539,12 @@ impl<'a> ReferenceExecutor<'a> {
                             }
                         }
                         Residency::OnHost => {
-                            let plan = match self.mm.plan_fetch(id, g, self.plan.scheme.policy) {
-                                Ok(p) => p,
-                                Err(e) => return self.spill_guard(g, slot, step_id, e),
-                            };
-                            let evs = self.issue_evictions(g, step_id, &plan.evictions)?;
+                            let mut victims = Vec::new();
+                            let policy = self.plan.scheme.policy;
+                            if let Err(e) = self.mm.plan_fetch_into(id, g, policy, &mut victims) {
+                                return self.spill_guard(g, slot, step_id, e);
+                            }
+                            let evs = self.issue_evictions(g, step_id, &victims)?;
                             if !evs.is_empty() {
                                 self.step_mut(g, slot)
                                     .expect(
@@ -1590,7 +1591,7 @@ impl<'a> ReferenceExecutor<'a> {
                         Residency::Dead => {
                             return Err(ExecError::Plan(format!(
                                 "task needs dead tensor {}",
-                                self.mm.info(id)?.name
+                                self.trace.symbols.resolve(self.tensor_sym(id)?)
                             )))
                         }
                     }
@@ -1620,10 +1621,11 @@ impl<'a> ReferenceExecutor<'a> {
                     let cfg = self.plan.graph.config();
                     let bytes = key.2.bytes(self.model, cfg.ubatch_size, cfg.opt_slots);
                     if self.mm.free_bytes(g)? < bytes {
-                        let victims = match self.mm.make_room(g, bytes, self.plan.scheme.policy) {
-                            Ok(v) => v,
-                            Err(e) => return self.spill_guard(g, slot, step_id, e),
-                        };
+                        let mut victims = Vec::new();
+                        let policy = self.plan.scheme.policy;
+                        if let Err(e) = self.mm.make_room_into(g, bytes, policy, &mut victims) {
+                            return self.spill_guard(g, slot, step_id, e);
+                        }
                         let evs = self.issue_evictions(g, step_id, &victims)?;
                         if !evs.is_empty() {
                             self.step_mut(g, slot)
@@ -1636,9 +1638,11 @@ impl<'a> ReferenceExecutor<'a> {
                         }
                         // All victims dropped instantly; room is free now.
                     }
-                    let name = TensorLabel(key.1, key.2).to_string();
-                    let sym = self.trace.symbols.push(&name);
-                    let id = match self.mm.alloc_on_device(&name, bytes, key.2.class(), g) {
+                    let sym = self
+                        .trace
+                        .symbols
+                        .push(&TensorLabel(key.1, key.2).to_string());
+                    let id = match self.mm.alloc_on_device(bytes, key.2.class(), g) {
                         Ok(id) => id,
                         Err(e) => return self.spill_guard(g, slot, step_id, e),
                     };

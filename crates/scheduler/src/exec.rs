@@ -772,22 +772,14 @@ fn reserved<T>(n: usize) -> Result<Vec<T>, ExecError> {
 }
 
 impl<'a> SimExecutor<'a> {
-    /// Prepares an executor: registers all persistent tensors (weights,
-    /// gradient buffers, optimizer state per replica; inputs per
-    /// microbatch) in host memory, as a framework would before training.
-    pub fn new(
-        topo: &'a Topology,
-        model: &'a ModelSpec,
-        plan: &'a ExecutionPlan,
-    ) -> Result<Self, ExecError> {
-        Self::with_iterations(topo, model, plan, 1)
-    }
-
-    /// Like [`SimExecutor::new`] but replays the plan `iterations` times
-    /// back-to-back (fresh inputs and transients each iteration, shared
-    /// persistent state). Consecutive iterations pipeline across GPUs,
-    /// so the summary's totals divided by `iterations` approach the
-    /// steady-state per-iteration figures without cold-start edges.
+    /// Prepares an executor that replays the plan `iterations` times
+    /// back-to-back: registers all persistent tensors (weights, gradient
+    /// buffers, optimizer state per replica; inputs per microbatch) in
+    /// host memory, as a framework would before training. Each iteration
+    /// gets fresh inputs and transients and shares the persistent state.
+    /// Consecutive iterations pipeline across GPUs, so the summary's
+    /// totals divided by `iterations` approach the steady-state
+    /// per-iteration figures without cold-start edges.
     pub fn with_iterations(
         topo: &'a Topology,
         model: &'a ModelSpec,
@@ -930,7 +922,7 @@ impl<'a> SimExecutor<'a> {
                             rf: TensorRef| {
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
             let sym = intern_ref(&mut trace, &mut ref_syms, ks, replica, rf);
-            let id = mm.register_on_host(trace.symbols.resolve(sym), bytes, rf.class());
+            let id = mm.register_on_host(bytes, rf.class());
             debug_assert_eq!(id as usize, labels.len(), "tensor ids must be sequential");
             labels.push(sym);
             ids[ks.key_ix(iter, replica, rf)] = Some(id);
@@ -1757,15 +1749,9 @@ impl<'a> SimExecutor<'a> {
         Ok(())
     }
 
-    /// Runs the plan to completion; returns the run summary and trace.
-    pub fn run(self) -> Result<(RunSummary, Trace), ExecError> {
-        let (summary, trace, _) = self.run_counted()?;
-        Ok((summary, trace))
-    }
-
-    /// Like [`SimExecutor::run`], but also returns the event-loop's
-    /// structural [`ExecCounters`]. Dense-reference mode is delegated to
-    /// the frozen executor.
+    /// Runs the plan to completion; returns the run summary, the trace
+    /// and the event loop's structural [`ExecCounters`]. Dense-reference
+    /// mode is delegated to the frozen executor.
     pub fn run_counted(mut self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         if self.dense {
             return self.run_dense();
@@ -2399,7 +2385,7 @@ impl<'a> SimExecutor<'a> {
                     Residency::Dead => {
                         return Err(ExecError::Plan(format!(
                             "task needs dead tensor {}",
-                            self.mm.info(id)?.name
+                            self.trace.symbols.resolve(self.tensor_sym(id)?)
                         )))
                     }
                 }
@@ -2430,8 +2416,7 @@ impl<'a> SimExecutor<'a> {
                     // All victims dropped instantly; room is free now.
                 }
                 let sym = intern_ref(&mut self.trace, &mut self.ref_syms, self.ks, replica, ct.rf);
-                let name = self.trace.symbols.resolve(sym);
-                let id = match self.mm.alloc_on_device(name, bytes, ct.rf.class(), g) {
+                let id = match self.mm.alloc_on_device(bytes, ct.rf.class(), g) {
                     Ok(id) => id,
                     Err(e) => return self.spill_guard(g, slot, step_id, e),
                 };
@@ -2978,7 +2963,7 @@ mod tests {
         let model = tiny_model();
         let topo = tiny_topo();
         let plan = plan_baseline_dp(&model, 1, &tiny_workload()).unwrap();
-        let mut ex = SimExecutor::new(&topo, &model, &plan).unwrap();
+        let mut ex = SimExecutor::with_iterations(&topo, &model, &plan, 1).unwrap();
         let mut constructed = false;
         ex.emit_with(|| {
             constructed = true;
@@ -3001,7 +2986,7 @@ mod tests {
         let model = tiny_model();
         let topo = tiny_topo();
         let plan = plan_baseline_dp(&model, 1, &tiny_workload()).unwrap();
-        let mut ex = SimExecutor::new(&topo, &model, &plan).unwrap();
+        let mut ex = SimExecutor::with_iterations(&topo, &model, &plan, 1).unwrap();
         let seen = std::rc::Rc::new(std::cell::Cell::new(0));
         ex.attach_observer(Box::new(Counter(seen.clone())));
         let mut constructed = false;

@@ -226,6 +226,6 @@ mod tests {
         );
         let model = TransformerConfig::tiny().build();
         let topo = harmony_topology::presets::commodity_4x1080ti();
-        assert!(crate::SimExecutor::new(&topo, &model, &plan).is_err());
+        assert!(crate::SimExecutor::with_iterations(&topo, &model, &plan, 1).is_err());
     }
 }

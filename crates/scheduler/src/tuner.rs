@@ -126,10 +126,12 @@ where
             .and_then(|_| {
                 planner(model, &w)
                     .map_err(ExecError::Plan)
-                    .and_then(|plan| SimExecutor::new(topo, model, &plan)?.run())
+                    .and_then(|plan| {
+                        SimExecutor::with_iterations(topo, model, &plan, 1)?.run_counted()
+                    })
                     .ok()
             })
-            .map(|(s, _)| s);
+            .map(|(s, _, _)| s);
         TunePoint {
             pack_size: pack,
             microbatches: m,

@@ -59,36 +59,36 @@ fn workload(m: usize) -> WorkloadConfig {
 
 fn run_dp_baseline(model: &ModelSpec, topo: &Topology, m: usize) -> RunSummary {
     let plan = plan_baseline_dp(model, topo.num_gpus(), &workload(m)).unwrap();
-    SimExecutor::new(topo, model, &plan)
+    SimExecutor::with_iterations(topo, model, &plan, 1)
         .unwrap()
-        .run()
+        .run_counted()
         .unwrap()
         .0
 }
 
 fn run_dp_harmony(model: &ModelSpec, topo: &Topology, m: usize) -> RunSummary {
     let plan = plan_harmony_dp(model, topo.num_gpus(), &workload(m)).unwrap();
-    SimExecutor::new(topo, model, &plan)
+    SimExecutor::with_iterations(topo, model, &plan, 1)
         .unwrap()
-        .run()
+        .run_counted()
         .unwrap()
         .0
 }
 
 fn run_pp_baseline(model: &ModelSpec, topo: &Topology, m: usize) -> RunSummary {
     let plan = plan_baseline_pp(model, topo.num_gpus(), &workload(m)).unwrap();
-    SimExecutor::new(topo, model, &plan)
+    SimExecutor::with_iterations(topo, model, &plan, 1)
         .unwrap()
-        .run()
+        .run_counted()
         .unwrap()
         .0
 }
 
 fn run_pp_harmony(model: &ModelSpec, topo: &Topology, m: usize) -> RunSummary {
     let plan = plan_harmony_pp(model, topo.num_gpus(), &workload(m)).unwrap();
-    SimExecutor::new(topo, model, &plan)
+    SimExecutor::with_iterations(topo, model, &plan, 1)
         .unwrap()
-        .run()
+        .run_counted()
         .unwrap()
         .0
 }
@@ -335,9 +335,9 @@ fn oversized_working_set_reports_insufficient_memory() {
     let model = uniform_model(2, 256 * 1024); // 1 MiB weights/layer, 4 MiB update set
     let topo = pressured_topo(1, 2 * 1024 * 1024);
     let plan = plan_baseline_dp(&model, 1, &workload(1)).unwrap();
-    let err = SimExecutor::new(&topo, &model, &plan)
+    let err = SimExecutor::with_iterations(&topo, &model, &plan, 1)
         .unwrap()
-        .run()
+        .run_counted()
         .unwrap_err();
     assert!(matches!(err, harmony_sched::ExecError::Mem(_)), "got {err}");
 }
@@ -350,9 +350,9 @@ mod prefetch {
         if prefetch {
             plan.scheme = plan.scheme.clone().with_prefetch();
         }
-        SimExecutor::new(topo, model, &plan)
+        SimExecutor::with_iterations(topo, model, &plan, 1)
             .unwrap()
-            .run()
+            .run_counted()
             .unwrap()
             .0
     }
@@ -455,7 +455,7 @@ mod multi_iteration {
         let run_k = |k: u32| {
             SimExecutor::with_iterations(&topo, &model, &plan, k)
                 .unwrap()
-                .run()
+                .run_counted()
                 .unwrap()
                 .0
         };
@@ -490,7 +490,7 @@ mod multi_iteration {
         let plan = plan_baseline_dp(&model, n, &w_cfg).unwrap();
         let s = SimExecutor::with_iterations(&topo, &model, &plan, 4)
             .unwrap()
-            .run()
+            .run_counted()
             .unwrap()
             .0;
         let w = model.total_weight_bytes();
@@ -513,13 +513,13 @@ mod multi_iteration {
         let plan = plan_harmony_pp(&model, 4, &workload(1)).unwrap();
         let t1 = SimExecutor::with_iterations(&topo, &model, &plan, 1)
             .unwrap()
-            .run()
+            .run_counted()
             .unwrap()
             .0
             .sim_secs;
         let t2 = SimExecutor::with_iterations(&topo, &model, &plan, 2)
             .unwrap()
-            .run()
+            .run_counted()
             .unwrap()
             .0
             .sim_secs;
@@ -542,8 +542,8 @@ mod multi_iteration {
         let run = || {
             SimExecutor::with_iterations(&topo, &model, &plan, 3)
                 .unwrap()
-                .run()
-                .map(|(s, _)| (s.sim_secs.to_bits(), s.global_swap()))
+                .run_counted()
+                .map(|(s, _, _)| (s.sim_secs.to_bits(), s.global_swap()))
                 .unwrap()
         };
         assert_eq!(run(), run());
@@ -717,9 +717,9 @@ fn cross_gpu_circular_wait_is_reported_as_stuck() {
     };
     plan.validate().unwrap();
     let topo = pressured_topo(2, 16 * GPU_MEM);
-    let err = SimExecutor::new(&topo, &model, &plan)
+    let err = SimExecutor::with_iterations(&topo, &model, &plan, 1)
         .unwrap()
-        .run()
+        .run_counted()
         .unwrap_err();
     assert!(
         matches!(err, harmony_sched::ExecError::Stuck(_)),
@@ -734,8 +734,10 @@ mod resilience {
     //! summary reports a typed `ResilienceOutcome` — all bit-for-bit
     //! deterministic for a fixed seed, and byte-invisible on clean runs.
     use super::*;
-    use harmony_sched::{ExecError, Fault, TimedFault};
-    use harmony_topology::Endpoint;
+    use harmony_sched::{ExecContext, ExecError, ExecEvent, ExecObserver, Fault, TimedFault};
+    use harmony_topology::{ChannelId, Endpoint};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Clean reference duration of a scheme, to place faults mid-run.
     fn clean_secs(model: &ModelSpec, topo: &Topology, m: usize) -> f64 {
@@ -750,12 +752,12 @@ mod resilience {
         resilience: Option<u64>,
     ) -> Result<(RunSummary, String), ExecError> {
         let plan = plan_harmony_pp(model, topo.num_gpus(), &workload(m)).unwrap();
-        let mut ex = SimExecutor::new(topo, model, &plan)?;
+        let mut ex = SimExecutor::with_iterations(topo, model, &plan, 1)?;
         ex.inject_faults(faults)?;
         if let Some(seed) = resilience {
             ex.enable_resilience(seed);
         }
-        let (mut summary, trace) = ex.run()?;
+        let (mut summary, trace, _) = ex.run_counted()?;
         summary.elapsed_secs = 0.0;
         summary.setup_secs = 0.0;
         let tj = trace.to_json();
@@ -801,21 +803,9 @@ mod resilience {
         assert_eq!(trace_a, trace_b);
     }
 
-    /// Degrading a channel of an inter-GPU route to 10% while a p2p move
-    /// is in flight cancels the move and re-fetches via host bounce. A
-    /// clean probe run records when p2p transfers are issued (and over
-    /// which route); the fault then lands a hair after one of those
-    /// instants — guaranteed mid-flight, since execution is identical up
-    /// to the fault time. Every faulted run must complete, and at least
-    /// one must report a rerouted transfer.
-    #[test]
-    fn degraded_link_cancels_and_reroutes_p2p() {
-        use harmony_sched::{ExecContext, ExecEvent, ExecObserver};
-        use harmony_topology::ChannelId;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        // Issue instants of inter-GPU transfers: (virtual time, channel).
+    /// Issue instants of a clean run's inter-GPU transfers, with the
+    /// first channel of each route, in issue order.
+    fn p2p_issues(model: &ModelSpec, topo: &Topology, m: usize) -> Vec<(f64, ChannelId)> {
         #[derive(Debug)]
         struct P2pProbe {
             inter_gpu: Vec<Route>,
@@ -831,9 +821,7 @@ mod resilience {
             }
         }
 
-        let model = uniform_model(8, PARAMS);
-        let topo = pressured_topo(4, GPU_MEM);
-        let plan = plan_harmony_pp(&model, topo.num_gpus(), &workload(2)).unwrap();
+        let plan = plan_harmony_pp(model, topo.num_gpus(), &workload(m)).unwrap();
         let mut inter_gpu = Vec::new();
         for a in 0..topo.num_gpus() {
             for b in 0..topo.num_gpus() {
@@ -843,13 +831,29 @@ mod resilience {
             }
         }
         let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut probe_ex = SimExecutor::new(&topo, &model, &plan).unwrap();
+        let mut probe_ex = SimExecutor::with_iterations(topo, model, &plan, 1).unwrap();
         probe_ex.attach_observer(Box::new(P2pProbe {
             inter_gpu,
             seen: seen.clone(),
         }));
-        probe_ex.run().unwrap();
-        let candidates: Vec<(f64, ChannelId)> = seen.borrow().iter().copied().take(16).collect();
+        probe_ex.run_counted().unwrap();
+        let issues = seen.borrow().clone();
+        issues
+    }
+
+    /// Degrading a channel of an inter-GPU route to 10% while a p2p move
+    /// is in flight cancels the move and re-fetches via host bounce. A
+    /// clean probe run records when p2p transfers are issued (and over
+    /// which route); the fault then lands a hair after one of those
+    /// instants — guaranteed mid-flight, since execution is identical up
+    /// to the fault time. Every faulted run must complete, and at least
+    /// one must report a rerouted transfer.
+    #[test]
+    fn degraded_link_cancels_and_reroutes_p2p() {
+        let model = uniform_model(8, PARAMS);
+        let topo = pressured_topo(4, GPU_MEM);
+        let candidates: Vec<(f64, ChannelId)> =
+            p2p_issues(&model, &topo, 2).into_iter().take(16).collect();
         assert!(
             !candidates.is_empty(),
             "harmony-pp on 4 GPUs must issue inter-GPU transfers"
@@ -873,6 +877,93 @@ mod resilience {
             rerouted_total > 0,
             "no candidate instant rerouted — cancellation path never engaged"
         );
+    }
+
+    /// What a run's resilience events said: spill and reroute counts, and
+    /// every applied fault stamped with the instant it was applied.
+    #[derive(Debug, Default)]
+    struct ResilienceLog {
+        spills: u64,
+        reroutes: u64,
+        applied: Vec<TimedFault>,
+    }
+
+    #[derive(Debug)]
+    struct ResilienceProbe(Rc<RefCell<ResilienceLog>>);
+
+    impl ExecObserver for ResilienceProbe {
+        fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent) {
+            let mut log = self.0.borrow_mut();
+            match *event {
+                ExecEvent::PressureSpill { .. } => log.spills += 1,
+                ExecEvent::TransferRerouted { .. } => log.reroutes += 1,
+                ExecEvent::FaultApplied { fault } => log.applied.push(TimedFault {
+                    at: ctx.sim.now(),
+                    fault,
+                }),
+                _ => {}
+            }
+        }
+    }
+
+    /// The resilience events agree with the outcome the summary reports,
+    /// on both executors: one `PressureSpill` per spill event, one
+    /// `TransferRerouted` per rerouted transfer, and one `FaultApplied`
+    /// per injected fault, at its instant and in time order. The cell:
+    /// harmony-pp, 8 uniform layers, 4 pressured GPUs, m = 2, resilience
+    /// seed 7, with two faults injected in reverse time order — channel 0
+    /// (the first hop of the clean run's first inter-GPU transfer) cut to
+    /// 10% 0.1 µs after that transfer is issued, and GPU 2 squeezed to 1%
+    /// at 5% of the clean makespan, before it. It spills three times and
+    /// reroutes once.
+    #[test]
+    fn resilience_events_match_the_reported_outcome() {
+        let model = uniform_model(8, PARAMS);
+        let topo = pressured_topo(4, GPU_MEM);
+        let (first_p2p, channel) = p2p_issues(&model, &topo, 2)[0];
+        let faults = [
+            TimedFault {
+                at: first_p2p + 1e-7,
+                fault: Fault::LinkBandwidth {
+                    channel,
+                    factor: 0.1,
+                },
+            },
+            TimedFault {
+                at: run_pp_harmony(&model, &topo, 2).sim_secs * 0.05,
+                fault: Fault::CapacitySqueeze {
+                    gpu: 2,
+                    factor: 0.01,
+                },
+            },
+        ];
+        let mut in_time_order = faults.to_vec();
+        in_time_order.sort_by(|a, b| a.at.total_cmp(&b.at));
+        assert_ne!(in_time_order, faults, "injected out of time order");
+        let plan = plan_harmony_pp(&model, topo.num_gpus(), &workload(2)).unwrap();
+        for dense in [false, true] {
+            let log = Rc::new(RefCell::new(ResilienceLog::default()));
+            let mut ex = SimExecutor::with_iterations(&topo, &model, &plan, 1).unwrap();
+            if dense {
+                ex.use_dense_advance();
+            }
+            ex.inject_faults(&faults).unwrap();
+            ex.enable_resilience(7);
+            ex.attach_observer(Box::new(ResilienceProbe(log.clone())));
+            let (summary, _, _) = ex.run_counted().unwrap();
+            let out = summary.resilience.expect("outcome populated");
+            let log = log.borrow();
+            assert!(
+                out.spill_events > 0 && out.rerouted_transfers > 0,
+                "dense {dense}: the cell must spill and reroute: {out:?}"
+            );
+            assert_eq!(log.spills, out.spill_events, "dense {dense}: spills");
+            assert_eq!(
+                log.reroutes, out.rerouted_transfers,
+                "dense {dense}: reroutes"
+            );
+            assert_eq!(log.applied, in_time_order, "dense {dense}: applied faults");
+        }
     }
 
     /// Byte-invisibility on clean runs: with no faults injected, arming
@@ -1041,7 +1132,7 @@ fn done_predicate_tracks_task_lifecycle_on_both_loops() {
             started: started.clone(),
             finished: finished.clone(),
         }));
-        ex.run().unwrap();
+        ex.run_counted().unwrap();
         assert_eq!(started.get(), tasks, "dense loop: {dense}");
         assert_eq!(finished.get(), tasks, "dense loop: {dense}");
     }
@@ -1125,7 +1216,7 @@ fn data_parallel_fetch_targets_do_not_grow_with_gpus() {
                     .map(|t| g.reads(t).len() + g.fresh_writes(t).len())
                     .chain(g.packs().iter().map(|p| p.len()))
                     .sum::<usize>() as u64;
-                let (_, _, c) = SimExecutor::new(&topo, &model, &plan)
+                let (_, _, c) = SimExecutor::with_iterations(&topo, &model, &plan, 1)
                     .unwrap()
                     .run_counted()
                     .unwrap();
@@ -1177,7 +1268,7 @@ fn lru_runs_push_no_next_use_hints() {
             let seen = std::rc::Rc::new(std::cell::Cell::new(false));
             let mut ex = SimExecutor::with_iterations(&topo, &model, &plan, 2).unwrap();
             ex.attach_observer(Box::new(HintProbe(seen.clone())));
-            ex.run().unwrap();
+            ex.run_counted().unwrap();
             assert_eq!(
                 seen.get(),
                 policy == PolicyKind::NextUseAware,

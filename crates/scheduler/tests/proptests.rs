@@ -86,8 +86,8 @@ proptest! {
             gpu_flops: 1e9,
         }).unwrap();
         let plan = plan_harmony_pp(&model, n, &w).unwrap();
-        match SimExecutor::new(&topo, &model, &plan).and_then(|e| e.run()) {
-            Ok((summary, _)) => {
+        match SimExecutor::with_iterations(&topo, &model, &plan, 1).and_then(|e| e.run_counted()) {
+            Ok((summary, _, _)) => {
                 prop_assert!(summary.sim_secs > 0.0);
                 for g in 0..n {
                     prop_assert!(summary.peak_mem_bytes[g] <= mem_kib * 1024);
@@ -115,9 +115,9 @@ proptest! {
         }).unwrap();
         let plan = plan_harmony_dp(&model, 2, &w).unwrap();
         let run = || {
-            SimExecutor::new(&topo, &model, &plan)
-                .and_then(|e| e.run())
-                .map(|(s, _)| (s.sim_secs.to_bits(), s.global_swap(), s.p2p_bytes))
+            SimExecutor::with_iterations(&topo, &model, &plan, 1)
+                .and_then(|e| e.run_counted())
+                .map(|(s, _, _)| (s.sim_secs.to_bits(), s.global_swap(), s.p2p_bytes))
                 .map_err(|e| e.to_string())
         };
         prop_assert_eq!(run(), run());

@@ -67,7 +67,7 @@ fn setup_allocs(model: &ModelSpec, planner: Planner, pack: usize, m: usize) -> (
     };
     let before = allocs();
     let plan = planner(model, topo.num_gpus(), &w).unwrap();
-    let exec = SimExecutor::new(&topo, model, &plan).unwrap();
+    let exec = SimExecutor::with_iterations(&topo, model, &plan, 1).unwrap();
     let n = allocs() - before;
     drop(exec);
     (plan.graph.num_tasks(), n)

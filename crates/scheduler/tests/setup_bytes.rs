@@ -7,12 +7,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use harmony_memory::PolicyKind;
 use harmony_models::{cnn, ModelSpec};
-use harmony_sched::{
-    plan_baseline_dp, plan_harmony_dp, plan_harmony_pp, ExecutionPlan, SimExecutor, WorkloadConfig,
-};
+use harmony_sched::{plan_harmony_dp, plan_harmony_pp, ExecutionPlan, SimExecutor, WorkloadConfig};
 use harmony_taskgraph::GraphError;
 use harmony_topology::presets::{self, CommodityParams, GBPS, GIB};
+use harmony_topology::Topology;
 
 /// Counts bytes allocated (fresh, and the growth of a reallocation) by the
 /// current thread, so the test harness's other threads cannot disturb the
@@ -61,18 +61,12 @@ fn bytes() -> u64 {
 
 type Planner = fn(&ModelSpec, usize, &WorkloadConfig) -> Result<ExecutionPlan, GraphError>;
 
-/// Bytes allocated by building `repro custom`'s server (every GPU under
-/// one switch) for `gpus` GPUs plus the executor of a lenet plan with 4
-/// microbatches. Planning itself is not counted.
-fn setup_bytes_of(planner: Planner, gpus: usize) -> u64 {
-    let model = cnn::lenet();
-    let w = WorkloadConfig {
-        microbatches: 4,
-        ..WorkloadConfig::default()
-    };
-    let plan = planner(&model, gpus, &w).unwrap();
-    let before = bytes();
-    let topo = presets::commodity_server(CommodityParams {
+/// Microbatches of every plan measured here.
+const MICROBATCHES: usize = 4;
+
+/// `repro custom`'s server: every GPU under one switch.
+fn server(gpus: usize) -> Topology {
+    presets::commodity_server(CommodityParams {
         num_gpus: gpus,
         gpus_per_switch: gpus,
         pcie_bw: 12.0 * GBPS,
@@ -80,11 +74,33 @@ fn setup_bytes_of(planner: Planner, gpus: usize) -> u64 {
         gpu_mem: 11 * GIB,
         gpu_flops: 11.3e12,
     })
-    .unwrap();
-    let exec = SimExecutor::with_iterations(&topo, &model, &plan, 1).unwrap();
+    .unwrap()
+}
+
+/// A lenet plan for `gpus` GPUs with [`MICROBATCHES`] microbatches.
+fn lenet_plan(planner: Planner, gpus: usize) -> ExecutionPlan {
+    let w = WorkloadConfig {
+        microbatches: MICROBATCHES,
+        ..WorkloadConfig::default()
+    };
+    planner(&cnn::lenet(), gpus, &w).unwrap()
+}
+
+/// Bytes allocated by building [`server`] for the plan's GPUs plus the
+/// plan's one-iteration executor. Planning itself is not counted.
+fn build_bytes(plan: &ExecutionPlan) -> u64 {
+    let model = cnn::lenet();
+    let before = bytes();
+    let topo = server(plan.queues.len());
+    let exec = SimExecutor::with_iterations(&topo, &model, plan, 1).unwrap();
     let n = bytes() - before;
     drop(exec);
     n
+}
+
+/// [`build_bytes`] of a lenet plan for `gpus` GPUs.
+fn setup_bytes_of(planner: Planner, gpus: usize) -> u64 {
+    build_bytes(&lenet_plan(planner, gpus))
 }
 
 /// [`setup_bytes_of`] a lenet harmony-pp plan.
@@ -139,17 +155,39 @@ fn data_parallel_next_use_table_allocates_linearly_in_gpus() {
 
 #[test]
 fn lru_builds_no_next_use_table() {
-    // Baseline-DP evicts by LRU, whose victim key reads no next-use hint,
-    // so its build reserves no future-use runs; Harmony-DP's next-use-aware
-    // build does. The two plans have the same queue length, so the same
-    // queue arena and span reservation. When every build held the table,
-    // both measured 18.44 MB at 512 GPUs.
-    let lru = setup_bytes_of(plan_baseline_dp, 512);
-    let hinted = setup_bytes_of(plan_harmony_dp, 512);
-    let ratio = lru as f64 / hinted as f64;
-    println!("512 GPUs: baseline-dp {lru} B; harmony-dp {hinted} B; ratio {ratio:.3}");
+    // One lenet harmony-dp plan at 512 GPUs, built under each policy. LRU's
+    // victim key reads no next-use hint, so its build reserves no
+    // future-use planes, and nothing else in the build depends on the
+    // policy: the byte difference is exactly an 8 B entry per future use
+    // and a 4 B run cursor per tensor key. A one-iteration plan has
+    // `3L + 4LU + U` keys per replica (weights, gradients and optimizer
+    // state per layer; activations, their gradients, stashes and weight
+    // stashes per layer and microbatch; inputs per microbatch).
+    let mut plan = lenet_plan(plan_harmony_dp, 512);
+    plan.scheme.policy = PolicyKind::NextUseAware;
+    let hinted = build_bytes(&plan);
+    let topo = server(512);
+    let future_uses = SimExecutor::with_iterations(&topo, &cnn::lenet(), &plan, 1)
+        .unwrap()
+        .run_counted()
+        .unwrap()
+        .2
+        .future_uses;
+    plan.scheme.policy = PolicyKind::Lru;
+    let lru = build_bytes(&plan);
+    let (l, u) = (cnn::lenet().layers.len(), MICROBATCHES);
+    let keys = (plan.replicas * (3 * l + 4 * l * u + u)) as u64;
+    println!(
+        "harmony-dp 512 GPUs: next-use-aware {hinted} B; LRU {lru} B; \
+         {future_uses} future uses, {keys} keys"
+    );
     assert!(
-        ratio <= 0.9,
-        "baseline-dp's build allocated {ratio:.3}x harmony-dp's ({lru} B vs {hinted} B)"
+        future_uses > 0,
+        "a next-use-aware build records future uses"
+    );
+    assert_eq!(
+        hinted - lru,
+        8 * future_uses + 4 * keys,
+        "the policies' builds differ by more than the future-use planes"
     );
 }

@@ -72,15 +72,14 @@ impl ResilienceOutcome {
 /// `fresh_allocs` is the no-per-fetch-allocation witness: planning
 /// through the `_into` API on the fast core allocates nothing, so a run
 /// that plans that way reports zero. `fresh_allocs` and
-/// `candidate_scans` grow only on the dense reference core and through
-/// the allocating `make_room` / `plan_fetch` wrappers. The harness's
+/// `candidate_scans` grow only on the dense reference core. The harness's
 /// work-ceiling test (`tests/work_ceilings.rs`) holds every counter but
 /// `victim_pops` at or below a committed per-run ceiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemCounters {
-    /// Planning-path heap materialisations: one per allocating-wrapper
-    /// call, and per `make_room` on the dense reference (it snapshots
-    /// the candidate set each time).
+    /// Planning-path heap materialisations: two per `make_room_into` on
+    /// the dense reference core (it snapshots the candidate set each
+    /// time); zero on the fast core.
     pub fresh_allocs: u64,
     /// Candidate records offered to `PolicyKind::choose` across all
     /// victim selections — the dense core re-offers the whole remaining
