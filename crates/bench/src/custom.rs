@@ -158,7 +158,17 @@ pub fn run(args: &CustomArgs) -> Result<String, String> {
         ..presets::CommodityParams::gtx_1080ti(args.gpus, args.gpus.max(1))
     })
     .map_err(|e| e.to_string())?;
-    let (summary, trace) = args.run.run(&model, &topo).map_err(|e| e.to_string())?;
+    // Only `--gantt` reads the trace; without it the run records none.
+    let (summary, trace) = if args.gantt {
+        let (summary, trace) = args.run.run(&model, &topo).map_err(|e| e.to_string())?;
+        (summary, Some(trace))
+    } else {
+        let summary = args
+            .run
+            .run_summary(&model, &topo)
+            .map_err(|e| e.to_string())?;
+        (summary, None)
+    };
     let (w, iterations) = (&args.run.workload, args.run.iterations);
     let mut out = String::new();
     out.push_str(&format!(
@@ -197,7 +207,7 @@ pub fn run(args: &CustomArgs) -> Result<String, String> {
             u * 100.0
         ));
     }
-    if args.gantt {
+    if let Some(trace) = trace {
         out.push('\n');
         out.push_str(&gantt::render(&trace, 110));
     }

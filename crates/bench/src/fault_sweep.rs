@@ -136,10 +136,8 @@ pub fn run(seed: u64) -> FaultSweepReport {
             resilience: Some(seed),
             ..RunSpec::new(SchemeKind::HarmonyPp, w)
         };
-        let (summary, _) = spec
-            .run(&model, &topo)
-            .unwrap_or_else(|e| panic!("fault-sweep run with {count} faults aborted: {e}"));
-        summary
+        spec.run_summary(&model, &topo)
+            .unwrap_or_else(|e| panic!("fault-sweep run with {count} faults aborted: {e}"))
     };
     let clean = exec(Vec::new());
     let horizon_secs = clean.sim_secs * 0.9;

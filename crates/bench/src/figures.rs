@@ -70,8 +70,8 @@ pub fn fig2a() -> (String, Vec<Fig2aPoint>) {
     let ns: Vec<usize> = (1..=4).collect();
     let points: Vec<Fig2aPoint> = harmony_parallel::par_map(&ns, |_, &n| {
         let topo = presets::commodity_n_1080ti(n).expect("preset");
-        let (s, _) = RunSpec::new(SchemeKind::BaselineDp, w)
-            .run(&model, &topo)
+        let s = RunSpec::new(SchemeKind::BaselineDp, w)
+            .run_summary(&model, &topo)
             .expect("fig2a run");
         Fig2aPoint {
             n,
@@ -136,8 +136,8 @@ pub fn fig2c() -> (String, Vec<Fig2cPoint>) {
     let model = workloads::fig2_model();
     let w = workloads::fig2_workload();
     let topo = presets::commodity_4x1080ti();
-    let (s, _) = RunSpec::new(SchemeKind::BaselinePp, w)
-        .run(&model, &topo)
+    let s = RunSpec::new(SchemeKind::BaselinePp, w)
+        .run_summary(&model, &topo)
         .expect("fig2c run");
     let mut t = Table::new(
         "Fig 2(c) — PP with per-GPU tensor swapping: per-stage memory & swap",
@@ -303,8 +303,8 @@ pub fn fig5bc() -> String {
         (SchemeKind::BaselineDp, (4 * m as u64 + 2) * 2),
         (SchemeKind::HarmonyDp, 3 * 2),
     ] {
-        let (s, _) = RunSpec::new(kind, w)
-            .run(&model, &topo)
+        let s = RunSpec::new(kind, w)
+            .run_summary(&model, &topo)
             .expect("fig5bc run");
         t.row(&[
             kind.name().to_string(),
@@ -366,8 +366,8 @@ pub fn table_a() -> (String, Vec<TableARow>) {
         let p =
             analytical::Params::from_model(&model, w.ubatch_size, w.opt_slots, m as u64, n as u64);
         let analytic = analytical::weight_swap_volume(kind, &p) as f64 / wbytes;
-        let (s, _) = RunSpec::new(kind, w)
-            .run(&model, &topo)
+        let s = RunSpec::new(kind, w)
+            .run_summary(&model, &topo)
             .expect("table_a run");
         let measured = s.swap_by_class["weight"] as f64 / wbytes;
         TableARow {
@@ -429,8 +429,8 @@ pub fn dominance() -> (String, Vec<(SchemeKind, u64)>) {
     let mut totals = Vec::new();
     for kind in SchemeKind::ALL {
         let breakdown = analytical::breakdown(kind, &p);
-        let (s, _) = RunSpec::new(kind, w)
-            .run(&model, &topo)
+        let s = RunSpec::new(kind, w)
+            .run_summary(&model, &topo)
             .expect("dominance run");
         t.row(&[
             kind.name().to_string(),
@@ -494,10 +494,9 @@ pub fn tango() -> (String, Vec<TangoPoint>, Vec<TangoPoint>) {
             group_size: Some(g),
             ..base
         };
-        let (s, _) = RunSpec::new(SchemeKind::HarmonyPp, w)
-            .run(&model, &topo)
-            .expect("tango run");
-        s
+        RunSpec::new(SchemeKind::HarmonyPp, w)
+            .run_summary(&model, &topo)
+            .expect("tango run")
     });
     let mut group_points = Vec::new();
     for (&g, s) in group_sizes.iter().zip(&group_runs) {
@@ -619,14 +618,14 @@ pub fn prefetch_ablation() -> (String, Vec<PrefetchPoint>) {
         ));
     }
     for (label, kind, w) in cases {
-        let (a, _) = RunSpec::new(kind, w)
-            .run(&model, &topo)
+        let a = RunSpec::new(kind, w)
+            .run_summary(&model, &topo)
             .expect("serial run");
-        let (b, _) = RunSpec {
+        let b = RunSpec {
             prefetch: true,
             ..RunSpec::new(kind, w)
         }
-        .run(&model, &topo)
+        .run_summary(&model, &topo)
         .expect("prefetch run");
         t.row(&[
             label.clone(),
@@ -691,11 +690,11 @@ pub fn recompute_ablation() -> (String, Vec<(usize, RunSummary, RunSummary)>) {
             recompute: true,
             ..base
         };
-        let (a, _) = RunSpec::new(SchemeKind::HarmonyPp, ws)
-            .run(&model, &topo)
+        let a = RunSpec::new(SchemeKind::HarmonyPp, ws)
+            .run_summary(&model, &topo)
             .expect("stash run");
-        let (b, _) = RunSpec::new(SchemeKind::HarmonyPp, wr)
-            .run(&model, &topo)
+        let b = RunSpec::new(SchemeKind::HarmonyPp, wr)
+            .run_summary(&model, &topo)
             .expect("recompute run");
         t.row(&[
             pack.to_string(),
@@ -743,7 +742,7 @@ pub fn eviction_ablation() -> String {
             policy: Some(policy),
             ..RunSpec::new(SchemeKind::HarmonyDp, w)
         };
-        let (s, _) = spec.run(&model, &topo).expect("run");
+        let s = spec.run_summary(&model, &topo).expect("run");
         t.row(&[
             name.to_string(),
             format!("{:.2}", s.global_swap() as f64 / 1e6),
@@ -782,11 +781,11 @@ pub fn steady_state() -> (String, Vec<(SchemeKind, u32, f64)>) {
         let analytic = harmony::prelude::analytical::weight_swap_volume(kind, &p) as f64 / wbytes;
         let mut cells = vec![kind.name().to_string(), f2(analytic)];
         for k in [1u32, 2, 4] {
-            let (s, _) = RunSpec {
+            let s = RunSpec {
                 iterations: k,
                 ..RunSpec::new(kind, w)
             }
-            .run(&model, &topo)
+            .run_summary(&model, &topo)
             .expect("steady run");
             let per_iter = s.swap_by_class["weight"] as f64 / k as f64 / wbytes;
             cells.push(f2(per_iter));

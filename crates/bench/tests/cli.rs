@@ -312,16 +312,18 @@ fn custom_rejects_a_task_graph_beyond_its_arena_offsets() {
 
 #[test]
 fn custom_refuses_an_executor_beyond_the_address_space_limit() {
-    // gpt_10b on 4,096 GPUs plans within a 2 GB address space, but its
+    // gpt_10b on 8,192 GPUs plans within a 2 GB address space, but its
     // executor does not fit: every plan-sized plane, the fetch-target
     // arena included, is reserved fallibly, so the run is refused with a
     // typed error instead of aborting mid-build (it used to abort while
-    // growing the fetch-target arena).
+    // growing the fetch-target arena). Without `--gantt` the run records
+    // no trace, so its executor at 4,096 GPUs, which reserves no span
+    // plane, fits and runs.
     for scheme in ["harmony-pp", "baseline-pp", "pipe-1f1b"] {
         let out = Command::new("sh")
             .arg("-c")
             .arg(format!(
-                "ulimit -v 2000000; exec \"$0\" custom --model gpt_10b --gpus 4096 --scheme {scheme}"
+                "ulimit -v 2000000; exec \"$0\" custom --model gpt_10b --gpus 8192 --scheme {scheme}"
             ))
             .arg(env!("CARGO_BIN_EXE_repro"))
             .output()
@@ -329,7 +331,7 @@ fn custom_refuses_an_executor_beyond_the_address_space_limit() {
         assert_usage_error(
             &out,
             "too large",
-            &format!("custom --model gpt_10b --gpus 4096 --scheme {scheme} under ulimit -v"),
+            &format!("custom --model gpt_10b --gpus 8192 --scheme {scheme} under ulimit -v"),
         );
     }
 }

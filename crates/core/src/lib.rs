@@ -23,9 +23,11 @@
 //!   Harmony's decomposed, grouped, JIT schedule on capacity-limited
 //!   virtual devices with real tensor swapping, and verify bit-identical
 //!   parameters against the user's sequential program.
-//! * [`sweep`] — [`RunSpec`], the one description of a run, and
-//!   [`RunSpec::run_configured`], the one path that plans, builds and
-//!   runs it; whole grids of simulations are many independent runs.
+//! * [`sweep`] — [`RunSpec`], the one description of a run, and the one
+//!   path that plans, builds and runs it, traced
+//!   ([`RunSpec::run_configured`]) or for its summary alone
+//!   ([`RunSpec::run_summary_configured`]); whole grids of simulations
+//!   are many independent runs.
 //!
 //! ```
 //! use harmony::prelude::*;

@@ -9,6 +9,13 @@
 //! [`SimExecutor::run_counted`]. Nothing is carried from one cell to the
 //! next, so a parallel sweep (`harmony_parallel::par_map`) is
 //! byte-identical at any worker count.
+//!
+//! What the caller takes back decides whether the run records a trace:
+//! [`RunSpec::run`] and [`RunSpec::run_configured`] return it, while
+//! [`RunSpec::run_summary`] and [`RunSpec::run_summary_configured`]
+//! return only the [`RunSummary`] and build with
+//! [`SimExecutor::summary_only`], which records no span and mints no
+//! label. Both give the same summary byte for byte.
 
 use harmony_models::ModelSpec;
 use harmony_sched::{
@@ -92,7 +99,7 @@ impl RunSpec {
         Ok(plan)
     }
 
-    /// Plans and simulates the run.
+    /// Plans and simulates the run, recording its trace.
     pub fn run(
         &self,
         model: &ModelSpec,
@@ -102,22 +109,56 @@ impl RunSpec {
         Ok((summary, trace))
     }
 
+    /// Plans and simulates the run for its summary alone: no trace is
+    /// recorded. The summary is [`RunSpec::run`]'s byte for byte.
+    pub fn run_summary(&self, model: &ModelSpec, topo: &Topology) -> Result<RunSummary, ExecError> {
+        self.run_summary_configured(model, topo, |_| Ok(()))
+    }
+
     /// Like [`RunSpec::run`], but hands the executor to `configure`
     /// after the spec's faults, resilience seed and event budget are
     /// applied and before it starts (oracle observers, the dense
     /// reference switches, armed mutants), and also returns the event
-    /// loop's [`ExecCounters`]. The one place outside the scheduler that
-    /// constructs a [`SimExecutor`] from a spec.
+    /// loop's [`ExecCounters`].
     pub fn run_configured(
         &self,
         model: &ModelSpec,
         topo: &Topology,
         configure: impl FnOnce(&mut SimExecutor<'_>) -> Result<(), ExecError>,
     ) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
+        self.execute(model, topo, true, configure)
+    }
+
+    /// [`RunSpec::run_summary`] with [`RunSpec::run_configured`]'s
+    /// `configure` hook (oracle observers): the run records no trace.
+    pub fn run_summary_configured(
+        &self,
+        model: &ModelSpec,
+        topo: &Topology,
+        configure: impl FnOnce(&mut SimExecutor<'_>) -> Result<(), ExecError>,
+    ) -> Result<RunSummary, ExecError> {
+        let (summary, _, _) = self.execute(model, topo, false, configure)?;
+        Ok(summary)
+    }
+
+    /// Plans, builds (traced or [`SimExecutor::summary_only`]), configures
+    /// and runs: the one place outside the scheduler that constructs a
+    /// [`SimExecutor`] from a spec.
+    fn execute(
+        &self,
+        model: &ModelSpec,
+        topo: &Topology,
+        traced: bool,
+        configure: impl FnOnce(&mut SimExecutor<'_>) -> Result<(), ExecError>,
+    ) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         let plan_start = std::time::Instant::now();
         let plan = self.plan(model, topo)?;
         let plan_secs = plan_start.elapsed().as_secs_f64();
-        let mut exec = SimExecutor::with_iterations(topo, model, &plan, self.iterations)?;
+        let mut exec = if traced {
+            SimExecutor::with_iterations(topo, model, &plan, self.iterations)?
+        } else {
+            SimExecutor::summary_only(topo, model, &plan, self.iterations)?
+        };
         exec.add_setup_secs(plan_secs);
         exec.inject_faults(&self.faults)?;
         if let Some(seed) = self.resilience {

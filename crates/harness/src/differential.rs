@@ -38,18 +38,19 @@ use harmony_trace::summary::RunSummary;
 use crate::oracles::{instrument, OracleConfig};
 
 /// Runs `spec` with oracles attached — the harness's single entry point
-/// to the executor.
+/// to the executor for a summary. The oracles read the executor and the
+/// memory manager, never the trace, so the run records none
+/// ([`RunSpec::run_summary_configured`]).
 pub fn run_spec_instrumented(
     model: &ModelSpec,
     topo: &Topology,
     spec: &RunSpec,
     oracles: &OracleConfig,
 ) -> Result<RunSummary, ExecError> {
-    let (summary, _trace, _counters) = spec.run_configured(model, topo, |exec| {
+    spec.run_summary_configured(model, topo, |exec| {
         instrument(exec, oracles);
         Ok(())
-    })?;
-    Ok(summary)
+    })
 }
 
 /// [`run_spec_instrumented`] with every knob spelled out: faults, event

@@ -10,12 +10,20 @@
 //! 3. **Clean-run invisibility** (regression): with no faults injected,
 //!    arming the layer changes neither the trace JSON nor the summary
 //!    JSON, byte for byte, on any scheme.
+//! 4. **Spill and reroute under every oracle**: a cell that spills and
+//!    reroutes completes with every oracle attached.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use harmony::simulate::SchemeKind;
 use harmony::RunSpec;
 use harmony_harness::workloads::{slack_topo, tight_workload, uniform_model};
 use harmony_harness::{run_instrumented, FaultPlan, OracleConfig};
-use harmony_sched::{Fault, TimedFault};
+use harmony_sched::{
+    ExecContext, ExecEvent, ExecObserver, Fault, SimExecutor, TimedFault, WorkloadConfig,
+};
+use harmony_topology::{Endpoint, Route};
 use proptest::prelude::*;
 
 fn scheme_of(ix: usize) -> SchemeKind {
@@ -148,4 +156,88 @@ fn clean_runs_are_byte_identical_with_layer_on_and_off() {
             scheme.name()
         );
     }
+}
+
+/// Issue instant and first channel of a run's first inter-GPU transfer.
+#[derive(Debug)]
+struct FirstP2p {
+    inter_gpu: Vec<Route>,
+    seen: Rc<Cell<Option<(f64, usize)>>>,
+}
+
+impl ExecObserver for FirstP2p {
+    fn on_event(&mut self, ctx: &ExecContext<'_>, event: &ExecEvent) {
+        if let ExecEvent::TransferIssued { route, bytes } = event {
+            if self.seen.get().is_none() && *bytes > 0 && self.inter_gpu.contains(route) {
+                self.seen.set(Some((ctx.sim.now(), route[0])));
+            }
+        }
+    }
+}
+
+/// The conformance matrix's `resil` cells never spill or reroute, so this
+/// cell, outside the matrix, runs both paths under every oracle: harmony-pp
+/// on 8 uniform layers, 4 slack GPUs, m = 2, Adam, resilience seed 7. The
+/// clean run's first inter-GPU transfer has its first channel cut to 10%
+/// 0.1 µs after it is issued, and GPU 2 is squeezed to 1% at 5% of the
+/// clean makespan. The run must spill and reroute, and it completes only
+/// if no oracle fired (an oracle panics).
+#[test]
+fn spill_and_reroute_hold_every_oracle() {
+    let model = uniform_model(8, 4096);
+    let topo = slack_topo(4);
+    let w = WorkloadConfig {
+        opt_slots: 2,
+        ..tight_workload(2)
+    };
+    let clean = RunSpec::new(SchemeKind::HarmonyPp, w);
+    let makespan = clean.run_summary(&model, &topo).unwrap().sim_secs;
+    let mut inter_gpu = Vec::new();
+    for a in 0..topo.num_gpus() {
+        for b in (0..topo.num_gpus()).filter(|&b| b != a) {
+            inter_gpu.push(topo.route(Endpoint::Gpu(a), Endpoint::Gpu(b)).unwrap());
+        }
+    }
+    let seen = Rc::new(Cell::new(None));
+    let probe = FirstP2p {
+        inter_gpu,
+        seen: seen.clone(),
+    };
+    clean
+        .run_summary_configured(&model, &topo, |exec: &mut SimExecutor<'_>| {
+            exec.attach_observer(Box::new(probe));
+            Ok(())
+        })
+        .unwrap();
+    let (first_p2p, channel) = seen.get().expect("harmony-pp on 4 GPUs moves p2p");
+    let faults = [
+        TimedFault {
+            at: first_p2p + 1e-7,
+            fault: Fault::LinkBandwidth {
+                channel,
+                factor: 0.1,
+            },
+        },
+        TimedFault {
+            at: makespan * 0.05,
+            fault: Fault::CapacitySqueeze {
+                gpu: 2,
+                factor: 0.01,
+            },
+        },
+    ];
+    let summary = run_instrumented(
+        SchemeKind::HarmonyPp,
+        &model,
+        &topo,
+        &w,
+        &OracleConfig::all(),
+        &faults,
+        Some(EVENT_BUDGET),
+        Some(7),
+    )
+    .unwrap();
+    let out = summary.resilience.expect("outcome populated");
+    assert!(out.spill_events > 0, "the cell must spill: {out:?}");
+    assert!(out.rerouted_transfers > 0, "the cell must reroute: {out:?}");
 }

@@ -163,13 +163,21 @@ impl MemoryManager {
         std::mem::take(&mut self.observers)
     }
 
-    /// Delivers events the active core buffered during the last operation.
-    /// Observers get `&self`; they are temporarily detached so the borrow
-    /// of the manager is clean.
+    /// Delivers events the active core buffered during the last operation,
+    /// if any observer is attached. Every state transition ends here, so
+    /// the test is inlined at each call site and an unobserved run pays
+    /// one branch, not a call; delivery stays out of line.
+    #[inline(always)]
     fn flush_events(&mut self) {
-        if self.observers.is_empty() {
-            return;
+        if !self.observers.is_empty() {
+            self.deliver_events();
         }
+    }
+
+    /// [`Self::flush_events`]' delivery. Observers get `&self`; they are
+    /// temporarily detached so the borrow of the manager is clean.
+    #[inline(never)]
+    fn deliver_events(&mut self) {
         let mut events = with_core_mut!(self, c => std::mem::take(&mut c.pending));
         if events.is_empty() {
             with_core_mut!(self, c => c.pending = events);

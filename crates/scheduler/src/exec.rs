@@ -102,6 +102,17 @@
 //!   slices and observers ask the done bitset directly, so an observed
 //!   run copies no executor state. Trace spans stamp pre-interned
 //!   [`SymbolId`]s.
+//!
+//! ## Traced and summary-only runs
+//!
+//! [`SimExecutor::with_iterations`] builds a traced run: it reserves a
+//! span plane, mints a label per tensor, task and collective, and
+//! [`SimExecutor::run_counted`] hands the trace back.
+//! [`SimExecutor::summary_only`] builds the same run for a caller that
+//! reads only the [`RunSummary`]: it reserves no span plane, records no
+//! span and mints no label, and its trace comes back empty. Nothing else
+//! differs, so the two summaries are byte-identical. An error that names
+//! a tensor renders the label from the tensor's key on the error path.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -356,7 +367,9 @@ struct PendingTransfer {
     start: f64,
     lane: usize,
     kind: SpanKind,
-    label: SymbolId,
+    /// The span's label; `None` in a summary-only run, which records no
+    /// span.
+    label: Option<SymbolId>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -512,7 +525,88 @@ impl Waiters {
 struct ComputeRec {
     tag: u64,
     start: f64,
-    label: SymbolId,
+    /// The span's label; `None` in a summary-only run.
+    label: Option<SymbolId>,
+}
+
+/// What a traced run records besides its summary: the span trace and the
+/// interned labels its spans stamp. Every label is minted into the
+/// trace's symbol arena on its key's first sight only, so minting stays
+/// bounded by distinct labels however often a key is re-registered or
+/// re-allocated. Every executor label is distinct by construction — one
+/// per `(replica, ref)`, `(replica, task)` or `(iter, pack)`, in
+/// spellings that cannot collide — so the trace's symbol count is the
+/// number of distinct labels. A summary-only run has no recorder.
+#[derive(Debug)]
+struct Recorder {
+    trace: Trace,
+    /// Interned label per tensor, dense by `TensorId` (ids are handed out
+    /// sequentially by the memory manager).
+    labels: Vec<SymbolId>,
+    /// Interned compute labels, indexed `replica * num_tasks + task`.
+    task_syms: Vec<Option<SymbolId>>,
+    /// Interned tensor labels, indexed `replica * ks.num_refs +
+    /// ks.ref_ix(rf)`.
+    ref_syms: Vec<Option<SymbolId>>,
+}
+
+impl Recorder {
+    /// A recorder with `spans` spans reserved and label slots for
+    /// `ref_slots` tensor refs and `task_slots` tasks, all reserved
+    /// fallibly.
+    fn new(
+        name: String,
+        spans: usize,
+        ref_slots: usize,
+        task_slots: usize,
+    ) -> Result<Self, ExecError> {
+        let mut ref_syms = reserved(ref_slots)?;
+        let mut task_syms = reserved(task_slots)?;
+        let mut trace = Trace::new(name);
+        trace
+            .reserve_spans(spans)
+            .map_err(|e| ExecError::TooLarge(format!("cannot reserve {spans} trace spans: {e}")))?;
+        ref_syms.resize(ref_slots, None);
+        task_syms.resize(task_slots, None);
+        Ok(Recorder {
+            trace,
+            labels: Vec::new(),
+            task_syms,
+            ref_syms,
+        })
+    }
+
+    /// Labels tensor `id`, replica `replica`'s `rf`, minting the label on
+    /// the `(replica, rf)` key's first sight (ids are sequential, so this
+    /// is a push in steady state).
+    fn label_tensor(&mut self, id: TensorId, ks: KeySpace, replica: usize, rf: TensorRef) {
+        let trace = &mut self.trace;
+        let sym = *self.ref_syms[replica * ks.num_refs + ks.ref_ix(rf)]
+            .get_or_insert_with(|| trace.symbols.append(|w| TensorLabel(replica, rf).write(w)));
+        let ix = id as usize;
+        if ix == self.labels.len() {
+            self.labels.push(sym);
+        } else if ix < self.labels.len() {
+            self.labels[ix] = sym;
+        } else {
+            self.labels.resize(ix + 1, sym);
+        }
+    }
+
+    /// The label of tensor `id` (assigned at registration/alloc).
+    fn tensor_sym(&self, id: TensorId) -> Result<SymbolId, ExecError> {
+        self.labels
+            .get(id as usize)
+            .copied()
+            .ok_or_else(|| ExecError::Plan(format!("tensor {id} has no label")))
+    }
+
+    /// The symbol of the task label `label`, cached in slot `six` of
+    /// `task_syms` and minted on the slot's first sight.
+    fn task_sym(&mut self, six: usize, label: TaskLabel) -> SymbolId {
+        let trace = &mut self.trace;
+        *self.task_syms[six].get_or_insert_with(|| trace.symbols.append(|w| label.write(w)))
+    }
 }
 
 /// Structural counters of the executor's event loop — the complexity
@@ -655,14 +749,8 @@ pub struct SimExecutor<'a> {
     num_packs: usize,
     /// Tensor id per key index (None until materialised).
     ids: Vec<Option<TensorId>>,
-    /// Interned trace label per tensor, dense by `TensorId` (ids are
-    /// handed out sequentially by the memory manager).
-    labels: Vec<SymbolId>,
-    /// Interned compute labels, indexed `replica * num_tasks + task`.
-    task_syms: Vec<Option<SymbolId>>,
-    /// Interned tensor labels, indexed `replica * ks.num_refs +
-    /// ks.ref_ix(rf)` (see [`intern_ref`]).
-    ref_syms: Vec<Option<SymbolId>>,
+    /// The trace and its labels; `None` in a summary-only run.
+    rec: Option<Recorder>,
     /// Future-use runs, built only for a next-use-aware plan (empty
     /// under LRU, whose victim key reads no hint). Key index `k`'s
     /// unconsumed run starts at entry `nu_runs[nu_cur[k]]` and follows
@@ -708,7 +796,6 @@ pub struct SimExecutor<'a> {
     /// classify wakes as productive or spurious.
     mutations: u64,
     counters: ExecCounters,
-    trace: Trace,
     observers: Vec<Box<dyn ExecObserver>>,
     faults: Vec<TimedFault>,
     /// Per-GPU compute-rate multiplier (1.0 nominal), set by jitter faults.
@@ -780,11 +867,41 @@ impl<'a> SimExecutor<'a> {
     /// Consecutive iterations pipeline across GPUs, so the summary's
     /// totals divided by `iterations` approach the steady-state
     /// per-iteration figures without cold-start edges.
+    ///
+    /// The run is traced: it reserves four spans per queue item, records
+    /// every compute, transfer and collective span, and
+    /// [`Self::run_counted`] returns the trace. A caller that reads only
+    /// the summary builds with [`Self::summary_only`] instead.
     pub fn with_iterations(
         topo: &'a Topology,
         model: &'a ModelSpec,
         plan: &'a ExecutionPlan,
         iterations: u32,
+    ) -> Result<Self, ExecError> {
+        Self::build(topo, model, plan, iterations, true)
+    }
+
+    /// [`Self::with_iterations`] for a caller that reads only the
+    /// [`RunSummary`]: the run reserves no span plane, records no span
+    /// and mints no label, and [`Self::run_counted`] returns an empty
+    /// trace (no spans, no symbols, no span capacity). The summary, the
+    /// counters and any error are byte-identical to the traced run's.
+    pub fn summary_only(
+        topo: &'a Topology,
+        model: &'a ModelSpec,
+        plan: &'a ExecutionPlan,
+        iterations: u32,
+    ) -> Result<Self, ExecError> {
+        Self::build(topo, model, plan, iterations, false)
+    }
+
+    /// Builds the executor, with a [`Recorder`] when `traced`.
+    fn build(
+        topo: &'a Topology,
+        model: &'a ModelSpec,
+        plan: &'a ExecutionPlan,
+        iterations: u32,
+        traced: bool,
     ) -> Result<Self, ExecError> {
         if iterations == 0 {
             return Err(ExecError::Plan("iterations must be positive".to_string()));
@@ -890,41 +1007,44 @@ impl<'a> SimExecutor<'a> {
             num_refs,
         };
         let mut ids: Vec<Option<TensorId>> = reserved(total_keys)?;
-        let mut ref_syms = reserved(ref_slots)?;
         let mut nu_cur = reserved(if hinted { total_keys } else { 0 })?;
         let mut nu_runs: Vec<NextUse> = reserved(nu_len)?;
         let mut q_items: Vec<QItem> = reserved(queue_len)?;
         let mut ct_items: Vec<CTarget> = reserved(num_targets)?;
         let mut ct_off: Vec<u32> = reserved(num_tasks + num_packs + 1)?;
-        let mut task_syms = reserved(task_slots)?;
         let mut collectives = reserved(coll_slots)?;
         let mut done_words = reserved(done_len)?;
         let mut dep_block = reserved(dep_entries)?;
-        let mut trace = Trace::new(plan.name.clone());
-        trace.reserve_spans(span_hint).map_err(|e| {
-            ExecError::TooLarge(format!("cannot reserve {span_hint} trace spans: {e}"))
-        })?;
+        let mut rec = if traced {
+            Some(Recorder::new(
+                plan.name.clone(),
+                span_hint,
+                ref_slots,
+                task_slots,
+            )?)
+        } else {
+            None
+        };
         let sim = Simulator::new(topo);
         let capacities = (0..num_gpus)
             .map(|g| topo.gpu(g).map(|s| s.mem_bytes))
             .collect::<Result<Vec<_>, _>>()?;
         let mut mm = MemoryManager::new(capacities);
         ids.resize(total_keys, None);
-        let mut labels: Vec<SymbolId> = Vec::new();
-        ref_syms.resize(ref_slots, None);
-        // Persistent per-replica state. Labels are interned once per key
-        // (an input's label is shared by every iteration) — the event
-        // loop only ever stamps spans with the symbol.
+        // Persistent per-replica state. A traced run interns labels once
+        // per key (an input's label is shared by every iteration) — the
+        // event loop only ever stamps spans with the symbol.
         let mut register = |mm: &mut MemoryManager,
                             ids: &mut Vec<Option<TensorId>>,
                             iter: u32,
                             replica: usize,
                             rf: TensorRef| {
             let bytes = rf.bytes(model, cfg.ubatch_size, cfg.opt_slots);
-            let sym = intern_ref(&mut trace, &mut ref_syms, ks, replica, rf);
             let id = mm.register_on_host(bytes, rf.class());
-            debug_assert_eq!(id as usize, labels.len(), "tensor ids must be sequential");
-            labels.push(sym);
+            if let Some(rec) = &mut rec {
+                debug_assert_eq!(id as usize, rec.labels.len(), "tensor ids are sequential");
+                rec.label_tensor(id, ks, replica, rf);
+            }
             ids[ks.key_ix(iter, replica, rf)] = Some(id);
         };
         for r in 0..plan.replicas {
@@ -1007,7 +1127,6 @@ impl<'a> SimExecutor<'a> {
             ..ExecCounters::default()
         };
         let q_cursor: Vec<u32> = q_bounds.iter().map(|b| b.0).collect();
-        task_syms.resize(task_slots, None);
         collectives.resize(coll_slots, CollSlot::default());
         done_words.resize(done_len, 0);
         dep_block.resize(dep_entries, NO_BLOCK);
@@ -1022,9 +1141,7 @@ impl<'a> SimExecutor<'a> {
             num_tasks,
             num_packs,
             ids,
-            labels,
-            task_syms,
-            ref_syms,
+            rec,
             nu_cur,
             nu_runs,
             q_items,
@@ -1048,7 +1165,6 @@ impl<'a> SimExecutor<'a> {
             advancing: None,
             mutations: 0,
             counters,
-            trace,
             observers: Vec::new(),
             faults: Vec::new(),
             compute_rate: vec![1.0; num_gpus],
@@ -1264,7 +1380,7 @@ impl<'a> SimExecutor<'a> {
         purpose: Purpose,
         lane: usize,
         kind: SpanKind,
-        label: SymbolId,
+        label: Option<SymbolId>,
     ) -> Result<TransferId, ExecError> {
         let start = self.sim.now();
         let h = self.transfers.insert(PendingTransfer {
@@ -1292,24 +1408,17 @@ impl<'a> SimExecutor<'a> {
         }
     }
 
-    /// The interned label of a tensor (assigned at registration/alloc).
-    fn tensor_sym(&self, id: TensorId) -> Result<SymbolId, ExecError> {
-        self.labels
-            .get(id as usize)
-            .copied()
-            .ok_or_else(|| ExecError::Plan(format!("tensor {id} has no label")))
+    /// The label of a tensor's spans: `None` in a summary-only run.
+    fn tensor_sym(&self, id: TensorId) -> Result<Option<SymbolId>, ExecError> {
+        self.rec.as_ref().map(|r| r.tensor_sym(id)).transpose()
     }
 
-    /// Records the label of a freshly allocated tensor (ids are sequential,
-    /// so this is a push in steady state).
-    fn set_label(&mut self, id: TensorId, sym: SymbolId) {
-        let ix = id as usize;
-        if ix == self.labels.len() {
-            self.labels.push(sym);
-        } else if ix < self.labels.len() {
-            self.labels[ix] = sym;
-        } else {
-            self.labels.resize(ix + 1, sym);
+    /// Records a span of `kind` on `lane` from `start` to now, when the
+    /// run is traced (then, and only then, `label` is `Some`).
+    fn record_span(&mut self, start: f64, lane: usize, kind: SpanKind, label: Option<SymbolId>) {
+        if let (Some(rec), Some(label)) = (&mut self.rec, label) {
+            rec.trace
+                .record_sym(start, self.sim.now(), Some(lane), kind, label);
         }
     }
 
@@ -1667,8 +1776,7 @@ impl<'a> SimExecutor<'a> {
             let pt = self.transfers.remove(h)?;
             // The aborted attempt occupied the lane until now: record the
             // partial span so the trace shows the cancelled hop.
-            self.trace
-                .record_sym(pt.start, self.sim.now(), Some(pt.lane), pt.kind, pt.label);
+            self.record_span(pt.start, pt.lane, pt.kind, pt.label);
             self.mm.cancel_move_to_device(tensor)?;
             self.mutations += 1;
             self.res_outcome.rerouted_transfers += 1;
@@ -1750,8 +1858,9 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Runs the plan to completion; returns the run summary, the trace
-    /// and the event loop's structural [`ExecCounters`]. Dense-reference
-    /// mode is delegated to the frozen executor.
+    /// (empty for a [`Self::summary_only`] build) and the event loop's
+    /// structural [`ExecCounters`]. Dense-reference mode is delegated to
+    /// the frozen executor.
     pub fn run_counted(mut self) -> Result<(RunSummary, Trace, ExecCounters), ExecError> {
         if self.dense {
             return self.run_dense();
@@ -1759,7 +1868,11 @@ impl<'a> SimExecutor<'a> {
         let wall_start = std::time::Instant::now();
         self.run_core()?;
         let summary = self.build_summary(wall_start.elapsed().as_secs_f64());
-        Ok((summary, std::mem::take(&mut self.trace), self.counters))
+        let trace = match self.rec {
+            Some(rec) => rec.trace,
+            None => Trace::new(self.plan.name.clone()),
+        };
+        Ok((summary, trace, self.counters))
     }
 
     /// Adds planning (or other caller-side setup) wall time to the
@@ -1915,7 +2028,14 @@ impl<'a> SimExecutor<'a> {
         for o in self.mm.take_observers() {
             r.attach_mem_observer(o);
         }
-        r.run_counted()
+        // The frozen reference always records; a summary-only run drops
+        // its trace.
+        let (summary, trace, counters) = r.run_counted()?;
+        let trace = match self.rec {
+            Some(_) => trace,
+            None => Trace::new(trace.name),
+        };
+        Ok((summary, trace, counters))
     }
 
     /// Writes back all dirty device-resident persistent state (updated
@@ -2382,10 +2502,11 @@ impl<'a> SimExecutor<'a> {
                         self.register_tensor_waiter(g, id);
                         return Ok(false);
                     }
+                    // The tensor's label, rendered from its key.
                     Residency::Dead => {
                         return Err(ExecError::Plan(format!(
                             "task needs dead tensor {}",
-                            self.trace.symbols.resolve(self.tensor_sym(id)?)
+                            TensorLabel(replica, ct.rf)
                         )))
                     }
                 }
@@ -2415,12 +2536,13 @@ impl<'a> SimExecutor<'a> {
                     }
                     // All victims dropped instantly; room is free now.
                 }
-                let sym = intern_ref(&mut self.trace, &mut self.ref_syms, self.ks, replica, ct.rf);
                 let id = match self.mm.alloc_on_device(bytes, ct.rf.class(), g) {
                     Ok(id) => id,
                     Err(e) => return self.spill_guard(g, slot, step_id, e),
                 };
-                self.set_label(id, sym);
+                if let Some(rec) = &mut self.rec {
+                    rec.label_tensor(id, self.ks, replica, ct.rf);
+                }
                 self.ids[kix] = Some(id);
                 self.mm.pin(id)?;
                 self.update_next_use(kix, seq, iter, replica, ct.rf)?;
@@ -2442,15 +2564,11 @@ impl<'a> SimExecutor<'a> {
         let tag = self.next_compute_tag;
         self.next_compute_tag += 1;
         let six = replica * self.num_tasks + task;
-        let label = match self.task_syms[six] {
-            Some(s) => s,
-            None => {
-                let label = TaskLabel(replica, self.plan.graph.kind(task));
-                let s = self.trace.symbols.append(|w| label.write(w));
-                self.task_syms[six] = Some(s);
-                s
-            }
-        };
+        let kind = self.plan.graph.kind(task);
+        let label = self
+            .rec
+            .as_mut()
+            .map(|r| r.task_sym(six, TaskLabel(replica, kind)));
         self.computes[g] = Some(ComputeRec {
             tag,
             start: self.sim.now(),
@@ -2488,10 +2606,11 @@ impl<'a> SimExecutor<'a> {
         // Barrier lifted: one ring-exchange hop per GPU of 2(N−1)/N · |dW|,
         // ascending source. Each `(iter, pack)` barrier lifts once, so its
         // label is new.
-        let label = self
-            .trace
-            .symbols
-            .append(|w| write_allreduce_label(w, pack, iter));
+        let label = self.rec.as_mut().map(|r| {
+            r.trace
+                .symbols
+                .append(|w| write_allreduce_label(w, pack, iter))
+        });
         let grad_bytes: u64 = self.plan.graph.packs()[pack]
             .clone()
             .map(|l| self.model.layers[l].grad_bytes())
@@ -2601,13 +2720,7 @@ impl<'a> SimExecutor<'a> {
                     }
                     _ => return Err(ExecError::Plan(format!("unknown compute tag {tag}"))),
                 };
-                self.trace.record_sym(
-                    rec.start,
-                    self.sim.now(),
-                    Some(gpu),
-                    SpanKind::Compute,
-                    rec.label,
-                );
+                self.record_span(rec.start, gpu, SpanKind::Compute, rec.label);
                 self.finish_task(gpu)?;
                 self.wake(gpu);
             }
@@ -2624,8 +2737,7 @@ impl<'a> SimExecutor<'a> {
                 let h = SlabHandle::from_bits(tag);
                 let pt = self.transfers.remove(h)?;
                 debug_assert_eq!(pt.xfer, id, "pooled record matches the completed transfer");
-                self.trace
-                    .record_sym(pt.start, self.sim.now(), Some(pt.lane), pt.kind, pt.label);
+                self.record_span(pt.start, pt.lane, pt.kind, pt.label);
                 match pt.purpose {
                     Purpose::Eviction { gpu, step, tensor } => {
                         self.mm.finish_swap_out(tensor)?;
@@ -2799,26 +2911,6 @@ fn reduces_aligned(queues: &[Vec<WorkItem>]) -> bool {
     queues.iter().all(|q| reduces(q).eq(reduces(&queues[0])))
 }
 
-/// The trace symbol of `(replica, rf)`'s tensor, whose text is also
-/// the memory manager's name for it. The label is written into the
-/// trace's symbol arena on the key's first sight only (cached in
-/// `ref_syms`), so minting stays bounded by distinct labels however
-/// often the key is re-registered or re-allocated. Every executor label
-/// is distinct by construction — one per `(replica, ref)`, `(replica,
-/// task)` or `(iter, pack)`, in spellings that cannot collide — so the
-/// trace's symbol count is the number of distinct labels.
-fn intern_ref(
-    trace: &mut Trace,
-    ref_syms: &mut [Option<SymbolId>],
-    ks: KeySpace,
-    replica: usize,
-    rf: TensorRef,
-) -> SymbolId {
-    let rix = replica * ks.num_refs + ks.ref_ix(rf);
-    *ref_syms[rix]
-        .get_or_insert_with(|| trace.symbols.append(|w| TensorLabel(replica, rf).write(w)))
-}
-
 /// Marks `g` as unblockable. During a pass (`advancing` is the GPU being
 /// advanced), GPUs above it join the same pass (dense visibility order);
 /// everything else waits for the next event's pass.
@@ -2839,8 +2931,8 @@ fn write_allreduce_label<W: fmt::Write>(w: &mut W, pack: usize, iter: u32) -> fm
     write_digits(w, u64::from(iter))
 }
 
-/// The label of replica `.0`'s tensor `.1`, e.g. `r0.L3.Y.u1`: the
-/// trace label and memory-manager name of its tensor.
+/// The label of replica `.0`'s tensor `.1`, e.g. `r0.L3.Y.u1`: its
+/// tensor's span label, and its name in an error.
 pub(crate) struct TensorLabel(pub(crate) usize, pub(crate) TensorRef);
 
 impl TensorLabel {

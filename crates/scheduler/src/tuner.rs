@@ -68,6 +68,9 @@ impl TuneResult {
 /// `summary: None` rather than aborting the sweep — the tango's cliff edge
 /// is part of the result.
 ///
+/// A point keeps only its summary, so every cell runs
+/// [`SimExecutor::summary_only`]: no cell records a trace.
+///
 /// Each grid point is an independent simulation, so the sweep fans out on
 /// the `harmony-parallel` work pool; results are collected in sweep order
 /// and the argmax rule below is total, so the outcome is identical at any
@@ -127,7 +130,7 @@ where
                 planner(model, &w)
                     .map_err(ExecError::Plan)
                     .and_then(|plan| {
-                        SimExecutor::with_iterations(topo, model, &plan, 1)?.run_counted()
+                        SimExecutor::summary_only(topo, model, &plan, 1)?.run_counted()
                     })
                     .ok()
             })

@@ -1,8 +1,9 @@
 //! Structural byte gate for server size: building a commodity server and
 //! an executor for it allocates O(GPUs) bytes, not O(GPUs²). Routes are
 //! derived from the switch tree on demand and the executor caches only
-//! the GPU pairs a run transfers between. Its own test binary, because it
-//! installs a counting global allocator.
+//! the GPU pairs a run transfers between. A summary-only run allocates no
+//! span plane. Its own test binary, because it installs a counting global
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,6 +14,7 @@ use harmony_sched::{plan_harmony_dp, plan_harmony_pp, ExecutionPlan, SimExecutor
 use harmony_taskgraph::GraphError;
 use harmony_topology::presets::{self, CommodityParams, GBPS, GIB};
 use harmony_topology::Topology;
+use harmony_trace::Span;
 
 /// Counts bytes allocated (fresh, and the growth of a reallocation) by the
 /// current thread, so the test harness's other threads cannot disturb the
@@ -189,5 +191,41 @@ fn lru_builds_no_next_use_table() {
         hinted - lru,
         8 * future_uses + 4 * keys,
         "the policies' builds differ by more than the future-use planes"
+    );
+}
+
+#[test]
+fn summary_only_runs_allocate_no_span_plane() {
+    // A traced run reserves four spans per queue item at build time and
+    // mints a label per tensor, task and collective; a run whose caller
+    // reads only the summary does neither. Build and run one lenet
+    // harmony-pp plan at 64 GPUs both ways: the summary-only run
+    // allocates at least the traced run's span reservation fewer bytes.
+    let plan = lenet_plan(plan_harmony_pp, 64);
+    let model = cnn::lenet();
+    let topo = server(64);
+    let run_bytes = |traced: bool| {
+        let before = bytes();
+        let exec = if traced {
+            SimExecutor::with_iterations(&topo, &model, &plan, 1)
+        } else {
+            SimExecutor::summary_only(&topo, &model, &plan, 1)
+        };
+        let run = exec.unwrap().run_counted().unwrap();
+        let n = bytes() - before;
+        drop(run);
+        n
+    };
+    let traced = run_bytes(true);
+    let summary_only = run_bytes(false);
+    let reservation = (4 * plan.total_items() * std::mem::size_of::<Span>()) as u64;
+    println!(
+        "lenet harmony-pp 64 GPUs: traced {traced} B; summary-only {summary_only} B; \
+         span reservation {reservation} B"
+    );
+    assert!(
+        summary_only + reservation <= traced,
+        "a summary-only run saves {} B, less than the {reservation} B span reservation",
+        traced.saturating_sub(summary_only)
     );
 }

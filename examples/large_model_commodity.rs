@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     group_size: Some(g),
                     ..workload
                 };
-                let (s, _) = RunSpec::new(scheme, w).run(&model, &topo)?;
+                let s = RunSpec::new(scheme, w).run_summary(&model, &topo)?;
                 if s.throughput() > best_tp {
                     best_tp = s.throughput();
                     best = w;
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             workload
         };
-        let (summary, _) = RunSpec::new(scheme, workload).run(&model, &topo)?;
+        let summary = RunSpec::new(scheme, workload).run_summary(&model, &topo)?;
         table.row(&[
             scheme.name().to_string(),
             f2(summary.throughput()),

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let state = model.total_params() * 16; // W + dW + Adam
         let run = |scheme| {
             RunSpec::new(scheme, workload)
-                .run(model, &topo)
-                .map(|(s, _)| s.global_swap())
+                .run_summary(model, &topo)
+                .map(|s| s.global_swap())
         };
         let b = run(SchemeKind::BaselineDp)?;
         let h = run(SchemeKind::HarmonyDp)?;
